@@ -287,3 +287,41 @@ func TestChurnDoesNotPerturbBaseFleet(t *testing.T) {
 		t.Fatalf("churn-off run diverges from the plain spec:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestChurnMesoWarmingLane: a lane churned into a plain-meso fleet (no
+// group parking) stays barred from parking until its warm-up ends. It
+// has no arrival stream before then, so parking it early would leave
+// nothing to stop. The warm-up recovery it reports matches the
+// meso-off run's, because meso only parks steady, warmed lanes.
+func TestChurnMesoWarmingLane(t *testing.T) {
+	t.Parallel()
+	sp := Spec{
+		Profiles:        []string{"SSD2"},
+		Size:            8,
+		Shards:          1,
+		Horizon:         3 * time.Second,
+		Seed:            42,
+		Meso:            true,
+		CheckInvariants: true,
+		Churn: []ChurnEvent{
+			{At: 500 * time.Millisecond, Profile: "SSD2", Add: 2, Warmup: 800 * time.Millisecond},
+			{At: 2 * time.Second, Profile: "SSD2", Remove: 2},
+		},
+	}
+	meso, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meso.MesoDriftOK || !meso.CapOK {
+		t.Fatalf("meso probes failed: drift=%v cap=%v", meso.MesoDriftOK, meso.CapOK)
+	}
+	sp.Meso = false
+	off, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meso.WarmupP50 != off.WarmupP50 || meso.WarmupMax != off.WarmupMax {
+		t.Fatalf("warm-up p50/max %v/%v with meso, %v/%v without",
+			meso.WarmupP50, meso.WarmupMax, off.WarmupP50, off.WarmupMax)
+	}
+}

@@ -255,8 +255,9 @@ func (s *shard) rateStep(rs workload.RateStep) {
 // behavior is independent of join order and of every other lane's
 // stream position. Churned lanes take no fault injection: the fault
 // draw pass covers the build-time fleet. Arrivals do not start here;
-// the warm event does that.
-func (s *shard) admitLane(g, pi int, at time.Duration) error {
+// the warm event does that. The lane is admitted at `at` and warms
+// until warmAt, which bars it from meso parking until then.
+func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	sp := s.spec
 	profile := sp.Profiles[pi]
 	lrng := sim.NewRNG(sp.Seed ^ shardHash("serve/churn", g))
@@ -320,7 +321,7 @@ func (s *shard) admitLane(g, pi int, at time.Duration) error {
 		s.govs = append(s.govs, gv)
 	}
 	if s.meso != nil {
-		s.meso.addLane(li, s.lc[li].warmFrom)
+		s.meso.addLane(li, warmAt)
 	}
 	return nil
 }
@@ -430,7 +431,7 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 	for _, ad := range ep.adds {
 		if s.grp != nil {
 			s.grp.addVirtual(ad, ep.at, ep.warmAt, now)
-		} else if err := s.admitLane(ad.g, ad.pi, ep.at); err != nil {
+		} else if err := s.admitLane(ad.g, ad.pi, ep.at, ep.warmAt); err != nil {
 			panic(fmt.Sprintf("serve: churn admission of group %d: %v", ad.g, err))
 		}
 	}

@@ -328,7 +328,9 @@ func (m *mesoState) beginDrain(i int, ml *mesoLane, e float64, now time.Duration
 			return
 		}
 	}
-	s.arrs[i].Stop()
+	if s.arrs[i] != nil {
+		s.arrs[i].Stop()
+	}
 	ml.phase = mesoDraining
 	m.laneQuiet(s.lanes[i])
 }

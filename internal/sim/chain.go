@@ -11,7 +11,8 @@ import (
 // busy-until horizon). Because the source's events are already in fire
 // order relative to each other, they do not need individual slots in
 // the engine's priority queue: the Chain buffers them in a ring and
-// keeps exactly one representative Timer in the heap, carrying the head
+// keeps exactly one representative Timer queued (in the near heap or on
+// the timing wheel, by the engine's arm rule), carrying the head
 // event's (time, seq) key. Each fire pops the head and re-keys the
 // representative to the next event.
 //
@@ -28,7 +29,7 @@ import (
 // produced through the heap.
 type Chain struct {
 	eng    *Engine
-	rep    *Timer
+	rep    Timer // embedded, so a chain is one allocation plus its ring
 	ring   []chainEv
 	head   int
 	n      int
@@ -45,9 +46,8 @@ type chainEv struct {
 // NewChain returns an empty chain on the engine. The caller must only
 // post non-decreasing times to it.
 func (e *Engine) NewChain() *Chain {
-	c := &Chain{eng: e, ring: make([]chainEv, 16)}
-	c.rep = &Timer{eng: e, index: -1}
-	c.rep.chain = c
+	c := &Chain{eng: e, ring: make([]chainEv, 4)}
+	c.rep = Timer{eng: e, index: -1, slot: -1, chain: c}
 	return c
 }
 
@@ -70,7 +70,7 @@ func (c *Chain) Post(at time.Duration, fn func()) {
 	c.n++
 	if c.n == 1 && !c.parked {
 		c.rep.at, c.rep.seq = at, seq
-		e.armRep(c.rep)
+		e.arm(&c.rep)
 	} else {
 		e.chainExtra++
 	}
@@ -119,12 +119,7 @@ func (c *Chain) Park() {
 		return
 	}
 	e := c.eng
-	rep := c.rep
-	if rep.index >= 0 {
-		e.heapRemove(rep.index)
-	} else {
-		e.wheelRemove(rep)
-	}
+	e.dequeue(&c.rep)
 	// The head is no longer represented anywhere; count it with the
 	// buffered tail so Pending stays exact.
 	e.chainExtra++
@@ -152,7 +147,7 @@ func (c *Chain) Unpark() {
 	}
 	c.rep.at, c.rep.seq = h.at, h.seq
 	e.chainExtra--
-	e.armRep(c.rep)
+	e.arm(&c.rep)
 }
 
 // grow doubles the ring, unwrapping it to the front.

@@ -17,23 +17,34 @@
 //     per-engine free list and return it after firing;
 //   - recurring work re-arms a single Timer in place (Reschedule,
 //     Periodic) instead of allocating a fresh timer and closure per tick;
-//   - stopped timers are removed from the heap eagerly via their tracked
-//     heap index, so the queue never accumulates garbage and Pending is
-//     O(1).
+//   - one arm rule covers every timer: an event due inside the current
+//     512 ns near window goes into the heap, anything later waits on a
+//     4096-bucket timing wheel (≈2.1 ms span; later still, an overflow
+//     list re-filed once per revolution), so the heap holds only the
+//     current window;
+//   - stopped and rescheduled timers leave the queue eagerly, in O(1):
+//     through their tracked heap index, or by unlinking from the
+//     doubly-linked wheel list recorded on the timer, so the queue never
+//     accumulates garbage and Pending is O(1).
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"wattio/internal/telemetry"
 )
 
-// heapGaugeMask amortizes the heap-depth telemetry gauge: the gauge is
-// refreshed once every heapGaugeMask+1 dispatches rather than on every
-// schedule and pop. The gauge is a monitoring aid, not an input to any
-// simulation result, so sampling it is free accuracy-wise; writing it
-// per event showed up in kernel profiles.
+// heapGaugeMask amortizes the heap-depth telemetry gauge
+// (sim_heap_depth): the gauge is refreshed once every heapGaugeMask+1
+// dispatches rather than on every schedule and pop. It counts the near
+// heap plus the plain timers parked on the wheel: every pending plain
+// timer and every chain representative due in the current window, the
+// set a heap holding all plain timers would hold. The gauge is a
+// monitoring aid, not an input to any simulation result, so sampling
+// it is free accuracy-wise; writing it per event showed up in kernel
+// profiles.
 const heapGaugeMask = 1023
 
 // Engine is a discrete-event scheduler over virtual time.
@@ -54,20 +65,22 @@ type Engine struct {
 	// the head itself while the chain is parked. Pending sums it in.
 	chainExtra int
 
-	// Timing wheel holding chain representatives whose head event lies
-	// beyond the near window [wBase, wBase+wheelWidth). Parked reps cost
-	// O(1) to file and O(1) amortized to surface, versus a full-depth
-	// heap sift per re-key; the heap ("near heap") stays a few dozen
-	// entries deep even with thousands of concurrently busy resources.
-	// Invariant: every parked rep has at >= wBase+wheelWidth, so the
-	// near heap always holds the global minimum once ensureNear returns.
-	// Only chain reps park — they never Stop or Reschedule, so the wheel
-	// needs no removal path. The bucket array is allocated on first use.
+	// Timing wheel holding every timer — plain or chain representative —
+	// due beyond the near window [wBase, wBase+wheelWidth). Parked
+	// timers cost O(1) to file, unlink and surface, versus a full-depth
+	// heap sift; the heap ("near heap") holds only the current window.
+	// Invariants: every parked timer has at >= wBase+wheelWidth and
+	// every heap entry has at < wBase+wheelWidth, so a non-empty near
+	// heap always holds the global minimum. occ has one bit per
+	// non-empty bucket, letting wheelAdvance skip empty buckets in one
+	// step. The bucket array is allocated on first use; its last slot
+	// (overflowSlot) heads the overflow list.
 	wBase       time.Duration
-	wheel       []*Timer // bucket lists linked through Timer.next
-	wheelCnt    int
-	overflow    *Timer // reps beyond the wheel span; re-filed once per revolution
-	overflowCnt int
+	wheel       []*Timer // doubly-linked bucket lists through Timer.next/prev
+	occ         [wheelBuckets / 64]uint64
+	wheelCnt    int // timers in wheel buckets
+	overflowCnt int // timers beyond the wheel span, on the overflow list
+	parkedPlain int // plain (non-chain) timers among wheelCnt+overflowCnt
 
 	// deadline is the active RunUntil bound (-1 outside RunUntil). It is
 	// exposed through Deadline so batching samplers (measure.Rig) know
@@ -127,12 +140,14 @@ type Timer struct {
 	seq    uint64
 	fn     func()
 	eng    *Engine
-	next   *Timer        // free-list link (pooled timers only)
-	index  int           // heap index, -1 when not queued
+	next   *Timer        // wheel-list or free-list link
+	prev   *Timer        // wheel-list back link
+	index  int           // heap index, -1 when not in the heap
 	period time.Duration // >0: auto re-arm after firing (Periodic)
 	chain  *Chain        // chain this timer represents, nil for plain timers
 
-	pooled  bool // owned by the engine free list; no external handle exists
+	slot    int32 // wheel slot whose list holds the timer, -1 when not parked
+	pooled  bool  // owned by the engine free list; no external handle exists
 	stopped bool
 	firing  bool // its callback is executing right now
 }
@@ -141,13 +156,13 @@ type Timer struct {
 func (t *Timer) At() time.Duration { return t.at }
 
 // Pending reports whether the timer is queued to fire.
-func (t *Timer) Pending() bool { return t.index >= 0 }
+func (t *Timer) Pending() bool { return t.index >= 0 || t.slot >= 0 }
 
 // Stop cancels the timer, removing it from the event queue immediately.
 // It reports whether the timer was still pending. Calling Stop from
 // inside the timer's own callback cancels a Periodic re-arm.
 func (t *Timer) Stop() bool {
-	if t.index < 0 {
+	if !t.Pending() {
 		if t.firing && !t.stopped {
 			// Stopped from inside its own callback: nothing is queued,
 			// but mark it so a Periodic timer does not re-arm.
@@ -161,7 +176,7 @@ func (t *Timer) Stop() bool {
 	}
 	t.stopped = true
 	e := t.eng
-	e.heapRemove(t.index)
+	e.dequeue(t)
 	e.cStopped.Inc()
 	if t.pooled {
 		t.recycle()
@@ -186,15 +201,21 @@ func (t *Timer) Reschedule(at time.Duration) {
 	if t.fn == nil {
 		panic("sim: reschedule of an unarmed timer")
 	}
+	if t.slot >= 0 {
+		e.unlink(t)
+	}
 	t.stopped = false
 	t.at = at
 	t.seq = e.seq
 	e.seq++
 	if t.index >= 0 {
-		e.heapFix(t.index)
-	} else {
-		e.heapPush(t)
+		if at < e.wBase+wheelWidth {
+			e.heapFix(t.index)
+			return
+		}
+		e.heapRemove(t.index)
 	}
+	e.arm(t)
 }
 
 // RescheduleAfter re-arms the timer to fire when d has elapsed from the
@@ -221,9 +242,9 @@ func (t *Timer) recycle() {
 // panics: it would silently reorder causality.
 func (e *Engine) Schedule(at time.Duration, fn func()) *Timer {
 	e.checkSchedule(at, fn)
-	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1}
+	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1, slot: -1}
 	e.seq++
-	e.heapPush(t)
+	e.arm(t)
 	return t
 }
 
@@ -249,13 +270,13 @@ func (e *Engine) Post(at time.Duration, fn func()) {
 		t.next = nil
 		t.stopped = false
 	} else {
-		t = &Timer{eng: e, pooled: true, index: -1}
+		t = &Timer{eng: e, pooled: true, index: -1, slot: -1}
 	}
 	t.at = at
 	t.seq = e.seq
 	t.fn = fn
 	e.seq++
-	e.heapPush(t)
+	e.arm(t)
 }
 
 // PostAfter runs fn when d has elapsed, fire-and-forget (see Post).
@@ -277,9 +298,9 @@ func (e *Engine) Periodic(every time.Duration, fn func()) *Timer {
 	}
 	at := e.now + every
 	e.checkSchedule(at, fn)
-	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1, period: every}
+	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1, slot: -1, period: every}
 	e.seq++
-	e.heapPush(t)
+	e.arm(t)
 	return t
 }
 
@@ -292,19 +313,28 @@ func (e *Engine) checkSchedule(at time.Duration, fn func()) {
 	}
 }
 
-// --- timing wheel for far chain representatives --------------------------
+// --- timing wheel for far timers ----------------------------------------
 
 const (
 	wheelShift   = 9 // bucket width 2^9 ns ≈ 0.5µs
 	wheelWidth   = time.Duration(1) << wheelShift
-	wheelBuckets = 1 << 17
+	wheelBuckets = 1 << 12
 	wheelMask    = wheelBuckets - 1
-	wheelSpan    = wheelWidth * wheelBuckets // ≈ 67 ms
+	wheelSpan    = wheelWidth * wheelBuckets // ≈ 2.1 ms
+	overflowSlot = wheelBuckets              // wheel slot heading the overflow list
 )
 
-// armRep files a chain representative: into the near heap when its head
-// fires inside the current window, onto the wheel otherwise.
-func (e *Engine) armRep(t *Timer) {
+// arm files a timer by the one arm rule: into the near heap when it
+// fires inside the current window, onto the wheel otherwise. With
+// nothing parked, the window first jumps to now's bucket, so a stale
+// window (after AdvanceTo, RunUntil or heap-only stretches) does not
+// send near-future timers around the overflow list.
+func (e *Engine) arm(t *Timer) {
+	if t.at >= e.wBase+wheelWidth && e.wheelCnt+e.overflowCnt == 0 {
+		if b := e.now &^ (wheelWidth - 1); b > e.wBase {
+			e.wBase = b
+		}
+	}
 	if t.at < e.wBase+wheelWidth {
 		e.heapPush(t)
 	} else {
@@ -312,134 +342,122 @@ func (e *Engine) armRep(t *Timer) {
 	}
 }
 
-// park files a far representative in its wheel bucket (or the overflow
-// list when it lies beyond the wheel span). Caller guarantees
+// park files a far timer in its wheel bucket (or the overflow list when
+// it lies beyond the wheel span). Caller guarantees
 // t.at >= wBase+wheelWidth.
 //
 // Boundary semantics, pinned: the wheel covers (wBase+wheelWidth-1) up
-// to and including wBase+wheelSpan — a rep exactly one full revolution
-// out files into the just-surfaced current bucket and comes around
-// precisely at its due time. Only reps strictly beyond the span go to
-// the overflow list. The re-file path in wheelAdvance uses the same
-// inclusive comparison, so a rep at the exact span boundary never
-// round-trips through overflow.
+// to and including wBase+wheelSpan — a timer exactly one full
+// revolution out files into the just-surfaced current bucket and comes
+// around precisely at its due time. Only timers strictly beyond the
+// span go to the overflow list; the re-file in wheelAdvance uses the
+// same rule.
 func (e *Engine) park(t *Timer) {
 	if e.wheel == nil {
-		e.wheel = make([]*Timer, wheelBuckets)
+		e.wheel = make([]*Timer, wheelBuckets+1)
 	}
-	if e.wheelCnt == 0 && e.overflowCnt == 0 {
-		// Wheel empty: jump the window forward so a sparse schedule does
-		// not force events through the overflow list. Near-heap entries
-		// are unaffected — the near/far split applies only at arm time.
-		if b := t.at>>wheelShift<<wheelShift - wheelWidth; b > e.wBase {
-			e.wBase = b
-		}
-	}
-	if t.at-e.wBase > wheelSpan {
-		t.next = e.overflow
-		e.overflow = t
+	j := overflowSlot
+	if t.at-e.wBase <= wheelSpan {
+		j = int(t.at>>wheelShift) & wheelMask
+		e.occ[j>>6] |= 1 << (j & 63)
+		e.wheelCnt++
+	} else {
 		e.overflowCnt++
-		return
 	}
-	j := int(t.at>>wheelShift) & wheelMask
+	if t.chain == nil {
+		e.parkedPlain++
+	}
+	t.slot = int32(j)
 	t.next = e.wheel[j]
+	if t.next != nil {
+		t.next.prev = t
+	}
 	e.wheel[j] = t
-	e.wheelCnt++
 }
 
-// wheelRemove unlinks a parked representative from its wheel bucket or
-// the overflow list. It is the removal path Chain.Park needs: parked
-// reps never Stop or Reschedule, so nothing else removes them. The
-// bucket is recomputed from the rep's time; a rep whose bucket has come
-// due since it was filed would have been surfaced into the heap, so the
-// computed bucket (falling back to the overflow list, which re-files
-// lazily) always finds it.
-func (e *Engine) wheelRemove(t *Timer) {
-	if e.wheel != nil && t.at-e.wBase <= wheelSpan {
-		j := int(t.at>>wheelShift) & wheelMask
-		if listRemove(&e.wheel[j], t) {
-			e.wheelCnt--
-			return
-		}
+// unlink removes a parked timer from its wheel list in O(1).
+func (e *Engine) unlink(t *Timer) {
+	j := int(t.slot)
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		e.wheel[j] = t.next
 	}
-	if listRemove(&e.overflow, t) {
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	t.next, t.prev, t.slot = nil, nil, -1
+	if j == overflowSlot {
 		e.overflowCnt--
-		return
-	}
-	panic("sim: parked chain representative not found on wheel or overflow")
-}
-
-// listRemove unlinks t from a singly-linked Timer list, reporting
-// whether it was found.
-func listRemove(head **Timer, t *Timer) bool {
-	for p := head; *p != nil; p = &(*p).next {
-		if *p == t {
-			*p = t.next
-			t.next = nil
-			return true
+	} else {
+		e.wheelCnt--
+		if e.wheel[j] == nil {
+			e.occ[j>>6] &^= 1 << (j & 63)
 		}
 	}
-	return false
+	if t.chain == nil {
+		e.parkedPlain--
+	}
 }
 
-// wheelAdvance moves the near window forward one bucket, surfacing the
-// reps whose time has come into the near heap. Once per revolution the
-// overflow list is re-filed.
+// dequeue removes a pending timer from whichever queue holds it.
+func (e *Engine) dequeue(t *Timer) {
+	if t.index >= 0 {
+		e.heapRemove(t.index)
+	} else {
+		e.unlink(t)
+	}
+}
+
+// nextOccupied returns the first non-empty bucket at or after j, or
+// wheelBuckets when none is left before the wrap.
+func (e *Engine) nextOccupied(j int) int {
+	for w := j >> 6; w < len(e.occ); w++ {
+		m := e.occ[w]
+		if w == j>>6 {
+			m &= ^uint64(0) << (j & 63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return wheelBuckets
+}
+
+// wheelAdvance moves the near window forward to the next bucket that
+// holds a timer, surfacing its timers into the near heap. It skips
+// empty buckets in one step but stops at the wrap to bucket 0, where
+// the overflow list is re-filed (once per revolution).
 func (e *Engine) wheelAdvance() {
-	e.wBase += wheelWidth
 	j := int(e.wBase>>wheelShift) & wheelMask
+	d := e.nextOccupied(j+1) - j
+	e.wBase += time.Duration(d) << wheelShift
+	j = (j + d) & wheelMask
 	for t := e.wheel[j]; t != nil; {
 		next := t.next
-		t.next = nil
-		e.wheelCnt--
-		if t.at < e.wBase+wheelWidth {
-			e.heapPush(t)
-		} else {
-			// Span-aliased: a full revolution (or more) out.
-			t.next = e.overflow
-			e.overflow = t
-			e.overflowCnt++
-		}
+		e.unlink(t)
+		e.heapPush(t)
 		t = next
 	}
-	e.wheel[j] = nil
 	if j == 0 && e.overflowCnt > 0 {
-		var keep *Timer
-		keepN := 0
-		for t := e.overflow; t != nil; {
+		for t := e.wheel[overflowSlot]; t != nil; {
 			next := t.next
-			t.next = nil
-			switch {
-			case t.at < e.wBase+wheelWidth:
-				e.heapPush(t)
-			case t.at-e.wBase <= wheelSpan:
-				// Inclusive at the span boundary, matching park: a rep
-				// exactly one revolution out belongs on the wheel.
-				jj := int(t.at>>wheelShift) & wheelMask
-				t.next = e.wheel[jj]
-				e.wheel[jj] = t
-				e.wheelCnt++
-			default:
-				t.next = keep
-				keep = t
-				keepN++
+			if t.at-e.wBase <= wheelSpan {
+				e.unlink(t)
+				e.arm(t)
 			}
 			t = next
 		}
-		e.overflow, e.overflowCnt = keep, keepN
 	}
 }
 
-// ensureNear advances the wheel until the near heap provably holds the
-// earliest pending event: either its root fires inside the current
-// window (parked reps are all later) or nothing is parked at all. Every
-// peek and pop goes through here; in the steady state it is one load
-// and one compare.
+// ensureNear advances the wheel until the near heap holds the earliest
+// pending event: heap entries all fire inside the current window and
+// parked timers after it, so that is the moment the heap is non-empty
+// or nothing is parked at all. Every peek and pop goes through here; in
+// the steady state it is one length check.
 func (e *Engine) ensureNear() {
-	for e.wheelCnt > 0 || e.overflowCnt > 0 {
-		if len(e.pq) > 0 && e.pq[0].at < e.wBase+wheelWidth {
-			return
-		}
+	for len(e.pq) == 0 && e.wheelCnt+e.overflowCnt > 0 {
 		e.wheelAdvance()
 	}
 }
@@ -467,7 +485,7 @@ func (e *Engine) Step() bool {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq)))
+		e.gHeap.Set(int64(len(e.pq) + e.parkedPlain))
 	}
 	if t.pooled {
 		// Recycle before firing: the callback may Post again and reuse
@@ -481,13 +499,13 @@ func (e *Engine) Step() bool {
 	t.firing = true
 	t.fn()
 	t.firing = false
-	if t.period > 0 && !t.stopped && t.index < 0 {
+	if t.period > 0 && !t.stopped && !t.Pending() {
 		// Periodic: re-arm in place unless the callback stopped or
 		// explicitly rescheduled the timer.
 		t.at += t.period
 		t.seq = e.seq
 		e.seq++
-		e.heapPush(t)
+		e.arm(t)
 	}
 	return true
 }
@@ -499,7 +517,7 @@ func (e *Engine) Step() bool {
 // versus a full-depth pop plus push. The head runs after the re-key so
 // it may post to its own chain.
 func (e *Engine) fireChain(c *Chain) {
-	rep := c.rep
+	rep := &c.rep
 	if rep.at < e.now {
 		panic(fmt.Sprintf("sim: clock would go backward: event at %v, now %v", rep.at, e.now))
 	}
@@ -507,7 +525,7 @@ func (e *Engine) fireChain(c *Chain) {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq)))
+		e.gHeap.Set(int64(len(e.pq) + e.parkedPlain))
 	}
 	mask := len(c.ring) - 1
 	ev := c.ring[c.head]
@@ -522,7 +540,7 @@ func (e *Engine) fireChain(c *Chain) {
 			e.siftDown(0)
 		} else {
 			e.heapPop()
-			e.park(rep)
+			e.arm(rep)
 		}
 		e.chainExtra--
 	} else {
@@ -574,7 +592,7 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: advance to %v before now %v", t, e.now))
 	}
-	for t >= e.wBase+wheelWidth && (e.wheelCnt > 0 || e.overflowCnt > 0) {
+	for t >= e.wBase+wheelWidth && e.wheelCnt+e.overflowCnt > 0 {
 		e.wheelAdvance()
 	}
 	if len(e.pq) > 0 && e.pq[0].at <= t {
@@ -595,8 +613,8 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 }
 
 // Pending returns the number of events still queued (including events at
-// the current instant, events buffered on Chains, and events held by
-// parked chains). Stopped timers leave the queue immediately, so this is
+// the current instant, events buffered on Chains, events on the timing
+// wheel, and events held by parked chains). Stopped timers leave the queue immediately, so this is
 // a live count, O(1).
 func (e *Engine) Pending() int {
 	return len(e.pq) + e.chainExtra + e.wheelCnt + e.overflowCnt

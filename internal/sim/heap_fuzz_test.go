@@ -10,16 +10,21 @@ import (
 // timing wheel in front of it) must fire events in exactly the order a
 // textbook priority queue over (time, seq) would. FuzzHeapDifferential
 // drives both from the same random script of schedule / post / chain-post
-// / stop / reschedule / step / park-unpark operations and requires
-// identical fire sequences, including FIFO order among co-timed events.
-// Far posts step in eighths of the wheel span so the fuzzer reaches the
-// exact wheel/overflow boundary (at == wBase+wheelSpan), which must park
-// on the wheel, not the overflow list.
+// / stop / reschedule / periodic / step / advance / park-unpark
+// operations and requires identical fire sequences, including FIFO
+// order among co-timed events. Far chain posts step in eighths of the
+// wheel span so the fuzzer reaches the exact wheel/overflow boundary
+// (at == wBase+wheelSpan), which must park on the wheel, not the
+// overflow list. Far plain timers step in sixteenths of the span plus a
+// few buckets, up to four revolutions out, so they land on the wheel,
+// alias one another's buckets from the overflow list, and re-file at
+// the wrap to bucket 0.
 
 type refEv struct {
-	at  time.Duration
-	seq uint64
-	id  int
+	at    time.Duration
+	seq   uint64
+	id    int
+	owner int // index of the owned timer firing this event, -1 for none
 }
 
 type refHeap []refEv
@@ -63,6 +68,34 @@ func FuzzHeapDifferential(f *testing.F) {
 	f.Add([]byte{6, 7, 7, 0, 7, 0, 5, 0, 6, 7, 5, 0, 5, 0})
 	// Park/unpark interleaved with near-heap traffic.
 	f.Add([]byte{2, 0, 7, 0, 1, 10, 5, 0, 7, 0, 5, 0, 5, 0})
+	// A parked plain timer rescheduled into a different bucket, then
+	// back into the near window.
+	f.Add([]byte{0, 40, 0, 60, 4, 100, 15, 0, 14, 1, 15, 0, 15, 0})
+	// A near-heap timer rescheduled far out must leave the heap for the
+	// wheel, behind a parked post it now follows.
+	f.Add([]byte{0, 1, 1, 40, 9, 0, 15, 0, 15, 0})
+	// Stops: one leaves its bucket occupied (the next step must still
+	// find it), one empties a bucket the skip must then pass over.
+	f.Add([]byte{0, 40, 0, 41, 0, 80, 0, 120, 3, 0, 15, 0, 3, 3, 15, 0, 15, 0})
+	// Skips over runs of empty buckets up to the next event's bucket.
+	f.Add([]byte{0, 10, 0, 200, 1, 255, 8, 0, 15, 0, 15, 0, 15, 0, 15, 0})
+	// The wrap to bucket 0 with overflow present: far timers several
+	// revolutions out re-file, one revolution at a time.
+	f.Add([]byte{8, 20, 12, 70, 8, 255, 10, 5, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0})
+	// The skip must stop at the wrap even when the next occupied bucket
+	// lies beyond it: an overflow timer due before that bucket re-files
+	// there.
+	f.Add([]byte{8, 17, 12, 7, 15, 0, 12, 13, 15, 0, 15, 0})
+	// AdvanceTo across skipped buckets, short of a parked timer.
+	f.Add([]byte{0, 200, 8, 3, 11, 100, 15, 0, 11, 255, 13, 0, 15, 0})
+	// A parked timer rescheduled onto the overflow list, aliasing the
+	// bucket of another parked timer: the unlink must clear its old
+	// bucket's occupancy, not the bucket its new time maps to, or the
+	// other timer (and the plain post between them) is skipped.
+	f.Add([]byte{8, 3, 12, 7, 0, 10, 9, 19, 15, 0, 15, 0, 15, 0, 15, 0})
+	// Periodic timers re-arming onto the wheel and across revolutions,
+	// one rescheduled and one stopped mid-series.
+	f.Add([]byte{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine()
@@ -86,13 +119,86 @@ func FuzzHeapDifferential(f *testing.F) {
 		// Owned timers created so far; ownedEv[k] is the id of timer k's
 		// currently pending firing, -1 when none. The engine callback
 		// reads the id at fire time, so a Reschedule changes which id the
-		// next firing reports — on both sides.
+		// next firing reports — on both sides. A Periodic timer k
+		// (period[k] > 0) fires left[k] more times, taking a fresh id per
+		// firing, then stops itself from inside its callback.
 		var owned []*Timer
 		var ownedEv []int
+		var period []time.Duration
+		var left []int
 
-		push := func(at time.Duration, id int) {
-			heap.Push(&ref, refEv{at, refSeq, id})
+		push := func(at time.Duration, id, owner int) {
+			heap.Push(&ref, refEv{at, refSeq, id, owner})
 			refSeq++
+		}
+
+		// own schedules owned timer k's first firing (a Periodic one when
+		// every > 0) on both sides.
+		own := func(at, every time.Duration) {
+			id := nextID
+			nextID++
+			k := len(owned)
+			ownedEv = append(ownedEv, id)
+			period = append(period, every)
+			left = append(left, 3)
+			fn := func() {
+				engFired = append(engFired, ownedEv[k])
+				ownedEv[k] = -1
+				if period[k] > 0 {
+					if left[k]--; left[k] > 0 {
+						ownedEv[k] = nextID
+						nextID++
+					} else {
+						owned[k].Stop()
+					}
+				}
+			}
+			if every > 0 {
+				owned = append(owned, e.Periodic(every, fn))
+			} else {
+				owned = append(owned, e.Schedule(at, fn))
+			}
+			push(at, id, k)
+		}
+
+		// reschedule re-arms owned timer k at `at` on both sides.
+		reschedule := func(k int, at time.Duration) {
+			id := nextID
+			nextID++
+			if ownedEv[k] >= 0 {
+				ref.removeID(ownedEv[k])
+			}
+			ownedEv[k] = id
+			owned[k].Reschedule(at)
+			push(at, id, k)
+		}
+
+		// step dispatches one event on both sides, reporting whether one
+		// fired. The reference pops
+		// after the engine fired, so a Periodic timer's callback has
+		// already chosen its next firing's id (or stopped the series),
+		// and re-arms it at the popped time plus the period with the
+		// next sequence number, exactly as the engine does.
+		step := func(i int) bool {
+			engOK := e.Step()
+			if refOK := ref.Len() > 0; engOK != refOK {
+				t.Fatalf("op %d: Step() = %v but reference has %d pending", i, engOK, ref.Len())
+			}
+			if !engOK {
+				return false
+			}
+			ev := heap.Pop(&ref).(refEv)
+			refFired = append(refFired, ev.id)
+			if k := ev.owner; k >= 0 && period[k] > 0 && ownedEv[k] >= 0 {
+				push(ev.at+period[k], ownedEv[k], k)
+			}
+			return true
+		}
+
+		// farDelta maps an op argument to a delay of 1/16 to 4 wheel
+		// spans plus 0-3 buckets.
+		farDelta := func(arg byte) time.Duration {
+			return time.Duration(arg%64+1)*(wheelSpan/16) + time.Duration(arg>>6)*wheelWidth
 		}
 
 		// chainPost mirrors Chain.PostLoose: events that preserve the
@@ -103,7 +209,7 @@ func FuzzHeapDifferential(f *testing.F) {
 			nextID++
 			if at >= chainLast[k] {
 				chainLast[k] = at
-				ev := refEv{at, refSeq, id}
+				ev := refEv{at, refSeq, id, -1}
 				refSeq++
 				chainQ[k] = append(chainQ[k], ev)
 				if !parked[k] {
@@ -115,31 +221,22 @@ func FuzzHeapDifferential(f *testing.F) {
 				})
 			} else {
 				chains[k].PostLoose(at, func() { engFired = append(engFired, id) })
-				push(at, id)
+				push(at, id, -1)
 			}
 		}
 
 		for i := 0; i+1 < len(script) && nextID < 512; i += 2 {
-			op, arg := script[i]%8, script[i+1]
+			op, arg := script[i]%16, script[i+1]
 			delta := time.Duration(arg) * 64 * time.Nanosecond
 			at := e.Now() + delta
 			switch op {
 			case 0: // schedule an owned timer
-				id := nextID
-				nextID++
-				k := len(owned)
-				owned = append(owned, nil)
-				ownedEv = append(ownedEv, id)
-				owned[k] = e.Schedule(at, func() {
-					engFired = append(engFired, ownedEv[k])
-					ownedEv[k] = -1
-				})
-				push(at, id)
+				own(at, 0)
 			case 1: // fire-and-forget post
 				id := nextID
 				nextID++
 				e.Post(at, func() { engFired = append(engFired, id) })
-				push(at, id)
+				push(at, id, -1)
 			case 2: // chain post (loose: tolerates non-monotone times)
 				chainPost(int(arg)%2, at)
 			case 3: // stop an owned timer
@@ -160,23 +257,9 @@ func FuzzHeapDifferential(f *testing.F) {
 				if len(owned) == 0 {
 					continue
 				}
-				k := int(arg) % len(owned)
-				id := nextID
-				nextID++
-				if ownedEv[k] >= 0 {
-					ref.removeID(ownedEv[k])
-				}
-				ownedEv[k] = id
-				owned[k].Reschedule(at)
-				push(at, id)
-			case 5: // dispatch one event
-				engOK := e.Step()
-				if refOK := ref.Len() > 0; engOK != refOK {
-					t.Fatalf("op %d: Step() = %v but reference has %d pending", i, engOK, ref.Len())
-				}
-				if engOK {
-					refFired = append(refFired, heap.Pop(&ref).(refEv).id)
-				}
+				reschedule(int(arg)%len(owned), at)
+			case 5, 15: // dispatch one event
+				step(i)
 			case 6: // far post in span-eighths: wheel parking, exact span boundary, overflow
 				farAt := e.Now() + time.Duration(int(arg)%32+1)*(wheelSpan/8)
 				chainPost(int(arg)%2, farAt)
@@ -195,6 +278,40 @@ func FuzzHeapDifferential(f *testing.F) {
 						heap.Push(&ref, ev)
 					}
 				} // else: time passed the parked head; unparking would panic, skip
+			case 8: // schedule an owned timer far out: wheel or overflow
+				own(e.Now()+farDelta(arg), 0)
+			case 9: // reschedule an owned timer far out
+				if len(owned) == 0 {
+					continue
+				}
+				reschedule(int(arg)%len(owned), e.Now()+farDelta(arg))
+			case 10: // periodic timer: near heap, wheel, or beyond the span
+				every := time.Duration(arg)*(wheelSpan/64) + 1
+				own(e.Now()+every, every)
+			case 11: // advance the clock, stopping short of the next event
+				to := e.Now() + farDelta(arg)
+				if ref.Len() > 0 && ref[0].at <= to {
+					to = ref[0].at - 1
+				}
+				if to >= e.Now() {
+					e.AdvanceTo(to)
+				}
+			case 12: // fire-and-forget post far out
+				id := nextID
+				nextID++
+				farAt := e.Now() + farDelta(arg)
+				e.Post(farAt, func() { engFired = append(engFired, id) })
+				push(farAt, id, -1)
+			case 13: // peek at the next event
+				at, ok := e.NextEventAt()
+				if ok != (ref.Len() > 0) || ok && at != ref[0].at {
+					t.Fatalf("op %d: NextEventAt() = %v, %v; reference has %d pending", i, at, ok, ref.Len())
+				}
+			case 14: // reschedule an owned timer into the current bucket
+				if len(owned) == 0 {
+					continue
+				}
+				reschedule(int(arg)%len(owned), e.Now()+time.Duration(arg%8))
 			}
 			withheld := 0
 			for k := range chains {
@@ -218,9 +335,7 @@ func FuzzHeapDifferential(f *testing.F) {
 				}
 			}
 		}
-		e.Run()
-		for ref.Len() > 0 {
-			refFired = append(refFired, heap.Pop(&ref).(refEv).id)
+		for step(len(script)) {
 		}
 
 		if len(engFired) != len(refFired) {
