@@ -85,12 +85,14 @@ func (c *BudgetController) Apply(budgetW float64) (core.Assignment, error) {
 		a := core.Assignment{Configs: map[string]core.Sample{}}
 		if len(free) > 0 {
 			// With nothing stuck the free set is the whole fleet: query
-			// the long-lived Fleet so its cached frontier serves every
-			// re-plan instead of rebuilding the merge per Apply.
+			// the long-lived Fleet so its frontier serves every re-plan.
+			// A sub-fleet plans through the same memo, so it reuses every
+			// merged level it shares with the fleet or with earlier
+			// compensation passes.
 			sub := c.fleet
 			if len(stuck) > 0 {
 				var err error
-				if sub, err = core.NewFleet(free...); err != nil {
+				if sub, err = c.fleet.Memo().NewFleet(free...); err != nil {
 					return core.Assignment{}, err
 				}
 			}

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -254,6 +255,75 @@ func TestBudgetControllerInfeasibleAfterStuck(t *testing.T) {
 	}
 	if bc.Compensations != 1 {
 		t.Errorf("Compensations = %d, want 1", bc.Compensations)
+	}
+}
+
+// TestBudgetControllerCompensationMergesOnce runs compensation passes
+// over 62 identical SSD2 models with three devices refusing commands.
+// Each stuck-free sub-fleet's members share their frontiers with a
+// prefix of the full fleet, so the controller's memo merges the 62
+// levels of the full fleet once and no level again. Not parallel: it
+// counts the allocations of an Apply.
+func TestBudgetControllerCompensationMergesOnce(t *testing.T) {
+	const n = 62
+	eng := sim.NewEngine()
+	rng := sim.NewRNG(5)
+	devs := make([]device.Device, n)
+	models := make([]*core.Model, n)
+	for i := range devs {
+		name := fmt.Sprintf("ssd%02d", i)
+		d, ok := catalog.NewNamed("SSD2", name, eng, rng.Stream(name))
+		if !ok {
+			t.Fatal("no SSD2 in the catalog")
+		}
+		if i == 4 || i == 30 || i == 57 {
+			d = fault.MustNew(d, eng, nil, fault.Profile{
+				Windows: []fault.Window{{Kind: fault.PowerCmdFail, Start: 0, Dur: time.Second}},
+			})
+		}
+		devs[i] = d
+		var samples []core.Sample
+		for ps, p := range [][2]float64{{14.4, 3100}, {11.7, 2230}, {9.7, 1590}} {
+			samples = append(samples, core.Sample{
+				Config:         core.Config{Device: name, PowerState: ps, Random: true, Write: true, ChunkBytes: 256 << 10, Depth: 64},
+				PowerW:         p[0],
+				ThroughputMBps: p[1],
+			})
+		}
+		m, err := core.NewModel(name, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	fleet, err := core.NewFleet(models...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := NewBudgetController(fleet, devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perDev := range []float64{11, 10.5, 12, 11} {
+		if _, err := bc.Apply(perDev * n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bc.Compensations == 0 || len(bc.LastStuck) != 3 {
+		t.Fatalf("Compensations = %d, LastStuck = %v; want compensation around 3 stuck devices", bc.Compensations, bc.LastStuck)
+	}
+	if got := fleet.Memo().Merges(); got != n {
+		t.Errorf("memo merged %d levels, want %d: a compensation pass merged a level again", got, n)
+	}
+	// A sub-fleet planned outside the memo would merge its 59 levels
+	// cold: tens of thousands of node allocations per Apply.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := bc.Apply(11 * n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5000 {
+		t.Errorf("Apply with 3 stuck devices made %.0f allocations: a compensation sub-fleet merged outside the memo", allocs)
 	}
 }
 

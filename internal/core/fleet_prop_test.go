@@ -200,7 +200,7 @@ func TestBestUnderPowerPeakFastPath(t *testing.T) {
 			t.Fatalf("seed %d: unconstrained budget infeasible", seed)
 		}
 		nodes := f.build()
-		slow := nodes[len(nodes)-1].materialize()
+		slow := f.materialize(nodes[len(nodes)-1])
 		if fast.TotalPowerW != slow.TotalPowerW || fast.TotalMBps != slow.TotalMBps {
 			t.Fatalf("seed %d: fast path (%v W, %v MB/s) != frontier endpoint (%v W, %v MB/s)",
 				seed, fast.TotalPowerW, fast.TotalMBps, slow.TotalPowerW, slow.TotalMBps)

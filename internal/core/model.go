@@ -6,7 +6,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -57,8 +59,13 @@ type Model struct {
 	maxPower float64
 	minPower float64
 	maxTput  float64
-	// frontier caches paretoFrontier; nil until first query.
+	// frontier is the Pareto frontier, sorted by increasing power, and
+	// key identifies it for FrontierMemo (see frontierKey). Both are
+	// computed once by NewModel: a model never changes afterwards, so
+	// planners on any number of goroutines may share it. Fleet planning
+	// reads frontier on every re-plan and must not mutate it.
 	frontier []Sample
+	key      string
 }
 
 // NewModel builds a model from measured samples. All samples must be
@@ -90,6 +97,8 @@ func NewModel(dev string, samples []Sample) (*Model, error) {
 			m.maxTput = s.ThroughputMBps
 		}
 	}
+	m.frontier = paretoFrontier(m.samples)
+	m.key = frontierKey(m.frontier)
 	return m, nil
 }
 
@@ -157,23 +166,16 @@ func (m *Model) Filter(keep func(Sample) bool) (*Model, error) {
 // increasing power. These are the only configurations a rational
 // controller ever selects.
 func (m *Model) ParetoFrontier() []Sample {
-	fr := m.paretoFrontier()
-	out := make([]Sample, len(fr))
-	copy(out, fr)
+	out := make([]Sample, len(m.frontier))
+	copy(out, m.frontier)
 	return out
 }
 
-// paretoFrontier is the cached, shared-slice form of ParetoFrontier:
-// samples never change after NewModel, so the sort-and-scan runs once
-// per model instead of once per query. Fleet planning (build,
-// peakAssignment) hits this on every re-plan per model; callers must
-// not mutate the returned slice. Models are confined to one goroutine
-// (a shard, a sweep worker), so the lazy fill needs no lock.
-func (m *Model) paretoFrontier() []Sample {
-	if m.frontier != nil {
-		return m.frontier
-	}
-	sorted := m.Samples()
+// paretoFrontier sorts a copy of the samples by power and keeps those
+// no other sample dominates.
+func paretoFrontier(samples []Sample) []Sample {
+	sorted := make([]Sample, len(samples))
+	copy(sorted, samples)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].PowerW != sorted[j].PowerW {
 			return sorted[i].PowerW < sorted[j].PowerW
@@ -188,8 +190,20 @@ func (m *Model) paretoFrontier() []Sample {
 			best = s.ThroughputMBps
 		}
 	}
-	m.frontier = out
 	return out
+}
+
+// frontierKey identifies a Pareto frontier for FrontierMemo: the exact
+// bits of each point's power and throughput, in frontier order. Two
+// models with equal keys merge into bit-identical fleet levels,
+// whatever their device labels and IO shapes.
+func frontierKey(frontier []Sample) string {
+	b := make([]byte, 0, 16*len(frontier))
+	for _, s := range frontier {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.PowerW))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.ThroughputMBps))
+	}
+	return string(b)
 }
 
 // BestUnderPower returns the highest-throughput operating point whose

@@ -387,12 +387,12 @@ func (s *shard) laneCompleted(l *lane, now time.Duration) {
 
 // rebuildController rebinds the per-device BudgetController to the
 // current live membership (draining and dead lanes hold no share). The
-// Fleet — and its cached Pareto frontier — comes from the composition
-// cache, so a schedule that revisits a membership (scale-out then drain
-// back to the previous size) reuses the frontier instead of re-merging.
+// fleet plans through the run's frontier memo, so a membership that
+// keeps a prefix of an earlier composition — or revisits one, as a
+// scale-out drained back to its previous size does — re-merges only the
+// levels past the shared prefix.
 func (s *shard) rebuildController() error {
 	r := s.spec.Replicas
-	names := make([]string, 0, len(s.devs))
 	devs := make([]device.Device, 0, len(s.devs))
 	models := make([]*core.Model, 0, len(s.models))
 	for i, d := range s.devs {
@@ -400,17 +400,17 @@ func (s *shard) rebuildController() error {
 		if lf.removing || lf.dead {
 			continue
 		}
-		names = append(names, s.names[i])
 		devs = append(devs, d)
 		models = append(models, s.models[i])
 	}
-	key := adaptive.CompositionKey(names)
 	if s.bc != nil {
 		s.ctrlComp += s.bc.Compensations
 	}
-	bc, err := s.fcache.Controller(key, devs, func() (*core.Fleet, error) {
-		return core.NewFleet(models...)
-	})
+	fleet, err := s.memo.NewFleet(models...)
+	if err != nil {
+		return err
+	}
+	bc, err := adaptive.NewBudgetController(fleet, devs)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"wattio/internal/fault"
+	"wattio/internal/stats"
 )
 
 // mergeSpec builds a normalized one-shard spec with a 1 s horizon and
@@ -305,5 +308,44 @@ func TestAvgBudgetW(t *testing.T) {
 				t.Fatalf("avgBudgetW(%v, %v) = %v, want %v", tc.start, tc.end, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestMergeLatencyQuantiles pins the k-way merge of the shards' sorted
+// latency runs to the re-sort it replaces: p50, p99 and max of the
+// concatenation, bit for bit, with empty and single-sample shards and
+// ties across shards.
+func TestMergeLatencyQuantiles(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	sp := mergeSpec(t, nil)
+	for trial := 0; trial < 50; trial++ {
+		var results []*shardResult
+		var all []float64
+		for k := 1 + r.Intn(17); k > 0; k-- {
+			res := flatResult(&sp, 50)
+			for n := r.Intn(4) * r.Intn(300); n > 0; n-- {
+				d := time.Duration(r.Intn(5000)) * time.Microsecond
+				res.Latencies = append(res.Latencies, d)
+				all = append(all, float64(d))
+			}
+			sort.Slice(res.Latencies, func(i, j int) bool { return res.Latencies[i] < res.Latencies[j] })
+			results = append(results, res)
+		}
+		rep := merge(&sp, results)
+		if len(all) == 0 {
+			if rep.LatP50 != 0 || rep.LatP99 != 0 || rep.LatMax != 0 {
+				t.Fatalf("trial %d: no latencies, report %v/%v/%v", trial, rep.LatP50, rep.LatP99, rep.LatMax)
+			}
+			continue
+		}
+		sort.Float64s(all)
+		want := [3]time.Duration{
+			time.Duration(stats.Quantile(all, 0.50)),
+			time.Duration(stats.Quantile(all, 0.99)),
+			time.Duration(all[len(all)-1]),
+		}
+		if got := [3]time.Duration{rep.LatP50, rep.LatP99, rep.LatMax}; got != want {
+			t.Fatalf("trial %d: merged p50/p99/max %v, re-sorted %v", trial, got, want)
+		}
 	}
 }

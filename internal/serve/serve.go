@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"wattio/internal/calib"
+	"wattio/internal/core"
 	"wattio/internal/fault"
 	"wattio/internal/grid"
 	"wattio/internal/stats"
@@ -645,10 +646,14 @@ func Run(spec Spec) (*Report, error) {
 
 	churn := compileChurn(&sp, ranges)
 
+	// One frontier memo serves every shard: shards of one composition,
+	// compensation sub-fleets and revisited churn compositions all plan
+	// over merged levels built once per run.
+	memo := core.NewFrontierMemo()
 	results := make([]*shardResult, sp.Shards)
 	errs := make([]error, sp.Shards)
 	grid.Pool(sp.Shards, runtime.GOMAXPROCS(0), func(i int) {
-		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i))
+		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i), memo)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -670,7 +675,6 @@ func merge(sp *Spec, results []*shardResult) *Report {
 		MesoDriftOK:  true,
 		SimulatedDur: sp.Horizon,
 	}
-	var lat []time.Duration
 	var warmLats, drainLats []time.Duration
 	nIntervals := len(results[0].IntervalEnergyJ)
 	energy := make([]float64, nIntervals)
@@ -699,7 +703,6 @@ func merge(sp *Spec, results []*shardResult) *Report {
 		for k, e := range s.IntervalEnergyJ {
 			energy[k] += e
 		}
-		lat = append(lat, s.Latencies...)
 		if s.EndAt > r.SimulatedDur {
 			r.SimulatedDur = s.EndAt
 		}
@@ -726,15 +729,14 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	r.WarmupP50, r.WarmupMax = latQuantiles(warmLats)
 	r.DrainP50, r.DrainMax = latQuantiles(drainLats)
 
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	if n := len(lat); n > 0 {
-		fl := make([]float64, n)
-		for i, l := range lat {
-			fl[i] = float64(l)
+	if lat := mergeLatencies(results); len(lat) > 0 {
+		r.LatP50 = time.Duration(stats.QuantileSorted(lat, 0.50))
+		r.LatP99 = time.Duration(stats.QuantileSorted(lat, 0.99))
+		for _, s := range results {
+			if n := len(s.Latencies); n > 0 && s.Latencies[n-1] > r.LatMax {
+				r.LatMax = s.Latencies[n-1]
+			}
 		}
-		r.LatP50 = time.Duration(stats.Quantile(fl, 0.50))
-		r.LatP99 = time.Duration(stats.Quantile(fl, 0.99))
-		r.LatMax = lat[n-1]
 	}
 	// Throughput is bytes over the virtual time the run actually covered,
 	// not the nominal horizon: a fault-heavy run whose drain releases held
@@ -801,6 +803,51 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	return r
 }
 
+// mergeLatencies k-way merges the shards' sorted latency runs into one
+// ascending sample, as float64 nanoseconds for the quantile math. The
+// run heads sit in a binary min-heap, so the merge costs O(n log k)
+// with one allocation instead of a full re-sort of the concatenation.
+func mergeLatencies(results []*shardResult) []float64 {
+	n := 0
+	var runs [][]time.Duration
+	for _, s := range results {
+		if len(s.Latencies) > 0 {
+			runs = append(runs, s.Latencies)
+			n += len(s.Latencies)
+		}
+	}
+	less := func(i, j int) bool { return runs[i][0] < runs[j][0] }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(runs) {
+				return
+			}
+			if c+1 < len(runs) && less(c+1, c) {
+				c++
+			}
+			if !less(c, i) {
+				return
+			}
+			runs[i], runs[c] = runs[c], runs[i]
+			i = c
+		}
+	}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]float64, 0, n)
+	for len(runs) > 0 {
+		out = append(out, float64(runs[0][0]))
+		if runs[0] = runs[0][1:]; len(runs[0]) == 0 {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		down(0)
+	}
+	return out
+}
+
 // latQuantiles returns the p50 and maximum of a latency sample, sorting
 // it in place; zeros when the sample is empty.
 func latQuantiles(lats []time.Duration) (p50, max time.Duration) {
@@ -812,7 +859,7 @@ func latQuantiles(lats []time.Duration) (p50, max time.Duration) {
 	for i, l := range lats {
 		fl[i] = float64(l)
 	}
-	return time.Duration(stats.Quantile(fl, 0.50)), lats[len(lats)-1]
+	return time.Duration(stats.QuantileSorted(fl, 0.50)), lats[len(lats)-1]
 }
 
 // budgetAt returns the scheduled fleet budget in force at time t: the

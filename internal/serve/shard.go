@@ -30,7 +30,8 @@ type shardResult struct {
 
 	Offered, Admitted, Rejected, Completed int64
 	Batches, BytesCompleted                int64
-	Latencies                              []time.Duration
+	// Latencies are the shard's request latencies, sorted ascending.
+	Latencies []time.Duration
 
 	IntervalEnergyJ []float64
 	// EndAt is the shard engine's clock after the post-horizon drain:
@@ -73,6 +74,9 @@ type shard struct {
 	govs  []*adaptive.Governor
 	bc    *adaptive.BudgetController
 	plan  core.Assignment
+	// memo is the run's shared frontier memo every controller fleet
+	// plans through.
+	memo *core.FrontierMemo
 
 	redirs []*adaptive.Redirector
 	lanes  []*lane
@@ -108,7 +112,6 @@ type shard struct {
 	devDead      []bool
 	groupLane    map[int]int
 	models       []*core.Model
-	fcache       *adaptive.FleetCache
 	retiredJ     float64
 	ctrlComp     int
 	laneFaultEnd []time.Duration
@@ -370,12 +373,13 @@ func (s *shard) intervalTick() {
 }
 
 // runShard builds and runs one shard to completion. ch is the shard's
-// compiled churn timeline (nil when the spec has none).
-func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, error) {
+// compiled churn timeline (nil when the spec has none); memo is the
+// run's frontier memo, shared with every other shard.
+func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.FrontierMemo) (*shardResult, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed ^ shardHash("serve/shard", idx))
 	frng := sim.NewRNG(sp.FaultSeed ^ shardHash("serve/fault", idx))
-	s := &shard{spec: sp, eng: eng}
+	s := &shard{spec: sp, eng: eng, memo: memo}
 	s.res.CapOK = true
 	s.res.MesoDriftOK = true
 	s.devTotal = (rg.g1 - rg.g0) * sp.Replicas
@@ -473,7 +477,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 	if s.grp != nil {
 		s.grp.finishBuild()
 	} else {
-		fleet, err := core.NewFleet(s.models...)
+		fleet, err := s.memo.NewFleet(s.models...)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +531,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 	if ch != nil {
 		s.lc = make([]laneLife, len(s.lanes))
 		s.devDead = make([]bool, len(s.devs))
-		s.fcache = adaptive.NewFleetCache()
 		s.groupLane = make(map[int]int, len(s.lanes))
 		for i, g := range s.laneGroup {
 			s.groupLane[g] = i

@@ -49,12 +49,12 @@ func Summarize(xs []float64) Summary {
 		Min:    s[0],
 		Max:    s[len(s)-1],
 		Mean:   mean,
-		Median: quantileSorted(s, 0.5),
+		Median: QuantileSorted(s, 0.5),
 		Stddev: math.Sqrt(variance),
-		P1:     quantileSorted(s, 0.01),
-		P25:    quantileSorted(s, 0.25),
-		P75:    quantileSorted(s, 0.75),
-		P99:    quantileSorted(s, 0.99),
+		P1:     QuantileSorted(s, 0.01),
+		P25:    QuantileSorted(s, 0.25),
+		P75:    QuantileSorted(s, 0.75),
+		P99:    QuantileSorted(s, 0.99),
 	}
 }
 
@@ -89,10 +89,13 @@ func Quantile(xs []float64, q float64) float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	return quantileSorted(s, q)
+	return QuantileSorted(s, q)
 }
 
-func quantileSorted(s []float64, q float64) float64 {
+// QuantileSorted is Quantile over a slice already sorted ascending: it
+// neither copies nor sorts. It panics on an empty slice; q is not
+// checked.
+func QuantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
