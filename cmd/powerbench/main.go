@@ -75,8 +75,6 @@ func run(argv []string, stdout, errw io.Writer) int {
 		fleetBudget = fs.String("budget", "", "fleet experiment: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device)")
 		fleetFaults = fs.Float64("fleetfaults", 0, "fleet experiment: fraction of devices given an injected fault window")
 		fleetMeso   = fs.Bool("meso", false, "fleet experiment: serve steady lanes through the mesoscale analytic tier")
-		mesoDwell   = fs.Int("mesodwell", 0, "meso tier: steady control periods before a lane dehydrates (0 = default)")
-		mesoDrift   = fs.Float64("mesodrift", 0, "meso tier: sentinel drift tolerance fraction (0 = default)")
 		mesoGroup   = fs.Int("mesogroup", 0, "meso tier: group-park cohorts of at least this many devices behind probe lanes (0 = off; implies -meso)")
 		mesoProbes  = fs.Int("mesoprobes", 0, "meso tier: resident probe lanes per group-parked cohort (0 = default)")
 		memWatch    = fs.Bool("mem", false, "print peak live-heap bytes and object count after the run (terminal only; host-dependent)")
@@ -142,8 +140,6 @@ func run(argv []string, stdout, errw io.Writer) int {
 		Budget:       *fleetBudget,
 		FaultFrac:    *fleetFaults,
 		Meso:         *fleetMeso,
-		MesoDwell:    *mesoDwell,
-		MesoDrift:    *mesoDrift,
 		MesoGroupMin: *mesoGroup,
 		MesoProbes:   *mesoProbes,
 	}

@@ -51,11 +51,8 @@ type FleetOptions struct {
 	// window, drawn from FaultSeed.
 	FaultFrac float64
 	// Meso enables the mesoscale aggregation tier (hybrid analytic
-	// serving of steady lanes); MesoDwell and MesoDrift override its
-	// dwell-period and drift-tolerance thresholds when non-zero.
-	Meso      bool
-	MesoDwell int
-	MesoDrift float64
+	// serving of steady lanes).
+	Meso bool
 	// MesoGroupMin enables group-level parking on top of the meso tier:
 	// cohorts of at least this many interchangeable devices keep only
 	// MesoProbes resident probe lanes and account the rest as shared

@@ -53,12 +53,6 @@ func FleetSpec(s Scale) (serve.Spec, error) {
 		sp.Fleet.Meso = &scenario.MesoSpec{Enable: true}
 	}
 	if sp.Fleet.Meso != nil {
-		if o.MesoDwell != 0 {
-			sp.Fleet.Meso.DwellPeriods = o.MesoDwell
-		}
-		if o.MesoDrift != 0 {
-			sp.Fleet.Meso.DriftTolFrac = o.MesoDrift
-		}
 		if o.MesoGroupMin != 0 {
 			sp.Fleet.Meso.GroupMin = o.MesoGroupMin
 		}
@@ -98,8 +92,12 @@ func runFleet(s Scale, w io.Writer) error {
 		fmt.Fprintf(w, "%-12s %10.1f %12.1f %12s\n",
 			fmt.Sprintf("%v+", seg.start.Round(time.Millisecond)), seg.budgetW, seg.avgW, tracked)
 	}
+	tol := spec.CapTolFrac
+	if tol == 0 {
+		tol = serve.DefaultCapTolFrac
+	}
 	fmt.Fprintf(w, "\npower: avg %.1f W, worst checked overshoot %.1f W, tracking %s (tol %.0f%%)\n",
-		rep.AvgPowerW, rep.WorstOverW, okStr(rep.TrackOK), 100*0.10)
+		rep.AvgPowerW, rep.WorstOverW, okStr(rep.TrackOK), 100*tol)
 	fmt.Fprintf(w, "control: %d re-plans (%d infeasible), governor steps %d / retries %d / failures %d, compensations %d\n",
 		rep.Replans, rep.Infeasible, rep.GovSteps, rep.GovRetries, rep.GovFailures, rep.Compensations)
 	fmt.Fprintf(w, "faults: %d devices faulted, %d failovers, %d wakes on demand\n",

@@ -83,8 +83,6 @@ func (s *Spec) ServeSpec(horizon time.Duration) (serve.Spec, error) {
 	}
 	if m := f.Meso; m != nil && m.Enable {
 		sp.Meso = true
-		sp.MesoDwellPeriods = m.DwellPeriods
-		sp.MesoDriftTolFrac = m.DriftTolFrac
 		sp.MesoGroupMin = m.GroupMin
 		sp.MesoProbes = m.Probes
 	}

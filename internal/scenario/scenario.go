@@ -208,26 +208,19 @@ type FleetSpec struct {
 }
 
 // MesoSpec parameterizes the hybrid mesoscale tier (serve.Spec's Meso
-// fields). The zero thresholds take serve's defaults.
+// fields). Its dwell and drift thresholds are constants of the tier.
 type MesoSpec struct {
 	// Enable turns the tier on; the other fields are ignored without it
-	// so a spec can carry tuned thresholds while toggling the tier.
+	// so a spec can carry group settings while toggling the tier.
 	Enable bool `json:"enable"`
-	// DwellPeriods is how many consecutive steady control periods a
-	// lane must show before it dehydrates. Default 2.
-	DwellPeriods int `json:"dwell_periods,omitempty"`
-	// DriftTolFrac is the sentinel drift tolerance: a rehydrated
-	// sentinel lane whose re-measured draw disagrees with its
-	// calibrated operating point by more than this fraction bars the
-	// lane from parking again and fails the drift probe. Default 0.10.
-	DriftTolFrac float64 `json:"drift_tol_frac,omitempty"`
 	// GroupMin enables group-level parking: cohorts of at least this
 	// many interchangeable members keep only a few resident probe lanes
 	// and account the rest as shared analytic aggregates. 0 (default)
 	// keeps every lane materialized.
 	GroupMin int `json:"group_min,omitempty"`
 	// Probes is the number of resident probe lanes per virtualized
-	// cohort; meaningful only with GroupMin > 0. Default 2.
+	// cohort; meaningful only with GroupMin > 0. Default
+	// serve.DefaultMesoProbes.
 	Probes int `json:"probes,omitempty"`
 }
 
@@ -644,6 +637,9 @@ func (f *FleetSpec) validate(path string) error {
 	if size%replicas != 0 {
 		return pathErr(path+".replicas", "fleet size %d not divisible into replica groups of %d", size, replicas)
 	}
+	if f.Active > replicas {
+		return pathErr(path+".active", "active count %d exceeds replicas %d", f.Active, replicas)
+	}
 	if f.RateIOPS < 0 {
 		return pathErr(path+".rate_iops", "negative arrival rate %v", f.RateIOPS)
 	}
@@ -719,12 +715,6 @@ func (f *FleetSpec) validate(path string) error {
 		}
 	}
 	if m := f.Meso; m != nil {
-		if m.DwellPeriods < 0 {
-			return pathErr(path+".meso.dwell_periods", "negative dwell %d", m.DwellPeriods)
-		}
-		if m.DriftTolFrac < 0 {
-			return pathErr(path+".meso.drift_tol_frac", "negative drift tolerance %v", m.DriftTolFrac)
-		}
 		if m.GroupMin < 0 {
 			return pathErr(path+".meso.group_min", "negative group minimum %d", m.GroupMin)
 		}
@@ -737,7 +727,7 @@ func (f *FleetSpec) validate(path string) error {
 		if m.GroupMin > 0 {
 			probes := m.Probes
 			if probes == 0 {
-				probes = 2 // serve's default probe count
+				probes = serve.DefaultMesoProbes
 			}
 			if probes >= m.GroupMin {
 				return pathErr(path+".meso.probes", "probe count %d must be below group_min %d (a cohort that is all probes has nothing to virtualize)",

@@ -188,8 +188,6 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		{"oversize fleet", func(s *Spec) { s.Fleet.Size = maxFleetSize + 2; s.Fleet.Faults = nil }, "fleet.size"},
 		{"fault frac", func(s *Spec) { s.Fleet.FaultFrac = 1.5 }, "fleet.fault_frac"},
 		{"bad arrival", func(s *Spec) { s.Fleet.Arrival = "bursty" }, "fleet.arrival"},
-		{"negative meso dwell", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, DwellPeriods: -1} }, "fleet.meso.dwell_periods"},
-		{"negative meso drift", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, DriftTolFrac: -0.1} }, "fleet.meso.drift_tol_frac"},
 		{"negative group min", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, GroupMin: -4} }, "fleet.meso.group_min"},
 		{"negative probes", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, GroupMin: 4, Probes: -1} }, "fleet.meso.probes"},
 		{"probes without group", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, Probes: 2} }, "fleet.meso.probes"},
@@ -304,7 +302,8 @@ func TestServeSpecDefaults(t *testing.T) {
 }
 
 // TestServeSpecMeso pins the meso stanza's mapping: absent or disabled
-// leaves the serving tier off, enabled carries the thresholds through.
+// leaves the serving tier off, enabled carries the group settings
+// through.
 func TestServeSpecMeso(t *testing.T) {
 	sp := &Spec{Version: Version, Name: "m", Experiment: "meso", Seed: 1,
 		Fleet: &FleetSpec{Budget: "max"}}
@@ -316,11 +315,11 @@ func TestServeSpecMeso(t *testing.T) {
 		t.Fatal("meso on without a stanza")
 	}
 
-	sp.Fleet.Meso = &MesoSpec{DwellPeriods: 5, DriftTolFrac: 0.2}
+	sp.Fleet.Meso = &MesoSpec{GroupMin: 8, Probes: 3}
 	if ss, err = sp.ServeSpec(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if ss.Meso || ss.MesoDwellPeriods != 0 {
+	if ss.Meso || ss.MesoGroupMin != 0 || ss.MesoProbes != 0 {
 		t.Fatalf("disabled stanza leaked into serve spec: %+v", ss)
 	}
 
@@ -328,7 +327,7 @@ func TestServeSpecMeso(t *testing.T) {
 	if ss, err = sp.ServeSpec(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !ss.Meso || ss.MesoDwellPeriods != 5 || ss.MesoDriftTolFrac != 0.2 {
+	if !ss.Meso || ss.MesoGroupMin != 8 || ss.MesoProbes != 3 {
 		t.Fatalf("meso stanza mapping: %+v", ss)
 	}
 }

@@ -1,0 +1,133 @@
+package scenario
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"wattio/internal/serve"
+)
+
+// fuzzMixes are the profile mixes FuzzServeRun draws from: a single
+// cohort, two cohorts with different power-state ladders, and three
+// profiles including single-state devices (no governors).
+var fuzzMixes = [][]string{
+	{"SSD2"},
+	{"SSD2", "SSD1"},
+	{"SSD1", "C960", "EVO"},
+	{"HDD", "SSD2"},
+}
+
+// fuzzFleet decodes FuzzServeRun's arguments into a bounded fleet
+// scenario: at most 32 devices and a horizon of at most 1 s, any tier,
+// churn, a rate step, fault injection and replicas. Scenario validation
+// has no horizon (the run's scale supplies it), so every scheduled time
+// is a fraction of the horizon the spec also carries as its runtime.
+func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) *Spec {
+	h := time.Duration(100+int(horizonMs)%901) * time.Millisecond
+	frac := func(tenths int) Duration { return Duration(h * time.Duration(tenths) / 10) }
+
+	mix := fuzzMixes[int(shape)%len(fuzzMixes)]
+	replicas := 1 + int(repl)%3
+	f := &FleetSpec{
+		Profiles: mix,
+		Size:     replicas * (1 + int(size)%(32/replicas)),
+		Shards:   int(size/32) % 5,
+		Replicas: replicas,
+		Active:   int(repl/3) % 4,
+		Budget:   "max",
+	}
+	if shape&4 != 0 {
+		f.Arrival = "uniform"
+	}
+	if shape&8 != 0 {
+		f.Read = true
+	}
+	if shape&16 != 0 {
+		f.Seq = true
+	}
+	if shape&32 != 0 {
+		f.Depth, f.Batch, f.QueueCap = 8, 4, 16
+	}
+	if shape&64 != 0 {
+		f.ControlPeriod = Duration(50 * time.Millisecond)
+	}
+
+	switch tier % 3 {
+	case 1:
+		f.Meso = &MesoSpec{Enable: true}
+	case 2:
+		f.Meso = &MesoSpec{Enable: true, GroupMin: 2 + int(tier/3)%7, Probes: int(tier/21) % 3}
+	}
+
+	iops := float64(200 + int(rate)%4000)
+	if rates&1 != 0 {
+		f.Arrivals = []RateStepSpec{
+			{At: 0, RateIOPS: iops},
+			{At: frac(1 + int(rates>>1)%8), RateIOPS: float64(200 + int(rates>>4)%4000)},
+		}
+	} else {
+		f.RateIOPS = iops
+	}
+
+	// Churn: an add at 0.1–0.4 h warming up to 0.2 h, and/or a remove at
+	// 0.6–0.8 h, on one of the mix's cohorts.
+	cohort := mix[int(churn>>12)%len(mix)]
+	if churn&1 != 0 {
+		f.Churn = append(f.Churn, ChurnEventSpec{
+			At: frac(1 + int(churn>>6)%4), Profile: cohort,
+			Add: 1 + int(churn>>2)%3, Warmup: frac(int(churn>>8) % 3),
+		})
+	}
+	if churn&2 != 0 {
+		f.Churn = append(f.Churn, ChurnEventSpec{
+			At: frac(6 + int(churn>>10)%3), Profile: cohort, Remove: 1 + int(churn>>4)%2,
+		})
+	}
+
+	f.FaultFrac = float64(faults%5) / 4
+	if faults&8 != 0 {
+		f.Faults = []FleetFault{{
+			Device:  serve.InstanceName(mix[0], 0),
+			Windows: []FaultWindow{{Kind: "dropout", Start: frac(2), Dur: frac(2)}},
+		}}
+	}
+
+	switch budget % 4 {
+	case 1:
+		f.Budget = "" // the stepped curtail-and-recover default
+	case 2:
+		f.Budget = fmt.Sprintf("0s:%dpd", 4+int(budget>>2)%12)
+	case 3:
+		f.Budget = fmt.Sprintf("0s:%dpd,%v:%dpd", 4+int(budget>>2)%12, time.Duration(frac(5)), 4+int(budget>>5)%12)
+	}
+	return &Spec{
+		Version: Version, Name: "fuzz", Experiment: "fleet",
+		Runtime: Duration(h), Seed: seed, FaultSeed: seed ^ 1,
+		Fleet: f,
+	}
+}
+
+// FuzzServeRun closes the loop the other fuzzers stop short of: a
+// bounded random fleet stanza that passes Validate must build a serving
+// spec and run through serve.Run with no panic and no error.
+func FuzzServeRun(f *testing.F) {
+	// One spec per tier of the conformance matrix (pure, meso, group),
+	// each with churn, a rate step, faults and replicas.
+	for tier := uint8(0); tier < 3; tier++ {
+		f.Add(tier+3*2, uint8(15), uint8(1), uint8(0), uint16(900), uint16(2800), uint16(0b11_0000_0111), uint16(0b1_1001), uint8(1), uint8(0), uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) {
+		sp := fuzzFleet(tier, size, repl, shape, horizonMs, rate, churn, rates, faults, budget, seed)
+		if err := sp.Validate(); err != nil {
+			return
+		}
+		ss, err := sp.ServeSpec(sp.Runtime.D())
+		if err != nil {
+			t.Fatalf("validated spec failed to build a serving spec: %v", err)
+		}
+		if _, err := serve.Run(ss); err != nil {
+			t.Fatalf("validated spec failed to run: %v\nfleet: %+v", err, *sp.Fleet)
+		}
+	})
+}

@@ -325,3 +325,34 @@ func TestChurnMesoWarmingLane(t *testing.T) {
 			meso.WarmupP50, meso.WarmupMax, off.WarmupP50, off.WarmupMax)
 	}
 }
+
+// TestChurnEmptiesShard: a removal that retires a shard's only lane
+// leaves that shard with nothing to plan. Every later re-plan must skip
+// it rather than build a controller over an empty fleet, in every tier.
+func TestChurnEmptiesShard(t *testing.T) {
+	t.Parallel()
+	for _, tier := range []struct {
+		name     string
+		meso     bool
+		groupMin int
+	}{{"pure", false, 0}, {"meso", true, 0}, {"group", true, 4}} {
+		sp := Spec{
+			Size:            3,
+			Shards:          3,
+			Horizon:         time.Second,
+			Seed:            7,
+			CheckInvariants: true,
+			Meso:            tier.meso,
+			MesoGroupMin:    tier.groupMin,
+			// Scale-in pops the newest group, 2: shard 2's only lane.
+			Churn: []ChurnEvent{{At: 600 * time.Millisecond, Profile: "SSD2", Remove: 1}},
+		}
+		r, err := Run(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tier.name, err)
+		}
+		if r.ChurnRemoves != 1 || !r.CapOK || !r.TrackOK || !r.MesoDriftOK {
+			t.Fatalf("%s: removes=%d cap=%v track=%v drift=%v", tier.name, r.ChurnRemoves, r.CapOK, r.TrackOK, r.MesoDriftOK)
+		}
+	}
+}

@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
-	"wattio/internal/device"
-	"wattio/internal/fault"
 	"wattio/internal/meso"
-	"wattio/internal/sim"
 	"wattio/internal/telemetry/invariant"
 )
 
@@ -27,14 +23,6 @@ import (
 // Everything runs on the shard's single goroutine and virtual clock, so
 // the determinism contract is untouched: same spec, same report, at any
 // GOMAXPROCS.
-
-// preFault is one pre-drawn fault outcome: the windows and the
-// instance's retained fault stream (the inject sub-stream must derive
-// from the same position the draw left it at).
-type preFault struct {
-	wins []fault.Window
-	ds   *sim.RNG
-}
 
 // warmBatch is one churn event's warming virtual members of a cohort:
 // admitted at `at`, serving from warmAt, n members still warming.
@@ -69,49 +57,31 @@ type groupCohort struct {
 
 type groupState struct {
 	s    *shard
-	rng  *sim.RNG
 	pool *meso.GroupPool
 
 	// buildGroups is the ascending list of resident replica-group
-	// numbers runShard materializes; pre holds pre-drawn faults by
-	// device index.
+	// numbers runShard materializes.
 	buildGroups []int
-	pre         map[int]*preFault
 
-	cohorts    []groupCohort // indexed by profile index
-	laneCohort []int         // lane -> profile index
-	laneResIdx []int         // lane -> position in its cohort's resOrder
-	planW      []float64     // per device: planned draw (governor target)
-	applied    bool
+	cohorts []groupCohort // indexed by profile index
+	planW   []float64     // per device: planned draw (governor target)
+	applied bool
 }
 
 // planGroups decides residency for every member of the shard's slice
-// and pre-draws faults, before any device exists. Residents are the
-// first MesoProbes non-faulted members of each virtualized cohort plus
-// every faulted member; cohorts smaller than MesoGroupMin stay fully
-// resident. Fault draws run for ALL members in ascending instance
-// order, so the draw each member receives is independent of how many
-// end up materialized.
-func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string][]fault.Window) *groupState {
+// before any device exists, from the pre-drawn fault outcomes. Residents
+// are the first MesoProbes non-faulted members of each virtualized
+// cohort plus every faulted member; cohorts smaller than MesoGroupMin
+// stay fully resident.
+func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 	sp := s.spec
-	g2 := &groupState{s: s, rng: rng, pre: map[int]*preFault{}}
+	g2 := &groupState{s: s}
 	g2.pool = meso.NewGroupPool(sp.RateIOPS*float64(sp.Active), sp.ChunkBytes)
 
 	P := len(sp.Profiles)
 	faultedGroup := make(map[int]bool)
-	if sp.FaultFrac > 0 || len(scripted) > 0 {
-		for g := rg.g0; g < rg.g1; g++ {
-			profile := sp.Profiles[g%P]
-			for rep := 0; rep < sp.Replicas; rep++ {
-				gi := g*sp.Replicas + rep
-				name := InstanceName(profile, gi)
-				ds := frng.Stream(name)
-				if wins, faulted := drawFault(sp, ds, scripted, name); faulted {
-					g2.pre[gi] = &preFault{wins: wins, ds: ds}
-					faultedGroup[g] = true
-				}
-			}
-		}
+	for gi := range pre {
+		faultedGroup[gi/sp.Replicas] = true
 	}
 
 	g2.cohorts = make([]groupCohort, P)
@@ -148,43 +118,18 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 	return g2
 }
 
-// materialize builds one resident member's device, applying its
-// pre-drawn fault windows (returned for the caller's barred-until
-// bookkeeping; empty when unfaulted).
-func (g *groupState) materialize(profile string, gi int) (device.Device, string, []fault.Window, error) {
-	name := InstanceName(profile, gi)
-	d, err := baseDevice(g.s.spec, g.s.eng, g.rng, profile, name)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	pf, ok := g.pre[gi]
-	if !ok {
-		return d, name, nil, nil
-	}
-	fd, err := fault.New(d, g.s.eng, pf.ds.Stream("inject"), fault.Profile{Windows: pf.wins})
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("fault windows for %s: %w", name, err)
-	}
-	return fd, name, pf.wins, nil
-}
-
 // finishBuild runs after the resident lanes exist: map lanes to cohort
 // slots (probes ahead of barred members, each in build order) and apply
 // the initial plan.
 func (g *groupState) finishBuild() {
 	s := g.s
-	P := len(s.spec.Profiles)
-	g.laneCohort = make([]int, len(s.lanes))
-	g.laneResIdx = make([]int, len(s.lanes))
 	g.planW = append([]float64(nil), s.maxW...)
 	barred := make([][]int, len(g.cohorts))
-	for li, gnum := range s.laneGroup {
-		pi := gnum % P
-		g.laneCohort[li] = pi
-		if s.laneFaulted[li] {
-			barred[pi] = append(barred[pi], li)
+	for _, l := range s.lanes {
+		if l.faultEnd > 0 {
+			barred[l.pi] = append(barred[l.pi], l.idx)
 		} else {
-			g.cohorts[pi].resOrder = append(g.cohorts[pi].resOrder, li)
+			g.cohorts[l.pi].resOrder = append(g.cohorts[l.pi].resOrder, l.idx)
 		}
 	}
 	virtual := 0
@@ -194,7 +139,7 @@ func (g *groupState) finishBuild() {
 		c.resOrder = append(c.resOrder, barred[pi]...)
 		c.resLevel = make([]int, len(c.resOrder))
 		for k, li := range c.resOrder {
-			g.laneResIdx[li] = k
+			s.lanes[li].resIdx = k
 		}
 		virtual += c.count - len(c.resOrder)
 	}
@@ -213,12 +158,6 @@ func (g *groupState) warmKey(c *groupCohort) meso.GroupKey {
 // exactly as materialized lanes enter the run.
 func (g *groupState) warmOpW(c *groupCohort) float64 {
 	return c.hull[len(c.hull)-1].powerW * float64(g.s.spec.Replicas)
-}
-
-// laneGone reports whether a resident lane has left the serving set
-// (draining or retired) and must be skipped by the plan.
-func (g *groupState) laneGone(li int) bool {
-	return g.s.lc != nil && (g.s.lc[li].removing || g.s.lc[li].dead)
 }
 
 // apply is the group-mode re-plan: bulk-allocate every cohort member to
@@ -288,7 +227,7 @@ func (g *groupState) apply(fleetW float64) {
 		pos = pos[:0]
 		probes := 0
 		for k := range c.resOrder {
-			if g.laneGone(c.resOrder[k]) {
+			if s.lanes[c.resOrder[k]].gone() {
 				continue
 			}
 			if k < c.probes {
@@ -428,9 +367,9 @@ func (g *groupState) warmBatchDone(pi int, at, warmAt time.Duration, now time.Du
 // drift probe — the same gate sentinel re-measurements use — before
 // folding into the bucket's running mean; a first calibration converts
 // the bucket's pending spans into interval backfill.
-func (g *groupState) probeParked(lane int, watts float64, now time.Duration, drift *invariant.DriftProbe) {
-	c := &g.cohorts[g.laneCohort[lane]]
-	j := c.resLevel[g.laneResIdx[lane]]
+func (g *groupState) probeParked(l *lane, watts float64, now time.Duration, drift *invariant.DriftProbe) {
+	c := &g.cohorts[l.pi]
+	j := c.resLevel[l.resIdx]
 	key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
 	if !g.pool.Has(key) {
 		return // no virtual members ever held this level

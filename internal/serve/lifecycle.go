@@ -15,7 +15,11 @@ import (
 // Replica groups admitted by a churn event move through
 //
 //	pending --(event At)--> warming --(At+Warmup)--> active
-//	active  --(remove At)-> draining --(queue+inflight empty)--> removed
+//	active  --(remove At)-> removing --(queue+inflight empty)--> removed
+//
+// A warming lane exists (devices, governors, budget share) but has no
+// arrival process yet; warming and active lanes are both laneHydrated
+// (or cycling through the meso states) in the lane's one state machine.
 //
 // The schedule is compiled once, spec-side, into per-shard epochs
 // before any shard runs: which global group numbers join or leave,
@@ -65,16 +69,6 @@ type churnEpoch struct {
 // shardChurn is one shard's compiled epoch timeline.
 type shardChurn struct {
 	epochs []churnEpoch
-}
-
-// laneLife is one materialized lane's lifecycle state.
-type laneLife struct {
-	// removing marks a lane draining toward retirement; dead marks the
-	// drain complete (devices retired, energy frozen). warmPending marks
-	// a churned lane whose first completion will record its warm-up
-	// recovery latency.
-	removing, dead, warmPending bool
-	drainFrom, warmFrom         time.Duration
 }
 
 // compileChurn lowers the spec's churn schedule into per-shard epochs.
@@ -186,38 +180,37 @@ func (s *shard) laneRateIOPS(now time.Duration) float64 {
 	return r * float64(s.spec.Active)
 }
 
-// startLaneArrivals (re)starts lane i's open-loop arrival process on
+// startLaneArrivals (re)starts lane l's open-loop arrival process on
 // its retained stream for the remaining horizon — flat-rate when the
 // spec has no schedule (byte-identical to the original path), else on
 // the precomputed per-lane rate schedule, which picks up whichever step
 // is in force at the current instant. No-op when the horizon has
 // passed.
-func (s *shard) startLaneArrivals(i int) error {
+func (s *shard) startLaneArrivals(l *lane) error {
 	sp := s.spec
 	now := s.eng.Now()
-	l := s.lanes[i]
 	if len(s.laneRates) == 0 {
 		remaining := sp.Horizon - now
 		if remaining <= 0 {
 			return nil
 		}
-		a, err := workload.StartArrivals(s.eng, s.astreams[i], sp.Arrival,
+		a, err := workload.StartArrivals(s.eng, l.astream, sp.Arrival,
 			sp.RateIOPS*float64(sp.Active), remaining, l.arrive, nil)
 		if err != nil {
 			return err
 		}
-		s.arrs[i] = a
+		l.arr = a
 		return nil
 	}
 	if now >= sp.Horizon {
 		return nil
 	}
-	a, err := workload.StartArrivalsSchedule(s.eng, s.astreams[i], sp.Arrival,
+	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, sp.Arrival,
 		s.laneRates, sp.Horizon, l.arrive, nil)
 	if err != nil {
 		return err
 	}
-	s.arrs[i] = a
+	l.arr = a
 	return nil
 }
 
@@ -236,11 +229,10 @@ func (s *shard) rateStep(rs workload.RateStep) {
 		// point for the new one, so every live lane's window restarts
 		// here. (rehydrateAll only resets the lanes it rehydrates;
 		// already-hydrated lanes would otherwise straddle the boundary.)
-		for i := range s.meso.lanes {
-			if s.lc != nil && (s.lc[i].removing || s.lc[i].dead) {
-				continue
+		for _, l := range s.lanes {
+			if !l.gone() {
+				s.meso.resetBaseline(l)
 			}
-			s.meso.resetBaseline(i)
 		}
 	}
 	if s.grp != nil {
@@ -258,70 +250,19 @@ func (s *shard) rateStep(rs workload.RateStep) {
 // the warm event does that. The lane is admitted at `at` and warms
 // until warmAt, which bars it from meso parking until then.
 func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
-	sp := s.spec
-	profile := sp.Profiles[pi]
-	lrng := sim.NewRNG(sp.Seed ^ shardHash("serve/churn", g))
-	groupDevs := make([]device.Device, 0, sp.Replicas)
+	lrng := sim.NewRNG(s.spec.Seed ^ shardHash("serve/churn", g))
 	d0 := len(s.devs)
-	for rep := 0; rep < sp.Replicas; rep++ {
-		gi := g*sp.Replicas + rep
-		name := InstanceName(profile, gi)
-		d, err := baseDevice(sp, s.eng, lrng, profile, name)
-		if err != nil {
-			return err
-		}
-		s.devs = append(s.devs, d)
-		s.devDead = append(s.devDead, false)
-		s.names = append(s.names, name)
-		s.maxW = append(s.maxW, profileMaxW(profile))
-		m, err := planningModel(profile, name)
-		if err != nil {
-			return err
-		}
-		s.models = append(s.models, m)
-		groupDevs = append(groupDevs, d)
+	l, err := s.buildGroup(g, pi, lrng, nil)
+	if err != nil {
+		return err
 	}
-	target := groupDevs[0]
-	if sp.Replicas > 1 {
-		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
-		if err != nil {
-			return err
-		}
-		s.redirs = append(s.redirs, rd)
-		target = rd
-	}
-	span := target.CapacityBytes()
-	span -= span % sp.ChunkBytes
-	li := len(s.lanes)
-	s.lanes = append(s.lanes, &lane{
-		sh:   s,
-		idx:  li,
-		dev:  target,
-		rng:  lrng.Stream(fmt.Sprintf("lane%05d", g)),
-		span: span,
-	})
-	s.laneFaulted = append(s.laneFaulted, false)
-	s.laneFaultEnd = append(s.laneFaultEnd, 0)
-	s.laneGroup = append(s.laneGroup, g)
-	s.groupLane[g] = li
-	s.astreams = append(s.astreams, lrng.Stream("arrivals"))
-	s.arrs = append(s.arrs, nil)
-	s.lc = append(s.lc, laneLife{warmFrom: at})
-	for di := d0; di < len(s.devs); di++ {
-		d := s.devs[di]
-		if len(d.PowerStates()) < 2 {
-			s.govs = append(s.govs, nil)
-			continue
-		}
-		gv, err := adaptive.NewGovernor(s.eng, d, s.maxW[di]*govGuard, sp.ControlPeriod)
-		if err != nil {
-			return err
-		}
-		gv.Start()
-		s.govs = append(s.govs, gv)
+	l.astream = lrng.Stream("arrivals")
+	l.warmFrom = at
+	if err := s.startGovernors(d0); err != nil {
+		return err
 	}
 	if s.meso != nil {
-		s.meso.addLane(li, warmAt)
+		s.meso.addLane(l, warmAt)
 	}
 	return nil
 }
@@ -335,17 +276,17 @@ func (s *shard) beginRemove(g int, now time.Duration) {
 	if !ok {
 		panic(fmt.Sprintf("serve: churn removes unmaterialized group %d", g))
 	}
-	lf := &s.lc[li]
-	lf.removing = true
-	lf.drainFrom = now
+	l := s.lanes[li]
 	if s.meso != nil {
-		s.meso.evict(li, now)
+		s.meso.evict(l, now)
 	}
-	if a := s.arrs[li]; a != nil {
-		a.Stop()
+	l.state = laneRemoving
+	l.drainFrom = now
+	if l.arr != nil {
+		l.arr.Stop()
 	}
-	if l := s.lanes[li]; l.inflight == 0 && l.qlen() == 0 {
-		s.retireLane(li, now)
+	if l.inflight == 0 && l.qlen() == 0 {
+		s.retireLane(l, now)
 	}
 }
 
@@ -353,40 +294,36 @@ func (s *shard) beginRemove(g int, now time.Duration) {
 // frozen into retiredJ (the shard's energy stays continuous — removed
 // devices just stop drawing), and the drain recovery latency lands in
 // the shard result.
-func (s *shard) retireLane(li int, now time.Duration) {
-	lf := &s.lc[li]
-	if lf.dead {
-		return
-	}
-	lf.dead = true
-	r := s.spec.Replicas
-	for di := li * r; di < (li+1)*r; di++ {
-		if gv := s.govs[di]; gv != nil {
+func (s *shard) retireLane(l *lane, now time.Duration) {
+	l.state = laneRemoved
+	for _, gv := range l.govs() {
+		if gv != nil {
 			gv.Stop()
 		}
-		s.retiredJ += s.devs[di].EnergyJ()
-		s.devDead[di] = true
 	}
-	s.res.DrainLats = append(s.res.DrainLats, now-lf.drainFrom)
+	for _, d := range l.devs() {
+		s.retiredJ += d.EnergyJ()
+	}
+	s.res.DrainLats = append(s.res.DrainLats, now-l.drainFrom)
 }
 
-// laneCompleted runs on every request completion while the lifecycle is
-// active: the first completion of a freshly warmed lane records its
-// warm-up recovery latency, and a draining lane retires the moment its
+// laneCompleted runs on a request completion of a lane that is warming
+// or removing: the first completion of a freshly warmed lane records its
+// warm-up recovery latency, and a removing lane retires the moment its
 // last work finishes.
 func (s *shard) laneCompleted(l *lane, now time.Duration) {
-	lf := &s.lc[l.idx]
-	if lf.warmPending {
-		lf.warmPending = false
-		s.res.WarmupLats = append(s.res.WarmupLats, now-lf.warmFrom)
+	if l.warmPending {
+		l.warmPending = false
+		s.res.WarmupLats = append(s.res.WarmupLats, now-l.warmFrom)
 	}
-	if lf.removing && !lf.dead && l.inflight == 0 && l.qlen() == 0 {
-		s.retireLane(l.idx, now)
+	if l.state == laneRemoving && l.inflight == 0 && l.qlen() == 0 {
+		s.retireLane(l, now)
 	}
 }
 
 // rebuildController rebinds the per-device BudgetController to the
-// current live membership (draining and dead lanes hold no share). The
+// current live membership (removing and removed lanes hold no share);
+// a shard left with no live lane has no controller. The
 // fleet plans through the run's frontier memo, so a membership that
 // keeps a prefix of an earlier composition — or revisits one, as a
 // scale-out drained back to its previous size does — re-merges only the
@@ -396,8 +333,7 @@ func (s *shard) rebuildController() error {
 	devs := make([]device.Device, 0, len(s.devs))
 	models := make([]*core.Model, 0, len(s.models))
 	for i, d := range s.devs {
-		lf := &s.lc[i/r]
-		if lf.removing || lf.dead {
+		if s.lanes[i/r].gone() {
 			continue
 		}
 		devs = append(devs, d)
@@ -405,6 +341,12 @@ func (s *shard) rebuildController() error {
 	}
 	if s.bc != nil {
 		s.ctrlComp += s.bc.Compensations
+	}
+	if len(models) == 0 {
+		// Churn retired every lane of this shard: there is nothing to
+		// plan until a later epoch admits one.
+		s.bc = nil
+		return nil
 	}
 	fleet, err := s.memo.NewFleet(models...)
 	if err != nil {
@@ -477,17 +419,16 @@ func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 		return
 	}
 	for _, ad := range ep.adds {
-		li := s.groupLane[ad.g]
-		lf := &s.lc[li]
-		if lf.removing || lf.dead {
+		l := s.lanes[s.groupLane[ad.g]]
+		if l.gone() {
 			continue
 		}
-		lf.warmPending = true
-		if err := s.startLaneArrivals(li); err != nil {
+		l.warmPending = true
+		if err := s.startLaneArrivals(l); err != nil {
 			panic(fmt.Sprintf("serve: churn warm-up of group %d: %v", ad.g, err))
 		}
 		if s.meso != nil {
-			s.meso.resetBaseline(li)
+			s.meso.resetBaseline(l)
 		}
 	}
 }

@@ -54,33 +54,38 @@ func scriptedFaults(sp *Spec) map[string][]fault.Window {
 	return m
 }
 
-// materializeDevice builds fleet device gi of a profile on a shard's
-// engine and applies fault injection: the spec's scripted plan when it
-// names this instance, else the FaultFrac probabilistic draw. Both the
-// device stream and the fault stream are labeled by the instance name,
-// and a scripted instance skips the probabilistic draw entirely — the
-// draws of every other instance come from their own streams, so adding
-// a script to one device never perturbs another's faults or workload.
-// The returned windows are the fault outcome (empty when unfaulted);
-// the caller uses their span to bound how long the lane stays barred
-// from the analytic tier.
-func materializeDevice(sp *Spec, eng *sim.Engine, rng, frng *sim.RNG,
-	scripted map[string][]fault.Window, profile string, gi int) (device.Device, string, []fault.Window, error) {
-	name := InstanceName(profile, gi)
-	d, err := baseDevice(sp, eng, rng, profile, name)
-	if err != nil {
-		return nil, "", nil, err
+// preFault is one pre-drawn fault outcome: the windows and the
+// instance's retained fault stream (the inject sub-stream must derive
+// from the same position the draw left it at).
+type preFault struct {
+	wins []fault.Window
+	ds   *sim.RNG
+}
+
+// drawFaults resolves the fault outcome of every device in a shard's
+// group range before any device exists, returning the faulted ones by
+// device index (nil when the spec injects no faults). The draws run for
+// ALL members in ascending instance order, each from its own stream
+// frng.Stream(name), so the draw a member receives is independent of
+// how many members end up materialized: group mode builds only some.
+func drawFaults(sp *Spec, frng *sim.RNG, rg shardRange) map[int]*preFault {
+	scripted := scriptedFaults(sp)
+	if sp.FaultFrac == 0 && len(scripted) == 0 {
+		return nil
 	}
-	ds := frng.Stream(name)
-	wins, faulted := drawFault(sp, ds, scripted, name)
-	if !faulted {
-		return d, name, nil, nil
+	pre := map[int]*preFault{}
+	for g := rg.g0; g < rg.g1; g++ {
+		profile := sp.Profiles[g%len(sp.Profiles)]
+		for rep := 0; rep < sp.Replicas; rep++ {
+			gi := g*sp.Replicas + rep
+			name := InstanceName(profile, gi)
+			ds := frng.Stream(name)
+			if wins, faulted := drawFault(sp, ds, scripted, name); faulted {
+				pre[gi] = &preFault{wins: wins, ds: ds}
+			}
+		}
 	}
-	fd, err := fault.New(d, eng, ds.Stream("inject"), fault.Profile{Windows: wins})
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("fault windows for %s: %w", name, err)
-	}
-	return fd, name, wins, nil
+	return pre
 }
 
 // baseDevice builds the unwrapped device model of one fleet instance:
@@ -103,10 +108,10 @@ func baseDevice(sp *Spec, eng *sim.Engine, rng *sim.RNG, profile, name string) (
 
 // drawFault resolves one instance's fault outcome from its dedicated
 // stream ds: the scripted windows when the spec names the instance,
-// else the FaultFrac probabilistic draw. Group mode runs this pass for
-// every member — virtual ones included — before deciding which to
-// materialize, consuming exactly the draws the instance owns; whether
-// the member then becomes a device never perturbs another's faults.
+// else the FaultFrac probabilistic draw. A scripted instance skips the
+// probabilistic draw entirely, and every instance draws from its own
+// stream, so adding a script to one device never perturbs another's
+// faults or workload.
 func drawFault(sp *Spec, ds *sim.RNG, scripted map[string][]fault.Window, name string) ([]fault.Window, bool) {
 	if wins := scripted[name]; len(wins) > 0 {
 		return wins, true

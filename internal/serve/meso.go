@@ -6,16 +6,16 @@ import (
 	"strings"
 	"time"
 
-	"wattio/internal/adaptive"
 	"wattio/internal/device"
 	"wattio/internal/meso"
 	"wattio/internal/telemetry/invariant"
 )
 
 // The mesoscale aggregation tier lets a shard stop simulating lanes
-// that have settled into a steady operating point. A lane's life cycle:
+// that have settled into a steady operating point. The tier moves a
+// lane through the meso states of its one state machine (lane.state):
 //
-//	hydrated --(steady for MesoDwellPeriods)--> draining
+//	hydrated --(steady for mesoDwellPeriods)--> draining
 //	draining --(in-flight and queue empty)----> idling | parked
 //	idling   --(one quiesced period measured)-> parked
 //	parked   --(budget step / sentinel / end)-> hydrated
@@ -35,23 +35,28 @@ import (
 // bit-identical at any host parallelism, and with Spec.Meso off no
 // code path here runs at all.
 
-// mesoSentinelEvery is the sentinel cadence in control periods: every
-// so many ticks one parked lane per shard rehydrates, re-serves real
-// traffic, and its freshly re-measured draw is compared against the
-// aggregate's calibrated operating point (the drift probe).
-const mesoSentinelEvery = 8
-
-type mesoPhase uint8
-
 const (
-	mesoHydrated mesoPhase = iota
-	mesoDraining
-	mesoIdling
-	mesoParked
+	// mesoSentinelEvery is the sentinel cadence in control periods:
+	// every so many ticks one parked lane per shard rehydrates, re-serves
+	// real traffic, and its freshly re-measured draw is compared against
+	// the aggregate's calibrated operating point (the drift probe).
+	mesoSentinelEvery = 8
+	// mesoDwellPeriods is how many consecutive steady control periods a
+	// lane must show before it dehydrates.
+	mesoDwellPeriods = 2
+	// mesoDriftTolFrac bounds how far a sentinel re-measurement may
+	// disagree with the aggregate's calibrated draw before the lane is
+	// barred from parking again (and the report's MesoDriftOK trips).
+	// It sits well above the few percent of Poisson arrival noise a
+	// dwell-window average carries, and well below the shifts that
+	// matter: a rate change, a fault onset, or a re-plan moves a lane's
+	// draw far more than 10%.
+	mesoDriftTolFrac = 0.10
 )
 
+// mesoLane is one lane's meso-tier bookkeeping (lane.ml); the lane's
+// phase in the tier is lane.state.
 type mesoLane struct {
-	phase mesoPhase
 	// barred lanes never park again: a sentinel re-measurement drifted
 	// beyond tolerance, so the aggregate's model of this lane cannot be
 	// trusted for the rest of the run. barredUntil bars a lane only
@@ -100,90 +105,75 @@ type mesoState struct {
 	s      *shard
 	pool   *meso.Pool
 	drift  invariant.DriftProbe
-	lanes  []mesoLane
 	ticks  int
 	cursor int // sentinel rotation position
 	done   bool
 }
 
 func newMeso(s *shard) *mesoState {
-	m := &mesoState{s: s, pool: meso.NewPool(len(s.lanes)), lanes: make([]mesoLane, len(s.lanes))}
-	for i := range m.lanes {
-		ml := &m.lanes[i]
-		ml.barredUntil = s.laneFaultEnd[i]
-		ml.states = make([]int, s.spec.Replicas)
-		ml.idleW = make(map[string]float64)
-		ml.pendingPredW = -1
-		ml.prevE = m.laneEnergy(i)
-		m.snapshot(i, ml)
+	m := &mesoState{s: s, pool: meso.NewPool(len(s.lanes))}
+	for _, l := range s.lanes {
+		m.addLane(l, l.faultEnd)
 	}
 	return m
 }
 
-// addLane extends the tier to cover a lane admitted mid-run by a churn
-// epoch: the pool grows and the lane starts hydrated, barred from
-// parking until its warm-up completes (an idle warming lane looks
-// steady but has no operating point worth calibrating).
-func (m *mesoState) addLane(i int, warmAt time.Duration) {
-	m.pool.Grow(i + 1)
-	m.lanes = append(m.lanes, mesoLane{})
-	ml := &m.lanes[i]
-	ml.barredUntil = warmAt
+// addLane brings lane l under the tier, hydrated, with its steadiness
+// baselines taken now. It stays barred from parking until barredUntil:
+// a fault-injected lane until its last fault window closes, a lane
+// admitted mid-run by a churn epoch until its warm-up completes (an
+// idle warming lane looks steady but has no operating point worth
+// calibrating).
+func (m *mesoState) addLane(l *lane, barredUntil time.Duration) {
+	m.pool.Grow(l.idx + 1)
+	ml := &l.ml
+	ml.barredUntil = barredUntil
 	ml.states = make([]int, m.s.spec.Replicas)
 	ml.idleW = make(map[string]float64)
 	ml.pendingPredW = -1
-	ml.prevE = m.laneEnergy(i)
-	ml.prevT = m.s.eng.Now()
-	m.snapshot(i, ml)
+	ml.prevE, ml.prevT = laneEnergy(l), m.s.eng.Now()
+	m.snapshot(l)
 }
 
-// resetBaseline restarts lane i's steadiness tracking from the current
+// resetBaseline restarts lane l's steadiness tracking from the current
 // instant — called when its traffic regime changes discontinuously (a
 // churned lane's arrivals starting at warm-up), so a dwell accumulated
 // under the old regime never calibrates the new one.
-func (m *mesoState) resetBaseline(i int) {
-	ml := &m.lanes[i]
+func (m *mesoState) resetBaseline(l *lane) {
+	ml := &l.ml
 	ml.dwell = 0
-	ml.prevE, ml.prevT = m.laneEnergy(i), m.s.eng.Now()
-	m.snapshot(i, ml)
+	ml.prevE, ml.prevT = laneEnergy(l), m.s.eng.Now()
+	m.snapshot(l)
 }
 
 // evict pulls a lane out of the analytic tier for retirement: a parked
 // lane settles its span (without restarting serving), a draining or
 // idling one simply returns to hydrated — its arrivals are already
 // stopped and the retirement path stops its governors.
-func (m *mesoState) evict(i int, now time.Duration) {
-	ml := &m.lanes[i]
-	switch ml.phase {
-	case mesoParked:
-		m.unpark(i, now, false)
-	case mesoDraining, mesoIdling:
-		ml.phase = mesoHydrated
-		ml.dwell = 0
+func (m *mesoState) evict(l *lane, now time.Duration) {
+	switch l.state {
+	case laneParked:
+		m.unpark(l, now, false)
+	case laneDraining, laneIdling:
+		l.state = laneHydrated
+		l.ml.dwell = 0
 	}
 }
 
-func (m *mesoState) laneEnergy(i int) float64 {
-	r := m.s.spec.Replicas
+func laneEnergy(l *lane) float64 {
 	var e float64
-	for _, d := range m.s.devs[i*r : (i+1)*r] {
+	for _, d := range l.devs() {
 		e += d.EnergyJ()
 	}
 	return e
 }
 
-func (m *mesoState) laneGovs(i int) []*adaptive.Governor {
-	r := m.s.spec.Replicas
-	return m.s.govs[i*r : (i+1)*r]
-}
-
 // stateKey is the lane's power-state fingerprint, the cache key for
 // measured idle draw: the same devices in the same states quiesce to
 // the same draw.
-func (m *mesoState) stateKey(i int) string {
-	r := m.s.spec.Replicas
+func stateKey(l *lane) string {
 	var b strings.Builder
-	for _, d := range m.s.devs[i*r : (i+1)*r] {
+	for _, d := range l.devs() {
 		b.WriteString(strconv.Itoa(d.PowerStateIndex()))
 		b.WriteByte('.')
 	}
@@ -191,14 +181,13 @@ func (m *mesoState) stateKey(i int) string {
 }
 
 // snapshot refreshes the lane's steadiness fingerprint baselines.
-func (m *mesoState) snapshot(i int, ml *mesoLane) {
-	s := m.s
-	ml.rejected = s.lanes[i].rejected
+func (m *mesoState) snapshot(l *lane) {
+	s, ml := m.s, &l.ml
+	ml.rejected = l.rejected
 	if len(s.redirs) > 0 {
-		ml.failovers, ml.wakes = s.redirs[i].Failovers, s.redirs[i].WakesOnDemand
+		ml.failovers, ml.wakes = s.redirs[l.idx].Failovers, s.redirs[l.idx].WakesOnDemand
 	}
-	r := s.spec.Replicas
-	for rep, d := range s.devs[i*r : (i+1)*r] {
+	for rep, d := range l.devs() {
 		ml.states[rep] = d.PowerStateIndex()
 	}
 }
@@ -206,23 +195,21 @@ func (m *mesoState) snapshot(i int, ml *mesoLane) {
 // steady checks (and refreshes) the lane's fingerprint: no rejections,
 // no failovers or on-demand wakes, settled healthy devices holding
 // their power states, and a queue no deeper than one dispatch batch.
-func (m *mesoState) steady(i int, ml *mesoLane) bool {
-	s := m.s
-	l := s.lanes[i]
+func (m *mesoState) steady(l *lane) bool {
+	s, ml := m.s, &l.ml
 	ok := l.qlen() <= s.spec.Batch
 	if l.rejected != ml.rejected {
 		ok = false
 		ml.rejected = l.rejected
 	}
 	if len(s.redirs) > 0 {
-		rd := s.redirs[i]
+		rd := s.redirs[l.idx]
 		if rd.Failovers != ml.failovers || rd.WakesOnDemand != ml.wakes {
 			ok = false
 			ml.failovers, ml.wakes = rd.Failovers, rd.WakesOnDemand
 		}
 	}
-	r := s.spec.Replicas
-	for rep, d := range s.devs[i*r : (i+1)*r] {
+	for rep, d := range l.devs() {
 		if !device.Healthy(d) || !d.Settled() {
 			ok = false
 		}
@@ -249,27 +236,27 @@ func (m *mesoState) tick() {
 		// one O(1) read, however many lanes the buckets represent.
 		s.res.MesoParkedPeriods += s.grp.pool.Members()
 	}
-	for i := range m.lanes {
-		ml := &m.lanes[i]
-		if s.lc != nil && (s.lc[i].removing || s.lc[i].dead) {
+	for _, l := range s.lanes {
+		if l.gone() {
 			continue
 		}
-		if ml.phase == mesoParked {
+		if l.state == laneParked {
 			s.res.MesoParkedPeriods++
 			continue
 		}
-		e := m.laneEnergy(i)
+		ml := &l.ml
+		e := laneEnergy(l)
 		prev, prevT := ml.prevE, ml.prevT
 		ml.prevE, ml.prevT = e, now
-		switch ml.phase {
-		case mesoHydrated:
+		switch l.state {
+		case laneHydrated:
 			if now <= prevT {
 				// The lane rehydrated at this very tick (a co-timed
 				// budget step): no time has passed, there is no period
 				// to judge.
 				break
 			}
-			if m.steady(i, ml) {
+			if m.steady(l) {
 				if ml.dwell == 0 {
 					ml.dwellE, ml.dwellT = prev, prevT
 				}
@@ -277,7 +264,7 @@ func (m *mesoState) tick() {
 			} else {
 				ml.dwell = 0
 			}
-			if ml.barredUntil > 0 && now >= ml.barredUntil && s.lanes[i].qlen() == 0 {
+			if ml.barredUntil > 0 && now >= ml.barredUntil && l.qlen() == 0 {
 				// The transient is over and the lane has caught up — a
 				// dropout releases its held IOs all at once, and the
 				// backlog drain draws more than the steady regime, so
@@ -286,12 +273,12 @@ func (m *mesoState) tick() {
 				ml.barredUntil = 0
 				ml.dwell = 0
 			}
-			if !atEnd && !ml.barred && ml.barredUntil == 0 && ml.dwell >= s.spec.MesoDwellPeriods {
-				m.beginDrain(i, ml, e, now)
+			if !atEnd && !ml.barred && ml.barredUntil == 0 && ml.dwell >= mesoDwellPeriods {
+				m.beginDrain(l, e, now)
 			}
-		case mesoDraining:
+		case laneDraining:
 			// Waiting on in-flight IO; laneQuiet advances the phase.
-		case mesoIdling:
+		case laneIdling:
 			if ml.idleStartT < 0 {
 				// First boundary after the drain completed: the residual
 				// power decay of the last IOs has flushed, start the
@@ -300,8 +287,8 @@ func (m *mesoState) tick() {
 				ml.idleStartT = now
 			} else if dt := now - ml.idleStartT; dt > 0 {
 				idleW := (e - ml.idleStartE) / dt.Seconds()
-				ml.idleW[m.stateKey(i)] = idleW
-				m.park(i, ml, now, idleW)
+				ml.idleW[stateKey(l)] = idleW
+				m.park(l, now, idleW)
 			}
 		}
 	}
@@ -314,25 +301,25 @@ func (m *mesoState) tick() {
 // dwell window is the aggregate's calibration (and the verdict on any
 // pending sentinel comparison), arrivals stop, and the lane drains its
 // in-flight IO.
-func (m *mesoState) beginDrain(i int, ml *mesoLane, e float64, now time.Duration) {
-	s := m.s
+func (m *mesoState) beginDrain(l *lane, e float64, now time.Duration) {
+	ml := &l.ml
 	w := (e - ml.dwellE) / (now - ml.dwellT).Seconds()
 	ml.steadyW = w
 	if ml.pendingPredW >= 0 {
 		frac := m.drift.Observe(ml.pendingPredW, w)
 		ml.pendingPredW = -1
-		if frac > s.spec.MesoDriftTolFrac {
+		if frac > mesoDriftTolFrac {
 			// The aggregate's model of this lane was wrong: keep the
 			// lane mechanistic for the rest of the run.
 			ml.barred = true
 			return
 		}
 	}
-	if s.arrs[i] != nil {
-		s.arrs[i].Stop()
+	if l.arr != nil {
+		l.arr.Stop()
 	}
-	ml.phase = mesoDraining
-	m.laneQuiet(s.lanes[i])
+	l.state = laneDraining
+	m.laneQuiet(l)
 }
 
 // laneQuiet advances a draining lane the moment its last in-flight IO
@@ -343,36 +330,35 @@ func (m *mesoState) laneQuiet(l *lane) {
 	if m.done {
 		return
 	}
-	ml := &m.lanes[l.idx]
-	if ml.phase != mesoDraining || l.inflight != 0 || l.qlen() != 0 {
+	if l.state != laneDraining || l.inflight != 0 || l.qlen() != 0 {
 		return
 	}
-	for _, g := range m.laneGovs(l.idx) {
+	for _, g := range l.govs() {
 		if g != nil {
 			g.Stop()
 		}
 	}
-	if w, ok := ml.idleW[m.stateKey(l.idx)]; ok {
-		m.park(l.idx, ml, m.s.eng.Now(), w)
+	if w, ok := l.ml.idleW[stateKey(l)]; ok {
+		m.park(l, m.s.eng.Now(), w)
 		return
 	}
-	ml.phase = mesoIdling
-	ml.idleStartT = -1
+	l.state = laneIdling
+	l.ml.idleStartT = -1
 }
 
-func (m *mesoState) park(i int, ml *mesoLane, now time.Duration, idleW float64) {
+func (m *mesoState) park(l *lane, now time.Duration, idleW float64) {
 	s := m.s
-	m.pool.Park(i, meso.OperatingPoint{
-		PowerW:     ml.steadyW,
+	m.pool.Park(l.idx, meso.OperatingPoint{
+		PowerW:     l.ml.steadyW,
 		IdleW:      idleW,
 		RateIOPS:   s.laneRateIOPS(now),
 		BytesPerIO: s.spec.ChunkBytes,
 	}, now)
-	ml.phase = mesoParked
+	l.state = laneParked
 	s.res.MesoDehydrations++
 	if s.grp != nil {
 		// A parking probe's measured draw calibrates its cohort bucket.
-		s.grp.probeParked(i, ml.steadyW, now, &m.drift)
+		s.grp.probeParked(l, l.ml.steadyW, now, &m.drift)
 	}
 }
 
@@ -381,33 +367,32 @@ func (m *mesoState) park(i int, ml *mesoLane, now time.Duration, idleW float64) 
 // governors restart their control loops and the arrival process
 // continues on the lane's retained RNG stream for the remaining
 // horizon.
-func (m *mesoState) unpark(i int, now time.Duration, restart bool) {
+func (m *mesoState) unpark(l *lane, now time.Duration, restart bool) {
 	s := m.s
-	ml := &m.lanes[i]
-	set := m.pool.Unpark(i, now)
+	set := m.pool.Unpark(l.idx, now)
 	s.res.Offered += set.IOs
 	s.res.Admitted += set.IOs
 	s.res.Completed += set.IOs
 	s.res.BytesCompleted += set.Bytes
 	s.res.MesoAggJ += set.DynJ
 	s.res.MesoRehydrations++
-	ml.phase = mesoHydrated
-	ml.dwell = 0
+	l.state = laneHydrated
+	l.ml.dwell = 0
 	if !restart {
 		return
 	}
-	for _, g := range m.laneGovs(i) {
+	for _, g := range l.govs() {
 		if g != nil {
 			g.Start()
 		}
 	}
-	if err := s.startLaneArrivals(i); err != nil {
+	if err := s.startLaneArrivals(l); err != nil {
 		// Inputs were validated when the lane first started; a
 		// failure here is a programming error, not a spec error.
-		panic(fmt.Sprintf("serve: meso rehydration of lane %d: %v", i, err))
+		panic(fmt.Sprintf("serve: meso rehydration of lane %d: %v", l.idx, err))
 	}
-	ml.prevE, ml.prevT = m.laneEnergy(i), now
-	m.snapshot(i, ml)
+	l.ml.prevE, l.ml.prevT = laneEnergy(l), now
+	m.snapshot(l)
 }
 
 // sentinel rehydrates the next parked lane in rotation for a ground
@@ -419,14 +404,14 @@ func (m *mesoState) sentinel(now time.Duration) {
 	if m.pool.ParkedCount() == 0 {
 		return
 	}
-	n := len(m.lanes)
-	for k := 0; k < n; k++ {
-		i := m.cursor
-		m.cursor = (m.cursor + 1) % n
-		if m.lanes[i].phase == mesoParked {
-			pred := m.pool.Op(i).PowerW
-			m.unpark(i, now, true)
-			m.lanes[i].pendingPredW = pred
+	lanes := m.s.lanes
+	for k := 0; k < len(lanes); k++ {
+		l := lanes[m.cursor]
+		m.cursor = (m.cursor + 1) % len(lanes)
+		if l.state == laneParked {
+			pred := m.pool.Op(l.idx).PowerW
+			m.unpark(l, now, true)
+			l.ml.pendingPredW = pred
 			return
 		}
 	}
@@ -442,31 +427,30 @@ func (m *mesoState) rehydrateAll() {
 	}
 	s := m.s
 	now := s.eng.Now()
-	for i := range m.lanes {
-		ml := &m.lanes[i]
-		switch ml.phase {
-		case mesoParked:
-			m.unpark(i, now, true)
-		case mesoDraining, mesoIdling:
+	for _, l := range s.lanes {
+		switch l.state {
+		case laneParked:
+			m.unpark(l, now, true)
+		case laneDraining, laneIdling:
 			// Arrivals were stopped at drain; an idling lane's governors
 			// were stopped at quiesce. Resume both and start the dwell
 			// over under the new plan.
-			if ml.phase == mesoIdling {
-				for _, g := range m.laneGovs(i) {
+			if l.state == laneIdling {
+				for _, g := range l.govs() {
 					if g != nil {
 						g.Start()
 					}
 				}
 			}
-			if err := s.startLaneArrivals(i); err != nil {
-				panic(fmt.Sprintf("serve: meso rehydration of lane %d: %v", i, err))
+			if err := s.startLaneArrivals(l); err != nil {
+				panic(fmt.Sprintf("serve: meso rehydration of lane %d: %v", l.idx, err))
 			}
-			ml.phase = mesoHydrated
-			ml.dwell = 0
-			ml.prevE, ml.prevT = m.laneEnergy(i), now
-			m.snapshot(i, ml)
+			l.state = laneHydrated
+			l.ml.dwell = 0
+			l.ml.prevE, l.ml.prevT = laneEnergy(l), now
+			m.snapshot(l)
 		}
-		ml.pendingPredW = -1
+		l.ml.pendingPredW = -1
 	}
 }
 
@@ -476,9 +460,9 @@ func (m *mesoState) rehydrateAll() {
 func (m *mesoState) settle() {
 	s := m.s
 	now := s.eng.Now()
-	for i := range m.lanes {
-		if m.lanes[i].phase == mesoParked {
-			m.unpark(i, now, false)
+	for _, l := range s.lanes {
+		if l.state == laneParked {
+			m.unpark(l, now, false)
 		}
 	}
 	if s.grp != nil {
@@ -486,5 +470,5 @@ func (m *mesoState) settle() {
 	}
 	m.done = true
 	s.res.MesoWorstDriftFrac = m.drift.WorstFrac()
-	s.res.MesoDriftOK = m.drift.Check(s.spec.MesoDriftTolFrac) == nil
+	s.res.MesoDriftOK = m.drift.Check(mesoDriftTolFrac) == nil
 }

@@ -125,7 +125,7 @@ type Spec struct {
 	// the fleet's maximum planning-model power.
 	Budget []BudgetStep
 	// CapTolFrac is the budget-tracking tolerance as a fraction of the
-	// interval budget. Default 0.10.
+	// interval budget. Default DefaultCapTolFrac.
 	CapTolFrac float64
 
 	// Seed drives workload and device streams; FaultSeed independently
@@ -145,21 +145,16 @@ type Spec struct {
 	CheckInvariants bool
 
 	// Meso enables the mesoscale aggregation tier: a replica group
-	// whose serving fingerprint holds steady for MesoDwellPeriods
-	// control periods leaves event-driven simulation for an analytic
-	// aggregate calibrated from its own measured draw, rehydrating on
-	// budget steps, for periodic sentinel re-measurements, and at the
-	// horizon. Fault-injected lanes never park. MesoDriftTolFrac bounds
-	// how far a sentinel re-measurement may disagree with the
-	// aggregate's calibrated draw before the lane is barred from
-	// parking again (and the report's MesoDriftOK trips). The default
-	// tolerance (dwell 2 periods, tolerance 0.10) sits well above the
-	// few percent of Poisson arrival noise a dwell-window average
-	// carries, and well below the shifts that matter — a rate change, a
-	// fault onset, or a re-plan moves a lane's draw far more than 10%.
-	Meso             bool
-	MesoDwellPeriods int
-	MesoDriftTolFrac float64
+	// whose serving fingerprint holds steady for two control periods
+	// leaves event-driven simulation for an analytic aggregate
+	// calibrated from its own measured draw, rehydrating on budget
+	// steps, for periodic sentinel re-measurements, and at the horizon.
+	// A fault-injected lane parks only after its last fault window
+	// closes. A sentinel re-measurement that disagrees with the aggregate's calibrated draw by more than 10%
+	// bars the lane from parking again (and trips the report's
+	// MesoDriftOK). Both thresholds are constants of the tier (see
+	// meso.go).
+	Meso bool
 
 	// MesoGroupMin enables group-level parking (requires Meso): a shard
 	// cohort — the interchangeable, same-profile replica groups of its
@@ -171,9 +166,9 @@ type Spec struct {
 	// by the probes when they park. Budget steps re-plan over bucket
 	// counts in O(#buckets), so control-period work is sublinear in
 	// fleet size. 0 (the default) disables group parking entirely.
-	// MesoProbes defaults to 2; raising it toward the profile's
-	// power-state count speeds calibration coverage when a budget splits
-	// a cohort across several states.
+	// MesoProbes defaults to DefaultMesoProbes; raising it toward the
+	// profile's power-state count speeds calibration coverage when a
+	// budget splits a cohort across several states.
 	MesoGroupMin int
 	MesoProbes   int
 
@@ -186,6 +181,15 @@ type Spec struct {
 	// from the map keep their mechanistic simulators.
 	Fitted map[string]*calib.Model
 }
+
+// Defaults for the Spec fields that other layers also need to report
+// or validate against: the budget-tracking tolerance and the resident
+// probe-lane count per group-parked cohort, taken when Spec.CapTolFrac
+// and Spec.MesoProbes are left zero.
+const (
+	DefaultCapTolFrac = 0.10
+	DefaultMesoProbes = 2
+)
 
 // DeviceFault scripts fault windows onto one named fleet instance.
 type DeviceFault struct {
@@ -298,25 +302,13 @@ func (s Spec) normalized() (Spec, error) {
 		return s, fmt.Errorf("serve: control period %v out of (0, horizon]", s.ControlPeriod)
 	}
 	if s.CapTolFrac == 0 {
-		s.CapTolFrac = 0.10
+		s.CapTolFrac = DefaultCapTolFrac
 	}
 	if s.CapTolFrac < 0 {
 		return s, fmt.Errorf("serve: negative cap tolerance")
 	}
 	if s.FaultFrac < 0 || s.FaultFrac > 1 {
 		return s, fmt.Errorf("serve: fault fraction %v out of [0, 1]", s.FaultFrac)
-	}
-	if s.MesoDwellPeriods == 0 {
-		s.MesoDwellPeriods = 2
-	}
-	if s.MesoDwellPeriods < 1 {
-		return s, fmt.Errorf("serve: meso dwell %d periods must be positive", s.MesoDwellPeriods)
-	}
-	if s.MesoDriftTolFrac == 0 {
-		s.MesoDriftTolFrac = 0.10
-	}
-	if s.MesoDriftTolFrac < 0 {
-		return s, fmt.Errorf("serve: meso drift tolerance %v must be non-negative", s.MesoDriftTolFrac)
 	}
 	if s.MesoGroupMin < 0 {
 		return s, fmt.Errorf("serve: meso group minimum %d must be non-negative", s.MesoGroupMin)
@@ -331,7 +323,7 @@ func (s Spec) normalized() (Spec, error) {
 		return s, fmt.Errorf("serve: meso probes set without group parking (set MesoGroupMin)")
 	}
 	if s.MesoGroupMin > 0 && s.MesoProbes == 0 {
-		s.MesoProbes = 2
+		s.MesoProbes = DefaultMesoProbes
 	}
 	if s.MesoGroupMin > 0 && s.MesoProbes >= s.MesoGroupMin {
 		return s, fmt.Errorf("serve: meso probe count %d must be below the group minimum %d (a cohort that is all probes has nothing to virtualize)",

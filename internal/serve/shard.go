@@ -80,17 +80,8 @@ type shard struct {
 
 	redirs []*adaptive.Redirector
 	lanes  []*lane
-
-	// Per-lane arrival machinery, indexed like lanes. The stream objects
-	// are retained so a mesoscale rehydration can restart a lane's
-	// arrivals mid-stream instead of replaying the sequence from its
-	// seed. laneFaulted marks lanes containing a fault-injected device.
-	arrs        []*workload.Arrivals
-	astreams    []*sim.RNG
-	laneFaulted []bool
-	laneGroup   []int // global replica-group number behind each lane
-	meso        *mesoState
-	grp         *groupState
+	meso   *mesoState
+	grp    *groupState
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
@@ -101,21 +92,18 @@ type shard struct {
 	// until a churn epoch moves them.
 	liveDevs, fleetLive int
 
-	// Lane-lifecycle state, nil/zero unless Spec.Churn is set (see
-	// lifecycle.go). laneFaultEnd is the end of each lane's last fault
-	// window (zero when unfaulted); laneRates the per-lane arrival
-	// schedule (rates scaled by Active); models the per-device planning
-	// models retained for controller rebuilds; retiredJ the frozen
-	// meters of retired devices; ctrlComp compensations folded from
-	// retired controllers.
-	lc           []laneLife
-	devDead      []bool
-	groupLane    map[int]int
-	models       []*core.Model
-	retiredJ     float64
-	ctrlComp     int
-	laneFaultEnd []time.Duration
-	laneRates    []workload.RateStep
+	// laneRates is the per-lane arrival schedule (rates scaled by
+	// Active), nil without Spec.Rates. models are the per-device planning
+	// models retained for controller rebuilds (nil in group mode).
+	// groupLane maps a global replica-group number to its lane, nil
+	// without Spec.Churn; retiredJ is the frozen meters of retired
+	// devices and ctrlComp the compensations folded from retired
+	// controllers (see lifecycle.go).
+	laneRates []workload.RateStep
+	models    []*core.Model
+	groupLane map[int]int
+	retiredJ  float64
+	ctrlComp  int
 
 	inflight int
 	stopped  bool
@@ -139,20 +127,16 @@ type shard struct {
 // sliding-window cap probe and interval accounting cover the analytic
 // population too.
 func (s *shard) EnergyJ() float64 {
-	var sum float64
-	if s.devDead == nil {
-		for _, d := range s.devs {
-			sum += d.EnergyJ()
+	// Retired devices stop drawing: their meters were frozen into
+	// retiredJ at retirement, so the sum stays continuous there and
+	// monotone throughout.
+	sum := s.retiredJ
+	for _, l := range s.lanes {
+		if l.state == laneRemoved {
+			continue
 		}
-	} else {
-		// Retired devices stop drawing: their meters were frozen into
-		// retiredJ at retirement, so the sum stays continuous there and
-		// monotone throughout.
-		sum = s.retiredJ
-		for i, d := range s.devs {
-			if !s.devDead[i] {
-				sum += d.EnergyJ()
-			}
+		for _, d := range l.devs() {
+			sum += d.EnergyJ()
 		}
 	}
 	if s.meso != nil {
@@ -164,12 +148,17 @@ func (s *shard) EnergyJ() float64 {
 	return sum
 }
 
-// lane is one replica group's request scheduler: an admission-bounded
+// lane is one replica group's request scheduler — an admission-bounded
 // FIFO queue in front of a device (or a Redirector over its replicas),
-// dispatched in batches up to the group's depth limit.
+// dispatched in batches up to the group's depth limit — and the one
+// record of everything else the shard tracks per replica group: its
+// arrival process, fault span, lifecycle state, and tier bookkeeping.
+// The lane's devices are s.devs[idx*Replicas : (idx+1)*Replicas].
 type lane struct {
 	sh   *shard
 	idx  int
+	g    int // global replica-group number
+	pi   int // profile index: the group tier's cohort id
 	dev  device.Device
 	rng  *sim.RNG
 	span int64
@@ -181,9 +170,65 @@ type lane struct {
 	// rejected mirrors the shard-wide counter per lane, for the
 	// mesoscale steadiness fingerprint.
 	rejected int64
+
+	// astream is the lane's arrival stream, retained so a restart (meso
+	// rehydration, churn warm-up) continues the sequence instead of
+	// replaying it from its seed; arr is the running arrival process,
+	// nil until first started.
+	astream *sim.RNG
+	arr     *workload.Arrivals
+	// faultEnd is the end of the lane's last injected fault window, zero
+	// when unfaulted (fault.New rejects windows of non-positive length).
+	faultEnd time.Duration
+
+	state laneState
+	// warmPending marks a churned lane whose first completion records
+	// its warm-up recovery latency, measured from its admission at
+	// warmFrom; drainFrom is when a removing lane stopped arrivals.
+	warmPending         bool
+	warmFrom, drainFrom time.Duration
+
+	ml     mesoLane // meso-tier bookkeeping (zero unless Spec.Meso)
+	resIdx int      // group tier: position in its cohort's resOrder
 }
 
+// laneState is a lane's place in its one state machine. The meso tier
+// (meso.go) cycles a live lane
+//
+//	hydrated -> draining -> idling -> parked -> hydrated
+//
+// (draining skips idling when the lane's idle draw is cached), and
+// churn (lifecycle.go) ends it: removing -> removed. A lane leaves the
+// meso cycle in the same call that marks it removing, so the two never
+// overlap.
+type laneState uint8
+
+const (
+	laneHydrated laneState = iota // served by the event kernel
+	laneDraining                  // meso: arrivals stopped, in-flight IO finishing
+	laneIdling                    // meso: quiesced, measuring its idle draw
+	laneParked                    // meso: accounted by the analytic pool
+	laneRemoving                  // churn: arrivals stopped, serving out its work
+	laneRemoved                   // churn: retired, meters frozen
+)
+
+// gone reports whether the lane has left the serving set (removing or
+// removed): plans and the meso tier skip it.
+func (l *lane) gone() bool { return l.state >= laneRemoving }
+
 func (l *lane) qlen() int { return len(l.queue) - l.head }
+
+// devs and govs are the lane's replica devices and their governors
+// (nil for a device without selectable power states).
+func (l *lane) devs() []device.Device {
+	r := l.sh.spec.Replicas
+	return l.sh.devs[l.idx*r : (l.idx+1)*r]
+}
+
+func (l *lane) govs() []*adaptive.Governor {
+	r := l.sh.spec.Replicas
+	return l.sh.govs[l.idx*r : (l.idx+1)*r]
+}
 
 // arrive handles one open-loop arrival: admit into the queue or reject
 // when the queue is at capacity.
@@ -268,10 +313,10 @@ func (d *laneDone) run() {
 	// for a real frontend.
 	s.res.Latencies = append(s.res.Latencies, now-admitted)
 	l.dispatch()
-	if s.lc != nil {
+	if l.warmPending || l.state == laneRemoving {
 		s.laneCompleted(l, now)
 	}
-	if s.meso != nil {
+	if l.state == laneDraining {
 		s.meso.laneQuiet(l)
 	}
 }
@@ -315,6 +360,9 @@ func (l *lane) nextOffset() int64 {
 // planned draw so the feedback loop enforces the new plan between
 // steps.
 func (s *shard) applyBudget(fleetW float64) {
+	if s.bc == nil {
+		return // no live lane left to plan (see rebuildController)
+	}
 	slice := fleetW * float64(s.liveDevs) / float64(s.fleetLive)
 	a, err := s.bc.Apply(slice)
 	if err != nil {
@@ -391,14 +439,15 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		}
 	}
 
-	// Build devices, planning models, replica groups, and lanes. In
-	// group mode (MesoGroupMin > 0) only resident groups materialize —
-	// planGroups decides residency and pre-draws every member's fault
-	// outcome first, so virtual members cost no device state at all.
-	scripted := scriptedFaults(sp)
+	// Build devices, planning models, replica groups, and lanes. Every
+	// member's fault outcome is drawn first, in ascending instance order;
+	// in group mode (MesoGroupMin > 0) planGroups then decides residency
+	// and only resident groups materialize, so virtual members cost no
+	// device state at all.
+	pre := drawFaults(sp, frng, rg)
 	var buildGroups []int
 	if sp.MesoGroupMin > 0 {
-		s.grp = planGroups(s, rng, frng, rg, scripted)
+		s.grp = planGroups(s, rg, pre)
 		buildGroups = s.grp.buildGroups
 	} else {
 		buildGroups = make([]int, 0, rg.g1-rg.g0)
@@ -406,70 +455,14 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 			buildGroups = append(buildGroups, g)
 		}
 	}
+	if ch != nil {
+		s.groupLane = make(map[int]int, len(buildGroups))
+	}
+	P := len(sp.Profiles)
 	for _, g := range buildGroups {
-		profile := sp.Profiles[g%len(sp.Profiles)]
-		groupDevs := make([]device.Device, 0, sp.Replicas)
-		groupFaulted := false
-		var groupFaultEnd time.Duration
-		for rep := 0; rep < sp.Replicas; rep++ {
-			gi := g*sp.Replicas + rep
-			var d device.Device
-			var name string
-			var wins []fault.Window
-			var err error
-			if s.grp != nil {
-				d, name, wins, err = s.grp.materialize(profile, gi)
-			} else {
-				d, name, wins, err = materializeDevice(sp, eng, rng, frng, scripted, profile, gi)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if len(wins) > 0 {
-				s.res.Faulted++
-				groupFaulted = true
-				for _, w := range wins {
-					if end := w.End(); end > groupFaultEnd {
-						groupFaultEnd = end
-					}
-				}
-			}
-			if s.grp == nil {
-				// Per-device planning models feed the BudgetController;
-				// group mode plans over shared per-profile hulls instead.
-				m, err := planningModel(profile, name)
-				if err != nil {
-					return nil, err
-				}
-				s.models = append(s.models, m)
-			}
-			s.devs = append(s.devs, d)
-			s.names = append(s.names, name)
-			s.maxW = append(s.maxW, profileMaxW(profile))
-			groupDevs = append(groupDevs, d)
+		if _, err := s.buildGroup(g, g%P, rng, pre); err != nil {
+			return nil, err
 		}
-
-		target := groupDevs[0]
-		if sp.Replicas > 1 {
-			rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
-			if err != nil {
-				return nil, err
-			}
-			s.redirs = append(s.redirs, rd)
-			target = rd
-		}
-		span := target.CapacityBytes()
-		span -= span % sp.ChunkBytes
-		s.lanes = append(s.lanes, &lane{
-			sh:   s,
-			idx:  len(s.lanes),
-			dev:  target,
-			rng:  rng.Stream(fmt.Sprintf("lane%05d", g)),
-			span: span,
-		})
-		s.laneFaulted = append(s.laneFaulted, groupFaulted)
-		s.laneFaultEnd = append(s.laneFaultEnd, groupFaultEnd)
-		s.laneGroup = append(s.laneGroup, g)
 	}
 
 	// Initial plan, then one governor per device with selectable power
@@ -486,17 +479,8 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		}
 		s.applyBudget(sp.Budget[0].FleetW)
 	}
-	for i, d := range s.devs {
-		if len(d.PowerStates()) < 2 {
-			s.govs = append(s.govs, nil)
-			continue
-		}
-		gv, err := adaptive.NewGovernor(eng, d, s.planBudget(i), sp.ControlPeriod)
-		if err != nil {
-			return nil, err
-		}
-		gv.Start()
-		s.govs = append(s.govs, gv)
+	if err := s.startGovernors(0); err != nil {
+		return nil, err
 	}
 
 	// A budget step re-plans the whole shard, so every analytically
@@ -529,12 +513,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		}
 	}
 	if ch != nil {
-		s.lc = make([]laneLife, len(s.lanes))
-		s.devDead = make([]bool, len(s.devs))
-		s.groupLane = make(map[int]int, len(s.lanes))
-		for i, g := range s.laneGroup {
-			s.groupLane[g] = i
-		}
 		for _, ep := range ch.epochs {
 			ep := ep
 			eng.Post(ep.at, func() { s.churnEpoch(ep) })
@@ -581,10 +559,9 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	}
 
 	// Open-loop arrival stream per lane.
-	for i := range s.lanes {
-		s.astreams = append(s.astreams, rng.Stream(fmt.Sprintf("arrivals%05d", s.laneGroup[i])))
-		s.arrs = append(s.arrs, nil)
-		if err := s.startLaneArrivals(i); err != nil {
+	for _, l := range s.lanes {
+		l.astream = rng.Stream(fmt.Sprintf("arrivals%05d", l.g))
+		if err := s.startLaneArrivals(l); err != nil {
 			return nil, err
 		}
 	}
@@ -637,8 +614,11 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		s.res.GovRetries += gv.Retries
 		s.res.GovFailures += gv.Failures
 	}
-	if s.bc != nil {
-		s.res.Compensations = s.ctrlComp + s.bc.Compensations
+	if s.grp == nil {
+		s.res.Compensations = s.ctrlComp
+		if s.bc != nil {
+			s.res.Compensations += s.bc.Compensations
+		}
 	}
 	for _, rd := range s.redirs {
 		s.res.Failovers += rd.Failovers
@@ -646,6 +626,91 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	}
 	sort.Slice(s.res.Latencies, func(i, j int) bool { return s.res.Latencies[i] < s.res.Latencies[j] })
 	return &s.res, nil
+}
+
+// buildGroup materializes replica group g of profile index pi as the
+// shard's next lane: its devices, each wrapped with its fault outcome
+// when pre holds one, their planning models (outside group mode), a
+// redirector over the replicas when mirrored, and the lane itself. rng
+// roots the group's device and lane streams — the shard's stream for
+// build-time groups, a per-group churn root for admitted ones. The
+// caller starts governors and arrivals: both depend on when the group
+// joins.
+func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lane, error) {
+	sp := s.spec
+	profile := sp.Profiles[pi]
+	l := &lane{sh: s, idx: len(s.lanes), g: g, pi: pi}
+	d0 := len(s.devs)
+	for rep := 0; rep < sp.Replicas; rep++ {
+		gi := g*sp.Replicas + rep
+		name := InstanceName(profile, gi)
+		d, err := baseDevice(sp, s.eng, rng, profile, name)
+		if err != nil {
+			return nil, err
+		}
+		if pf := pre[gi]; pf != nil {
+			if d, err = fault.New(d, s.eng, pf.ds.Stream("inject"), fault.Profile{Windows: pf.wins}); err != nil {
+				return nil, fmt.Errorf("fault windows for %s: %w", name, err)
+			}
+			s.res.Faulted++
+			for _, w := range pf.wins {
+				if end := w.End(); end > l.faultEnd {
+					l.faultEnd = end
+				}
+			}
+		}
+		if s.grp == nil {
+			// Per-device planning models feed the BudgetController;
+			// group mode plans over shared per-profile hulls instead.
+			m, err := planningModel(profile, name)
+			if err != nil {
+				return nil, err
+			}
+			s.models = append(s.models, m)
+		}
+		s.devs = append(s.devs, d)
+		s.names = append(s.names, name)
+		s.maxW = append(s.maxW, profileMaxW(profile))
+	}
+
+	l.dev = s.devs[d0]
+	if sp.Replicas > 1 {
+		groupDevs := append([]device.Device(nil), s.devs[d0:]...)
+		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
+		if err != nil {
+			return nil, err
+		}
+		s.redirs = append(s.redirs, rd)
+		l.dev = rd
+	}
+	l.span = l.dev.CapacityBytes()
+	l.span -= l.span % sp.ChunkBytes
+	l.rng = rng.Stream(fmt.Sprintf("lane%05d", g))
+	s.lanes = append(s.lanes, l)
+	if s.groupLane != nil {
+		s.groupLane[g] = l.idx
+	}
+	return l, nil
+}
+
+// startGovernors gives every device from index d0 on a governor
+// targeted at its planned draw — none for a device without selectable
+// power states.
+func (s *shard) startGovernors(d0 int) error {
+	for i := d0; i < len(s.devs); i++ {
+		d := s.devs[i]
+		if len(d.PowerStates()) < 2 {
+			s.govs = append(s.govs, nil)
+			continue
+		}
+		gv, err := adaptive.NewGovernor(s.eng, d, s.planBudget(i), s.spec.ControlPeriod)
+		if err != nil {
+			return err
+		}
+		gv.Start()
+		s.govs = append(s.govs, gv)
+	}
+	return nil
 }
 
 // shardHash derives a per-shard seed offset, so shards get independent
