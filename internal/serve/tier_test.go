@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +31,17 @@ var (
 	matrixTiers    = []string{"pure", "meso", "group"}
 	matrixFeatures = []string{"churn", "rates", "faults", "replicas"}
 )
+
+// matrixCells lists every tier × feature cell, tier-major.
+func matrixCells() []tierCell {
+	var cells []tierCell
+	for _, tier := range matrixTiers {
+		for _, f := range matrixFeatures {
+			cells = append(cells, tierCell{tier, f})
+		}
+	}
+	return cells
+}
 
 // tierSpec builds one cell's spec: 32 devices over 2 shards for a 2 s
 // horizon, so the group tier's shard cohorts (≥ 8 members) virtualize
@@ -79,12 +96,7 @@ var tierUnchecked = map[string]string{
 }
 
 func TestTierMatrix(t *testing.T) {
-	var cells []tierCell
-	for _, tier := range matrixTiers {
-		for _, f := range matrixFeatures {
-			cells = append(cells, tierCell{tier, f})
-		}
-	}
+	cells := matrixCells()
 	reports := make(map[tierCell]*Report, len(cells))
 	t.Run("cells", func(t *testing.T) {
 		for _, c := range cells {
@@ -144,5 +156,53 @@ func TestTierMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("det/%v", c), func(t *testing.T) {
 			detcheck.Assert(t, func() (*Report, error) { return Run(tierSpec(c)) }, detcheck.Config[*Report]{})
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/tier_digests.txt from the current engine")
+
+// tierDigestFile pins every matrix cell's report: one "cell digest" line
+// per cell, the digest being the first 8 bytes of the SHA-256 of the
+// report's encoding/json form (floats in their shortest exact form, so
+// equal digests mean bit-identical reports).
+const tierDigestFile = "testdata/tier_digests.txt"
+
+// TestTierDigests holds the fleet engine to its recorded behaviour:
+// a refactor that must not change any report keeps every cell's digest.
+// Regenerate with `go test ./internal/serve -run TestTierDigests -update`
+// only for a change meant to move reports.
+func TestTierDigests(t *testing.T) {
+	var b strings.Builder
+	for _, c := range matrixCells() {
+		r, err := Run(tierSpec(c))
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		js, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		sum := sha256.Sum256(js)
+		fmt.Fprintf(&b, "%v %s\n", c, hex.EncodeToString(sum[:8]))
+	}
+	if *update {
+		if err := os.WriteFile(tierDigestFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(tierDigestFile)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	gotLines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s has %d cells, the matrix has %d", tierDigestFile, len(wantLines), len(gotLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("report moved: got %q, want %q", gotLines[i], wantLines[i])
+		}
 	}
 }
