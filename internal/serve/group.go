@@ -64,7 +64,6 @@ type groupState struct {
 	buildGroups []int
 
 	cohorts []groupCohort // indexed by profile index
-	planW   []float64     // per device: planned draw (governor target)
 	applied bool
 }
 
@@ -119,11 +118,10 @@ func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 }
 
 // finishBuild runs after the resident lanes exist: map lanes to cohort
-// slots (probes ahead of barred members, each in build order) and apply
-// the initial plan.
+// slots (probes ahead of barred members, each in build order). The
+// caller applies the initial plan.
 func (g *groupState) finishBuild() {
 	s := g.s
-	g.planW = append([]float64(nil), s.maxW...)
 	barred := make([][]int, len(g.cohorts))
 	for _, l := range s.lanes {
 		if l.faultEnd > 0 {
@@ -144,7 +142,6 @@ func (g *groupState) finishBuild() {
 		virtual += c.count - len(c.resOrder)
 	}
 	s.res.MesoGroupLanes = virtual
-	g.apply(s.spec.Budget[0].FleetW)
 }
 
 // warmKey is the cohort's idle-bucket key: state -1 is outside every
@@ -263,11 +260,7 @@ func (g *groupState) apply(fleetW float64) {
 		}
 	}
 
-	for i, gv := range s.govs {
-		if gv != nil {
-			gv.SetBudget(s.planBudget(i))
-		}
-	}
+	s.retarget()
 	g.applied = true
 }
 
@@ -282,7 +275,7 @@ func (g *groupState) assignResident(c *groupCohort, k, j int) {
 	li := c.resOrder[k]
 	r := s.spec.Replicas
 	for di := li * r; di < (li+1)*r; di++ {
-		g.planW[di] = c.hull[j].powerW
+		s.planW[di] = c.hull[j].powerW
 		d := s.devs[di]
 		if len(d.PowerStates()) == 0 {
 			continue

@@ -168,41 +168,24 @@ func churnFor(ch []*shardChurn, i int) *shardChurn {
 }
 
 // laneRateIOPS is the per-lane offered rate in force at now: the rate
-// schedule's binding step (or the flat RateIOPS) times the active
-// replica count.
+// schedule's binding step, already scaled by the active replica count.
 func (s *shard) laneRateIOPS(now time.Duration) float64 {
-	r := s.spec.RateIOPS
-	for _, rs := range s.spec.Rates {
+	r := s.laneRates[0].IOPS
+	for _, rs := range s.laneRates[1:] {
 		if rs.At <= now {
 			r = rs.IOPS
 		}
 	}
-	return r * float64(s.spec.Active)
+	return r
 }
 
 // startLaneArrivals (re)starts lane l's open-loop arrival process on
-// its retained stream for the remaining horizon — flat-rate when the
-// spec has no schedule (byte-identical to the original path), else on
-// the precomputed per-lane rate schedule, which picks up whichever step
-// is in force at the current instant. No-op when the horizon has
-// passed.
+// its retained stream for the remaining horizon, on the per-lane rate
+// schedule, which picks up whichever step is in force at the current
+// instant. No-op when the horizon has passed.
 func (s *shard) startLaneArrivals(l *lane) error {
 	sp := s.spec
-	now := s.eng.Now()
-	if len(s.laneRates) == 0 {
-		remaining := sp.Horizon - now
-		if remaining <= 0 {
-			return nil
-		}
-		a, err := workload.StartArrivals(s.eng, l.astream, sp.Arrival,
-			sp.RateIOPS*float64(sp.Active), remaining, l.arrive, nil)
-		if err != nil {
-			return err
-		}
-		l.arr = a
-		return nil
-	}
-	if now >= sp.Horizon {
+	if s.eng.Now() >= sp.Horizon {
 		return nil
 	}
 	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, sp.Arrival,
@@ -214,16 +197,15 @@ func (s *shard) startLaneArrivals(l *lane) error {
 	return nil
 }
 
-// rateStep handles one rate-schedule boundary: parked lanes rehydrate
-// (their aggregates' operating points describe the old rate), the group
-// pool settles its IO integration at the old rate, and calibrated
-// serving buckets are invalidated so probes re-measure under the new
-// load. Continuing mechanistic arrival processes handle the boundary
-// internally.
+// rateStep handles one rate-schedule boundary, after postControl has
+// rehydrated every parked lane (their aggregates' operating points
+// describe the old rate): the group pool settles its IO integration at
+// the old rate, and calibrated serving buckets are invalidated so
+// probes re-measure under the new load. Continuing mechanistic arrival
+// processes handle the boundary internally.
 func (s *shard) rateStep(rs workload.RateStep) {
 	now := s.eng.Now()
 	if s.meso != nil {
-		s.meso.rehydrateAll()
 		// The offered load just changed discontinuously: a steady dwell
 		// accumulated at the old rate must never calibrate an operating
 		// point for the new one, so every live lane's window restarts
@@ -321,26 +303,33 @@ func (s *shard) laneCompleted(l *lane, now time.Duration) {
 	}
 }
 
-// rebuildController rebinds the per-device BudgetController to the
-// current live membership (removing and removed lanes hold no share);
-// a shard left with no live lane has no controller. The
-// fleet plans through the run's frontier memo, so a membership that
-// keeps a prefix of an earlier composition — or revisits one, as a
-// scale-out drained back to its previous size does — re-merges only the
-// levels past the shared prefix.
+// rebuildController binds the per-device BudgetController to the
+// current live membership (removing and removed lanes hold no share),
+// each live device planned by its profile's planning model; a shard
+// left with no live lane has no controller. The retiring controller's
+// compensations fold into the shard result. The fleet plans through
+// the run's frontier memo, which keys on model content, so a
+// membership that keeps a prefix of an earlier composition — or
+// revisits one, as a scale-out drained back to its previous size does
+// — re-merges only the levels past the shared prefix.
 func (s *shard) rebuildController() error {
 	r := s.spec.Replicas
 	devs := make([]device.Device, 0, len(s.devs))
-	models := make([]*core.Model, 0, len(s.models))
+	models := make([]*core.Model, 0, len(s.devs))
 	for i, d := range s.devs {
-		if s.lanes[i/r].gone() {
+		l := s.lanes[i/r]
+		if l.gone() {
 			continue
 		}
+		m, err := planningModel(s.spec.Profiles[l.pi], d.Name())
+		if err != nil {
+			return err
+		}
 		devs = append(devs, d)
-		models = append(models, s.models[i])
+		models = append(models, m)
 	}
 	if s.bc != nil {
-		s.ctrlComp += s.bc.Compensations
+		s.res.Compensations += s.bc.Compensations
 	}
 	if len(models) == 0 {
 		// Churn retired every lane of this shard: there is nothing to
@@ -360,16 +349,13 @@ func (s *shard) rebuildController() error {
 	return nil
 }
 
-// churnEpoch executes one membership epoch: rehydrate the analytic
-// tier, apply this shard's adds then removes, adopt the new live
-// counts, and re-plan under the budget in force. A zero-warm-up event
-// warms its adds inline before the re-plan, so the epoch's single plan
-// already serves them.
+// churnEpoch executes one membership epoch (the analytic tier already
+// rehydrated by postControl): apply this shard's adds then removes,
+// adopt the new live counts, and re-plan under the budget in force. A
+// zero-warm-up event warms its adds inline before the re-plan, so the
+// epoch's single plan already serves them.
 func (s *shard) churnEpoch(ep churnEpoch) {
 	now := s.eng.Now()
-	if s.meso != nil {
-		s.meso.rehydrateAll()
-	}
 	for _, ad := range ep.adds {
 		if s.grp != nil {
 			s.grp.addVirtual(ad, ep.at, ep.warmAt, now)
@@ -391,19 +377,15 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 	if len(ep.adds) > 0 && ep.warmAt == ep.at {
 		s.warmTransition(ep, now)
 	}
-	s.replanLive(now, len(ep.adds)+len(ep.removes) > 0)
+	s.replanLive(len(ep.adds)+len(ep.removes) > 0)
 }
 
 // warmEpoch fires when a churn event's warm-up window closes: the
 // epoch's surviving adds start serving traffic and the shard re-plans
 // so the fresh capacity holds real power states.
 func (s *shard) warmEpoch(ep churnEpoch) {
-	now := s.eng.Now()
-	if s.meso != nil {
-		s.meso.rehydrateAll()
-	}
-	s.warmTransition(ep, now)
-	s.replanLive(now, false)
+	s.warmTransition(ep, s.eng.Now())
+	s.replanLive(false)
 }
 
 // warmTransition moves an epoch's adds from warming to active: plain
@@ -433,10 +415,13 @@ func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 	}
 }
 
-// replanLive re-plans the shard under the budget in force at now.
-// rebuild forces a controller re-bind first (membership changed).
-func (s *shard) replanLive(now time.Duration, rebuild bool) {
-	w := budgetAt(s.spec.Budget, now)
+// replanLive is the shard's one re-plan entry — the initial plan,
+// budget steps, churn epochs and warm events all go through it: the
+// budget in force now is planned over cohort hulls in group mode, else
+// through the per-device controller. rebuild forces a controller
+// re-bind first (membership changed).
+func (s *shard) replanLive(rebuild bool) {
+	w := budgetAt(s.spec.Budget, s.eng.Now())
 	if s.grp != nil {
 		s.grp.apply(w)
 		return

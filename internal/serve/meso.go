@@ -417,10 +417,10 @@ func (m *mesoState) sentinel(now time.Duration) {
 	}
 }
 
-// rehydrateAll returns every lane to mechanistic simulation, called
-// just before a budget step re-plans the shard. Comparisons pending
-// across the step are dropped: the operating point legitimately
-// changes with the plan.
+// rehydrateAll returns every lane to mechanistic simulation, called by
+// postControl just before a control transition re-plans the shard or
+// reshapes its load. Comparisons pending across the transition are
+// dropped: the operating point legitimately changes with the plan.
 func (m *mesoState) rehydrateAll() {
 	if m.done {
 		return

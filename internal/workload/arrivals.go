@@ -38,27 +38,19 @@ type Arrivals struct {
 	onDone   func()
 }
 
-// StartArrivals begins an open-loop arrival process on the engine. fn
-// runs once per arrival; arrivals stop after horizon elapses (measured
-// from now) or when Stop is called. kind must be OpenPoisson or
-// OpenUniform; rateIOPS must be positive. onDone, if non-nil, runs as
-// an engine event when the process retires (horizon reached), letting
-// callers sequence drain logic without polling.
-func StartArrivals(eng *sim.Engine, rng *sim.RNG, kind Arrival, rateIOPS float64, horizon time.Duration, fn func(), onDone func()) (*Arrivals, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("workload: arrival horizon %v must be positive", horizon)
-	}
-	return StartArrivalsSchedule(eng, rng, kind, []RateStep{{At: 0, IOPS: rateIOPS}}, eng.Now()+horizon, fn, onDone)
-}
-
-// StartArrivalsSchedule begins an open-loop arrival process driven by a
-// piecewise-constant rate schedule. rates must be non-empty with
-// strictly increasing At and positive IOPS; At values are absolute
-// engine times (a process started mid-run picks up whichever step is in
-// force). until is the absolute engine time past which no arrival may
-// land. At each rate boundary the pending inter-arrival draw is
-// discarded and resampled at the new rate — exact for Poisson arrivals
-// by memorylessness, and the defined semantics for uniform ones.
+// StartArrivalsSchedule begins an open-loop arrival process on the
+// engine, driven by a piecewise-constant rate schedule (one step at 0
+// for a fixed rate). fn runs once per arrival until the deadline or
+// Stop. kind must be OpenPoisson or OpenUniform. rates must be
+// non-empty with strictly increasing At and positive IOPS; At values
+// are absolute engine times (a process started mid-run picks up
+// whichever step is in force). until is the absolute engine time past
+// which no arrival may land. At each rate boundary the pending
+// inter-arrival draw is discarded and resampled at the new rate — exact
+// for Poisson arrivals by memorylessness, and the defined semantics for
+// uniform ones. onDone, if non-nil, runs as an engine event when the
+// process retires, letting callers sequence drain logic without
+// polling.
 func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, kind Arrival, rates []RateStep, until time.Duration, fn func(), onDone func()) (*Arrivals, error) {
 	if kind == Closed {
 		return nil, fmt.Errorf("workload: arrivals need an open-loop kind")

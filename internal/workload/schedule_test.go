@@ -7,44 +7,6 @@ import (
 	"wattio/internal/sim"
 )
 
-// TestScheduleSingleStepMatchesStartArrivals: a one-step schedule is
-// the old fixed-rate process, arrival for arrival — the refactor that
-// made StartArrivals delegate must not perturb a single RNG draw.
-func TestScheduleSingleStepMatchesStartArrivals(t *testing.T) {
-	t.Parallel()
-	run := func(start func(*sim.Engine, *sim.RNG, func()) (*Arrivals, error)) []time.Duration {
-		eng := sim.NewEngine()
-		rng := sim.NewRNG(11)
-		var times []time.Duration
-		a, err := start(eng, rng, func() { times = append(times, eng.Now()) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-		if !a.Done() {
-			t.Fatal("process never retired")
-		}
-		return times
-	}
-	old := run(func(eng *sim.Engine, rng *sim.RNG, fn func()) (*Arrivals, error) {
-		return StartArrivals(eng, rng, OpenPoisson, 4000, time.Second, fn, nil)
-	})
-	sched := run(func(eng *sim.Engine, rng *sim.RNG, fn func()) (*Arrivals, error) {
-		return StartArrivalsSchedule(eng, rng, OpenPoisson, []RateStep{{At: 0, IOPS: 4000}}, time.Second, fn, nil)
-	})
-	if len(old) == 0 {
-		t.Fatal("no arrivals fired")
-	}
-	if len(old) != len(sched) {
-		t.Fatalf("arrival counts diverge: %d vs %d", len(old), len(sched))
-	}
-	for i := range old {
-		if old[i] != sched[i] {
-			t.Fatalf("arrival %d diverges: %v vs %v", i, old[i], sched[i])
-		}
-	}
-}
-
 // TestScheduleRateSteps: uniform arrivals have a deterministic gap, so
 // each segment's count is exactly rate x duration (the boundary tick
 // discards the pending draw, never fires an arrival, and resamples at
