@@ -480,7 +480,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Fleet != nil {
-		if err := s.Fleet.validate("fleet"); err != nil {
+		if err := s.Fleet.validate("fleet", s.Runtime.D()); err != nil {
 			return err
 		}
 	}
@@ -608,7 +608,17 @@ func (w *WorkloadSpec) validate(path string) error {
 	return nil
 }
 
-func (f *FleetSpec) validate(path string) error {
+// validate checks the fleet stanza. horizon is the spec-level runtime,
+// 0 when the run's scale supplies it; when set, every scheduled instant
+// must fall inside it, as the serving engine requires.
+func (f *FleetSpec) validate(path string, horizon time.Duration) error {
+	// inRun rejects an instant at or past the runtime.
+	inRun := func(p, what string, at time.Duration) error {
+		if horizon > 0 && at >= horizon {
+			return pathErr(p, "%s at %v is not before the runtime %v", what, at, horizon)
+		}
+		return nil
+	}
 	for i, p := range f.Profiles {
 		if !knownProfile(p, serve.KnownProfiles()) {
 			return pathErr(fmt.Sprintf("%s.profiles[%d]", path, i),
@@ -657,6 +667,9 @@ func (f *FleetSpec) validate(path string) error {
 			if i > 0 && rs.At <= f.Arrivals[i-1].At {
 				return pathErr(fmt.Sprintf("%s.arrivals[%d].at", path, i), "rate schedule not strictly increasing at %v", rs.At.D())
 			}
+			if err := inRun(fmt.Sprintf("%s.arrivals[%d].at", path, i), "rate step", rs.At.D()); err != nil {
+				return err
+			}
 		}
 	}
 	if len(f.Churn) > 0 {
@@ -680,6 +693,9 @@ func (f *FleetSpec) validate(path string) error {
 			if i > 0 && ev.At <= f.Churn[i-1].At {
 				return pathErr(epath+".at", "churn schedule not strictly increasing at %v", ev.At.D())
 			}
+			if err := inRun(epath+".at", "churn event", ev.At.D()); err != nil {
+				return err
+			}
 			if _, ok := live[ev.Profile]; !ok {
 				return pathErr(epath+".profile", "churn event addresses unknown cohort %q (profiles are %s)",
 					ev.Profile, strings.Join(profiles, ", "))
@@ -689,6 +705,11 @@ func (f *FleetSpec) validate(path string) error {
 			}
 			if ev.Warmup < 0 {
 				return pathErr(epath+".warmup", "negative warm-up %v", ev.Warmup.D())
+			}
+			if ev.Add > 0 {
+				if err := inRun(epath+".warmup", "warm-up end", (ev.At + ev.Warmup).D()); err != nil {
+					return err
+				}
 			}
 			live[ev.Profile] += ev.Add
 			if ev.Remove >= live[ev.Profile] {
@@ -709,9 +730,24 @@ func (f *FleetSpec) validate(path string) error {
 	if f.FaultFrac < 0 || f.FaultFrac > 1 {
 		return pathErr(path+".fault_frac", "fault fraction %v out of [0, 1]", f.FaultFrac)
 	}
+	if f.ControlPeriod < 0 {
+		return pathErr(path+".control_period", "negative control period %v", f.ControlPeriod.D())
+	}
+	if horizon > 0 && f.ControlPeriod.D() > horizon {
+		return pathErr(path+".control_period", "control period %v exceeds the runtime %v", f.ControlPeriod.D(), horizon)
+	}
 	if f.Budget != "" && f.Budget != "max" {
-		if _, err := serve.ParseSchedule(f.Budget, size); err != nil {
+		steps, err := serve.ParseSchedule(f.Budget, size)
+		if err != nil {
 			return pathErr(path+".budget", "%v", err)
+		}
+		if steps[0].At != 0 {
+			return pathErr(path+".budget", "budget schedule must start at 0, got %v", steps[0].At)
+		}
+		for _, st := range steps {
+			if err := inRun(path+".budget", "budget step", st.At); err != nil {
+				return err
+			}
 		}
 	}
 	if m := f.Meso; m != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wattio/internal/serve"
 	"wattio/internal/sim"
 )
 
@@ -181,6 +182,8 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		}, "devices[0].faults[0].dur"},
 		{"oversize count", func(s *Spec) { s.Devices = []DeviceSpec{{Profile: "SSD2", Count: 1 << 20}} }, "devices[0].count"},
 		{"bad budget", func(s *Spec) { s.Fleet.Budget = "0s:junk" }, "fleet.budget"},
+		{"budget late start", func(s *Spec) { s.Fleet.Budget = "1s:10pd" }, "fleet.budget"},
+		{"negative control period", func(s *Spec) { s.Fleet.ControlPeriod = -1 }, "fleet.control_period"},
 		{"unknown fleet profile", func(s *Spec) { s.Fleet.Profiles = []string{"NOPE"}; s.Fleet.Faults = nil }, "fleet.profiles[0]"},
 		{"unknown fleet instance", func(s *Spec) { s.Fleet.Faults[0].Device = "SSD2#99999" }, "fleet.faults[0].device"},
 		{"empty fault windows", func(s *Spec) { s.Fleet.Faults[0].Windows = nil }, "fleet.faults[0].windows"},
@@ -259,6 +262,53 @@ func TestValidateRejectsWithPath(t *testing.T) {
 			t.Fatalf("active > replicas: %v", err)
 		}
 	})
+}
+
+// TestValidateRejectsTimesPastRuntime: with the spec-level runtime set,
+// every scheduled instant the serving engine rejects as outside its
+// horizon fails validation instead, naming its path. Without a runtime
+// the run's scale supplies the horizon, and validation defers to it.
+func TestValidateRejectsTimesPastRuntime(t *testing.T) {
+	sec := Duration(time.Second)
+	cases := []struct {
+		name string
+		mut  func(*FleetSpec)
+		want string
+	}{
+		{"churn at", func(f *FleetSpec) {
+			f.Churn = []ChurnEventSpec{{At: 2 * sec, Profile: "SSD2", Add: 1}}
+		}, "fleet.churn[0].at"},
+		{"rate step at", func(f *FleetSpec) {
+			f.Arrivals = []RateStepSpec{{At: 0, RateIOPS: 500}, {At: 2 * sec, RateIOPS: 800}}
+		}, "fleet.arrivals[1].at"},
+		{"budget step", func(f *FleetSpec) { f.Budget = "0s:14pd,2s:10pd" }, "fleet.budget"},
+		{"warm-up end", func(f *FleetSpec) {
+			f.Churn = []ChurnEventSpec{{At: sec / 2, Profile: "SSD2", Add: 1, Warmup: sec}}
+		}, "fleet.churn[0].warmup"},
+		{"control period", func(f *FleetSpec) { f.ControlPeriod = 2 * sec }, "fleet.control_period"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := &Spec{Version: Version, Name: "t", Experiment: "fleet", Runtime: sec, Fleet: &FleetSpec{Size: 8}}
+			tc.mut(sp.Fleet)
+			err := sp.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v does not name path %q", err, tc.want)
+			}
+			// The engine agrees: the same stanza fails to run.
+			ss, err := sp.ServeSpec(sp.Runtime.D())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := serve.Run(ss); err == nil {
+				t.Fatal("serve.Run accepted the spec validation rejects")
+			}
+			sp.Runtime = 0
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("without a runtime: %v", err)
+			}
+		})
+	}
 }
 
 // TestCloneIndependence: mutating a clone must not leak into the

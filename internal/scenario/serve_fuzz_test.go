@@ -20,9 +20,10 @@ var fuzzMixes = [][]string{
 
 // fuzzFleet decodes FuzzServeRun's arguments into a bounded fleet
 // scenario: at most 32 devices and a horizon of at most 1 s, any tier,
-// churn, a rate step, fault injection and replicas. Scenario validation
-// has no horizon (the run's scale supplies it), so every scheduled time
-// is a fraction of the horizon the spec also carries as its runtime.
+// churn, a rate step, fault injection and replicas. The spec carries the
+// horizon as its runtime, and every scheduled time is a fraction of it
+// that may reach past it, so validation must reject exactly the
+// schedules the serving engine cannot run.
 func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) *Spec {
 	h := time.Duration(100+int(horizonMs)%901) * time.Millisecond
 	frac := func(tenths int) Duration { return Duration(h * time.Duration(tenths) / 10) }
@@ -64,24 +65,24 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 	if rates&1 != 0 {
 		f.Arrivals = []RateStepSpec{
 			{At: 0, RateIOPS: iops},
-			{At: frac(1 + int(rates>>1)%8), RateIOPS: float64(200 + int(rates>>4)%4000)},
+			{At: frac(1 + int(rates>>1)%12), RateIOPS: float64(200 + int(rates>>4)%4000)},
 		}
 	} else {
 		f.RateIOPS = iops
 	}
 
-	// Churn: an add at 0.1–0.4 h warming up to 0.2 h, and/or a remove at
-	// 0.6–0.8 h, on one of the mix's cohorts.
+	// Churn: an add at 0.1–1.2 h warming up to 0.2 h, and/or a remove at
+	// 0.6–1.1 h, on one of the mix's cohorts.
 	cohort := mix[int(churn>>12)%len(mix)]
 	if churn&1 != 0 {
 		f.Churn = append(f.Churn, ChurnEventSpec{
-			At: frac(1 + int(churn>>6)%4), Profile: cohort,
+			At: frac(1 + int(churn>>6)%12), Profile: cohort,
 			Add: 1 + int(churn>>2)%3, Warmup: frac(int(churn>>8) % 3),
 		})
 	}
 	if churn&2 != 0 {
 		f.Churn = append(f.Churn, ChurnEventSpec{
-			At: frac(6 + int(churn>>10)%3), Profile: cohort, Remove: 1 + int(churn>>4)%2,
+			At: frac(6 + int(churn>>10)%6), Profile: cohort, Remove: 1 + int(churn>>4)%2,
 		})
 	}
 
@@ -99,7 +100,7 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 	case 2:
 		f.Budget = fmt.Sprintf("0s:%dpd", 4+int(budget>>2)%12)
 	case 3:
-		f.Budget = fmt.Sprintf("0s:%dpd,%v:%dpd", 4+int(budget>>2)%12, time.Duration(frac(5)), 4+int(budget>>5)%12)
+		f.Budget = fmt.Sprintf("0s:%dpd,%v:%dpd", 4+int(budget>>2)%12, time.Duration(frac(5+3*int(budget>>6))), 4+int(budget>>5)%12)
 	}
 	return &Spec{
 		Version: Version, Name: "fuzz", Experiment: "fleet",
