@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wattio/internal/telemetry"
 )
 
 // runCLI invokes the CLI seam and returns (exit code, stdout, stderr).
@@ -154,6 +156,19 @@ func TestExpFlagOverridesScenarioExperiment(t *testing.T) {
 	}
 	if strings.Contains(out, "Fleet serving") {
 		t.Fatalf("spec experiment ran despite -exp override:\n%s", out)
+	}
+}
+
+// TestChaosMetrics drives -metrics end to end: the chaos experiment
+// runs with a process-wide registry installed and prints its snapshot.
+func TestChaosMetrics(t *testing.T) {
+	t.Cleanup(func() { telemetry.SetDefault(nil) })
+	code, out, errw := runCLI("-exp", "chaos", "-metrics")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw)
+	}
+	if !strings.Contains(out, "# telemetry snapshot") || !strings.Contains(out, "_total") {
+		t.Fatalf("-metrics printed no snapshot:\n%s", out)
 	}
 }
 

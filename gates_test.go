@@ -1,0 +1,157 @@
+package wattio_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"wattio/internal/scenario"
+	"wattio/internal/serve"
+	"wattio/internal/telemetry"
+)
+
+// Per-device cost bounds for the analytic tiers at fleet scale. Peak
+// live heap under 10 KiB/device keeps a million-device fleet in single-
+// digit GB; under one allocation per device means materialization costs
+// per cohort or probe, not per member.
+const (
+	maxBytesPerDevice  = 10 << 10
+	maxAllocsPerDevice = 1
+)
+
+// runCost is one measured serve.Run: its report, peak live heap and
+// allocations, both per device, and wall-clock time.
+type runCost struct {
+	rep          *serve.Report
+	bytesPerDev  float64
+	allocsPerDev float64
+	wall         time.Duration
+}
+
+// measureRun runs spec once from a collected heap and measures it.
+func measureRun(t *testing.T, spec serve.Spec, devices int) runCost {
+	t.Helper()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	mw := telemetry.WatchMem(20 * time.Millisecond)
+	t0 := time.Now()
+	rep, err := serve.Run(spec)
+	wall := time.Since(t0)
+	peak, _ := mw.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	return runCost{
+		rep:          rep,
+		bytesPerDev:  float64(peak) / float64(devices),
+		allocsPerDev: float64(m1.Mallocs-m0.Mallocs) / float64(devices),
+		wall:         wall,
+	}
+}
+
+// checkServeGates fails t unless the run held the power cap, tracked
+// the budget, and kept the meso drift probe quiet.
+func checkServeGates(t *testing.T, size int, rep *serve.Report) {
+	t.Helper()
+	if !rep.CapOK || !rep.TrackOK || !rep.MesoDriftOK {
+		t.Fatalf("gates failed at n=%d: cap=%v track=%v drift=%v (worst %.4f)",
+			size, rep.CapOK, rep.TrackOK, rep.MesoDriftOK, rep.MesoWorstDriftFrac)
+	}
+}
+
+// checkPerDeviceCost fails t if a run's heap or allocation cost per
+// device reaches its bound.
+func checkPerDeviceCost(t *testing.T, size int, c runCost) {
+	t.Helper()
+	if c.bytesPerDev >= maxBytesPerDevice {
+		t.Errorf("%.1f bytes/device at n=%d, want < %d", c.bytesPerDev, size, maxBytesPerDevice)
+	}
+	if c.allocsPerDev >= maxAllocsPerDevice {
+		t.Errorf("%.3f allocs/device at n=%d, want < %d", c.allocsPerDev, size, maxAllocsPerDevice)
+	}
+}
+
+// TestScaleGates runs the group-parked tier at 10⁴ and 10⁶ devices
+// under the stepped curtail-and-recover budget, which splits every
+// cohort across hull levels. The million-device point must stay inside
+// the per-device cost bounds, and the plan slots scanned must not grow
+// with fleet size: the control scan is bucket-shaped, not lane-shaped.
+func TestScaleGates(t *testing.T) {
+	sizes := []int{10_000, 1_000_000}
+	slots := make([]int, len(sizes))
+	var largest runCost
+	for i, size := range sizes {
+		sp := scenario.BuiltIn("meso")
+		sp.Fleet.Size = size
+		sp.Fleet.RateIOPS = 500
+		sp.Fleet.Budget = "" // stepped default: forces a bucket split per step
+		sp.Fleet.Meso.GroupMin = 64
+		sp.Fleet.Meso.Probes = 2
+		spec, err := sp.ServeSpec(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := measureRun(t, spec, size)
+		rep := c.rep
+		if rep.MesoGroupLanes == 0 || rep.MesoGroupBuckets == 0 {
+			t.Fatalf("nothing virtualized at n=%d: lanes=%d buckets=%d", size, rep.MesoGroupLanes, rep.MesoGroupBuckets)
+		}
+		checkServeGates(t, size, rep)
+		t.Logf("n=%d: %.1f B/device, %.3f allocs/device, %d plan slots, %d buckets, %d virtual lanes, wall %v",
+			size, c.bytesPerDev, c.allocsPerDev, rep.MesoGroupScans, rep.MesoGroupBuckets, rep.MesoGroupLanes,
+			c.wall.Round(time.Millisecond))
+		slots[i] = rep.MesoGroupScans
+		largest = c
+	}
+	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
+	if slots[1] > 2*slots[0] {
+		t.Errorf("plan slots grew with fleet size: %d at n=%d vs %d at n=%d", slots[0], sizes[0], slots[1], sizes[1])
+	}
+}
+
+// TestChurnGates runs the lane-lifecycle tier at 10⁴ and 10⁵ devices:
+// a group-parked fleet under a diurnal rate schedule scales out 10% of
+// its devices for the peak, with a real warm-up cost, and drains them
+// back after it. Every churned group must join and leave, the drain
+// must finish inside the horizon, and the 10⁵ point must stay inside
+// the per-device cost bounds: churn rides the bucket accounting
+// instead of re-materializing the fleet.
+func TestChurnGates(t *testing.T) {
+	sizes := []int{10_000, 100_000}
+	var largest runCost
+	for _, size := range sizes {
+		sp := scenario.BuiltIn("churn")
+		sp.Fleet.Size = size
+		sp.Fleet.Meso.GroupMin = 64
+		sp.Fleet.Meso.Probes = 2
+		sp.Fleet.Arrivals = []scenario.RateStepSpec{
+			{At: 0, RateIOPS: 500},
+			{At: scenario.Duration(1500 * time.Millisecond), RateIOPS: 250},
+			{At: scenario.Duration(3 * time.Second), RateIOPS: 500},
+		}
+		sp.Fleet.Churn = []scenario.ChurnEventSpec{
+			{At: scenario.Duration(time.Second), Profile: "SSD2", Add: size / 10, Warmup: scenario.Duration(200 * time.Millisecond)},
+			{At: scenario.Duration(2500 * time.Millisecond), Profile: "SSD2", Remove: size / 10},
+		}
+		spec, err := sp.ServeSpec(sp.Runtime.D())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := measureRun(t, spec, size)
+		rep := c.rep
+		if rep.ChurnAdds != size/10 || rep.ChurnRemoves != size/10 {
+			t.Fatalf("churn counts at n=%d: adds %d removes %d, want %d each", size, rep.ChurnAdds, rep.ChurnRemoves, size/10)
+		}
+		checkServeGates(t, size, rep)
+		if rep.DrainMax >= spec.Horizon {
+			t.Fatalf("drain recovery %v at n=%d never completed inside %v", rep.DrainMax, size, spec.Horizon)
+		}
+		t.Logf("n=%d: %.1f B/device, %.3f allocs/device, warm-up p50 %v, drain max %v, %d virtual lanes, wall %v",
+			size, c.bytesPerDev, c.allocsPerDev, rep.WarmupP50.Round(time.Millisecond),
+			rep.DrainMax.Round(time.Millisecond), rep.MesoGroupLanes, c.wall.Round(time.Millisecond))
+		largest = c
+	}
+	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
+}

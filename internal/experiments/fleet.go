@@ -43,14 +43,11 @@ func FleetSpec(s Scale) (serve.Spec, error) {
 	if o.FaultFrac != 0 {
 		sp.Fleet.FaultFrac = o.FaultFrac
 	}
-	if o.Meso {
+	if o.Meso || o.MesoGroupMin != 0 {
 		if sp.Fleet.Meso == nil {
 			sp.Fleet.Meso = &scenario.MesoSpec{}
 		}
 		sp.Fleet.Meso.Enable = true
-	}
-	if o.MesoGroupMin != 0 && sp.Fleet.Meso == nil {
-		sp.Fleet.Meso = &scenario.MesoSpec{Enable: true}
 	}
 	if sp.Fleet.Meso != nil {
 		if o.MesoGroupMin != 0 {

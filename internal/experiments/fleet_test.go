@@ -19,20 +19,36 @@ var fleetScale = Scale{
 	Fleet:     FleetOptions{Size: 12, Replicas: 2, RateIOPS: 9000, FaultFrac: 0.25},
 }
 
+// TestFleetRuns runs the fleet experiment, whose cap and tracking gates
+// fail the run, on a small faulted fleet and on the stepped-budget
+// scenario, whose fault script drops one device mid-run.
 func TestFleetRuns(t *testing.T) {
 	e, ok := ByID("fleet")
 	if !ok {
 		t.Fatal("fleet experiment not registered")
 	}
-	var sb strings.Builder
-	if err := e.Run(fleetScale, &sb); err != nil {
-		t.Fatalf("fleet: %v\n%s", err, sb.String())
-	}
-	out := sb.String()
-	for _, want := range []string{"== Fleet serving", "throughput:", "budget W", "tracking OK", "power-cap probe OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+	for name, s := range map[string]Scale{
+		"flags":          fleetScale,
+		"stepped-budget": ScaleFor(scenario.BuiltIn("stepped-budget")),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var sb strings.Builder
+			if err := e.Run(s, &sb); err != nil {
+				t.Fatalf("fleet: %v\n%s", err, sb.String())
+			}
+			out := sb.String()
+			for _, want := range []string{"== Fleet serving", "throughput:", "budget W", "tracking OK", "power-cap probe OK"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+			// A fleet without the meso tier or churn stanzas reports neither.
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "meso:") || strings.HasPrefix(line, "churn:") {
+					t.Errorf("meso-off, churn-off report has %q:\n%s", line, out)
+				}
+			}
+		})
 	}
 }
 
@@ -123,6 +139,18 @@ func TestFleetSpecFromScenario(t *testing.T) {
 	}
 	if spec.Size != 32 {
 		t.Fatalf("flag override lost to scenario: size %d, want 32", spec.Size)
+	}
+
+	// -mesogroup implies -meso, also over a spec that switches the tier off.
+	s.Scenario = scenario.BuiltIn("stepped-budget").Clone()
+	s.Scenario.Fleet.Meso = &scenario.MesoSpec{Enable: false}
+	s.Fleet = FleetOptions{MesoGroupMin: 16}
+	spec, err = FleetSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.Meso || spec.MesoGroupMin != 16 {
+		t.Fatalf("-mesogroup 16 over a meso-off spec: meso %v, group min %d", spec.Meso, spec.MesoGroupMin)
 	}
 }
 

@@ -50,6 +50,16 @@ func TestMigrateV1Fixture(t *testing.T) {
 	if !bytes.Equal(canon, canon2) {
 		t.Fatalf("migrate -> canonical -> parse is not a fixed point:\n--- first\n%s\n--- second\n%s", canon, canon2)
 	}
+	// The migration oracle: the v1 fixture migrates to the committed
+	// scenarios/stepped-budget.json, which TestScenarioFilesCanonical
+	// pins to the built-in spec byte for byte.
+	want, err := BuiltIn("stepped-budget").Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canon, want) {
+		t.Fatalf("migrated v1 fixture differs from the stepped-budget spec:\n--- migrated\n%s\n--- want\n%s", canon, want)
+	}
 	if _, err := Migrate(canon); !errors.Is(err, ErrAlreadyCurrent) {
 		t.Fatalf("re-migrating current spec: %v, want ErrAlreadyCurrent", err)
 	}
