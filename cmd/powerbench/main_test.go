@@ -120,11 +120,12 @@ func TestScenarioGridRejected(t *testing.T) {
 	}
 }
 
-// TestScenarioV1Hint: a stale version-1 spec names the migration path.
+// TestScenarioV1Hint: a stale version-1 spec names the one-field edit
+// that migrates it.
 func TestScenarioV1Hint(t *testing.T) {
 	path := writeSpec(t, "v1.json", strings.Replace(tinySpec, `"version": 2`, `"version": 1`, 1))
 	code, _, errw := runCLI("-scenario", path)
-	if code != 2 || !strings.Contains(errw, "-migrate") {
+	if code != 2 || !strings.Contains(errw, `set "version": 2`) {
 		t.Fatalf("v1 spec: exit %d, stderr: %s", code, errw)
 	}
 }

@@ -13,14 +13,12 @@
 //	powerfleet slo -budget 12 -p99 5ms ssd2.json
 //	powerfleet scenario scenarios/*.json
 //	powerfleet scenario -w scenarios/fleet.json
-//	powerfleet scenario -migrate old-spec.json
 //	powerfleet campaign -scenario scenarios/campaign.json -parallel 4 -out results/
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +82,7 @@ func usage(w io.Writer) {
   powerfleet plan -budget <watts> <model.json>...
   powerfleet curtail -reduce <frac> -chunk <bytes> -depth <n> <model.json>
   powerfleet slo [-budget W] [-p99 dur] [-avg dur] [-minmbps N] <model.json>
-  powerfleet scenario [-w|-migrate] <spec.json>...
+  powerfleet scenario [-w] <spec.json>...
   powerfleet campaign -scenario <spec.json|builtin> [-parallel N] [-out dir]`)
 }
 
@@ -306,21 +304,15 @@ func curtail(args []string, out io.Writer) error {
 // checks, and the canonical-encoding contract that lets specs serve as
 // golden inputs. -w rewrites non-canonical (but valid) files in place;
 // without it, drifted files are an error so CI can gate on them.
-// -migrate rewrites old-version specs to the current schema (canonical
-// encoding) in place.
 func scenarioCmd(args []string, out io.Writer) error {
 	fs := newFlagSet("scenario")
 	write := fs.Bool("w", false, "rewrite valid but non-canonical spec files in place")
-	migrate := fs.Bool("migrate", false, "rewrite old-version spec files to the current schema in place")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	paths := fs.Args()
 	if len(paths) == 0 {
 		return fmt.Errorf("need at least one scenario file")
-	}
-	if *migrate {
-		return migrateSpecs(paths, out)
 	}
 	var stale []string
 	for _, p := range paths {
@@ -351,36 +343,6 @@ func scenarioCmd(args []string, out io.Writer) error {
 	}
 	if len(stale) > 0 {
 		return fmt.Errorf("valid but not canonical (rerun with scenario -w to rewrite): %s", strings.Join(stale, ", "))
-	}
-	return nil
-}
-
-// migrateSpecs rewrites each old-version spec file to the current
-// schema in canonical form. Files already at the current version are
-// left untouched and reported as such; any malformed file aborts with
-// its path and the offending spec path attached.
-func migrateSpecs(paths []string, out io.Writer) error {
-	for _, p := range paths {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		sp, err := scenario.Migrate(raw)
-		if err != nil {
-			if errors.Is(err, scenario.ErrAlreadyCurrent) {
-				fmt.Fprintf(out, "%s: already at version %d\n", p, scenario.Version)
-				continue
-			}
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		canon, err := sp.Canonical()
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		if err := os.WriteFile(p, canon, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%s: migrated to version %d (%s)\n", p, scenario.Version, sp.Name)
 	}
 	return nil
 }

@@ -25,8 +25,8 @@ import (
 // calibration at all (the offered rate is power-state-independent), so
 // they accrue per cohort with one exact fractional carry.
 //
-// Like Pool, everything is pure arithmetic on virtual time: no engine,
-// no RNG, deterministic at any host parallelism.
+// Everything is pure arithmetic on virtual time: no engine, no RNG,
+// deterministic at any host parallelism.
 
 // GroupKey identifies one bucket: a cohort of interchangeable lanes and
 // the planning level its members currently hold.
@@ -62,11 +62,11 @@ type groupBucket struct {
 	// when calibrated, pending when not.
 	since time.Duration
 	pend  []pendSpan
-	// idle buckets hold members that draw power but serve no IO —
-	// warming lanes spun up by a churn event. Their operating point is
-	// imposed by the caller (SetIdleCount), never probe-calibrated, and
-	// they are excluded from cohort IO accrual and recalibration.
-	idle bool
+	// imposed buckets take their draw from the caller (Impose) — a
+	// parked lane's measured dynamic draw, or the power-on draw of
+	// warming members — never from probe calibration, so Recalibrate
+	// leaves them alone.
+	imposed bool
 }
 
 // cohortIO integrates a cohort's virtual IO: rate is the same at every
@@ -79,8 +79,9 @@ type cohortIO struct {
 	ios   int64
 }
 
-// GroupPool holds the group-parked aggregates of one shard. Not safe
-// for concurrent use; shards are single-threaded by construction.
+// GroupPool is one shard's residency ledger: its group-parked cohort
+// buckets and its parked lanes' buckets of one. Not safe for
+// concurrent use; shards are single-threaded by construction.
 type GroupPool struct {
 	rateIOPS   float64 // per-lane offered rate
 	bytesPerIO int64
@@ -89,9 +90,21 @@ type GroupPool struct {
 	order   []*groupBucket // deterministic iteration (insertion order)
 	cohorts map[int]*cohortIO
 
-	members  int     // current virtual members across all buckets
-	settledJ float64 // closed calibrated spans
+	members int // current members across all buckets
+
+	// O(1) energy bookkeeping: closed calibrated spans plus, for live
+	// ones, sumW·now − offsetJ, where sumW = Σ op·count and
+	// offsetJ = Σ op·count·since over calibrated populated buckets.
+	settledJ float64
+	sumW     float64
+	offsetJ  float64
 }
+
+// LaneKey is the bucket of one that parked lane i occupies. Its cohort
+// id is negative and unique to the lane, so the lane keeps its own IO
+// carry and never collides with a member cohort; Buckets leaves lane
+// buckets out.
+func LaneKey(i int) GroupKey { return GroupKey{Cohort: -1 - i} }
 
 // NewGroupPool returns an empty pool. rateIOPS is the per-lane offered
 // rate and bytesPerIO the request size — uniform across the fleet spec,
@@ -116,18 +129,45 @@ func (p *GroupPool) bucket(key GroupKey) *groupBucket {
 	return b
 }
 
-// flush closes the bucket's current span at now: calibrated spans
-// settle into the energy ledger, uncalibrated spans append to the
-// pending list. Call before any count or op change.
-func (b *groupBucket) flush(p *GroupPool, now time.Duration) {
+// flush closes the bucket's current span at now and returns the energy
+// it settled: a calibrated span leaves the running sums for the settled
+// total, an uncalibrated one appends to the pending list (and settles
+// nothing). Call before any count or op change, and open after it.
+func (b *groupBucket) flush(p *GroupPool, now time.Duration) float64 {
+	var j float64
 	if b.count > 0 {
 		if b.calibrated {
-			p.settledJ += b.op * float64(b.count) * (now - b.since).Seconds()
+			w := b.op * float64(b.count)
+			j = w * (now - b.since).Seconds()
+			p.sumW -= w
+			p.offsetJ -= w * b.since.Seconds()
+			p.settledJ += j
 		} else {
 			b.pend = append(b.pend, pendSpan{from: b.since, to: now, count: b.count})
 		}
 	}
 	b.since = now
+	return j
+}
+
+// open starts the bucket's live accrual at its span start: a calibrated
+// populated bucket joins the running sums.
+func (b *groupBucket) open(p *GroupPool) {
+	if b.calibrated && b.count > 0 {
+		w := b.op * float64(b.count)
+		p.sumW += w
+		p.offsetJ += w * b.since.Seconds()
+	}
+}
+
+// cohort returns (creating if needed) the IO integrator of cohort id.
+func (p *GroupPool) cohort(id int, now time.Duration) *cohortIO {
+	c, ok := p.cohorts[id]
+	if !ok {
+		c = &cohortIO{lastT: now}
+		p.cohorts[id] = c
+	}
+	return c
 }
 
 // accrueIO integrates a cohort's IO up to now.
@@ -152,41 +192,48 @@ func (p *GroupPool) SetCount(key GroupKey, n int, now time.Duration) {
 	if n == b.count {
 		return
 	}
-	c, ok := p.cohorts[key.Cohort]
-	if !ok {
-		c = &cohortIO{lastT: now}
-		p.cohorts[key.Cohort] = c
-	}
+	c := p.cohort(key.Cohort, now)
 	c.accrue(p.rateIOPS, now)
 	b.flush(p, now)
 	c.count += n - b.count
 	p.members += n - b.count
 	b.count = n
+	b.open(p)
 }
 
-// SetIdleCount sets the member count of an idle bucket — virtual lanes
-// that draw opW watts apiece (power-on warm-up, typically) but serve no
-// IO. The bucket is created calibrated at the imposed draw, so its
-// energy accrues live with no pending spans, and the cohort's IO
-// integration never sees these members. Changing opW flushes the span
-// accrued under the previous value first, keeping the ledger exact.
-func (p *GroupPool) SetIdleCount(key GroupKey, n int, opW float64, now time.Duration) {
+// Impose sets a bucket's member count to n at virtual time now, each
+// member drawing opW watts imposed by the caller instead of calibrated
+// by a probe: a parked lane's measured dynamic draw (its bucket of one,
+// LaneKey), or the power-on draw of warming members. The imposed draw
+// replaces the previous one; it is never averaged in. Serving members
+// accrue IO in the key's cohort at the pool rate; idle ones (warming
+// lanes) serve nothing. A key must be imposed with the same serving
+// flag throughout. The span accrued under the previous count and draw
+// settles first, and its energy is returned.
+func (p *GroupPool) Impose(key GroupKey, n int, opW float64, serving bool, now time.Duration) float64 {
 	if n < 0 {
-		panic(fmt.Sprintf("meso: idle bucket %v count %d negative", key, n))
+		panic(fmt.Sprintf("meso: imposed bucket %v count %d negative", key, n))
 	}
 	if opW < 0 {
-		panic(fmt.Sprintf("meso: idle bucket %v draw %v negative", key, opW))
+		panic(fmt.Sprintf("meso: imposed bucket %v draw %v negative", key, opW))
 	}
 	b := p.bucket(key)
-	if b.count == n && (b.op == opW || b.count == 0) {
-		b.idle, b.calibrated, b.op = true, true, opW
-		return
+	b.imposed, b.calibrated = true, true
+	if b.count == n && (b.op == opW || n == 0) {
+		b.op = opW
+		return 0
 	}
-	b.flush(p, now)
-	b.idle, b.calibrated = true, true
+	if serving {
+		c := p.cohort(key.Cohort, now)
+		c.accrue(p.rateIOPS, now)
+		c.count += n - b.count
+	}
+	j := b.flush(p, now)
 	b.op = opW
 	p.members += n - b.count
 	b.count = n
+	b.open(p)
+	return j
 }
 
 // SetRate changes the pool-wide per-lane offered rate at virtual time
@@ -204,14 +251,14 @@ func (p *GroupPool) SetRate(rateIOPS float64, now time.Duration) {
 	p.rateIOPS = rateIOPS
 }
 
-// Recalibrate invalidates every serving bucket's measured operating
+// Recalibrate invalidates every probe-calibrated bucket's operating
 // point at virtual time now: the span accrued under the old point is
 // settled, and accrual from now on is pending until a probe donates a
-// fresh measurement (or settle-time fallback covers it). Idle buckets
-// keep their imposed draw — it is load-independent.
+// fresh measurement (or settle-time fallback covers it). Imposed
+// buckets keep their draw — the caller owns it.
 func (p *GroupPool) Recalibrate(now time.Duration) {
 	for _, b := range p.order {
-		if b.idle || !b.calibrated {
+		if b.imposed || !b.calibrated {
 			continue
 		}
 		b.flush(p, now)
@@ -243,19 +290,6 @@ func (p *GroupPool) Op(key GroupKey) float64 {
 	return 0
 }
 
-// PendingSince returns the start of the bucket's oldest pending span
-// and true when the bucket holds members but no calibration yet.
-func (p *GroupPool) PendingSince(key GroupKey) (time.Duration, bool) {
-	b, ok := p.buckets[key]
-	if !ok || b.calibrated || b.count == 0 {
-		return 0, false
-	}
-	if len(b.pend) > 0 {
-		return b.pend[0].from, true
-	}
-	return b.since, true
-}
-
 // Calibrate folds one measured per-lane draw into the bucket. The first
 // measurement converts every pending span into backfill owed to the
 // caller's interval accounting and starts live accrual; later
@@ -270,11 +304,13 @@ func (p *GroupPool) Calibrate(key GroupKey, watts float64, now time.Duration) []
 	if b.calibrated {
 		b.calN++
 		b.op += (watts - b.op) / float64(b.calN)
+		b.open(p)
 		return nil
 	}
 	b.calibrated = true
 	b.op = watts
 	b.calN = 1
+	b.open(p)
 	if len(b.pend) == 0 {
 		return nil
 	}
@@ -297,18 +333,16 @@ func (p *GroupPool) Has(key GroupKey) bool {
 	return ok
 }
 
-// Members returns the current virtual member count across all buckets.
+// Members returns the current member count across all buckets — parked
+// lanes and virtual cohort members alike.
 func (p *GroupPool) Members() int { return p.members }
 
-// Buckets returns how many distinct buckets exist (ever created).
-func (p *GroupPool) Buckets() int { return len(p.order) }
-
-// LiveBuckets returns how many buckets currently hold members — the
-// per-control-period scan cost.
-func (p *GroupPool) LiveBuckets() int {
+// Buckets returns how many distinct cohort buckets exist (ever
+// created); lane buckets (LaneKey) are not counted.
+func (p *GroupPool) Buckets() int {
 	n := 0
 	for _, b := range p.order {
-		if b.count > 0 {
+		if b.key.Cohort >= 0 {
 			n++
 		}
 	}
@@ -317,17 +351,13 @@ func (p *GroupPool) LiveBuckets() int {
 
 // EnergyJ returns the energy the pool accounts up to now: settled spans
 // plus live accrual of calibrated buckets. Pending (uncalibrated) spans
-// are excluded until Calibrate converts them to backfill, so the value
-// is smooth and monotone in now — safe to feed a sliding-window cap
-// probe. O(#buckets).
+// are excluded until Calibrate converts them to backfill. now must be at
+// or after every live span start (virtual time is monotone, so any
+// caller reading the engine clock satisfies this); the value is then
+// smooth and monotone in now — safe to feed a sliding-window cap probe.
+// O(1).
 func (p *GroupPool) EnergyJ(now time.Duration) float64 {
-	j := p.settledJ
-	for _, b := range p.order {
-		if b.calibrated && b.count > 0 {
-			j += b.op * float64(b.count) * (now - b.since).Seconds()
-		}
-	}
-	return j
+	return p.settledJ + p.sumW*now.Seconds() - p.offsetJ
 }
 
 // SettleIO integrates every cohort's virtual IO through now and returns

@@ -98,17 +98,14 @@ func TestGroupPoolBucketsAndCounts(t *testing.T) {
 	a, b := GroupKey{0, 0}, GroupKey{0, 2}
 	p.SetCount(a, 5, 0)
 	p.SetCount(b, 3, 0)
-	if p.Buckets() != 2 || p.LiveBuckets() != 2 || p.Members() != 8 {
-		t.Fatalf("buckets=%d live=%d members=%d", p.Buckets(), p.LiveBuckets(), p.Members())
+	if p.Buckets() != 2 || p.Members() != 8 {
+		t.Fatalf("buckets=%d members=%d", p.Buckets(), p.Members())
 	}
 	p.SetCount(b, 0, 1*time.Second)
-	if p.Buckets() != 2 || p.LiveBuckets() != 1 || p.Members() != 5 {
-		t.Fatalf("after drain: buckets=%d live=%d members=%d", p.Buckets(), p.LiveBuckets(), p.Members())
+	if p.Buckets() != 2 || p.Members() != 5 {
+		t.Fatalf("after drain: buckets=%d members=%d", p.Buckets(), p.Members())
 	}
 	if !p.Has(a) || p.Has(GroupKey{9, 9}) {
 		t.Fatal("Has misreports bucket existence")
-	}
-	if _, ok := p.PendingSince(a); !ok {
-		t.Fatal("uncalibrated live bucket should report pending")
 	}
 }

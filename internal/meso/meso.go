@@ -9,10 +9,14 @@
 // over the last steady control period, and the measured quiesced draw
 // of the same devices in the same power states. The lane then parks
 // here. While parked, the devices still exist and their lazy energy
-// meters keep accruing exact idle energy, so the Pool accounts only the
-// calibrated *dynamic* delta (PowerW − IdleW) and the synthetic IO
+// meters keep accruing exact idle energy, so the ledger accounts only
+// the calibrated *dynamic* delta (PowerW − IdleW) and the synthetic IO
 // counts; nothing is double-counted. Unparking settles the closed-form
 // totals back into the mechanistic ledgers.
+//
+// There is one ledger, GroupPool (group.go): a parked lane is a bucket
+// of one in it, beside the cohort buckets of group-level parking. Pool
+// is a thin per-lane façade over it.
 //
 // Everything here is pure arithmetic on virtual time — no engine, no
 // RNG — so a parked lane costs zero kernel events and the tier cannot
@@ -71,107 +75,70 @@ type Settlement struct {
 	PredictedW float64
 }
 
-type agg struct {
-	op     OperatingPoint
-	since  time.Duration
-	parked bool
-	// carry is the fractional IO left over from previous spans, so the
-	// credited count never drifts from rate × total parked time no
-	// matter how spans are sliced by rehydrations.
-	carry float64
-}
-
-// Pool holds the parked aggregates of one shard. It is not safe for
-// concurrent use; shards are single-threaded by construction.
+// Pool is the per-lane view of the ledger: lane i parks as its bucket
+// of one (LaneKey) in a GroupPool, at the dynamic draw of its operating
+// point, and unparking settles the span. All accounting lives in the
+// GroupPool. Lanes share its pool-wide IO rate, as every lane of a
+// shard does: parking at a new RateIOPS moves the rate of every parked
+// lane from then on. It is not safe for concurrent use; shards are
+// single-threaded by construction.
 type Pool struct {
-	aggs   []agg
-	parked int
-
-	// O(1) dynamic-energy bookkeeping: settled spans plus, for live
-	// spans, sumDynW·now − offset where offset = Σ dynW·since.
-	settledJ float64
-	sumDynW  float64
-	offsetJ  float64
+	g   *GroupPool
+	ops []OperatingPoint
 }
 
 // NewPool returns a pool for n lanes, all hydrated.
 func NewPool(n int) *Pool {
-	return &Pool{aggs: make([]agg, n)}
-}
-
-// Grow extends the pool to cover n lanes (hydrated), so a lane
-// lifecycle that admits lanes mid-run can park them later. Shrinking
-// never happens — retired lanes simply stay hydrated.
-func (p *Pool) Grow(n int) {
-	for len(p.aggs) < n {
-		p.aggs = append(p.aggs, agg{})
-	}
+	return &Pool{g: NewGroupPool(0, 0), ops: make([]OperatingPoint, n)}
 }
 
 // Park dehydrates lane i at virtual time now onto the given operating
 // point. The lane must not already be parked.
 func (p *Pool) Park(i int, op OperatingPoint, now time.Duration) {
-	a := &p.aggs[i]
-	if a.parked {
+	if p.Parked(i) {
 		panic(fmt.Sprintf("meso: lane %d parked twice", i))
 	}
-	a.op = op
-	a.since = now
-	a.parked = true
-	p.parked++
-	p.sumDynW += op.dynW()
-	p.offsetJ += op.dynW() * a.since.Seconds()
+	if op.RateIOPS != p.g.rateIOPS {
+		p.g.SetRate(op.RateIOPS, now)
+	}
+	p.ops[i] = op
+	p.g.Impose(LaneKey(i), 1, op.dynW(), true, now)
 }
 
 // Unpark rehydrates lane i at virtual time now and returns the span's
 // settlement. The lane must be parked and now must not precede its
 // park time.
 func (p *Pool) Unpark(i int, now time.Duration) Settlement {
-	a := &p.aggs[i]
-	if !a.parked {
+	key := LaneKey(i)
+	b, ok := p.g.buckets[key]
+	if !ok || b.count == 0 {
 		panic(fmt.Sprintf("meso: lane %d unparked while hydrated", i))
 	}
-	if now < a.since {
-		panic(fmt.Sprintf("meso: lane %d unparked at %v, before its park time %v", i, now, a.since))
+	if now < b.since {
+		panic(fmt.Sprintf("meso: lane %d unparked at %v, before its park time %v", i, now, b.since))
 	}
-	dur := now - a.since
-	sec := dur.Seconds()
-	exact := a.op.RateIOPS*sec + a.carry
-	ios := int64(exact)
-	a.carry = exact - float64(ios)
-	dynJ := a.op.dynW() * sec
-
-	a.parked = false
-	p.parked--
-	p.sumDynW -= a.op.dynW()
-	p.offsetJ -= a.op.dynW() * a.since.Seconds()
-	p.settledJ += dynJ
-
+	dur := now - b.since
+	dynJ := p.g.Impose(key, 0, 0, true, now)
+	c := p.g.cohorts[key.Cohort]
+	ios := c.ios
+	c.ios = 0
+	op := p.ops[i]
 	return Settlement{
 		IOs:        ios,
-		Bytes:      ios * a.op.BytesPerIO,
+		Bytes:      ios * op.BytesPerIO,
 		DynJ:       dynJ,
 		Dur:        dur,
-		PredictedW: a.op.PowerW,
+		PredictedW: op.PowerW,
 	}
 }
 
 // Parked reports whether lane i is currently parked.
-func (p *Pool) Parked(i int) bool { return p.aggs[i].parked }
+func (p *Pool) Parked(i int) bool { return p.g.Count(LaneKey(i)) > 0 }
 
 // ParkedCount returns how many lanes are currently parked.
-func (p *Pool) ParkedCount() int { return p.parked }
-
-// Op returns lane i's operating point; meaningful only while parked.
-func (p *Pool) Op(i int) OperatingPoint { return p.aggs[i].op }
+func (p *Pool) ParkedCount() int { return p.g.Members() }
 
 // DynEnergyJ returns the total dynamic energy the pool accounts up to
 // virtual time now: settled spans plus the live accrual of every
-// currently-parked lane. now must be at or after every live park time
-// (virtual time is monotone, so any caller reading the engine clock
-// satisfies this). It is O(1) and monotone in now, so a shard's
-// EnergyJ (devices + pool) stays a valid source for the sliding-window
-// cap probe while lanes are parked.
-func (p *Pool) DynEnergyJ(now time.Duration) float64 {
-	return p.settledJ + p.sumDynW*now.Seconds() - p.offsetJ
-}
+// currently-parked lane (see GroupPool.EnergyJ).
+func (p *Pool) DynEnergyJ(now time.Duration) float64 { return p.g.EnergyJ(now) }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -197,57 +196,5 @@ func FuzzGridExpand(f *testing.F) {
 			return
 		}
 		checkExpansion(t, sp)
-	})
-}
-
-// FuzzMigrate fuzzes the v1 to v2 migration against the canonical
-// oracle: whatever Migrate accepts must canonicalize to a parse fixed
-// point whose re-migration reports ErrAlreadyCurrent; whatever it
-// rejects must fail with an error, never a panic.
-func FuzzMigrate(f *testing.F) {
-	for _, name := range BuiltInNames() {
-		sp := BuiltIn(name)
-		if sp.Grid != nil {
-			continue
-		}
-		sp.Version = 1
-		b, err := json.Marshal(sp)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
-	f.Add([]byte(`{"version":1,"name":"m","experiment":"all","seed":0}`))
-	f.Add([]byte(`{"version":1,"name":"m","experiment":"fleet","seed":0,"grid":{"fleet_sizes":[4]}}`))
-	f.Add([]byte(`hello`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sp, err := Migrate(data)
-		if err != nil {
-			if sp != nil {
-				t.Fatal("Migrate returned both a spec and an error")
-			}
-			return
-		}
-		if sp.Version != Version {
-			t.Fatalf("migrated spec has version %d", sp.Version)
-		}
-		canon, err := sp.Canonical()
-		if err != nil {
-			t.Fatalf("migrated spec failed to canonicalize: %v", err)
-		}
-		sp2, err := Parse(bytes.NewReader(canon))
-		if err != nil {
-			t.Fatalf("migrated canonical form does not parse: %v\n%s", err, canon)
-		}
-		canon2, err := sp2.Canonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(canon, canon2) {
-			t.Fatalf("migrate -> canonical -> parse not a fixed point:\n%s\n%s", canon, canon2)
-		}
-		if _, err := Migrate(canon); !errors.Is(err, ErrAlreadyCurrent) {
-			t.Fatalf("re-migrating migrated spec: %v", err)
-		}
 	})
 }

@@ -36,8 +36,9 @@ import (
 
 // Version is the spec schema version this package reads and writes.
 // Parse rejects any other version so stale tooling fails loudly
-// instead of silently dropping fields. Version 2 added the campaign
-// grid stanza; Migrate rewrites version-1 specs in place.
+// instead of silently dropping fields. Version 2 only added the
+// campaign grid stanza, so a version-1 spec migrates by setting its
+// version field to 2.
 const Version = 2
 
 // Size ceilings keep a malformed (or adversarial, under fuzzing) spec
@@ -451,7 +452,7 @@ func pathErr(path, format string, args ...any) error {
 func (s *Spec) Validate() error {
 	if s.Version != Version {
 		if s.Version == 1 {
-			return pathErr("version", "spec version 1 is outdated (this build reads version %d); rewrite it with `powerfleet scenario -migrate`", Version)
+			return pathErr("version", "spec version 1 is outdated (this build reads version %d, which only added the grid stanza); set \"version\": %d", Version, Version)
 		}
 		return pathErr("version", "unsupported spec version %d (this build reads version %d)", s.Version, Version)
 	}

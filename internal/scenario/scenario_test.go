@@ -139,7 +139,7 @@ func TestParseStrict(t *testing.T) {
 		{"nested unknown field", `{"version":2,"name":"m","experiment":"fleet","seed":0,"fleet":{"sizee":8}}`, "sizee"},
 		{"trailing data", minimal + `{}`, "trailing data"},
 		{"wrong version", `{"version":99,"name":"m","experiment":"all","seed":0}`, "version"},
-		{"stale v1 hints migrate", `{"version":1,"name":"m","experiment":"all","seed":0}`, "-migrate"},
+		{"stale v1 hints migrate", `{"version":1,"name":"m","experiment":"all","seed":0}`, `set "version": 2`},
 		{"missing name", `{"version":2,"experiment":"all","seed":0}`, "name"},
 		{"numeric duration", `{"version":2,"name":"m","experiment":"all","seed":0,"runtime":250}`, "string"},
 		{"negative duration", `{"version":2,"name":"m","experiment":"all","seed":0,"runtime":"-5s"}`, "negative"},

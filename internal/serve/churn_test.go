@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wattio/internal/core"
 	"wattio/internal/detcheck"
 	"wattio/internal/workload"
 )
@@ -168,6 +169,35 @@ func TestChurnMoreShardsThanNewGroups(t *testing.T) {
 	}
 	if r.ChurnAdds != 1 || r.ChurnRemoves != 1 {
 		t.Fatalf("churn counts: adds %d removes %d, want 1/1", r.ChurnAdds, r.ChurnRemoves)
+	}
+}
+
+// TestShardPanicReturnsError: a panic on a shard's goroutine comes back
+// from runShard as an error naming the shard and the virtual time. The
+// hand-built epoch removes a group that lives on the other shard, which
+// beginRemove refuses with a panic.
+func TestShardPanicReturnsError(t *testing.T) {
+	t.Parallel()
+	sp, err := churnSpec().normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := shardRange{g0: 0, g1: 2} // shard 0 of the 4 groups; group 3 is shard 1's
+	ch := &shardChurn{epochs: []churnEpoch{{
+		at:        500 * time.Millisecond,
+		warmAt:    500 * time.Millisecond,
+		live:      2 * sp.Replicas,
+		fleetLive: sp.Size - sp.Replicas,
+		removes:   []churnRemove{{g: 3}},
+	}}}
+	res, err := runShard(&sp, 0, rg, ch, core.NewFrontierMemo())
+	if err == nil {
+		t.Fatalf("removing another shard's group succeeded: %+v", res)
+	}
+	for _, want := range []string{"shard 0", "virtual time 500ms", "unmaterialized group 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -56,8 +56,7 @@ type groupCohort struct {
 }
 
 type groupState struct {
-	s    *shard
-	pool *meso.GroupPool
+	s *shard
 
 	// buildGroups is the ascending list of resident replica-group
 	// numbers runShard materializes.
@@ -75,7 +74,6 @@ type groupState struct {
 func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 	sp := s.spec
 	g2 := &groupState{s: s}
-	g2.pool = meso.NewGroupPool(sp.RateIOPS*float64(sp.Active), sp.ChunkBytes)
 
 	P := len(sp.Profiles)
 	faultedGroup := make(map[int]bool)
@@ -254,8 +252,8 @@ func (g *groupState) apply(fleetW float64) {
 		// Whatever remains is the virtual population per level.
 		for j := range rem {
 			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
-			if rem[j] > 0 || g.pool.Count(key) > 0 {
-				g.pool.SetCount(key, rem[j], now)
+			if rem[j] > 0 || s.ledger.Count(key) > 0 {
+				s.ledger.SetCount(key, rem[j], now)
 			}
 		}
 	}
@@ -300,7 +298,7 @@ func (g *groupState) addVirtual(ad laneAdd, at, warmAt time.Duration, now time.D
 	} else {
 		c.warmBatches = append(c.warmBatches, warmBatch{at: at, warmAt: warmAt, n: 1})
 	}
-	g.pool.SetIdleCount(g.warmKey(c), c.warming, g.warmOpW(c), now)
+	g.s.ledger.Impose(g.warmKey(c), c.warming, g.warmOpW(c), false, now)
 	g.s.res.MesoGroupLanes++
 }
 
@@ -326,7 +324,7 @@ func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 				break
 			}
 		}
-		g.pool.SetIdleCount(g.warmKey(c), c.warming, g.warmOpW(c), now)
+		g.s.ledger.Impose(g.warmKey(c), c.warming, g.warmOpW(c), false, now)
 	}
 	g.s.res.DrainLats = append(g.s.res.DrainLats, 0)
 }
@@ -345,7 +343,7 @@ func (g *groupState) warmBatchDone(pi int, at, warmAt time.Duration, now time.Du
 		c.warmBatches = append(c.warmBatches[:k], c.warmBatches[k+1:]...)
 		if b.n > 0 {
 			c.warming -= b.n
-			g.pool.SetIdleCount(g.warmKey(c), c.warming, g.warmOpW(c), now)
+			g.s.ledger.Impose(g.warmKey(c), c.warming, g.warmOpW(c), false, now)
 			for j := 0; j < b.n; j++ {
 				g.s.res.WarmupLats = append(g.s.res.WarmupLats, warmAt-at)
 			}
@@ -364,13 +362,13 @@ func (g *groupState) probeParked(l *lane, watts float64, now time.Duration, drif
 	c := &g.cohorts[l.pi]
 	j := c.resLevel[l.resIdx]
 	key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
-	if !g.pool.Has(key) {
+	if !g.s.ledger.Has(key) {
 		return // no virtual members ever held this level
 	}
-	if g.pool.Calibrated(key) {
-		drift.Observe(g.pool.Op(key), watts)
+	if g.s.ledger.Calibrated(key) {
+		drift.Observe(g.s.ledger.Op(key), watts)
 	}
-	g.amendBackfill(g.pool.Calibrate(key, watts, now))
+	g.amendBackfill(g.s.ledger.Calibrate(key, watts, now))
 }
 
 // amendBackfill distributes backfill spans into the shard's interval
@@ -404,28 +402,25 @@ func (g *groupState) amendBackfill(spans []meso.BackfillSpan) {
 	}
 }
 
-// settle closes the group tier at the horizon: buckets no probe ever
-// calibrated fall back to their planning-table draw (backfilled like
-// any calibration), virtual IO settles into the serving counters, and
-// the bucket energy ledger lands in the report.
+// settle closes the group tier at the horizon, after every parked lane
+// has settled: buckets no probe ever calibrated fall back to their
+// planning-table draw (backfilled like any calibration), and the
+// cohorts' share of the ledger's energy lands in the report — the
+// ledger's total less the lane-bucket energy the meso tier settled into
+// MesoAggJ.
 func (g *groupState) settle(now time.Duration) {
 	s := g.s
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
 		for j := range c.hull {
 			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
-			if !g.pool.Has(key) || g.pool.Calibrated(key) {
+			if !s.ledger.Has(key) || s.ledger.Calibrated(key) {
 				continue
 			}
 			s.res.MesoGroupScans++
-			g.amendBackfill(g.pool.Calibrate(key, c.hull[j].powerW*float64(s.spec.Replicas), now))
+			g.amendBackfill(s.ledger.Calibrate(key, c.hull[j].powerW*float64(s.spec.Replicas), now))
 		}
 	}
-	s.res.MesoGroupJ += g.pool.EnergyJ(now)
-	ios, bytes := g.pool.SettleIO(now)
-	s.res.Offered += ios
-	s.res.Admitted += ios
-	s.res.Completed += ios
-	s.res.BytesCompleted += bytes
-	s.res.MesoGroupBuckets = g.pool.Buckets()
+	s.res.MesoGroupJ += s.ledger.EnergyJ(now) - s.res.MesoAggJ
+	s.res.MesoGroupBuckets = s.ledger.Buckets()
 }

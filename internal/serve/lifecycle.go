@@ -167,18 +167,6 @@ func churnFor(ch []*shardChurn, i int) *shardChurn {
 	return ch[i]
 }
 
-// laneRateIOPS is the per-lane offered rate in force at now: the rate
-// schedule's binding step, already scaled by the active replica count.
-func (s *shard) laneRateIOPS(now time.Duration) float64 {
-	r := s.laneRates[0].IOPS
-	for _, rs := range s.laneRates[1:] {
-		if rs.At <= now {
-			r = rs.IOPS
-		}
-	}
-	return r
-}
-
 // startLaneArrivals (re)starts lane l's open-loop arrival process on
 // its retained stream for the remaining horizon, on the per-lane rate
 // schedule, which picks up whichever step is in force at the current
@@ -199,9 +187,9 @@ func (s *shard) startLaneArrivals(l *lane) error {
 
 // rateStep handles one rate-schedule boundary, after postControl has
 // rehydrated every parked lane (their aggregates' operating points
-// describe the old rate): the group pool settles its IO integration at
-// the old rate, and calibrated serving buckets are invalidated so
-// probes re-measure under the new load. Continuing mechanistic arrival
+// describe the old rate): the ledger settles its IO integration at the
+// old rate, and probe-calibrated buckets are invalidated so probes
+// re-measure under the new load. Continuing mechanistic arrival
 // processes handle the boundary internally.
 func (s *shard) rateStep(rs workload.RateStep) {
 	now := s.eng.Now()
@@ -217,10 +205,8 @@ func (s *shard) rateStep(rs workload.RateStep) {
 			}
 		}
 	}
-	if s.grp != nil {
-		s.grp.pool.SetRate(rs.IOPS*float64(s.spec.Active), now)
-		s.grp.pool.Recalibrate(now)
-	}
+	s.ledger.SetRate(rs.IOPS*float64(s.spec.Active), now)
+	s.ledger.Recalibrate(now)
 }
 
 // admitLane materializes one churned replica group as a live lane:

@@ -24,11 +24,12 @@ import (
 // mechanistic history on this run — the draw over its last steady
 // control period, and the quiesced draw of its devices in their held
 // power states (cached per power-state fingerprint, so repeated parks
-// skip the idling phase). While parked, the devices' lazy meters keep
-// accruing exact idle energy and the meso.Pool accounts only the
-// dynamic delta and the synthetic IO counts; rehydration settles those
-// into the shard's ledgers. Parked lanes produce no latency samples —
-// the merged quantiles describe the mechanistic population.
+// skip the idling phase). While parked, the lane is a bucket of one in
+// the shard's ledger (meso.GroupPool), which accounts only the dynamic
+// delta above the devices' lazy meters — they keep accruing exact idle
+// energy — and the synthetic IO counts, which settle into the serving
+// counters once, at the horizon. Parked lanes produce no latency
+// samples — the merged quantiles describe the mechanistic population.
 //
 // All decisions ride the shard's own interval timer and virtual clock,
 // so the tier cannot perturb the determinism contract: reports are
@@ -103,7 +104,6 @@ type mesoLane struct {
 
 type mesoState struct {
 	s      *shard
-	pool   *meso.Pool
 	drift  invariant.DriftProbe
 	ticks  int
 	cursor int // sentinel rotation position
@@ -111,7 +111,7 @@ type mesoState struct {
 }
 
 func newMeso(s *shard) *mesoState {
-	m := &mesoState{s: s, pool: meso.NewPool(len(s.lanes))}
+	m := &mesoState{s: s}
 	for _, l := range s.lanes {
 		m.addLane(l, l.faultEnd)
 	}
@@ -125,7 +125,6 @@ func newMeso(s *shard) *mesoState {
 // idle warming lane looks steady but has no operating point worth
 // calibrating).
 func (m *mesoState) addLane(l *lane, barredUntil time.Duration) {
-	m.pool.Grow(l.idx + 1)
 	ml := &l.ml
 	ml.barredUntil = barredUntil
 	ml.states = make([]int, m.s.spec.Replicas)
@@ -231,17 +230,11 @@ func (m *mesoState) tick() {
 	now := s.eng.Now()
 	m.ticks++
 	atEnd := now >= s.spec.Horizon
-	if s.grp != nil {
-		// Virtual cohort members are served analytically this period —
-		// one O(1) read, however many lanes the buckets represent.
-		s.res.MesoParkedPeriods += s.grp.pool.Members()
-	}
+	// Parked lanes and virtual cohort members are served analytically
+	// this period — one O(1) read, however many the ledger holds.
+	s.res.MesoParkedPeriods += s.ledger.Members()
 	for _, l := range s.lanes {
-		if l.gone() {
-			continue
-		}
-		if l.state == laneParked {
-			s.res.MesoParkedPeriods++
+		if l.gone() || l.state == laneParked {
 			continue
 		}
 		ml := &l.ml
@@ -346,14 +339,14 @@ func (m *mesoState) laneQuiet(l *lane) {
 	l.ml.idleStartT = -1
 }
 
+// park dehydrates lane l onto its bucket of one in the shard's ledger.
+// The bucket's imposed draw is the lane's dynamic draw above the idle
+// its meters keep accruing, clamped non-negative (a measured idle above
+// the serving draw must not make energy run backward); its IO accrues
+// at the ledger's rate, which is the lane's offered rate.
 func (m *mesoState) park(l *lane, now time.Duration, idleW float64) {
 	s := m.s
-	m.pool.Park(l.idx, meso.OperatingPoint{
-		PowerW:     l.ml.steadyW,
-		IdleW:      idleW,
-		RateIOPS:   s.laneRateIOPS(now),
-		BytesPerIO: s.spec.ChunkBytes,
-	}, now)
+	s.ledger.Impose(meso.LaneKey(l.idx), 1, max(l.ml.steadyW-idleW, 0), true, now)
 	l.state = laneParked
 	s.res.MesoDehydrations++
 	if s.grp != nil {
@@ -362,19 +355,14 @@ func (m *mesoState) park(l *lane, now time.Duration, idleW float64) {
 	}
 }
 
-// unpark settles a parked lane's closed-form span into the shard's
-// ledgers and (when restart is set) resumes mechanistic serving:
+// unpark settles a parked lane's closed-form energy into the shard
+// result and (when restart is set) resumes mechanistic serving:
 // governors restart their control loops and the arrival process
 // continues on the lane's retained RNG stream for the remaining
-// horizon.
+// horizon. The span's IO stays in the lane's cohort until settle.
 func (m *mesoState) unpark(l *lane, now time.Duration, restart bool) {
 	s := m.s
-	set := m.pool.Unpark(l.idx, now)
-	s.res.Offered += set.IOs
-	s.res.Admitted += set.IOs
-	s.res.Completed += set.IOs
-	s.res.BytesCompleted += set.Bytes
-	s.res.MesoAggJ += set.DynJ
+	s.res.MesoAggJ += s.ledger.Impose(meso.LaneKey(l.idx), 0, 0, true, now)
 	s.res.MesoRehydrations++
 	l.state = laneHydrated
 	l.ml.dwell = 0
@@ -401,17 +389,14 @@ func (m *mesoState) unpark(l *lane, now time.Duration, restart bool) {
 // measurement), and when it re-qualifies to park, the fresh
 // calibration is compared against the aggregate's prediction.
 func (m *mesoState) sentinel(now time.Duration) {
-	if m.pool.ParkedCount() == 0 {
-		return
-	}
 	lanes := m.s.lanes
 	for k := 0; k < len(lanes); k++ {
 		l := lanes[m.cursor]
 		m.cursor = (m.cursor + 1) % len(lanes)
 		if l.state == laneParked {
-			pred := m.pool.Op(l.idx).PowerW
+			// A parked lane's steadyW is the draw it was calibrated at.
 			m.unpark(l, now, true)
-			l.ml.pendingPredW = pred
+			l.ml.pendingPredW = l.ml.steadyW
 			return
 		}
 	}
@@ -455,7 +440,8 @@ func (m *mesoState) rehydrateAll() {
 }
 
 // settle closes the tier at the horizon: every parked lane's span is
-// settled through the full horizon without restarting serving, and the
+// settled through the full horizon without restarting serving, the
+// ledger's synthetic IO settles into the serving counters, and the
 // drift verdict lands in the shard result.
 func (m *mesoState) settle() {
 	s := m.s
@@ -468,6 +454,11 @@ func (m *mesoState) settle() {
 	if s.grp != nil {
 		s.grp.settle(now)
 	}
+	ios, bytes := s.ledger.SettleIO(now)
+	s.res.Offered += ios
+	s.res.Admitted += ios
+	s.res.Completed += ios
+	s.res.BytesCompleted += bytes
 	m.done = true
 	s.res.MesoWorstDriftFrac = m.drift.WorstFrac()
 	s.res.MesoDriftOK = m.drift.Check(mesoDriftTolFrac) == nil

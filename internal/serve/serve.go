@@ -652,9 +652,9 @@ func Run(spec Spec) (*Report, error) {
 	grid.Pool(sp.Shards, runtime.GOMAXPROCS(0), func(i int) {
 		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i), memo)
 	})
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
 	return merge(&sp, results), nil

@@ -10,6 +10,7 @@ import (
 	"wattio/internal/core"
 	"wattio/internal/device"
 	"wattio/internal/fault"
+	"wattio/internal/meso"
 	"wattio/internal/sim"
 	"wattio/internal/telemetry/invariant"
 	"wattio/internal/workload"
@@ -84,6 +85,11 @@ type shard struct {
 	lanes  []*lane
 	meso   *mesoState
 	grp    *groupState
+	// ledger accounts every analytically served member at its operating
+	// point: parked meso lanes (buckets of one) and virtual cohort
+	// members alike. It exists in every tier and stays empty in plain
+	// mode.
+	ledger *meso.GroupPool
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
@@ -120,9 +126,9 @@ type shard struct {
 }
 
 // EnergyJ is the shard's aggregate device energy — mechanistic meters
-// plus the mesoscale pool's dynamic accrual for parked lanes — so the
-// sliding-window cap probe and interval accounting cover the analytic
-// population too.
+// plus the ledger's accrual for parked lanes and virtual members — so
+// the sliding-window cap probe and interval accounting cover the
+// analytic population too.
 func (s *shard) EnergyJ() float64 {
 	// Retired devices stop drawing: their meters were frozen into
 	// retiredJ at retirement, so the sum stays continuous there and
@@ -136,13 +142,7 @@ func (s *shard) EnergyJ() float64 {
 			sum += d.EnergyJ()
 		}
 	}
-	if s.meso != nil {
-		sum += s.meso.pool.DynEnergyJ(s.eng.Now())
-	}
-	if s.grp != nil {
-		sum += s.grp.pool.EnergyJ(s.eng.Now())
-	}
-	return sum
+	return sum + s.ledger.EnergyJ(s.eng.Now())
 }
 
 // lane is one replica group's request scheduler — an admission-bounded
@@ -204,7 +204,7 @@ const (
 	laneHydrated laneState = iota // served by the event kernel
 	laneDraining                  // meso: arrivals stopped, in-flight IO finishing
 	laneIdling                    // meso: quiesced, measuring its idle draw
-	laneParked                    // meso: accounted by the analytic pool
+	laneParked                    // meso: accounted by the shard's ledger
 	laneRemoving                  // churn: arrivals stopped, serving out its work
 	laneRemoved                   // churn: retired, meters frozen
 )
@@ -421,9 +421,19 @@ func (s *shard) intervalTick() {
 
 // runShard builds and runs one shard to completion. ch is the shard's
 // compiled churn timeline (nil when the spec has none); memo is the
-// run's frontier memo, shared with every other shard.
-func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.FrontierMemo) (*shardResult, error) {
+// run's frontier memo, shared with every other shard. Every error names
+// the shard, and a panic on the shard's goroutine comes back as one
+// that also names the virtual time it struck at.
+func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.FrontierMemo) (res *shardResult, err error) {
 	eng := sim.NewEngine()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic at virtual time %v: %v", eng.Now(), r)
+		}
+		if err != nil {
+			res, err = nil, fmt.Errorf("shard %d: %w", idx, err)
+		}
+	}()
 	rng := sim.NewRNG(sp.Seed ^ shardHash("serve/shard", idx))
 	frng := sim.NewRNG(sp.FaultSeed ^ shardHash("serve/fault", idx))
 	s := &shard{spec: sp, eng: eng, memo: memo}
@@ -435,6 +445,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	for i, rs := range sp.Rates {
 		s.laneRates[i] = workload.RateStep{At: rs.At, IOPS: rs.IOPS * float64(sp.Active)}
 	}
+	s.ledger = meso.NewGroupPool(s.laneRates[0].IOPS, sp.ChunkBytes)
 
 	// Build devices, replica groups, and lanes. Every member's fault
 	// outcome is drawn first, in ascending instance order; in group mode
