@@ -111,6 +111,37 @@ func TestScaleGates(t *testing.T) {
 	}
 }
 
+// maxShardBytesPerDevice bounds TestShardRelease's peak live heap per
+// device. A run that keeps every finished shard's engine and devices
+// until the merge holds ~60 KB/device at that test's size; one that
+// frees each shard as it finishes holds ~13 KB.
+const maxShardBytesPerDevice = 32 << 10
+
+// TestShardRelease runs a kernel-tier meso fleet of 16 shards on two
+// worker threads. A finished shard's device graph must become garbage
+// when the shard returns its result, so peak live heap follows the two
+// shards running at once, not all sixteen.
+func TestShardRelease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const size = 2_000
+	sp := scenario.BuiltIn("meso")
+	sp.Fleet.Size = size
+	sp.Fleet.RateIOPS = 500
+	spec, err := sp.ServeSpec(200 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := measureRun(t, spec, size)
+	if c.rep.Shards != 16 {
+		t.Fatalf("run had %d shards, want 16", c.rep.Shards)
+	}
+	checkServeGates(t, size, c.rep)
+	t.Logf("n=%d, %d shards: %.1f B/device peak live heap, wall %v", size, c.rep.Shards, c.bytesPerDev, c.wall.Round(time.Millisecond))
+	if c.bytesPerDev >= maxShardBytesPerDevice {
+		t.Errorf("%.1f bytes/device peak live heap, want < %d: finished shards are not being freed", c.bytesPerDev, maxShardBytesPerDevice)
+	}
+}
+
 // TestChurnGates runs the lane-lifecycle tier at 10⁴ and 10⁵ devices:
 // a group-parked fleet under a diurnal rate schedule scales out 10% of
 // its devices for the peak, with a real warm-up cost, and drains them

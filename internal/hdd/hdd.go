@@ -163,7 +163,7 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*HDD, error) {
 		cfg:        cfg,
 		eng:        eng,
 		rng:        rng.Stream("hdd/" + cfg.Name),
-		meter:      power.NewMeter(eng.Now()),
+		meter:      power.NewMeter(eng.Now(), 5), // the five components below
 		revolution: time.Duration(60.0 / float64(cfg.RPM) * float64(time.Second)),
 	}
 	d.cSpindle = d.meter.AddComponent("spindle", cfg.PSpindle)

@@ -21,35 +21,37 @@ type Component int
 // program op, the interface drops to SLUMBER, …). The measurement rig
 // reads Instant; experiment reports read Energy.
 type Meter struct {
-	watts  []float64
+	comps  []comp
 	names  []string
 	total  float64
 	energy float64 // joules accumulated up to last
 	last   time.Duration
-
-	// Per-component energy is integrated lazily: each component's
-	// accumulator advances only when that component changes (or on an
-	// explicit EnergyBreakdown read), keeping Set O(1). The invariant
-	// sum(compEnergy) + pending == energy is what the telemetry
-	// energy-conservation probe checks.
-	compEnergy []float64
-	compLast   []time.Duration
 }
 
-// NewMeter returns an empty meter with the clock at t0.
-func NewMeter(t0 time.Duration) *Meter {
-	return &Meter{last: t0}
+// comp is one component's record. Its energy is integrated lazily: the
+// accumulator advances only when the component changes (or on an
+// explicit EnergyBreakdown read), keeping Set O(1). The invariant
+// sum(e) + pending == energy is what the telemetry energy-conservation
+// probe checks.
+type comp struct {
+	w    float64       // current draw, watts
+	e    float64       // joules accumulated up to last
+	last time.Duration // time e was last advanced to
+}
+
+// NewMeter returns an empty meter with the clock at t0, sized for n
+// components. Adding more than n still works, at the cost of growing.
+func NewMeter(t0 time.Duration, n int) *Meter {
+	return &Meter{comps: make([]comp, 0, n), names: make([]string, 0, n), last: t0}
 }
 
 // AddComponent registers a named component with an initial draw of w
 // watts and returns its handle.
 func (m *Meter) AddComponent(name string, w float64) Component {
 	m.names = append(m.names, name)
-	m.watts = append(m.watts, w)
-	m.compEnergy = append(m.compEnergy, 0)
-	m.compLast = append(m.compLast, m.last)
+	m.comps = append(m.comps, comp{w: w, last: m.last})
 	m.total += w
-	return Component(len(m.watts) - 1)
+	return Component(len(m.comps) - 1)
 }
 
 // Set updates component c to draw w watts as of virtual time now.
@@ -57,18 +59,19 @@ func (m *Meter) AddComponent(name string, w float64) Component {
 // of co-timed updates does not change the integral.
 func (m *Meter) Set(c Component, w float64, now time.Duration) {
 	m.integrate(now)
+	p := &m.comps[c]
 	// Components spend much of their life at zero draw (idle dies), and
 	// co-timed updates are common; skip the integration arithmetic then.
-	if dt := now - m.compLast[c]; dt != 0 && m.watts[c] != 0 {
-		m.compEnergy[c] += m.watts[c] * dt.Seconds()
+	if dt := now - p.last; dt != 0 && p.w != 0 {
+		p.e += p.w * dt.Seconds()
 	}
-	m.compLast[c] = now
-	m.total += w - m.watts[c]
-	m.watts[c] = w
+	p.last = now
+	m.total += w - p.w
+	p.w = w
 }
 
 // Get returns the current draw of component c in watts.
-func (m *Meter) Get(c Component) float64 { return m.watts[c] }
+func (m *Meter) Get(c Component) float64 { return m.comps[c].w }
 
 // Name returns the registered name of component c.
 func (m *Meter) Name(c Component) string { return m.names[c] }
@@ -97,8 +100,10 @@ func (m *Meter) integrate(now time.Duration) {
 // Breakdown returns a copy of the per-component draws, index-aligned with
 // the handles returned by AddComponent.
 func (m *Meter) Breakdown() []float64 {
-	out := make([]float64, len(m.watts))
-	copy(out, m.watts)
+	out := make([]float64, len(m.comps))
+	for i, p := range m.comps {
+		out[i] = p.w
+	}
 	return out
 }
 
@@ -109,11 +114,12 @@ func (m *Meter) Breakdown() []float64 {
 // energy-conservation probe relies on.
 func (m *Meter) EnergyBreakdown(now time.Duration) []float64 {
 	m.integrate(now)
-	out := make([]float64, len(m.watts))
-	for c := range m.watts {
-		m.compEnergy[c] += m.watts[c] * (now - m.compLast[c]).Seconds()
-		m.compLast[c] = now
-		out[c] = m.compEnergy[c]
+	out := make([]float64, len(m.comps))
+	for i := range m.comps {
+		p := &m.comps[i]
+		p.e += p.w * (now - p.last).Seconds()
+		p.last = now
+		out[i] = p.e
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestMeterSumsComponents(t *testing.T) {
-	m := NewMeter(0)
+	m := NewMeter(0, 2)
 	a := m.AddComponent("controller", 2)
 	b := m.AddComponent("die0", 0)
 	if got := m.Instant(0); got != 2 {
@@ -25,7 +26,7 @@ func TestMeterSumsComponents(t *testing.T) {
 }
 
 func TestMeterEnergyIntegration(t *testing.T) {
-	m := NewMeter(0)
+	m := NewMeter(0, 1)
 	c := m.AddComponent("x", 10) // 10 W
 	if got := m.Energy(2 * time.Second); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("Energy after 2s at 10W = %v, want 20 J", got)
@@ -40,7 +41,7 @@ func TestMeterCoTimedUpdatesOrderIndependent(t *testing.T) {
 	// Two updates at the same instant must charge the old rates up to
 	// that instant regardless of update order.
 	mk := func(order []int) float64 {
-		m := NewMeter(0)
+		m := NewMeter(0, 2)
 		cs := []Component{m.AddComponent("a", 1), m.AddComponent("b", 2)}
 		for _, i := range order {
 			m.Set(cs[i], 10, time.Second)
@@ -53,7 +54,7 @@ func TestMeterCoTimedUpdatesOrderIndependent(t *testing.T) {
 }
 
 func TestMeterTimeBackwardPanics(t *testing.T) {
-	m := NewMeter(time.Second)
+	m := NewMeter(time.Second, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on backward time")
@@ -63,7 +64,7 @@ func TestMeterTimeBackwardPanics(t *testing.T) {
 }
 
 func TestMeterBreakdownAndNames(t *testing.T) {
-	m := NewMeter(0)
+	m := NewMeter(0, 2)
 	a := m.AddComponent("ctrl", 1.5)
 	m.AddComponent("iface", 0.5)
 	bd := m.Breakdown()
@@ -79,6 +80,40 @@ func TestMeterBreakdownAndNames(t *testing.T) {
 	bd[0] = 99
 	if m.Get(a) == 99 {
 		t.Fatal("Breakdown aliases internal state")
+	}
+}
+
+// A meter sized for fewer components than it is given must grow its
+// records without losing energy or misaligning names and draws.
+func TestMeterGrowsPastSizedCount(t *testing.T) {
+	const sized, added = 2, 7
+	m := NewMeter(0, sized)
+	cs := make([]Component, added)
+	for i := range cs {
+		cs[i] = m.AddComponent(fmt.Sprintf("c%d", i), float64(i))
+		// Busy components between additions: a record moved by growth
+		// must keep its accumulated energy.
+		m.Set(cs[i/2], float64(i)+0.5, time.Duration(i+1)*time.Second)
+	}
+	now := 10 * time.Second
+	sum := 0.0
+	for _, e := range m.EnergyBreakdown(now) {
+		sum += e
+	}
+	if total := m.Energy(now); math.Abs(total-sum) > 1e-9*total {
+		t.Fatalf("Energy = %v, sum of EnergyBreakdown = %v", total, sum)
+	}
+	names, bd := m.Names(), m.Breakdown()
+	if len(names) != added || len(bd) != added {
+		t.Fatalf("len(Names) = %d, len(Breakdown) = %d, want %d", len(names), len(bd), added)
+	}
+	for i, c := range cs {
+		if names[c] != fmt.Sprintf("c%d", i) || m.Name(c) != names[c] {
+			t.Fatalf("component %d: Names()[%d] = %q, Name = %q", i, c, names[c], m.Name(c))
+		}
+		if bd[c] != m.Get(c) {
+			t.Fatalf("component %d: Breakdown()[%d] = %v, Get = %v", i, c, bd[c], m.Get(c))
+		}
 	}
 }
 

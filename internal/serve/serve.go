@@ -24,7 +24,7 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -846,7 +846,7 @@ func latQuantiles(lats []time.Duration) (p50, max time.Duration) {
 	if len(lats) == 0 {
 		return 0, 0
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	fl := make([]float64, len(lats))
 	for i, l := range lats {
 		fl[i] = float64(l)

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"wattio/internal/adaptive"
@@ -604,8 +604,13 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		s.res.Failovers += rd.Failovers
 		s.res.WakesOnDemand += rd.WakesOnDemand
 	}
-	sort.Slice(s.res.Latencies, func(i, j int) bool { return s.res.Latencies[i] < s.res.Latencies[j] })
-	return &s.res, nil
+	slices.Sort(s.res.Latencies)
+	// Return a copy, not &s.res: an interior pointer would keep the
+	// whole finished shard (engine, devices, lanes) reachable until Run
+	// merges, so peak memory would grow with Spec.Shards instead of
+	// with the shards running at once.
+	out := s.res
+	return &out, nil
 }
 
 // buildGroup materializes replica group g of profile index pi as the

@@ -27,14 +27,20 @@ import (
 // including FIFO ordering among co-timed events on different chains or
 // plain timers — is bit-for-bit the order the same Posts would have
 // produced through the heap.
+//
+// A Chain must never be copied: its representative points back at it,
+// and its ring starts out pointing into its own inline storage.
 type Chain struct {
 	eng    *Engine
-	rep    Timer // embedded, so a chain is one allocation plus its ring
+	rep    Timer // embedded, so it lives in the chain's own allocation
 	ring   []chainEv
 	head   int
 	n      int
 	last   time.Duration // most recently queued time, for the monotonicity check
 	parked bool
+	// inline backs ring until the chain first holds more than four
+	// events; grow then moves the ring to the heap for good.
+	inline [4]chainEv
 }
 
 type chainEv struct {
@@ -45,10 +51,20 @@ type chainEv struct {
 
 // NewChain returns an empty chain on the engine. The caller must only
 // post non-decreasing times to it.
-func (e *Engine) NewChain() *Chain {
-	c := &Chain{eng: e, ring: make([]chainEv, 4)}
-	c.rep = Timer{eng: e, index: -1, slot: -1, chain: c}
-	return c
+func (e *Engine) NewChain() *Chain { return &e.NewChains(1)[0] }
+
+// NewChains returns n empty chains on the engine in one allocation, a
+// slab for a device's serialized resources. Address the chains in
+// place (&cs[i]); a copied Chain is corrupt.
+func (e *Engine) NewChains(n int) []Chain {
+	cs := make([]Chain, n)
+	for i := range cs {
+		c := &cs[i]
+		c.eng = e
+		c.ring = c.inline[:]
+		c.rep = Timer{eng: e, index: -1, slot: -1, chain: c}
+	}
+	return cs
 }
 
 // Post schedules fn at absolute virtual time at, which must be no

@@ -96,10 +96,18 @@ func FuzzHeapDifferential(f *testing.F) {
 	// Periodic timers re-arming onto the wheel and across revolutions,
 	// one rescheduled and one stopped mid-series.
 	f.Add([]byte{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0})
+	// Six posts on one slab chain outgrow its four inline ring slots,
+	// first from an unwrapped ring, then (after two steps move the head)
+	// from a wrapped one, with its slab neighbour interleaved.
+	f.Add([]byte{2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 1, 5, 0, 5, 0, 2, 14, 2, 16, 2, 18, 2, 20, 2, 22, 5, 0})
+	f.Add([]byte{2, 2, 2, 4, 2, 6, 5, 0, 5, 0, 2, 8, 2, 10, 2, 12, 2, 14, 5, 0, 5, 0})
+	// A parked slab chain buffering past its inline slots, then unparked.
+	f.Add([]byte{2, 2, 7, 0, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 3, 7, 0, 5, 0, 5, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine()
-		chains := [2]*Chain{e.NewChain(), e.NewChain()}
+		slab := e.NewChains(2)
+		chains := [2]*Chain{&slab[0], &slab[1]}
 
 		var ref refHeap
 		var refSeq uint64

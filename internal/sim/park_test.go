@@ -87,16 +87,22 @@ func TestWheelSpanBoundaryFireOrder(t *testing.T) {
 // TestChainParkUnpark covers the kernel hook the mesoscale tier uses:
 // parking removes the representative from whichever structure holds it
 // (near heap, wheel bucket, overflow list) without losing buffered
-// events, and unparking restores the exact fire order.
+// events, and unparking restores the exact fire order. The slab
+// variants draw both chains from one NewChains slab and buffer enough
+// events while parked that the ring leaves its inline storage.
 func TestChainParkUnpark(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		name string
 		at   time.Duration // where the parked chain's head lands
+		slab bool
 	}{
-		{"heap", 10},
-		{"wheel", 2 * wheelWidth},
-		{"overflow", wheelSpan + 2*wheelWidth},
+		{"heap", 10, false},
+		{"wheel", 2 * wheelWidth, false},
+		{"overflow", wheelSpan + 2*wheelWidth, false},
+		{"slab/heap", 10, true},
+		{"slab/wheel", 2 * wheelWidth, true},
+		{"slab/overflow", wheelSpan + 2*wheelWidth, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -105,11 +111,17 @@ func TestChainParkUnpark(t *testing.T) {
 			e := NewEngine()
 			// A second chain keeps the wheel occupied so the window jump
 			// cannot reclassify tc.at, and provides interleaved events.
-			other := e.NewChain()
-			other.Post(wheelWidth, func() {})
+			other, c := e.NewChain(), e.NewChain()
+			parkedPosts := 1
+			if tc.slab {
+				cs := e.NewChains(2)
+				other, c = &cs[0], &cs[1]
+				parkedPosts = 5 // 2 + 5 > 4 inline slots
+			}
+			otherFired := false
+			other.Post(wheelWidth, func() { otherFired = true })
 
 			var got []time.Duration
-			c := e.NewChain()
 			c.Post(tc.at, func() { got = append(got, e.Now()) })
 			c.Post(tc.at+5, func() { got = append(got, e.Now()) })
 
@@ -124,9 +136,16 @@ func TestChainParkUnpark(t *testing.T) {
 			c.Park() // idempotent
 
 			// Posts while parked buffer without arming.
-			c.Post(tc.at+9, func() { got = append(got, e.Now()) })
-			if e.Pending() != pendingBefore+1 {
-				t.Fatalf("Pending = %d after parked post, want %d", e.Pending(), pendingBefore+1)
+			want := []time.Duration{tc.at, tc.at + 5}
+			for i := 0; i < parkedPosts; i++ {
+				c.Post(tc.at+9+time.Duration(i), func() { got = append(got, e.Now()) })
+				want = append(want, tc.at+9+time.Duration(i))
+			}
+			if e.Pending() != pendingBefore+parkedPosts {
+				t.Fatalf("Pending = %d after parked posts, want %d", e.Pending(), pendingBefore+parkedPosts)
+			}
+			if onInline := &c.ring[0] == &c.inline[0]; onInline != (len(want) <= len(c.inline)) {
+				t.Fatalf("%d buffered events, ring on inline storage = %v", len(want), onInline)
 			}
 
 			// With the chain parked, running up to (but not past) its head
@@ -141,7 +160,9 @@ func TestChainParkUnpark(t *testing.T) {
 			c.Unpark()
 			c.Unpark() // idempotent
 			e.Run()
-			want := []time.Duration{tc.at, tc.at + 5, tc.at + 9}
+			if !otherFired {
+				t.Fatal("the interleaving chain never fired")
+			}
 			if len(got) != len(want) {
 				t.Fatalf("fired %v, want %v", got, want)
 			}

@@ -287,7 +287,7 @@ func (d *SSD) flushOpenPages() {
 // page is durable. Its energy was admitted at the ack point.
 func (d *SSD) programPage(release int64) {
 	die := d.nextDie
-	d.nextDie = (d.nextDie + 1) % len(d.cDies)
+	d.nextDie = (d.nextDie + 1) % len(d.chDies)
 	ready := max(d.eng.Now(), d.stateReadyAt)
 	start := max(ready, d.dieFreeAt[die])
 	end := start + d.cfg.TProg + d.pageXfer
@@ -297,7 +297,7 @@ func (d *SSD) programPage(release int64) {
 		d.tr.Span(d.laneDies[die], "ssd", "program", start, end)
 	}
 	pg := d.getPage()
-	pg.c = d.cDies[die]
+	pg.c = d.cDie0 + power.Component(die)
 	pg.release = release
 	d.chDies[die].Post(start, pg.startFn)
 	d.chDies[die].Post(end, pg.endFn)
@@ -343,7 +343,7 @@ func (op *ssdOp) readPath() {
 	op.remaining = int(lastPage - firstPage + 1)
 	opDur := d.cfg.TRead + d.pageXfer
 	for p := firstPage; p <= lastPage; p++ {
-		die := int(p % int64(len(d.cDies)))
+		die := int(p % int64(len(d.chDies)))
 		ready := d.admit(d.eRead)
 		start := max(ready, d.dieFreeAt[die])
 		end := start + opDur
@@ -353,7 +353,7 @@ func (op *ssdOp) readPath() {
 			d.tr.Span(d.laneDies[die], "ssd", "read", start, end)
 		}
 		pg := d.getPage()
-		pg.c = d.cDies[die]
+		pg.c = d.cDie0 + power.Component(die)
 		pg.group = op
 		d.chDies[die].Post(start, pg.startFn)
 		d.chDies[die].Post(end, pg.endFn)

@@ -32,7 +32,7 @@ type SSD struct {
 	cCmd    power.Component
 	cRipple power.Component
 	cTrans  power.Component
-	cDies   []power.Component
+	cDie0   power.Component // die i's component is cDie0 + i
 
 	reg          *power.Regulator
 	psIndex      int
@@ -40,13 +40,14 @@ type SSD struct {
 
 	// Serialized resources, as busy-until horizons. Each has an event
 	// chain: its events are time-ordered by construction, so they ride
-	// one heap slot apiece instead of swelling the engine's heap.
+	// one heap slot apiece instead of swelling the engine's heap. All
+	// chains share one slab (see New).
 	cmdFreeAt  time.Duration
 	linkFreeAt time.Duration
 	dieFreeAt  []time.Duration
 	chCmd      *sim.Chain
 	chLink     *sim.Chain
-	chDies     []*sim.Chain
+	chDies     []sim.Chain
 	chReady    *sim.Chain // admit-derived release events (loose-ordered)
 	chInsert   *sim.Chain // DRAM insert completions (loose-ordered)
 
@@ -123,17 +124,39 @@ type pendingIO struct {
 	done func()
 }
 
+// dieNames are the meter names of dies 0..len-1, shared by every SSD
+// and never written after package initialization.
+var dieNames = func() []string {
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprintf("die%d", i)
+	}
+	return names
+}()
+
+// dieName returns die i's meter component name.
+func dieName(i int) string {
+	if i < len(dieNames) {
+		return dieNames[i]
+	}
+	return fmt.Sprintf("die%d", i)
+}
+
 // New constructs an SSD attached to the engine, drawing idle power from
-// time zero. The RNG seeds the activity-ripple process.
+// time zero. The RNG seeds the activity-ripple process. A device's
+// per-die state is a few flat slices, and all its event chains come
+// from one slab, so construction makes a handful of allocations
+// whatever the die count.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := cfg.Dies()
 	d := &SSD{
 		cfg:         cfg,
 		eng:         eng,
 		rng:         rng.Stream("ssd/" + cfg.Name),
-		meter:       power.NewMeter(eng.Now()),
+		meter:       power.NewMeter(eng.Now(), 5+n), // five device-level components, then the dies
 		bufFree:     cfg.BufferBytes,
 		apstEnabled: cfg.APSTDefault,
 		nonOpIndex:  -1,
@@ -143,18 +166,14 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	d.cCmd = d.meter.AddComponent("cmd", 0)
 	d.cRipple = d.meter.AddComponent("ripple", 0)
 	d.cTrans = d.meter.AddComponent("transition", 0)
-	n := cfg.Dies()
-	d.cDies = make([]power.Component, n)
-	d.dieFreeAt = make([]time.Duration, n)
-	d.chDies = make([]*sim.Chain, n)
-	for i := range d.cDies {
-		d.cDies[i] = d.meter.AddComponent(fmt.Sprintf("die%d", i), 0)
-		d.chDies[i] = eng.NewChain()
+	d.cDie0 = d.cTrans + 1
+	for i := 0; i < n; i++ {
+		d.meter.AddComponent(dieName(i), 0)
 	}
-	d.chCmd = eng.NewChain()
-	d.chLink = eng.NewChain()
-	d.chReady = eng.NewChain()
-	d.chInsert = eng.NewChain()
+	d.dieFreeAt = make([]time.Duration, n)
+	chains := eng.NewChains(n + 4)
+	d.chDies = chains[:n]
+	d.chCmd, d.chLink, d.chReady, d.chInsert = &chains[n], &chains[n+1], &chains[n+2], &chains[n+3]
 
 	reg := eng.Metrics()
 	d.taps = taps{

@@ -68,6 +68,31 @@ func newTest(t *testing.T, mod func(*Config)) (*SSD, *sim.Engine) {
 	return d, eng
 }
 
+// TestNewAllocsIndependentOfDies: a device's per-die state comes from a
+// few flat slices and one chain slab, so constructing a 128-die SSD
+// costs no more allocations than an 8-die one.
+func TestNewAllocsIndependentOfDies(t *testing.T) {
+	allocs := func(channels, diesPer int) float64 {
+		cfg := testConfig()
+		cfg.Channels, cfg.DiesPerChannel = channels, diesPer
+		eng, rng := sim.NewEngine(), sim.NewRNG(1)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg, eng, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(4, 2), allocs(16, 8)
+	if large != small || large > 16 {
+		t.Fatalf("New allocates %.0f times at 8 dies and %.0f at 128; want equal and at most 16", small, large)
+	}
+	d, _ := newTest(t, func(c *Config) { c.Channels, c.DiesPerChannel = 16, 8 })
+	names, _ := d.EnergyComponents()
+	if got := names[len(names)-1]; got != "die127" {
+		t.Fatalf("last meter component %q, want die127", got)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
