@@ -58,7 +58,14 @@ func FleetSpec(s Scale) (serve.Spec, error) {
 		}
 	}
 	sp.Seed, sp.FaultSeed = s.Seed, s.FaultSeed
-	return sp.ServeSpec(s.Runtime)
+	spec, err := sp.ServeSpec(s.Runtime)
+	if err == nil && o.MesoProbes != 0 && spec.MesoGroupMin == 0 {
+		// Probe lanes only exist in group-parked cohorts: without group
+		// parking the count would be dropped (no meso stanza) or refused
+		// deep inside serve.Run, so name the missing flag here.
+		return serve.Spec{}, fmt.Errorf("-mesoprobes %d needs group parking (set -mesogroup)", o.MesoProbes)
+	}
+	return spec, err
 }
 
 func runFleet(s Scale, w io.Writer) error {

@@ -154,6 +154,32 @@ func TestFleetSpecFromScenario(t *testing.T) {
 	}
 }
 
+// TestFleetSpecProbesNeedGroupParking: -mesoprobes without -mesogroup is
+// refused by FleetSpec with an error naming the missing flag, both on a
+// plain fleet (where the count used to be dropped silently) and with
+// -meso (where serve.Run used to refuse it by its Spec field name).
+func TestFleetSpecProbesNeedGroupParking(t *testing.T) {
+	for _, o := range []FleetOptions{
+		{Size: 16, MesoProbes: 3},
+		{Size: 16, Meso: true, MesoProbes: 3},
+	} {
+		s := Quick
+		s.Fleet = o
+		if _, err := FleetSpec(s); err == nil || !strings.Contains(err.Error(), "-mesogroup") {
+			t.Errorf("%+v: err = %v, want one naming -mesogroup", o, err)
+		}
+	}
+	s := Quick
+	s.Fleet = FleetOptions{Size: 16, MesoGroupMin: 8, MesoProbes: 3}
+	spec, err := FleetSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.MesoGroupMin != 8 || spec.MesoProbes != 3 {
+		t.Fatalf("-mesogroup 8 -mesoprobes 3: group min %d, probes %d", spec.MesoGroupMin, spec.MesoProbes)
+	}
+}
+
 // TestFleetScenarioFlagEquivalence pins the acceptance contract: the
 // built-in "fleet" scenario and the bare flag path must produce the
 // same serving spec.

@@ -115,10 +115,10 @@ func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 	return g2
 }
 
-// finishBuild runs after the resident lanes exist: map lanes to cohort
-// slots (probes ahead of barred members, each in build order). The
-// caller applies the initial plan.
-func (g *groupState) finishBuild() {
+// bind runs on the first apply, after the resident lanes exist: map
+// lanes to cohort slots (probes ahead of barred members, each in build
+// order).
+func (g *groupState) bind() {
 	s := g.s
 	barred := make([][]int, len(g.cohorts))
 	for _, l := range s.lanes {
@@ -163,6 +163,9 @@ func (g *groupState) apply(fleetW float64) {
 	s := g.s
 	sp := s.spec
 	now := s.eng.Now()
+	if !g.applied {
+		g.bind()
+	}
 	slice := fleetW * float64(s.liveDevs) / float64(s.fleetLive)
 
 	// Warming members hold budget share but cannot be planned — their

@@ -32,8 +32,9 @@ import (
 // existing lane's draws and a group's behavior is independent of when
 // it joins.
 //
-// With Spec.Churn empty, compileChurn returns nil and no code path in
-// this file runs: the static-fleet path is byte-identical to before.
+// With Spec.Churn empty, compileChurn returns nil and no churn epoch is
+// posted. The rest of the file — arrival starts, rate steps, the
+// controller rebuild and the one re-plan entry — serves every run.
 
 // laneAdd is one compiled scale-out member: a fresh global replica
 // group number and its profile index.
@@ -193,16 +194,14 @@ func (s *shard) startLaneArrivals(l *lane) error {
 // processes handle the boundary internally.
 func (s *shard) rateStep(rs workload.RateStep) {
 	now := s.eng.Now()
-	if s.meso != nil {
-		// The offered load just changed discontinuously: a steady dwell
-		// accumulated at the old rate must never calibrate an operating
-		// point for the new one, so every live lane's window restarts
-		// here. (rehydrateAll only resets the lanes it rehydrates;
-		// already-hydrated lanes would otherwise straddle the boundary.)
-		for _, l := range s.lanes {
-			if !l.gone() {
-				s.meso.resetBaseline(l)
-			}
+	// The offered load just changed discontinuously: a steady dwell
+	// accumulated at the old rate must never calibrate an operating
+	// point for the new one, so every live lane's window restarts here.
+	// (rehydrateAll only resets the lanes it rehydrates; already-hydrated
+	// lanes would otherwise straddle the boundary.)
+	for _, l := range s.lanes {
+		if !l.gone() {
+			s.meso.resetBaseline(l)
 		}
 	}
 	s.ledger.SetRate(rs.IOPS*float64(s.spec.Active), now)
@@ -229,9 +228,7 @@ func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	if err := s.startGovernors(d0); err != nil {
 		return err
 	}
-	if s.meso != nil {
-		s.meso.addLane(l, warmAt)
-	}
+	s.meso.addLane(l, warmAt)
 	return nil
 }
 
@@ -245,9 +242,7 @@ func (s *shard) beginRemove(g int, now time.Duration) {
 		panic(fmt.Sprintf("serve: churn removes unmaterialized group %d", g))
 	}
 	l := s.lanes[li]
-	if s.meso != nil {
-		s.meso.evict(l, now)
-	}
+	s.meso.rehydrate(l, now, false)
 	l.state = laneRemoving
 	l.drainFrom = now
 	if l.arr != nil {
@@ -395,17 +390,16 @@ func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 		if err := s.startLaneArrivals(l); err != nil {
 			panic(fmt.Sprintf("serve: churn warm-up of group %d: %v", ad.g, err))
 		}
-		if s.meso != nil {
-			s.meso.resetBaseline(l)
-		}
+		s.meso.resetBaseline(l)
 	}
 }
 
 // replanLive is the shard's one re-plan entry — the initial plan,
 // budget steps, churn epochs and warm events all go through it: the
-// budget in force now is planned over cohort hulls in group mode, else
-// through the per-device controller. rebuild forces a controller
-// re-bind first (membership changed).
+// budget in force now is planned over cohort hulls in group mode (the
+// first apply binds the cohorts), else through the per-device
+// controller. rebuild forces a controller re-bind first (the initial
+// plan, or membership changed).
 func (s *shard) replanLive(rebuild bool) {
 	w := budgetAt(s.spec.Budget, s.eng.Now())
 	if s.grp != nil {
@@ -414,7 +408,7 @@ func (s *shard) replanLive(rebuild bool) {
 	}
 	if rebuild {
 		if err := s.rebuildController(); err != nil {
-			panic(fmt.Sprintf("serve: churn controller rebuild: %v", err))
+			panic(fmt.Sprintf("serve: controller rebuild: %v", err))
 		}
 	}
 	s.applyBudget(w)

@@ -33,8 +33,9 @@ import (
 //
 // All decisions ride the shard's own interval timer and virtual clock,
 // so the tier cannot perturb the determinism contract: reports are
-// bit-identical at any host parallelism, and with Spec.Meso off no
-// code path here runs at all.
+// bit-identical at any host parallelism. The tier exists in every
+// shard; with Spec.Meso off it bars every lane at enrollment, so no
+// lane is ever tracked, drained or parked, and the tier reads no meter.
 
 const (
 	// mesoSentinelEvery is the sentinel cadence in control periods:
@@ -58,14 +59,16 @@ const (
 // mesoLane is one lane's meso-tier bookkeeping (lane.ml); the lane's
 // phase in the tier is lane.state.
 type mesoLane struct {
-	// barred lanes never park again: a sentinel re-measurement drifted
-	// beyond tolerance, so the aggregate's model of this lane cannot be
-	// trusted for the rest of the run. barredUntil bars a lane only
-	// until a known transient ends — a fault-injected lane until its
-	// last window closes (calibrating across a dropout would be a lie,
-	// but a drained-back lane is just a lane again), a churned lane
-	// until its warm-up completes. Neither transient bars forever: no
-	// member is a permanently forced resident.
+	// barred lanes never park again: the tier is off (Spec.Meso unset),
+	// or a sentinel re-measurement drifted beyond tolerance, so the
+	// aggregate's model of this lane cannot be trusted for the rest of
+	// the run. The tier keeps no baseline for a barred lane, so it reads
+	// none of its meters. barredUntil bars a lane only until a known
+	// transient ends — a fault-injected lane until its last window
+	// closes (calibrating across a dropout would be a lie, but a
+	// drained-back lane is just a lane again), a churned lane until its
+	// warm-up completes. Neither transient bars forever: no member is a
+	// permanently forced resident.
 	barred      bool
 	barredUntil time.Duration
 	dwell       int
@@ -123,9 +126,13 @@ func newMeso(s *shard) *mesoState {
 // a fault-injected lane until its last fault window closes, a lane
 // admitted mid-run by a churn epoch until its warm-up completes (an
 // idle warming lane looks steady but has no operating point worth
-// calibrating).
+// calibrating). With Spec.Meso off the lane is barred for the whole
+// run and needs no baseline at all.
 func (m *mesoState) addLane(l *lane, barredUntil time.Duration) {
 	ml := &l.ml
+	if ml.barred = !m.s.spec.Meso; ml.barred {
+		return
+	}
 	ml.barredUntil = barredUntil
 	ml.states = make([]int, m.s.spec.Replicas)
 	ml.idleW = make(map[string]float64)
@@ -136,27 +143,17 @@ func (m *mesoState) addLane(l *lane, barredUntil time.Duration) {
 
 // resetBaseline restarts lane l's steadiness tracking from the current
 // instant — called when its traffic regime changes discontinuously (a
-// churned lane's arrivals starting at warm-up), so a dwell accumulated
-// under the old regime never calibrates the new one.
+// churned lane's arrivals starting at warm-up, a rate step), so a dwell
+// accumulated under the old regime never calibrates the new one. A
+// barred lane never parks again and keeps no baseline.
 func (m *mesoState) resetBaseline(l *lane) {
 	ml := &l.ml
+	if ml.barred {
+		return
+	}
 	ml.dwell = 0
 	ml.prevE, ml.prevT = laneEnergy(l), m.s.eng.Now()
 	m.snapshot(l)
-}
-
-// evict pulls a lane out of the analytic tier for retirement: a parked
-// lane settles its span (without restarting serving), a draining or
-// idling one simply returns to hydrated — its arrivals are already
-// stopped and the retirement path stops its governors.
-func (m *mesoState) evict(l *lane, now time.Duration) {
-	switch l.state {
-	case laneParked:
-		m.unpark(l, now, false)
-	case laneDraining, laneIdling:
-		l.state = laneHydrated
-		l.ml.dwell = 0
-	}
 }
 
 func laneEnergy(l *lane) float64 {
@@ -234,7 +231,7 @@ func (m *mesoState) tick() {
 	// this period — one O(1) read, however many the ledger holds.
 	s.res.MesoParkedPeriods += s.ledger.Members()
 	for _, l := range s.lanes {
-		if l.gone() || l.state == laneParked {
+		if l.gone() || l.state == laneParked || l.ml.barred {
 			continue
 		}
 		ml := &l.ml
@@ -355,23 +352,36 @@ func (m *mesoState) park(l *lane, now time.Duration, idleW float64) {
 	}
 }
 
-// unpark settles a parked lane's closed-form energy into the shard
-// result and (when restart is set) resumes mechanistic serving:
-// governors restart their control loops and the arrival process
-// continues on the lane's retained RNG stream for the remaining
-// horizon. The span's IO stays in the lane's cohort until settle.
-func (m *mesoState) unpark(l *lane, now time.Duration, restart bool) {
+// rehydrate returns lane l from the analytic tier to mechanistic
+// serving; a hydrated or departing lane is left alone. A parked lane
+// settles its bucket's closed-form energy into the shard result (the
+// span's IO stays in the lane's cohort until settle). With restart, the
+// lane resumes serving: governors stopped at quiesce restart their
+// control loops, the arrival process continues on the lane's retained
+// RNG stream for the remaining horizon, and the steadiness baseline is
+// retaken. Without it — retirement, or the horizon — the lane only
+// returns to hydrated, its serving already stopped.
+func (m *mesoState) rehydrate(l *lane, now time.Duration, restart bool) {
 	s := m.s
-	s.res.MesoAggJ += s.ledger.Impose(meso.LaneKey(l.idx), 0, 0, true, now)
-	s.res.MesoRehydrations++
+	from := l.state
+	switch from {
+	case laneParked:
+		s.res.MesoAggJ += s.ledger.Impose(meso.LaneKey(l.idx), 0, 0, true, now)
+		s.res.MesoRehydrations++
+	case laneDraining, laneIdling:
+	default:
+		return
+	}
 	l.state = laneHydrated
 	l.ml.dwell = 0
 	if !restart {
 		return
 	}
-	for _, g := range l.govs() {
-		if g != nil {
-			g.Start()
+	if from != laneDraining {
+		for _, g := range l.govs() {
+			if g != nil {
+				g.Start()
+			}
 		}
 	}
 	if err := s.startLaneArrivals(l); err != nil {
@@ -395,7 +405,7 @@ func (m *mesoState) sentinel(now time.Duration) {
 		m.cursor = (m.cursor + 1) % len(lanes)
 		if l.state == laneParked {
 			// A parked lane's steadyW is the draw it was calibrated at.
-			m.unpark(l, now, true)
+			m.rehydrate(l, now, true)
 			l.ml.pendingPredW = l.ml.steadyW
 			return
 		}
@@ -413,28 +423,7 @@ func (m *mesoState) rehydrateAll() {
 	s := m.s
 	now := s.eng.Now()
 	for _, l := range s.lanes {
-		switch l.state {
-		case laneParked:
-			m.unpark(l, now, true)
-		case laneDraining, laneIdling:
-			// Arrivals were stopped at drain; an idling lane's governors
-			// were stopped at quiesce. Resume both and start the dwell
-			// over under the new plan.
-			if l.state == laneIdling {
-				for _, g := range l.govs() {
-					if g != nil {
-						g.Start()
-					}
-				}
-			}
-			if err := s.startLaneArrivals(l); err != nil {
-				panic(fmt.Sprintf("serve: meso rehydration of lane %d: %v", l.idx, err))
-			}
-			l.state = laneHydrated
-			l.ml.dwell = 0
-			l.ml.prevE, l.ml.prevT = laneEnergy(l), now
-			m.snapshot(l)
-		}
+		m.rehydrate(l, now, true)
 		l.ml.pendingPredW = -1
 	}
 }
@@ -447,9 +436,7 @@ func (m *mesoState) settle() {
 	s := m.s
 	now := s.eng.Now()
 	for _, l := range s.lanes {
-		if l.state == laneParked {
-			m.unpark(l, now, false)
-		}
+		m.rehydrate(l, now, false)
 	}
 	if s.grp != nil {
 		s.grp.settle(now)

@@ -21,17 +21,32 @@ func mesoBase() Spec {
 	}
 }
 
+// TestMesoOffLeavesReportClean: the tier runs in every shard, so a
+// meso-off run must still carry no meso or group accounting — on the
+// base spec and in every pure cell of the tier matrix (churn, rates,
+// faults, replicas).
 func TestMesoOffLeavesReportClean(t *testing.T) {
 	t.Parallel()
-	r, err := Run(mesoBase())
-	if err != nil {
-		t.Fatal(err)
+	specs := map[string]Spec{"base": mesoBase()}
+	for _, f := range matrixFeatures {
+		c := tierCell{"pure", f}
+		specs[c.String()] = tierSpec(c)
 	}
-	if r.MesoDehydrations != 0 || r.MesoRehydrations != 0 || r.MesoParkedPeriods != 0 || r.MesoAggJ != 0 {
-		t.Fatalf("meso-off run has meso accounting: %+v", r)
-	}
-	if !r.MesoDriftOK {
-		t.Fatal("meso-off run reports drift")
+	for name, sp := range specs {
+		r, err := Run(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.MesoDehydrations != 0 || r.MesoRehydrations != 0 || r.MesoParkedPeriods != 0 || r.MesoAggJ != 0 ||
+			r.MesoWorstDriftFrac != 0 {
+			t.Errorf("%s: meso-off run has meso accounting: %+v", name, r)
+		}
+		if r.MesoGroupLanes != 0 || r.MesoGroupBuckets != 0 || r.MesoGroupScans != 0 || r.MesoGroupJ != 0 {
+			t.Errorf("%s: meso-off run has group accounting: %+v", name, r)
+		}
+		if !r.MesoDriftOK {
+			t.Errorf("%s: meso-off run reports drift", name)
+		}
 	}
 }
 

@@ -185,7 +185,7 @@ type lane struct {
 	warmPending         bool
 	warmFrom, drainFrom time.Duration
 
-	ml     mesoLane // meso-tier bookkeeping (zero unless Spec.Meso)
+	ml     mesoLane // meso-tier bookkeeping (barred for the run unless Spec.Meso)
 	resIdx int      // group tier: position in its cohort's resOrder
 }
 
@@ -411,9 +411,7 @@ func (s *shard) intervalTick() {
 	// the closing interval's energy is recorded. When every lane is
 	// parked this timer is the shard's heartbeat — the engine always has
 	// an event to carry virtual time to the horizon.
-	if s.meso != nil {
-		s.meso.tick()
-	}
+	s.meso.tick()
 	if s.ivIdx < len(s.res.IntervalEnergyJ) {
 		s.ivTimer.Reschedule(s.intervalBoundary(s.ivIdx + 1))
 	}
@@ -438,7 +436,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	frng := sim.NewRNG(sp.FaultSeed ^ shardHash("serve/fault", idx))
 	s := &shard{spec: sp, eng: eng, memo: memo}
 	s.res.CapOK = true
-	s.res.MesoDriftOK = true
 	s.devTotal = (rg.g1 - rg.g0) * sp.Replicas
 	s.liveDevs, s.fleetLive = s.devTotal, sp.Size
 	s.laneRates = make([]workload.RateStep, len(sp.Rates))
@@ -475,12 +472,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 
 	// Initial plan, then one governor per device with selectable power
 	// states, targeted at its planned draw.
-	if s.grp != nil {
-		s.grp.finishBuild()
-	} else if err := s.rebuildController(); err != nil {
-		return nil, err
-	}
-	s.replanLive(false)
+	s.replanLive(true)
 	if err := s.startGovernors(0); err != nil {
 		return nil, err
 	}
@@ -549,18 +541,14 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		}
 	}
 
-	if sp.Meso {
-		s.meso = newMeso(s)
-	}
+	s.meso = newMeso(s)
 
 	eng.RunUntil(sp.Horizon)
 
 	// Settle the analytic tier at the horizon, before governors are
 	// stopped and in-flight IO drains: parked lanes contribute their
 	// closed-form counts and energy through the full horizon.
-	if s.meso != nil {
-		s.meso.settle()
-	}
+	s.meso.settle()
 
 	// Past the horizon: stop admitting and controlling, drain in-flight
 	// IO so every admitted-and-submitted request's latency is counted.
@@ -697,9 +685,7 @@ func (s *shard) startGovernors(d0 int) error {
 // changes the plan or the traffic underneath it.
 func (s *shard) postControl(at time.Duration, fn func()) {
 	s.eng.Post(at, func() {
-		if s.meso != nil {
-			s.meso.rehydrateAll()
-		}
+		s.meso.rehydrateAll()
 		fn()
 	})
 }

@@ -116,6 +116,9 @@ func TestTierMatrix(t *testing.T) {
 				if r.Completed == 0 {
 					t.Fatal("no request completed")
 				}
+				if c.tier != "pure" && r.MesoDehydrations == 0 {
+					t.Fatal("no lane parked: the analytic tier never engaged")
+				}
 				*rep = *r
 			})
 		}

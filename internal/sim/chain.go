@@ -29,8 +29,10 @@ import (
 // produced through the heap.
 //
 // A Chain must never be copied: its representative points back at it,
-// and its ring starts out pointing into its own inline storage.
+// and its ring starts out pointing into its own inline storage. go vet's
+// copylocks check enforces this through the noCopy field.
 type Chain struct {
+	_      noCopy
 	eng    *Engine
 	rep    Timer // embedded, so it lives in the chain's own allocation
 	ring   []chainEv
@@ -42,6 +44,13 @@ type Chain struct {
 	// events; grow then moves the ring to the heap for good.
 	inline [4]chainEv
 }
+
+// noCopy is a zero-size marker whose no-op Lock/Unlock make go vet's
+// copylocks check report any copy of a struct that holds it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 type chainEv struct {
 	at  time.Duration
