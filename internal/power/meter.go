@@ -90,6 +90,11 @@ func (m *Meter) Energy(now time.Duration) float64 {
 }
 
 func (m *Meter) integrate(now time.Duration) {
+	if now == m.last {
+		// Co-timed updates add total*0: skipping them is exact, since
+		// energy starts at +0 and so is never -0.
+		return
+	}
 	if now < m.last {
 		panic(fmt.Sprintf("power: meter time went backward: %v < %v", now, m.last))
 	}

@@ -101,14 +101,21 @@ func (d *SSD) getOp() *ssdOp {
 	return op
 }
 
-// pageOp is one NAND page operation (a program or a read) on a die: a
-// power-on event at start and a power-off/bookkeeping event at end,
-// both riding the die's chain. Pooled like ssdOp.
+// pageOp is a run of k NAND page operations (programs or reads) on the
+// consecutive dies die, die+1, … (wrapping at the die count) that all
+// start at one instant and end at one instant: a power-on event at
+// start and a power-off/bookkeeping event at end, both riding the first
+// die's chain. Every read is a run of one, and so is each program of a
+// write whose pages cannot all start at once (see programPages). Pooled
+// like ssdOp.
 type pageOp struct {
 	d       *SSD
-	c       power.Component
+	die     int    // first die of the run
 	group   *ssdOp // read fan-in target; nil for a program
-	release int64  // buffer bytes freed when a program lands
+	release int64  // buffer bytes each releasing program frees
+	// k and nRel are int32 so the record fits Go's 64-byte size class.
+	k    int32 // dies in the run
+	nRel int32 // leading programs that free buffer space when they land
 
 	startFn func()
 	endFn   func()
@@ -125,8 +132,6 @@ func (d *SSD) getPage() *pageOp {
 	} else {
 		d.freePage = pg.next
 	}
-	pg.group = nil
-	pg.release = 0
 	return pg
 }
 
@@ -245,14 +250,11 @@ func (op *ssdOp) wAckReady() {
 func (d *SSD) spawnPrograms(hostBytes, ampBytes int64) {
 	d.hostPending += hostBytes
 	d.ampPending += ampBytes
-	for d.hostPending >= d.cfg.PageSize {
-		d.hostPending -= d.cfg.PageSize
-		d.programPage(d.cfg.PageSize)
-	}
-	for d.ampPending >= d.cfg.PageSize {
-		d.ampPending -= d.cfg.PageSize
-		d.programPage(0)
-	}
+	host := d.hostPending / d.cfg.PageSize
+	amp := d.ampPending / d.cfg.PageSize
+	d.hostPending -= host * d.cfg.PageSize
+	d.ampPending -= amp * d.cfg.PageSize
+	d.programPages(int(host), int(amp), d.cfg.PageSize)
 	// (Re)arm the open-page flush: if no further writes arrive, the
 	// partial pages program after a short dwell, as real FTLs flush on
 	// idle so buffered data reaches durable media. One owned timer
@@ -272,65 +274,119 @@ func (d *SSD) spawnPrograms(hostBytes, ampBytes int64) {
 func (d *SSD) flushOpenPages() {
 	d.taps.pageFlushes.Inc()
 	d.tr.Instant(d.lane, "ssd", "open_page_flush", d.eng.Now())
+	host, amp := 0, 0
 	if d.hostPending > 0 {
-		d.programPage(d.hostPending)
-		d.hostPending = 0
+		host = 1
 	}
 	if d.ampPending > 0 {
-		d.programPage(0)
-		d.ampPending = 0
+		amp = 1
+	}
+	d.programPages(host, amp, d.hostPending)
+	d.hostPending, d.ampPending = 0, 0
+}
+
+// programPages schedules NAND programs on the next dies in the
+// log-structured write stripe: first `host` pages that each release
+// `release` buffer bytes when durable, then `amp` write-amplification
+// pages that release nothing. Their energy was admitted at the ack point.
+//
+// Every page is ready at the same instant. When the pages fit on
+// distinct dies and all of those dies are free by then, they start
+// together and land together, so the whole run is one pageOp: one start
+// and one end event on the first die's chain, in place of two per page.
+// Posted per page, the run's events would take one contiguous range of
+// sequence numbers, since nothing else posts in between; the pair takes
+// the same place in the global (time, seq) order, and its bodies run the
+// per-page bodies in the same die order. Otherwise each page is a run of
+// one, queued behind its own die.
+func (d *SSD) programPages(host, amp int, release int64) {
+	k, n := host+amp, len(d.chDies)
+	if k == 0 {
+		return
+	}
+	ready := max(d.eng.Now(), d.stateReadyAt)
+	free := k <= n
+	for i, die := 0, d.nextDie; free && i < k; i++ {
+		free = d.dieFreeAt[die] <= ready
+		die = d.dieAfter(die)
+	}
+	if free {
+		d.postPrograms(k, host, release, ready)
+		return
+	}
+	for i := 0; i < k; i++ {
+		nRel := 0
+		if i < host {
+			nRel = 1
+		}
+		d.postPrograms(1, nRel, release, max(ready, d.dieFreeAt[d.nextDie]))
 	}
 }
 
-// programPage schedules one NAND program on the next die in the
-// log-structured write stripe, releasing `release` buffer bytes when the
-// page is durable. Its energy was admitted at the ack point.
-func (d *SSD) programPage(release int64) {
-	die := d.nextDie
-	d.nextDie = (d.nextDie + 1) % len(d.chDies)
-	ready := max(d.eng.Now(), d.stateReadyAt)
-	start := max(ready, d.dieFreeAt[die])
+// postPrograms posts one run of k programs starting at start on the next
+// k dies of the stripe, the first nRel of them releasing `release`
+// buffer bytes each.
+func (d *SSD) postPrograms(k, nRel int, release int64, start time.Duration) {
 	end := start + d.cfg.TProg + d.pageXfer
-	d.dieFreeAt[die] = end
-	d.taps.pagePrograms.Inc()
-	if d.tr.Enabled() {
-		d.tr.Span(d.laneDies[die], "ssd", "program", start, end)
-	}
 	pg := d.getPage()
-	pg.c = d.cDie0 + power.Component(die)
-	pg.release = release
-	d.chDies[die].Post(start, pg.startFn)
-	d.chDies[die].Post(end, pg.endFn)
+	pg.die, pg.k, pg.group, pg.nRel, pg.release = d.nextDie, int32(k), nil, int32(nRel), release
+	for i := 0; i < k; i++ {
+		die := d.nextDie
+		d.nextDie = d.dieAfter(die)
+		d.dieFreeAt[die] = end
+		d.taps.pagePrograms.Inc()
+		if d.tr.Enabled() {
+			d.tr.Span(d.laneDies[die], "ssd", "program", start, end)
+		}
+	}
+	d.chDies[pg.die].Post(start, pg.startFn)
+	d.chDies[pg.die].Post(end, pg.endFn)
+}
+
+// dieAfter returns the die that follows die in the write stripe.
+func (d *SSD) dieAfter(die int) int {
+	if die++; die == len(d.chDies) {
+		return 0
+	}
+	return die
 }
 
 func (pg *pageOp) start() {
 	d := pg.d
-	d.taps.diesBusy.Add(1)
+	d.taps.diesBusy.Add(int64(pg.k))
 	w := d.pProgEff
 	if pg.group != nil {
 		w = d.pReadEff
 	}
-	d.meter.Set(pg.c, w, d.eng.Now())
+	now := d.eng.Now()
+	for i, die := int32(0), pg.die; i < pg.k; i++ {
+		d.meter.Set(d.cDie0+power.Component(die), w, now)
+		die = d.dieAfter(die)
+	}
 }
 
 func (pg *pageOp) end() {
-	d, c, group, release := pg.d, pg.c, pg.group, pg.release
+	d, die, k, group, nRel, release := pg.d, pg.die, pg.k, pg.group, pg.nRel, pg.release
 	pg.group = nil
 	pg.next = d.freePage
 	d.freePage = pg
-	d.taps.diesBusy.Add(-1)
-	d.meter.Set(c, 0, d.eng.Now())
-	if group != nil {
-		group.remaining--
-		if group.remaining == 0 {
-			group.readFinish()
+	d.taps.diesBusy.Add(int64(-k))
+	now := d.eng.Now()
+	for i := int32(0); i < k; i++ {
+		d.meter.Set(d.cDie0+power.Component(die), 0, now)
+		die = d.dieAfter(die)
+		if group != nil {
+			group.remaining--
+			if group.remaining == 0 {
+				group.readFinish()
+			}
+			continue
 		}
-		return
+		if i < nRel {
+			d.releaseBuffer(release)
+		}
+		d.armAPST()
 	}
-	if release > 0 {
-		d.releaseBuffer(release)
-	}
-	d.armAPST()
 }
 
 // readPath fans page reads out across the dies the request's pages map
@@ -353,8 +409,7 @@ func (op *ssdOp) readPath() {
 			d.tr.Span(d.laneDies[die], "ssd", "read", start, end)
 		}
 		pg := d.getPage()
-		pg.c = d.cDie0 + power.Component(die)
-		pg.group = op
+		pg.die, pg.k, pg.group, pg.nRel, pg.release = die, 1, op, 0, 0
 		d.chDies[die].Post(start, pg.startFn)
 		d.chDies[die].Post(end, pg.endFn)
 	}
