@@ -358,3 +358,27 @@ func TestReplicaFailover(t *testing.T) {
 		t.Fatalf("no IO completed under faults")
 	}
 }
+
+// TestStuckDeviceCompensation: a device that refuses its power-state
+// command across a binding budget step is counted as a compensation,
+// and the fleet still holds its cap and tracks the budget.
+func TestStuckDeviceCompensation(t *testing.T) {
+	t.Parallel()
+	sp := tierSpec(tierCell{"pure", "budget"})
+	sp.Faults = []DeviceFault{{
+		Device: InstanceName("SSD2", 0),
+		Windows: []fault.Window{
+			{Kind: fault.PowerCmdFail, Start: 600 * time.Millisecond, Dur: 400 * time.Millisecond},
+		},
+	}}
+	r, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Compensations == 0 {
+		t.Fatalf("no compensation for a device refusing across the 700 ms step: %+v", r)
+	}
+	if !r.CapOK || !r.TrackOK {
+		t.Fatalf("probes red: cap=%v track=%v (worst over %.3f W)", r.CapOK, r.TrackOK, r.WorstOverW)
+	}
+}

@@ -75,8 +75,29 @@ func tierSpec(c tierCell) Spec {
 		sp.FaultFrac = 0.25
 	case "replicas":
 		sp.Replicas = 2
+	case "budget", "budget-faults":
+		sp.Budget = []BudgetStep{
+			{At: 0, FleetW: 450},
+			{At: 700 * time.Millisecond, FleetW: 330},
+			{At: 1400 * time.Millisecond, FleetW: 400},
+		}
+		if c.feature == "budget-faults" {
+			sp.FaultFrac = 0.25
+		}
 	}
 	return sp
+}
+
+// digestCells are the cells TestTierDigests pins: the matrix, then
+// three cells whose stepped budget binds (450 W, 330 W from 700 ms,
+// 400 W from 1400 ms). Every matrix budget is the never-binding
+// default, so only these pin how the planner splits a tight budget.
+// The matrix leaves budgets out because it crosses every feature with
+// every tier: each binding step adds a round of parking transitions, and
+// per-lane meso then under-serves the kernel by more than tierTol.
+func digestCells() []tierCell {
+	return append(matrixCells(),
+		tierCell{"pure", "budget"}, tierCell{"pure", "budget-faults"}, tierCell{"group", "budget"})
 }
 
 // tierTol is the agreement gate between an analytic tier and the pure
@@ -164,8 +185,8 @@ func TestTierMatrix(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/tier_digests.txt from the current engine")
 
-// tierDigestFile pins every matrix cell's report: one "cell digest" line
-// per cell, the digest being the first 8 bytes of the SHA-256 of the
+// tierDigestFile pins every digest cell's report: one "cell digest"
+// line per cell, the digest being the first 8 bytes of the SHA-256 of the
 // report's encoding/json form (floats in their shortest exact form, so
 // equal digests mean bit-identical reports).
 const tierDigestFile = "testdata/tier_digests.txt"
@@ -176,10 +197,13 @@ const tierDigestFile = "testdata/tier_digests.txt"
 // only for a change meant to move reports.
 func TestTierDigests(t *testing.T) {
 	var b strings.Builder
-	for _, c := range matrixCells() {
+	for _, c := range digestCells() {
 		r, err := Run(tierSpec(c))
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
+		}
+		if !r.CapOK || !r.TrackOK {
+			t.Errorf("%v: probes red: cap=%v track=%v (worst over %.3f W)", c, r.CapOK, r.TrackOK, r.WorstOverW)
 		}
 		js, err := json.Marshal(r)
 		if err != nil {
@@ -201,7 +225,7 @@ func TestTierDigests(t *testing.T) {
 	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
 	gotLines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(wantLines) != len(gotLines) {
-		t.Fatalf("%s has %d cells, the matrix has %d", tierDigestFile, len(wantLines), len(gotLines))
+		t.Fatalf("%s has %d cells, the test has %d", tierDigestFile, len(wantLines), len(gotLines))
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
