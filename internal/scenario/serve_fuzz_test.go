@@ -114,9 +114,16 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 // spec and run through serve.Run with no panic and no error.
 func FuzzServeRun(f *testing.F) {
 	// One spec per tier of the conformance matrix (pure, meso, group),
-	// each with churn, a rate step, faults and replicas.
+	// each with churn, a rate step, faults and replicas, under the
+	// never-binding budget.
 	for tier := uint8(0); tier < 3; tier++ {
 		f.Add(tier+3*2, uint8(15), uint8(1), uint8(0), uint16(900), uint16(2800), uint16(0b11_0000_0111), uint16(0b1_1001), uint8(1), uint8(0), uint64(7))
+	}
+	// The same per tier on an HDD+SSD2 mix whose churn scales the SSD2
+	// cohort under a stepped budget: 9 W per device binds, and 7 W from
+	// 0.8 of the horizon is infeasible once churn has grown the cohort.
+	for tier := uint8(0); tier < 3; tier++ {
+		f.Add(tier+3*2, uint8(15), uint8(1), uint8(3), uint16(900), uint16(2800), uint16(0b1_1011_0000_0111), uint16(0b1_1001), uint8(1), uint8(119), uint64(7))
 	}
 	f.Fuzz(func(t *testing.T, tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) {
 		sp := fuzzFleet(tier, size, repl, shape, horizonMs, rate, churn, rates, faults, budget, seed)

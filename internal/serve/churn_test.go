@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"wattio/internal/core"
 	"wattio/internal/detcheck"
 	"wattio/internal/workload"
 )
@@ -190,7 +189,7 @@ func TestShardPanicReturnsError(t *testing.T) {
 		fleetLive: sp.Size - sp.Replicas,
 		removes:   []churnRemove{{g: 3}},
 	}}}
-	res, err := runShard(&sp, 0, rg, ch, core.NewFrontierMemo())
+	res, err := runShard(&sp, 0, rg, ch)
 	if err == nil {
 		t.Fatalf("removing another shard's group succeeded: %+v", res)
 	}

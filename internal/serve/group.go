@@ -7,18 +7,20 @@ import (
 	"wattio/internal/telemetry/invariant"
 )
 
-// Group-level parking (Spec.MesoGroupMin): a shard's lanes of one
-// profile form a cohort of interchangeable members. Big cohorts keep
-// only a few resident probe lanes (plus any fault-injected members) in
-// mechanistic simulation; the rest are virtual — no devices, no
-// governors, no arrival streams — accounted by meso.GroupPool buckets
-// keyed (cohort, power state). Planning happens on shared per-profile
-// concave hulls (groupplan.go) in O(#buckets); probes donate measured
-// operating points to their bucket when they park, and the energy the
-// virtual population accrued before its first calibration is backfilled
-// retroactively into the shard's interval accounting — always from a
-// measurement, with the planning table only as a settle-time fallback
-// for buckets no probe ever reached.
+// Cohorts and group-level parking: a shard's lanes of one profile form
+// a cohort of interchangeable members, and every shard plans its budget
+// over cohorts (groupplan.go) in O(#buckets). With Spec.MesoGroupMin
+// set, a cohort at least that big virtualizes: it keeps only a few
+// resident probe lanes (plus any fault-injected members) in mechanistic
+// simulation, and the rest are virtual — no devices, no governors, no
+// arrival streams — accounted by meso.GroupPool buckets keyed (cohort,
+// power state). Every other cohort is fully resident, which makes a
+// plain fleet the case with no virtual member at all. Probes donate
+// measured operating points to their bucket when they park, and the
+// energy the virtual population accrued before its first calibration
+// is backfilled retroactively into the shard's interval accounting —
+// always from a measurement, with the planning table only as a
+// settle-time fallback for buckets no probe ever reached.
 //
 // Everything runs on the shard's single goroutine and virtual clock, so
 // the determinism contract is untouched: same spec, same report, at any
@@ -38,11 +40,16 @@ type groupCohort struct {
 	pi      int // profile index — the global cohort id
 	profile string
 	count   int // members in this shard, residents included
-	hull    []hullLevel
+	ladder  []ladderLevel
+	// virtual marks a cohort that virtualizes (Spec.MesoGroupMin > 0 and
+	// at least that many members at build): churn admits its new members
+	// as virtual ones. Any other cohort is fully resident.
+	virtual bool
 
 	// resOrder lists resident lane indices, probes first (they can park
-	// and calibrate) then barred members (faulted); resLevel is each
-	// resident's current hull index. probes is the probe prefix length.
+	// and calibrate) then barred members (faulted), then members churn
+	// admitted to a fully resident cohort; resLevel is each resident's
+	// current ladder index. probes is the probe prefix length.
 	resOrder []int
 	resLevel []int
 	probes   int
@@ -69,8 +76,8 @@ type groupState struct {
 // planGroups decides residency for every member of the shard's slice
 // before any device exists, from the pre-drawn fault outcomes. Residents
 // are the first MesoProbes non-faulted members of each virtualized
-// cohort plus every faulted member; cohorts smaller than MesoGroupMin
-// stay fully resident.
+// cohort plus every faulted member; every other cohort stays fully
+// resident.
 func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 	sp := s.spec
 	g2 := &groupState{s: s}
@@ -81,36 +88,27 @@ func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 		faultedGroup[gi/sp.Replicas] = true
 	}
 
+	// Members of cohort pi are the g ≡ pi (mod P) in [g0, g1) —
+	// membership is arithmetic, never a per-member list.
 	g2.cohorts = make([]groupCohort, P)
-	resident := make(map[int]bool)
-	for pi := 0; pi < P; pi++ {
-		c := &g2.cohorts[pi]
-		c.pi, c.profile, c.hull = pi, sp.Profiles[pi], profileHulls[sp.Profiles[pi]]
-		// Members of cohort pi are the g ≡ pi (mod P) in [g0, g1) —
-		// membership is arithmetic, never a per-member list.
-		first := rg.g0 + ((pi-rg.g0%P)%P+P)%P
-		for g := first; g < rg.g1; g += P {
-			c.count++
-		}
-		if c.count == 0 {
-			continue
-		}
-		full := c.count < sp.MesoGroupMin
-		probes := 0
-		for g := first; g < rg.g1; g += P {
-			switch {
-			case full, faultedGroup[g]:
-				resident[g] = true
-			case probes < sp.MesoProbes:
-				resident[g] = true
-				probes++
-			}
-		}
-	}
 	for g := rg.g0; g < rg.g1; g++ {
-		if resident[g] {
-			g2.buildGroups = append(g2.buildGroups, g)
+		g2.cohorts[g%P].count++
+	}
+	for pi := range g2.cohorts {
+		c := &g2.cohorts[pi]
+		c.pi, c.profile, c.ladder = pi, sp.Profiles[pi], profileLadders[sp.Profiles[pi]]
+		c.virtual = sp.MesoGroupMin > 0 && c.count >= sp.MesoGroupMin
+	}
+	probes := make([]int, P)
+	for g := rg.g0; g < rg.g1; g++ {
+		switch {
+		case !g2.cohorts[g%P].virtual, faultedGroup[g]:
+		case probes[g%P] < sp.MesoProbes:
+			probes[g%P]++
+		default:
+			continue // virtual
 		}
+		g2.buildGroups = append(g2.buildGroups, g)
 	}
 	return g2
 }
@@ -143,20 +141,20 @@ func (g *groupState) bind() {
 }
 
 // warmKey is the cohort's idle-bucket key: state -1 is outside every
-// hull level, so the bucket never collides with a serving one.
+// ladder level, so the bucket never collides with a serving one.
 func (g *groupState) warmKey(c *groupCohort) meso.GroupKey {
 	return meso.GroupKey{Cohort: c.pi, State: -1}
 }
 
-// warmOpW is the per-lane draw imposed on warming members: the hull's
+// warmOpW is the per-lane draw imposed on warming members: the ladder's
 // top level times the replica count — devices power on at full draw,
 // exactly as materialized lanes enter the run.
 func (g *groupState) warmOpW(c *groupCohort) float64 {
-	return c.hull[len(c.hull)-1].powerW * float64(g.s.spec.Replicas)
+	return c.ladder[len(c.ladder)-1].powerW * float64(g.s.spec.Replicas)
 }
 
-// apply is the group-mode re-plan: bulk-allocate every cohort member to
-// a hull level under the shard's budget slice, retarget resident
+// apply is the shard's re-plan: bulk-allocate every cohort member to a
+// ladder level under the shard's budget slice, retarget resident
 // devices and governors, and move bucket counts — O(#buckets +
 // #residents), independent of the virtual population.
 func (g *groupState) apply(fleetW float64) {
@@ -187,7 +185,7 @@ func (g *groupState) apply(fleetW float64) {
 	demands := make([]cohortDemand, len(g.cohorts))
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
-		demands[pi] = cohortDemand{hull: c.hull, count: c.count - c.warming, laneScale: float64(sp.Replicas)}
+		demands[pi] = cohortDemand{ladder: c.ladder, count: c.count - c.warming, laneScale: float64(sp.Replicas)}
 	}
 	dist, ok := planShares(demands, slice)
 	if !ok {
@@ -201,8 +199,8 @@ func (g *groupState) apply(fleetW float64) {
 		dist = make([][]int, len(g.cohorts))
 		for pi := range g.cohorts {
 			c := &g.cohorts[pi]
-			dist[pi] = make([]int, len(c.hull))
-			dist[pi][len(c.hull)-1] = c.count - c.warming
+			dist[pi] = make([]int, len(c.ladder))
+			dist[pi][len(c.ladder)-1] = c.count - c.warming
 		}
 	} else {
 		s.res.Replans++
@@ -214,7 +212,9 @@ func (g *groupState) apply(fleetW float64) {
 		if c.count == 0 {
 			continue
 		}
-		s.res.MesoGroupScans += len(c.hull)
+		if c.virtual {
+			s.res.MesoGroupScans += len(c.ladder)
+		}
 		rem := append([]int(nil), dist[pi]...)
 
 		// Residents take their levels from the shared distribution:
@@ -254,7 +254,7 @@ func (g *groupState) apply(fleetW float64) {
 
 		// Whatever remains is the virtual population per level.
 		for j := range rem {
-			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+			key := meso.GroupKey{Cohort: c.pi, State: c.ladder[j].level}
 			if rem[j] > 0 || s.ledger.Count(key) > 0 {
 				s.ledger.SetCount(key, rem[j], now)
 			}
@@ -265,26 +265,37 @@ func (g *groupState) apply(fleetW float64) {
 	g.applied = true
 }
 
-// assignResident points resident k of cohort c at hull level j: its
+// assignResident points resident k of cohort c at ladder level j: its
 // devices move to the level's power state and their governor targets
 // follow. A device refusing the command (an injected power-fault) keeps
-// its state and is counted as a compensation, like the per-device
-// controller's stuck handling.
+// its state and counts one compensation, so Compensations is the number
+// of refusing devices summed over re-plans.
 func (g *groupState) assignResident(c *groupCohort, k, j int) {
 	s := g.s
 	c.resLevel[k] = j
 	li := c.resOrder[k]
 	r := s.spec.Replicas
 	for di := li * r; di < (li+1)*r; di++ {
-		s.planW[di] = c.hull[j].powerW
+		s.planW[di] = c.ladder[j].powerW
 		d := s.devs[di]
 		if len(d.PowerStates()) == 0 {
 			continue
 		}
-		if err := d.SetPowerState(c.hull[j].level); err != nil {
+		if err := d.SetPowerState(c.ladder[j].level); err != nil {
 			s.res.Compensations++
 		}
 	}
+}
+
+// addResident appends lane l, just admitted by churn to a fully
+// resident cohort, to the cohort's residents at its power-on (top)
+// level; the caller's re-plan assigns its level.
+func (g *groupState) addResident(l *lane) {
+	c := &g.cohorts[l.pi]
+	c.count++
+	l.resIdx = len(c.resOrder)
+	c.resOrder = append(c.resOrder, l.idx)
+	c.resLevel = append(c.resLevel, len(c.ladder)-1)
 }
 
 // addVirtual admits one churned replica group as a virtual cohort
@@ -306,16 +317,17 @@ func (g *groupState) addVirtual(ad laneAdd, at, warmAt time.Duration, now time.D
 }
 
 // removeMember retires one cohort member at a scale-in epoch. A
-// materialized member (probe or faulted resident, or a plain-built
-// group) drains mechanistically; a virtual member leaves its bucket at
-// the caller's re-plan — its analytic queue is empty by construction,
-// so its drain recovery is instantaneous. A member removed while still
-// warming leaves the idle bucket instead and decrements the newest
-// non-empty warm batch (scale-in pops the newest group numbers).
+// materialized member (probe, faulted resident, or any member of a
+// fully resident cohort) drains mechanistically; a virtual member
+// leaves its bucket at the caller's re-plan — its analytic queue is
+// empty by construction, so its drain recovery is instantaneous. A
+// member removed while still warming leaves the idle bucket instead and
+// decrements the newest non-empty warm batch (scale-in pops the newest
+// group numbers).
 func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 	c := &g.cohorts[rm.pi]
 	c.count--
-	if _, resident := g.s.groupLane[rm.g]; resident {
+	if _, resident := g.s.groupLane[rm.g]; resident || !c.virtual {
 		g.s.beginRemove(rm.g, now)
 		return
 	}
@@ -364,7 +376,7 @@ func (g *groupState) warmBatchDone(pi int, at, warmAt time.Duration, now time.Du
 func (g *groupState) probeParked(l *lane, watts float64, now time.Duration, drift *invariant.DriftProbe) {
 	c := &g.cohorts[l.pi]
 	j := c.resLevel[l.resIdx]
-	key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+	key := meso.GroupKey{Cohort: c.pi, State: c.ladder[j].level}
 	if !g.s.ledger.Has(key) {
 		return // no virtual members ever held this level
 	}
@@ -405,25 +417,27 @@ func (g *groupState) amendBackfill(spans []meso.BackfillSpan) {
 	}
 }
 
-// settle closes the group tier at the horizon, after every parked lane
+// settle closes the cohorts at the horizon, after every parked lane
 // has settled: buckets no probe ever calibrated fall back to their
 // planning-table draw (backfilled like any calibration), and the
 // cohorts' share of the ledger's energy lands in the report — the
 // ledger's total less the lane-bucket energy the meso tier settled into
-// MesoAggJ.
+// MesoAggJ. A shard with no cohort bucket has no share: the difference
+// would be only rounding.
 func (g *groupState) settle(now time.Duration) {
 	s := g.s
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
-		for j := range c.hull {
-			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+		for j := range c.ladder {
+			key := meso.GroupKey{Cohort: c.pi, State: c.ladder[j].level}
 			if !s.ledger.Has(key) || s.ledger.Calibrated(key) {
 				continue
 			}
 			s.res.MesoGroupScans++
-			g.amendBackfill(s.ledger.Calibrate(key, c.hull[j].powerW*float64(s.spec.Replicas), now))
+			g.amendBackfill(s.ledger.Calibrate(key, c.ladder[j].powerW*float64(s.spec.Replicas), now))
 		}
 	}
-	s.res.MesoGroupJ += s.ledger.EnergyJ(now) - s.res.MesoAggJ
-	s.res.MesoGroupBuckets = s.ledger.Buckets()
+	if s.res.MesoGroupBuckets = s.ledger.Buckets(); s.res.MesoGroupBuckets > 0 {
+		s.res.MesoGroupJ += s.ledger.EnergyJ(now) - s.res.MesoAggJ
+	}
 }

@@ -130,9 +130,10 @@ func TestGroupParkingEquivalence(t *testing.T) {
 // plan work bucket-shaped (scans ≪ lanes), and hold every gate.
 func groupStepSpec() Spec {
 	sp := groupBase()
-	// SSD2's concave hull runs ps2 (9.7 W) to ps0 (14.4 W). Base is
-	// 64×9.7 = 620.8 W; the step budget affords only some lanes the
-	// 4.7 W upgrade, so each shard cohort splits across two buckets.
+	// SSD2's ladder is ps2 (9.7 W), ps1 (11.7 W) and ps0 (14.4 W). Base
+	// is 64×9.7 = 620.8 W; the step leaves each shard 70.5 W above its
+	// base, enough to lift all 32 lanes of its cohort to ps1 and two on
+	// to ps0, so each shard cohort splits across two buckets.
 	sp.Budget = []BudgetStep{
 		{At: 0, FleetW: 64 * 14.6},
 		{At: 1 * time.Second, FleetW: 64*9.7 + 30*4.7},
@@ -154,7 +155,7 @@ func TestGroupBudgetStepSplitsBuckets(t *testing.T) {
 		t.Fatalf("Replans = %d, want both steps on both shards", r.Replans)
 	}
 	// The control-period scan is bucket-shaped: every re-plan touches
-	// O(hull levels) slots, never O(lanes).
+	// O(ladder levels) slots, never O(lanes).
 	if r.MesoGroupScans >= r.Devices {
 		t.Fatalf("group scan work O(lanes): %d slots for %d devices", r.MesoGroupScans, r.Devices)
 	}

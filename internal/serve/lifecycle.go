@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"wattio/internal/adaptive"
-	"wattio/internal/core"
-	"wattio/internal/device"
 	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
@@ -33,8 +30,8 @@ import (
 // it joins.
 //
 // With Spec.Churn empty, compileChurn returns nil and no churn epoch is
-// posted. The rest of the file — arrival starts, rate steps, the
-// controller rebuild and the one re-plan entry — serves every run.
+// posted. The rest of the file — arrival starts, rate steps and the one
+// re-plan entry — serves every run.
 
 // laneAdd is one compiled scale-out member: a fresh global replica
 // group number and its profile index.
@@ -215,7 +212,8 @@ func (s *shard) rateStep(rs workload.RateStep) {
 // stream position. Churned lanes take no fault injection: the fault
 // draw pass covers the build-time fleet. Arrivals do not start here;
 // the warm event does that. The lane is admitted at `at` and warms
-// until warmAt, which bars it from meso parking until then.
+// until warmAt, which bars it from meso parking until then; it joins
+// its (fully resident) cohort at once and holds budget share from `at`.
 func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	lrng := sim.NewRNG(s.spec.Seed ^ shardHash("serve/churn", g))
 	d0 := len(s.devs)
@@ -225,6 +223,7 @@ func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	}
 	l.astream = lrng.Stream("arrivals")
 	l.warmFrom = at
+	s.grp.addResident(l)
 	if err := s.startGovernors(d0); err != nil {
 		return err
 	}
@@ -284,52 +283,6 @@ func (s *shard) laneCompleted(l *lane, now time.Duration) {
 	}
 }
 
-// rebuildController binds the per-device BudgetController to the
-// current live membership (removing and removed lanes hold no share),
-// each live device planned by its profile's planning model; a shard
-// left with no live lane has no controller. The retiring controller's
-// compensations fold into the shard result. The fleet plans through
-// the run's frontier memo, which keys on model content, so a
-// membership that keeps a prefix of an earlier composition — or
-// revisits one, as a scale-out drained back to its previous size does
-// — re-merges only the levels past the shared prefix.
-func (s *shard) rebuildController() error {
-	r := s.spec.Replicas
-	devs := make([]device.Device, 0, len(s.devs))
-	models := make([]*core.Model, 0, len(s.devs))
-	for i, d := range s.devs {
-		l := s.lanes[i/r]
-		if l.gone() {
-			continue
-		}
-		m, err := planningModel(s.spec.Profiles[l.pi], d.Name())
-		if err != nil {
-			return err
-		}
-		devs = append(devs, d)
-		models = append(models, m)
-	}
-	if s.bc != nil {
-		s.res.Compensations += s.bc.Compensations
-	}
-	if len(models) == 0 {
-		// Churn retired every lane of this shard: there is nothing to
-		// plan until a later epoch admits one.
-		s.bc = nil
-		return nil
-	}
-	fleet, err := s.memo.NewFleet(models...)
-	if err != nil {
-		return err
-	}
-	bc, err := adaptive.NewBudgetController(fleet, devs)
-	if err != nil {
-		return err
-	}
-	s.bc = bc
-	return nil
-}
-
 // churnEpoch executes one membership epoch (the analytic tier already
 // rehydrated by postControl): apply this shard's adds then removes,
 // adopt the new live counts, and re-plan under the budget in force. A
@@ -338,18 +291,14 @@ func (s *shard) rebuildController() error {
 func (s *shard) churnEpoch(ep churnEpoch) {
 	now := s.eng.Now()
 	for _, ad := range ep.adds {
-		if s.grp != nil {
+		if s.grp.cohorts[ad.pi].virtual {
 			s.grp.addVirtual(ad, ep.at, ep.warmAt, now)
 		} else if err := s.admitLane(ad.g, ad.pi, ep.at, ep.warmAt); err != nil {
 			panic(fmt.Sprintf("serve: churn admission of group %d: %v", ad.g, err))
 		}
 	}
 	for _, rm := range ep.removes {
-		if s.grp != nil {
-			s.grp.removeMember(rm, now)
-		} else {
-			s.beginRemove(rm.g, now)
-		}
+		s.grp.removeMember(rm, now)
 	}
 	s.res.ChurnAdds += len(ep.adds)
 	s.res.ChurnRemoves += len(ep.removes)
@@ -358,7 +307,7 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 	if len(ep.adds) > 0 && ep.warmAt == ep.at {
 		s.warmTransition(ep, now)
 	}
-	s.replanLive(len(ep.adds)+len(ep.removes) > 0)
+	s.replanLive()
 }
 
 // warmEpoch fires when a churn event's warm-up window closes: the
@@ -366,26 +315,22 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 // so the fresh capacity holds real power states.
 func (s *shard) warmEpoch(ep churnEpoch) {
 	s.warmTransition(ep, s.eng.Now())
-	s.replanLive(false)
+	s.replanLive()
 }
 
-// warmTransition moves an epoch's adds from warming to active: plain
-// lanes start their arrival processes (first completion records the
-// warm-up recovery latency), virtual cohort members leave the warm
-// bucket for the serving distribution. Members removed while still
+// warmTransition moves an epoch's adds from warming to active: virtual
+// cohort members leave the warm bucket for the serving distribution, and
+// materialized lanes start their arrival processes (first completion
+// records the warm-up recovery latency). Members removed while still
 // warming are skipped — they never serve.
 func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
-	if s.grp != nil {
-		if len(ep.adds) > 0 {
-			s.grp.warmBatchDone(ep.adds[0].pi, ep.at, ep.warmAt, now)
-		}
-		return
-	}
+	s.grp.warmBatchDone(ep.adds[0].pi, ep.at, ep.warmAt, now)
 	for _, ad := range ep.adds {
-		l := s.lanes[s.groupLane[ad.g]]
-		if l.gone() {
+		li, resident := s.groupLane[ad.g]
+		if !resident || s.lanes[li].gone() {
 			continue
 		}
+		l := s.lanes[li]
 		l.warmPending = true
 		if err := s.startLaneArrivals(l); err != nil {
 			panic(fmt.Sprintf("serve: churn warm-up of group %d: %v", ad.g, err))
@@ -396,20 +341,8 @@ func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 
 // replanLive is the shard's one re-plan entry — the initial plan,
 // budget steps, churn epochs and warm events all go through it: the
-// budget in force now is planned over cohort hulls in group mode (the
-// first apply binds the cohorts), else through the per-device
-// controller. rebuild forces a controller re-bind first (the initial
-// plan, or membership changed).
-func (s *shard) replanLive(rebuild bool) {
-	w := budgetAt(s.spec.Budget, s.eng.Now())
-	if s.grp != nil {
-		s.grp.apply(w)
-		return
-	}
-	if rebuild {
-		if err := s.rebuildController(); err != nil {
-			panic(fmt.Sprintf("serve: controller rebuild: %v", err))
-		}
-	}
-	s.applyBudget(w)
+// budget in force now is planned over the shard's cohorts (the first
+// apply binds them).
+func (s *shard) replanLive() {
+	s.grp.apply(budgetAt(s.spec.Budget, s.eng.Now()))
 }

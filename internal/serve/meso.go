@@ -346,10 +346,8 @@ func (m *mesoState) park(l *lane, now time.Duration, idleW float64) {
 	s.ledger.Impose(meso.LaneKey(l.idx), 1, max(l.ml.steadyW-idleW, 0), true, now)
 	l.state = laneParked
 	s.res.MesoDehydrations++
-	if s.grp != nil {
-		// A parking probe's measured draw calibrates its cohort bucket.
-		s.grp.probeParked(l, l.ml.steadyW, now, &m.drift)
-	}
+	// A parking probe's measured draw calibrates its cohort bucket.
+	s.grp.probeParked(l, l.ml.steadyW, now, &m.drift)
 }
 
 // rehydrate returns lane l from the analytic tier to mechanistic
@@ -438,9 +436,7 @@ func (m *mesoState) settle() {
 	for _, l := range s.lanes {
 		m.rehydrate(l, now, false)
 	}
-	if s.grp != nil {
-		s.grp.settle(now)
-	}
+	s.grp.settle(now)
 	ios, bytes := s.ledger.SettleIO(now)
 	s.res.Offered += ios
 	s.res.Admitted += ios

@@ -1,15 +1,10 @@
 package serve
 
-import (
-	"fmt"
-	"sort"
-
-	"wattio/internal/core"
-)
+import "sort"
 
 // Planning models: compact per-profile power-throughput models the
-// serving engine's budget controller plans over, one sample per
-// host-selectable power state. The numbers are the calibrated device
+// serving engine's budget planner (groupplan.go) plans over, one sample
+// per host-selectable power state. The numbers are the calibrated device
 // models' measured saturated behavior under the engine's default
 // workload (random write, 256 KiB, qd 64, 3 s window) — the same
 // operating points a production deployment would load from a powerfleet
@@ -30,32 +25,6 @@ var planningTable = map[string][]planPoint{
 	"HDD":  {{0, 4.3, 80}},
 	"EVO":  {{0, 1.9, 350}},
 	"C960": {{0, 4.2, 1580}, {1, 4.1, 1580}, {2, 3.8, 1450}},
-}
-
-// planningModel builds the planning model for one fleet device
-// instance. The sample Device field carries the instance name, not the
-// profile, because fleets and budget controllers key on it.
-func planningModel(profile, instance string) (*core.Model, error) {
-	points, ok := planningTable[profile]
-	if !ok {
-		return nil, fmt.Errorf("serve: no planning model for profile %q", profile)
-	}
-	samples := make([]core.Sample, len(points))
-	for i, p := range points {
-		samples[i] = core.Sample{
-			Config: core.Config{
-				Device:     instance,
-				PowerState: p.ps,
-				Random:     true,
-				Write:      true,
-				ChunkBytes: 256 << 10,
-				Depth:      64,
-			},
-			PowerW:         p.powerW,
-			ThroughputMBps: p.tputMB,
-		}
-	}
-	return core.NewModel(instance, samples)
 }
 
 // KnownProfiles lists the profiles the planning table covers, sorted —
@@ -79,16 +48,4 @@ func profileMaxW(profile string) float64 {
 		}
 	}
 	return maxW
-}
-
-// profileMinW returns the lowest planning-model power of a profile —
-// the per-device floor below which no budget is feasible.
-func profileMinW(profile string) float64 {
-	minW := -1.0
-	for _, p := range planningTable[profile] {
-		if minW < 0 || p.powerW < minW {
-			minW = p.powerW
-		}
-	}
-	return minW
 }

@@ -9,11 +9,12 @@
 // internal/fault injection, grouped into mirrored replica groups behind
 // adaptive.Redirectors. An open-loop request stream (internal/workload
 // arrivals) feeds per-group queues with admission control and request
-// batching, and the internal/adaptive control plane runs online: the
-// BudgetController re-plans every device's power state on each budget
-// step, per-device Governors enforce the planned draw in closed loop
-// (retrying through injected command faults), and Redirectors fail IO
-// over around dropped replicas.
+// batching, and the control plane runs online: each shard re-plans its
+// devices' power states over its cohorts' planning ladders on every
+// budget step and membership change, internal/adaptive's per-device
+// Governors enforce the planned draw in closed loop (retrying through
+// injected command faults), and its Redirectors fail IO over around
+// dropped replicas.
 //
 // Determinism contract: the merged Report is bit-identical for the same
 // Spec regardless of GOMAXPROCS or worker scheduling. Shards derive
@@ -30,7 +31,6 @@ import (
 	"time"
 
 	"wattio/internal/calib"
-	"wattio/internal/core"
 	"wattio/internal/fault"
 	"wattio/internal/grid"
 	"wattio/internal/stats"
@@ -572,7 +572,12 @@ type Report struct {
 	WorstOverW float64
 	TrackOK    bool
 
-	GovSteps, GovRetries, GovFailures  int
+	GovSteps, GovRetries, GovFailures int
+	// Replans counts shard re-plans that fit their budget slice;
+	// Infeasible counts those whose slice cannot hold every lane at its
+	// lowest planning level, which keep the previous plan. Compensations
+	// counts devices refusing their planned power state, summed over
+	// re-plans: a device that refuses at three re-plans counts three.
 	Replans, Compensations, Infeasible int
 	Failovers, WakesOnDemand           int
 
@@ -643,14 +648,10 @@ func Run(spec Spec) (*Report, error) {
 
 	churn := compileChurn(&sp, ranges)
 
-	// One frontier memo serves every shard: shards of one composition,
-	// compensation sub-fleets and revisited churn compositions all plan
-	// over merged levels built once per run.
-	memo := core.NewFrontierMemo()
 	results := make([]*shardResult, sp.Shards)
 	errs := make([]error, sp.Shards)
 	grid.Pool(sp.Shards, runtime.GOMAXPROCS(0), func(i int) {
-		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i), memo)
+		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i))
 	})
 	for _, err := range errs {
 		if err != nil {

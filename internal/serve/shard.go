@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wattio/internal/adaptive"
-	"wattio/internal/core"
 	"wattio/internal/device"
 	"wattio/internal/fault"
 	"wattio/internal/meso"
@@ -70,21 +69,17 @@ type shard struct {
 	res  shardResult
 
 	devs []device.Device // build order; wrapped with fault where drawn
-	maxW []float64       // per-device planning-model max (plan fallback)
 	// planW is each device's planned draw under the shard's current plan
-	// — the per-device controller's assignment or the device's cohort
-	// hull level — and its governor's target; maxW until a plan lands.
+	// — its cohort's ladder level — and its governor's target; the
+	// profile's maximum planning draw until a plan lands.
 	planW []float64
 	govs  []*adaptive.Governor
-	bc    *adaptive.BudgetController
-	// memo is the run's shared frontier memo every controller fleet
-	// plans through.
-	memo *core.FrontierMemo
 
 	redirs []*adaptive.Redirector
 	lanes  []*lane
 	meso   *mesoState
-	grp    *groupState
+	// grp is the shard's cohorts and their planner, in every tier.
+	grp *groupState
 	// ledger accounts every analytically served member at its operating
 	// point: parked meso lanes (buckets of one) and virtual cohort
 	// members alike. It exists in every tier and stays empty in plain
@@ -93,7 +88,7 @@ type shard struct {
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
-	// materialized len(devs). Equal to len(devs) outside group mode.
+	// materialized len(devs). Equal to len(devs) with no virtual member.
 	devTotal int
 	// liveDevs/fleetLive are the shard's and the fleet's live device
 	// counts — the budget-slice ratio. Equal to devTotal and Spec.Size
@@ -351,33 +346,6 @@ func (l *lane) nextOffset() int64 {
 	return off
 }
 
-// applyBudget runs one model-based re-plan: the shard's slice of the
-// fleet budget (proportional to its device count) goes through the
-// BudgetController, and each device's governor is retargeted to the
-// planned draw so the feedback loop enforces the new plan between
-// steps.
-func (s *shard) applyBudget(fleetW float64) {
-	if s.bc == nil {
-		return // no live lane left to plan (see rebuildController)
-	}
-	slice := fleetW * float64(s.liveDevs) / float64(s.fleetLive)
-	a, err := s.bc.Apply(slice)
-	if err != nil {
-		// Infeasible slice (or every pass stuck): keep the previous
-		// states rather than thrash; the report surfaces the count.
-		s.res.Infeasible++
-		return
-	}
-	s.res.Replans++
-	for i, d := range s.devs {
-		s.planW[i] = s.maxW[i]
-		if sample, ok := a.Configs[d.Name()]; ok && sample.PowerW > 0 {
-			s.planW[i] = sample.PowerW
-		}
-	}
-	s.retarget()
-}
-
 // planBudget is device i's governor budget under the current plan.
 func (s *shard) planBudget(i int) float64 { return s.planW[i] * govGuard }
 
@@ -418,11 +386,10 @@ func (s *shard) intervalTick() {
 }
 
 // runShard builds and runs one shard to completion. ch is the shard's
-// compiled churn timeline (nil when the spec has none); memo is the
-// run's frontier memo, shared with every other shard. Every error names
-// the shard, and a panic on the shard's goroutine comes back as one
-// that also names the virtual time it struck at.
-func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.FrontierMemo) (res *shardResult, err error) {
+// compiled churn timeline (nil when the spec has none). Every error
+// names the shard, and a panic on the shard's goroutine comes back as
+// one that also names the virtual time it struck at.
+func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResult, err error) {
 	eng := sim.NewEngine()
 	defer func() {
 		if r := recover(); r != nil {
@@ -434,7 +401,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	}()
 	rng := sim.NewRNG(sp.Seed ^ shardHash("serve/shard", idx))
 	frng := sim.NewRNG(sp.FaultSeed ^ shardHash("serve/fault", idx))
-	s := &shard{spec: sp, eng: eng, memo: memo}
+	s := &shard{spec: sp, eng: eng}
 	s.res.CapOK = true
 	s.devTotal = (rg.g1 - rg.g0) * sp.Replicas
 	s.liveDevs, s.fleetLive = s.devTotal, sp.Size
@@ -445,26 +412,16 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	s.ledger = meso.NewGroupPool(s.laneRates[0].IOPS, sp.ChunkBytes)
 
 	// Build devices, replica groups, and lanes. Every member's fault
-	// outcome is drawn first, in ascending instance order; in group mode
-	// (MesoGroupMin > 0) planGroups then decides residency and only
-	// resident groups materialize, so virtual members cost no device
-	// state at all.
+	// outcome is drawn first, in ascending instance order; planGroups
+	// then decides residency and only resident groups materialize, so
+	// virtual members cost no device state at all.
 	pre := drawFaults(sp, frng, rg)
-	var buildGroups []int
-	if sp.MesoGroupMin > 0 {
-		s.grp = planGroups(s, rg, pre)
-		buildGroups = s.grp.buildGroups
-	} else {
-		buildGroups = make([]int, 0, rg.g1-rg.g0)
-		for g := rg.g0; g < rg.g1; g++ {
-			buildGroups = append(buildGroups, g)
-		}
-	}
+	s.grp = planGroups(s, rg, pre)
 	if ch != nil {
-		s.groupLane = make(map[int]int, len(buildGroups))
+		s.groupLane = make(map[int]int, len(s.grp.buildGroups))
 	}
 	P := len(sp.Profiles)
-	for _, g := range buildGroups {
+	for _, g := range s.grp.buildGroups {
 		if _, err := s.buildGroup(g, g%P, rng, pre); err != nil {
 			return nil, err
 		}
@@ -472,7 +429,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 
 	// Initial plan, then one governor per device with selectable power
 	// states, targeted at its planned draw.
-	s.replanLive(true)
+	s.replanLive()
 	if err := s.startGovernors(0); err != nil {
 		return nil, err
 	}
@@ -483,7 +440,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 	// re-plans. Warm events for earlier churn events post before later
 	// epochs — compileChurn's warming flag relies on that order.
 	for _, st := range sp.Budget[1:] {
-		s.postControl(st.At, func() { s.replanLive(false) })
+		s.postControl(st.At, s.replanLive)
 	}
 	for _, rs := range sp.Rates[1:] {
 		s.postControl(rs.At, func() { s.rateStep(rs) })
@@ -585,9 +542,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn, memo *core.Front
 		s.res.GovRetries += gv.Retries
 		s.res.GovFailures += gv.Failures
 	}
-	if s.bc != nil {
-		s.res.Compensations += s.bc.Compensations
-	}
 	for _, rd := range s.redirs {
 		s.res.Failovers += rd.Failovers
 		s.res.WakesOnDemand += rd.WakesOnDemand
@@ -631,10 +585,8 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 				}
 			}
 		}
-		maxW := profileMaxW(profile)
 		s.devs = append(s.devs, d)
-		s.maxW = append(s.maxW, maxW)
-		s.planW = append(s.planW, maxW)
+		s.planW = append(s.planW, profileMaxW(profile))
 	}
 
 	l.dev = s.devs[d0]
