@@ -75,29 +75,39 @@ func tierSpec(c tierCell) Spec {
 		sp.FaultFrac = 0.25
 	case "replicas":
 		sp.Replicas = 2
-	case "budget", "budget-faults":
+	case "budget", "budget-faults", "budget-7k":
 		sp.Budget = []BudgetStep{
 			{At: 0, FleetW: 450},
 			{At: 700 * time.Millisecond, FleetW: 330},
 			{At: 1400 * time.Millisecond, FleetW: 400},
 		}
-		if c.feature == "budget-faults" {
+		switch c.feature {
+		case "budget-faults":
 			sp.FaultFrac = 0.25
+		case "budget-7k":
+			// At 3000 IOPS a lane draws less than any SSD2 cap, so the
+			// plan's states never throttle it. At fleet-1k's 7000 IOPS
+			// the ps1 and ps2 caps bind, and stripe dies are busy when
+			// a write's pages are ready.
+			sp.RateIOPS = 7000
 		}
 	}
 	return sp
 }
 
 // digestCells are the cells TestTierDigests pins: the matrix, then
-// three cells whose stepped budget binds (450 W, 330 W from 700 ms,
+// four cells whose stepped budget binds (450 W, 330 W from 700 ms,
 // 400 W from 1400 ms). Every matrix budget is the never-binding
-// default, so only these pin how the planner splits a tight budget.
+// default, so only these pin how the planner splits a tight budget;
+// only budget-7k loads its lanes enough for the chosen states' caps to
+// throttle them.
 // The matrix leaves budgets out because it crosses every feature with
 // every tier: each binding step adds a round of parking transitions, and
 // per-lane meso then under-serves the kernel by more than tierTol.
 func digestCells() []tierCell {
 	return append(matrixCells(),
-		tierCell{"pure", "budget"}, tierCell{"pure", "budget-faults"}, tierCell{"group", "budget"})
+		tierCell{"pure", "budget"}, tierCell{"pure", "budget-faults"}, tierCell{"group", "budget"},
+		tierCell{"pure", "budget-7k"})
 }
 
 // tierTol is the agreement gate between an analytic tier and the pure
