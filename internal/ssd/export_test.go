@@ -7,3 +7,7 @@ var TestConfig = testConfig
 
 // DieFreeAt returns each die's busy-until horizon.
 func (d *SSD) DieFreeAt() []time.Duration { return d.dieFreeAt }
+
+// PostPerPage makes the device post every NAND page as its own start/end
+// event pair, as postRuns does when co-timed runs interleave.
+func (d *SSD) PostPerPage() { d.perPage = true }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math/bits"
 	"time"
 
 	"wattio/internal/device"
@@ -101,21 +102,21 @@ func (d *SSD) getOp() *ssdOp {
 	return op
 }
 
-// pageOp is a run of k NAND page operations (programs or reads) on the
-// consecutive dies die, die+1, … (wrapping at the die count) that all
-// start at one instant and end at one instant: a power-on event at
-// start and a power-off/bookkeeping event at end, both riding the first
-// die's chain. Every read is a run of one, and so is each program of a
-// write whose pages cannot all start at once (see programPages). Pooled
-// like ssdOp.
+// pageOp is a run of NAND page operations (programs or reads) of one
+// programPages or readPath call that all start at one instant and end at
+// one instant: a power-on event at start and a power-off/bookkeeping
+// event at end, both riding the chain of the run's first die. The run's
+// pages sit at the offsets o of mask's set bits from its first page,
+// which is on die; the page at offset o is on the o-th die after it (see
+// postRuns). Pooled like ssdOp.
 type pageOp struct {
 	d       *SSD
-	die     int    // first die of the run
 	group   *ssdOp // read fan-in target; nil for a program
 	release int64  // buffer bytes each releasing program frees
-	// k and nRel are int32 so the record fits Go's 64-byte size class.
-	k    int32 // dies in the run
-	nRel int32 // leading programs that free buffer space when they land
+	mask    uint64 // the run's pages, as offsets from its first
+	// die and nRel are int32 so the record fits Go's 64-byte size class.
+	die  int32 // die of the run's first page
+	nRel int32 // offsets below nRel are programs that free buffer space when they land
 
 	startFn func()
 	endFn   func()
@@ -289,58 +290,188 @@ func (d *SSD) flushOpenPages() {
 // log-structured write stripe: first `host` pages that each release
 // `release` buffer bytes when durable, then `amp` write-amplification
 // pages that release nothing. Their energy was admitted at the ack point.
-//
-// Every page is ready at the same instant. When the pages fit on
-// distinct dies and all of those dies are free by then, they start
-// together and land together, so the whole run is one pageOp: one start
-// and one end event on the first die's chain, in place of two per page.
-// Posted per page, the run's events would take one contiguous range of
-// sequence numbers, since nothing else posts in between; the pair takes
-// the same place in the global (time, seq) order, and its bodies run the
-// per-page bodies in the same die order. Otherwise each page is a run of
-// one, queued behind its own die.
+// Every page is ready at the same instant and starts when its die is
+// free; postRuns posts the pages that share a start time as one run.
 func (d *SSD) programPages(host, amp int, release int64) {
-	k, n := host+amp, len(d.chDies)
+	k := host + amp
 	if k == 0 {
 		return
 	}
 	ready := max(d.eng.Now(), d.stateReadyAt)
-	free := k <= n
-	for i, die := 0, d.nextDie; free && i < k; i++ {
-		free = d.dieFreeAt[die] <= ready
-		die = d.dieAfter(die)
-	}
-	if free {
-		d.postPrograms(k, host, release, ready)
-		return
-	}
-	for i := 0; i < k; i++ {
-		nRel := 0
-		if i < host {
-			nRel = 1
-		}
-		d.postPrograms(1, nRel, release, max(ready, d.dieFreeAt[d.nextDie]))
-	}
-}
-
-// postPrograms posts one run of k programs starting at start on the next
-// k dies of the stripe, the first nRel of them releasing `release`
-// buffer bytes each.
-func (d *SSD) postPrograms(k, nRel int, release int64, start time.Duration) {
-	end := start + d.cfg.TProg + d.pageXfer
-	pg := d.getPage()
-	pg.die, pg.k, pg.group, pg.nRel, pg.release = d.nextDie, int32(k), nil, int32(nRel), release
+	dur := d.cfg.TProg + d.pageXfer
+	first := d.nextDie
+	var buf [16]pageRun
+	runs := buf[:0]
 	for i := 0; i < k; i++ {
 		die := d.nextDie
 		d.nextDie = d.dieAfter(die)
-		d.dieFreeAt[die] = end
+		start := max(ready, d.dieFreeAt[die])
+		d.dieFreeAt[die] = start + dur
 		d.taps.pagePrograms.Inc()
 		if d.tr.Enabled() {
-			d.tr.Span(d.laneDies[die], "ssd", "program", start, end)
+			d.tr.Span(d.laneDies[die], "ssd", "program", start, start+dur)
+		}
+		runs = addPage(runs, i, die, start)
+	}
+	d.postRuns(runs, first, k, dur, nil, host, release)
+}
+
+// readPath fans page reads out across the dies the request's pages map
+// to, then returns the data over the host link in one transfer. Each
+// page is admitted against the regulator in turn and starts when both
+// it and its die are ready; postRuns posts the pages that share a start
+// time as one run.
+func (op *ssdOp) readPath() {
+	d := op.d
+	r := op.r
+	firstPage := r.Offset / d.cfg.PageSize
+	lastPage := (r.Offset + r.Size - 1) / d.cfg.PageSize
+	k := int(lastPage - firstPage + 1)
+	op.remaining = k
+	dur := d.cfg.TRead + d.pageXfer
+	first := int(firstPage % int64(len(d.chDies)))
+	var buf [16]pageRun
+	runs := buf[:0]
+	for i, die := 0, first; i < k; i++ {
+		start := max(d.admit(d.eRead), d.dieFreeAt[die])
+		d.dieFreeAt[die] = start + dur
+		d.taps.pageReads.Inc()
+		if d.tr.Enabled() {
+			d.tr.Span(d.laneDies[die], "ssd", "read", start, start+dur)
+		}
+		runs = addPage(runs, i, die, start)
+		die = d.dieAfter(die)
+	}
+	d.postRuns(runs, first, k, dur, op, 0, 0)
+}
+
+// pageRun is a group of one call's pages that start at one instant: the
+// pages lo+o for each set bit o of mask, page lo on die, and later pages
+// on the dies that follow. A run spans at most 64 pages; a start time
+// whose pages span more takes several runs.
+type pageRun struct {
+	at   time.Duration
+	mask uint64
+	lo   int32
+	die  int32
+	pg   *pageOp
+}
+
+// hi returns the run's last page.
+func (r *pageRun) hi() int { return int(r.lo) + 63 - bits.LeadingZeros64(r.mask) }
+
+// addPage adds the call's page i, on die and starting at at, to the run
+// of pages that start then, and opens a run when none spans it.
+func addPage(runs []pageRun, i, die int, at time.Duration) []pageRun {
+	for j := len(runs) - 1; j >= 0; j-- {
+		if r := &runs[j]; r.at == at && i-int(r.lo) < 64 {
+			r.mask |= 1 << (i - int(r.lo))
+			return runs
 		}
 	}
-	d.chDies[pg.die].Post(start, pg.startFn)
-	d.chDies[pg.die].Post(end, pg.endFn)
+	return append(runs, pageRun{at: at, mask: 1, lo: int32(i), die: int32(die)})
+}
+
+// postRuns posts one call's page runs, each lasting dur, as one pageOp
+// apiece. The call's pages are 0…k-1 on the dies first, first+1, …
+// (wrapping at the die count); the first `host` of them each free
+// `release` buffer bytes when they land, and group is the read to fan in
+// to (nil for programs).
+//
+// Posted per page, a start and an end event each, in page order, the
+// call's events would take one contiguous range of sequence numbers,
+// since nothing else posts in between. So at any instant the call's
+// events fire as one block, in page order, in the same place in the
+// global (time, seq) order. postRuns posts every run's start and end in
+// (time, first page) order, so the block at each instant is the same
+// bodies in the same order, provided the runs co-timed there cover
+// disjoint page ranges: a run's body runs its pages in page order. A
+// run's end can fall at another's start. When their page ranges
+// interleave, the call is posted per page instead, the only case that
+// still costs two events per page.
+//
+// A run rides its first die's chain. Every event already on that chain
+// belongs to a run holding the die, so none is later than the die's
+// busy horizon, at or after which the run starts; and the call posts in
+// time order. So each chain's posts stay non-decreasing.
+func (d *SSD) postRuns(runs []pageRun, first, k int, dur time.Duration, group *ssdOp, host int, release int64) {
+	// Runs open in first-page order; a stable sort by start keeps
+	// co-timed runs in it. Ends fall in the same order as starts.
+	for i := 1; i < len(runs); i++ {
+		for j := i; j > 0 && runs[j].at < runs[j-1].at; j-- {
+			runs[j], runs[j-1] = runs[j-1], runs[j]
+		}
+	}
+	if d.perPage || len(runs) > 1 && interleaved(runs, dur) {
+		d.postPerPage(runs, first, k, dur, group, host, release)
+		return
+	}
+	for i, j := 0, 0; j < len(runs); {
+		r, at, end := nextEvent(runs, &i, &j, dur)
+		if end {
+			d.chDies[r.die].Post(at, r.pg.endFn)
+			continue
+		}
+		pg := d.getPage()
+		pg.group, pg.release, pg.mask = group, release, r.mask
+		pg.die, pg.nRel = r.die, int32(max(host-int(r.lo), 0))
+		r.pg = pg
+		d.chDies[r.die].Post(at, pg.startFn)
+	}
+}
+
+// nextEvent returns the run whose start or end comes next in (time,
+// first page) order, the event's time, and whether it is the end; i is
+// the next run to start and j the next to end. Ends come in the order of
+// starts, and a run's start always comes before its end, since dur is
+// positive (Config.validate).
+func nextEvent(runs []pageRun, i, j *int, dur time.Duration) (r *pageRun, at time.Duration, end bool) {
+	if *i < len(runs) {
+		s, e := &runs[*i], &runs[*j]
+		if s.at < e.at+dur || s.at == e.at+dur && s.lo < e.lo {
+			*i++
+			return s, s.at, false
+		}
+	}
+	e := &runs[*j]
+	*j++
+	return e, e.at + dur, true
+}
+
+// interleaved reports whether two of the runs, sorted by start, have
+// co-timed events whose page ranges interleave.
+func interleaved(runs []pageRun, dur time.Duration) bool {
+	prevAt, prevHi := time.Duration(-1), 0
+	for i, j := 0, 0; j < len(runs); {
+		r, at, _ := nextEvent(runs, &i, &j, dur)
+		if at == prevAt && int(r.lo) < prevHi {
+			return true
+		}
+		prevAt, prevHi = at, r.hi()
+	}
+	return false
+}
+
+// postPerPage posts each of the call's pages as a run of one, with its
+// start and end events in page order: the events the runs replace.
+func (d *SSD) postPerPage(runs []pageRun, first, k int, dur time.Duration, group *ssdOp, host int, release int64) {
+	for i, die := 0, first; i < k; i++ {
+		var at time.Duration
+		for _, r := range runs {
+			if o := i - int(r.lo); o >= 0 && o < 64 && r.mask>>o&1 == 1 {
+				at = r.at
+				break
+			}
+		}
+		pg := d.getPage()
+		pg.group, pg.release, pg.mask, pg.die, pg.nRel = group, release, 1, int32(die), 0
+		if i < host {
+			pg.nRel = 1
+		}
+		d.chDies[die].Post(at, pg.startFn)
+		d.chDies[die].Post(at+dur, pg.endFn)
+		die = d.dieAfter(die)
+	}
 }
 
 // dieAfter returns the die that follows die in the write stripe.
@@ -351,30 +482,38 @@ func (d *SSD) dieAfter(die int) int {
 	return die
 }
 
+// dieAt returns the die o places after die.
+func (d *SSD) dieAt(die int32, o int) power.Component {
+	x := int(die) + o
+	if n := len(d.chDies); x >= n {
+		x %= n
+	}
+	return d.cDie0 + power.Component(x)
+}
+
 func (pg *pageOp) start() {
 	d := pg.d
-	d.taps.diesBusy.Add(int64(pg.k))
+	d.taps.diesBusy.Add(int64(bits.OnesCount64(pg.mask)))
 	w := d.pProgEff
 	if pg.group != nil {
 		w = d.pReadEff
 	}
 	now := d.eng.Now()
-	for i, die := int32(0), pg.die; i < pg.k; i++ {
-		d.meter.Set(d.cDie0+power.Component(die), w, now)
-		die = d.dieAfter(die)
+	for m := pg.mask; m != 0; m &= m - 1 {
+		d.meter.Set(d.dieAt(pg.die, bits.TrailingZeros64(m)), w, now)
 	}
 }
 
 func (pg *pageOp) end() {
-	d, die, k, group, nRel, release := pg.d, pg.die, pg.k, pg.group, pg.nRel, pg.release
+	d, die, mask, group, nRel, release := pg.d, pg.die, pg.mask, pg.group, int(pg.nRel), pg.release
 	pg.group = nil
 	pg.next = d.freePage
 	d.freePage = pg
-	d.taps.diesBusy.Add(int64(-k))
+	d.taps.diesBusy.Add(-int64(bits.OnesCount64(mask)))
 	now := d.eng.Now()
-	for i := int32(0); i < k; i++ {
-		d.meter.Set(d.cDie0+power.Component(die), 0, now)
-		die = d.dieAfter(die)
+	for m := mask; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		d.meter.Set(d.dieAt(die, o), 0, now)
 		if group != nil {
 			group.remaining--
 			if group.remaining == 0 {
@@ -382,36 +521,10 @@ func (pg *pageOp) end() {
 			}
 			continue
 		}
-		if i < nRel {
+		if o < nRel {
 			d.releaseBuffer(release)
 		}
 		d.armAPST()
-	}
-}
-
-// readPath fans page reads out across the dies the request's pages map
-// to, then returns the data over the host link in one transfer.
-func (op *ssdOp) readPath() {
-	d := op.d
-	r := op.r
-	firstPage := r.Offset / d.cfg.PageSize
-	lastPage := (r.Offset + r.Size - 1) / d.cfg.PageSize
-	op.remaining = int(lastPage - firstPage + 1)
-	opDur := d.cfg.TRead + d.pageXfer
-	for p := firstPage; p <= lastPage; p++ {
-		die := int(p % int64(len(d.chDies)))
-		ready := d.admit(d.eRead)
-		start := max(ready, d.dieFreeAt[die])
-		end := start + opDur
-		d.dieFreeAt[die] = end
-		d.taps.pageReads.Inc()
-		if d.tr.Enabled() {
-			d.tr.Span(d.laneDies[die], "ssd", "read", start, end)
-		}
-		pg := d.getPage()
-		pg.die, pg.k, pg.group, pg.nRel, pg.release = die, 1, op, 0, 0
-		d.chDies[die].Post(start, pg.startFn)
-		d.chDies[die].Post(end, pg.endFn)
 	}
 }
 

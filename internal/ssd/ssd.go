@@ -54,6 +54,10 @@ type SSD struct {
 	// Free lists for the pooled IO-path records (see io.go).
 	freeOp   *ssdOp
 	freePage *pageOp
+	// perPage posts every NAND page as its own start/end event pair,
+	// the exactness fallback of postRuns; tests set it to hold the page
+	// runs to the events they replace.
+	perPage bool
 
 	// FTL state. hostPending and ampPending are bytes accumulated in
 	// open pages awaiting a full-page program; a flush timer programs

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"wattio/internal/device"
 	"wattio/internal/sim"
@@ -90,6 +91,36 @@ func TestNewAllocsIndependentOfDies(t *testing.T) {
 	names, _ := d.EnergyComponents()
 	if got := names[len(names)-1]; got != "die127" {
 		t.Fatalf("last meter component %q, want die127", got)
+	}
+}
+
+// TestPageOpFitsSizeClass: a device holds a pageOp per page run in
+// flight, and a field past 64 bytes moves the record to Go's next size
+// class.
+func TestPageOpFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(pageOp{}); n > 64 {
+		t.Fatalf("pageOp is %d bytes, want at most 64", n)
+	}
+}
+
+// TestPageRunsAllocateNothing: once the device's pools are warm, writes
+// and reads whose pages start at several times allocate nothing. A
+// 16 KiB write leaves its die programming; the 128 KiB read submitted on
+// its ack and the 128 KiB write behind it each cover all 8 dies, so each
+// waits for that die.
+func TestPageRunsAllocateNothing(t *testing.T) {
+	d, eng := newTest(t, nil)
+	read := func() {
+		d.Submit(device.Request{Op: device.OpRead, Offset: 16 << 10, Size: 128 << 10}, func() {})
+	}
+	burst := func() {
+		d.Submit(device.Request{Op: device.OpWrite, Size: 16 << 10}, read)
+		d.Submit(device.Request{Op: device.OpWrite, Offset: 1 << 20, Size: 128 << 10}, func() {})
+		eng.Run()
+	}
+	burst()
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Fatalf("a burst allocates %.1f times, want 0", n)
 	}
 }
 
