@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,11 +22,24 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/pin_digests.txt from the current device model")
 
-// pinDigestFile pins each pinShape's outcome: one "shape digest" line
-// per shape, the digest being the first 8 bytes of the SHA-256 over the
-// run's completion times, per-component energies, final EnergyJ and
-// per-die busy horizons. Equal digests mean a bit-identical device run.
+// pinDigestFile pins each pinShape's outcome: one "shape digest dieJ"
+// line per shape. The digest is the first 8 bytes of the SHA-256 over
+// the run's completion times, device-level component energies, final
+// EnergyJ and per-die busy horizons; equal digests mean a bit-identical
+// device run. dieJ is the energy the meter books to the dies, which
+// only has to agree within dieEnergyTol: how the dies' share is split
+// into records is free to change, but not what they draw.
 const pinDigestFile = "testdata/pin_digests.txt"
+
+// dieEnergyTol bounds the relative difference between a run's die
+// energy and its recorded value: summing the dies' share in another
+// order moves only its last bits.
+const dieEnergyTol = 1e-12
+
+// deviceComponents is the number of device-level meter components
+// (controller, interface, cmd, ripple, transition); the components after
+// them carry the dies' draw.
+const deviceComponents = 5
 
 // pinShape is one device-level run: a closed loop of fixed-size random
 // requests against one SSD.
@@ -86,8 +100,9 @@ func pinShapes() []pinShape {
 	}
 }
 
-// runPin runs one shape to quiescence and returns its digest.
-func runPin(t *testing.T, s pinShape) string {
+// runPin runs one shape to quiescence and returns its digest and die
+// energy.
+func runPin(t *testing.T, s pinShape) (string, float64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	eng := sim.NewEngine()
@@ -141,11 +156,11 @@ func runPin(t *testing.T, s pinShape) string {
 	if reg.Counter(s.guard).Value() == 0 {
 		t.Fatalf("%s: %s stayed 0; the shape no longer covers its case", s.name, s.guard)
 	}
-	return runDigest(d, done)
+	return runDigest(d, done), dieEnergy(d)
 }
 
-// runDigest hashes a finished run: its completion times, per-component
-// energies, final EnergyJ and per-die busy horizons.
+// runDigest hashes a finished run: its completion times, device-level
+// component energies, final EnergyJ and per-die busy horizons.
 func runDigest(d *ssd.SSD, done []time.Duration) string {
 	h := sha256.New()
 	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
@@ -153,7 +168,7 @@ func runDigest(d *ssd.SSD, done []time.Duration) string {
 		put(uint64(at))
 	}
 	names, joules := d.EnergyComponents()
-	for i, n := range names {
+	for i, n := range names[:deviceComponents] {
 		h.Write([]byte(n))
 		put(math.Float64bits(joules[i]))
 	}
@@ -165,17 +180,33 @@ func runDigest(d *ssd.SSD, done []time.Duration) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// dieEnergy returns the joules the meter books to the dies, in total.
+func dieEnergy(d *ssd.SSD) float64 {
+	_, joules := d.EnergyComponents()
+	var sum float64
+	for _, j := range joules[deviceComponents:] {
+		sum += j
+	}
+	return sum
+}
+
 // TestPinDigests holds the device model to its recorded behaviour: a
 // change to how the IO path schedules its events, rather than to what
 // the device does, keeps every digest. Regenerate with
 // `go test ./internal/ssd -run TestPinDigests -update` only for a change
 // meant to move device results.
 func TestPinDigests(t *testing.T) {
-	var b strings.Builder
-	for _, s := range pinShapes() {
-		fmt.Fprintf(&b, "%s %s\n", s.name, runPin(t, s))
+	shapes := pinShapes()
+	digests := make([]string, len(shapes))
+	dieJ := make([]float64, len(shapes))
+	for i, s := range shapes {
+		digests[i], dieJ[i] = runPin(t, s)
 	}
 	if *update {
+		var b strings.Builder
+		for i, s := range shapes {
+			fmt.Fprintf(&b, "%s %s %s\n", s.name, digests[i], strconv.FormatFloat(dieJ[i], 'g', -1, 64))
+		}
 		if err := os.WriteFile(pinDigestFile, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -185,14 +216,24 @@ func TestPinDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (record it with -update)", err)
 	}
-	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
-	gotLines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(wantLines) != len(gotLines) {
-		t.Fatalf("%s has %d shapes, the test has %d", pinDigestFile, len(wantLines), len(gotLines))
+	lines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(lines) != len(shapes) {
+		t.Fatalf("%s has %d shapes, the test has %d", pinDigestFile, len(lines), len(shapes))
 	}
-	for i := range gotLines {
-		if gotLines[i] != wantLines[i] {
-			t.Errorf("device run moved: got %q, want %q", gotLines[i], wantLines[i])
+	for i, s := range shapes {
+		f := strings.Fields(lines[i])
+		if len(f) != 3 || f[0] != s.name {
+			t.Fatalf("%s line %d: %q, want \"%s digest dieJ\"", pinDigestFile, i+1, lines[i], s.name)
+		}
+		if digests[i] != f[1] {
+			t.Errorf("%s: device run moved: digest %s, want %s", s.name, digests[i], f[1])
+		}
+		wantJ, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(dieJ[i]-wantJ) > dieEnergyTol*math.Abs(wantJ) {
+			t.Errorf("%s: die energy %v J, want %v J", s.name, dieJ[i], wantJ)
 		}
 	}
 }
