@@ -58,6 +58,15 @@ func (m *Meter) AddComponent(name string, w float64) Component {
 // Energy is integrated at the previous rate up to now first, so ordering
 // of co-timed updates does not change the integral.
 func (m *Meter) Set(c Component, w float64, now time.Duration) {
+	m.SetSteps(c, w, w-m.comps[c].w, 1, now)
+}
+
+// SetSteps updates component c to draw w watts as of virtual time now,
+// moving the meter's total by k separate adds of step. A component that
+// stands for k units changing at once (k dies starting a program, each
+// adding step watts) thus leaves the total exactly where k Set calls on
+// k per-unit components would have left it.
+func (m *Meter) SetSteps(c Component, w, step float64, k int, now time.Duration) {
 	m.integrate(now)
 	p := &m.comps[c]
 	// Components spend much of their life at zero draw (idle dies), and
@@ -66,7 +75,9 @@ func (m *Meter) Set(c Component, w float64, now time.Duration) {
 		p.e += p.w * dt.Seconds()
 	}
 	p.last = now
-	m.total += w - p.w
+	for ; k > 0; k-- {
+		m.total += step
+	}
 	p.w = w
 }
 

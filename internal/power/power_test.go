@@ -297,3 +297,52 @@ func TestRegulatorMatchesRollingAverageUnderLoad(t *testing.T) {
 		t.Fatalf("sustained average = %.3f W, want ≈ %.1f W", got, rate)
 	}
 }
+
+// TestMeterSetStepsMatchesPerUnitSets: one component stepping for k
+// units leaves the total, and so the energy, bit-identical to k
+// per-unit components each Set in turn, and its own energy is the units'
+// sum.
+func TestMeterSetStepsMatchesPerUnitSets(t *testing.T) {
+	const units, w = 7, 0.123456789
+	per, one := NewMeter(0, 1+units), NewMeter(0, 2)
+	per.AddComponent("controller", 1.1)
+	one.AddComponent("controller", 1.1)
+	dies := make([]Component, units)
+	for i := range dies {
+		dies[i] = per.AddComponent(fmt.Sprintf("die%d", i), 0)
+	}
+	all := one.AddComponent("dies", 0)
+	busy := 0
+	// Units start and end in overlapping waves, several at one instant.
+	for step, k := range []int{3, 2, -1, 3, -4, 2, -5} {
+		now := time.Duration(step+1) * 333 * time.Microsecond
+		if k > 0 {
+			for i := busy; i < busy+k; i++ {
+				per.Set(dies[i], w, now)
+			}
+			one.SetSteps(all, float64(busy+k)*w, w, k, now)
+		} else {
+			for i := busy - 1; i >= busy+k; i-- {
+				per.Set(dies[i], 0, now)
+			}
+			for i := 0; i < -k; i++ {
+				one.SetSteps(all, float64(busy-i-1)*w, -w, 1, now)
+			}
+		}
+		busy += k
+		if per.Instant(now) != one.Instant(now) {
+			t.Fatalf("step %d: total %v per unit, %v stepped", step, per.Instant(now), one.Instant(now))
+		}
+	}
+	end := 3 * time.Millisecond
+	if a, b := per.Energy(end), one.Energy(end); a != b {
+		t.Fatalf("energy %v per unit, %v stepped", a, b)
+	}
+	var sum float64
+	for _, j := range per.EnergyBreakdown(end)[1:] {
+		sum += j
+	}
+	if got := one.EnergyBreakdown(end)[1]; math.Abs(got-sum) > 1e-12*sum {
+		t.Fatalf("stepped component %v J, units' sum %v J", got, sum)
+	}
+}

@@ -61,8 +61,8 @@ type Engine struct {
 	free *Timer // free list of pooled (Post) timers
 
 	// chainExtra counts events queued on Chains but not represented in
-	// the heap or on the wheel: every event beyond a chain's head, plus
-	// the head itself while the chain is parked. Pending sums it in.
+	// the heap or on the wheel: every event beyond a chain's head.
+	// Pending sums it in.
 	chainExtra int
 
 	// Timing wheel holding every timer — plain or chain representative —
@@ -527,13 +527,9 @@ func (e *Engine) fireChain(c *Chain) {
 	if e.dispatched&heapGaugeMask == 0 {
 		e.gHeap.Set(int64(len(e.pq) + e.parkedPlain))
 	}
-	mask := len(c.ring) - 1
-	ev := c.ring[c.head]
-	c.ring[c.head].fn = nil
-	c.head = (c.head + 1) & mask
-	c.n--
-	if c.n > 0 {
-		h := &c.ring[c.head]
+	ev := c.pop()
+	if c.Len() > 0 {
+		h := &c.evs[c.head]
 		rep.at, rep.seq = h.at, h.seq
 		if h.at < e.wBase+wheelWidth {
 			e.pq[0].at = h.at
@@ -613,9 +609,9 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 }
 
 // Pending returns the number of events still queued (including events at
-// the current instant, events buffered on Chains, events on the timing
-// wheel, and events held by parked chains). Stopped timers leave the queue immediately, so this is
-// a live count, O(1).
+// the current instant, events queued on Chains, and events on the timing
+// wheel). Stopped timers leave the queue immediately, so this is a live
+// count, O(1).
 func (e *Engine) Pending() int {
 	return len(e.pq) + e.chainExtra + e.wheelCnt + e.overflowCnt
 }

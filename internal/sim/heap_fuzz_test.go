@@ -6,13 +6,16 @@ import (
 	"time"
 )
 
-// The engine's inlined 4-ary heap (plus the chain ring buffers and the
+// The engine's inlined 4-ary heap (plus the chains' sorted queues and the
 // timing wheel in front of it) must fire events in exactly the order a
 // textbook priority queue over (time, seq) would. FuzzHeapDifferential
 // drives both from the same random script of schedule / post / chain-post
-// / stop / reschedule / periodic / step / advance / park-unpark
-// operations and requires identical fire sequences, including FIFO
-// order among co-timed events. Far chain posts step in eighths of the
+// / stop / reschedule / periodic / step / advance operations and
+// requires identical fire sequences, including FIFO order among
+// co-timed events. Chain posts land in any order at or after now, on
+// three chains of one slab: near posts behind far ones, and early posts
+// that become a chain's new head and re-key its representative wherever
+// it waits. Far chain posts step in eighths of the
 // wheel span so the fuzzer reaches the exact wheel/overflow boundary
 // (at == wBase+wheelSpan), which must park on the wheel, not the
 // overflow list. Far plain timers step in sixteenths of the span plus a
@@ -66,7 +69,7 @@ func FuzzHeapDifferential(f *testing.F) {
 	// the window jump cannot move wBase) must file on the wheel.
 	f.Add([]byte{6, 0, 6, 7, 5, 0, 5, 0, 5, 0})
 	f.Add([]byte{6, 7, 7, 0, 7, 0, 5, 0, 6, 7, 5, 0, 5, 0})
-	// Park/unpark interleaved with near-heap traffic.
+	// Early chain posts interleaved with near-heap traffic.
 	f.Add([]byte{2, 0, 7, 0, 1, 10, 5, 0, 7, 0, 5, 0, 5, 0})
 	// A parked plain timer rescheduled into a different bucket, then
 	// back into the near window.
@@ -96,31 +99,29 @@ func FuzzHeapDifferential(f *testing.F) {
 	// Periodic timers re-arming onto the wheel and across revolutions,
 	// one rescheduled and one stopped mid-series.
 	f.Add([]byte{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0})
-	// Six posts on one slab chain outgrow its four inline ring slots,
-	// first from an unwrapped ring, then (after two steps move the head)
-	// from a wrapped one, with its slab neighbour interleaved.
+	// Six posts on one slab chain outgrow its four inline slots, first
+	// from a fresh chain, then after two steps have popped its head,
+	// with its slab neighbour interleaved.
 	f.Add([]byte{2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 1, 5, 0, 5, 0, 2, 14, 2, 16, 2, 18, 2, 20, 2, 22, 5, 0})
 	f.Add([]byte{2, 2, 2, 4, 2, 6, 5, 0, 5, 0, 2, 8, 2, 10, 2, 12, 2, 14, 5, 0, 5, 0})
-	// A parked slab chain buffering past its inline slots, then unparked.
+	// A slab chain queueing past its inline slots while early posts
+	// keep taking its head.
 	f.Add([]byte{2, 2, 7, 0, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 3, 7, 0, 5, 0, 5, 0})
+	// Far posts on all three chains (on the wheel and beyond its span),
+	// then early posts that pull each representative back into the near
+	// heap, co-timed with one another and with plain posts.
+	f.Add([]byte{6, 0, 6, 1, 6, 10, 6, 11, 7, 0, 7, 1, 7, 2, 1, 0, 7, 4, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
+	// Descending near posts on one chain, each the new head.
+	f.Add([]byte{2, 200, 2, 150, 2, 100, 2, 50, 2, 0, 7, 3, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine()
-		slab := e.NewChains(2)
-		chains := [2]*Chain{&slab[0], &slab[1]}
+		slab := e.NewChains(3)
+		chains := [3]*Chain{&slab[0], &slab[1], &slab[2]}
 
 		var ref refHeap
 		var refSeq uint64
 		nextID := 0
-
-		// Reference model of the chains, for park/unpark: the FIFO of
-		// unfired chain-routed events per chain (mirroring each ring),
-		// whether the chain is parked, and the chain's last posted time
-		// (mirroring PostLoose's routing decision). While a chain is
-		// parked its events live only in chainQ, not in ref.
-		var chainQ [2][]refEv
-		var parked [2]bool
-		var chainLast [2]time.Duration
 
 		var engFired, refFired []int
 
@@ -209,28 +210,11 @@ func FuzzHeapDifferential(f *testing.F) {
 			return time.Duration(arg%64+1)*(wheelSpan/16) + time.Duration(arg>>6)*wheelWidth
 		}
 
-		// chainPost mirrors Chain.PostLoose: events that preserve the
-		// chain's time order ride the ring (and are withheld from ref
-		// while the chain is parked); others fall back to a plain post.
 		chainPost := func(k int, at time.Duration) {
 			id := nextID
 			nextID++
-			if at >= chainLast[k] {
-				chainLast[k] = at
-				ev := refEv{at, refSeq, id, -1}
-				refSeq++
-				chainQ[k] = append(chainQ[k], ev)
-				if !parked[k] {
-					heap.Push(&ref, ev)
-				}
-				chains[k].PostLoose(at, func() {
-					engFired = append(engFired, id)
-					chainQ[k] = chainQ[k][1:]
-				})
-			} else {
-				chains[k].PostLoose(at, func() { engFired = append(engFired, id) })
-				push(at, id, -1)
-			}
+			chains[k].Post(at, func() { engFired = append(engFired, id) })
+			push(at, id, -1)
 		}
 
 		for i := 0; i+1 < len(script) && nextID < 512; i += 2 {
@@ -245,7 +229,7 @@ func FuzzHeapDifferential(f *testing.F) {
 				nextID++
 				e.Post(at, func() { engFired = append(engFired, id) })
 				push(at, id, -1)
-			case 2: // chain post (loose: tolerates non-monotone times)
+			case 2: // near chain post, often behind the chain's far posts
 				chainPost(int(arg)%2, at)
 			case 3: // stop an owned timer
 				if len(owned) == 0 {
@@ -271,21 +255,8 @@ func FuzzHeapDifferential(f *testing.F) {
 			case 6: // far post in span-eighths: wheel parking, exact span boundary, overflow
 				farAt := e.Now() + time.Duration(int(arg)%32+1)*(wheelSpan/8)
 				chainPost(int(arg)%2, farAt)
-			case 7: // park / unpark a chain
-				k := int(arg) % 2
-				if !parked[k] {
-					parked[k] = true
-					chains[k].Park()
-					for _, ev := range chainQ[k] {
-						ref.removeID(ev.id)
-					}
-				} else if len(chainQ[k]) == 0 || chainQ[k][0].at >= e.Now() {
-					parked[k] = false
-					chains[k].Unpark()
-					for _, ev := range chainQ[k] {
-						heap.Push(&ref, ev)
-					}
-				} // else: time passed the parked head; unparking would panic, skip
+			case 7: // early chain post: within a few ns of now, usually the chain's new head
+				chainPost(int(arg)%3, e.Now()+time.Duration(arg>>2))
 			case 8: // schedule an owned timer far out: wheel or overflow
 				own(e.Now()+farDelta(arg), 0)
 			case 9: // reschedule an owned timer far out
@@ -321,28 +292,11 @@ func FuzzHeapDifferential(f *testing.F) {
 				}
 				reschedule(int(arg)%len(owned), e.Now()+time.Duration(arg%8))
 			}
-			withheld := 0
-			for k := range chains {
-				if parked[k] {
-					withheld += len(chainQ[k])
-				}
-			}
-			if e.Pending() != ref.Len()+withheld {
-				t.Fatalf("op %d: Pending() = %d, reference = %d + %d withheld", i, e.Pending(), ref.Len(), withheld)
+			if e.Pending() != ref.Len() {
+				t.Fatalf("op %d: Pending() = %d, reference = %d", i, e.Pending(), ref.Len())
 			}
 		}
 
-		// Unpark whatever can still legally fire; chains whose parked head
-		// is already in the past stay parked on both sides.
-		for k := range chains {
-			if parked[k] && (len(chainQ[k]) == 0 || chainQ[k][0].at >= e.Now()) {
-				parked[k] = false
-				chains[k].Unpark()
-				for _, ev := range chainQ[k] {
-					heap.Push(&ref, ev)
-				}
-			}
-		}
 		for step(len(script)) {
 		}
 

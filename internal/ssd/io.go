@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wattio/internal/device"
-	"wattio/internal/power"
 )
 
 // occupy reserves a serialized resource whose availability horizon is
@@ -105,18 +104,15 @@ func (d *SSD) getOp() *ssdOp {
 // pageOp is a run of NAND page operations (programs or reads) of one
 // programPages or readPath call that all start at one instant and end at
 // one instant: a power-on event at start and a power-off/bookkeeping
-// event at end, both riding the chain of the run's first die. The run's
-// pages sit at the offsets o of mask's set bits from its first page,
-// which is on die; the page at offset o is on the o-th die after it (see
-// postRuns). Pooled like ssdOp.
+// event at end, both on the device's NAND chain. The run's pages sit at
+// the offsets o of mask's set bits from its first page (see postRuns).
+// Pooled like ssdOp.
 type pageOp struct {
 	d       *SSD
 	group   *ssdOp // read fan-in target; nil for a program
 	release int64  // buffer bytes each releasing program frees
 	mask    uint64 // the run's pages, as offsets from its first
-	// die and nRel are int32 so the record fits Go's 64-byte size class.
-	die  int32 // die of the run's first page
-	nRel int32 // offsets below nRel are programs that free buffer space when they land
+	nRel    int    // offsets below nRel are programs that free buffer space when they land
 
 	startFn func()
 	endFn   func()
@@ -176,7 +172,7 @@ func (op *ssdOp) cmdEnd() {
 	// Admit the host-path energy (command + link transfer) against
 	// the power-state regulator before moving data.
 	ready := d.admit(op.eCmd + d.linkEnergyJ(op.r.Size))
-	d.chReady.PostLoose(ready, op.pathReadyFn)
+	d.chReady.Post(ready, op.pathReadyFn)
 }
 
 func (op *ssdOp) pathReady() {
@@ -212,7 +208,7 @@ func (op *ssdOp) wXferEnd() {
 	d := op.d
 	d.meter.Set(d.cIface, d.cfg.PIfaceIdle, d.eng.Now())
 	insert := d.cfg.TWriteAck + time.Duration(float64(op.r.Size)/(d.cfg.InsertBWMBps*1e6)*float64(time.Second))
-	d.chInsert.PostLoose(d.eng.Now()+insert, op.wInsertFn)
+	d.chInsert.Post(d.eng.Now()+insert, op.wInsertFn)
 }
 
 func (op *ssdOp) wInsert() {
@@ -227,7 +223,7 @@ func (op *ssdOp) wInsert() {
 	op.nandBytes = nandBytes
 	energy := d.eProg * nandBytes / float64(d.cfg.PageSize)
 	ready := d.admit(energy)
-	d.chReady.PostLoose(ready, op.wAckReadyFn)
+	d.chReady.Post(ready, op.wAckReadyFn)
 }
 
 func (op *ssdOp) wAckReady() {
@@ -299,7 +295,6 @@ func (d *SSD) programPages(host, amp int, release int64) {
 	}
 	ready := max(d.eng.Now(), d.stateReadyAt)
 	dur := d.cfg.TProg + d.pageXfer
-	first := d.nextDie
 	var buf [16]pageRun
 	runs := buf[:0]
 	for i := 0; i < k; i++ {
@@ -311,9 +306,9 @@ func (d *SSD) programPages(host, amp int, release int64) {
 		if d.tr.Enabled() {
 			d.tr.Span(d.laneDies[die], "ssd", "program", start, start+dur)
 		}
-		runs = addPage(runs, i, die, start)
+		runs = addPage(runs, i, start)
 	}
-	d.postRuns(runs, first, k, dur, nil, host, release)
+	d.postRuns(runs, k, dur, nil, host, release)
 }
 
 // readPath fans page reads out across the dies the request's pages map
@@ -329,7 +324,7 @@ func (op *ssdOp) readPath() {
 	k := int(lastPage - firstPage + 1)
 	op.remaining = k
 	dur := d.cfg.TRead + d.pageXfer
-	first := int(firstPage % int64(len(d.chDies)))
+	first := int(firstPage % int64(len(d.dieFreeAt)))
 	var buf [16]pageRun
 	runs := buf[:0]
 	for i, die := 0, first; i < k; i++ {
@@ -339,44 +334,41 @@ func (op *ssdOp) readPath() {
 		if d.tr.Enabled() {
 			d.tr.Span(d.laneDies[die], "ssd", "read", start, start+dur)
 		}
-		runs = addPage(runs, i, die, start)
+		runs = addPage(runs, i, start)
 		die = d.dieAfter(die)
 	}
-	d.postRuns(runs, first, k, dur, op, 0, 0)
+	d.postRuns(runs, k, dur, op, 0, 0)
 }
 
 // pageRun is a group of one call's pages that start at one instant: the
-// pages lo+o for each set bit o of mask, page lo on die, and later pages
-// on the dies that follow. A run spans at most 64 pages; a start time
-// whose pages span more takes several runs.
+// pages lo+o for each set bit o of mask. A run spans at most 64 pages; a
+// start time whose pages span more takes several runs.
 type pageRun struct {
 	at   time.Duration
 	mask uint64
-	lo   int32
-	die  int32
+	lo   int
 	pg   *pageOp
 }
 
 // hi returns the run's last page.
-func (r *pageRun) hi() int { return int(r.lo) + 63 - bits.LeadingZeros64(r.mask) }
+func (r *pageRun) hi() int { return r.lo + 63 - bits.LeadingZeros64(r.mask) }
 
-// addPage adds the call's page i, on die and starting at at, to the run
-// of pages that start then, and opens a run when none spans it.
-func addPage(runs []pageRun, i, die int, at time.Duration) []pageRun {
+// addPage adds the call's page i, starting at at, to the run of pages
+// that start then, and opens a run when none spans it.
+func addPage(runs []pageRun, i int, at time.Duration) []pageRun {
 	for j := len(runs) - 1; j >= 0; j-- {
-		if r := &runs[j]; r.at == at && i-int(r.lo) < 64 {
-			r.mask |= 1 << (i - int(r.lo))
+		if r := &runs[j]; r.at == at && i-r.lo < 64 {
+			r.mask |= 1 << (i - r.lo)
 			return runs
 		}
 	}
-	return append(runs, pageRun{at: at, mask: 1, lo: int32(i), die: int32(die)})
+	return append(runs, pageRun{at: at, mask: 1, lo: i})
 }
 
 // postRuns posts one call's page runs, each lasting dur, as one pageOp
-// apiece. The call's pages are 0…k-1 on the dies first, first+1, …
-// (wrapping at the die count); the first `host` of them each free
-// `release` buffer bytes when they land, and group is the read to fan in
-// to (nil for programs).
+// apiece. The call's pages are 0…k-1 on consecutive dies; the first
+// `host` of them each free `release` buffer bytes when they land, and
+// group is the read to fan in to (nil for programs).
 //
 // Posted per page, a start and an end event each, in page order, the
 // call's events would take one contiguous range of sequence numbers,
@@ -389,12 +381,7 @@ func addPage(runs []pageRun, i, die int, at time.Duration) []pageRun {
 // run's end can fall at another's start. When their page ranges
 // interleave, the call is posted per page instead, the only case that
 // still costs two events per page.
-//
-// A run rides its first die's chain. Every event already on that chain
-// belongs to a run holding the die, so none is later than the die's
-// busy horizon, at or after which the run starts; and the call posts in
-// time order. So each chain's posts stay non-decreasing.
-func (d *SSD) postRuns(runs []pageRun, first, k int, dur time.Duration, group *ssdOp, host int, release int64) {
+func (d *SSD) postRuns(runs []pageRun, k int, dur time.Duration, group *ssdOp, host int, release int64) {
 	// Runs open in first-page order; a stable sort by start keeps
 	// co-timed runs in it. Ends fall in the same order as starts.
 	for i := 1; i < len(runs); i++ {
@@ -403,20 +390,19 @@ func (d *SSD) postRuns(runs []pageRun, first, k int, dur time.Duration, group *s
 		}
 	}
 	if d.perPage || len(runs) > 1 && interleaved(runs, dur) {
-		d.postPerPage(runs, first, k, dur, group, host, release)
+		d.postPerPage(runs, k, dur, group, host, release)
 		return
 	}
 	for i, j := 0, 0; j < len(runs); {
 		r, at, end := nextEvent(runs, &i, &j, dur)
 		if end {
-			d.chDies[r.die].Post(at, r.pg.endFn)
+			d.chNand.Post(at, r.pg.endFn)
 			continue
 		}
 		pg := d.getPage()
-		pg.group, pg.release, pg.mask = group, release, r.mask
-		pg.die, pg.nRel = r.die, int32(max(host-int(r.lo), 0))
+		pg.group, pg.release, pg.mask, pg.nRel = group, release, r.mask, max(host-r.lo, 0)
 		r.pg = pg
-		d.chDies[r.die].Post(at, pg.startFn)
+		d.chNand.Post(at, pg.startFn)
 	}
 }
 
@@ -444,7 +430,7 @@ func interleaved(runs []pageRun, dur time.Duration) bool {
 	prevAt, prevHi := time.Duration(-1), 0
 	for i, j := 0, 0; j < len(runs); {
 		r, at, _ := nextEvent(runs, &i, &j, dur)
-		if at == prevAt && int(r.lo) < prevHi {
+		if at == prevAt && r.lo < prevHi {
 			return true
 		}
 		prevAt, prevHi = at, r.hi()
@@ -454,66 +440,71 @@ func interleaved(runs []pageRun, dur time.Duration) bool {
 
 // postPerPage posts each of the call's pages as a run of one, with its
 // start and end events in page order: the events the runs replace.
-func (d *SSD) postPerPage(runs []pageRun, first, k int, dur time.Duration, group *ssdOp, host int, release int64) {
-	for i, die := 0, first; i < k; i++ {
+func (d *SSD) postPerPage(runs []pageRun, k int, dur time.Duration, group *ssdOp, host int, release int64) {
+	for i := 0; i < k; i++ {
 		var at time.Duration
 		for _, r := range runs {
-			if o := i - int(r.lo); o >= 0 && o < 64 && r.mask>>o&1 == 1 {
+			if o := i - r.lo; o >= 0 && o < 64 && r.mask>>o&1 == 1 {
 				at = r.at
 				break
 			}
 		}
 		pg := d.getPage()
-		pg.group, pg.release, pg.mask, pg.die, pg.nRel = group, release, 1, int32(die), 0
+		pg.group, pg.release, pg.mask, pg.nRel = group, release, 1, 0
 		if i < host {
 			pg.nRel = 1
 		}
-		d.chDies[die].Post(at, pg.startFn)
-		d.chDies[die].Post(at+dur, pg.endFn)
-		die = d.dieAfter(die)
+		d.chNand.Post(at, pg.startFn)
+		d.chNand.Post(at+dur, pg.endFn)
 	}
 }
 
 // dieAfter returns the die that follows die in the write stripe.
 func (d *SSD) dieAfter(die int) int {
-	if die++; die == len(d.chDies) {
+	if die++; die == len(d.dieFreeAt) {
 		return 0
 	}
 	return die
 }
 
-// dieAt returns the die o places after die.
-func (d *SSD) dieAt(die int32, o int) power.Component {
-	x := int(die) + o
-	if n := len(d.chDies); x >= n {
-		x %= n
-	}
-	return d.cDie0 + power.Component(x)
+// diesW returns the draw of the busy dies.
+func (d *SSD) diesW() float64 {
+	return float64(d.busyProg)*d.pProgEff + float64(d.busyRead)*d.pReadEff
 }
 
+// start powers the run's dies. The meter's total moves by one step per
+// die, the adds a per-die record's Set would make.
 func (pg *pageOp) start() {
 	d := pg.d
-	d.taps.diesBusy.Add(int64(bits.OnesCount64(pg.mask)))
+	k := bits.OnesCount64(pg.mask)
+	d.taps.diesBusy.Add(int64(k))
 	w := d.pProgEff
 	if pg.group != nil {
 		w = d.pReadEff
+		d.busyRead += k
+	} else {
+		d.busyProg += k
 	}
-	now := d.eng.Now()
-	for m := pg.mask; m != 0; m &= m - 1 {
-		d.meter.Set(d.dieAt(pg.die, bits.TrailingZeros64(m)), w, now)
-	}
+	d.meter.SetSteps(d.cDies, d.diesW(), w, k, d.eng.Now())
 }
 
+// end powers each of the run's dies off in page order, just before that
+// page's bookkeeping.
 func (pg *pageOp) end() {
-	d, die, mask, group, nRel, release := pg.d, pg.die, pg.mask, pg.group, int(pg.nRel), pg.release
+	d, mask, group, nRel, release := pg.d, pg.mask, pg.group, pg.nRel, pg.release
 	pg.group = nil
 	pg.next = d.freePage
 	d.freePage = pg
 	d.taps.diesBusy.Add(-int64(bits.OnesCount64(mask)))
 	now := d.eng.Now()
+	w, busy := -d.pProgEff, &d.busyProg
+	if group != nil {
+		w, busy = -d.pReadEff, &d.busyRead
+	}
 	for m := mask; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros64(m)
-		d.meter.Set(d.dieAt(die, o), 0, now)
+		*busy--
+		d.meter.SetSteps(d.cDies, d.diesW(), w, 1, now)
 		if group != nil {
 			group.remaining--
 			if group.remaining == 0 {

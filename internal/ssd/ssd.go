@@ -32,24 +32,27 @@ type SSD struct {
 	cCmd    power.Component
 	cRipple power.Component
 	cTrans  power.Component
-	cDie0   power.Component // die i's component is cDie0 + i
+	cDies   power.Component // every die's draw: busyProg·pProgEff + busyRead·pReadEff
 
 	reg          *power.Regulator
 	psIndex      int
 	stateReadyAt time.Duration
 
-	// Serialized resources, as busy-until horizons. Each has an event
-	// chain: its events are time-ordered by construction, so they ride
-	// one heap slot apiece instead of swelling the engine's heap. All
-	// chains share one slab (see New).
+	// Serialized resources, as busy-until horizons, and the dies busy
+	// with programs and with reads.
 	cmdFreeAt  time.Duration
 	linkFreeAt time.Duration
 	dieFreeAt  []time.Duration
-	chCmd      *sim.Chain
-	chLink     *sim.Chain
-	chDies     []sim.Chain
-	chReady    *sim.Chain // admit-derived release events (loose-ordered)
-	chInsert   *sim.Chain // DRAM insert completions (loose-ordered)
+	busyProg   int
+	busyRead   int
+	// Event chains, one per source of the device's events, so the
+	// device rides a few slots of the engine's queue instead of one per
+	// event. All share one slab (see New).
+	chNand   *sim.Chain // page runs on every die
+	chCmd    *sim.Chain
+	chLink   *sim.Chain
+	chReady  *sim.Chain // admit-derived release events
+	chInsert *sim.Chain // DRAM insert completions
 
 	// Free lists for the pooled IO-path records (see io.go).
 	freeOp   *ssdOp
@@ -128,29 +131,11 @@ type pendingIO struct {
 	done func()
 }
 
-// dieNames are the meter names of dies 0..len-1, shared by every SSD
-// and never written after package initialization.
-var dieNames = func() []string {
-	names := make([]string, 256)
-	for i := range names {
-		names[i] = fmt.Sprintf("die%d", i)
-	}
-	return names
-}()
-
-// dieName returns die i's meter component name.
-func dieName(i int) string {
-	if i < len(dieNames) {
-		return dieNames[i]
-	}
-	return fmt.Sprintf("die%d", i)
-}
-
 // New constructs an SSD attached to the engine, drawing idle power from
 // time zero. The RNG seeds the activity-ripple process. A device's
-// per-die state is a few flat slices, and all its event chains come
-// from one slab, so construction makes a handful of allocations
-// whatever the die count.
+// per-die state is one flat slice, one meter component carries every
+// die's draw, and all its event chains come from one slab, so
+// construction makes a handful of allocations whatever the die count.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -160,7 +145,7 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 		cfg:         cfg,
 		eng:         eng,
 		rng:         rng.Stream("ssd/" + cfg.Name),
-		meter:       power.NewMeter(eng.Now(), 5+n), // five device-level components, then the dies
+		meter:       power.NewMeter(eng.Now(), 6),
 		bufFree:     cfg.BufferBytes,
 		apstEnabled: cfg.APSTDefault,
 		nonOpIndex:  -1,
@@ -170,14 +155,10 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	d.cCmd = d.meter.AddComponent("cmd", 0)
 	d.cRipple = d.meter.AddComponent("ripple", 0)
 	d.cTrans = d.meter.AddComponent("transition", 0)
-	d.cDie0 = d.cTrans + 1
-	for i := 0; i < n; i++ {
-		d.meter.AddComponent(dieName(i), 0)
-	}
+	d.cDies = d.meter.AddComponent("dies", 0)
 	d.dieFreeAt = make([]time.Duration, n)
-	chains := eng.NewChains(n + 4)
-	d.chDies = chains[:n]
-	d.chCmd, d.chLink, d.chReady, d.chInsert = &chains[n], &chains[n+1], &chains[n+2], &chains[n+3]
+	chains := eng.NewChains(5)
+	d.chNand, d.chCmd, d.chLink, d.chReady, d.chInsert = &chains[0], &chains[1], &chains[2], &chains[3], &chains[4]
 
 	reg := eng.Metrics()
 	d.taps = taps{
@@ -253,16 +234,9 @@ func (d *SSD) EnergyComponents() (names []string, joules []float64) {
 }
 
 // PowerBreakdown returns the instantaneous draw of each electrical
-// component, with per-die draws folded into one "dies" entry.
+// component, every die's draw as one "dies" entry.
 func (d *SSD) PowerBreakdown() (names []string, watts []float64) {
-	bd := d.meter.Breakdown()
-	names = []string{"controller", "interface", "cmd", "ripple", "transition", "dies"}
-	watts = make([]float64, 6)
-	copy(watts, bd[:5])
-	for _, w := range bd[5:] {
-		watts[5] += w
-	}
-	return names, watts
+	return d.meter.Names(), d.meter.Breakdown()
 }
 
 // PowerStates implements device.Device.

@@ -69,9 +69,10 @@ func newTest(t *testing.T, mod func(*Config)) (*SSD, *sim.Engine) {
 	return d, eng
 }
 
-// TestNewAllocsIndependentOfDies: a device's per-die state comes from a
-// few flat slices and one chain slab, so constructing a 128-die SSD
-// costs no more allocations than an 8-die one.
+// TestNewAllocsIndependentOfDies: a device's per-die state is one flat
+// slice, and one meter component carries every die's draw, so
+// constructing a 128-die SSD costs no more allocations than an 8-die
+// one.
 func TestNewAllocsIndependentOfDies(t *testing.T) {
 	allocs := func(channels, diesPer int) float64 {
 		cfg := testConfig()
@@ -89,8 +90,8 @@ func TestNewAllocsIndependentOfDies(t *testing.T) {
 	}
 	d, _ := newTest(t, func(c *Config) { c.Channels, c.DiesPerChannel = 16, 8 })
 	names, _ := d.EnergyComponents()
-	if got := names[len(names)-1]; got != "die127" {
-		t.Fatalf("last meter component %q, want die127", got)
+	if got := names[len(names)-1]; len(names) != 6 || got != "dies" {
+		t.Fatalf("meter components %q, want the dies' draw as the sixth and last", names)
 	}
 }
 
