@@ -347,16 +347,19 @@ func scenarioCmd(args []string, out io.Writer) error {
 	return nil
 }
 
+// campaignReport is the merged report campaign -out writes.
+const campaignReport = "campaign.json"
+
 // campaignCmd expands a gridded scenario spec into its point family and
 // runs every point across a worker pool, printing one summary row per
 // point in grid order. -out writes the merged canonical report to
-// <dir>/BENCH_campaign.json plus one per-point report per label; both
-// are byte-identical at any -parallel value.
+// <dir>/campaign.json plus one per-point report, <label>.json, per
+// point; both are byte-identical at any -parallel value.
 func campaignCmd(args []string, out io.Writer) error {
 	fs := newFlagSet("campaign")
 	scen := fs.String("scenario", "", "campaign spec: a file path or a built-in scenario name")
 	parallel := fs.Int("parallel", 0, "points to run concurrently (0 = one per CPU)")
-	outDir := fs.String("out", "", "directory to write BENCH_campaign.json and per-point reports into")
+	outDir := fs.String("out", "", "directory to write campaign.json and per-point reports into")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -366,6 +369,11 @@ func campaignCmd(args []string, out io.Writer) error {
 	sp, err := loadSpec(*scen)
 	if err != nil {
 		return err
+	}
+	// A gridless spec's one point is labelled with the spec's name, so a
+	// spec named after the merged report would write over it.
+	if *outDir != "" && sp.Grid == nil && sp.Name+".json" == campaignReport {
+		return fmt.Errorf("a gridless spec named %q would write its point report over %s; rename it", sp.Name, campaignReport)
 	}
 	rep, err := campaign.Run(sp, *parallel)
 	if err != nil {
@@ -403,7 +411,7 @@ func campaignCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mergedPath := filepath.Join(*outDir, "BENCH_campaign.json")
+	mergedPath := filepath.Join(*outDir, campaignReport)
 	if err := os.WriteFile(mergedPath, merged, 0o644); err != nil {
 		return err
 	}

@@ -333,6 +333,9 @@ func TestCampaignSubcommand(t *testing.T) {
 	if len(files) != 9 { // merged report + 8 per-point reports
 		t.Fatalf("wrote %d files, want 9", len(files))
 	}
+	if _, err := os.Stat(filepath.Join(out1, "campaign.json")); err != nil {
+		t.Fatalf("merged report: %v", err)
+	}
 	for _, f := range files {
 		a, err := os.ReadFile(filepath.Join(out1, f.Name()))
 		if err != nil {
@@ -353,5 +356,20 @@ func TestCampaignSubcommand(t *testing.T) {
 	}
 	if code, _, stderr := runCLI("campaign", "-scenario", "no-such-thing"); code == 0 || !strings.Contains(stderr, "built-in") {
 		t.Fatalf("unknown spec: exit %d, stderr: %s", code, stderr)
+	}
+	// A gridless spec named "campaign" would write its one point report
+	// over the merged one.
+	solo := scenario.BuiltIn("fleet")
+	solo.Name = "campaign"
+	canon, err = solo.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloPath := filepath.Join(dir, "solo.json")
+	if err := os.WriteFile(soloPath, canon, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI("campaign", "-scenario", soloPath, "-out", filepath.Join(dir, "solo")); code == 0 || !strings.Contains(stderr, "rename it") {
+		t.Fatalf("gridless spec named campaign: exit %d, stderr: %s", code, stderr)
 	}
 }

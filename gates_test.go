@@ -187,3 +187,45 @@ func TestChurnGates(t *testing.T) {
 	}
 	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
 }
+
+// maxBytesPerIO bounds what a plain mirrored fleet allocates per extra
+// completed IO between two horizons. The latency log and its sorted,
+// exact-size copy take 16 B of it; the test below measures ~18 B. A
+// closure per mirrored submit plus a latency slice grown by append and
+// copied to float64 at the merge measured ~78 B.
+const maxBytesPerIO = 32
+
+// TestPerIOAllocGate runs one small mirrored fleet with no faults at
+// two horizons and bounds the extra heap allocated per extra completed
+// IO, so the serving cost tracks the fleet's work, not its IO count.
+func TestPerIOAllocGate(t *testing.T) {
+	run := func(horizon time.Duration) (allocBytes uint64, completed int64) {
+		sp := scenario.BuiltIn("fleet-1k")
+		sp.Fleet.Size = 64
+		sp.Fleet.FaultFrac = 0
+		spec, err := sp.ServeSpec(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep, err := serve.Run(spec)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkServeGates(t, spec.Size, rep)
+		return m1.TotalAlloc - m0.TotalAlloc, rep.Completed
+	}
+	a0, c0 := run(200 * time.Millisecond)
+	a1, c1 := run(600 * time.Millisecond)
+	if c1 <= c0 {
+		t.Fatalf("completed %d IOs at the longer horizon, %d at the shorter", c1, c0)
+	}
+	perIO := (float64(a1) - float64(a0)) / float64(c1-c0)
+	t.Logf("%d → %d IOs: %.1f MB → %.1f MB allocated, %.1f B per extra IO", c0, c1, float64(a0)/1e6, float64(a1)/1e6, perIO)
+	if perIO >= maxBytesPerIO {
+		t.Errorf("%.1f bytes allocated per extra completed IO, want < %d", perIO, maxBytesPerIO)
+	}
+}

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -451,4 +452,70 @@ func TestRolloutHalt(t *testing.T) {
 	if err := r.Halt(staged[0]); err == nil {
 		t.Error("double halt accepted")
 	}
+}
+
+// heldDevice wraps a replica so a test completes its IO by hand:
+// Submit holds the callback until complete runs it, and down takes the
+// replica out of the healthy set.
+type heldDevice struct {
+	device.Device
+	held []func()
+	down bool
+}
+
+func (d *heldDevice) Submit(_ device.Request, done func()) { d.held = append(d.held, done) }
+
+func (d *heldDevice) Healthy() bool { return !d.down }
+
+// complete runs the replica's oldest held completion.
+func (d *heldDevice) complete() {
+	done := d.held[0]
+	d.held = append(d.held[:0], d.held[1:]...)
+	done()
+}
+
+// TestRedirectorResubmitReusesRecord drives a closed loop whose
+// completion callback resubmits at once, so each new IO takes the
+// completion record its predecessor just freed. The per-replica counts
+// must follow the IOs, also when the resubmission goes to another
+// replica than the one that finished, and a warm pool must serve the
+// loop without allocating.
+func TestRedirectorResubmitReusesRecord(t *testing.T) {
+	eng := sim.NewEngine()
+	evos := evoSet(eng, 2)
+	reps := []*heldDevice{{Device: evos[0]}, {Device: evos[1]}}
+	r, err := NewRedirector("mirror", []device.Device{reps[0], reps[1]}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := device.Request{Op: device.OpRead, Size: 4096}
+	var resubmit func()
+	resubmit = func() { r.Submit(req, resubmit) }
+	r.Submit(req, resubmit) // replica 0
+	r.Submit(req, resubmit) // replica 1
+	check := func(when string, outstanding, completed []int) {
+		t.Helper()
+		if !slices.Equal(r.outstanding, outstanding) || !slices.Equal(r.CompletedByReplica(), completed) {
+			t.Fatalf("%s: outstanding %v completed %v, want %v and %v",
+				when, r.outstanding, r.CompletedByReplica(), outstanding, completed)
+		}
+	}
+
+	// Replica 0 finishes while down: the completion is charged to it,
+	// and the resubmission, on the same record, goes to replica 1.
+	reps[0].down = true
+	reps[0].complete()
+	check("after a completion on a down replica", []int{0, 2}, []int{1, 0})
+	if len(reps[0].held) != 0 || len(reps[1].held) != 2 {
+		t.Fatalf("held IO %d/%d, want 0/2", len(reps[0].held), len(reps[1].held))
+	}
+	reps[0].down = false
+
+	allocs := testing.AllocsPerRun(100, reps[1].complete)
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per completion and resubmission, want 0", allocs)
+	}
+	// 101 completions on replica 1 (AllocsPerRun warms up once); the
+	// loop settles at one IO on each replica.
+	check("after the closed loop", []int{1, 1}, []int{1, 101})
 }

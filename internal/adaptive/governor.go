@@ -24,6 +24,10 @@ import (
 type Governor struct {
 	eng *sim.Engine
 	dev device.Device
+	// states is the device's power-state table, read once: the
+	// descriptors are fixed for a device's life, and PowerStates hands
+	// out a fresh copy per call.
+	states []device.PowerState
 
 	budgetW float64
 	period  time.Duration
@@ -58,7 +62,8 @@ type Governor struct {
 // NewGovernor builds a governor over a device with host-selectable
 // power states.
 func NewGovernor(eng *sim.Engine, dev device.Device, budgetW float64, period time.Duration) (*Governor, error) {
-	if len(dev.PowerStates()) < 2 {
+	states := dev.PowerStates()
+	if len(states) < 2 {
 		return nil, fmt.Errorf("adaptive: %s has no power states to govern", dev.Name())
 	}
 	if budgetW <= 0 {
@@ -69,7 +74,7 @@ func NewGovernor(eng *sim.Engine, dev device.Device, budgetW float64, period tim
 	}
 	reg := eng.Metrics()
 	return &Governor{
-		eng: eng, dev: dev,
+		eng: eng, dev: dev, states: states,
 		budgetW: budgetW, period: period,
 		HeadroomFrac: 0.15,
 		RetryBase:    period / 8,
@@ -146,17 +151,16 @@ func (g *Governor) control() {
 	g.stopRetry()
 
 	ps := g.dev.PowerStateIndex()
-	nStates := len(g.dev.PowerStates())
 	switch {
 	case avgW > g.budgetW:
 		g.Overs++
-		if ps < nStates-1 {
+		if ps < len(g.states)-1 {
 			g.apply(ps + 1)
 		}
 	case avgW < g.budgetW*(1-g.HeadroomFrac) && ps > 0:
 		// Only step up if the next state's cap also fits the budget;
 		// otherwise stepping up guarantees re-violation.
-		upCap := g.dev.PowerStates()[ps-1].MaxPowerW
+		upCap := g.states[ps-1].MaxPowerW
 		if upCap == 0 || upCap <= g.budgetW {
 			g.apply(ps - 1)
 		}

@@ -49,6 +49,34 @@ type Redirector struct {
 	Failovers int
 
 	cFailovers *telemetry.Counter
+
+	// free pools completion records, so a steady stream of mirrored IO
+	// submits without allocating; it never grows past the ensemble's
+	// peak outstanding count.
+	free *mirrorDone
+}
+
+// mirrorDone is one submitted IO's completion record: the replica it
+// went to and the caller's callback. fn is bound once per record, so
+// reuse changes only the fields.
+type mirrorDone struct {
+	r    *Redirector
+	i    int
+	done func()
+	fn   func()
+	next *mirrorDone
+}
+
+func (m *mirrorDone) run() {
+	// Copy out and recycle first: done may submit again and take this
+	// very record.
+	r, i, done := m.r, m.i, m.done
+	m.done = nil
+	m.next = r.free
+	r.free = m
+	r.outstanding[i]--
+	r.completed[i]++
+	done()
 }
 
 // NewRedirector builds a redirector over replicas of equal capacity,
@@ -177,11 +205,15 @@ func (r *Redirector) Submit(req device.Request, done func()) {
 		r.cFailovers.Inc()
 	}
 	r.outstanding[i]++
-	r.devs[i].Submit(req, func() {
-		r.outstanding[i]--
-		r.completed[i]++
-		done()
-	})
+	m := r.free
+	if m == nil {
+		m = &mirrorDone{r: r}
+		m.fn = m.run
+	} else {
+		r.free = m.next
+	}
+	m.i, m.done = i, done
+	r.devs[i].Submit(req, m.fn)
 }
 
 // CompletedByReplica returns per-replica completion counts, indexed

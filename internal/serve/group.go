@@ -45,6 +45,11 @@ type groupCohort struct {
 	// at least that many members at build): churn admits its new members
 	// as virtual ones. Any other cohort is fully resident.
 	virtual bool
+	// stateful marks a profile whose devices have selectable power
+	// states. They all share one table, so assignResident reads it from
+	// the first resident it places (statesRead) and later re-plans never
+	// copy a device's table.
+	stateful, statesRead bool
 
 	// resOrder lists resident lane indices, probes first (they can park
 	// and calibrate) then barred members (faulted), then members churn
@@ -275,13 +280,15 @@ func (g *groupState) assignResident(c *groupCohort, k, j int) {
 	c.resLevel[k] = j
 	li := c.resOrder[k]
 	r := s.spec.Replicas
+	if !c.statesRead {
+		c.stateful, c.statesRead = len(s.devs[li*r].PowerStates()) > 0, true
+	}
 	for di := li * r; di < (li+1)*r; di++ {
 		s.planW[di] = c.ladder[j].powerW
-		d := s.devs[di]
-		if len(d.PowerStates()) == 0 {
+		if !c.stateful {
 			continue
 		}
-		if err := d.SetPowerState(c.ladder[j].level); err != nil {
+		if err := s.devs[di].SetPowerState(c.ladder[j].level); err != nil {
 			s.res.Compensations++
 		}
 	}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -311,32 +313,36 @@ func TestAvgBudgetW(t *testing.T) {
 	}
 }
 
-// TestMergeLatencyQuantiles pins the k-way merge of the shards' sorted
-// latency runs to the re-sort it replaces: p50, p99 and max of the
-// concatenation, bit for bit, with empty and single-sample shards and
+// TestMergeLatencyQuantiles pins the merge's rank selection over the
+// shards' sorted latency runs to a full re-sort: p50, p99 and max of
+// the concatenation, bit for bit. The fixed cases cover one, two and
+// three samples, samples all tied, and shards whose logs cross chunk
+// boundaries; the random trials add empty and single-sample shards and
 // ties across shards.
 func TestMergeLatencyQuantiles(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	sp := mergeSpec(t, nil)
-	for trial := 0; trial < 50; trial++ {
+	check := func(name string, sizes []int, maxLat int) {
+		t.Helper()
 		var results []*shardResult
 		var all []float64
-		for k := 1 + r.Intn(17); k > 0; k-- {
+		for _, n := range sizes {
 			res := flatResult(&sp, 50)
-			for n := r.Intn(4) * r.Intn(300); n > 0; n-- {
-				d := time.Duration(r.Intn(5000)) * time.Microsecond
-				res.Latencies = append(res.Latencies, d)
+			var g latLog
+			for ; n > 0; n-- {
+				d := time.Duration(r.Intn(maxLat)) * time.Microsecond
+				g.add(d)
 				all = append(all, float64(d))
 			}
-			sort.Slice(res.Latencies, func(i, j int) bool { return res.Latencies[i] < res.Latencies[j] })
+			res.Latencies = g.sorted()
 			results = append(results, res)
 		}
 		rep := merge(&sp, results)
 		if len(all) == 0 {
 			if rep.LatP50 != 0 || rep.LatP99 != 0 || rep.LatMax != 0 {
-				t.Fatalf("trial %d: no latencies, report %v/%v/%v", trial, rep.LatP50, rep.LatP99, rep.LatMax)
+				t.Fatalf("%s: no latencies, report %v/%v/%v", name, rep.LatP50, rep.LatP99, rep.LatMax)
 			}
-			continue
+			return
 		}
 		sort.Float64s(all)
 		want := [3]time.Duration{
@@ -345,7 +351,62 @@ func TestMergeLatencyQuantiles(t *testing.T) {
 			time.Duration(all[len(all)-1]),
 		}
 		if got := [3]time.Duration{rep.LatP50, rep.LatP99, rep.LatMax}; got != want {
-			t.Fatalf("trial %d: merged p50/p99/max %v, re-sorted %v", trial, got, want)
+			t.Fatalf("%s: merged p50/p99/max %v, re-sorted %v", name, got, want)
+		}
+	}
+	fixed := [][]int{
+		{1}, {0, 1, 0}, {2}, {1, 1}, {0, 2}, {3}, {1, 1, 1},
+		{latChunkMin - 1, latChunkMin, latChunkMin + 1},
+		{2*latChunkMax + 3, 1, latChunkMin},
+	}
+	for _, sizes := range fixed {
+		for _, maxLat := range []int{1, 3, 5000} {
+			check(fmt.Sprintf("shards %v, latencies < %dµs", sizes, maxLat), sizes, maxLat)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		var sizes []int
+		for k := 1 + r.Intn(17); k > 0; k-- {
+			sizes = append(sizes, r.Intn(4)*r.Intn(300))
+		}
+		check(fmt.Sprintf("trial %d", trial), sizes, 5000)
+	}
+}
+
+// TestLatLog checks the chunked latency log against append and a sort:
+// empty, one entry, either side of the first chunk's edge, and past the
+// chunk cap. Chunks double from latChunkMin to latChunkMax, every chunk
+// but the last is full (none was ever copied to grow), and the result
+// is one exact-size slice.
+func TestLatLog(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	upToCap := latChunkMin * (2*latChunkMax/latChunkMin - 1) // every doubling, cap included
+	for _, n := range []int{0, 1, latChunkMin - 1, latChunkMin, latChunkMin + 1, upToCap, upToCap + 1, upToCap + 2*latChunkMax + 7} {
+		var g latLog
+		var want []time.Duration
+		for i := 0; i < n; i++ {
+			d := time.Duration(r.Intn(1000))
+			g.add(d)
+			want = append(want, d)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		got := g.sorted()
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: log sorted to %d entries, not the %d appended ones in order", n, len(got), len(want))
+		}
+		if cap(got) != n {
+			t.Errorf("n=%d: result capacity %d, want exactly %d", n, cap(got), n)
+		}
+		chunks := g.full
+		if n > 0 {
+			chunks = append(chunks, g.cur)
+		}
+		size := latChunkMin
+		for k, c := range chunks {
+			if cap(c) != size || (k < len(g.full) && len(c) != size) {
+				t.Fatalf("n=%d: chunk %d holds %d of %d, want a full chunk of %d", n, k, len(c), cap(c), size)
+			}
+			size = min(2*size, latChunkMax)
 		}
 	}
 }

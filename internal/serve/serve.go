@@ -24,6 +24,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -33,7 +34,6 @@ import (
 	"wattio/internal/calib"
 	"wattio/internal/fault"
 	"wattio/internal/grid"
-	"wattio/internal/stats"
 	"wattio/internal/workload"
 )
 
@@ -727,14 +727,16 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	r.WarmupP50, r.WarmupMax = latQuantiles(warmLats)
 	r.DrainP50, r.DrainMax = latQuantiles(drainLats)
 
-	if lat := mergeLatencies(results); len(lat) > 0 {
-		r.LatP50 = time.Duration(stats.QuantileSorted(lat, 0.50))
-		r.LatP99 = time.Duration(stats.QuantileSorted(lat, 0.99))
-		for _, s := range results {
-			if n := len(s.Latencies); n > 0 && s.Latencies[n-1] > r.LatMax {
-				r.LatMax = s.Latencies[n-1]
-			}
-		}
+	runs := make([][]time.Duration, len(results))
+	n := 0
+	for i, s := range results {
+		runs[i] = s.Latencies
+		n += len(s.Latencies)
+	}
+	if n > 0 {
+		r.LatP50 = quantile(runs, n, 0.50)
+		r.LatP99 = quantile(runs, n, 0.99)
+		r.LatMax = nth(runs, n-1)
 	}
 	// Throughput is bytes over the virtual time the run actually covered,
 	// not the nominal horizon: a fault-heavy run whose drain releases held
@@ -796,49 +798,45 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	return r
 }
 
-// mergeLatencies k-way merges the shards' sorted latency runs into one
-// ascending sample, as float64 nanoseconds for the quantile math. The
-// run heads sit in a binary min-heap, so the merge costs O(n log k)
-// with one allocation instead of a full re-sort of the concatenation.
-func mergeLatencies(results []*shardResult) []float64 {
-	n := 0
-	var runs [][]time.Duration
-	for _, s := range results {
-		if len(s.Latencies) > 0 {
-			runs = append(runs, s.Latencies)
-			n += len(s.Latencies)
+// quantile is stats.QuantileSorted over the n samples of sorted runs,
+// as if merged: it interpolates, in float64 nanoseconds, between the
+// samples ranked around q(n-1), so it matches QuantileSorted on the
+// merged sample bit for bit. n must be positive.
+func quantile(runs [][]time.Duration, n int, q float64) time.Duration {
+	pos := q * float64(n-1)
+	lo := math.Floor(pos)
+	frac := pos - lo
+	if frac == 0 {
+		return nth(runs, int(lo))
+	}
+	return time.Duration(float64(nth(runs, int(lo)))*(1-frac) + float64(nth(runs, int(lo)+1))*frac)
+}
+
+// nth returns the sample of rank k (0-based) in the ascending union of
+// sorted runs without merging them: it bisects the value range for the
+// least value with more than k samples at or below it, counting each
+// run's share by binary search.
+func nth(runs [][]time.Duration, k int) time.Duration {
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	for _, run := range runs {
+		if len(run) > 0 {
+			lo, hi = min(lo, run[0]), max(hi, run[len(run)-1])
 		}
 	}
-	less := func(i, j int) bool { return runs[i][0] < runs[j][0] }
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(runs) {
-				return
-			}
-			if c+1 < len(runs) && less(c+1, c) {
-				c++
-			}
-			if !less(c, i) {
-				return
-			}
-			runs[i], runs[c] = runs[c], runs[i]
-			i = c
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		n := 0
+		for _, run := range runs {
+			i, _ := slices.BinarySearch(run, mid+1)
+			n += i
+		}
+		if n > k {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	for i := len(runs)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	out := make([]float64, 0, n)
-	for len(runs) > 0 {
-		out = append(out, float64(runs[0][0]))
-		if runs[0] = runs[0][1:]; len(runs[0]) == 0 {
-			runs[0] = runs[len(runs)-1]
-			runs = runs[:len(runs)-1]
-		}
-		down(0)
-	}
-	return out
+	return lo
 }
 
 // latQuantiles returns the p50 and maximum of a latency sample, sorting
@@ -848,11 +846,7 @@ func latQuantiles(lats []time.Duration) (p50, max time.Duration) {
 		return 0, 0
 	}
 	slices.Sort(lats)
-	fl := make([]float64, len(lats))
-	for i, l := range lats {
-		fl[i] = float64(l)
-	}
-	return time.Duration(stats.QuantileSorted(fl, 0.50)), lats[len(lats)-1]
+	return quantile([][]time.Duration{lats}, len(lats), 0.50), lats[len(lats)-1]
 }
 
 // budgetAt returns the scheduled fleet budget in force at time t: the

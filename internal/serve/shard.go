@@ -118,6 +118,8 @@ type shard struct {
 	// freeDone pools per-request completion records across the shard's
 	// lanes; the pool never grows past the shard's total in-flight depth.
 	freeDone *laneDone
+	// lat logs every completed request's latency until the drain ends.
+	lat latLog
 }
 
 // EnergyJ is the shard's aggregate device energy — mechanistic meters
@@ -240,7 +242,12 @@ func (l *lane) arrive() {
 func (l *lane) pop() time.Duration {
 	at := l.queue[l.head]
 	l.head++
-	if l.head > 1024 && l.head*2 >= len(l.queue) {
+	// An emptied queue restarts at the front of its backing array, so a
+	// lane keeping up with its load never grows the queue; a backlog
+	// compacts once its consumed half is large.
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+	} else if l.head > 1024 && l.head*2 >= len(l.queue) {
 		l.queue = append(l.queue[:0], l.queue[l.head:]...)
 		l.head = 0
 	}
@@ -303,7 +310,7 @@ func (d *laneDone) run() {
 	// Latency is measured from admission, so queue wait under a
 	// curtailed budget is part of the serving tail, as it would be
 	// for a real frontend.
-	s.res.Latencies = append(s.res.Latencies, now-admitted)
+	s.lat.add(now - admitted)
 	l.dispatch()
 	if l.warmPending || l.state == laneRemoving {
 		s.laneCompleted(l, now)
@@ -311,6 +318,47 @@ func (d *laneDone) run() {
 	if l.state == laneDraining {
 		s.meso.laneQuiet(l)
 	}
+}
+
+// Latency log chunk sizes: the first chunk is small, because a shard
+// of a group-parked fleet serves only a few probe IOs, and each later
+// chunk doubles up to the cap.
+const (
+	latChunkMin = 64
+	latChunkMax = 8192
+)
+
+// latLog is an append-only log of request latencies. It grows by
+// adding chunks, never by copying one, so a shard's garbage is one
+// chunk list plus the flattened result instead of append's doublings.
+type latLog struct {
+	full [][]time.Duration // filled chunks, in order
+	cur  []time.Duration   // the chunk being filled
+}
+
+func (g *latLog) add(d time.Duration) {
+	if len(g.cur) == cap(g.cur) {
+		if g.cur != nil {
+			g.full = append(g.full, g.cur)
+		}
+		g.cur = make([]time.Duration, 0, min(max(2*cap(g.cur), latChunkMin), latChunkMax))
+	}
+	g.cur = append(g.cur, d)
+}
+
+// sorted returns every logged latency in one exact-size ascending slice.
+func (g *latLog) sorted() []time.Duration {
+	n := len(g.cur)
+	for _, c := range g.full {
+		n += len(c)
+	}
+	out := make([]time.Duration, 0, n)
+	for _, c := range g.full {
+		out = append(out, c...)
+	}
+	out = append(out, g.cur...)
+	slices.Sort(out)
+	return out
 }
 
 func (l *lane) submit(admitted time.Duration) {
@@ -546,7 +594,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 		s.res.Failovers += rd.Failovers
 		s.res.WakesOnDemand += rd.WakesOnDemand
 	}
-	slices.Sort(s.res.Latencies)
+	s.res.Latencies = s.lat.sorted()
 	// Return a copy, not &s.res: an interior pointer would keep the
 	// whole finished shard (engine, devices, lanes) reachable until Run
 	// merges, so peak memory would grow with Spec.Shards instead of
