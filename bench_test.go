@@ -588,10 +588,13 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	for i := range codes {
 		codes[i] = int32(i * 100000)
 	}
+	var wire []byte
+	var decoded []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire := measure.EncodeFrame(uint16(i), codes)
-		if _, _, err := measure.DecodeFrame(wire); err != nil {
+		wire = measure.AppendFrame(wire[:0], uint16(i), codes)
+		var err error
+		if _, decoded, _, err = measure.DecodeFrameInto(wire, decoded[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,16 +62,22 @@ func runOne(sp *scenario.Spec, op device.Op, ps int) (bw, pw float64) {
 func main() {
 	specPath := flag.String("scenario", "scenarios/powercap.json", "scenario spec describing the device and workload")
 	flag.Parse()
-	sp, err := scenario.LoadFile(*specPath)
+	run(*specPath)
+}
+
+// run walks the spec's device through its power states, then places a
+// mixed stream on one uncapped writer and two capped readers.
+func run(specPath string) {
+	sp, err := scenario.LoadFile(specPath)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if len(sp.Devices) == 0 || sp.Workload == nil {
-		log.Fatalf("%s: powercap needs a scenario with a device and a workload", *specPath)
+		log.Fatalf("%s: powercap needs a scenario with a device and a workload", specPath)
 	}
 
 	fmt.Println("Part 1: power capping hits writes, not reads (Fig. 4)")
-	fmt.Printf("%-4s %-22s %-22s\n", "ps", "seq write", "seq read")
+	fmt.Printf("%-4s %-22s %s\n", "ps", "seq write", "seq read")
 	var w0, r0 float64
 	for ps := 0; ps < 3; ps++ {
 		wb, wp := runOne(sp, device.OpWrite, ps)

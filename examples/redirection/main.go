@@ -24,7 +24,13 @@ import (
 func main() {
 	specPath := flag.String("scenario", "scenarios/redirection.json", "scenario spec describing the replica set")
 	flag.Parse()
-	sp, err := scenario.LoadFile(*specPath)
+	run(*specPath)
+}
+
+// run serves a compressed day of diurnal load on the spec's replica
+// set, resizing the active set each phase.
+func run(specPath string) {
+	sp, err := scenario.LoadFile(specPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,9 +79,3 @@ func (p *AsymmetricPlacer) TotalPower() float64 {
 	}
 	return sum
 }
-
-// Writers returns the uncapped write set.
-func (p *AsymmetricPlacer) Writers() []device.Device { return p.writers }
-
-// Readers returns the capped read set.
-func (p *AsymmetricPlacer) Readers() []device.Device { return p.readers }

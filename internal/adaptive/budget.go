@@ -86,13 +86,10 @@ func (c *BudgetController) Apply(budgetW float64) (core.Assignment, error) {
 		if len(free) > 0 {
 			// With nothing stuck the free set is the whole fleet: query
 			// the long-lived Fleet so its frontier serves every re-plan.
-			// A sub-fleet plans through the same memo, so it reuses every
-			// merged level it shares with the fleet or with earlier
-			// compensation passes.
 			sub := c.fleet
 			if len(stuck) > 0 {
 				var err error
-				if sub, err = c.fleet.Memo().NewFleet(free...); err != nil {
+				if sub, err = core.NewFleet(free...); err != nil {
 					return core.Assignment{}, err
 				}
 			}
@@ -128,13 +125,18 @@ func (c *BudgetController) Apply(budgetW float64) (core.Assignment, error) {
 			continue
 		}
 
-		for name, s := range stuck {
-			a.Configs[name] = s
-			a.TotalPowerW += s.PowerW
-			a.TotalMBps += s.ThroughputMBps
+		// Add the stuck devices in name order, so the totals' float sums
+		// do not depend on map iteration order.
+		for name := range stuck {
 			c.LastStuck = append(c.LastStuck, name)
 		}
 		sort.Strings(c.LastStuck)
+		for _, name := range c.LastStuck {
+			s := stuck[name]
+			a.Configs[name] = s
+			a.TotalPowerW += s.PowerW
+			a.TotalMBps += s.ThroughputMBps
+		}
 		return a, nil
 	}
 	return core.Assignment{}, fmt.Errorf("adaptive: budget apply did not converge over %d devices", len(c.devs))
@@ -169,15 +171,4 @@ func (c *BudgetController) stuckEstimate(name string) core.Sample {
 		}
 	}
 	return best
-}
-
-// Headroom reports the measured instantaneous draw against a budget.
-// Negative headroom means the fleet is over budget right now — the
-// signal the paper's §4.1 safety discussion keys rollout decisions on.
-func (c *BudgetController) Headroom(budgetW float64) float64 {
-	var sum float64
-	for _, d := range c.devs {
-		sum += d.InstantPower()
-	}
-	return budgetW - sum
 }

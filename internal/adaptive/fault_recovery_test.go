@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -258,18 +259,20 @@ func TestBudgetControllerInfeasibleAfterStuck(t *testing.T) {
 	}
 }
 
-// TestBudgetControllerCompensationMergesOnce runs compensation passes
-// over 62 identical SSD2 models with three devices refusing commands.
-// Each stuck-free sub-fleet's members share their frontiers with a
-// prefix of the full fleet, so the controller's memo merges the 62
-// levels of the full fleet once and no level again. Not parallel: it
-// counts the allocations of an Apply.
-func TestBudgetControllerCompensationMergesOnce(t *testing.T) {
+// TestBudgetControllerCompensationMatchesOracle runs compensation
+// passes over 62 identical SSD2 models with three devices refusing
+// commands. Each Apply must return the stuck devices at their reserved
+// worst-case points plus exactly what a fresh fleet of the free devices
+// picks under the budget left after that reserve, and must leave every
+// free device in its assigned power state.
+func TestBudgetControllerCompensationMatchesOracle(t *testing.T) {
+	t.Parallel()
 	const n = 62
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(5)
 	devs := make([]device.Device, n)
 	models := make([]*core.Model, n)
+	refusing := map[string]bool{}
 	for i := range devs {
 		name := fmt.Sprintf("ssd%02d", i)
 		d, ok := catalog.NewNamed("SSD2", name, eng, rng.Stream(name))
@@ -280,6 +283,7 @@ func TestBudgetControllerCompensationMergesOnce(t *testing.T) {
 			d = fault.MustNew(d, eng, nil, fault.Profile{
 				Windows: []fault.Window{{Kind: fault.PowerCmdFail, Start: 0, Dur: time.Second}},
 			})
+			refusing[name] = true
 		}
 		devs[i] = d
 		var samples []core.Sample
@@ -305,25 +309,58 @@ func TestBudgetControllerCompensationMergesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, perDev := range []float64{11, 10.5, 12, 11} {
-		if _, err := bc.Apply(perDev * n); err != nil {
+		budget := perDev * n
+		got, err := bc.Apply(budget)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if bc.Compensations == 0 || len(bc.LastStuck) != 3 {
-		t.Fatalf("Compensations = %d, LastStuck = %v; want compensation around 3 stuck devices", bc.Compensations, bc.LastStuck)
-	}
-	if got := fleet.Memo().Merges(); got != n {
-		t.Errorf("memo merged %d levels, want %d: a compensation pass merged a level again", got, n)
-	}
-	// A sub-fleet planned outside the memo would merge its 59 levels
-	// cold: tens of thousands of node allocations per Apply.
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := bc.Apply(11 * n); err != nil {
+		// The oracle: every refusing device stays at ps0 and is reserved
+		// at its ps0 draw, summed in fleet order as Apply does.
+		var reserve float64
+		var free []*core.Model
+		stuck := map[string]core.Sample{}
+		for i, m := range models {
+			if !refusing[m.Device()] {
+				free = append(free, m)
+				continue
+			}
+			if ps := devs[i].PowerStateIndex(); ps != 0 {
+				t.Fatalf("refusing device %s moved to ps%d", m.Device(), ps)
+			}
+			stuck[m.Device()] = m.Samples()[0]
+			reserve += stuck[m.Device()].PowerW
+		}
+		sub, err := core.NewFleet(free...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 5000 {
-		t.Errorf("Apply with 3 stuck devices made %.0f allocations: a compensation sub-fleet merged outside the memo", allocs)
+		want, ok := sub.BestUnderPower(budget - reserve)
+		if !ok {
+			t.Fatalf("oracle: nothing fits %.1f W after a %.1f W reserve", budget, reserve)
+		}
+		for _, name := range bc.LastStuck {
+			want.Configs[name] = stuck[name]
+			want.TotalPowerW += stuck[name].PowerW
+			want.TotalMBps += stuck[name].ThroughputMBps
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Apply(%.0f W) = %.6f W, %.6f MB/s; oracle %.6f W, %.6f MB/s",
+				budget, got.TotalPowerW, got.TotalMBps, want.TotalPowerW, want.TotalMBps)
+		}
+		if want := []string{"ssd04", "ssd30", "ssd57"}; !reflect.DeepEqual(bc.LastStuck, want) {
+			t.Fatalf("LastStuck = %v, want %v", bc.LastStuck, want)
+		}
+		for i, m := range models {
+			if refusing[m.Device()] {
+				continue
+			}
+			if ps := devs[i].PowerStateIndex(); ps != got.Configs[m.Device()].PowerState {
+				t.Fatalf("%s in ps%d, assigned ps%d", m.Device(), ps, got.Configs[m.Device()].PowerState)
+			}
+		}
+	}
+	if bc.Compensations != 4 {
+		t.Fatalf("Compensations = %d, want one per Apply", bc.Compensations)
 	}
 }
 

@@ -26,6 +26,9 @@ type TierManager struct {
 	// overlapping rewrites are the caller's (filesystem's) problem, as
 	// with any block log.
 	index map[int64]entry
+	// homes lists the index's slow-tier offsets in the order they were
+	// first absorbed: the order Flush writes them home in.
+	homes []int64
 
 	// AbsorbedWrites and AbsorbedBytes count writes the fast tier took
 	// on the slow tier's behalf.
@@ -89,6 +92,9 @@ func (t *TierManager) Submit(req device.Request, done func()) {
 		t.slow.Submit(req, done)
 		return
 	}
+	if _, ok := t.index[req.Offset]; !ok {
+		t.homes = append(t.homes, req.Offset)
+	}
 	t.index[req.Offset] = entry{fastOff: off, size: req.Size}
 	t.AbsorbedWrites++
 	t.AbsorbedBytes += req.Size
@@ -107,29 +113,38 @@ func (t *TierManager) allocate(size int64) (int64, bool) {
 }
 
 // Flush wakes the slow tier and migrates every absorbed block back:
-// read from the fast log, write to the home location. done runs when
-// all blocks have landed; the log is then empty.
+// read from the fast log, write to the home location. The home writes
+// are issued in absorption order, each once its own read and every
+// earlier one have landed, so the slow tier sees the same sequence on
+// every run. done runs when all blocks have landed; the log is then
+// empty.
 func (t *TierManager) Flush(done func()) {
 	if err := t.slow.Wake(); err != nil && err != device.ErrNotSupported {
 		panic(fmt.Sprintf("adaptive: tier flush wake: %v", err))
 	}
-	n := len(t.index)
+	n := len(t.homes)
 	if n == 0 {
 		done()
 		return
 	}
-	remaining := n
-	for home, e := range t.index {
-		home, e := home, e
+	read := make([]bool, n)
+	next, remaining := 0, n
+	for i, home := range t.homes {
+		e := t.index[home]
 		t.fast.Submit(device.Request{Op: device.OpRead, Offset: e.fastOff, Size: e.size}, func() {
-			t.slow.Submit(device.Request{Op: device.OpWrite, Offset: home, Size: e.size}, func() {
-				remaining--
-				if remaining == 0 {
-					t.index = make(map[int64]entry)
-					t.logHead = 0
-					done()
-				}
-			})
+			read[i] = true
+			for ; next < n && read[next]; next++ {
+				home := t.homes[next]
+				t.slow.Submit(device.Request{Op: device.OpWrite, Offset: home, Size: t.index[home].size}, func() {
+					remaining--
+					if remaining == 0 {
+						t.index = make(map[int64]entry)
+						t.homes = t.homes[:0]
+						t.logHead = 0
+						done()
+					}
+				})
+			}
 		})
 	}
 }

@@ -3,26 +3,17 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Fleet combines the power-throughput models of multiple, possibly
 // heterogeneous devices. The paper (§3.3) observes that per-device
 // models can be combined to derive the performance Pareto frontier of
 // device configurations under a shared power budget — this type does
-// that combination.
-//
-// A Fleet takes its merged frontier from a FrontierMemo. Fleets that
-// share a memo and start with members of the same frontiers, in the
-// same order, share the merged levels of that common prefix, so a
-// shard, a compensation sub-fleet or a revisited churn composition
-// reuses the merge work of every fleet planned before it. A Fleet is
-// confined to one goroutine; its memo may be shared.
+// that combination. A Fleet is confined to one goroutine.
 type Fleet struct {
 	models []*Model
-	memo   *FrontierMemo
-	// frontier is the memo's top level for this membership, looked up
-	// on the first query that needs it.
+	// frontier is the merged frontier of every member, built on the
+	// first query that needs it.
 	frontier []*planNode
 }
 
@@ -37,19 +28,23 @@ type Fleet struct {
 // exact frontier.
 const maxFrontierPoints = 1024
 
-// NewFleet builds a fleet over the given models with a memo of its own:
-// it shares no merge work with any other fleet except the sub-fleets
-// built through its Memo.
+// NewFleet builds a fleet over the given models.
 func NewFleet(models ...*Model) (*Fleet, error) {
-	return NewFrontierMemo().NewFleet(models...)
+	if len(models) == 0 {
+		return nil, fmt.Errorf("core: fleet needs at least one model")
+	}
+	seen := map[string]bool{}
+	for _, m := range models {
+		if seen[m.Device()] {
+			return nil, fmt.Errorf("core: duplicate device %s in fleet", m.Device())
+		}
+		seen[m.Device()] = true
+	}
+	return &Fleet{models: models}, nil
 }
 
 // Models returns the fleet's member models.
 func (f *Fleet) Models() []*Model { return f.models }
-
-// Memo returns the memo the fleet plans through. A sub-fleet built with
-// f.Memo().NewFleet reuses every merged level its members share with f.
-func (f *Fleet) Memo() *FrontierMemo { return f.memo }
 
 // Assignment is one operating point chosen for every device.
 type Assignment struct {
@@ -62,104 +57,17 @@ type Assignment struct {
 
 // planNode is one point on a merged frontier level: the index of the
 // level's member's Pareto point chosen, plus a parent link to the
-// choices of the levels merged before it. A node names no device, so
-// one immutable node set serves every fleet whose members have the same
-// frontiers; materialize resolves (level, idx) against the calling
-// fleet's own models. Assignments materialize into maps only when a
-// query returns one — carrying maps through the merge itself cost a
-// full map copy per candidate point and made large-fleet planning
-// quartic.
+// choices of the levels merged before it; materialize resolves
+// (level, idx) against the fleet's models. Assignments materialize into
+// maps only when a query returns one — carrying maps through the merge
+// itself cost a full map copy per candidate point and made large-fleet
+// planning quartic.
 type planNode struct {
 	powerW float64
 	mbps   float64
 	parent *planNode
 	level  int32
 	idx    int32
-}
-
-// FrontierMemo memoizes the fleet-frontier merge level by level. It is
-// a trie: level k holds the merged frontier of the first k+1 members
-// and is keyed by the exact (power, throughput) bits of each of their
-// Pareto points, in fleet order. Merging level k reads only level k-1
-// and member k's points, so every fleet whose members' frontiers match
-// a path from the root gets bit-identical levels without merging again.
-// Levels are immutable once published, and each is merged exactly once
-// however many goroutines ask for it at the same time, so a memo may be
-// shared by concurrent planners.
-type FrontierMemo struct {
-	mu     sync.Mutex
-	root   *memoLevel
-	merges int
-}
-
-// memoLevel is one merged prefix: its frontier nodes (published by
-// once) and the longer prefixes keyed by the next member's frontier.
-type memoLevel struct {
-	once  sync.Once
-	nodes []*planNode
-	next  map[string]*memoLevel
-}
-
-// NewFrontierMemo returns an empty memo.
-func NewFrontierMemo() *FrontierMemo {
-	return &FrontierMemo{root: &memoLevel{nodes: []*planNode{{}}}}
-}
-
-// NewFleet builds a fleet over the given models that plans through the
-// memo.
-func (mm *FrontierMemo) NewFleet(models ...*Model) (*Fleet, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("core: fleet needs at least one model")
-	}
-	seen := map[string]bool{}
-	for _, m := range models {
-		if seen[m.Device()] {
-			return nil, fmt.Errorf("core: duplicate device %s in fleet", m.Device())
-		}
-		seen[m.Device()] = true
-	}
-	return &Fleet{models: models, memo: mm}, nil
-}
-
-// Merges reports how many levels the memo has merged: the number of
-// distinct member-frontier prefixes planned through it.
-func (mm *FrontierMemo) Merges() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.merges
-}
-
-// frontier returns the merged frontier of the models, walking the trie
-// from the root and merging each level not yet present.
-func (mm *FrontierMemo) frontier(models []*Model) []*planNode {
-	lv := mm.root
-	for i, m := range models {
-		parent := lv.nodes
-		lv = mm.child(lv, m.key)
-		lv.once.Do(func() {
-			lv.nodes = mergeLevel(parent, i, m.frontier)
-			mm.mu.Lock()
-			mm.merges++
-			mm.mu.Unlock()
-		})
-	}
-	return lv.nodes
-}
-
-// child returns the level extending lv by a member with the given
-// frontier key, adding it (unmerged) if absent.
-func (mm *FrontierMemo) child(lv *memoLevel, key string) *memoLevel {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	c := lv.next[key]
-	if c == nil {
-		if lv.next == nil {
-			lv.next = map[string]*memoLevel{}
-		}
-		c = &memoLevel{}
-		lv.next[key] = c
-	}
-	return c
 }
 
 // mergeLevel combines a merged level with the next member's Pareto
@@ -182,11 +90,15 @@ func mergeLevel(acc []*planNode, level int, frontier []Sample) []*planNode {
 	return pruneDominated(next)
 }
 
-// build returns the fleet frontier as parent-linked nodes, from the
-// memo on first use.
+// build returns the fleet frontier as parent-linked nodes, merging the
+// members in fleet order on first use.
 func (f *Fleet) build() []*planNode {
 	if f.frontier == nil {
-		f.frontier = f.memo.frontier(f.models)
+		level := []*planNode{{}}
+		for i, m := range f.models {
+			level = mergeLevel(level, i, m.frontier)
+		}
+		f.frontier = level
 	}
 	return f.frontier
 }
@@ -293,15 +205,4 @@ func (f *Fleet) peakAssignment(budgetW float64) (Assignment, bool) {
 		return Assignment{}, false
 	}
 	return a, true
-}
-
-// MinPowerMeeting returns the frontier assignment with the lowest total
-// power delivering at least the given total throughput.
-func (f *Fleet) MinPowerMeeting(tputMBps float64) (best Assignment, ok bool) {
-	for _, n := range f.build() {
-		if n.mbps >= tputMBps {
-			return f.materialize(n), true
-		}
-	}
-	return Assignment{}, false
 }

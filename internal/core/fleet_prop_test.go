@@ -211,66 +211,49 @@ func TestBestUnderPowerPeakFastPath(t *testing.T) {
 	}
 }
 
-func TestMinPowerMeetingOptimalAndMonotone(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		f := randFleet(t, r)
-		all := crossProduct(f)
-
-		targets := []float64{0, 1e9}
-		for _, a := range all {
-			targets = append(targets, a.TotalMBps, a.TotalMBps-0.01, a.TotalMBps+0.01)
+// TestFleetHomogeneousThinned plans 64 devices with SSD2's planning
+// points, the composition whose merged frontier outgrows the thinning
+// cap. The frontier holds exactly the cap, and thinning keeps both
+// endpoints exact: every device at its cheapest point, and every device
+// at its peak.
+func TestFleetHomogeneousThinned(t *testing.T) {
+	const n = 64
+	models := make([]*Model, n)
+	for d := range models {
+		name := fmt.Sprintf("a%03d", d)
+		var samples []Sample
+		for ps, p := range [][2]float64{{14.4, 3100}, {11.7, 2230}, {9.7, 1590}} {
+			samples = append(samples, Sample{
+				Config:         Config{Device: name, PowerState: ps, Random: true, Write: true, ChunkBytes: 256 << 10, Depth: 64},
+				PowerW:         p[0],
+				ThroughputMBps: p[1],
+			})
 		}
-		for _, target := range targets {
-			got, ok := f.MinPowerMeeting(target)
-
-			refOK := false
-			refPower := 0.0
-			for _, a := range all {
-				if a.TotalMBps >= target && (!refOK || a.TotalPowerW < refPower) {
-					refOK, refPower = true, a.TotalPowerW
-				}
-			}
-			if ok != refOK {
-				t.Fatalf("seed %d target %v: ok=%v, brute force %v", seed, target, ok, refOK)
-			}
-			if !ok {
-				continue
-			}
-			if got.TotalMBps < target {
-				t.Fatalf("seed %d: MinPowerMeeting(%v) undershoots: %v MB/s", seed, target, got.TotalMBps)
-			}
-			if got.TotalPowerW != refPower {
-				t.Fatalf("seed %d target %v: power %v, brute-force optimum %v",
-					seed, target, got.TotalPowerW, refPower)
-			}
+		m, err := NewModel(name, samples)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// Monotonicity: a higher throughput target can never need less
-		// power, and once infeasible it stays infeasible.
-		maxT := 0.0
-		for _, a := range all {
-			if a.TotalMBps > maxT {
-				maxT = a.TotalMBps
+		models[d] = m
+	}
+	f, err := NewFleet(models...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := f.ParetoFrontier()
+	if len(fr) != maxFrontierPoints {
+		t.Fatalf("64 SSD2 frontier has %d points, want the thinning cap %d", len(fr), maxFrontierPoints)
+	}
+	for _, end := range []struct {
+		a  Assignment
+		ps int
+	}{{fr[0], 2}, {fr[len(fr)-1], 0}} {
+		for name, s := range end.a.Configs {
+			if s.PowerState != end.ps {
+				t.Fatalf("frontier endpoint puts %s at ps%d, want ps%d", name, s.PowerState, end.ps)
 			}
 		}
-		prevPower := -1.0
-		infeasible := false
-		for i := 0; i <= 50; i++ {
-			target := maxT * float64(i) / 40 // runs past the feasible range
-			a, ok := f.MinPowerMeeting(target)
-			if infeasible && ok {
-				t.Fatalf("seed %d: target %v feasible after a lower target was not", seed, target)
-			}
-			if !ok {
-				infeasible = true
-				continue
-			}
-			if a.TotalPowerW < prevPower {
-				t.Fatalf("seed %d: required power fell from %v to %v W as target rose to %v",
-					seed, prevPower, a.TotalPowerW, target)
-			}
-			prevPower = a.TotalPowerW
+		if len(end.a.Configs) != n {
+			t.Fatalf("frontier endpoint assigns %d devices, want %d", len(end.a.Configs), n)
 		}
 	}
 }

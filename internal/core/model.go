@@ -6,9 +6,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -59,13 +57,11 @@ type Model struct {
 	maxPower float64
 	minPower float64
 	maxTput  float64
-	// frontier is the Pareto frontier, sorted by increasing power, and
-	// key identifies it for FrontierMemo (see frontierKey). Both are
-	// computed once by NewModel: a model never changes afterwards, so
+	// frontier is the Pareto frontier, sorted by increasing power. It
+	// is computed once by NewModel: a model never changes afterwards, so
 	// planners on any number of goroutines may share it. Fleet planning
 	// reads frontier on every re-plan and must not mutate it.
 	frontier []Sample
-	key      string
 }
 
 // NewModel builds a model from measured samples. All samples must be
@@ -98,7 +94,6 @@ func NewModel(dev string, samples []Sample) (*Model, error) {
 		}
 	}
 	m.frontier = paretoFrontier(m.samples)
-	m.key = frontierKey(m.frontier)
 	return m, nil
 }
 
@@ -193,35 +188,11 @@ func paretoFrontier(samples []Sample) []Sample {
 	return out
 }
 
-// frontierKey identifies a Pareto frontier for FrontierMemo: the exact
-// bits of each point's power and throughput, in frontier order. Two
-// models with equal keys merge into bit-identical fleet levels,
-// whatever their device labels and IO shapes.
-func frontierKey(frontier []Sample) string {
-	b := make([]byte, 0, 16*len(frontier))
-	for _, s := range frontier {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.PowerW))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.ThroughputMBps))
-	}
-	return string(b)
-}
-
 // BestUnderPower returns the highest-throughput operating point whose
 // average power fits the budget. ok is false if no point fits.
 func (m *Model) BestUnderPower(budgetW float64) (best Sample, ok bool) {
 	for _, s := range m.samples {
 		if s.PowerW <= budgetW && (!ok || s.ThroughputMBps > best.ThroughputMBps) {
-			best, ok = s, true
-		}
-	}
-	return best, ok
-}
-
-// MinPowerMeeting returns the lowest-power operating point that still
-// delivers at least the given throughput. ok is false if none does.
-func (m *Model) MinPowerMeeting(tputMBps float64) (best Sample, ok bool) {
-	for _, s := range m.samples {
-		if s.ThroughputMBps >= tputMBps && (!ok || s.PowerW < best.PowerW) {
 			best, ok = s, true
 		}
 	}

@@ -152,21 +152,6 @@ func TestBestUnderPower(t *testing.T) {
 	}
 }
 
-func TestMinPowerMeeting(t *testing.T) {
-	t.Parallel()
-	m := testModel(t)
-	best, ok := m.MinPowerMeeting(2000)
-	if !ok {
-		t.Fatal("no point meeting 2000 MBps")
-	}
-	if best.PowerW != 6.5 {
-		t.Errorf("min power for 2000 MBps = %v, want 6.5 (2100 MBps point)", best.PowerW)
-	}
-	if _, ok := m.MinPowerMeeting(9999); ok {
-		t.Error("met impossible throughput")
-	}
-}
-
 func TestCurtail(t *testing.T) {
 	t.Parallel()
 	m := testModel(t)
@@ -282,20 +267,6 @@ func TestFleetBestUnderPower(t *testing.T) {
 	}
 	if _, ok := f.BestUnderPower(4); ok {
 		t.Error("fit under impossible budget")
-	}
-}
-
-func TestFleetMinPowerMeeting(t *testing.T) {
-	t.Parallel()
-	a, _ := NewModel("A", []Sample{s("A", 0, 4, 1, 2, 100), s("A", 0, 4, 64, 4, 400)})
-	b, _ := NewModel("B", []Sample{s("B", 0, 4, 1, 3, 50), s("B", 0, 4, 64, 5, 500)})
-	f, _ := NewFleet(a, b)
-	got, ok := f.MinPowerMeeting(500)
-	if !ok || got.TotalPowerW != 7 {
-		t.Errorf("min power for 500 MBps = %+v, want 7 W", got)
-	}
-	if _, ok := f.MinPowerMeeting(1e9); ok {
-		t.Error("met impossible fleet throughput")
 	}
 }
 

@@ -78,42 +78,3 @@ func (m *Model) MinPowerSLO(slo SLO) (best Sample, ok bool) {
 	}
 	return best, ok
 }
-
-// PowerLatencyFrontier returns the points not dominated in the
-// (power, p99 latency) plane: no other point has both lower power and
-// lower tail latency. Sorted by increasing power.
-func (m *Model) PowerLatencyFrontier() []Sample {
-	sorted := m.Samples()
-	// Points without latency data cannot sit on a latency frontier.
-	filtered := sorted[:0]
-	for _, s := range sorted {
-		if s.P99Lat > 0 {
-			filtered = append(filtered, s)
-		}
-	}
-	sortByPowerThenLat(filtered)
-	var out []Sample
-	best := time.Duration(1<<63 - 1)
-	for _, s := range filtered {
-		if s.P99Lat < best {
-			out = append(out, s)
-			best = s.P99Lat
-		}
-	}
-	return out
-}
-
-func sortByPowerThenLat(xs []Sample) {
-	// Insertion sort keeps this dependency-free and stable; frontier
-	// inputs are small (≤ a few hundred points).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := xs[j-1], xs[j]
-			if b.PowerW < a.PowerW || (b.PowerW == a.PowerW && b.P99Lat < a.P99Lat) {
-				xs[j-1], xs[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-}

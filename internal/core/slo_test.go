@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -79,70 +78,6 @@ func TestMinPowerSLO(t *testing.T) {
 	}
 	if _, ok := m.MinPowerSLO(SLO{MinMBps: 9999}); ok {
 		t.Error("impossible throughput floor satisfied")
-	}
-}
-
-func TestPowerLatencyFrontier(t *testing.T) {
-	t.Parallel()
-	m := sloModel(t)
-	fr := m.PowerLatencyFrontier()
-	if len(fr) == 0 {
-		t.Fatal("empty frontier")
-	}
-	for i := 1; i < len(fr); i++ {
-		if fr[i].PowerW < fr[i-1].PowerW {
-			t.Error("frontier not sorted by power")
-		}
-		if fr[i].P99Lat >= fr[i-1].P99Lat {
-			t.Error("frontier latency not strictly decreasing")
-		}
-	}
-	// The 6 W / 12 ms point is dominated by 5.5 W / 1.5 ms.
-	for _, f := range fr {
-		if f.PowerW == 6.0 {
-			t.Error("dominated point on latency frontier")
-		}
-	}
-}
-
-func TestPowerLatencyFrontierSkipsNoLatency(t *testing.T) {
-	t.Parallel()
-	m, _ := NewModel("D", []Sample{
-		s("D", 0, 4, 1, 5, 100), // no latency data
-		latSample(0, 6, 200, time.Millisecond, 2*time.Millisecond),
-	})
-	fr := m.PowerLatencyFrontier()
-	if len(fr) != 1 || fr[0].P99Lat == 0 {
-		t.Fatalf("frontier = %+v, want only the point with latency data", fr)
-	}
-}
-
-// Property: no frontier point is dominated in (power, p99).
-func TestPowerLatencyFrontierProperty(t *testing.T) {
-	t.Parallel()
-	f := func(raw []struct{ P, L uint16 }) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]Sample, len(raw))
-		for i, r := range raw {
-			samples[i] = latSample(0, float64(r.P)+1, 100, time.Millisecond, time.Duration(r.L)+1)
-		}
-		m, err := NewModel("D", samples)
-		if err != nil {
-			return false
-		}
-		for _, fp := range m.PowerLatencyFrontier() {
-			for _, sp := range samples {
-				if sp.PowerW <= fp.PowerW && sp.P99Lat < fp.P99Lat {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

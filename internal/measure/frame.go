@@ -18,30 +18,19 @@ const frameSync = 0xAA55
 // maxFrameSamples bounds a frame to the UNO's tiny SRAM.
 const maxFrameSamples = 32
 
-// Frame is one decoded serial frame.
-type Frame struct {
-	Seq   uint16
-	Codes []int32
-}
-
-// Errors returned by DecodeFrame.
+// Errors returned by DecodeFrameInto.
 var (
 	ErrShortFrame = errors.New("measure: frame truncated")
 	ErrBadSync    = errors.New("measure: bad sync word")
 	ErrBadCRC     = errors.New("measure: CRC mismatch")
 )
 
-// EncodeFrame serializes a batch of ADC codes. It panics if the batch
-// is empty or exceeds maxFrameSamples, or if a code does not fit in 24
-// bits — those are programming errors in the sampler.
-func EncodeFrame(seq uint16, codes []int32) []byte {
-	return AppendFrame(make([]byte, 0, 5+3*len(codes)+2), seq, codes)
-}
-
-// AppendFrame is EncodeFrame into a caller-owned buffer: it appends the
-// encoded frame to dst and returns the extended slice. The sampler hot
-// path passes the same buffer every flush so steady-state framing does
-// not allocate.
+// AppendFrame serializes a batch of ADC codes: it appends the encoded
+// frame to dst and returns the extended slice. The sampler hot path
+// passes the same buffer every flush so steady-state framing does not
+// allocate. It panics if the batch is empty or exceeds maxFrameSamples,
+// or if a code does not fit in 24 bits — those are programming errors
+// in the sampler.
 func AppendFrame(dst []byte, seq uint16, codes []int32) []byte {
 	if len(codes) == 0 || len(codes) > maxFrameSamples {
 		panic(fmt.Sprintf("measure: frame with %d samples", len(codes)))
@@ -61,21 +50,11 @@ func AppendFrame(dst []byte, seq uint16, codes []int32) []byte {
 	return binary.BigEndian.AppendUint16(buf, crc16(buf[start:]))
 }
 
-// DecodeFrame parses one frame, verifying sync and CRC, and returns the
-// number of bytes consumed.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	seq, codes, total, err := DecodeFrameInto(b, nil)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	return Frame{Seq: seq, Codes: codes}, total, nil
-}
-
-// DecodeFrameInto is DecodeFrame into a caller-owned slice: decoded
+// DecodeFrameInto parses one frame, verifying sync and CRC: decoded
 // codes are appended to codes and the extended slice is returned along
-// with the frame sequence number and bytes consumed. The sampler hot
-// path passes the same slice every flush so steady-state decoding does
-// not allocate.
+// with the frame sequence number and the number of bytes consumed. The
+// sampler hot path passes the same slice every flush so steady-state
+// decoding does not allocate.
 func DecodeFrameInto(b []byte, codes []int32) (uint16, []int32, int, error) {
 	if len(b) < 7 {
 		return 0, codes, 0, ErrShortFrame

@@ -9,19 +9,19 @@ import (
 // wire bytes: it must never panic, and any frame it does accept must
 // re-encode to the same bytes (round-trip integrity).
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(EncodeFrame(0, []int32{0}))
-	f.Add(EncodeFrame(65535, []int32{8388607, -8388608}))
+	f.Add(AppendFrame(nil, 0, []int32{0}))
+	f.Add(AppendFrame(nil, 65535, []int32{8388607, -8388608}))
 	f.Add([]byte{0xAA, 0x55, 0x00, 0x01, 0x02})
 	f.Add(bytes.Repeat([]byte{0xAA}, 64))
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		fr, n, err := DecodeFrame(wire)
+		seq, codes, n, err := DecodeFrameInto(wire, nil)
 		if err != nil {
 			return
 		}
 		if n <= 0 || n > len(wire) {
 			t.Fatalf("consumed %d of %d bytes", n, len(wire))
 		}
-		re := EncodeFrame(fr.Seq, fr.Codes)
+		re := AppendFrame(nil, seq, codes)
 		if !bytes.Equal(re, wire[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, wire[:n])
 		}
@@ -57,16 +57,16 @@ func FuzzRoundTrip(f *testing.F) {
 				break
 			}
 		}
-		fr, _, err := DecodeFrame(EncodeFrame(seq, codes))
+		gotSeq, got, _, err := DecodeFrameInto(AppendFrame(nil, seq, codes), nil)
 		if err != nil {
 			t.Fatalf("valid frame rejected: %v", err)
 		}
-		if fr.Seq != seq || len(fr.Codes) != len(codes) {
+		if gotSeq != seq || len(got) != len(codes) {
 			t.Fatal("round trip lost data")
 		}
 		for i := range codes {
-			if fr.Codes[i] != codes[i] {
-				t.Fatalf("code %d: %d != %d", i, fr.Codes[i], codes[i])
+			if got[i] != codes[i] {
+				t.Fatalf("code %d: %d != %d", i, got[i], codes[i])
 			}
 		}
 	})

@@ -94,23 +94,23 @@ func TestADCQuantizationProperty(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	codes := []int32{0, 1, -1, 8388607, -8388608, 12345, -99999}
-	wire := EncodeFrame(42, codes)
-	f, n, err := DecodeFrame(wire)
+	wire := AppendFrame(nil, 42, codes)
+	seq, got, n, err := DecodeFrameInto(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(wire) {
 		t.Errorf("consumed %d bytes, want %d", n, len(wire))
 	}
-	if f.Seq != 42 {
-		t.Errorf("seq = %d, want 42", f.Seq)
+	if seq != 42 {
+		t.Errorf("seq = %d, want 42", seq)
 	}
-	if len(f.Codes) != len(codes) {
-		t.Fatalf("decoded %d codes, want %d", len(f.Codes), len(codes))
+	if len(got) != len(codes) {
+		t.Fatalf("decoded %d codes, want %d", len(got), len(codes))
 	}
 	for i := range codes {
-		if f.Codes[i] != codes[i] {
-			t.Errorf("code %d = %d, want %d", i, f.Codes[i], codes[i])
+		if got[i] != codes[i] {
+			t.Errorf("code %d = %d, want %d", i, got[i], codes[i])
 		}
 	}
 }
@@ -128,12 +128,12 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		for i, c := range raw {
 			codes[i] = c % (1 << 23)
 		}
-		fr, _, err := DecodeFrame(EncodeFrame(seq, codes))
-		if err != nil || fr.Seq != seq {
+		gotSeq, got, _, err := DecodeFrameInto(AppendFrame(nil, seq, codes), nil)
+		if err != nil || gotSeq != seq {
 			return false
 		}
 		for i := range codes {
-			if fr.Codes[i] != codes[i] {
+			if got[i] != codes[i] {
 				return false
 			}
 		}
@@ -145,28 +145,28 @@ func TestFrameRoundTripProperty(t *testing.T) {
 }
 
 func TestFrameDetectsCorruption(t *testing.T) {
-	wire := EncodeFrame(7, []int32{100, -200, 300})
+	wire := AppendFrame(nil, 7, []int32{100, -200, 300})
 	for i := 2; i < len(wire); i++ { // skip sync word: flipping it is ErrBadSync
 		bad := make([]byte, len(wire))
 		copy(bad, wire)
 		bad[i] ^= 0x40
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, _, err := DecodeFrameInto(bad, nil); err == nil {
 			t.Errorf("corruption at byte %d went undetected", i)
 		}
 	}
 }
 
 func TestFrameBadSync(t *testing.T) {
-	wire := EncodeFrame(7, []int32{1})
+	wire := AppendFrame(nil, 7, []int32{1})
 	wire[0] = 0x00
-	if _, _, err := DecodeFrame(wire); err != ErrBadSync {
+	if _, _, _, err := DecodeFrameInto(wire, nil); err != ErrBadSync {
 		t.Fatalf("err = %v, want ErrBadSync", err)
 	}
 }
 
 func TestFrameTruncated(t *testing.T) {
-	wire := EncodeFrame(7, []int32{1, 2, 3})
-	if _, _, err := DecodeFrame(wire[:len(wire)-3]); err != ErrShortFrame {
+	wire := AppendFrame(nil, 7, []int32{1, 2, 3})
+	if _, _, _, err := DecodeFrameInto(wire[:len(wire)-3], nil); err != ErrShortFrame {
 		t.Fatalf("err = %v, want ErrShortFrame", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestFrameEncodePanics(t *testing.T) {
 					t.Fatal("no panic")
 				}
 			}()
-			EncodeFrame(0, tc.codes)
+			AppendFrame(nil, 0, tc.codes)
 		})
 	}
 }

@@ -209,9 +209,6 @@ func (r *Rig) Stop() {
 	}
 }
 
-// Sampling reports whether the rig is currently sampling.
-func (r *Rig) Sampling() bool { return r.sampling }
-
 // flush encodes the pending batch as a serial frame, transmits it
 // across the (possibly noisy) link, decodes it on the logger side, and
 // appends calibrated samples to the trace.

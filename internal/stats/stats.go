@@ -143,64 +143,3 @@ func Normalize(xs []float64) []float64 {
 	}
 	return out
 }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi). Values
-// outside the range are clamped into the first and last buckets, so no
-// observation is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: histogram range [%v, %v) is empty", lo, hi))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	i := int(float64(len(h.Counts)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Quantile estimates the q-quantile from bucket midpoints.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		panic("stats: quantile of empty histogram")
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			return h.BucketMid(i)
-		}
-	}
-	return h.BucketMid(len(h.Counts) - 1)
-}

@@ -177,71 +177,6 @@ func TestNormalizeProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBasic(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bucket %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total = %d, want 10", h.Total())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[9] != 1 {
-		t.Errorf("out-of-range values not clamped: %v", h.Counts)
-	}
-	if h.Total() != 2 {
-		t.Errorf("Total = %d, want 2", h.Total())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median estimate = %v, want ≈ 50", med)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 95 {
-		t.Errorf("p99 estimate = %v, want ≥ 95", p99)
-	}
-}
-
-func TestHistogramConstructorPanics(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"zero buckets", func() { NewHistogram(0, 1, 0) }},
-		{"empty range", func() { NewHistogram(5, 5, 4) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			tc.fn()
-		})
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	t.Parallel()
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
