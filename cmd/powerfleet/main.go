@@ -370,10 +370,16 @@ func campaignCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// A gridless spec's one point is labelled with the spec's name, so a
-	// spec named after the merged report would write over it.
-	if *outDir != "" && sp.Grid == nil && sp.Name+".json" == campaignReport {
-		return fmt.Errorf("a gridless spec named %q would write its point report over %s; rename it", sp.Name, campaignReport)
+	// A gridless spec's one point is labelled with the spec's name and
+	// written to <out>/<name>.json, so the name must be a plain file
+	// name, and not the merged report's.
+	if *outDir != "" && sp.Grid == nil {
+		if sp.Name == "." || sp.Name == ".." || sp.Name != filepath.Base(sp.Name) {
+			return fmt.Errorf("a gridless spec named %q would write its point report outside %s; rename it", sp.Name, *outDir)
+		}
+		if sp.Name+".json" == campaignReport {
+			return fmt.Errorf("a gridless spec named %q would write its point report over %s; rename it", sp.Name, campaignReport)
+		}
 	}
 	rep, err := campaign.Run(sp, *parallel)
 	if err != nil {

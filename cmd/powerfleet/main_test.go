@@ -372,4 +372,24 @@ func TestCampaignSubcommand(t *testing.T) {
 	if code, _, stderr := runCLI("campaign", "-scenario", soloPath, "-out", filepath.Join(dir, "solo")); code == 0 || !strings.Contains(stderr, "rename it") {
 		t.Fatalf("gridless spec named campaign: exit %d, stderr: %s", code, stderr)
 	}
+	// Nor may its name lead the point report out of the -out directory.
+	esc := scenario.BuiltIn("campaign")
+	esc.Grid = nil
+	esc.Name = "../escape"
+	esc.Runtime = scenario.Duration(150 * time.Millisecond)
+	canon, err = esc.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	escPath := filepath.Join(dir, "escape-spec.json")
+	if err := os.WriteFile(escPath, canon, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	escOut := filepath.Join(dir, "esc", "out")
+	if code, _, stderr := runCLI("campaign", "-scenario", escPath, "-out", escOut); code == 0 || !strings.Contains(stderr, "outside") {
+		t.Errorf("gridless spec named ../escape: exit %d, stderr: %s", code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "esc", "escape.json")); err == nil {
+		t.Errorf("campaign wrote escape.json outside its -out directory")
+	}
 }

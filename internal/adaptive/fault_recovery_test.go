@@ -400,17 +400,6 @@ func TestRolloutQuarantine(t *testing.T) {
 	if ro.EnabledCount() != 5 {
 		t.Errorf("enabled = %d, want 5 (all but the quarantined leaf)", ro.EnabledCount())
 	}
-
-	// Reinstating returns it to the pending pool.
-	if err := ro.Reinstate(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.Reinstate(bad); err == nil {
-		t.Error("reinstating a non-quarantined leaf accepted")
-	}
-	if got := ro.Stage(10); len(got) != 1 || got[0] != bad {
-		t.Errorf("post-reinstate Stage = %v, want just the reinstated leaf", got)
-	}
 }
 
 func TestRolloutAuditAndQuarantine(t *testing.T) {

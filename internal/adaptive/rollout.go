@@ -207,16 +207,6 @@ func (r *Rollout) Quarantined(d *Domain) bool { return r.quarantined[d] }
 // QuarantinedCount returns how many leaf domains are quarantined.
 func (r *Rollout) QuarantinedCount() int { return len(r.quarantined) }
 
-// Reinstate lifts a quarantine (after the underlying fault is fixed),
-// returning the leaf to the pending pool of future Stage calls.
-func (r *Rollout) Reinstate(d *Domain) error {
-	if !r.quarantined[d] {
-		return fmt.Errorf("adaptive: domain %s is not quarantined", d.Name)
-	}
-	delete(r.quarantined, d)
-	return nil
-}
-
 // AuditAndQuarantine audits the enabled leaves and quarantines every
 // failing one, returning them (sorted by name). This is the §4.1
 // containment loop in one call: identify local control failures, then

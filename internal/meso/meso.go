@@ -135,9 +135,6 @@ func (p *Pool) Unpark(i int, now time.Duration) Settlement {
 // Parked reports whether lane i is currently parked.
 func (p *Pool) Parked(i int) bool { return p.g.Count(LaneKey(i)) > 0 }
 
-// ParkedCount returns how many lanes are currently parked.
-func (p *Pool) ParkedCount() int { return p.g.Members() }
-
 // DynEnergyJ returns the total dynamic energy the pool accounts up to
 // virtual time now: settled spans plus the live accrual of every
 // currently-parked lane (see GroupPool.EnergyJ).

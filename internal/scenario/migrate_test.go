@@ -11,8 +11,7 @@ import (
 // TestMigrateV1Fixture pins the version-1 migration hint: the
 // checked-in version-1 stepped-budget spec, with its version field set
 // to 2 and nothing else changed, parses to exactly the committed
-// scenarios/stepped-budget.json, which TestScenarioFilesCanonical pins
-// to the built-in spec byte for byte.
+// scenarios/stepped-budget.json, the built-in spec's own file.
 func TestMigrateV1Fixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "v1-stepped-budget.json"))
 	if err != nil {

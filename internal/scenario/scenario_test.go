@@ -2,9 +2,9 @@ package scenario
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +12,6 @@ import (
 	"wattio/internal/serve"
 	"wattio/internal/sim"
 )
-
-var update = flag.Bool("update", false, "rewrite scenarios/*.json from the built-in specs")
 
 // TestBuiltInsValid pins the contract every built-in must satisfy:
 // it validates, its canonical encoding is a parse fixed point, and all
@@ -68,49 +66,50 @@ func TestBuiltInsValid(t *testing.T) {
 	}
 }
 
-// TestScenarioFilesCanonical pins scenarios/<name>.json ==
-// BuiltIn(name).Canonical() for every built-in, and rejects stray
-// files, so the on-disk specs can never drift from the defaults the
-// experiments run. Regenerate with
-//
-//	go test ./internal/scenario -run TestScenarioFilesCanonical -update
+// TestScenarioFilesCanonical pins the built-ins to the files they are
+// read from: every scenarios/*.json is already in canonical form, and
+// BuiltInNames lists exactly those files. Rewrite a file in canonical
+// form with `powerfleet scenario -w`.
 func TestScenarioFilesCanonical(t *testing.T) {
-	dir := filepath.Join("..", "..", "scenarios")
-	if *update {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range BuiltInNames() {
-		canon, err := BuiltIn(name).Canonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name+".json")
-		if *update {
-			if err := os.WriteFile(path, canon, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update)", err)
-			continue
-		}
-		if !bytes.Equal(got, canon) {
-			t.Errorf("%s drifted from the built-in spec (regenerate with -update if intended)", path)
-		}
-	}
-	entries, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
+		t.Fatal(err)
 	}
-	for _, e := range entries {
-		base := strings.TrimSuffix(e.Name(), ".json")
-		if base == e.Name() || BuiltIn(base) == nil {
-			t.Errorf("stray file scenarios/%s: every spec there must match a built-in", e.Name())
+	var names []string
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sp, err := Parse(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		canon, err := sp.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, canon) {
+			t.Errorf("%s is not canonical (rewrite it with powerfleet scenario -w)", path)
+		}
+		names = append(names, strings.TrimSuffix(filepath.Base(path), ".json"))
+	}
+	if got := BuiltInNames(); !slices.Equal(got, names) {
+		t.Errorf("BuiltInNames() = %v, files on disk %v", got, names)
+	}
+}
+
+// TestBuiltInFresh pins that BuiltIn hands out independent copies:
+// callers (perfbench's workloads, override layers, tests) mutate what
+// it returns.
+func TestBuiltInFresh(t *testing.T) {
+	a := BuiltIn("stepped-budget")
+	size, dev := a.Fleet.Size, a.Fleet.Faults[0].Device
+	a.Fleet.Size++
+	a.Fleet.Faults[0].Device = "mutated"
+	b := BuiltIn("stepped-budget")
+	if b.Fleet.Size != size || b.Fleet.Faults[0].Device != dev {
+		t.Errorf("second BuiltIn saw the first's mutation: size %d, fault device %q", b.Fleet.Size, b.Fleet.Faults[0].Device)
 	}
 }
 

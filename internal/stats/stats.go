@@ -108,38 +108,3 @@ func QuantileSorted(s []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// MinMax returns the smallest and largest values in xs. It panics on an
-// empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// Normalize returns xs scaled so that the largest value maps to 1. A
-// slice whose maximum is zero is returned as all zeros.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	_, hi := MinMax(xs)
-	if hi == 0 {
-		return out
-	}
-	for i, v := range xs {
-		out[i] = v / hi
-	}
-	return out
-}

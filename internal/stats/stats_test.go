@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -106,7 +106,7 @@ func TestQuantileProperty(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		lo, hi := MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		va, vb := Quantile(xs, qa), Quantile(xs, qb)
 		return va >= lo && vb <= hi && va <= vb
 	}
@@ -122,65 +122,5 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	t.Parallel()
-	got := Normalize([]float64{2, 4, 8})
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestNormalizeAllZero(t *testing.T) {
-	t.Parallel()
-	got := Normalize([]float64{0, 0})
-	if got[0] != 0 || got[1] != 0 {
-		t.Errorf("Normalize zeros = %v, want zeros", got)
-	}
-}
-
-// Property: normalization preserves order and maps the max to 1 when the
-// max is positive.
-func TestNormalizeProperty(t *testing.T) {
-	t.Parallel()
-	f := func(raw []float64) bool {
-		xs := raw[:0]
-		for _, v := range raw {
-			if v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		n := Normalize(xs)
-		idx := make([]int, len(xs))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-		for k := 1; k < len(idx); k++ {
-			if n[idx[k]] < n[idx[k-1]] {
-				return false
-			}
-		}
-		_, hi := MinMax(n)
-		return math.Abs(hi-1) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	t.Parallel()
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v; want -1, 7", lo, hi)
 	}
 }
