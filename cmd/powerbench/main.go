@@ -35,6 +35,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"wattio/internal/experiments"
@@ -154,6 +155,16 @@ func run(argv []string, stdout, errw io.Writer) int {
 			return 2
 		}
 		todo = []experiments.Experiment{e}
+	}
+	// The fleet flags are checked only when the fleet experiment builds
+	// its spec; build it now, so a bad flag fails before any other
+	// experiment runs.
+	isFleet := func(e experiments.Experiment) bool { return e.ID == "fleet" }
+	if slices.ContainsFunc(todo, isFleet) {
+		if _, err := experiments.FleetSpec(s); err != nil {
+			fmt.Fprintf(errw, "powerbench: %v\n", err)
+			return 2
+		}
 	}
 
 	var w io.Writer = stdout

@@ -104,6 +104,16 @@ func TestScenarioValidationNamesPath(t *testing.T) {
 	}
 }
 
+// TestFleetFlagsCheckedUpFront: fleet flags that make the fleet invalid
+// fail with the offending spec path before any experiment of the run
+// prints a line.
+func TestFleetFlagsCheckedUpFront(t *testing.T) {
+	code, out, errw := runCLI("-exp", "all", "-fleet", "10", "-replicas", "4")
+	if code != 2 || out != "" || !strings.Contains(errw, "fleet.replicas") {
+		t.Fatalf("exit %d, %d bytes of stdout, stderr: %s", code, len(out), errw)
+	}
+}
+
 // TestScenarioGridRejected: powerbench runs one configuration, so a
 // campaign spec must be redirected to `powerfleet campaign`, not run as
 // whichever point powerbench would silently pick.

@@ -62,24 +62,23 @@ type FleetOptions struct {
 }
 
 // Paper is the published methodology's scale.
-var Paper = Scale{Runtime: time.Minute, TotalBytes: 4 << 30, Seed: 42, FaultSeed: 1}
+var Paper = Scale{Runtime: scenario.PaperRuntime, TotalBytes: 4 << 30, Seed: 42, FaultSeed: 1}
 
 // Quick is the test-suite scale.
-var Quick = Scale{Runtime: 2 * time.Second, TotalBytes: 256 << 20, Seed: 42, FaultSeed: 1}
+var Quick = Scale{Runtime: scenario.QuickRuntime, TotalBytes: 256 << 20, Seed: 42, FaultSeed: 1}
 
 // ScaleFor translates a validated scenario spec into the Scale the
 // experiment runners consume: the spec's scale name picks the base
-// bounds, its runtime/total_bytes override them, and its seeds carry
-// over verbatim. The spec itself rides along for the experiments that
-// read more than bounds from it.
+// bounds, its total_bytes overrides them, the runtime is the spec's
+// resolved Horizon (the one its fleet stanza validated at), and its
+// seeds carry over verbatim. The spec itself rides along for the
+// experiments that read more than bounds from it.
 func ScaleFor(sp *scenario.Spec) Scale {
 	s := Quick
 	if sp.Scale == "paper" {
 		s = Paper
 	}
-	if sp.Runtime > 0 {
-		s.Runtime = sp.Runtime.D()
-	}
+	s.Runtime = sp.Horizon()
 	if sp.TotalBytes > 0 {
 		s.TotalBytes = sp.TotalBytes
 	}

@@ -16,8 +16,10 @@ func init() {
 // FleetSpec translates a Scale into the serving-engine spec the fleet
 // experiment runs: the attached scenario (or the built-in "fleet"
 // scenario when none is attached) materialized through the declarative
-// builder, with any non-zero legacy FleetOptions layered on top.
-// Exported so bench_test.go benchmarks exactly what powerbench runs.
+// builder, with any non-zero legacy FleetOptions layered on top. The
+// result is validated, so an invalid override fails here naming its
+// fleet.* path. Exported so bench_test.go benchmarks exactly what
+// powerbench runs, and so powerbench can check the fleet up front.
 func FleetSpec(s Scale) (serve.Spec, error) {
 	sp := s.Scenario
 	if sp == nil {
@@ -57,15 +59,21 @@ func FleetSpec(s Scale) (serve.Spec, error) {
 			sp.Fleet.Meso.Probes = o.MesoProbes
 		}
 	}
-	sp.Seed, sp.FaultSeed = s.Seed, s.FaultSeed
-	spec, err := sp.ServeSpec(s.Runtime)
-	if err == nil && o.MesoProbes != 0 && spec.MesoGroupMin == 0 {
+	if m := sp.Fleet.Meso; o.MesoProbes != 0 && (m == nil || !m.Enable || m.GroupMin == 0) {
 		// Probe lanes only exist in group-parked cohorts: without group
 		// parking the count would be dropped (no meso stanza) or refused
-		// deep inside serve.Run, so name the missing flag here.
+		// by its spec path, so name the missing flag here.
 		return serve.Spec{}, fmt.Errorf("-mesoprobes %d needs group parking (set -mesogroup)", o.MesoProbes)
 	}
-	return spec, err
+	sp.Seed, sp.FaultSeed = s.Seed, s.FaultSeed
+	// The overrides can make a valid spec invalid: check the spec that
+	// runs, at the horizon it runs for, so an error names its fleet.*
+	// path before anything is built.
+	sp.Runtime = scenario.Duration(s.Runtime)
+	if err := sp.Validate(); err != nil {
+		return serve.Spec{}, err
+	}
+	return sp.ServeSpec(s.Runtime)
 }
 
 func runFleet(s Scale, w io.Writer) error {

@@ -29,8 +29,41 @@ const (
 // into the serving engine's spec, with horizon as the virtual serving
 // time. Budget semantics: "" takes the stepped curtail-and-recover
 // default, "max" a never-binding budget, anything else a
-// serve.ParseSchedule schedule scaled by the resolved fleet size.
+// serve.ParseSchedule schedule scaled by the resolved fleet size. An
+// enabled calib stanza fits a model per profile (memoized per class and
+// options) into the spec's Fitted map.
 func (s *Spec) ServeSpec(horizon time.Duration) (serve.Spec, error) {
+	sp, err := s.serveSpec(horizon)
+	if err != nil {
+		return serve.Spec{}, err
+	}
+	if f := s.Fleet; f != nil && f.Calib != nil && f.Calib.Enable {
+		c := f.Calib
+		profiles := sp.Profiles
+		if len(profiles) == 0 {
+			profiles = []string{"SSD2"}
+		}
+		opt := calib.Options{
+			PointRuntime: c.PointRuntime.D(),
+			Warmup:       c.Warmup.D(),
+			Seed:         c.Seed,
+			Folds:        c.Folds,
+		}
+		sp.Fitted = make(map[string]*calib.Model, len(profiles))
+		for _, p := range profiles {
+			fit, err := calib.FitClass(p, opt)
+			if err != nil {
+				return serve.Spec{}, pathErr("fleet.calib", "%v", err)
+			}
+			sp.Fitted[p] = fit.Model
+		}
+	}
+	return sp, nil
+}
+
+// serveSpec is ServeSpec without the fitting: the conversion validation
+// checks a fleet stanza through.
+func (s *Spec) serveSpec(horizon time.Duration) (serve.Spec, error) {
 	f := s.Fleet
 	if f == nil {
 		f = &FleetSpec{}
@@ -85,26 +118,6 @@ func (s *Spec) ServeSpec(horizon time.Duration) (serve.Spec, error) {
 		sp.Meso = true
 		sp.MesoGroupMin = m.GroupMin
 		sp.MesoProbes = m.Probes
-	}
-	if c := f.Calib; c != nil && c.Enable {
-		profiles := f.Profiles
-		if len(profiles) == 0 {
-			profiles = []string{"SSD2"}
-		}
-		opt := calib.Options{
-			PointRuntime: c.PointRuntime.D(),
-			Warmup:       c.Warmup.D(),
-			Seed:         c.Seed,
-			Folds:        c.Folds,
-		}
-		sp.Fitted = make(map[string]*calib.Model, len(profiles))
-		for _, p := range profiles {
-			fit, err := calib.FitClass(p, opt)
-			if err != nil {
-				return serve.Spec{}, pathErr("fleet.calib", "%v", err)
-			}
-			sp.Fitted[p] = fit.Model
-		}
 	}
 	switch f.Budget {
 	case "max":

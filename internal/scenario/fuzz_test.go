@@ -187,7 +187,7 @@ func FuzzGridExpand(f *testing.F) {
 		}
 		sp := BuiltIn("fleet")
 		sp.Seed = seed
-		sp.Runtime = Duration(50 * time.Millisecond)
+		sp.Runtime = Duration(250 * time.Millisecond) // holds the default 100 ms control period
 		sp.Grid = &g
 		if err := sp.Validate(); err != nil {
 			if !strings.Contains(err.Error(), "scenario: ") {

@@ -7,7 +7,10 @@
 //
 // The pipeline is: JSON file → Parse (strict: unknown fields are
 // rejected) → Validate (semantic checks that fail loudly with the
-// offending path) → builders (ServeSpec, BuildDevices, Job). Every
+// offending path) → builders (ServeSpec, BuildDevices, Job). A fleet
+// stanza is validated by the serving engine's own serve.Spec.Validate
+// at the run's resolved horizon (Horizon: the spec's runtime, else its
+// scale's), so a spec that validates never fails in serve.Run. Every
 // layer that used to hand-wire these pieces — the experiment runners,
 // the serving engine setup, cmd/powerbench, and the examples — now
 // goes through this package, so adding a scenario is a data change,
@@ -22,9 +25,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,6 +46,25 @@ import (
 // version field to 2.
 const Version = 2
 
+// The virtual run length a spec gets from its scale when it sets no
+// runtime of its own.
+const (
+	QuickRuntime = 2 * time.Second
+	PaperRuntime = time.Minute
+)
+
+// Horizon returns the run's resolved virtual length: the spec's runtime
+// when set, else its scale's.
+func (s *Spec) Horizon() time.Duration {
+	switch {
+	case s.Runtime > 0:
+		return s.Runtime.D()
+	case s.Scale == "paper":
+		return PaperRuntime
+	}
+	return QuickRuntime
+}
+
 // Size ceilings keep a malformed (or adversarial, under fuzzing) spec
 // from ballooning validation or materialization — a spec that passes
 // Validate must always be cheap enough to build.
@@ -48,8 +72,9 @@ const (
 	maxDeviceCount = 4096
 	// maxFleetSize admits million-device fleets: with the group-parked
 	// meso tier the builder materializes only probes and faulted members,
-	// and validation is O(#device-stanzas), so the bound is a sanity rail
-	// rather than a cost ceiling.
+	// and validation's cost does not grow with the fleet size (see
+	// serve.Spec.Validate), so the bound is a sanity rail rather than a
+	// cost ceiling.
 	maxFleetSize  = 1 << 24
 	maxRolloutDim = 1 << 16
 )
@@ -220,8 +245,7 @@ type MesoSpec struct {
 	// keeps every lane materialized.
 	GroupMin int `json:"group_min,omitempty"`
 	// Probes is the number of resident probe lanes per virtualized
-	// cohort; meaningful only with GroupMin > 0. Default
-	// serve.DefaultMesoProbes.
+	// cohort; meaningful only with GroupMin > 0. Default 2.
 	Probes int `json:"probes,omitempty"`
 }
 
@@ -481,7 +505,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Fleet != nil {
-		if err := s.Fleet.validate("fleet", s.Runtime.D()); err != nil {
+		if err := s.validateFleet(); err != nil {
 			return err
 		}
 	}
@@ -506,7 +530,7 @@ func (s *Spec) Validate() error {
 }
 
 func (d DeviceSpec) validate(path string) error {
-	if !knownProfile(d.Profile, catalog.Names()) {
+	if !slices.Contains(catalog.Names(), d.Profile) {
 		return pathErr(path+".profile", "unknown profile %q (have %s)", d.Profile, strings.Join(catalog.Names(), ", "))
 	}
 	if d.Count < 0 {
@@ -609,213 +633,56 @@ func (w *WorkloadSpec) validate(path string) error {
 	return nil
 }
 
-// validate checks the fleet stanza. horizon is the spec-level runtime,
-// 0 when the run's scale supplies it; when set, every scheduled instant
-// must fall inside it, as the serving engine requires.
-func (f *FleetSpec) validate(path string, horizon time.Duration) error {
-	// inRun rejects an instant at or past the runtime.
-	inRun := func(p, what string, at time.Duration) error {
-		if horizon > 0 && at >= horizon {
-			return pathErr(p, "%s at %v is not before the runtime %v", what, at, horizon)
-		}
-		return nil
+// validateFleet checks the fleet stanza at the run's resolved horizon.
+// The serving engine's own serve.Spec.Validate checks every fleet
+// semantic it can see, on the stanza converted without fitting; its
+// errors come back under the stanza's "fleet." path. What stays here is
+// what that conversion resolves or drops: the size ceiling, the
+// rate_iops/arrivals exclusion, arrival-kind names, fault-window kinds
+// and fields, and the calib stanza.
+func (s *Spec) validateFleet() error {
+	f := s.Fleet
+	if f.Size > maxFleetSize {
+		return pathErr("fleet.size", "fleet size %d exceeds the supported maximum %d", f.Size, maxFleetSize)
 	}
-	for i, p := range f.Profiles {
-		if !knownProfile(p, serve.KnownProfiles()) {
-			return pathErr(fmt.Sprintf("%s.profiles[%d]", path, i),
-				"no planning model for profile %q (have %s)", p, strings.Join(serve.KnownProfiles(), ", "))
-		}
-	}
-	if f.Size < 0 {
-		return pathErr(path+".size", "negative fleet size %d", f.Size)
-	}
-	if f.Shards < 0 {
-		return pathErr(path+".shards", "negative shard count %d", f.Shards)
-	}
-	if f.Replicas < 0 || f.Active < 0 {
-		return pathErr(path+".replicas", "negative replica settings (%d active of %d)", f.Active, f.Replicas)
-	}
-	size, replicas := f.Size, f.Replicas
-	if size == 0 {
-		size = fleetDefaultSize
-	}
-	if replicas == 0 {
-		replicas = 1
-	}
-	if size > maxFleetSize {
-		return pathErr(path+".size", "fleet size %d exceeds the supported maximum %d", size, maxFleetSize)
-	}
-	if size%replicas != 0 {
-		return pathErr(path+".replicas", "fleet size %d not divisible into replica groups of %d", size, replicas)
-	}
-	if f.Active > replicas {
-		return pathErr(path+".active", "active count %d exceeds replicas %d", f.Active, replicas)
-	}
-	if f.RateIOPS < 0 {
-		return pathErr(path+".rate_iops", "negative arrival rate %v", f.RateIOPS)
-	}
-	if len(f.Arrivals) > 0 {
-		if f.RateIOPS != 0 {
-			return pathErr(path+".rate_iops", "rate_iops and arrivals are mutually exclusive (the schedule's first step sets the opening rate)")
-		}
-		if f.Arrivals[0].At != 0 {
-			return pathErr(path+".arrivals[0].at", "rate schedule must start at 0, got %v", f.Arrivals[0].At.D())
-		}
-		for i, rs := range f.Arrivals {
-			if rs.RateIOPS <= 0 {
-				return pathErr(fmt.Sprintf("%s.arrivals[%d].rate_iops", path, i), "rate step needs a positive rate, got %v", rs.RateIOPS)
-			}
-			if i > 0 && rs.At <= f.Arrivals[i-1].At {
-				return pathErr(fmt.Sprintf("%s.arrivals[%d].at", path, i), "rate schedule not strictly increasing at %v", rs.At.D())
-			}
-			if err := inRun(fmt.Sprintf("%s.arrivals[%d].at", path, i), "rate step", rs.At.D()); err != nil {
-				return err
-			}
-		}
-	}
-	if len(f.Churn) > 0 {
-		// Track per-profile live group counts through the schedule so
-		// every removal is known to have a target and no cohort ever
-		// empties out — the same walk serve's normalization does, but
-		// failing here names the offending spec path.
-		profiles := f.Profiles
-		if len(profiles) == 0 {
-			profiles = []string{"SSD2"}
-		}
-		live := make(map[string]int, len(profiles))
-		for g := 0; g < size/replicas; g++ {
-			live[profiles[g%len(profiles)]]++
-		}
-		for i, ev := range f.Churn {
-			epath := fmt.Sprintf("%s.churn[%d]", path, i)
-			if ev.At <= 0 {
-				return pathErr(epath+".at", "churn event needs a positive time, got %v", ev.At.D())
-			}
-			if i > 0 && ev.At <= f.Churn[i-1].At {
-				return pathErr(epath+".at", "churn schedule not strictly increasing at %v", ev.At.D())
-			}
-			if err := inRun(epath+".at", "churn event", ev.At.D()); err != nil {
-				return err
-			}
-			if _, ok := live[ev.Profile]; !ok {
-				return pathErr(epath+".profile", "churn event addresses unknown cohort %q (profiles are %s)",
-					ev.Profile, strings.Join(profiles, ", "))
-			}
-			if ev.Add < 0 || ev.Remove < 0 || ev.Add+ev.Remove == 0 {
-				return pathErr(epath, "churn event must add or remove at least one group (add %d, remove %d)", ev.Add, ev.Remove)
-			}
-			if ev.Warmup < 0 {
-				return pathErr(epath+".warmup", "negative warm-up %v", ev.Warmup.D())
-			}
-			if ev.Add > 0 {
-				if err := inRun(epath+".warmup", "warm-up end", (ev.At + ev.Warmup).D()); err != nil {
-					return err
-				}
-			}
-			live[ev.Profile] += ev.Add
-			if ev.Remove >= live[ev.Profile] {
-				return pathErr(epath+".remove", "removes %d of cohort %q's %d live groups (at least one must remain)",
-					ev.Remove, ev.Profile, live[ev.Profile])
-			}
-			live[ev.Profile] -= ev.Remove
-		}
+	if len(f.Arrivals) > 0 && f.RateIOPS != 0 {
+		return pathErr("fleet.rate_iops", "rate_iops and arrivals are mutually exclusive (the schedule's first step sets the opening rate)")
 	}
 	switch f.Arrival {
 	case "", "poisson", "uniform":
 	default:
-		return pathErr(path+".arrival", "arrival must be \"poisson\" or \"uniform\", got %q", f.Arrival)
+		return pathErr("fleet.arrival", "arrival must be \"poisson\" or \"uniform\", got %q", f.Arrival)
 	}
-	if f.CapTolFrac < 0 {
-		return pathErr(path+".cap_tol_frac", "negative cap tolerance %v", f.CapTolFrac)
-	}
-	if f.FaultFrac < 0 || f.FaultFrac > 1 {
-		return pathErr(path+".fault_frac", "fault fraction %v out of [0, 1]", f.FaultFrac)
-	}
-	if f.ControlPeriod < 0 {
-		return pathErr(path+".control_period", "negative control period %v", f.ControlPeriod.D())
-	}
-	if horizon > 0 && f.ControlPeriod.D() > horizon {
-		return pathErr(path+".control_period", "control period %v exceeds the runtime %v", f.ControlPeriod.D(), horizon)
-	}
-	if f.Budget != "" && f.Budget != "max" {
-		steps, err := serve.ParseSchedule(f.Budget, size)
-		if err != nil {
-			return pathErr(path+".budget", "%v", err)
-		}
-		if steps[0].At != 0 {
-			return pathErr(path+".budget", "budget schedule must start at 0, got %v", steps[0].At)
-		}
-		for _, st := range steps {
-			if err := inRun(path+".budget", "budget step", st.At); err != nil {
+	for i, ff := range f.Faults {
+		for j, w := range ff.Windows {
+			if err := w.validate(fmt.Sprintf("fleet.faults[%d].windows[%d]", i, j)); err != nil {
 				return err
-			}
-		}
-	}
-	if m := f.Meso; m != nil {
-		if m.GroupMin < 0 {
-			return pathErr(path+".meso.group_min", "negative group minimum %d", m.GroupMin)
-		}
-		if m.Probes < 0 {
-			return pathErr(path+".meso.probes", "negative probe count %d", m.Probes)
-		}
-		if m.Probes > 0 && m.GroupMin == 0 {
-			return pathErr(path+".meso.probes", "probe count set without group parking (set group_min)")
-		}
-		if m.GroupMin > 0 {
-			probes := m.Probes
-			if probes == 0 {
-				probes = serve.DefaultMesoProbes
-			}
-			if probes >= m.GroupMin {
-				return pathErr(path+".meso.probes", "probe count %d must be below group_min %d (a cohort that is all probes has nothing to virtualize)",
-					probes, m.GroupMin)
 			}
 		}
 	}
 	if c := f.Calib; c != nil {
 		if c.PointRuntime.D() < 0 {
-			return pathErr(path+".calib.point_runtime", "negative cell runtime %v", c.PointRuntime.D())
+			return pathErr("fleet.calib.point_runtime", "negative cell runtime %v", c.PointRuntime.D())
 		}
 		if c.Warmup.D() < 0 {
-			return pathErr(path+".calib.warmup", "negative warmup %v", c.Warmup.D())
+			return pathErr("fleet.calib.warmup", "negative warmup %v", c.Warmup.D())
 		}
 		if c.Folds == 1 || c.Folds < 0 {
-			return pathErr(path+".calib.folds", "cross-validation needs at least 2 folds, got %d", c.Folds)
+			return pathErr("fleet.calib.folds", "cross-validation needs at least 2 folds, got %d", c.Folds)
 		}
 	}
-	if len(f.Faults) == 0 {
-		return nil
+	ss, err := s.serveSpec(s.Horizon())
+	if err != nil {
+		return err
 	}
-	for i, ff := range f.Faults {
-		fpath := fmt.Sprintf("%s.faults[%d]", path, i)
-		// O(1) inverse lookup instead of enumerating every instance
-		// name: grid validation re-checks fault scripts per point, so
-		// this path must stay cheap at maxFleetSize × maxCampaignPoints.
-		prof, idx, err := serve.ParseInstanceName(ff.Device)
-		if err != nil || idx >= size || f.profile(idx, replicas) != prof {
-			return pathErr(fpath+".device", "no fleet instance named %q (names are profile#index, e.g. %q)",
-				ff.Device, serve.InstanceName(f.profile(0, replicas), 0))
+	if err := ss.Validate(); err != nil {
+		var fe *serve.FieldError
+		if errors.As(err, &fe) {
+			return pathErr("fleet."+fe.Path, "%s", fe.Msg)
 		}
-		if len(ff.Windows) == 0 {
-			return pathErr(fpath+".windows", "fault script needs at least one window")
-		}
-		for j, w := range ff.Windows {
-			if err := w.validate(fmt.Sprintf("%s.windows[%d]", fpath, j)); err != nil {
-				return err
-			}
-		}
+		return pathErr("fleet", "%v", err)
 	}
 	return nil
-}
-
-// profile returns the catalog profile of fleet device index i, given
-// the resolved replica-group size.
-func (f *FleetSpec) profile(i, replicas int) string {
-	profiles := f.Profiles
-	if len(profiles) == 0 {
-		profiles = []string{"SSD2"}
-	}
-	return profiles[(i/replicas)%len(profiles)]
 }
 
 func (c *ChaosSpec) validate(path string) error {
@@ -843,15 +710,6 @@ func (c *ChaosSpec) validate(path string) error {
 		return pathErr(path+".staged", "cannot stage %d of %d leaves", d.Staged, d.Racks*d.LeavesPerRack)
 	}
 	return nil
-}
-
-func knownProfile(p string, known []string) bool {
-	for _, k := range known {
-		if k == p {
-			return true
-		}
-	}
-	return false
 }
 
 // arrivalKind maps an arrival string ("" means the given default).

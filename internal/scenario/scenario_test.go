@@ -232,6 +232,27 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		{"churn empties cohort", func(s *Spec) {
 			s.Fleet.Churn = []ChurnEventSpec{{At: Duration(time.Second), Profile: "SSD2", Remove: 64}}
 		}, "fleet.churn[0].remove"},
+		// Stanzas the serving engine refuses, checked by its own rules.
+		{"chunk not 512-multiple", func(s *Spec) { s.Fleet.ChunkBytes = 1000 }, "fleet.chunk_bytes"},
+		{"negative depth", func(s *Spec) { s.Fleet.Depth = -5 }, "fleet.depth"},
+		{"negative batch", func(s *Spec) { s.Fleet.Batch = -1 }, "fleet.batch"},
+		{"negative queue cap", func(s *Spec) { s.Fleet.QueueCap = -1 }, "fleet.queue_cap"},
+		{"negative budget watts", func(s *Spec) { s.Fleet.Budget = "0s:-5" }, "fleet.budget[0]"},
+		{"zero per-device budget", func(s *Spec) { s.Fleet.Budget = "0s:0pd" }, "fleet.budget[0]"},
+		{"NaN budget", func(s *Spec) { s.Fleet.Budget = "0s:NaN" }, "fleet.budget[0]"},
+		{"infinite budget step", func(s *Spec) { s.Fleet.Budget = "0s:14pd,1s:Inf" }, "fleet.budget[1]"},
+		{"churn past the quick horizon", func(s *Spec) {
+			s.Runtime, s.Scale = 0, "quick"
+			s.Fleet.Churn = []ChurnEventSpec{{At: Duration(5 * time.Second), Profile: "SSD2", Add: 1}}
+		}, "fleet.churn[0].at"},
+		{"budget step past the quick horizon", func(s *Spec) {
+			s.Runtime, s.Scale = 0, "quick"
+			s.Fleet.Budget = "0s:14pd,5s:10pd"
+		}, "fleet.budget[1]"},
+		{"control period past the quick horizon", func(s *Spec) {
+			s.Runtime, s.Scale = 0, "quick"
+			s.Fleet.ControlPeriod = Duration(3 * time.Second)
+		}, "fleet.control_period"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,7 +287,9 @@ func TestValidateRejectsWithPath(t *testing.T) {
 // TestValidateRejectsTimesPastRuntime: with the spec-level runtime set,
 // every scheduled instant the serving engine rejects as outside its
 // horizon fails validation instead, naming its path. Without a runtime
-// the run's scale supplies the horizon, and validation defers to it.
+// the run's scale supplies the horizon, and validation holds the same
+// instants to it: each fails at quick scale (2 s) and validates at
+// paper scale (1 min).
 func TestValidateRejectsTimesPastRuntime(t *testing.T) {
 	sec := Duration(time.Second)
 	cases := []struct {
@@ -282,9 +305,9 @@ func TestValidateRejectsTimesPastRuntime(t *testing.T) {
 		}, "fleet.arrivals[1].at"},
 		{"budget step", func(f *FleetSpec) { f.Budget = "0s:14pd,2s:10pd" }, "fleet.budget"},
 		{"warm-up end", func(f *FleetSpec) {
-			f.Churn = []ChurnEventSpec{{At: sec / 2, Profile: "SSD2", Add: 1, Warmup: sec}}
+			f.Churn = []ChurnEventSpec{{At: sec / 2, Profile: "SSD2", Add: 1, Warmup: 2 * sec}}
 		}, "fleet.churn[0].warmup"},
-		{"control period", func(f *FleetSpec) { f.ControlPeriod = 2 * sec }, "fleet.control_period"},
+		{"control period", func(f *FleetSpec) { f.ControlPeriod = 3 * sec }, "fleet.control_period"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,10 +326,29 @@ func TestValidateRejectsTimesPastRuntime(t *testing.T) {
 				t.Fatal("serve.Run accepted the spec validation rejects")
 			}
 			sp.Runtime = 0
+			if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("without a runtime at quick scale: error %v does not name path %q", err, tc.want)
+			}
+			sp.Scale = "paper"
 			if err := sp.Validate(); err != nil {
-				t.Fatalf("without a runtime: %v", err)
+				t.Fatalf("without a runtime at paper scale: %v", err)
 			}
 		})
+	}
+}
+
+// TestScenarioFilesValidAtBothScales: every committed spec file
+// validates at quick and at paper scale, since powerbench -scale
+// re-validates a spec under either.
+func TestScenarioFilesValidAtBothScales(t *testing.T) {
+	for _, name := range BuiltInNames() {
+		for _, scale := range []string{"quick", "paper"} {
+			sp := BuiltIn(name)
+			sp.Scale = scale
+			if err := sp.Validate(); err != nil {
+				t.Errorf("%s at %s scale: %v", name, scale, err)
+			}
+		}
 	}
 }
 

@@ -22,8 +22,9 @@ var fuzzMixes = [][]string{
 // scenario: at most 32 devices and a horizon of at most 1 s, any tier,
 // churn, a rate step, fault injection and replicas. The spec carries the
 // horizon as its runtime, and every scheduled time is a fraction of it
-// that may reach past it, so validation must reject exactly the
-// schedules the serving engine cannot run.
+// that may reach past it; depth, batch, queue cap and chunk size, and
+// budget watts, may be zero, negative or misaligned. So validation must
+// reject exactly the stanzas the serving engine cannot run.
 func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) *Spec {
 	h := time.Duration(100+int(horizonMs)%901) * time.Millisecond
 	frac := func(tenths int) Duration { return Duration(h * time.Duration(tenths) / 10) }
@@ -48,7 +49,15 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 		f.Seq = true
 	}
 	if shape&32 != 0 {
-		f.Depth, f.Batch, f.QueueCap = 8, 4, 16
+		// The seed's top bits pick each stream-shape field, zero (the
+		// default), negative and non-512-multiple values among them;
+		// they are 0 in every seed below, which gives 8, 4, 16 and the
+		// default chunk.
+		k := int(seed >> 40)
+		f.Depth = []int{8, 0, -5, 1, 3}[k%5]
+		f.Batch = []int{4, 0, -1, 1, 9}[k/5%5]
+		f.QueueCap = []int{16, 0, -1, 1, 2}[k/25%5]
+		f.ChunkBytes = []int64{0, 4096, 1000, -512, 512}[k/125%5]
 	}
 	if shape&64 != 0 {
 		f.ControlPeriod = Duration(50 * time.Millisecond)
@@ -98,7 +107,7 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 	case 1:
 		f.Budget = "" // the stepped curtail-and-recover default
 	case 2:
-		f.Budget = fmt.Sprintf("0s:%dpd", 4+int(budget>>2)%12)
+		f.Budget = fmt.Sprintf("0s:%dpd", int(budget>>2)%15-3) // -3..11 W per device
 	case 3:
 		f.Budget = fmt.Sprintf("0s:%dpd,%v:%dpd", 4+int(budget>>2)%12, time.Duration(frac(5+3*int(budget>>6))), 4+int(budget>>5)%12)
 	}

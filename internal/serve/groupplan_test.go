@@ -26,7 +26,7 @@ func planDraw(cohorts []cohortDemand, dist [][]int) (drawW, tputMB float64) {
 func TestPlanSharesLadder(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(23, 3))
-	profiles := KnownProfiles()
+	profiles := knownProfiles()
 	const eps = 1e-9
 	for trial := 0; trial < 5000; trial++ {
 		cohorts := make([]cohortDemand, 1+rng.IntN(3))

@@ -19,12 +19,12 @@ func InstanceName(profile string, i int) string {
 	return fmt.Sprintf("%s#%05d", profile, i)
 }
 
-// ParseInstanceName is InstanceName's inverse: it splits a fleet
+// parseInstanceName is InstanceName's inverse: it splits a fleet
 // instance name into its profile and device index, rejecting anything
-// that InstanceName could not have produced. Validation layers use it
-// to check fault-script targets in O(1) instead of enumerating every
-// instance name of the fleet.
-func ParseInstanceName(name string) (profile string, i int, err error) {
+// that InstanceName could not have produced. Validate uses it to check
+// fault-script targets in O(1) instead of enumerating every instance
+// name of the fleet.
+func parseInstanceName(name string) (profile string, i int, err error) {
 	profile, idx, ok := strings.Cut(name, "#")
 	if !ok || profile == "" || len(idx) < 5 {
 		return "", 0, fmt.Errorf("instance name %q is not profile#index (e.g. %q)", name, InstanceName("SSD2", 0))

@@ -27,9 +27,9 @@ var planningTable = map[string][]planPoint{
 	"C960": {{0, 4.2, 1580}, {1, 4.1, 1580}, {2, 3.8, 1450}},
 }
 
-// KnownProfiles lists the profiles the planning table covers, sorted —
+// knownProfiles lists the profiles the planning table covers, sorted —
 // the set a fleet spec (or scenario file) may draw devices from.
-func KnownProfiles() []string {
+func knownProfiles() []string {
 	out := make([]string, 0, len(planningTable))
 	for p := range planningTable {
 		out = append(out, p)

@@ -168,9 +168,9 @@ type Spec struct {
 	// by the probes when they park. Budget steps re-plan over bucket
 	// counts in O(#buckets), so control-period work is sublinear in
 	// fleet size. 0 (the default) disables group parking entirely.
-	// MesoProbes defaults to DefaultMesoProbes; raising it toward the
-	// profile's power-state count speeds calibration coverage when a
-	// budget splits a cohort across several states.
+	// MesoProbes defaults to 2; raising it toward the profile's
+	// power-state count speeds calibration coverage when a budget splits
+	// a cohort across several states.
 	MesoGroupMin int
 	MesoProbes   int
 
@@ -184,14 +184,13 @@ type Spec struct {
 	Fitted map[string]*calib.Model
 }
 
-// Defaults for the Spec fields that other layers also need to report
-// or validate against: the budget-tracking tolerance and the resident
-// probe-lane count per group-parked cohort, taken when Spec.CapTolFrac
-// and Spec.MesoProbes are left zero.
-const (
-	DefaultCapTolFrac = 0.10
-	DefaultMesoProbes = 2
-)
+// DefaultCapTolFrac is the budget-tracking tolerance taken when
+// Spec.CapTolFrac is left zero; reports that print the tolerance use it.
+const DefaultCapTolFrac = 0.10
+
+// defaultMesoProbes is the resident probe-lane count per group-parked
+// cohort taken when Spec.MesoProbes is left zero.
+const defaultMesoProbes = 2
 
 // DeviceFault scripts fault windows onto one named fleet instance.
 type DeviceFault struct {
@@ -199,94 +198,60 @@ type DeviceFault struct {
 	Windows []fault.Window
 }
 
-// normalized returns a copy with defaults filled in, or an error when
-// the spec is invalid.
-func (s Spec) normalized() (Spec, error) {
+// FieldError is the error Validate, and so Run, returns for a spec it
+// refuses. Path names the offending field as a scenario file's fleet
+// stanza spells it ("size", "churn[0].remove", "arrivals[1].at",
+// "budget[1]", "meso.probes", "faults[0].device"), so the scenario
+// layer reports it under its own "fleet." prefix.
+type FieldError struct {
+	Path, Msg string
+}
+
+func (e *FieldError) Error() string { return "serve: " + e.Path + ": " + e.Msg }
+
+func fieldErr(path, format string, args ...any) error {
+	return &FieldError{Path: path, Msg: fmt.Sprintf(format, args...)}
+}
+
+// withDefaults returns a copy with every zero field except Budget given
+// its default. It never fails, whatever the spec holds: Validate checks
+// its result, and normalized adds the never-binding budget, whose
+// O(groups) sum validation does not pay.
+func (s Spec) withDefaults() Spec {
 	if len(s.Profiles) == 0 {
 		s.Profiles = []string{"SSD2"}
-	}
-	for _, p := range s.Profiles {
-		if _, ok := planningTable[p]; !ok {
-			return s, fmt.Errorf("serve: unknown profile %q", p)
-		}
-	}
-	for p, m := range s.Fitted {
-		if _, ok := planningTable[p]; !ok {
-			return s, fmt.Errorf("serve: fitted model for unknown profile %q", p)
-		}
-		if m == nil {
-			return s, fmt.Errorf("serve: nil fitted model for profile %q", p)
-		}
-		if err := m.Validate(); err != nil {
-			return s, fmt.Errorf("serve: fitted model for %q: %w", p, err)
-		}
 	}
 	if s.Size == 0 {
 		s.Size = 64
 	}
-	if s.Size < 1 {
-		return s, fmt.Errorf("serve: fleet size %d must be positive", s.Size)
-	}
 	if s.Replicas == 0 {
 		s.Replicas = 1
 	}
-	if s.Replicas < 1 || s.Size%s.Replicas != 0 {
-		return s, fmt.Errorf("serve: fleet size %d not divisible into replica groups of %d", s.Size, s.Replicas)
-	}
 	if s.Active == 0 {
-		s.Active = s.Replicas - 1
-		if s.Active < 1 {
-			s.Active = 1
-		}
+		s.Active = max(s.Replicas-1, 1)
 	}
-	if s.Active < 1 || s.Active > s.Replicas {
-		return s, fmt.Errorf("serve: active count %d out of [1, %d]", s.Active, s.Replicas)
-	}
-	groups := s.Size / s.Replicas
 	if s.Shards == 0 {
-		s.Shards = (groups + 15) / 16
-		if s.Shards > 16 {
-			s.Shards = 16
-		}
-	}
-	if s.Shards < 1 {
-		return s, fmt.Errorf("serve: shard count %d must be positive", s.Shards)
-	}
-	if s.Shards > groups {
-		s.Shards = groups
+		s.Shards = min((s.Size/s.Replicas+15)/16, 16)
 	}
 	if s.ChunkBytes == 0 {
 		s.ChunkBytes = 256 << 10
 	}
-	if s.ChunkBytes <= 0 || s.ChunkBytes%512 != 0 {
-		return s, fmt.Errorf("serve: chunk size %d invalid", s.ChunkBytes)
-	}
 	if s.Depth == 0 {
 		s.Depth = 64
-	}
-	if s.Depth < 1 {
-		return s, fmt.Errorf("serve: depth %d must be positive", s.Depth)
 	}
 	if s.Batch == 0 {
 		s.Batch = 8
 	}
-	if s.Batch < 1 {
-		return s, fmt.Errorf("serve: batch %d must be positive", s.Batch)
-	}
-	if s.Batch > s.Depth {
-		s.Batch = s.Depth
-	}
 	if s.QueueCap == 0 {
 		s.QueueCap = 4 * s.Depth
-	}
-	if s.QueueCap < 1 {
-		return s, fmt.Errorf("serve: queue cap %d must be positive", s.QueueCap)
 	}
 	if s.RateIOPS == 0 {
 		s.RateIOPS = 3000
 	}
-	if s.RateIOPS <= 0 {
-		return s, fmt.Errorf("serve: arrival rate %v must be positive", s.RateIOPS)
+	// A flat rate is the one-step schedule, so the engine has a single
+	// arrival path.
+	if len(s.Rates) == 0 {
+		s.Rates = []workload.RateStep{{At: 0, IOPS: s.RateIOPS}}
 	}
 	if s.Arrival == workload.Closed {
 		s.Arrival = workload.OpenPoisson
@@ -294,138 +259,208 @@ func (s Spec) normalized() (Spec, error) {
 	if s.Horizon == 0 {
 		s.Horizon = 2 * time.Second
 	}
-	if s.Horizon <= 0 {
-		return s, fmt.Errorf("serve: horizon %v must be positive", s.Horizon)
-	}
 	if s.ControlPeriod == 0 {
 		s.ControlPeriod = 100 * time.Millisecond
-	}
-	if s.ControlPeriod <= 0 || s.ControlPeriod > s.Horizon {
-		return s, fmt.Errorf("serve: control period %v out of (0, horizon]", s.ControlPeriod)
 	}
 	if s.CapTolFrac == 0 {
 		s.CapTolFrac = DefaultCapTolFrac
 	}
+	if s.MesoGroupMin > 0 && s.MesoProbes == 0 {
+		s.MesoProbes = defaultMesoProbes
+	}
+	return s
+}
+
+// Validate returns the first reason Run would refuse the spec, as a
+// *FieldError, or nil. It is the one check of fleet semantics: scenario
+// validation runs it on every fleet stanza. Only the fields of a fault
+// window are left to fault.New, which checks them as it wraps the
+// device. Its cost does not grow with the fleet size: O(#profiles ×
+// #churn events + #schedule steps + #fault scripts).
+func (s Spec) Validate() error {
+	s = s.withDefaults()
+	for i, p := range s.Profiles {
+		if _, ok := planningTable[p]; !ok {
+			return fieldErr(fmt.Sprintf("profiles[%d]", i), "unknown profile %q (planning models cover %s)",
+				p, strings.Join(knownProfiles(), ", "))
+		}
+	}
+	for p, m := range s.Fitted {
+		if _, ok := planningTable[p]; !ok {
+			return fieldErr("calib", "fitted model for unknown profile %q", p)
+		}
+		if m == nil {
+			return fieldErr("calib", "nil fitted model for profile %q", p)
+		}
+		if err := m.Validate(); err != nil {
+			return fieldErr("calib", "fitted model for %q: %v", p, err)
+		}
+	}
+	if s.Size < 1 {
+		return fieldErr("size", "fleet size %d must be positive", s.Size)
+	}
+	if s.Replicas < 1 || s.Size%s.Replicas != 0 {
+		return fieldErr("replicas", "fleet size %d not divisible into replica groups of %d", s.Size, s.Replicas)
+	}
+	if s.Active < 1 || s.Active > s.Replicas {
+		return fieldErr("active", "active count %d out of [1, %d]", s.Active, s.Replicas)
+	}
+	if s.Shards < 1 {
+		return fieldErr("shards", "shard count %d must be positive", s.Shards)
+	}
+	if s.ChunkBytes <= 0 || s.ChunkBytes%512 != 0 {
+		return fieldErr("chunk_bytes", "chunk size %d must be a positive multiple of 512", s.ChunkBytes)
+	}
+	if s.Depth < 1 {
+		return fieldErr("depth", "depth %d must be positive", s.Depth)
+	}
+	if s.Batch < 1 {
+		return fieldErr("batch", "batch %d must be positive", s.Batch)
+	}
+	if s.QueueCap < 1 {
+		return fieldErr("queue_cap", "queue cap %d must be positive", s.QueueCap)
+	}
+	if s.RateIOPS <= 0 {
+		return fieldErr("rate_iops", "arrival rate %v must be positive", s.RateIOPS)
+	}
+	if s.Horizon <= 0 {
+		return fieldErr("runtime", "horizon %v must be positive", s.Horizon)
+	}
+	if s.ControlPeriod <= 0 || s.ControlPeriod > s.Horizon {
+		return fieldErr("control_period", "control period %v out of (0, horizon %v]", s.ControlPeriod, s.Horizon)
+	}
 	if s.CapTolFrac < 0 {
-		return s, fmt.Errorf("serve: negative cap tolerance")
+		return fieldErr("cap_tol_frac", "negative cap tolerance %v", s.CapTolFrac)
 	}
 	if s.FaultFrac < 0 || s.FaultFrac > 1 {
-		return s, fmt.Errorf("serve: fault fraction %v out of [0, 1]", s.FaultFrac)
+		return fieldErr("fault_frac", "fault fraction %v out of [0, 1]", s.FaultFrac)
 	}
 	if s.MesoGroupMin < 0 {
-		return s, fmt.Errorf("serve: meso group minimum %d must be non-negative", s.MesoGroupMin)
+		return fieldErr("meso.group_min", "meso group minimum %d must be non-negative", s.MesoGroupMin)
 	}
 	if s.MesoGroupMin > 0 && !s.Meso {
-		return s, fmt.Errorf("serve: meso group parking requires the meso tier")
+		return fieldErr("meso.enable", "meso group parking requires the meso tier")
 	}
 	if s.MesoProbes < 0 {
-		return s, fmt.Errorf("serve: meso probe count %d must be non-negative", s.MesoProbes)
+		return fieldErr("meso.probes", "meso probe count %d must be non-negative", s.MesoProbes)
 	}
 	if s.MesoProbes > 0 && s.MesoGroupMin == 0 {
-		return s, fmt.Errorf("serve: meso probes set without group parking (set MesoGroupMin)")
-	}
-	if s.MesoGroupMin > 0 && s.MesoProbes == 0 {
-		s.MesoProbes = DefaultMesoProbes
+		return fieldErr("meso.probes", "meso probes set without group parking (set group_min)")
 	}
 	if s.MesoGroupMin > 0 && s.MesoProbes >= s.MesoGroupMin {
-		return s, fmt.Errorf("serve: meso probe count %d must be below the group minimum %d (a cohort that is all probes has nothing to virtualize)",
+		return fieldErr("meso.probes", "meso probe count %d must be below the group minimum %d (a cohort that is all probes has nothing to virtualize)",
 			s.MesoProbes, s.MesoGroupMin)
 	}
-	// A flat rate is the one-step schedule, so the engine has a single
-	// arrival path.
-	if len(s.Rates) == 0 {
-		s.Rates = []workload.RateStep{{At: 0, IOPS: s.RateIOPS}}
-	}
-	if s.Rates[0].At != 0 {
-		return s, fmt.Errorf("serve: rate schedule must start at 0, got %v", s.Rates[0].At)
-	}
 	for i, rs := range s.Rates {
+		path := fmt.Sprintf("arrivals[%d]", i)
+		if i == 0 && rs.At != 0 {
+			return fieldErr(path+".at", "rate schedule must start at 0, got %v", rs.At)
+		}
 		if rs.IOPS <= 0 {
-			return s, fmt.Errorf("serve: rate step %d has non-positive rate %v", i, rs.IOPS)
+			return fieldErr(path+".rate_iops", "rate step has non-positive rate %v", rs.IOPS)
 		}
 		if i > 0 && rs.At <= s.Rates[i-1].At {
-			return s, fmt.Errorf("serve: rate schedule not strictly increasing at step %d", i)
+			return fieldErr(path+".at", "rate schedule not strictly increasing at %v", rs.At)
 		}
 		if rs.At >= s.Horizon {
-			return s, fmt.Errorf("serve: rate step %d at %v is past the horizon %v", i, rs.At, s.Horizon)
+			return fieldErr(path+".at", "rate step at %v is past the horizon %v", rs.At, s.Horizon)
 		}
 	}
-	s.RateIOPS = s.Rates[0].IOPS
 	if len(s.Churn) > 0 {
-		// Simulate per-profile live group counts so every removal is
-		// known to have a target and no cohort ever empties out.
-		P := len(s.Profiles)
+		// Walk per-profile live group counts through the schedule so
+		// every removal is known to have a target and no cohort ever
+		// empties out. Groups round-robin over the profiles, so the
+		// opening counts are closed-form.
+		P, groups := len(s.Profiles), s.Size/s.Replicas
 		live := make([]int, P)
-		for g := 0; g < s.Size/s.Replicas; g++ {
-			live[g%P]++
+		for j := range live {
+			live[j] = groups / P
+			if j < groups%P {
+				live[j]++
+			}
 		}
 		for i, ev := range s.Churn {
+			path := fmt.Sprintf("churn[%d]", i)
 			if ev.At <= 0 || ev.At >= s.Horizon {
-				return s, fmt.Errorf("serve: churn event %d at %v outside (0, horizon)", i, ev.At)
+				return fieldErr(path+".at", "churn event at %v outside (0, horizon)", ev.At)
 			}
 			if i > 0 && ev.At <= s.Churn[i-1].At {
-				return s, fmt.Errorf("serve: churn schedule not strictly increasing at event %d", i)
+				return fieldErr(path+".at", "churn schedule not strictly increasing at %v", ev.At)
 			}
-			pi := -1
-			for j, p := range s.Profiles {
-				if p == ev.Profile {
-					pi = j
-					break
-				}
-			}
+			pi := slices.Index(s.Profiles, ev.Profile)
 			if pi < 0 {
-				return s, fmt.Errorf("serve: churn event %d addresses unknown cohort %q (profiles are %v)", i, ev.Profile, s.Profiles)
+				return fieldErr(path+".profile", "churn event addresses unknown cohort %q (profiles are %v)", ev.Profile, s.Profiles)
 			}
 			if ev.Add < 0 || ev.Remove < 0 || ev.Add+ev.Remove == 0 {
-				return s, fmt.Errorf("serve: churn event %d must add or remove at least one group", i)
+				return fieldErr(path, "churn event must add or remove at least one group (add %d, remove %d)", ev.Add, ev.Remove)
 			}
 			if ev.Warmup < 0 {
-				return s, fmt.Errorf("serve: churn event %d has negative warm-up %v", i, ev.Warmup)
+				return fieldErr(path+".warmup", "churn event has negative warm-up %v", ev.Warmup)
 			}
 			if ev.Add > 0 && ev.At+ev.Warmup >= s.Horizon {
-				return s, fmt.Errorf("serve: churn event %d warm-up ends at %v, past the horizon %v", i, ev.At+ev.Warmup, s.Horizon)
+				return fieldErr(path+".warmup", "warm-up ends at %v, past the horizon %v", ev.At+ev.Warmup, s.Horizon)
 			}
 			live[pi] += ev.Add
 			if ev.Remove >= live[pi] {
-				return s, fmt.Errorf("serve: churn event %d removes %d of cohort %q's %d live groups (at least one must remain)",
-					i, ev.Remove, ev.Profile, live[pi])
+				return fieldErr(path+".remove", "removes %d of cohort %q's %d live groups (at least one must remain)",
+					ev.Remove, ev.Profile, live[pi])
 			}
 			live[pi] -= ev.Remove
 		}
 	}
+	for i, st := range s.Budget {
+		path := fmt.Sprintf("budget[%d]", i)
+		if i == 0 && st.At != 0 {
+			return fieldErr(path, "budget schedule must start at 0, got %v", st.At)
+		}
+		if st.FleetW <= 0 {
+			return fieldErr(path, "budget step has non-positive power %v", st.FleetW)
+		}
+		if math.IsNaN(st.FleetW) || math.IsInf(st.FleetW, 0) {
+			return fieldErr(path, "budget step power %v is not finite", st.FleetW)
+		}
+		if i > 0 && st.At <= s.Budget[i-1].At {
+			return fieldErr(path, "budget schedule not strictly increasing at %v", st.At)
+		}
+		if st.At >= s.Horizon {
+			return fieldErr(path, "budget step at %v is past the horizon %v", st.At, s.Horizon)
+		}
+	}
+	// Fault targets are checked structurally (parse, bounds, profile
+	// round-trip) rather than against an enumerated name set, so the
+	// check stays O(#fault-stanzas) no matter the fleet size.
+	for i, df := range s.Faults {
+		path := fmt.Sprintf("faults[%d]", i)
+		profile, idx, err := parseInstanceName(df.Device)
+		if err != nil || idx >= s.Size || s.profileOf(idx) != profile {
+			return fieldErr(path+".device", "no fleet instance named %q (names are profile#index, e.g. %q)",
+				df.Device, InstanceName(s.profileOf(0), 0))
+		}
+		if len(df.Windows) == 0 {
+			return fieldErr(path+".windows", "fault script for %q has no windows", df.Device)
+		}
+	}
+	return nil
+}
+
+// normalized returns the copy Run serves: the spec validated, defaults
+// filled in (the never-binding budget among them), and shard and batch
+// counts clamped to the group count and depth.
+func (s Spec) normalized() (Spec, error) {
+	if err := s.Validate(); err != nil {
+		return s, err
+	}
+	s = s.withDefaults()
+	groups := s.Size / s.Replicas
+	s.Shards = min(s.Shards, groups)
+	s.Batch = min(s.Batch, s.Depth)
+	s.RateIOPS = s.Rates[0].IOPS
 	if len(s.Budget) == 0 {
 		var maxW float64
 		for gi := 0; gi < groups; gi++ {
 			maxW += float64(s.Replicas) * profileMaxW(s.Profiles[gi%len(s.Profiles)])
 		}
 		s.Budget = []BudgetStep{{At: 0, FleetW: maxW * 1.01}}
-	}
-	if s.Budget[0].At != 0 {
-		return s, fmt.Errorf("serve: budget schedule must start at 0, got %v", s.Budget[0].At)
-	}
-	for i, st := range s.Budget {
-		if st.FleetW <= 0 {
-			return s, fmt.Errorf("serve: budget step %d has non-positive power %v", i, st.FleetW)
-		}
-		if i > 0 && st.At <= s.Budget[i-1].At {
-			return s, fmt.Errorf("serve: budget schedule not strictly increasing at step %d", i)
-		}
-		if st.At >= s.Horizon {
-			return s, fmt.Errorf("serve: budget step %d at %v is past the horizon %v", i, st.At, s.Horizon)
-		}
-	}
-	// Fault targets are checked structurally (parse, bounds, profile
-	// round-trip) rather than against an enumerated name set: validation
-	// stays O(#fault-stanzas) no matter the fleet size.
-	for _, df := range s.Faults {
-		profile, i, err := ParseInstanceName(df.Device)
-		if err != nil || i >= s.Size || s.profileOf(i) != profile {
-			return s, fmt.Errorf("serve: fault script targets unknown instance %q (names are %q)",
-				df.Device, InstanceName(s.profileOf(0), 0))
-		}
-		if len(df.Windows) == 0 {
-			return s, fmt.Errorf("serve: fault script for %q has no windows", df.Device)
-		}
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,8 @@ func TestSpecValidation(t *testing.T) {
 		{"period past horizon", Spec{Horizon: time.Second, ControlPeriod: 2 * time.Second}, "control period"},
 		{"budget late start", Spec{Budget: []BudgetStep{{At: time.Second, FleetW: 100}}}, "start at 0"},
 		{"budget zero watts", Spec{Budget: []BudgetStep{{At: 0, FleetW: 0}}}, "non-positive power"},
+		{"budget NaN watts", Spec{Budget: []BudgetStep{{At: 0, FleetW: math.NaN()}}}, "not finite"},
+		{"budget infinite watts", Spec{Budget: []BudgetStep{{0, 100}, {time.Second, math.Inf(1)}}}, "not finite"},
 		{"budget out of order", Spec{Budget: []BudgetStep{{0, 100}, {0, 90}}}, "strictly increasing"},
 		{"budget past horizon", Spec{Horizon: time.Second, Budget: []BudgetStep{{0, 100}, {2 * time.Second, 90}}}, "past the horizon"},
 		{"fault frac over 1", Spec{FaultFrac: 1.5}, "fault fraction"},
@@ -324,17 +327,17 @@ func TestParseInstanceName(t *testing.T) {
 		i       int
 	}{{"SSD2", 0}, {"SSD2", 3}, {"HDD", 99999}, {"EVO", 123456}} {
 		name := InstanceName(tc.profile, tc.i)
-		p, i, err := ParseInstanceName(name)
+		p, i, err := parseInstanceName(name)
 		if err != nil || p != tc.profile || i != tc.i {
-			t.Errorf("ParseInstanceName(%q) = (%q, %d, %v), want (%q, %d)", name, p, i, err, tc.profile, tc.i)
+			t.Errorf("parseInstanceName(%q) = (%q, %d, %v), want (%q, %d)", name, p, i, err, tc.profile, tc.i)
 		}
 	}
 	for _, bad := range []string{
 		"", "SSD2", "SSD2#", "#00003", "SSD2#3", "SSD2#003", "SSD2#-0003",
 		"SSD2#00003x", "SSD2#0x003", "SSD2##00003", "ssd2 #00003 ",
 	} {
-		if _, _, err := ParseInstanceName(bad); err == nil {
-			t.Errorf("ParseInstanceName(%q) accepted", bad)
+		if _, _, err := parseInstanceName(bad); err == nil {
+			t.Errorf("parseInstanceName(%q) accepted", bad)
 		}
 	}
 }
