@@ -26,15 +26,21 @@ import (
 	"wattio/internal/workload"
 )
 
-// benchScale keeps per-point cost low while letting every trend bind;
-// the powerbench CLI runs the same experiments at full paper scale.
-var benchScale = experiments.Scale{Runtime: 2 * time.Second, TotalBytes: 512 << 20, Seed: 42}
+// benchSpec is the paper-default suite with per-point cost kept low
+// while letting every trend bind; the powerbench CLI runs the same
+// experiments at full paper scale.
+var benchSpec = func() *scenario.Spec {
+	sp := scenario.BuiltIn("paper-default")
+	sp.Runtime = scenario.Duration(2 * time.Second)
+	sp.TotalBytes = 512 << 20
+	return sp
+}()
 
 func BenchmarkTable1(b *testing.B) {
 	var rows []experiments.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table1(benchScale)
+		rows, err = experiments.Table1(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,12 +52,12 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 func BenchmarkFigure2(b *testing.B) {
-	scale := benchScale
-	scale.TotalBytes = 2 << 30 // the burst process needs a longer trace
+	sp := *benchSpec
+	sp.TotalBytes = 2 << 30 // the burst process needs a longer trace
 	var f experiments.Fig2
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.Figure2(scale)
+		f, err = experiments.Figure2(&sp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +72,7 @@ func BenchmarkFigure3(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Figure3(benchScale)
+		series, err = experiments.Figure3(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +88,7 @@ func BenchmarkFigure4(b *testing.B) {
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Figure4(benchScale)
+		series, err = experiments.Figure4(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +107,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var avg, p99 []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		avg, p99, err = experiments.Figure5(benchScale)
+		avg, p99, err = experiments.Figure5(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +121,7 @@ func BenchmarkFigure6(b *testing.B) {
 	var avg, p99 []experiments.Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		avg, p99, err = experiments.Figure6(benchScale)
+		avg, p99, err = experiments.Figure6(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +135,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var f experiments.Fig7
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.Figure7(benchScale)
+		f, err = experiments.Figure7(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +148,7 @@ func BenchmarkFigure8(b *testing.B) {
 	var sweeps []experiments.DeviceSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sweeps, err = experiments.Figure8(benchScale)
+		sweeps, err = experiments.Figure8(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +164,7 @@ func BenchmarkFigure9(b *testing.B) {
 	var sweeps []experiments.DeviceSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sweeps, err = experiments.Figure9(benchScale)
+		sweeps, err = experiments.Figure9(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +179,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	var dr2, dr1 float64
 	for i := 0; i < b.N; i++ {
-		models, err := experiments.Figure10(benchScale)
+		models, err := experiments.Figure10(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +193,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkHeadline(b *testing.B) {
 	var h experiments.Headline
 	for i := 0; i < b.N; i++ {
-		models, err := experiments.Figure10(benchScale)
+		models, err := experiments.Figure10(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +212,7 @@ func BenchmarkStandby(b *testing.B) {
 	var rows []experiments.StandbyRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.StandbyStudy(benchScale)
+		rows, err = experiments.StandbyStudy(benchSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +231,7 @@ func BenchmarkStandby(b *testing.B) {
 // headline serving metrics. It is for local profiling; the tracked
 // fleet wall time is perfbench's pure-1k workload.
 func BenchmarkFleetServe(b *testing.B) {
-	spec, err := experiments.FleetSpec(benchScale)
+	spec, err := experiments.FleetSpec(benchSpec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,8 +6,10 @@
 // Every run is driven by a declarative scenario spec (internal/scenario):
 // -scenario loads one from a JSON file, otherwise the experiment's
 // built-in default spec is used. The classic flags (-exp, -scale, -seed,
-// -fleet, -budget, ...) are overrides layered on top of the spec — an
-// explicitly-set flag beats the spec, an unset flag leaves it alone.
+// -fleet, -budget, ...) override fields of that spec, the fleet flags
+// those of its fleet stanza: an explicitly-set flag beats the spec, zero
+// included, and an unset flag leaves it alone. The spec is validated
+// once, after every flag is applied, and is all an experiment reads.
 //
 // Usage:
 //
@@ -28,14 +30,15 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"time"
 
 	"wattio/internal/experiments"
@@ -49,9 +52,9 @@ func main() {
 
 // run is the whole CLI behind a testable seam: it parses argv, layers
 // explicitly-set flags over the scenario spec, runs the selected
-// experiments, and returns the process exit code (0 ok, 1 run failure,
-// 2 usage/spec error).
-func run(argv []string, stdout, errw io.Writer) int {
+// experiments, and returns the process exit code (0 ok, 1 run or write
+// failure, 2 usage/spec error).
+func run(argv []string, stdout, errw io.Writer) (code int) {
 	fs := flag.NewFlagSet("powerbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
@@ -70,14 +73,14 @@ func run(argv []string, stdout, errw io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		benchOut   = fs.String("benchout", "", "write per-experiment wall-clock timings as JSON to this file")
 
-		fleetSize   = fs.Int("fleet", 0, "fleet experiment: device count (0 = scenario/default)")
-		fleetRepl   = fs.Int("replicas", 0, "fleet experiment: replicas per mirror group (0 = scenario/default)")
-		fleetRate   = fs.Float64("rate", 0, "fleet experiment: arrival rate in IOPS per active device (0 = scenario/default)")
-		fleetBudget = fs.String("budget", "", "fleet experiment: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device)")
-		fleetFaults = fs.Float64("fleetfaults", 0, "fleet experiment: fraction of devices given an injected fault window")
-		fleetMeso   = fs.Bool("meso", false, "fleet experiment: serve steady lanes through the mesoscale analytic tier")
-		mesoGroup   = fs.Int("mesogroup", 0, "meso tier: group-park cohorts of at least this many devices behind probe lanes (0 = off; implies -meso)")
-		mesoProbes  = fs.Int("mesoprobes", 0, "meso tier: resident probe lanes per group-parked cohort (0 = default)")
+		fleetSize   = fs.Int("fleet", 0, "overrides fleet.size: device count")
+		fleetRepl   = fs.Int("replicas", 0, "overrides fleet.replicas: replicas per mirror group")
+		fleetRate   = fs.Float64("rate", 0, "overrides fleet.rate_iops: arrival rate in IOPS per active device")
+		fleetBudget = fs.String("budget", "", "overrides fleet.budget: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device)")
+		fleetFaults = fs.Float64("fleetfaults", 0, "overrides fleet.fault_frac: fraction of devices given an injected fault window")
+		fleetMeso   = fs.Bool("meso", false, "overrides fleet.meso.enable: serve steady lanes through the mesoscale analytic tier")
+		mesoGroup   = fs.Int("mesogroup", 0, "overrides fleet.meso.group_min: group-park cohorts of at least this many devices behind probe lanes (0 = off; implies -meso)")
+		mesoProbes  = fs.Int("mesoprobes", 0, "overrides fleet.meso.probes: resident probe lanes per group-parked cohort (implies -meso; needs -mesogroup)")
 		memWatch    = fs.Bool("mem", false, "print peak live-heap bytes and object count after the run (terminal only; host-dependent)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -119,6 +122,40 @@ func run(argv []string, stdout, errw io.Writer) int {
 	if set["faultseed"] {
 		sp.FaultSeed = *fseed
 	}
+	// The fleet flags override the spec's fleet stanza by the same rule;
+	// -mesogroup and -mesoprobes also turn the meso tier on.
+	for _, name := range []string{"fleet", "replicas", "rate", "budget", "fleetfaults", "meso", "mesogroup", "mesoprobes"} {
+		if set[name] && sp.Fleet == nil {
+			sp.Fleet = &scenario.FleetSpec{}
+		}
+	}
+	if set["fleet"] {
+		sp.Fleet.Size = *fleetSize
+	}
+	if set["replicas"] {
+		sp.Fleet.Replicas = *fleetRepl
+	}
+	if set["rate"] {
+		sp.Fleet.RateIOPS = *fleetRate
+	}
+	if set["budget"] {
+		sp.Fleet.Budget = *fleetBudget
+	}
+	if set["fleetfaults"] {
+		sp.Fleet.FaultFrac = *fleetFaults
+	}
+	if set["meso"] || set["mesogroup"] || set["mesoprobes"] {
+		if sp.Fleet.Meso == nil {
+			sp.Fleet.Meso = &scenario.MesoSpec{}
+		}
+		sp.Fleet.Meso.Enable = *fleetMeso || set["mesogroup"] || set["mesoprobes"]
+	}
+	if set["mesogroup"] {
+		sp.Fleet.Meso.GroupMin = *mesoGroup
+	}
+	if set["mesoprobes"] {
+		sp.Fleet.Meso.Probes = *mesoProbes
+	}
 	if err := sp.Validate(); err != nil {
 		fmt.Fprintf(errw, "powerbench: %v\n", err)
 		return 2
@@ -129,20 +166,6 @@ func run(argv []string, stdout, errw io.Writer) int {
 		fmt.Fprintf(errw, "powerbench: %s is a campaign spec (grid stanza); run it with `powerfleet campaign -scenario %s`\n",
 			sp.Name, *scenFile)
 		return 2
-	}
-
-	s := experiments.ScaleFor(sp)
-	// The fleet flags ride along as a second override layer; zero values
-	// mean "take the scenario's (or the experiment's default) value".
-	s.Fleet = experiments.FleetOptions{
-		Size:         *fleetSize,
-		Replicas:     *fleetRepl,
-		RateIOPS:     *fleetRate,
-		Budget:       *fleetBudget,
-		FaultFrac:    *fleetFaults,
-		Meso:         *fleetMeso,
-		MesoGroupMin: *mesoGroup,
-		MesoProbes:   *mesoProbes,
 	}
 
 	var todo []experiments.Experiment
@@ -156,17 +179,6 @@ func run(argv []string, stdout, errw io.Writer) int {
 		}
 		todo = []experiments.Experiment{e}
 	}
-	// The fleet flags are checked only when the fleet experiment builds
-	// its spec; build it now, so a bad flag fails before any other
-	// experiment runs.
-	isFleet := func(e experiments.Experiment) bool { return e.ID == "fleet" }
-	if slices.ContainsFunc(todo, isFleet) {
-		if _, err := experiments.FleetSpec(s); err != nil {
-			fmt.Fprintf(errw, "powerbench: %v\n", err)
-			return 2
-		}
-	}
-
 	var w io.Writer = stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -174,8 +186,20 @@ func run(argv []string, stdout, errw io.Writer) int {
 			fmt.Fprintf(errw, "powerbench: %v\n", err)
 			return 1
 		}
-		defer f.Close()
-		w = io.MultiWriter(stdout, f)
+		// The buffer keeps the first failed write, which the
+		// experiments' unchecked prints would drop, for Flush to report.
+		bw := bufio.NewWriter(f)
+		w = io.MultiWriter(stdout, bw)
+		defer func() {
+			err := bw.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintf(errw, "powerbench: writing %s: %v\n", *out, err)
+				code = 1
+			}
+		}()
 	}
 
 	// Telemetry rides on process-wide defaults: experiments build their
@@ -236,27 +260,31 @@ func run(argv []string, stdout, errw io.Writer) int {
 
 	for _, e := range todo {
 		start := time.Now()
+		var files []string
+		var err error
 		if *csvDir != "" {
-			files, err := experiments.ExportCSV(e.ID, s, *csvDir)
-			if err != nil {
-				// Not every experiment has tabular data (table1,
-				// headline, standby print directly).
+			files, err = experiments.ExportCSV(e.ID, sp, *csvDir)
+			if errors.Is(err, experiments.ErrNoCSV) {
 				fmt.Fprintf(w, "[%s: %v]\n", e.ID, err)
 				continue
 			}
-			for _, f := range files {
-				fmt.Fprintf(w, "wrote %s\n", f)
-			}
-			fmt.Fprintf(stdout, "[%s exported in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
-			continue
+		} else {
+			err = e.Run(sp, w)
 		}
-		if err := e.Run(s, w); err != nil {
+		if err != nil {
 			if cpuFile != nil {
 				pprof.StopCPUProfile()
 				cpuFile.Close()
 			}
 			fmt.Fprintf(errw, "powerbench: %s: %v\n", e.ID, err)
 			return 1
+		}
+		if *csvDir != "" {
+			for _, f := range files {
+				fmt.Fprintf(w, "wrote %s\n", f)
+			}
+			fmt.Fprintf(stdout, "[%s exported in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+			continue
 		}
 		// Wall-clock timing is the one nondeterministic line; it goes to
 		// the terminal only so a -out file stays bit-identical across

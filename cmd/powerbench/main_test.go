@@ -114,6 +114,121 @@ func TestFleetFlagsCheckedUpFront(t *testing.T) {
 	}
 }
 
+// overrideSpec is a fleet scenario whose every stanza field a fleet
+// flag overrides holds a value no flag case below restates. Its meso
+// stanza is off but carries group settings.
+const overrideSpec = `{
+  "version": 2,
+  "name": "override",
+  "experiment": "fleet",
+  "runtime": "250ms",
+  "seed": 42,
+  "fault_seed": 1,
+  "fleet": {
+    "size": 8,
+    "replicas": 2,
+    "rate_iops": 4000,
+    "budget": "0s:14pd",
+    "fault_frac": 0.5,
+    "meso": {"enable": false, "group_min": 4, "probes": 1}
+  }
+}
+`
+
+// TestFleetFlagsOverrideSpec: each fleet flag lands in the spec's fleet
+// stanza. Running the spec with the flag must print byte for byte what
+// the spec with that field edited prints, and not what the spec alone
+// prints. An explicitly set zero (-fleetfaults 0) overrides the spec
+// too.
+func TestFleetFlagsOverrideSpec(t *testing.T) {
+	base := writeSpec(t, "base.json", overrideSpec)
+	report := func(args ...string) string {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "out.txt")
+		if code, _, errw := runCLI(append(args, "-out", out)...); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errw)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	plain := report("-scenario", base)
+	for _, tc := range []struct {
+		flags    []string
+		old, new string // the spec edit the flags stand for
+	}{
+		{[]string{"-fleet", "16"}, `"size": 8`, `"size": 16`},
+		{[]string{"-replicas", "4"}, `"replicas": 2`, `"replicas": 4`},
+		{[]string{"-rate", "2000"}, `"rate_iops": 4000`, `"rate_iops": 2000`},
+		{[]string{"-budget", "max"}, `"budget": "0s:14pd"`, `"budget": "max"`},
+		{[]string{"-fleetfaults", "0"}, `"fault_frac": 0.5`, `"fault_frac": 0`},
+		{[]string{"-meso"}, `"enable": false`, `"enable": true`},
+		{[]string{"-mesogroup", "6"}, `"enable": false, "group_min": 4`, `"enable": true, "group_min": 6`},
+		{[]string{"-mesoprobes", "2"}, `"enable": false, "group_min": 4, "probes": 1`, `"enable": true, "group_min": 4, "probes": 2`},
+	} {
+		t.Run(tc.flags[0], func(t *testing.T) {
+			edited := writeSpec(t, "edited.json", strings.Replace(overrideSpec, tc.old, tc.new, 1))
+			got := report(append([]string{"-scenario", base}, tc.flags...)...)
+			if want := report("-scenario", edited); got != want {
+				t.Errorf("%v differs from the spec edit %s:\n--- flags\n%s\n--- edited spec\n%s", tc.flags, tc.new, got, want)
+			}
+			if got == plain {
+				t.Errorf("%v left the report unchanged:\n%s", tc.flags, got)
+			}
+		})
+	}
+}
+
+// TestMesoProbesNeedGroupParking: -mesoprobes turns the meso tier on but
+// not group parking, so without -mesogroup the spec fails validation
+// under the probe count's own path.
+func TestMesoProbesNeedGroupParking(t *testing.T) {
+	code, out, errw := runCLI("-exp", "fleet", "-mesoprobes", "3")
+	if code != 2 || out != "" || !strings.Contains(errw, "fleet.meso.probes") {
+		t.Fatalf("exit %d, %d bytes of stdout, stderr: %s", code, len(out), errw)
+	}
+}
+
+// TestMesoFlagsReachMesoExperiment: -meso gives the run's spec an
+// enabled meso stanza, so the meso experiment pair-runs the attached
+// fleet rather than its built-in 64-device one, as it does for a
+// -scenario file with an enabled meso stanza. The 2 s quick horizon is
+// too short for the experiment's 1% energy gate, so only which fleet
+// ran is checked.
+func TestMesoFlagsReachMesoExperiment(t *testing.T) {
+	code, out, errw := runCLI("-exp", "meso", "-meso", "-fleet", "32")
+	if code == 2 || !strings.Contains(out, "fleet: 32 devices") {
+		t.Fatalf("exit %d, stderr: %s\nstdout:\n%s", code, errw, out)
+	}
+}
+
+// TestWriteFailuresExit1: a results or CSV file that cannot be written
+// fails the run, whether the failure is the first write, the close or
+// creating the CSV directory.
+func TestWriteFailuresExit1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	// A CSV directory whose file is a link to /dev/full: the directory
+	// and the file open, and every write fails.
+	csvDir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(csvDir, "fig3_power.csv")); err != nil {
+		t.Fatal(err)
+	}
+	tiny := writeSpec(t, "tiny.json", tinySpec)
+	for _, args := range [][]string{
+		{"-exp", "standby", "-out", "/dev/full"},
+		{"-exp", "fig3", "-csvdir", "/dev/full"},
+		{"-scenario", tiny, "-exp", "fig3", "-csvdir", csvDir},
+	} {
+		if code, _, errw := runCLI(args...); code != 1 {
+			t.Errorf("%v: exit %d, stderr: %s", args, code, errw)
+		}
+	}
+}
+
 // TestScenarioGridRejected: powerbench runs one configuration, so a
 // campaign spec must be redirected to `powerfleet campaign`, not run as
 // whichever point powerbench would silently pick.

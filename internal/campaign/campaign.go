@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"wattio/internal/experiments"
 	"wattio/internal/grid"
 	"wattio/internal/scenario"
 	"wattio/internal/serve"
@@ -133,8 +132,7 @@ func Run(sp *scenario.Spec, parallel int) (*Report, error) {
 // returning the merged serving report and the arrival rate the spec
 // resolved to (defaults applied).
 func runPoint(sp *scenario.Spec) (*serve.Report, float64, error) {
-	sc := experiments.ScaleFor(sp)
-	ss, err := sp.ServeSpec(sc.Runtime)
+	ss, err := sp.ServeSpec(sp.Horizon())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -13,20 +13,12 @@ func init() {
 	register("calib", "Learned device models: NNLS calibration, cross-validated fit gates, differential fleet run", runCalib)
 }
 
-// calibScenario picks the scenario driving the calibration experiment:
-// the attached one when it carries an enabled calib stanza, else the
-// built-in "calib" scenario.
-func calibScenario(s Scale) (*scenario.Spec, Scale) {
-	sp := s.Scenario
-	if sp == nil || sp.Fleet == nil || sp.Fleet.Calib == nil || !sp.Fleet.Calib.Enable {
+func runCalib(sp *scenario.Spec, w io.Writer) error {
+	// The run's spec drives the experiment when it carries an
+	// enabled calib stanza, else the built-in "calib" scenario does.
+	if sp.Fleet == nil || sp.Fleet.Calib == nil || !sp.Fleet.Calib.Enable {
 		sp = scenario.BuiltIn("calib")
-		s.Runtime = sp.Runtime.D()
 	}
-	return sp, s
-}
-
-func runCalib(s Scale, w io.Writer) error {
-	sp, s := calibScenario(s)
 	c := sp.Fleet.Calib
 	opt := calib.Options{
 		PointRuntime: c.PointRuntime.D(),
@@ -73,7 +65,7 @@ func runCalib(s Scale, w io.Writer) error {
 	// Differential fleet run: the same scenario served twice, once with
 	// mechanistic simulators and once with every profile swapped to its
 	// fitted model.
-	fittedSpec, err := sp.ServeSpec(s.Runtime)
+	fittedSpec, err := sp.ServeSpec(sp.Horizon())
 	if err != nil {
 		return err
 	}

@@ -74,22 +74,11 @@ type ChaosReport struct {
 	RolloutLeafAvgW    map[string]float64
 }
 
-// chaosParams resolves the chaos parameters for a run: the attached
-// scenario's chaos section (when one is attached) with the published
-// defaults filled into unset fields.
-func chaosParams(s Scale) scenario.ChaosSpec {
-	var c *scenario.ChaosSpec
-	if s.Scenario != nil {
-		c = s.Scenario.Chaos
-	}
-	return c.WithDefaults()
-}
-
 // chaosDur bounds one chaos phase: at least 2 s of virtual time so
 // fault windows and recovery both get room, at most 6 s so paper scale
 // does not pay a minute per phase for no extra information.
-func chaosDur(s Scale) time.Duration {
-	d := s.Runtime
+func chaosDur(sp *scenario.Spec) time.Duration {
+	d := sp.Horizon()
 	if d < 2*time.Second {
 		d = 2 * time.Second
 	}
@@ -100,21 +89,22 @@ func chaosDur(s Scale) time.Duration {
 }
 
 // Chaos runs all four phases and returns the measured report. The
-// phase parameters come from the Scale's scenario (or the published
-// defaults); only the window placements stay runtime-derived.
-func Chaos(s Scale) (*ChaosReport, error) {
-	cs := chaosParams(s)
+// phase parameters come from the spec's chaos section (with the
+// published defaults in unset fields); only the window placements stay
+// runtime-derived.
+func Chaos(sp *scenario.Spec) (*ChaosReport, error) {
+	cs := sp.Chaos.WithDefaults()
 	r := &ChaosReport{}
-	if err := chaosGovernor(s, cs, r); err != nil {
+	if err := chaosGovernor(sp, cs, r); err != nil {
 		return nil, fmt.Errorf("chaos governor phase: %w", err)
 	}
-	if err := chaosRedirector(s, cs, r); err != nil {
+	if err := chaosRedirector(sp, cs, r); err != nil {
 		return nil, fmt.Errorf("chaos redirector phase: %w", err)
 	}
-	if err := chaosBudget(s, cs, r); err != nil {
+	if err := chaosBudget(sp, cs, r); err != nil {
 		return nil, fmt.Errorf("chaos budget phase: %w", err)
 	}
-	if err := chaosRollout(s, cs, r); err != nil {
+	if err := chaosRollout(sp, cs, r); err != nil {
 		return nil, fmt.Errorf("chaos rollout phase: %w", err)
 	}
 	return r, nil
@@ -122,11 +112,11 @@ func Chaos(s Scale) (*ChaosReport, error) {
 
 // chaosGovernor: saturating writes on SSD2 under the scenario's device
 // budget while SetPowerState fails for the first half of the run.
-func chaosGovernor(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
+func chaosGovernor(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
-	frng := sim.NewRNG(s.FaultSeed)
-	dur := chaosDur(s)
+	rng := sim.NewRNG(sp.Seed)
+	frng := sim.NewRNG(sp.FaultSeed)
+	dur := chaosDur(sp)
 
 	// End the window off the 50 ms control grid so recovery visibly
 	// comes from a backed-off retry, not a coincident control tick.
@@ -213,11 +203,11 @@ func chaosGovernor(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
 
 // chaosRedirector: mirrored EVOs (scenario replicas/active), open-loop
 // reads; replica 0 drops out for the second quarter of the run.
-func chaosRedirector(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
+func chaosRedirector(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
-	frng := sim.NewRNG(s.FaultSeed)
-	dur := chaosDur(s)
+	rng := sim.NewRNG(sp.Seed)
+	frng := sim.NewRNG(sp.FaultSeed)
+	dur := chaosDur(sp)
 	// The workload starts after a 1 s settle period; the dropout
 	// window is scripted in absolute virtual time to cover the second
 	// quarter of the workload.
@@ -300,11 +290,11 @@ func chaosModels() (*core.Fleet, error) {
 
 // chaosBudget: SSD2 refuses every power command; Apply must reserve
 // its ps0 worst case and tighten SSD1 instead.
-func chaosBudget(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
+func chaosBudget(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
-	frng := sim.NewRNG(s.FaultSeed)
-	dur := chaosDur(s)
+	rng := sim.NewRNG(sp.Seed)
+	frng := sim.NewRNG(sp.FaultSeed)
+	dur := chaosDur(sp)
 
 	ssd1 := catalog.NewSSD1(eng, rng.Stream("ssd1"))
 	ssd2, err := fault.New(catalog.NewSSD2(eng, rng.Stream("ssd2")), eng, frng.Stream("budget"), fault.Profile{
@@ -337,11 +327,11 @@ func chaosBudget(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
 // chaosRollout: a scenario-shaped leaf grid with a staged subset; one
 // staged leaf cannot apply its cap, fails the power audit, and is
 // quarantined.
-func chaosRollout(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
+func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
-	frng := sim.NewRNG(s.FaultSeed)
-	dur := chaosDur(s)
+	rng := sim.NewRNG(sp.Seed)
+	frng := sim.NewRNG(sp.FaultSeed)
+	dur := chaosDur(sp)
 	wdur := dur
 	if wdur > time.Second {
 		wdur = time.Second
@@ -408,9 +398,9 @@ func chaosRollout(s Scale, cs scenario.ChaosSpec, r *ChaosReport) error {
 }
 
 func init() {
-	register("chaos", "Extension: fault injection for the power-control plane (§4.1 local control failures)", func(s Scale, w io.Writer) error {
-		cs := chaosParams(s)
-		r, err := Chaos(s)
+	register("chaos", "Extension: fault injection for the power-control plane (§4.1 local control failures)", func(sp *scenario.Spec, w io.Writer) error {
+		cs := sp.Chaos.WithDefaults()
+		r, err := Chaos(sp)
 		if err != nil {
 			return err
 		}

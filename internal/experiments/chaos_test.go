@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// chaosScale pins both seeds explicitly: the chaos phases derive every
-// fault draw from FaultSeed, every workload draw from Seed.
-var chaosScale = Scale{Runtime: 2 * time.Second, TotalBytes: 256 << 20, Seed: 42, FaultSeed: 1}
+// chaosSpec runs the published chaos defaults at both seeds of the
+// paper-default suite: the chaos phases derive every fault draw from
+// FaultSeed, every workload draw from Seed.
+var chaosSpec = boundedSpec(2*time.Second, 256<<20)
 
 func TestChaosRecoversEndToEnd(t *testing.T) {
 	t.Parallel()
-	r, err := Chaos(chaosScale)
+	r, err := Chaos(chaosSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,10 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Fatal("chaos experiment not registered")
 	}
 	var a, b bytes.Buffer
-	if err := e.Run(chaosScale, &a); err != nil {
+	if err := e.Run(chaosSpec, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(chaosScale, &b); err != nil {
+	if err := e.Run(chaosSpec, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() == 0 {
@@ -104,14 +105,14 @@ func TestChaosDeterministic(t *testing.T) {
 // fault pattern somewhere in the report.
 func TestChaosFaultSeedMatters(t *testing.T) {
 	t.Parallel()
-	s2 := chaosScale
+	s2 := *chaosSpec
 	s2.FaultSeed = 7
 	var a, b bytes.Buffer
 	e, _ := ByID("chaos")
-	if err := e.Run(chaosScale, &a); err != nil {
+	if err := e.Run(chaosSpec, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(s2, &b); err != nil {
+	if err := e.Run(&s2, &b); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a.Bytes(), b.Bytes()) {

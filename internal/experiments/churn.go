@@ -13,22 +13,19 @@ func init() {
 	register("churn", "Lane lifecycle: membership churn under a diurnal rate schedule", runChurn)
 }
 
-// ChurnSpec translates a Scale into the churn serving spec: the
-// attached scenario when it carries a churn schedule, otherwise the
-// built-in "churn" scenario (a group-parked fleet that scales out for
-// a diurnal peak and drains back after it).
-func ChurnSpec(s Scale) (serve.Spec, error) {
-	sp := s.Scenario
-	horizon := s.Runtime
-	if sp == nil || sp.Fleet == nil || len(sp.Fleet.Churn) == 0 {
+// ChurnSpec materializes the churn serving spec: sp when it carries a
+// churn schedule, otherwise the built-in "churn" scenario (a
+// group-parked fleet that scales out for a diurnal peak and drains back
+// after it).
+func ChurnSpec(sp *scenario.Spec) (serve.Spec, error) {
+	if sp.Fleet == nil || len(sp.Fleet.Churn) == 0 {
 		sp = scenario.BuiltIn("churn")
-		horizon = sp.Runtime.D()
 	}
-	return sp.ServeSpec(horizon)
+	return sp.ServeSpec(sp.Horizon())
 }
 
-func runChurn(s Scale, w io.Writer) error {
-	spec, err := ChurnSpec(s)
+func runChurn(sp *scenario.Spec, w io.Writer) error {
+	spec, err := ChurnSpec(sp)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func TestChurnRuns(t *testing.T) {
 		t.Fatal("churn experiment not registered")
 	}
 	var sb strings.Builder
-	if err := e.Run(ScaleFor(scenario.Default("churn")), &sb); err != nil {
+	if err := e.Run(scenario.Default("churn"), &sb); err != nil {
 		t.Fatalf("churn: %v\n%s", err, sb.String())
 	}
 }

@@ -5,12 +5,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wattio/internal/scenario"
 )
 
-// testScale is large enough for the trends to emerge but fast enough
+// boundedSpec returns the spec `powerbench -exp all` runs, the
+// paper-default suite, with its run length and byte bound replaced.
+func boundedSpec(runtime time.Duration, bytes int64) *scenario.Spec {
+	sp := scenario.BuiltIn("paper-default")
+	sp.Runtime = scenario.Duration(runtime)
+	sp.TotalBytes = bytes
+	return sp
+}
+
+// testSpec is large enough for the trends to emerge but fast enough
 // for CI. Power-state regulators need a few hundred milliseconds of
 // binding time, so the byte bound dominates.
-var testScale = Scale{Runtime: 3 * time.Second, TotalBytes: 1 << 30, Seed: 42}
+var testSpec = boundedSpec(3*time.Second, 1<<30)
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"calib", "chaos", "churn", "fig10", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fleet", "headline", "meso", "prop", "report", "standby", "table1"}
@@ -35,7 +46,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1Shapes(t *testing.T) {
-	rows, err := Table1(testScale)
+	rows, err := Table1(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +78,7 @@ func TestTable1Shapes(t *testing.T) {
 func TestFigure2Variability(t *testing.T) {
 	// The burst process needs a second-plus of trace to show up
 	// reliably; use the paper's full byte bound for this one.
-	f, err := Figure2(Scale{Runtime: 5 * time.Second, TotalBytes: 4 << 30, Seed: testScale.Seed})
+	f, err := Figure2(boundedSpec(5*time.Second, 4<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestFigure2Variability(t *testing.T) {
 }
 
 func TestFigure3CapsBind(t *testing.T) {
-	series, err := Figure3(testScale)
+	series, err := Figure3(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestFigure3CapsBind(t *testing.T) {
 }
 
 func TestFigure4WriteReadAsymmetry(t *testing.T) {
-	series, err := Figure4(testScale)
+	series, err := Figure4(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +161,7 @@ func TestFigure4WriteReadAsymmetry(t *testing.T) {
 }
 
 func TestFigure5TailLatencyInflates(t *testing.T) {
-	avg, p99, err := Figure5(testScale)
+	avg, p99, err := Figure5(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +185,7 @@ func TestFigure5TailLatencyInflates(t *testing.T) {
 }
 
 func TestFigure6ReadsUnaffected(t *testing.T) {
-	avg, p99, err := Figure6(testScale)
+	avg, p99, err := Figure6(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +202,7 @@ func TestFigure6ReadsUnaffected(t *testing.T) {
 }
 
 func TestFigure7TransitionTimes(t *testing.T) {
-	f, err := Figure7(testScale)
+	f, err := Figure7(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestFigure7TransitionTimes(t *testing.T) {
 }
 
 func TestFigure8Shapes(t *testing.T) {
-	sweeps, err := Figure8(testScale)
+	sweeps, err := Figure8(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestFigure8Shapes(t *testing.T) {
 }
 
 func TestFigure9Shapes(t *testing.T) {
-	sweeps, err := Figure9(testScale)
+	sweeps, err := Figure9(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +282,7 @@ func TestFigure9Shapes(t *testing.T) {
 }
 
 func TestStandbyStudy(t *testing.T) {
-	rows, err := StandbyStudy(testScale)
+	rows, err := StandbyStudy(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +324,7 @@ func TestRunOutputsNonEmpty(t *testing.T) {
 	for _, e := range []string{"fig7", "standby"} {
 		exp, _ := ByID(e)
 		var sb strings.Builder
-		if err := exp.Run(Quick, &sb); err != nil {
+		if err := exp.Run(scenario.BuiltIn("paper-default"), &sb); err != nil {
 			t.Errorf("%s: %v", e, err)
 		}
 		if !strings.Contains(sb.String(), "==") {
@@ -325,7 +336,7 @@ func TestRunOutputsNonEmpty(t *testing.T) {
 var _ io.Writer = (*strings.Builder)(nil)
 
 func TestProportionalityShape(t *testing.T) {
-	rows, err := Proportionality(testScale)
+	rows, err := Proportionality(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

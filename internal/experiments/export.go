@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +10,7 @@ import (
 
 	"wattio/internal/core"
 	"wattio/internal/plot"
+	"wattio/internal/scenario"
 )
 
 // This file gives every figure two extra output forms: ASCII charts
@@ -128,37 +131,45 @@ func modelCSV(w io.Writer, m *core.Model) error {
 	return nil
 }
 
+// ErrNoCSV reports an experiment without tabular data (table1,
+// headline, standby and the serving experiments print directly).
+var ErrNoCSV = errors.New("experiments: no CSV exporter")
+
 // ExportCSV runs the named experiment and writes its data as CSV files
-// under dir, returning the files written.
-func ExportCSV(id string, s Scale, dir string) ([]string, error) {
+// under dir, returning the files written. An id without tabular data
+// fails with an error wrapping ErrNoCSV; any other error is a failed
+// run or a failed write.
+func ExportCSV(id string, sp *scenario.Spec, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	write := func(name string, fill func(io.Writer) error) (string, error) {
+	var files []string
+	add := func(name string, fill func(io.Writer) error) error {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
 		if err != nil {
-			return "", err
+			return err
 		}
-		defer f.Close()
-		if err := fill(f); err != nil {
-			return "", err
+		// The buffer keeps the first failed write, so Flush reports
+		// what the fill functions' unchecked prints dropped.
+		bw := bufio.NewWriter(f)
+		err = fill(bw)
+		if ferr := bw.Flush(); err == nil {
+			err = ferr
 		}
-		return path, nil
-	}
-	var files []string
-	add := func(name string, fill func(io.Writer) error) error {
-		p, err := write(name, fill)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return err
 		}
-		files = append(files, p)
+		files = append(files, path)
 		return nil
 	}
 
 	switch id {
 	case "fig2":
-		f, err := Figure2(s)
+		f, err := Figure2(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -175,13 +186,13 @@ func ExportCSV(id string, s Scale, dir string) ([]string, error) {
 			return nil
 		})
 	case "fig3":
-		series, err := Figure3(s)
+		series, err := Figure3(sp)
 		if err != nil {
 			return nil, err
 		}
 		return files, add("fig3_power.csv", func(w io.Writer) error { return seriesCSV(w, "chunk_bytes", series) })
 	case "fig4":
-		series, err := Figure4(s)
+		series, err := Figure4(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +202,7 @@ func ExportCSV(id string, s Scale, dir string) ([]string, error) {
 		if id == "fig6" {
 			fig = Figure6
 		}
-		avg, p99, err := fig(s)
+		avg, p99, err := fig(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +211,7 @@ func ExportCSV(id string, s Scale, dir string) ([]string, error) {
 		}
 		return files, add(id+"b_p99.csv", func(w io.Writer) error { return seriesCSV(w, "chunk_bytes", p99) })
 	case "fig7":
-		f, err := Figure7(s)
+		f, err := Figure7(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -213,13 +224,13 @@ func ExportCSV(id string, s Scale, dir string) ([]string, error) {
 		if id == "fig9" {
 			fig, x = Figure9, "depth"
 		}
-		sweeps, err := fig(s)
+		sweeps, err := fig(sp)
 		if err != nil {
 			return nil, err
 		}
 		return files, add(id+".csv", func(w io.Writer) error { return sweepsCSV(w, x, sweeps) })
 	case "fig10":
-		models, err := Figure10(s)
+		models, err := Figure10(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -231,6 +242,6 @@ func ExportCSV(id string, s Scale, dir string) ([]string, error) {
 		}
 		return files, nil
 	default:
-		return nil, fmt.Errorf("experiments: no CSV exporter for %q", id)
+		return nil, fmt.Errorf("%w for %q", ErrNoCSV, id)
 	}
 }

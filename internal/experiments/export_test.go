@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,9 +9,9 @@ import (
 	"time"
 )
 
-// exportScale is deliberately tiny: export tests exercise format, not
+// exportSpec is deliberately tiny: export tests exercise format, not
 // physics (the shape tests above cover that).
-var exportScale = Scale{Runtime: 500 * time.Millisecond, TotalBytes: 64 << 20, Seed: 42}
+var exportSpec = boundedSpec(500*time.Millisecond, 64<<20)
 
 func TestExportCSVFigures(t *testing.T) {
 	dir := t.TempDir()
@@ -21,7 +22,7 @@ func TestExportCSVFigures(t *testing.T) {
 	}
 	for id, wantFiles := range cases {
 		t.Run(id, func(t *testing.T) {
-			files, err := ExportCSV(id, exportScale, dir)
+			files, err := ExportCSV(id, exportSpec, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +59,7 @@ func TestExportCSVFigures(t *testing.T) {
 
 func TestExportCSVFig7Traces(t *testing.T) {
 	dir := t.TempDir()
-	files, err := ExportCSV("fig7", exportScale, dir)
+	files, err := ExportCSV("fig7", exportSpec, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +76,10 @@ func TestExportCSVFig7Traces(t *testing.T) {
 }
 
 func TestExportCSVUnknownID(t *testing.T) {
-	if _, err := ExportCSV("table1", exportScale, t.TempDir()); err == nil {
-		t.Error("table1 (no tabular exporter) accepted")
+	if _, err := ExportCSV("table1", exportSpec, t.TempDir()); !errors.Is(err, ErrNoCSV) {
+		t.Errorf("table1 (no tabular exporter): err = %v, want ErrNoCSV", err)
 	}
-	if _, err := ExportCSV("nope", exportScale, t.TempDir()); err == nil {
-		t.Error("unknown id accepted")
+	if _, err := ExportCSV("nope", exportSpec, t.TempDir()); !errors.Is(err, ErrNoCSV) {
+		t.Errorf("unknown id: err = %v, want ErrNoCSV", err)
 	}
 }

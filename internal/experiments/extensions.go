@@ -8,6 +8,7 @@ import (
 	"wattio/internal/adaptive"
 	"wattio/internal/catalog"
 	"wattio/internal/device"
+	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
@@ -39,7 +40,7 @@ type PropRow struct {
 // 4-replica mirrored EVO set under open-loop random reads, comparing
 // "spread" (all awake) against "consolidate" (active set sized to the
 // load, the rest in ALPM slumber).
-func Proportionality(s Scale) ([]PropRow, error) {
+func Proportionality(sp *scenario.Spec) ([]PropRow, error) {
 	// One replica sustains ~8k 4 KiB random read IOPS; size load
 	// levels against the 4-replica aggregate.
 	const perReplicaIOPS = 8000.0
@@ -57,10 +58,10 @@ func Proportionality(s Scale) ([]PropRow, error) {
 		}
 		row := PropRow{LoadPct: pct, OfferedIOPS: offered, Active: active}
 		var err error
-		if row.SpreadW, row.SpreadP99, err = propRun(s, replicas, replicas, offered); err != nil {
+		if row.SpreadW, row.SpreadP99, err = propRun(sp, replicas, replicas, offered); err != nil {
 			return nil, err
 		}
-		if row.ConsolW, row.ConsolP99, err = propRun(s, replicas, active, offered); err != nil {
+		if row.ConsolW, row.ConsolP99, err = propRun(sp, replicas, active, offered); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -69,9 +70,9 @@ func Proportionality(s Scale) ([]PropRow, error) {
 }
 
 // propRun measures one (active set, offered load) cell.
-func propRun(s Scale, replicas, active int, iops float64) (avgW float64, p99 time.Duration, err error) {
+func propRun(sp *scenario.Spec, replicas, active int, iops float64) (avgW float64, p99 time.Duration, err error) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
+	rng := sim.NewRNG(sp.Seed)
 	devs := make([]device.Device, replicas)
 	for i := range devs {
 		devs[i] = catalog.NewEVO(eng, rng.Stream(fmt.Sprint("replica", i)))
@@ -82,7 +83,7 @@ func propRun(s Scale, replicas, active int, iops float64) (avgW float64, p99 tim
 	}
 	eng.RunUntil(eng.Now() + time.Second) // let standby transitions settle
 
-	dur := s.Runtime
+	dur := sp.Horizon()
 	if dur > 5*time.Second {
 		dur = 5 * time.Second
 	}
@@ -96,8 +97,8 @@ func propRun(s Scale, replicas, active int, iops float64) (avgW float64, p99 tim
 }
 
 func init() {
-	register("prop", "Extension: power proportionality via IO redirection (cf. SRCMap, §4)", func(s Scale, w io.Writer) error {
-		rows, err := Proportionality(s)
+	register("prop", "Extension: power proportionality via IO redirection (cf. SRCMap, §4)", func(sp *scenario.Spec, w io.Writer) error {
+		rows, err := Proportionality(sp)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"wattio/internal/device"
+	"wattio/internal/scenario"
 	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
@@ -20,7 +21,7 @@ type Series struct {
 // Figure3 regenerates "SSD2 random write average power under different
 // power states" at queue depths 64 and 1: one series per (power state,
 // depth) pair, power in watts versus chunk size.
-func Figure3(s Scale) ([]Series, error) {
+func Figure3(sp *scenario.Spec) ([]Series, error) {
 	var out []Series
 	for _, depth := range []int{64, 1} {
 		for ps := 0; ps < 3; ps++ {
@@ -31,7 +32,7 @@ func Figure3(s Scale) ([]Series, error) {
 				Patterns:    []workload.Pattern{workload.Rand},
 				Chunks:      sweep.PaperChunks(),
 				Depths:      []int{depth},
-				Runtime:     s.Runtime, TotalBytes: s.TotalBytes, Seed: s.Seed,
+				Runtime:     sp.Horizon(), TotalBytes: sp.Bytes(), Seed: sp.Seed,
 			})
 			if err != nil {
 				return nil, err
@@ -50,7 +51,7 @@ func Figure3(s Scale) ([]Series, error) {
 // Figure4 regenerates "SSD2 throughput under different power states"
 // (queue depth 64): sequential writes and reads, throughput in MB/s
 // versus chunk size, one series per (direction, power state).
-func Figure4(s Scale) ([]Series, error) {
+func Figure4(sp *scenario.Spec) ([]Series, error) {
 	var out []Series
 	for _, op := range []device.Op{device.OpWrite, device.OpRead} {
 		for ps := 0; ps < 3; ps++ {
@@ -61,7 +62,7 @@ func Figure4(s Scale) ([]Series, error) {
 				Patterns:    []workload.Pattern{workload.Seq},
 				Chunks:      sweep.PaperChunks(),
 				Depths:      []int{64},
-				Runtime:     s.Runtime, TotalBytes: s.TotalBytes, Seed: s.Seed,
+				Runtime:     sp.Horizon(), TotalBytes: sp.Bytes(), Seed: sp.Seed,
 			})
 			if err != nil {
 				return nil, err
@@ -80,7 +81,7 @@ func Figure4(s Scale) ([]Series, error) {
 // latencyFigure runs the Fig. 5/6 protocol: the given op at queue depth
 // 1 across chunk sizes and power states, reporting average and p99
 // latency normalized to ps0 at the same chunk size.
-func latencyFigure(s Scale, op device.Op) (avg, p99 []Series, err error) {
+func latencyFigure(sp *scenario.Spec, op device.Op) (avg, p99 []Series, err error) {
 	type cell struct{ avgNs, p99Ns float64 }
 	table := make([][]cell, 3)
 	for ps := 0; ps < 3; ps++ {
@@ -91,7 +92,7 @@ func latencyFigure(s Scale, op device.Op) (avg, p99 []Series, err error) {
 			Patterns:    []workload.Pattern{workload.Rand},
 			Chunks:      sweep.PaperChunks(),
 			Depths:      []int{1},
-			Runtime:     s.Runtime, TotalBytes: s.TotalBytes, Seed: s.Seed,
+			Runtime:     sp.Horizon(), TotalBytes: sp.Bytes(), Seed: sp.Seed,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -118,14 +119,14 @@ func latencyFigure(s Scale, op device.Op) (avg, p99 []Series, err error) {
 
 // Figure5 regenerates "SSD2 random write latency (queue depth 1)":
 // average and 99th-percentile latency normalized to ps0.
-func Figure5(s Scale) (avg, p99 []Series, err error) {
-	return latencyFigure(s, device.OpWrite)
+func Figure5(sp *scenario.Spec) (avg, p99 []Series, err error) {
+	return latencyFigure(sp, device.OpWrite)
 }
 
 // Figure6 regenerates "SSD2 random read latency (queue depth 1)": the
 // paper's non-trade-off — latency is flat across power states.
-func Figure6(s Scale) (avg, p99 []Series, err error) {
-	return latencyFigure(s, device.OpRead)
+func Figure6(sp *scenario.Spec) (avg, p99 []Series, err error) {
+	return latencyFigure(sp, device.OpRead)
 }
 
 // DeviceSweep is one device's line in Figs. 8 and 9: power and
@@ -139,24 +140,24 @@ type DeviceSweep struct {
 
 // Figure8 regenerates "random write power and throughput as chunk size
 // varies (queue depth 64)" across all four devices.
-func Figure8(s Scale) ([]DeviceSweep, error) {
-	return deviceSweep(s, device.OpWrite, sweep.PaperChunks(), nil)
+func Figure8(sp *scenario.Spec) ([]DeviceSweep, error) {
+	return deviceSweep(sp, device.OpWrite, sweep.PaperChunks(), nil)
 }
 
 // Figure9 regenerates "random read power and throughput as queue depth
 // varies (chunk size 4 KiB)" across all four devices.
-func Figure9(s Scale) ([]DeviceSweep, error) {
-	return deviceSweep(s, device.OpRead, nil, sweep.PaperDepths())
+func Figure9(sp *scenario.Spec) ([]DeviceSweep, error) {
+	return deviceSweep(sp, device.OpRead, nil, sweep.PaperDepths())
 }
 
-func deviceSweep(s Scale, op device.Op, chunks []int64, depths []int) ([]DeviceSweep, error) {
+func deviceSweep(sp *scenario.Spec, op device.Op, chunks []int64, depths []int) ([]DeviceSweep, error) {
 	var out []DeviceSweep
 	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
 		spec := sweep.Spec{
 			Device:   name,
 			Ops:      []device.Op{op},
 			Patterns: []workload.Pattern{workload.Rand},
-			Runtime:  s.Runtime, TotalBytes: s.TotalBytes, Seed: s.Seed,
+			Runtime:  sp.Horizon(), TotalBytes: sp.Bytes(), Seed: sp.Seed,
 		}
 		if chunks != nil {
 			spec.Chunks = chunks
@@ -202,8 +203,8 @@ func chunkLabel(xName string, v int64) string {
 }
 
 func init() {
-	register("fig3", "Figure 3: SSD2 random write average power under power states", func(s Scale, w io.Writer) error {
-		series, err := Figure3(s)
+	register("fig3", "Figure 3: SSD2 random write average power under power states", func(sp *scenario.Spec, w io.Writer) error {
+		series, err := Figure3(sp)
 		if err != nil {
 			return err
 		}
@@ -212,8 +213,8 @@ func init() {
 		chartSeries(w, "Fig. 3: SSD2 random write power", "chunk (KiB, log)", "W", series)
 		return nil
 	})
-	register("fig4", "Figure 4: SSD2 sequential throughput under power states (qd 64)", func(s Scale, w io.Writer) error {
-		series, err := Figure4(s)
+	register("fig4", "Figure 4: SSD2 sequential throughput under power states (qd 64)", func(sp *scenario.Spec, w io.Writer) error {
+		series, err := Figure4(sp)
 		if err != nil {
 			return err
 		}
@@ -222,8 +223,8 @@ func init() {
 		chartSeries(w, "Fig. 4: SSD2 sequential throughput under power states", "chunk (log)", "MB/s", series)
 		return nil
 	})
-	register("fig5", "Figure 5: SSD2 random write latency under power states (qd 1)", func(s Scale, w io.Writer) error {
-		avg, p99, err := Figure5(s)
+	register("fig5", "Figure 5: SSD2 random write latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer) error {
+		avg, p99, err := Figure5(sp)
 		if err != nil {
 			return err
 		}
@@ -234,8 +235,8 @@ func init() {
 		chartSeries(w, "Fig. 5b: SSD2 random write p99 latency vs ps0", "chunk (log)", "ratio", p99)
 		return nil
 	})
-	register("fig6", "Figure 6: SSD2 random read latency under power states (qd 1)", func(s Scale, w io.Writer) error {
-		avg, p99, err := Figure6(s)
+	register("fig6", "Figure 6: SSD2 random read latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer) error {
+		avg, p99, err := Figure6(sp)
 		if err != nil {
 			return err
 		}
@@ -245,8 +246,8 @@ func init() {
 		writeSeries(w, "chunk", p99)
 		return nil
 	})
-	register("fig8", "Figure 8: random write power and throughput vs chunk size (qd 64)", func(s Scale, w io.Writer) error {
-		sweeps, err := Figure8(s)
+	register("fig8", "Figure 8: random write power and throughput vs chunk size (qd 64)", func(sp *scenario.Spec, w io.Writer) error {
+		sweeps, err := Figure8(sp)
 		if err != nil {
 			return err
 		}
@@ -255,8 +256,8 @@ func init() {
 		chartDeviceSweeps(w, "Fig. 8: random write (qd 64)", "chunk (log)", sweeps)
 		return nil
 	})
-	register("fig9", "Figure 9: random read power and throughput vs IO depth (4 KiB)", func(s Scale, w io.Writer) error {
-		sweeps, err := Figure9(s)
+	register("fig9", "Figure 9: random read power and throughput vs IO depth (4 KiB)", func(sp *scenario.Spec, w io.Writer) error {
+		sweeps, err := Figure9(sp)
 		if err != nil {
 			return err
 		}

@@ -13,71 +13,16 @@ func init() {
 	register("fleet", "Fleet serving: sharded scheduler under a stepped power budget", runFleet)
 }
 
-// FleetSpec translates a Scale into the serving-engine spec the fleet
-// experiment runs: the attached scenario (or the built-in "fleet"
-// scenario when none is attached) materialized through the declarative
-// builder, with any non-zero legacy FleetOptions layered on top. The
-// result is validated, so an invalid override fails here naming its
-// fleet.* path. Exported so bench_test.go benchmarks exactly what
-// powerbench runs, and so powerbench can check the fleet up front.
-func FleetSpec(s Scale) (serve.Spec, error) {
-	sp := s.Scenario
-	if sp == nil {
-		sp = scenario.BuiltIn("fleet")
-	}
-	sp = sp.Clone()
-	if sp.Fleet == nil {
-		sp.Fleet = &scenario.FleetSpec{}
-	}
-	o := s.Fleet
-	if o.Size != 0 {
-		sp.Fleet.Size = o.Size
-	}
-	if o.Replicas != 0 {
-		sp.Fleet.Replicas = o.Replicas
-	}
-	if o.RateIOPS != 0 {
-		sp.Fleet.RateIOPS = o.RateIOPS
-	}
-	if o.Budget != "" {
-		sp.Fleet.Budget = o.Budget
-	}
-	if o.FaultFrac != 0 {
-		sp.Fleet.FaultFrac = o.FaultFrac
-	}
-	if o.Meso || o.MesoGroupMin != 0 {
-		if sp.Fleet.Meso == nil {
-			sp.Fleet.Meso = &scenario.MesoSpec{}
-		}
-		sp.Fleet.Meso.Enable = true
-	}
-	if sp.Fleet.Meso != nil {
-		if o.MesoGroupMin != 0 {
-			sp.Fleet.Meso.GroupMin = o.MesoGroupMin
-		}
-		if o.MesoProbes != 0 {
-			sp.Fleet.Meso.Probes = o.MesoProbes
-		}
-	}
-	if m := sp.Fleet.Meso; o.MesoProbes != 0 && (m == nil || !m.Enable || m.GroupMin == 0) {
-		// Probe lanes only exist in group-parked cohorts: without group
-		// parking the count would be dropped (no meso stanza) or refused
-		// by its spec path, so name the missing flag here.
-		return serve.Spec{}, fmt.Errorf("-mesoprobes %d needs group parking (set -mesogroup)", o.MesoProbes)
-	}
-	sp.Seed, sp.FaultSeed = s.Seed, s.FaultSeed
-	// The overrides can make a valid spec invalid: check the spec that
-	// runs, at the horizon it runs for, so an error names its fleet.*
-	// path before anything is built.
-	sp.Runtime = scenario.Duration(s.Runtime)
-	if err := sp.Validate(); err != nil {
-		return serve.Spec{}, err
-	}
-	return sp.ServeSpec(s.Runtime)
+// FleetSpec materializes the serving-engine spec the fleet experiment
+// runs: sp's fleet stanza (the defaults when it has none) at sp's
+// horizon. Exported so bench_test.go benchmarks exactly what powerbench
+// runs.
+func FleetSpec(sp *scenario.Spec) (serve.Spec, error) {
+	return sp.ServeSpec(sp.Horizon())
 }
 
-func runFleet(s Scale, w io.Writer) error {
-	spec, err := FleetSpec(s)
+func runFleet(sp *scenario.Spec, w io.Writer) error {
+	spec, err := FleetSpec(sp)
 	if err != nil {
 		return err
 	}

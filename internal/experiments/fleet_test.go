@@ -9,14 +9,16 @@ import (
 	"wattio/internal/scenario"
 )
 
-// fleetScale keeps the serving run small enough for the unit suite
+// fleetSpec keeps the serving run small enough for the unit suite
 // while still exercising replication, faults, and all three budget
-// phases.
-var fleetScale = Scale{
-	Runtime:   600 * time.Millisecond,
-	Seed:      42,
-	FaultSeed: 1,
-	Fleet:     FleetOptions{Size: 12, Replicas: 2, RateIOPS: 9000, FaultFrac: 0.25},
+// phases: it is the spec `powerbench -exp fleet -fleet 12 -replicas 2
+// -rate 9000 -fleetfaults 0.25` runs, shortened to 600 ms.
+func fleetSpec() *scenario.Spec {
+	sp := scenario.BuiltIn("fleet")
+	sp.Runtime = scenario.Duration(600 * time.Millisecond)
+	f := sp.Fleet
+	f.Size, f.Replicas, f.RateIOPS, f.FaultFrac = 12, 2, 9000, 0.25
+	return sp
 }
 
 // TestFleetRuns runs the fleet experiment, whose cap and tracking gates
@@ -27,13 +29,13 @@ func TestFleetRuns(t *testing.T) {
 	if !ok {
 		t.Fatal("fleet experiment not registered")
 	}
-	for name, s := range map[string]Scale{
-		"flags":          fleetScale,
-		"stepped-budget": ScaleFor(scenario.BuiltIn("stepped-budget")),
+	for name, sp := range map[string]*scenario.Spec{
+		"flags":          fleetSpec(),
+		"stepped-budget": scenario.BuiltIn("stepped-budget"),
 	} {
 		t.Run(name, func(t *testing.T) {
 			var sb strings.Builder
-			if err := e.Run(s, &sb); err != nil {
+			if err := e.Run(sp, &sb); err != nil {
 				t.Fatalf("fleet: %v\n%s", err, sb.String())
 			}
 			out := sb.String()
@@ -56,11 +58,10 @@ func TestFleetRuns(t *testing.T) {
 // tracking is checked against, the scenario's fleet.cap_tol_frac.
 func TestFleetPrintsSpecTolerance(t *testing.T) {
 	e, _ := ByID("fleet")
-	s := fleetScale
-	s.Scenario = scenario.BuiltIn("fleet").Clone()
-	s.Scenario.Fleet.CapTolFrac = 0.2
+	sp := fleetSpec()
+	sp.Fleet.CapTolFrac = 0.2
 	var sb strings.Builder
-	if err := e.Run(s, &sb); err != nil {
+	if err := e.Run(sp, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "(tol 20%)") {
@@ -73,10 +74,10 @@ func TestFleetPrintsSpecTolerance(t *testing.T) {
 func TestFleetDeterministicOutput(t *testing.T) {
 	e, _ := ByID("fleet")
 	var a, b strings.Builder
-	if err := e.Run(fleetScale, &a); err != nil {
+	if err := e.Run(fleetSpec(), &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(fleetScale, &b); err != nil {
+	if err := e.Run(fleetSpec(), &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -86,16 +87,18 @@ func TestFleetDeterministicOutput(t *testing.T) {
 
 func TestFleetBadBudgetFlag(t *testing.T) {
 	e, _ := ByID("fleet")
-	s := fleetScale
-	s.Fleet.Budget = "0s:nonsense"
+	sp := fleetSpec()
+	sp.Fleet.Budget = "0s:nonsense"
 	var sb strings.Builder
-	if err := e.Run(s, &sb); err == nil {
+	if err := e.Run(sp, &sb); err == nil {
 		t.Fatal("malformed budget schedule accepted")
 	}
 }
 
+// TestFleetSpecDefaults: a spec without a fleet stanza, such as the
+// paper-default suite, serves the default fleet.
 func TestFleetSpecDefaults(t *testing.T) {
-	spec, err := FleetSpec(Quick)
+	spec, err := FleetSpec(scenario.BuiltIn("paper-default"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +114,10 @@ func TestFleetSpecDefaults(t *testing.T) {
 }
 
 // TestFleetSpecFromScenario checks the spec pipeline end to end: a
-// Scale carrying a declarative scenario materializes exactly the
-// serving spec the scenario describes, fault scripts included, and
-// legacy flag overrides still win over the spec.
+// declarative scenario materializes exactly the serving spec it
+// describes, fault scripts included.
 func TestFleetSpecFromScenario(t *testing.T) {
-	s := Quick
-	s.Scenario = scenario.BuiltIn("stepped-budget")
-	s.Runtime = 2 * time.Second
-	spec, err := FleetSpec(s)
+	spec, err := FleetSpec(scenario.BuiltIn("stepped-budget"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,65 +130,18 @@ func TestFleetSpecFromScenario(t *testing.T) {
 	if len(spec.Faults) != 1 || spec.Faults[0].Device != "SSD2#00003" {
 		t.Fatalf("scenario fault script not applied: %+v", spec.Faults)
 	}
-
-	s.Fleet.Size = 32
-	spec, err = FleetSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Size != 32 {
-		t.Fatalf("flag override lost to scenario: size %d, want 32", spec.Size)
-	}
-
-	// -mesogroup implies -meso, also over a spec that switches the tier off.
-	s.Scenario = scenario.BuiltIn("stepped-budget").Clone()
-	s.Scenario.Fleet.Meso = &scenario.MesoSpec{Enable: false}
-	s.Fleet = FleetOptions{MesoGroupMin: 16}
-	spec, err = FleetSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Meso || spec.MesoGroupMin != 16 {
-		t.Fatalf("-mesogroup 16 over a meso-off spec: meso %v, group min %d", spec.Meso, spec.MesoGroupMin)
-	}
-}
-
-// TestFleetSpecProbesNeedGroupParking: -mesoprobes without -mesogroup is
-// refused by FleetSpec with an error naming the missing flag, both on a
-// plain fleet (where the count used to be dropped silently) and with
-// -meso (where serve.Run used to refuse it by its Spec field name).
-func TestFleetSpecProbesNeedGroupParking(t *testing.T) {
-	for _, o := range []FleetOptions{
-		{Size: 16, MesoProbes: 3},
-		{Size: 16, Meso: true, MesoProbes: 3},
-	} {
-		s := Quick
-		s.Fleet = o
-		if _, err := FleetSpec(s); err == nil || !strings.Contains(err.Error(), "-mesogroup") {
-			t.Errorf("%+v: err = %v, want one naming -mesogroup", o, err)
-		}
-	}
-	s := Quick
-	s.Fleet = FleetOptions{Size: 16, MesoGroupMin: 8, MesoProbes: 3}
-	spec, err := FleetSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.MesoGroupMin != 8 || spec.MesoProbes != 3 {
-		t.Fatalf("-mesogroup 8 -mesoprobes 3: group min %d, probes %d", spec.MesoGroupMin, spec.MesoProbes)
-	}
 }
 
 // TestFleetScenarioFlagEquivalence pins the acceptance contract: the
-// built-in "fleet" scenario and the bare flag path must produce the
-// same serving spec.
+// fleet that `powerbench -exp all` serves from the paper-default suite,
+// which has no fleet stanza, is the built-in "fleet" scenario that
+// `powerbench -exp fleet` serves.
 func TestFleetScenarioFlagEquivalence(t *testing.T) {
-	flags, err := FleetSpec(Quick)
+	flags, err := FleetSpec(scenario.BuiltIn("paper-default"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ScaleFor(scenario.BuiltIn("fleet"))
-	spec, err := FleetSpec(s)
+	spec, err := FleetSpec(scenario.BuiltIn("fleet"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// goldenScale is deliberately tiny: golden files pin the exact rendered
+// goldenSpec is deliberately tiny: golden files pin the exact rendered
 // output (calibration constants included) rather than paper accuracy,
-// which the calibration tests already cover at realistic scale.
-var goldenScale = Scale{Runtime: 400 * time.Millisecond, TotalBytes: 64 << 20, Seed: 42}
+// which the calibration tests already cover at realistic scale. It
+// lists no devices, so the modeling experiments sweep the paper's
+// default device set.
+var goldenSpec = &scenario.Spec{
+	Version:    scenario.Version,
+	Name:       "golden",
+	Experiment: "all",
+	Runtime:    scenario.Duration(400 * time.Millisecond),
+	TotalBytes: 64 << 20,
+	Seed:       42,
+}
 
 // TestGoldenOutputs locks the rendered output of the direct-print
 // experiments. Any change to a calibration constant, model equation, or
@@ -33,7 +42,7 @@ func TestGoldenOutputs(t *testing.T) {
 				t.Fatalf("experiment %q not registered", id)
 			}
 			var buf bytes.Buffer
-			if err := e.Run(goldenScale, &buf); err != nil {
+			if err := e.Run(goldenSpec, &buf); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
@@ -61,16 +70,15 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestGoldenOutputsViaScenario is the spec-pipeline half of the golden
-// contract: running the same experiments with the paper-default
-// scenario attached must reproduce the flag path's golden bytes
-// exactly — the declarative layer adds no drift.
+// TestGoldenOutputsViaScenario is the spec-file half of the golden
+// contract: running the same experiments from the paper-default
+// scenario file, which lists its devices, must reproduce the golden
+// bytes exactly — the declarative layer adds no drift.
 func TestGoldenOutputsViaScenario(t *testing.T) {
 	if *update {
 		t.Skip("goldens are refreshed by TestGoldenOutputs")
 	}
-	s := goldenScale
-	s.Scenario = scenario.BuiltIn("paper-default")
+	s := boundedSpec(400*time.Millisecond, 64<<20)
 	for _, id := range []string{"table1", "headline", "standby"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -18,23 +18,20 @@ func init() {
 // traffic), which amortizes away on the long builtin horizon.
 const mesoEnergyTolFrac = 0.01
 
-// MesoSpec translates a Scale into the pair-run serving spec: the
-// attached scenario when it carries an enabled meso stanza, otherwise
-// the built-in "meso" scenario (whose horizon is tuned long enough for
-// the 1% energy-agreement gate). The returned spec has the tier ON;
-// the experiment clears Spec.Meso for the baseline leg.
-func MesoSpec(s Scale) (serve.Spec, error) {
-	sp := s.Scenario
-	horizon := s.Runtime
-	if sp == nil || sp.Fleet == nil || sp.Fleet.Meso == nil || !sp.Fleet.Meso.Enable {
+// MesoSpec materializes the pair-run serving spec: sp when it carries
+// an enabled meso stanza, otherwise the built-in "meso" scenario (whose
+// horizon is tuned long enough for the 1% energy-agreement gate). The
+// returned spec has the tier ON; the experiment clears Spec.Meso for
+// the baseline leg.
+func MesoSpec(sp *scenario.Spec) (serve.Spec, error) {
+	if sp.Fleet == nil || sp.Fleet.Meso == nil || !sp.Fleet.Meso.Enable {
 		sp = scenario.BuiltIn("meso")
-		horizon = sp.Runtime.D()
 	}
-	return sp.ServeSpec(horizon)
+	return sp.ServeSpec(sp.Horizon())
 }
 
-func runMeso(s Scale, w io.Writer) error {
-	spec, err := MesoSpec(s)
+func runMeso(sp *scenario.Spec, w io.Writer) error {
+	spec, err := MesoSpec(sp)
 	if err != nil {
 		return err
 	}

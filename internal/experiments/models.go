@@ -6,25 +6,19 @@ import (
 
 	"wattio/internal/core"
 	"wattio/internal/device"
+	"wattio/internal/scenario"
 	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
-
-// modelProfiles is the device set the modeling experiments sweep:
-// the attached scenario's device profiles, or the paper's published
-// four-device set when no scenario (or an empty one) is attached.
-func modelProfiles(s Scale) []string {
-	return s.Scenario.ModelProfiles()
-}
 
 // Figure10 builds the paper's random-write power-throughput models:
 // the full chunk × depth grid for every device, including SSD2's (and
 // SSD1's) power states. Figure 10a plots all devices normalized;
 // Figure 10b isolates SSD2's power states.
-func Figure10(s Scale) (map[string]*core.Model, error) {
+func Figure10(sp *scenario.Spec) (map[string]*core.Model, error) {
 	models := map[string]*core.Model{}
-	for _, name := range modelProfiles(s) {
-		m, err := sweep.BuildModel(name, device.OpWrite, workload.Rand, s.Seed, s.Runtime, s.TotalBytes)
+	for _, name := range sp.ModelProfiles() {
+		m, err := sweep.BuildModel(name, device.OpWrite, workload.Rand, sp.Seed, sp.Horizon(), sp.Bytes())
 		if err != nil {
 			return nil, err
 		}
@@ -92,12 +86,12 @@ func ComputeHeadline(models map[string]*core.Model) (Headline, error) {
 }
 
 func init() {
-	register("fig10", "Figure 10: power-throughput model for random write", func(s Scale, w io.Writer) error {
-		models, err := Figure10(s)
+	register("fig10", "Figure 10: power-throughput model for random write", func(sp *scenario.Spec, w io.Writer) error {
+		models, err := Figure10(sp)
 		if err != nil {
 			return err
 		}
-		profiles := modelProfiles(s)
+		profiles := sp.ModelProfiles()
 		section(w, "Figure 10a: normalized power vs throughput (all devices)")
 		for _, name := range profiles {
 			m := models[name]
@@ -121,8 +115,8 @@ func init() {
 		}
 		return nil
 	})
-	register("headline", "§3.3 headline numbers (dynamic range, HDD floor, curtailment example)", func(s Scale, w io.Writer) error {
-		models, err := Figure10(s)
+	register("headline", "§3.3 headline numbers (dynamic range, HDD floor, curtailment example)", func(sp *scenario.Spec, w io.Writer) error {
+		models, err := Figure10(sp)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"wattio/internal/scenario"
 )
 
 // The reproduction report turns EXPERIMENTS.md into something a machine
@@ -26,10 +28,10 @@ type Claim struct {
 func (c Claim) Pass() bool { return c.Measured >= c.Lo && c.Measured <= c.Hi }
 
 // Report runs the core experiments and evaluates every claim band.
-// Bands are calibrated for byte-bound-dominated scales (Quick and up);
+// Bands are calibrated for byte-bound-dominated scales (quick and up);
 // the HDD throughput floor additionally needs paper scale and is only
 // checked there.
-func Report(s Scale) ([]Claim, error) {
+func Report(sp *scenario.Spec) ([]Claim, error) {
 	var claims []Claim
 	add := func(id, paper string, measured, lo, hi float64, unit string) {
 		claims = append(claims, Claim{ID: id, Paper: paper, Measured: measured, Lo: lo, Hi: hi, Unit: unit})
@@ -37,16 +39,16 @@ func Report(s Scale) ([]Claim, error) {
 
 	// Cap-sensitive experiments need enough bytes for the regulator's
 	// deficit to dominate its burst allowance; enforce a floor.
-	capScale := s
-	if capScale.TotalBytes < 1<<30 {
-		capScale.TotalBytes = 1 << 30
+	capSpec := *sp
+	if sp.Bytes() < 1<<30 {
+		capSpec.TotalBytes = 1 << 30
 	}
-	if capScale.Runtime < 3*time.Second {
-		capScale.Runtime = 3 * time.Second
+	if sp.Horizon() < 3*time.Second {
+		capSpec.Runtime = scenario.Duration(3 * time.Second)
 	}
 
 	// Figure 4: write/read asymmetry under caps.
-	fig4, err := Figure4(capScale)
+	fig4, err := Figure4(&capSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -63,13 +65,13 @@ func Report(s Scale) ([]Claim, error) {
 		by["seq read ps2"].Y[last]/by["seq read ps0"].Y[last], 0.93, 1.001, "ratio")
 
 	// Figure 5/6: latency under caps.
-	_, p99w, err := Figure5(capScale)
+	_, p99w, err := Figure5(&capSpec)
 	if err != nil {
 		return nil, err
 	}
 	add("fig5.p99.2MiB", "random write p99 inflates up to 6.19x at ps2",
 		p99w[2].Y[len(p99w[2].Y)-1], 3.0, 7.5, "x")
-	avgR, _, err := Figure6(capScale)
+	avgR, _, err := Figure6(&capSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +85,7 @@ func Report(s Scale) ([]Claim, error) {
 		worst, 0.97, 1.03, "ratio")
 
 	// §3.2.2: standby levels and transitions.
-	standby, err := StandbyStudy(s)
+	standby, err := StandbyStudy(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +103,7 @@ func Report(s Scale) ([]Claim, error) {
 	}
 
 	// Figure 10 / headline: dynamic range and the curtailment example.
-	models, err := Figure10(s)
+	models, err := Figure10(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +115,7 @@ func Report(s Scale) ([]Claim, error) {
 		100*h.SSD2DynamicRange, 54, 63, "%")
 	add("headline.curtail.power", "curtailment example sheds ~20% power",
 		100*h.Curtailment.PowerReduction, 15, 25, "%")
-	if s.Runtime >= Paper.Runtime {
+	if sp.Horizon() >= scenario.PaperRuntime {
 		add("fig10.hdd.floor", "HDD throughput floor is ~4% of max",
 			100*h.HDDThroughputFloor, 1, 8, "%")
 	}
@@ -122,9 +124,9 @@ func Report(s Scale) ([]Claim, error) {
 }
 
 func init() {
-	register("report", "Reproduction report: every paper claim checked against its band", func(s Scale, w io.Writer) error {
+	register("report", "Reproduction report: every paper claim checked against its band", func(sp *scenario.Spec, w io.Writer) error {
 		start := time.Now()
-		claims, err := Report(s)
+		claims, err := Report(sp)
 		if err != nil {
 			return err
 		}

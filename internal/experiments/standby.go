@@ -8,6 +8,7 @@ import (
 	"wattio/internal/catalog"
 	"wattio/internal/device"
 	"wattio/internal/measure"
+	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/sweep"
 )
@@ -26,11 +27,11 @@ type StandbyRow struct {
 // StandbyStudy measures standby levels and transition times for the two
 // devices the paper examines (the HDD and the 860 EVO) and records that
 // the data-center SSDs decline standby.
-func StandbyStudy(s Scale) ([]StandbyRow, error) {
+func StandbyStudy(sp *scenario.Spec) ([]StandbyRow, error) {
 	var rows []StandbyRow
 	for _, name := range []string{"HDD", "EVO", "SSD1", "SSD2", "SSD3"} {
 		eng := sim.NewEngine()
-		rng := sim.NewRNG(s.Seed)
+		rng := sim.NewRNG(sp.Seed)
 		dev, _ := catalog.ByName(name, eng, rng)
 		row := StandbyRow{Device: name}
 
@@ -86,8 +87,8 @@ func waitSettled(eng *sim.Engine, dev device.Device, standby bool) {
 }
 
 func init() {
-	register("standby", "§3.2.2 low-power standby levels and transition times", func(s Scale, w io.Writer) error {
-		rows, err := StandbyStudy(s)
+	register("standby", "§3.2.2 low-power standby levels and transition times", func(sp *scenario.Spec, w io.Writer) error {
+		rows, err := StandbyStudy(sp)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"wattio/internal/catalog"
 	"wattio/internal/device"
 	"wattio/internal/measure"
+	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/stats"
 	"wattio/internal/sweep"
@@ -28,10 +29,10 @@ type Table1Row struct {
 // device reaches (standby where supported, idle otherwise); the ceiling
 // is the instantaneous peak the rig records under the heaviest
 // workloads.
-func Table1(s Scale) ([]Table1Row, error) {
+func Table1(sp *scenario.Spec) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, 4)
 	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
-		row, err := table1Row(name, s)
+		row, err := table1Row(name, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -40,10 +41,10 @@ func Table1(s Scale) ([]Table1Row, error) {
 	return rows, nil
 }
 
-func table1Row(name string, s Scale) (Table1Row, error) {
+func table1Row(name string, sp *scenario.Spec) (Table1Row, error) {
 	// Floor: idle (or standby when the device supports it).
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(s.Seed)
+	rng := sim.NewRNG(sp.Seed)
 	dev, _ := catalog.ByName(name, eng, rng)
 	if err := dev.EnterStandby(); err == nil {
 		eng.RunUntil(eng.Now() + 15*time.Second) // HDD spin-down takes seconds
@@ -60,11 +61,11 @@ func table1Row(name string, s Scale) (Table1Row, error) {
 	// Ceiling: instantaneous peak across the heavy workloads.
 	maxW := 0.0
 	for _, job := range []workload.Job{
-		{Op: device.OpWrite, Pattern: workload.Rand, BS: 2 << 20, Depth: 64, Runtime: s.Runtime, TotalBytes: s.TotalBytes},
-		{Op: device.OpRead, Pattern: workload.Rand, BS: 4 << 10, Depth: 1, Runtime: s.Runtime, TotalBytes: s.TotalBytes / 64},
+		{Op: device.OpWrite, Pattern: workload.Rand, BS: 2 << 20, Depth: 64, Runtime: sp.Horizon(), TotalBytes: sp.Bytes()},
+		{Op: device.OpRead, Pattern: workload.Rand, BS: 4 << 10, Depth: 1, Runtime: sp.Horizon(), TotalBytes: sp.Bytes() / 64},
 	} {
 		eng := sim.NewEngine()
-		rng := sim.NewRNG(s.Seed)
+		rng := sim.NewRNG(sp.Seed)
 		dev, _ := catalog.ByName(name, eng, rng)
 		rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
 		if err != nil {
@@ -91,8 +92,8 @@ func table1Row(name string, s Scale) (Table1Row, error) {
 }
 
 func init() {
-	register("table1", "Table 1: evaluated storage devices and measured power ranges", func(s Scale, w io.Writer) error {
-		rows, err := Table1(s)
+	register("table1", "Table 1: evaluated storage devices and measured power ranges", func(sp *scenario.Spec, w io.Writer) error {
+		rows, err := Table1(sp)
 		if err != nil {
 			return err
 		}

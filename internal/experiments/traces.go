@@ -9,6 +9,7 @@ import (
 	"wattio/internal/device"
 	"wattio/internal/measure"
 	"wattio/internal/sata"
+	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/stats"
 	"wattio/internal/sweep"
@@ -26,7 +27,7 @@ type Fig2 struct {
 
 // Figure2 runs the paper's example experiment (random write, chunk size
 // 256 KiB, queue depth 64) on all four devices with full traces.
-func Figure2(s Scale) (Fig2, error) {
+func Figure2(sp *scenario.Spec) (Fig2, error) {
 	out := Fig2{Violins: map[string]stats.Summary{}}
 	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
 		pts, err := sweep.Run(sweep.Spec{
@@ -35,9 +36,9 @@ func Figure2(s Scale) (Fig2, error) {
 			Patterns:   []workload.Pattern{workload.Rand},
 			Chunks:     []int64{256 << 10},
 			Depths:     []int{64},
-			Runtime:    s.Runtime,
-			TotalBytes: s.TotalBytes,
-			Seed:       s.Seed,
+			Runtime:    sp.Horizon(),
+			TotalBytes: sp.Bytes(),
+			Seed:       sp.Seed,
 			KeepTrace:  true,
 		})
 		if err != nil {
@@ -62,13 +63,13 @@ type Fig7 struct {
 }
 
 // Figure7 regenerates the standby transition traces.
-func Figure7(s Scale) (Fig7, error) {
+func Figure7(sp *scenario.Spec) (Fig7, error) {
 	var out Fig7
 
 	// (a) idle → standby: ALPM SLUMBER at t=200 ms, trace for 1 s.
 	{
 		eng := sim.NewEngine()
-		rng := sim.NewRNG(s.Seed)
+		rng := sim.NewRNG(sp.Seed)
 		dev := catalog.NewEVO(eng, rng)
 		port, err := sata.NewPort(dev)
 		if err != nil {
@@ -93,7 +94,7 @@ func Figure7(s Scale) (Fig7, error) {
 	// (b) standby → idle: wake at t=400 ms, trace for 1 s.
 	{
 		eng := sim.NewEngine()
-		rng := sim.NewRNG(s.Seed)
+		rng := sim.NewRNG(sp.Seed)
 		dev := catalog.NewEVO(eng, rng)
 		port, err := sata.NewPort(dev)
 		if err != nil {
@@ -152,8 +153,8 @@ func settleTime(tr *trace.PowerTrace, target, tol float64) time.Duration {
 }
 
 func init() {
-	register("fig2", "Figure 2: power measurement example (trace and distribution)", func(s Scale, w io.Writer) error {
-		f, err := Figure2(s)
+	register("fig2", "Figure 2: power measurement example (trace and distribution)", func(sp *scenario.Spec, w io.Writer) error {
+		f, err := Figure2(sp)
 		if err != nil {
 			return err
 		}
@@ -168,8 +169,8 @@ func init() {
 		}
 		return nil
 	})
-	register("fig7", "Figure 7: 860 EVO power during standby transitions", func(s Scale, w io.Writer) error {
-		f, err := Figure7(s)
+	register("fig7", "Figure 7: 860 EVO power during standby transitions", func(sp *scenario.Spec, w io.Writer) error {
+		f, err := Figure7(sp)
 		if err != nil {
 			return err
 		}

@@ -245,9 +245,9 @@ var defaultModelProfiles = []string{"SSD1", "SSD2", "SSD3", "HDD"}
 // ModelProfiles returns the catalog profiles the modeling experiments
 // (Figure 10, headline) should sweep: the spec's device profiles in
 // declaration order with duplicates removed, or the paper's default
-// set when the spec is nil or lists no devices.
+// set when the spec lists no devices.
 func (s *Spec) ModelProfiles() []string {
-	if s == nil || len(s.Devices) == 0 {
+	if len(s.Devices) == 0 {
 		return append([]string(nil), defaultModelProfiles...)
 	}
 	seen := map[string]bool{}

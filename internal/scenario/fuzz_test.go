@@ -16,7 +16,16 @@ import (
 // specs never build, valid specs never fail to.
 func FuzzScenarioRoundTrip(f *testing.F) {
 	for _, name := range BuiltInNames() {
-		b, err := BuiltIn(name).Canonical()
+		sp := BuiltIn(name)
+		// ServeSpec fits a calib seed's models, a sweep of seconds and
+		// several times that under coverage instrumentation. Fits are
+		// memoized per process, so fitting here, in each fuzz worker
+		// before its per-input hang timer starts, spares the check in
+		// the fuzz body that sweep.
+		if _, err := sp.ServeSpec(time.Second); err != nil {
+			f.Fatal(err)
+		}
+		b, err := sp.Canonical()
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -46,11 +46,15 @@ import (
 // version field to 2.
 const Version = 2
 
-// The virtual run length a spec gets from its scale when it sets no
-// runtime of its own.
+// The virtual run length and per-point byte bound a spec gets from its
+// scale when it sets no runtime or total_bytes of its own. Paper scale
+// is the published methodology (one minute or 4 GiB per point); quick
+// scale runs the whole suite in seconds.
 const (
 	QuickRuntime = 2 * time.Second
 	PaperRuntime = time.Minute
+	QuickBytes   = 256 << 20
+	PaperBytes   = 4 << 30
 )
 
 // Horizon returns the run's resolved virtual length: the spec's runtime
@@ -63,6 +67,18 @@ func (s *Spec) Horizon() time.Duration {
 		return PaperRuntime
 	}
 	return QuickRuntime
+}
+
+// Bytes returns the run's resolved per-point byte bound: the spec's
+// total_bytes when set, else its scale's.
+func (s *Spec) Bytes() int64 {
+	switch {
+	case s.TotalBytes > 0:
+		return s.TotalBytes
+	case s.Scale == "paper":
+		return PaperBytes
+	}
+	return QuickBytes
 }
 
 // Size ceilings keep a malformed (or adversarial, under fuzzing) spec
