@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -19,24 +20,41 @@ import (
 
 	"wattio/internal/catalog"
 	"wattio/internal/device"
+	"wattio/internal/hdd"
 	"wattio/internal/measure"
 	"wattio/internal/sim"
+	"wattio/internal/ssd"
 	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one fiosim invocation, printing the report to out and
+// any error to errw: exit code 0 on success, 1 for a job the flags
+// describe but the device cannot run, 2 for a malformed command line.
+func run(argv []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("fiosim", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		devName = flag.String("device", "SSD2", "device model: "+strings.Join(catalog.Names(), ", "))
-		rw      = flag.String("rw", "randwrite", "read, write, randread, or randwrite")
-		bs      = flag.String("bs", "256k", "block size (e.g. 4k, 256k, 2m)")
-		depth   = flag.Int("iodepth", 64, "IO queue depth")
-		runtime = flag.Duration("runtime", time.Minute, "maximum issue window")
-		size    = flag.String("size", "4g", "maximum bytes issued")
-		ps      = flag.Int("ps", 0, "NVMe power state to select before the run")
-		seed    = flag.Uint64("seed", 42, "random seed")
+		devName = fs.String("device", "SSD2", "device model: "+strings.Join(catalog.Names(), ", "))
+		rw      = fs.String("rw", "randwrite", "read, write, randread, or randwrite")
+		bs      = fs.String("bs", "256k", "block size (e.g. 4k, 256k, 2m)")
+		depth   = fs.Int("iodepth", 64, "IO queue depth")
+		runtime = fs.Duration("runtime", time.Minute, "maximum issue window")
+		size    = fs.String("size", "4g", "maximum bytes issued")
+		ps      = fs.Int("ps", 0, "NVMe power state to select before the run")
+		seed    = fs.Uint64("seed", 42, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(errw, "fiosim: "+format+"\n", args...)
+		return 1
+	}
 
 	job := workload.Job{Depth: *depth, Runtime: *runtime}
 	switch *rw {
@@ -49,45 +67,64 @@ func main() {
 	case "randwrite":
 		job.Op, job.Pattern = device.OpWrite, workload.Rand
 	default:
-		fatal("unknown -rw %q", *rw)
+		return fail("unknown -rw %q", *rw)
 	}
 	var err error
 	if job.BS, err = parseSize(*bs); err != nil {
-		fatal("bad -bs: %v", err)
+		return fail("bad -bs: %v", err)
 	}
 	if job.TotalBytes, err = parseSize(*size); err != nil {
-		fatal("bad -size: %v", err)
+		return fail("bad -size: %v", err)
 	}
 
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(*seed)
 	dev, ok := catalog.ByName(*devName, eng, rng)
 	if !ok {
-		fatal("unknown device %q (have %s)", *devName, strings.Join(catalog.Names(), ", "))
+		return fail("unknown device %q (have %s)", *devName, strings.Join(catalog.Names(), ", "))
+	}
+	if err := job.Validate(dev); err != nil {
+		return fail("%v", err)
+	}
+	// A request must fit where the model stages it whole: an SSD's
+	// write buffer (it panics on a larger request) and, for writes, an
+	// HDD's write cache (it never admits a larger one).
+	var stage int64
+	switch d := dev.(type) {
+	case *ssd.SSD:
+		stage = d.Config().BufferBytes
+	case *hdd.HDD:
+		if job.Op == device.OpWrite {
+			stage = d.Config().CacheBytes
+		}
+	}
+	if stage > 0 && job.BS > stage {
+		return fail("block size %d exceeds the %d bytes %s stages per request", job.BS, stage, *devName)
 	}
 	if *ps != 0 {
 		if err := dev.SetPowerState(*ps); err != nil {
-			fatal("set power state: %v", err)
+			return fail("set power state: %v", err)
 		}
 	}
 	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	rig.Start()
 	res := workload.Run(eng, dev, job, rng)
 	rig.Stop()
 
-	fmt.Printf("%s: (g=0): rw=%s, bs=%s, iodepth=%d, ps=%d\n", *devName, *rw, *bs, *depth, *ps)
-	fmt.Printf("  %s model: %s (%s)\n", dev.Protocol(), dev.Model(), *devName)
-	fmt.Printf("  io=%s, bw=%.1fMB/s, iops=%.0f, runt=%v\n",
+	fmt.Fprintf(out, "%s: (g=0): rw=%s, bs=%s, iodepth=%d, ps=%d\n", *devName, *rw, *bs, *depth, *ps)
+	fmt.Fprintf(out, "  %s model: %s (%s)\n", dev.Protocol(), dev.Model(), *devName)
+	fmt.Fprintf(out, "  io=%s, bw=%.1fMB/s, iops=%.0f, runt=%v\n",
 		fmtBytes(res.Bytes), res.BandwidthMBps, res.IOPS, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  lat (usec): avg=%.1f, p50=%.1f, p99=%.1f, max=%.1f\n",
+	fmt.Fprintf(out, "  lat (usec): avg=%.1f, p50=%.1f, p99=%.1f, max=%.1f\n",
 		us(res.LatAvg), us(res.LatP50), us(res.LatP99), us(res.LatMax))
 	sum := rig.Trace().Summary()
-	fmt.Printf("  power (W): avg=%.2f, min=%.2f, p99=%.2f, max=%.2f over %d samples at 1kHz\n",
+	fmt.Fprintf(out, "  power (W): avg=%.2f, min=%.2f, p99=%.2f, max=%.2f over %d samples at 1kHz\n",
 		sum.Mean, sum.Min, sum.P99, sum.Max, sum.N)
-	fmt.Printf("  energy: %.1f J (%.2f nJ/B)\n", dev.EnergyJ(), dev.EnergyJ()/float64(res.Bytes)*1e9)
+	fmt.Fprintf(out, "  energy: %.1f J (%.2f nJ/B)\n", dev.EnergyJ(), dev.EnergyJ()/float64(res.Bytes)*1e9)
+	return 0
 }
 
 func us(d time.Duration) float64 { return float64(d) / 1e3 }
@@ -125,9 +162,4 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("size must be positive")
 	}
 	return n * mult, nil
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fiosim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -58,5 +59,39 @@ func TestFmtBytes(t *testing.T) {
 func TestUs(t *testing.T) {
 	if got := us(1500 * time.Nanosecond); got != 1.5 {
 		t.Errorf("us = %v, want 1.5", got)
+	}
+}
+
+// TestRunExitCodes: a job the device can run exits 0 with its report;
+// a job it cannot run exits 1 with one "fiosim:" line naming the
+// reason, never a stack trace; a malformed command line exits 2.
+func TestRunExitCodes(t *testing.T) {
+	short := []string{"-runtime", "20ms", "-size", "1m"}
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-bs", "4k", "-iodepth", "4"}, 0, "power (W)"},
+		{[]string{"-iodepth", "0"}, 1, "fiosim: workload: depth 0 must be positive"},
+		{[]string{"-iodepth", "-3"}, 1, "fiosim: workload: depth -3 must be positive"},
+		{[]string{"-bs", "1000"}, 1, "fiosim: workload: block size 1000 invalid"},
+		{[]string{"-bs", "9g"}, 1, "fiosim: block size 9663676416 exceeds the 268435456 bytes SSD2 stages"},
+		{[]string{"-device", "HDD", "-bs", "9g"}, 1, "fiosim: block size 9663676416 exceeds the 134217728 bytes HDD stages"},
+		{[]string{"-rw", "append"}, 1, `fiosim: unknown -rw "append"`},
+		{[]string{"-device", "NOPE"}, 1, `fiosim: unknown device "NOPE"`},
+		{[]string{"-ps", "9"}, 1, "fiosim: set power state"},
+		{[]string{"-bogus"}, 2, "flag provided but not defined"},
+	}
+	for _, tc := range cases {
+		var out, errw strings.Builder
+		code := run(append(tc.args, short...), &out, &errw)
+		got := out.String() + errw.String()
+		if code != tc.code || !strings.Contains(got, tc.want) {
+			t.Errorf("%v: exit %d, want %d with %q; output:\n%s", tc.args, code, tc.code, tc.want, got)
+		}
+		if code == 1 && strings.Count(strings.TrimSpace(errw.String()), "\n") > 0 {
+			t.Errorf("%v: error is more than one line:\n%s", tc.args, errw.String())
+		}
 	}
 }

@@ -75,7 +75,7 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 
 		fleetSize   = fs.Int("fleet", 0, "overrides fleet.size: device count")
 		fleetRepl   = fs.Int("replicas", 0, "overrides fleet.replicas: replicas per mirror group")
-		fleetRate   = fs.Float64("rate", 0, "overrides fleet.rate_iops: arrival rate in IOPS per active device")
+		fleetRate   = fs.Float64("rate", 0, "overrides fleet.rate_iops: arrival rate in IOPS per serving device")
 		fleetBudget = fs.String("budget", "", "overrides fleet.budget: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device)")
 		fleetFaults = fs.Float64("fleetfaults", 0, "overrides fleet.fault_frac: fraction of devices given an injected fault window")
 		fleetMeso   = fs.Bool("meso", false, "overrides fleet.meso.enable: serve steady lanes through the mesoscale analytic tier")

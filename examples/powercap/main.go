@@ -49,10 +49,7 @@ func runOne(sp *scenario.Spec, op device.Op, ps int) (bw, pw float64) {
 		log.Fatal(err)
 	}
 	rig.Start()
-	job, err := sp.Workload.Job(10*time.Second, 2<<30)
-	if err != nil {
-		log.Fatal(err)
-	}
+	job := sp.Workload.Job(10*time.Second, 2<<30)
 	job.Op = op // part 1 walks both ops over the spec's workload shape
 	res := workload.Run(eng, dev, job, rng.Stream("workload"))
 	rig.Stop()

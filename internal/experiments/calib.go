@@ -19,13 +19,6 @@ func runCalib(sp *scenario.Spec, w io.Writer) error {
 	if sp.Fleet == nil || sp.Fleet.Calib == nil || !sp.Fleet.Calib.Enable {
 		sp = scenario.BuiltIn("calib")
 	}
-	c := sp.Fleet.Calib
-	opt := calib.Options{
-		PointRuntime: c.PointRuntime.D(),
-		Warmup:       c.Warmup.D(),
-		Seed:         c.Seed,
-		Folds:        c.Folds,
-	}
 	profiles := sp.Fleet.Profiles
 	if len(profiles) == 0 {
 		profiles = []string{"SSD2"}
@@ -36,7 +29,7 @@ func runCalib(sp *scenario.Spec, w io.Writer) error {
 		"class", "states", "CV R2", "MAPE")
 	var gateErr error
 	for _, p := range profiles {
-		f, err := calib.FitClass(p, opt)
+		f, err := calib.FitClass(p, calib.Options{})
 		if err != nil {
 			return err
 		}

@@ -36,6 +36,26 @@ import (
 //     power audit catches it and the rollout quarantines the leaf,
 //     skipping it in later stages.
 
+// The chaos phases' fixed parameters.
+const (
+	chaosGovBudgetW  = 11.0                  // governor phase: SSD2's device budget (W)
+	chaosGovControl  = 50 * time.Millisecond // governor phase: control period
+	chaosIOErrorProb = 0.2                   // governor phase: transient IO-error probability in its window
+
+	chaosReplicas = 3    // redirector phase: mirrored EVOs
+	chaosActive   = 2    // redirector phase: replicas serving at once
+	chaosRateIOPS = 3000 // redirector phase: Poisson read rate
+
+	chaosFleetBudgetW = 22.0 // budget phase: the two-device fleet budget (W)
+
+	chaosRacks         = 2    // rollout phase: racks in the row
+	chaosLeavesPerRack = 3    // rollout phase: leaf domains per rack
+	chaosStaged        = 4    // rollout phase: leaves enabled in the first stage
+	chaosRestaged      = 2    // rollout phase: leaves the next stage asks for
+	chaosAuditW        = 12.0 // rollout phase: power-audit threshold (W)
+	chaosCapState      = 2    // rollout phase: the power state enablement applies
+)
+
 // ChaosReport holds the chaos experiment's measured outcomes; the
 // chaos tests assert recovery end to end on these fields.
 type ChaosReport struct {
@@ -88,31 +108,28 @@ func chaosDur(sp *scenario.Spec) time.Duration {
 	return d
 }
 
-// Chaos runs all four phases and returns the measured report. The
-// phase parameters come from the spec's chaos section (with the
-// published defaults in unset fields); only the window placements stay
-// runtime-derived.
+// Chaos runs all four phases and returns the measured report. The spec
+// supplies the seeds and the horizon the window placements derive from.
 func Chaos(sp *scenario.Spec) (*ChaosReport, error) {
-	cs := sp.Chaos.WithDefaults()
 	r := &ChaosReport{}
-	if err := chaosGovernor(sp, cs, r); err != nil {
+	if err := chaosGovernor(sp, r); err != nil {
 		return nil, fmt.Errorf("chaos governor phase: %w", err)
 	}
-	if err := chaosRedirector(sp, cs, r); err != nil {
+	if err := chaosRedirector(sp, r); err != nil {
 		return nil, fmt.Errorf("chaos redirector phase: %w", err)
 	}
-	if err := chaosBudget(sp, cs, r); err != nil {
+	if err := chaosBudget(sp, r); err != nil {
 		return nil, fmt.Errorf("chaos budget phase: %w", err)
 	}
-	if err := chaosRollout(sp, cs, r); err != nil {
+	if err := chaosRollout(sp, r); err != nil {
 		return nil, fmt.Errorf("chaos rollout phase: %w", err)
 	}
 	return r, nil
 }
 
-// chaosGovernor: saturating writes on SSD2 under the scenario's device
-// budget while SetPowerState fails for the first half of the run.
-func chaosGovernor(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
+// chaosGovernor: saturating writes on SSD2 under its device budget
+// while SetPowerState fails for the first half of the run.
+func chaosGovernor(sp *scenario.Spec, r *ChaosReport) error {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed)
 	frng := sim.NewRNG(sp.FaultSeed)
@@ -129,13 +146,13 @@ func chaosGovernor(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) err
 	fd, err := fault.New(dev, eng, frng.Stream("ssd2"), fault.Profile{
 		Windows: []fault.Window{
 			{Kind: fault.PowerCmdFail, Start: 0, Dur: r.GovFaultEnd},
-			{Kind: fault.IOError, Start: dur / 4, Dur: dur / 8, Prob: cs.IOErrorProb},
+			{Kind: fault.IOError, Start: dur / 4, Dur: dur / 8, Prob: chaosIOErrorProb},
 		},
 	})
 	if err != nil {
 		return err
 	}
-	g, err := adaptive.NewGovernor(eng, fd, cs.GovBudgetW, cs.GovControl.D())
+	g, err := adaptive.NewGovernor(eng, fd, chaosGovBudgetW, chaosGovControl)
 	if err != nil {
 		return err
 	}
@@ -167,7 +184,7 @@ func chaosGovernor(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) err
 	// what the probe must certify.
 	var capProbe *invariant.CapProbe
 	eng.Post(3*dur/4, func() {
-		capProbe = invariant.AttachCap(eng, fd, cs.GovBudgetW, dur/8, 5*time.Millisecond)
+		capProbe = invariant.AttachCap(eng, fd, chaosGovBudgetW, dur/8, 5*time.Millisecond)
 	})
 
 	g.Start()
@@ -201,9 +218,9 @@ func chaosGovernor(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) err
 	return nil
 }
 
-// chaosRedirector: mirrored EVOs (scenario replicas/active), open-loop
-// reads; replica 0 drops out for the second quarter of the run.
-func chaosRedirector(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
+// chaosRedirector: mirrored EVOs, open-loop reads; replica 0 drops out
+// for the second quarter of the run.
+func chaosRedirector(sp *scenario.Spec, r *ChaosReport) error {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed)
 	frng := sim.NewRNG(sp.FaultSeed)
@@ -214,8 +231,7 @@ func chaosRedirector(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) e
 	const settle = time.Second
 	r.RedirDropStart, r.RedirDropEnd = dur/4, dur/2
 
-	replicas := cs.Replicas
-	devs := make([]device.Device, replicas)
+	devs := make([]device.Device, chaosReplicas)
 	for i := range devs {
 		d := catalog.NewEVO(eng, rng.Stream(fmt.Sprint("replica", i)))
 		if i == 0 {
@@ -230,7 +246,7 @@ func chaosRedirector(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) e
 			devs[i] = d
 		}
 	}
-	mirror, err := adaptive.NewRedirector("mirror", devs, cs.Active)
+	mirror, err := adaptive.NewRedirector("mirror", devs, chaosActive)
 	if err != nil {
 		return err
 	}
@@ -242,16 +258,16 @@ func chaosRedirector(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) e
 
 	workload.Run(eng, mirror, workload.Job{
 		Op: device.OpRead, Pattern: workload.Rand, BS: 4 << 10,
-		Arrival: workload.OpenPoisson, RateIOPS: cs.RateIOPS, Runtime: dur,
+		Arrival: workload.OpenPoisson, RateIOPS: chaosRateIOPS, Runtime: dur,
 	}, rng)
 
 	final := mirror.CompletedByReplica()
 	r.RedirFailovers = mirror.Failovers
 	r.RedirWakesOnDemand = mirror.WakesOnDemand
 	r.RedirBefore = atDrop
-	r.RedirDuring = make([]int, replicas)
-	r.RedirAfter = make([]int, replicas)
-	for i := 0; i < replicas; i++ {
+	r.RedirDuring = make([]int, chaosReplicas)
+	r.RedirAfter = make([]int, chaosReplicas)
+	for i := 0; i < chaosReplicas; i++ {
 		r.RedirDuring[i] = atRecover[i] - atDrop[i]
 		r.RedirAfter[i] = final[i] - atRecover[i]
 	}
@@ -290,7 +306,7 @@ func chaosModels() (*core.Fleet, error) {
 
 // chaosBudget: SSD2 refuses every power command; Apply must reserve
 // its ps0 worst case and tighten SSD1 instead.
-func chaosBudget(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
+func chaosBudget(sp *scenario.Spec, r *ChaosReport) error {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed)
 	frng := sim.NewRNG(sp.FaultSeed)
@@ -312,7 +328,7 @@ func chaosBudget(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error
 		return err
 	}
 
-	r.BudgetW = cs.FleetBudgetW
+	r.BudgetW = chaosFleetBudgetW
 	a, err := bc.Apply(r.BudgetW)
 	if err != nil {
 		return err
@@ -324,10 +340,9 @@ func chaosBudget(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error
 	return nil
 }
 
-// chaosRollout: a scenario-shaped leaf grid with a staged subset; one
-// staged leaf cannot apply its cap, fails the power audit, and is
-// quarantined.
-func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) error {
+// chaosRollout: a leaf grid with a staged subset; one staged leaf
+// cannot apply its cap, fails the power audit, and is quarantined.
+func chaosRollout(sp *scenario.Spec, r *ChaosReport) error {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed)
 	frng := sim.NewRNG(sp.FaultSeed)
@@ -337,12 +352,11 @@ func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) erro
 		wdur = time.Second
 	}
 
-	racks, leavesPerRack := cs.Racks, cs.LeavesPerRack
 	root := &adaptive.Domain{Name: "row"}
 	leafDev := map[*adaptive.Domain]device.Device{}
-	for ri := 0; ri < racks; ri++ {
+	for ri := 0; ri < chaosRacks; ri++ {
 		rack := &adaptive.Domain{Name: fmt.Sprintf("rack%d", ri)}
-		for li := 0; li < leavesPerRack; li++ {
+		for li := 0; li < chaosLeavesPerRack; li++ {
 			name := fmt.Sprintf("rack%d/leaf%d", ri, li)
 			d := device.Device(catalog.NewSSD2(eng, rng.Stream(name)))
 			if ri == 0 && li == 0 {
@@ -362,12 +376,12 @@ func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) erro
 	}
 
 	rollout := adaptive.NewRollout(root)
-	staged := rollout.Stage(cs.Staged)
+	staged := rollout.Stage(chaosStaged)
 	for _, leaf := range staged {
 		r.RolloutStaged = append(r.RolloutStaged, leaf.Name)
 		// Enablement applies the deepest cap; the faulted leaf refuses
 		// and keeps drawing full power — exactly what the audit hunts.
-		leafDev[leaf].SetPowerState(cs.CapState)
+		leafDev[leaf].SetPowerState(chaosCapState)
 	}
 
 	e0 := map[*adaptive.Domain]float64{}
@@ -387,11 +401,11 @@ func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) erro
 		return avg
 	}
 	// SSD2 at ps2 sustains ~10.5 W under saturating writes; at ps0 it
-	// draws ~14.8 W. The default 12 W threshold splits the two cleanly.
-	for _, d := range rollout.AuditAndQuarantine(measure, cs.AuditThresholdW) {
+	// draws ~14.8 W. The 12 W threshold splits the two cleanly.
+	for _, d := range rollout.AuditAndQuarantine(measure, chaosAuditW) {
 		r.RolloutQuarantined = append(r.RolloutQuarantined, d.Name)
 	}
-	for _, d := range rollout.Stage(cs.Restaged) {
+	for _, d := range rollout.Stage(chaosRestaged) {
 		r.RolloutRestaged = append(r.RolloutRestaged, d.Name)
 	}
 	return nil
@@ -399,14 +413,13 @@ func chaosRollout(sp *scenario.Spec, cs scenario.ChaosSpec, r *ChaosReport) erro
 
 func init() {
 	register("chaos", "Extension: fault injection for the power-control plane (§4.1 local control failures)", func(sp *scenario.Spec, w io.Writer) error {
-		cs := sp.Chaos.WithDefaults()
 		r, err := Chaos(sp)
 		if err != nil {
 			return err
 		}
 		section(w, "Extension: chaos — adaptive control under injected faults")
 
-		fmt.Fprintf(w, "governor (SSD2, %g W budget, SetPowerState refused for [0, %v)):\n", cs.GovBudgetW, r.GovFaultEnd)
+		fmt.Fprintf(w, "governor (SSD2, %g W budget, SetPowerState refused for [0, %v)):\n", chaosGovBudgetW, r.GovFaultEnd)
 		fmt.Fprintf(w, "  cmd failures %d, retries %d, applied steps %d, final state ps%d\n",
 			r.GovFailures, r.GovRetries, r.GovSteps, r.GovFinalState)
 		fmt.Fprintf(w, "  transient IO-error retries (fault seed draws): %d\n", r.GovIORetries)
@@ -414,7 +427,7 @@ func init() {
 		fmt.Fprintf(w, "  post-recovery worst sliding-window power: %.2f W (cap ok: %v, energy conserved: %v)\n",
 			r.GovWorstWindowW, r.GovCapOK, r.GovEnergyOK)
 
-		fmt.Fprintf(w, "redirector (%d mirrored EVOs, replica 0 drops for [%v, %v)):\n", cs.Replicas, r.RedirDropStart, r.RedirDropEnd)
+		fmt.Fprintf(w, "redirector (%d mirrored EVOs, replica 0 drops for [%v, %v)):\n", chaosReplicas, r.RedirDropStart, r.RedirDropEnd)
 		fmt.Fprintf(w, "  failovers %d, wakes-on-demand %d\n", r.RedirFailovers, r.RedirWakesOnDemand)
 		fmt.Fprintf(w, "  per-replica IOs  before drop: %v  during drop: %v  after recovery: %v\n",
 			r.RedirBefore, r.RedirDuring, r.RedirAfter)
@@ -426,12 +439,12 @@ func init() {
 			r.BudgetAssignment.TotalPowerW, r.BudgetAssignment.TotalMBps)
 
 		fmt.Fprintf(w, "rollout (%d leaves / %d racks, %d staged, rack0/leaf0 cannot apply its cap):\n",
-			cs.Racks*cs.LeavesPerRack, cs.Racks, cs.Staged)
+			chaosRacks*chaosLeavesPerRack, chaosRacks, chaosStaged)
 		fmt.Fprintf(w, "  staged %v\n", r.RolloutStaged)
 		for _, name := range r.RolloutStaged {
 			fmt.Fprintf(w, "    %-14s %.2f W avg\n", name, r.RolloutLeafAvgW[name])
 		}
-		fmt.Fprintf(w, "  quarantined after audit (>%g W): %v\n", cs.AuditThresholdW, r.RolloutQuarantined)
+		fmt.Fprintf(w, "  quarantined after audit (>%g W): %v\n", chaosAuditW, r.RolloutQuarantined)
 		fmt.Fprintf(w, "  next stage skips quarantine: %v\n", r.RolloutRestaged)
 
 		fmt.Fprintln(w, "\n§4.1 reading: every local control failure is caught by a feedback layer —")

@@ -49,12 +49,8 @@ func runFleet(sp *scenario.Spec, w io.Writer) error {
 		fmt.Fprintf(w, "%-12s %10.1f %12.1f %12s\n",
 			fmt.Sprintf("%v+", seg.start.Round(time.Millisecond)), seg.budgetW, seg.avgW, tracked)
 	}
-	tol := spec.CapTolFrac
-	if tol == 0 {
-		tol = serve.DefaultCapTolFrac
-	}
 	fmt.Fprintf(w, "\npower: avg %.1f W, worst checked overshoot %.1f W, tracking %s (tol %.0f%%)\n",
-		rep.AvgPowerW, rep.WorstOverW, okStr(rep.TrackOK), 100*tol)
+		rep.AvgPowerW, rep.WorstOverW, okStr(rep.TrackOK), 100*serve.DefaultCapTolFrac)
 	fmt.Fprintf(w, "control: %d re-plans (%d infeasible), governor steps %d / retries %d / failures %d, compensations %d\n",
 		rep.Replans, rep.Infeasible, rep.GovSteps, rep.GovRetries, rep.GovFailures, rep.Compensations)
 	fmt.Fprintf(w, "faults: %d devices faulted, %d failovers, %d wakes on demand\n",

@@ -54,21 +54,6 @@ func TestFleetRuns(t *testing.T) {
 	}
 }
 
-// TestFleetPrintsSpecTolerance: the tracking line reports the tolerance
-// tracking is checked against, the scenario's fleet.cap_tol_frac.
-func TestFleetPrintsSpecTolerance(t *testing.T) {
-	e, _ := ByID("fleet")
-	sp := fleetSpec()
-	sp.Fleet.CapTolFrac = 0.2
-	var sb strings.Builder
-	if err := e.Run(sp, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "(tol 20%)") {
-		t.Errorf("output lacks %q:\n%s", "(tol 20%)", sb.String())
-	}
-}
-
 // TestFleetDeterministicOutput pins the experiment's whole report: two
 // runs must print byte-identical text, faults included.
 func TestFleetDeterministicOutput(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // tail inflation) and a recovery.
 const (
 	fleetDefaultSize = 64
-	fleetDefaultRate = 7000 // IOPS per active device: above ps2's saturated rate, below ps0's
+	fleetDefaultRate = 7000 // IOPS per serving device: above ps2's saturated rate, below ps0's
 	fleetHighPD      = 14.6 // W per device: everything at ps0
 	fleetLowPD       = 10.5 // forces most of the fleet to ps2
 	fleetMidPD       = 12.0 // recovery: ps1 becomes affordable
@@ -30,28 +30,21 @@ const (
 // time. Budget semantics: "" takes the stepped curtail-and-recover
 // default, "max" a never-binding budget, anything else a
 // serve.ParseSchedule schedule scaled by the resolved fleet size. An
-// enabled calib stanza fits a model per profile (memoized per class and
-// options) into the spec's Fitted map.
+// enabled calib stanza fits a model per profile (memoized per class)
+// into the spec's Fitted map.
 func (s *Spec) ServeSpec(horizon time.Duration) (serve.Spec, error) {
 	sp, err := s.serveSpec(horizon)
 	if err != nil {
 		return serve.Spec{}, err
 	}
 	if f := s.Fleet; f != nil && f.Calib != nil && f.Calib.Enable {
-		c := f.Calib
 		profiles := sp.Profiles
 		if len(profiles) == 0 {
 			profiles = []string{"SSD2"}
 		}
-		opt := calib.Options{
-			PointRuntime: c.PointRuntime.D(),
-			Warmup:       c.Warmup.D(),
-			Seed:         c.Seed,
-			Folds:        c.Folds,
-		}
 		sp.Fitted = make(map[string]*calib.Model, len(profiles))
 		for _, p := range profiles {
-			fit, err := calib.FitClass(p, opt)
+			fit, err := calib.FitClass(p, calib.Options{})
 			if err != nil {
 				return serve.Spec{}, pathErr("fleet.calib", "%v", err)
 			}
@@ -76,31 +69,16 @@ func (s *Spec) serveSpec(horizon time.Duration) (serve.Spec, error) {
 	if rate == 0 {
 		rate = fleetDefaultRate
 	}
-	arr, err := arrivalKind(f.Arrival, workload.OpenPoisson)
-	if err != nil {
-		return serve.Spec{}, pathErr("fleet.arrival", "%v", err)
-	}
 	sp := serve.Spec{
-		Profiles:        f.Profiles,
-		Size:            size,
-		Shards:          f.Shards,
-		Replicas:        f.Replicas,
-		Active:          f.Active,
-		Read:            f.Read,
-		Seq:             f.Seq,
-		ChunkBytes:      f.ChunkBytes,
-		Depth:           f.Depth,
-		Batch:           f.Batch,
-		QueueCap:        f.QueueCap,
-		RateIOPS:        rate,
-		Arrival:         arr,
-		Horizon:         horizon,
-		ControlPeriod:   f.ControlPeriod.D(),
-		CapTolFrac:      f.CapTolFrac,
-		Seed:            s.Seed,
-		FaultSeed:       s.FaultSeed,
-		FaultFrac:       f.FaultFrac,
-		CheckInvariants: !f.SkipInvariants,
+		Profiles:      f.Profiles,
+		Size:          size,
+		Replicas:      f.Replicas,
+		RateIOPS:      rate,
+		Horizon:       horizon,
+		ControlPeriod: f.ControlPeriod.D(),
+		Seed:          s.Seed,
+		FaultSeed:     s.FaultSeed,
+		FaultFrac:     f.FaultFrac,
 	}
 	for _, rs := range f.Arrivals {
 		sp.Rates = append(sp.Rates, workload.RateStep{At: rs.At.D(), IOPS: rs.RateIOPS})
@@ -206,7 +184,7 @@ func (s *Spec) BuildDevices(eng *sim.Engine, rng, frng *sim.RNG) ([]BuiltDevice,
 // Job materializes the workload section into a workload.Job; runtime
 // and totalBytes are the scale bounds used when the spec leaves its
 // own bounds zero.
-func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) (workload.Job, error) {
+func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) workload.Job {
 	op := device.OpWrite
 	if w.Op == "read" {
 		op = device.OpRead
@@ -215,17 +193,11 @@ func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) (workload.Jo
 	if w.Pattern == "rand" {
 		pat = workload.Rand
 	}
-	arr, err := arrivalKind(w.Arrival, workload.Closed)
-	if err != nil {
-		return workload.Job{}, pathErr("workload.arrival", "%v", err)
-	}
 	j := workload.Job{
 		Op:         op,
 		Pattern:    pat,
 		BS:         w.ChunkBytes,
 		Depth:      w.Depth,
-		Arrival:    arr,
-		RateIOPS:   w.RateIOPS,
 		Runtime:    w.Runtime.D(),
 		TotalBytes: w.TotalBytes,
 	}
@@ -235,7 +207,7 @@ func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) (workload.Jo
 	if j.TotalBytes == 0 {
 		j.TotalBytes = totalBytes
 	}
-	return j, nil
+	return j
 }
 
 // defaultModelProfiles is the paper's modeled-device set, in its

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"wattio/internal/calib"
+	"wattio/internal/catalog"
 	"wattio/internal/sim"
 )
 
@@ -15,17 +17,18 @@ import (
 // passes validation must materialize through every builder — invalid
 // specs never build, valid specs never fail to.
 func FuzzScenarioRoundTrip(f *testing.F) {
-	for _, name := range BuiltInNames() {
-		sp := BuiltIn(name)
-		// ServeSpec fits a calib seed's models, a sweep of seconds and
-		// several times that under coverage instrumentation. Fits are
-		// memoized per process, so fitting here, in each fuzz worker
-		// before its per-input hang timer starts, spares the check in
-		// the fuzz body that sweep.
-		if _, err := sp.ServeSpec(time.Second); err != nil {
+	// ServeSpec fits the model of each profile a calib-enabled fleet
+	// names, a sweep of seconds and several times that under coverage
+	// instrumentation. Fits are memoized per class for the process, so
+	// fitting every class here, in each fuzz worker before its per-input
+	// hang timer starts, spares every input in the fuzz body that sweep.
+	for _, class := range catalog.Names() {
+		if _, err := calib.FitClass(class, calib.Options{}); err != nil {
 			f.Fatal(err)
 		}
-		b, err := sp.Canonical()
+	}
+	for _, name := range BuiltInNames() {
+		b, err := BuiltIn(name).Canonical()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -64,8 +67,8 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 			t.Fatalf("validated spec failed to build a serving spec: %v", err)
 		}
 		if sp.Workload != nil {
-			if _, err := sp.Workload.Job(time.Second, 1<<20); err != nil {
-				t.Fatalf("validated workload failed to build a job: %v", err)
+			if j := sp.Workload.Job(time.Second, 1<<20); j.BS <= 0 || j.Depth <= 0 {
+				t.Fatalf("validated workload built job %+v", j)
 			}
 		}
 		total := 0
@@ -186,7 +189,7 @@ func FuzzChurnSpecRoundTrip(f *testing.F) {
 // a family satisfying the full expansion contract.
 func FuzzGridExpand(f *testing.F) {
 	f.Add(`{"budgets":["max","0s:11pd"],"fleet_sizes":[4,8],"fault_seeds":[1,2]}`, uint64(42))
-	f.Add(`{"rates":[3000,7000],"replicas":[1,2],"fault_fracs":[0,0.5]}`, uint64(7))
+	f.Add(`{"fleet_sizes":[4,8,16],"fault_seeds":[3]}`, uint64(7))
 	f.Add(`{"fleet_sizes":[]}`, uint64(0))
 	f.Add(`{"budgets":["0s:14.6pd","0s:14.60pd"]}`, uint64(1))
 	f.Fuzz(func(t *testing.T, gridJSON string, seed uint64) {

@@ -17,7 +17,7 @@ const maxCampaignPoints = 4096
 // GridSpec is the version-2 campaign stanza: each populated axis lists
 // the values one fleet knob sweeps over, and the spec expands into the
 // full cross-product of every populated axis. Axis order is fixed
-// (budgets, fleet_sizes, rates, fault_seeds, fault_fracs, replicas) and
+// (budgets, fleet_sizes, fault_seeds) and
 // expansion is lexicographic in that order, so a campaign's point
 // family — names, ordering, and per-point seeds — is a pure function of
 // the spec.
@@ -27,17 +27,10 @@ type GridSpec struct {
 	Budgets []string `json:"budgets,omitempty"`
 	// FleetSizes lists fleet device counts.
 	FleetSizes []int `json:"fleet_sizes,omitempty"`
-	// Rates lists open-loop arrival rates in IOPS per active device.
-	Rates []float64 `json:"rates,omitempty"`
 	// FaultSeeds lists fault-injection seeds: each value replaces the
 	// spec's fault_seed, replaying the same traffic under a different
 	// fault draw.
 	FaultSeeds []uint64 `json:"fault_seeds,omitempty"`
-	// FaultFracs lists fractions of devices given an injected fault
-	// window (fault intensity).
-	FaultFracs []float64 `json:"fault_fracs,omitempty"`
-	// Replicas lists mirror-group sizes.
-	Replicas []int `json:"replicas,omitempty"`
 }
 
 // Axis describes one populated grid axis: its short key (used in point
@@ -54,7 +47,6 @@ type Axis struct {
 type gridAxis struct {
 	Axis
 	apply func(sp *Spec, i int)
-	value func(i int) string // rendering for reports and errors
 }
 
 // axes returns the populated axes in their fixed expansion order.
@@ -67,42 +59,18 @@ func (g *GridSpec) axes() []gridAxis {
 		out = append(out, gridAxis{
 			Axis:  Axis{Key: "b", Path: "grid.budgets", Len: len(g.Budgets)},
 			apply: func(sp *Spec, i int) { sp.Fleet.Budget = g.Budgets[i] },
-			value: func(i int) string { return g.Budgets[i] },
 		})
 	}
 	if g.FleetSizes != nil {
 		out = append(out, gridAxis{
 			Axis:  Axis{Key: "n", Path: "grid.fleet_sizes", Len: len(g.FleetSizes)},
 			apply: func(sp *Spec, i int) { sp.Fleet.Size = g.FleetSizes[i] },
-			value: func(i int) string { return strconv.Itoa(g.FleetSizes[i]) },
-		})
-	}
-	if g.Rates != nil {
-		out = append(out, gridAxis{
-			Axis:  Axis{Key: "r", Path: "grid.rates", Len: len(g.Rates)},
-			apply: func(sp *Spec, i int) { sp.Fleet.RateIOPS = g.Rates[i] },
-			value: func(i int) string { return strconv.FormatFloat(g.Rates[i], 'g', -1, 64) },
 		})
 	}
 	if g.FaultSeeds != nil {
 		out = append(out, gridAxis{
 			Axis:  Axis{Key: "fs", Path: "grid.fault_seeds", Len: len(g.FaultSeeds)},
 			apply: func(sp *Spec, i int) { sp.FaultSeed = g.FaultSeeds[i] },
-			value: func(i int) string { return strconv.FormatUint(g.FaultSeeds[i], 10) },
-		})
-	}
-	if g.FaultFracs != nil {
-		out = append(out, gridAxis{
-			Axis:  Axis{Key: "ff", Path: "grid.fault_fracs", Len: len(g.FaultFracs)},
-			apply: func(sp *Spec, i int) { sp.Fleet.FaultFrac = g.FaultFracs[i] },
-			value: func(i int) string { return strconv.FormatFloat(g.FaultFracs[i], 'g', -1, 64) },
-		})
-	}
-	if g.Replicas != nil {
-		out = append(out, gridAxis{
-			Axis:  Axis{Key: "rep", Path: "grid.replicas", Len: len(g.Replicas)},
-			apply: func(sp *Spec, i int) { sp.Fleet.Replicas = g.Replicas[i] },
-			value: func(i int) string { return strconv.Itoa(g.Replicas[i]) },
 		})
 	}
 	return out
@@ -128,7 +96,7 @@ func (g *GridSpec) Axes() []Axis {
 // per-point validation that expansion runs afterwards.
 func (g *GridSpec) validate(path string, s *Spec) error {
 	if len(g.axes()) == 0 {
-		return pathErr(path, "grid needs at least one axis (budgets, fleet_sizes, rates, fault_seeds, fault_fracs, replicas)")
+		return pathErr(path, "grid needs at least one axis (budgets, fleet_sizes, fault_seeds)")
 	}
 	if s.Experiment != "fleet" {
 		return pathErr(path, "grid campaigns sweep fleet knobs and need experiment \"fleet\", got %q", s.Experiment)
@@ -156,16 +124,6 @@ func (g *GridSpec) validate(path string, s *Spec) error {
 			return err
 		}
 	}
-	if g.Rates != nil {
-		if err := axisValues(path+".rates", g.Rates, func(r float64) (string, error) {
-			if r <= 0 {
-				return "", fmt.Errorf("arrival rate %v must be positive", r)
-			}
-			return strconv.FormatFloat(r, 'g', -1, 64), nil
-		}); err != nil {
-			return err
-		}
-	}
 	if g.FaultSeeds != nil {
 		if err := axisValues(path+".fault_seeds", g.FaultSeeds, func(v uint64) (string, error) {
 			return strconv.FormatUint(v, 10), nil
@@ -173,27 +131,7 @@ func (g *GridSpec) validate(path string, s *Spec) error {
 			return err
 		}
 	}
-	if g.FaultFracs != nil {
-		if err := axisValues(path+".fault_fracs", g.FaultFracs, func(f float64) (string, error) {
-			if f < 0 || f > 1 {
-				return "", fmt.Errorf("fault fraction %v out of [0, 1]", f)
-			}
-			return strconv.FormatFloat(f, 'g', -1, 64), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if g.Replicas != nil {
-		if err := axisValues(path+".replicas", g.Replicas, func(n int) (string, error) {
-			if n < 1 {
-				return "", fmt.Errorf("replica count %d must be positive", n)
-			}
-			return strconv.Itoa(n), nil
-		}); err != nil {
-			return err
-		}
-	}
-	lens := make([]int, 0, 6)
+	lens := make([]int, 0, 3)
 	for _, a := range g.axes() {
 		lens = append(lens, a.Len)
 	}

@@ -26,10 +26,7 @@ func TestGridValidateRejectsWithPath(t *testing.T) {
 		{"zero fleet size", func(s *Spec) { s.Grid.FleetSizes[0] = 0 }, "grid.fleet_sizes[0]"},
 		{"oversize fleet size", func(s *Spec) { s.Grid.FleetSizes[1] = maxFleetSize + 2 }, "grid.fleet_sizes[1]"},
 		{"duplicate fleet size", func(s *Spec) { s.Grid.FleetSizes = []int{8, 8} }, "grid.fleet_sizes[1]"},
-		{"negative rate", func(s *Spec) { s.Grid.Rates = []float64{5000, -1} }, "grid.rates[1]"},
 		{"duplicate fault seed", func(s *Spec) { s.Grid.FaultSeeds = []uint64{1, 1} }, "grid.fault_seeds[1]"},
-		{"fault frac out of range", func(s *Spec) { s.Grid.FaultFracs = []float64{0.5, 1.5} }, "grid.fault_fracs[1]"},
-		{"zero replicas", func(s *Spec) { s.Grid.Replicas = []int{0} }, "grid.replicas[0]"},
 		{"point ceiling", func(s *Spec) {
 			seeds := make([]uint64, 1025) // 2 budgets x 2 sizes x 1025 seeds = 4100 > 4096
 			for i := range seeds {
@@ -112,15 +109,11 @@ func randomGrid(r *rand.Rand) *Spec {
 	g := &GridSpec{}
 	budgets := []string{"max", "0s:14.6pd", "0s:11pd", "0s:12pd,100ms:13pd"}
 	sizes := []int{4, 8, 12, 16, 24}
-	rates := []float64{3000, 5000, 7000, 9000}
 	if n := r.Intn(len(budgets) + 1); n > 0 {
 		g.Budgets = budgets[:n]
 	}
 	if n := r.Intn(len(sizes) + 1); n > 0 {
 		g.FleetSizes = sizes[:n]
-	}
-	if n := r.Intn(len(rates) + 1); n > 0 {
-		g.Rates = rates[:n]
 	}
 	if n := r.Intn(4); n > 0 {
 		seeds := make([]uint64, n)
@@ -177,6 +170,7 @@ func TestGridExpansionProperties(t *testing.T) {
 // change the seed of any point that already existed.
 func TestGridSeedStability(t *testing.T) {
 	base := BuiltIn("campaign")
+	base.Grid.FleetSizes = nil
 	basePts, err := base.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +183,6 @@ func TestGridSeedStability(t *testing.T) {
 	// Appending a new axis: every old point sits at the new axis's
 	// coordinate 0, and its label grows the new axis key.
 	ext := BuiltIn("campaign")
-	ext.Grid.Rates = []float64{5000, 9000}
 	extPts, err := ext.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -199,16 +192,16 @@ func TestGridSeedStability(t *testing.T) {
 	}
 	matched := 0
 	for _, pt := range extPts {
-		if pt.Coords[2] != 0 { // rates axis sits between n and fs
+		if pt.Coords[1] != 0 { // fleet-size axis sits between b and fs
 			continue
 		}
-		old := fmt.Sprintf("b%d-n%d-fs%d", pt.Coords[0], pt.Coords[1], pt.Coords[3])
+		old := fmt.Sprintf("b%d-fs%d", pt.Coords[0], pt.Coords[2])
 		want, ok := baseSeed[old]
 		if !ok {
 			t.Fatalf("no base point for %s", old)
 		}
 		if pt.Spec.Seed != want {
-			t.Fatalf("point %s: seed %d changed from %d after appending the rates axis", pt.Label, pt.Spec.Seed, want)
+			t.Fatalf("point %s: seed %d changed from %d after appending the fleet_sizes axis", pt.Label, pt.Spec.Seed, want)
 		}
 		matched++
 	}
@@ -219,6 +212,7 @@ func TestGridSeedStability(t *testing.T) {
 	// Appending values to an existing axis: points at the old
 	// coordinates keep their labels and seeds verbatim.
 	grown := BuiltIn("campaign")
+	grown.Grid.FleetSizes = nil
 	grown.Grid.FaultSeeds = append(grown.Grid.FaultSeeds, 3, 4)
 	grownPts, err := grown.Expand()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package scenario is the declarative layer over the whole testbed:
 // one typed, versioned spec describes a run — devices from the catalog
-// with optional fault scripts, workload shape, budget schedule,
-// fleet/control settings, seeds, and scale — and one builder
+// with optional fault scripts, a closed-loop workload shape, budget
+// schedule, fleet/control settings, seeds, and scale — and one builder
 // materializes it into engine-attached devices, fault wrappers,
 // arrival generators, and budget-controlled serving specs.
 //
@@ -36,7 +36,6 @@ import (
 	"wattio/internal/catalog"
 	"wattio/internal/fault"
 	"wattio/internal/serve"
-	"wattio/internal/workload"
 )
 
 // Version is the spec schema version this package reads and writes.
@@ -91,8 +90,7 @@ const (
 	// and validation's cost does not grow with the fleet size (see
 	// serve.Spec.Validate), so the bound is a sanity rail rather than a
 	// cost ceiling.
-	maxFleetSize  = 1 << 24
-	maxRolloutDim = 1 << 16
+	maxFleetSize = 1 << 24
 )
 
 // Spec is one complete, self-contained run description.
@@ -125,8 +123,6 @@ type Spec struct {
 	Workload *WorkloadSpec `json:"workload,omitempty"`
 	// Fleet parameterizes the serving engine (experiment "fleet").
 	Fleet *FleetSpec `json:"fleet,omitempty"`
-	// Chaos parameterizes the chaos experiment's four phases.
-	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Grid is the campaign stanza (new in version 2): each populated
 	// axis lists values one fleet knob sweeps over, and Expand resolves
 	// the spec into the named cross-product family of point specs.
@@ -163,8 +159,8 @@ type FaultWindow struct {
 	Prob float64 `json:"prob,omitempty"`
 }
 
-// WorkloadSpec shapes an IO stream in spec form; it maps onto
-// workload.Job.
+// WorkloadSpec shapes a closed-loop IO stream in spec form, fio's
+// iodepth model; it maps onto workload.Job.
 type WorkloadSpec struct {
 	// Op is "read" or "write".
 	Op string `json:"op"`
@@ -172,50 +168,33 @@ type WorkloadSpec struct {
 	Pattern string `json:"pattern,omitempty"`
 	// ChunkBytes is the IO size; must be a positive multiple of 512.
 	ChunkBytes int64 `json:"chunk_bytes"`
-	// Depth is the closed-loop queue depth.
+	// Depth is the number of IOs kept in flight; must be positive.
 	Depth int `json:"depth,omitempty"`
-	// Arrival is "closed" (default), "poisson", or "uniform".
-	Arrival string `json:"arrival,omitempty"`
-	// RateIOPS is the open-loop arrival rate; required for open modes.
-	RateIOPS float64 `json:"rate_iops,omitempty"`
 	// Runtime and TotalBytes bound the job; at least one must be set.
 	Runtime    Duration `json:"runtime,omitempty"`
 	TotalBytes int64    `json:"total_bytes,omitempty"`
 }
 
 // FleetSpec parameterizes the fleet serving engine. Zero values take
-// the fleet experiment's defaults (64 devices, 7000 IOPS per active
-// device, the stepped curtail-and-recover budget).
+// the fleet experiment's defaults (64 devices, 7000 IOPS per serving
+// device, the stepped curtail-and-recover budget). Every lane serves
+// Poisson arrivals of 256 KiB random writes at depth 64, the shape the
+// engine's planning models were measured at (see serve.Spec), with the
+// per-shard cap and clock probes attached.
 type FleetSpec struct {
 	// Profiles is the catalog profile mix; replica groups round-robin
 	// over it. Default {"SSD2"}.
 	Profiles []string `json:"profiles,omitempty"`
 	// Size is the number of devices in the fleet. Default 64.
 	Size int `json:"size,omitempty"`
-	// Shards is the number of independent simulation shards (0 derives
-	// a deterministic default from Size).
-	Shards int `json:"shards,omitempty"`
-	// Replicas is the mirror-group size; Active the serving count.
+	// Replicas is the mirror-group size; replicas-1 of each group (at
+	// least 1) serve.
 	Replicas int `json:"replicas,omitempty"`
-	Active   int `json:"active,omitempty"`
-	// RateIOPS is the open-loop arrival rate per active device.
+	// RateIOPS is the Poisson arrival rate per serving device.
 	// Default 7000.
 	RateIOPS float64 `json:"rate_iops,omitempty"`
-	// Arrival is "poisson" (default) or "uniform".
-	Arrival string `json:"arrival,omitempty"`
-	// Read serves reads instead of writes; Seq sequential offsets.
-	Read bool `json:"read,omitempty"`
-	Seq  bool `json:"seq,omitempty"`
-	// ChunkBytes, Depth, Batch, QueueCap shape each group's request
-	// stream (serve.Spec defaults apply when zero).
-	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
-	Depth      int   `json:"depth,omitempty"`
-	Batch      int   `json:"batch,omitempty"`
-	QueueCap   int   `json:"queue_cap,omitempty"`
 	// ControlPeriod paces governors and budget accounting.
 	ControlPeriod Duration `json:"control_period,omitempty"`
-	// CapTolFrac is the budget-tracking tolerance fraction.
-	CapTolFrac float64 `json:"cap_tol_frac,omitempty"`
 	// Budget is the fleet power-budget schedule in serve.ParseSchedule
 	// syntax ("0s:640,1s:448", "pd" suffix = per device). Empty takes
 	// the fleet experiment's stepped curtail-and-recover default; "max"
@@ -236,8 +215,6 @@ type FleetSpec struct {
 	// Faults scripts explicit fault windows onto named fleet instances
 	// (names are profile#index, e.g. "SSD2#00003").
 	Faults []FleetFault `json:"faults,omitempty"`
-	// SkipInvariants disables the per-shard cap/clock probes.
-	SkipInvariants bool `json:"skip_invariants,omitempty"`
 	// Meso enables the mesoscale aggregation tier: steady lanes leave
 	// the event-driven simulation for a calibrated analytic aggregate
 	// and rehydrate at control boundaries. Off when absent.
@@ -285,109 +262,21 @@ type ChurnEventSpec struct {
 	Warmup  Duration `json:"warmup,omitempty"`
 }
 
-// CalibSpec parameterizes the learned-device-model substitution: the
-// calibration sweep bounds map onto calib.Options, and the fleet's
-// profiles materialize as calib.FittedDevice instances instead of
-// mechanistic simulators. Fits are memoized per (class, options), so a
-// campaign grid re-running a calib scenario pays for each sweep once.
+// CalibSpec turns on the learned-device-model substitution: each of
+// the fleet's profiles is fitted by calib.FitClass with its default
+// sweep (calib.Options{}) and materializes as calib.FittedDevice
+// instances instead of mechanistic simulators. Fits are memoized per
+// class, so a campaign grid re-running a calib scenario pays for each
+// sweep once.
 type CalibSpec struct {
-	// Enable turns the substitution on; the other fields are ignored
-	// without it.
+	// Enable turns the substitution on.
 	Enable bool `json:"enable"`
-	// PointRuntime is each calibration cell's measured window.
-	// Default 1.5 s.
-	PointRuntime Duration `json:"point_runtime,omitempty"`
-	// Warmup is the unmeasured steady-state lead-in per cell.
-	// Default 600 ms.
-	Warmup Duration `json:"warmup,omitempty"`
-	// Seed drives the calibration sweep and the cross-validation
-	// shuffle. Default 42.
-	Seed uint64 `json:"seed,omitempty"`
-	// Folds is the cross-validation fold count. Default 5.
-	Folds int `json:"folds,omitempty"`
 }
 
 // FleetFault scripts fault windows onto one named fleet instance.
 type FleetFault struct {
 	Device  string        `json:"device"`
 	Windows []FaultWindow `json:"windows"`
-}
-
-// ChaosSpec parameterizes the chaos experiment's four control-plane
-// fault-recovery phases. Zero values take the published defaults.
-type ChaosSpec struct {
-	// GovBudgetW is the governor phase's device power budget (W).
-	GovBudgetW float64 `json:"gov_budget_w,omitempty"`
-	// GovControl is the governor's control period.
-	GovControl Duration `json:"gov_control,omitempty"`
-	// IOErrorProb is the governor phase's transient IO-error
-	// probability inside its scripted window.
-	IOErrorProb float64 `json:"io_error_prob,omitempty"`
-	// Replicas and Active shape the redirector phase's mirror set.
-	Replicas int `json:"replicas,omitempty"`
-	Active   int `json:"active,omitempty"`
-	// RateIOPS is the redirector phase's open-loop read rate.
-	RateIOPS float64 `json:"rate_iops,omitempty"`
-	// FleetBudgetW is the budget phase's two-device fleet budget (W).
-	FleetBudgetW float64 `json:"fleet_budget_w,omitempty"`
-	// Racks, LeavesPerRack, Staged, Restaged shape the rollout phase.
-	Racks         int `json:"racks,omitempty"`
-	LeavesPerRack int `json:"leaves_per_rack,omitempty"`
-	Staged        int `json:"staged,omitempty"`
-	Restaged      int `json:"restaged,omitempty"`
-	// AuditThresholdW is the rollout power-audit threshold (W).
-	AuditThresholdW float64 `json:"audit_threshold_w,omitempty"`
-	// CapState is the power state the rollout enablement applies.
-	CapState int `json:"cap_state,omitempty"`
-}
-
-// WithDefaults returns a copy with the published chaos defaults filled
-// into zero fields. A nil receiver yields the full default set.
-func (c *ChaosSpec) WithDefaults() ChaosSpec {
-	var out ChaosSpec
-	if c != nil {
-		out = *c
-	}
-	if out.GovBudgetW == 0 {
-		out.GovBudgetW = 11
-	}
-	if out.GovControl == 0 {
-		out.GovControl = Duration(50 * time.Millisecond)
-	}
-	if out.IOErrorProb == 0 {
-		out.IOErrorProb = 0.2
-	}
-	if out.Replicas == 0 {
-		out.Replicas = 3
-	}
-	if out.Active == 0 {
-		out.Active = 2
-	}
-	if out.RateIOPS == 0 {
-		out.RateIOPS = 3000
-	}
-	if out.FleetBudgetW == 0 {
-		out.FleetBudgetW = 22
-	}
-	if out.Racks == 0 {
-		out.Racks = 2
-	}
-	if out.LeavesPerRack == 0 {
-		out.LeavesPerRack = 3
-	}
-	if out.Staged == 0 {
-		out.Staged = 4
-	}
-	if out.Restaged == 0 {
-		out.Restaged = 2
-	}
-	if out.AuditThresholdW == 0 {
-		out.AuditThresholdW = 12
-	}
-	if out.CapState == 0 {
-		out.CapState = 2
-	}
-	return out
 }
 
 // Duration is a time.Duration that encodes as a JSON string ("250ms"),
@@ -525,11 +414,6 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	if s.Chaos != nil {
-		if err := s.Chaos.validate("chaos"); err != nil {
-			return err
-		}
-	}
 	if s.Grid != nil {
 		if err := s.Grid.validate("grid", s); err != nil {
 			return err
@@ -628,17 +512,8 @@ func (w *WorkloadSpec) validate(path string) error {
 	if w.ChunkBytes <= 0 || w.ChunkBytes%512 != 0 {
 		return pathErr(path+".chunk_bytes", "chunk size %d must be a positive multiple of 512", w.ChunkBytes)
 	}
-	switch w.Arrival {
-	case "", "closed":
-		if w.Depth <= 0 {
-			return pathErr(path+".depth", "closed-loop workload needs a positive depth, got %d", w.Depth)
-		}
-	case "poisson", "uniform":
-		if w.RateIOPS <= 0 {
-			return pathErr(path+".rate_iops", "open-loop workload needs a positive rate, got %v", w.RateIOPS)
-		}
-	default:
-		return pathErr(path+".arrival", "arrival must be \"closed\", \"poisson\", or \"uniform\", got %q", w.Arrival)
+	if w.Depth <= 0 {
+		return pathErr(path+".depth", "closed-loop workload needs a positive depth, got %d", w.Depth)
 	}
 	if w.Runtime <= 0 && w.TotalBytes <= 0 {
 		return pathErr(path, "workload needs a positive runtime or total_bytes bound")
@@ -654,8 +529,7 @@ func (w *WorkloadSpec) validate(path string) error {
 // semantic it can see, on the stanza converted without fitting; its
 // errors come back under the stanza's "fleet." path. What stays here is
 // what that conversion resolves or drops: the size ceiling, the
-// rate_iops/arrivals exclusion, arrival-kind names, fault-window kinds
-// and fields, and the calib stanza.
+// rate_iops/arrivals exclusion, and fault-window kinds and fields.
 func (s *Spec) validateFleet() error {
 	f := s.Fleet
 	if f.Size > maxFleetSize {
@@ -664,27 +538,11 @@ func (s *Spec) validateFleet() error {
 	if len(f.Arrivals) > 0 && f.RateIOPS != 0 {
 		return pathErr("fleet.rate_iops", "rate_iops and arrivals are mutually exclusive (the schedule's first step sets the opening rate)")
 	}
-	switch f.Arrival {
-	case "", "poisson", "uniform":
-	default:
-		return pathErr("fleet.arrival", "arrival must be \"poisson\" or \"uniform\", got %q", f.Arrival)
-	}
 	for i, ff := range f.Faults {
 		for j, w := range ff.Windows {
 			if err := w.validate(fmt.Sprintf("fleet.faults[%d].windows[%d]", i, j)); err != nil {
 				return err
 			}
-		}
-	}
-	if c := f.Calib; c != nil {
-		if c.PointRuntime.D() < 0 {
-			return pathErr("fleet.calib.point_runtime", "negative cell runtime %v", c.PointRuntime.D())
-		}
-		if c.Warmup.D() < 0 {
-			return pathErr("fleet.calib.warmup", "negative warmup %v", c.Warmup.D())
-		}
-		if c.Folds == 1 || c.Folds < 0 {
-			return pathErr("fleet.calib.folds", "cross-validation needs at least 2 folds, got %d", c.Folds)
 		}
 	}
 	ss, err := s.serveSpec(s.Horizon())
@@ -699,46 +557,4 @@ func (s *Spec) validateFleet() error {
 		return pathErr("fleet", "%v", err)
 	}
 	return nil
-}
-
-func (c *ChaosSpec) validate(path string) error {
-	d := c.WithDefaults()
-	if d.GovBudgetW < 0 || d.FleetBudgetW < 0 || d.AuditThresholdW < 0 {
-		return pathErr(path, "negative power budget")
-	}
-	if d.IOErrorProb < 0 || d.IOErrorProb > 1 {
-		return pathErr(path+".io_error_prob", "probability %v out of [0, 1]", d.IOErrorProb)
-	}
-	if d.Active > d.Replicas {
-		return pathErr(path+".active", "active count %d exceeds replicas %d", d.Active, d.Replicas)
-	}
-	if d.RateIOPS < 0 {
-		return pathErr(path+".rate_iops", "negative arrival rate %v", d.RateIOPS)
-	}
-	if c.Racks < 0 || c.LeavesPerRack < 0 || c.Staged < 0 || c.Restaged < 0 || c.CapState < 0 {
-		return pathErr(path, "negative rollout shape")
-	}
-	if d.Racks > maxRolloutDim || d.LeavesPerRack > maxRolloutDim {
-		return pathErr(path, "rollout shape %dx%d exceeds the supported maximum %d per dimension",
-			d.Racks, d.LeavesPerRack, maxRolloutDim)
-	}
-	if d.Staged > d.Racks*d.LeavesPerRack {
-		return pathErr(path+".staged", "cannot stage %d of %d leaves", d.Staged, d.Racks*d.LeavesPerRack)
-	}
-	return nil
-}
-
-// arrivalKind maps an arrival string ("" means the given default).
-func arrivalKind(s string, def workload.Arrival) (workload.Arrival, error) {
-	switch s {
-	case "":
-		return def, nil
-	case "closed":
-		return workload.Closed, nil
-	case "poisson":
-		return workload.OpenPoisson, nil
-	case "uniform":
-		return workload.OpenUniform, nil
-	}
-	return 0, fmt.Errorf("unknown arrival kind %q", s)
 }

@@ -58,8 +58,8 @@ func TestBuiltInsValid(t *testing.T) {
 				t.Fatal("BuildDevices returned a nil device")
 			}
 			if sp.Workload != nil {
-				if _, err := sp.Workload.Job(time.Second, 1<<20); err != nil {
-					t.Fatalf("Job: %v", err)
+				if j := sp.Workload.Job(time.Second, 1<<20); j.BS != sp.Workload.ChunkBytes {
+					t.Fatalf("Job block size %d, spec chunk %d", j.BS, sp.Workload.ChunkBytes)
 				}
 			}
 		})
@@ -160,6 +160,53 @@ func TestParseStrict(t *testing.T) {
 	}
 }
 
+// TestParseRejectsRemovedFields: each spec field that used to take one
+// value in every caller is now a constant of the engine or the
+// experiment, and a file that still carries one fails Parse with an
+// error naming it, so it never runs with a silently changed meaning.
+// Each case sets the field to the value it is now fixed at.
+func TestParseRejectsRemovedFields(t *testing.T) {
+	const head = `{"version":2,"name":"m","experiment":"fleet","seed":0,`
+	fleet := func(field string) string { return head + `"fleet":{` + field + `}}` }
+	workload := func(field string) string {
+		return head + `"workload":{"op":"write","chunk_bytes":4096,"depth":1,"runtime":"1s",` + field + `}}`
+	}
+	calib := func(field string) string { return head + `"fleet":{"calib":{"enable":true,` + field + `}}}` }
+	grid := func(field string) string { return head + `"grid":{"budgets":["max"],` + field + `}}` }
+	cases := []struct{ path, body string }{
+		{"fleet.shards", fleet(`"shards":4`)},
+		{"fleet.active", fleet(`"active":1`)},
+		{"fleet.arrival", fleet(`"arrival":"poisson"`)},
+		{"fleet.read", fleet(`"read":false`)},
+		{"fleet.seq", fleet(`"seq":false`)},
+		{"fleet.chunk_bytes", fleet(`"chunk_bytes":262144`)},
+		{"fleet.depth", fleet(`"depth":64`)},
+		{"fleet.batch", fleet(`"batch":8`)},
+		{"fleet.queue_cap", fleet(`"queue_cap":256`)},
+		{"fleet.cap_tol_frac", fleet(`"cap_tol_frac":0.1`)},
+		{"fleet.skip_invariants", fleet(`"skip_invariants":false`)},
+		{"workload.arrival", workload(`"arrival":"closed"`)},
+		{"workload.rate_iops", workload(`"rate_iops":1000`)},
+		{"fleet.calib.point_runtime", calib(`"point_runtime":"1.5s"`)},
+		{"fleet.calib.warmup", calib(`"warmup":"600ms"`)},
+		{"fleet.calib.seed", calib(`"seed":42`)},
+		{"fleet.calib.folds", calib(`"folds":5`)},
+		{"chaos", head + `"chaos":{"gov_budget_w":11}}`},
+		{"grid.rates", grid(`"rates":[7000]`)},
+		{"grid.fault_fracs", grid(`"fault_fracs":[0.1]`)},
+		{"grid.replicas", grid(`"replicas":[2]`)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			field := tc.path[strings.LastIndex(tc.path, ".")+1:]
+			_, err := Parse(strings.NewReader(tc.body))
+			if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+				t.Fatalf("%s: Parse error %v, want one naming %q", tc.body, err, field)
+			}
+		})
+	}
+}
+
 // TestValidateRejectsWithPath checks each semantic rejection names the
 // offending spec path, so a bad file is fixable from the error alone.
 func TestValidateRejectsWithPath(t *testing.T) {
@@ -189,7 +236,6 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		{"indivisible replicas", func(s *Spec) { s.Fleet.Size = 10; s.Fleet.Replicas = 4; s.Fleet.Faults = nil }, "fleet.replicas"},
 		{"oversize fleet", func(s *Spec) { s.Fleet.Size = maxFleetSize + 2; s.Fleet.Faults = nil }, "fleet.size"},
 		{"fault frac", func(s *Spec) { s.Fleet.FaultFrac = 1.5 }, "fleet.fault_frac"},
-		{"bad arrival", func(s *Spec) { s.Fleet.Arrival = "bursty" }, "fleet.arrival"},
 		{"negative group min", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, GroupMin: -4} }, "fleet.meso.group_min"},
 		{"negative probes", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, GroupMin: 4, Probes: -1} }, "fleet.meso.probes"},
 		{"probes without group", func(s *Spec) { s.Fleet.Meso = &MesoSpec{Enable: true, Probes: 2} }, "fleet.meso.probes"},
@@ -232,11 +278,13 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		{"churn empties cohort", func(s *Spec) {
 			s.Fleet.Churn = []ChurnEventSpec{{At: Duration(time.Second), Profile: "SSD2", Remove: 64}}
 		}, "fleet.churn[0].remove"},
+		{"chunk not 512-multiple", func(s *Spec) {
+			s.Workload = &WorkloadSpec{Op: "write", ChunkBytes: 1000, Depth: 8, Runtime: Duration(time.Second)}
+		}, "workload.chunk_bytes"},
+		{"negative depth", func(s *Spec) {
+			s.Workload = &WorkloadSpec{Op: "write", ChunkBytes: 4096, Depth: -5, Runtime: Duration(time.Second)}
+		}, "workload.depth"},
 		// Stanzas the serving engine refuses, checked by its own rules.
-		{"chunk not 512-multiple", func(s *Spec) { s.Fleet.ChunkBytes = 1000 }, "fleet.chunk_bytes"},
-		{"negative depth", func(s *Spec) { s.Fleet.Depth = -5 }, "fleet.depth"},
-		{"negative batch", func(s *Spec) { s.Fleet.Batch = -1 }, "fleet.batch"},
-		{"negative queue cap", func(s *Spec) { s.Fleet.QueueCap = -1 }, "fleet.queue_cap"},
 		{"negative budget watts", func(s *Spec) { s.Fleet.Budget = "0s:-5" }, "fleet.budget[0]"},
 		{"zero per-device budget", func(s *Spec) { s.Fleet.Budget = "0s:0pd" }, "fleet.budget[0]"},
 		{"NaN budget", func(s *Spec) { s.Fleet.Budget = "0s:NaN" }, "fleet.budget[0]"},
@@ -273,13 +321,6 @@ func TestValidateRejectsWithPath(t *testing.T) {
 		sp.Workload.Op = "append"
 		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "workload.op") {
 			t.Fatalf("bad op: %v", err)
-		}
-	})
-	t.Run("chaos active", func(t *testing.T) {
-		sp := BuiltIn("chaos")
-		sp.Chaos.Active = 5
-		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "chaos.active") {
-			t.Fatalf("active > replicas: %v", err)
 		}
 	})
 }

@@ -22,9 +22,9 @@ var fuzzMixes = [][]string{
 // scenario: at most 32 devices and a horizon of at most 1 s, any tier,
 // churn, a rate step, fault injection and replicas. The spec carries the
 // horizon as its runtime, and every scheduled time is a fraction of it
-// that may reach past it; depth, batch, queue cap and chunk size, and
-// budget watts, may be zero, negative or misaligned. So validation must
-// reject exactly the stanzas the serving engine cannot run.
+// that may reach past it; budget watts may be zero or negative. So
+// validation must reject exactly the stanzas the serving engine cannot
+// run.
 func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint16, faults, budget uint8, seed uint64) *Spec {
 	h := time.Duration(100+int(horizonMs)%901) * time.Millisecond
 	frac := func(tenths int) Duration { return Duration(h * time.Duration(tenths) / 10) }
@@ -34,30 +34,8 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 	f := &FleetSpec{
 		Profiles: mix,
 		Size:     replicas * (1 + int(size)%(32/replicas)),
-		Shards:   int(size/32) % 5,
 		Replicas: replicas,
-		Active:   int(repl/3) % 4,
 		Budget:   "max",
-	}
-	if shape&4 != 0 {
-		f.Arrival = "uniform"
-	}
-	if shape&8 != 0 {
-		f.Read = true
-	}
-	if shape&16 != 0 {
-		f.Seq = true
-	}
-	if shape&32 != 0 {
-		// The seed's top bits pick each stream-shape field, zero (the
-		// default), negative and non-512-multiple values among them;
-		// they are 0 in every seed below, which gives 8, 4, 16 and the
-		// default chunk.
-		k := int(seed >> 40)
-		f.Depth = []int{8, 0, -5, 1, 3}[k%5]
-		f.Batch = []int{4, 0, -1, 1, 9}[k/5%5]
-		f.QueueCap = []int{16, 0, -1, 1, 2}[k/25%5]
-		f.ChunkBytes = []int64{0, 4096, 1000, -512, 512}[k/125%5]
 	}
 	if shape&64 != 0 {
 		f.ControlPeriod = Duration(50 * time.Millisecond)
@@ -120,7 +98,8 @@ func fuzzFleet(tier, size, repl, shape uint8, horizonMs, rate, churn, rates uint
 
 // FuzzServeRun closes the loop the other fuzzers stop short of: a
 // bounded random fleet stanza that passes Validate must build a serving
-// spec and run through serve.Run with no panic and no error.
+// spec and run through serve.Run with no panic and no error, at any
+// shard count from 1 to 4 or the one derived from the fleet size.
 func FuzzServeRun(f *testing.F) {
 	// One spec per tier of the conformance matrix (pure, meso, group),
 	// each with churn, a rate step, faults and replicas, under the
@@ -143,8 +122,9 @@ func FuzzServeRun(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated spec failed to build a serving spec: %v", err)
 		}
+		ss.Shards = int(size/32) % 5 // 0 derives the count from the fleet size
 		if _, err := serve.Run(ss); err != nil {
-			t.Fatalf("validated spec failed to run: %v\nfleet: %+v", err, *sp.Fleet)
+			t.Fatalf("validated spec failed to run on %d shards: %v\nfleet: %+v", ss.Shards, err, *sp.Fleet)
 		}
 	})
 }

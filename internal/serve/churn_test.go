@@ -14,13 +14,12 @@ import (
 // replica groups mid-run and drains them back before the horizon.
 func churnSpec() Spec {
 	return Spec{
-		Size:            8,
-		Replicas:        2,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		RateIOPS:        3000,
-		Seed:            7,
-		CheckInvariants: true,
+		Size:     8,
+		Replicas: 2,
+		Shards:   2,
+		Horizon:  2 * time.Second,
+		RateIOPS: 3000,
+		Seed:     7,
 		Churn: []ChurnEvent{
 			{At: 500 * time.Millisecond, Profile: "SSD2", Add: 2, Warmup: 100 * time.Millisecond},
 			{At: 1400 * time.Millisecond, Profile: "SSD2", Remove: 2},
@@ -205,13 +204,12 @@ func TestShardPanicReturnsError(t *testing.T) {
 // at unit-test scale.
 func churnGroupSpec() Spec {
 	return Spec{
-		Size:            32,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		Seed:            7,
-		CheckInvariants: true,
-		Meso:            true,
-		MesoGroupMin:    4,
+		Size:         32,
+		Shards:       2,
+		Horizon:      2 * time.Second,
+		Seed:         7,
+		Meso:         true,
+		MesoGroupMin: 4,
 		Rates: []workload.RateStep{
 			{At: 0, IOPS: 3000},
 			{At: 800 * time.Millisecond, IOPS: 1200},
@@ -300,13 +298,12 @@ func TestChurnDoesNotPerturbBaseFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := Spec{
-		Size:            8,
-		Replicas:        2,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		RateIOPS:        3000,
-		Seed:            7,
-		CheckInvariants: true,
+		Size:     8,
+		Replicas: 2,
+		Shards:   2,
+		Horizon:  2 * time.Second,
+		RateIOPS: 3000,
+		Seed:     7,
 	}
 	b, err := Run(plain)
 	if err != nil {
@@ -325,13 +322,12 @@ func TestChurnDoesNotPerturbBaseFleet(t *testing.T) {
 func TestChurnMesoWarmingLane(t *testing.T) {
 	t.Parallel()
 	sp := Spec{
-		Profiles:        []string{"SSD2"},
-		Size:            8,
-		Shards:          1,
-		Horizon:         3 * time.Second,
-		Seed:            42,
-		Meso:            true,
-		CheckInvariants: true,
+		Profiles: []string{"SSD2"},
+		Size:     8,
+		Shards:   1,
+		Horizon:  3 * time.Second,
+		Seed:     42,
+		Meso:     true,
 		Churn: []ChurnEvent{
 			{At: 500 * time.Millisecond, Profile: "SSD2", Add: 2, Warmup: 800 * time.Millisecond},
 			{At: 2 * time.Second, Profile: "SSD2", Remove: 2},
@@ -366,13 +362,12 @@ func TestChurnEmptiesShard(t *testing.T) {
 		groupMin int
 	}{{"pure", false, 0}, {"meso", true, 0}, {"group", true, 4}} {
 		sp := Spec{
-			Size:            3,
-			Shards:          3,
-			Horizon:         time.Second,
-			Seed:            7,
-			CheckInvariants: true,
-			Meso:            tier.meso,
-			MesoGroupMin:    tier.groupMin,
+			Size:         3,
+			Shards:       3,
+			Horizon:      time.Second,
+			Seed:         7,
+			Meso:         tier.meso,
+			MesoGroupMin: tier.groupMin,
 			// Scale-in pops the newest group, 2: shard 2's only lane.
 			Churn: []ChurnEvent{{At: 600 * time.Millisecond, Profile: "SSD2", Remove: 1}},
 		}

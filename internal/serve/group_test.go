@@ -13,14 +13,13 @@ import (
 // with 2 resident probes each: 30 virtual members per shard.
 func groupBase() Spec {
 	return Spec{
-		Size:            64,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		RateIOPS:        3000,
-		Seed:            7,
-		CheckInvariants: true,
-		Meso:            true,
-		MesoGroupMin:    4,
+		Size:         64,
+		Shards:       2,
+		Horizon:      2 * time.Second,
+		RateIOPS:     3000,
+		Seed:         7,
+		Meso:         true,
+		MesoGroupMin: 4,
 	}
 }
 

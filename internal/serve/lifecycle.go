@@ -174,8 +174,7 @@ func (s *shard) startLaneArrivals(l *lane) error {
 	if s.eng.Now() >= sp.Horizon {
 		return nil
 	}
-	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, sp.Arrival,
-		s.laneRates, sp.Horizon, l.arrive, nil)
+	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, s.laneRates, sp.Horizon, l.arrive, nil)
 	if err != nil {
 		return err
 	}
@@ -201,7 +200,7 @@ func (s *shard) rateStep(rs workload.RateStep) {
 			s.meso.resetBaseline(l)
 		}
 	}
-	s.ledger.SetRate(rs.IOPS*float64(s.spec.Active), now)
+	s.ledger.SetRate(rs.IOPS*float64(s.spec.active()), now)
 	s.ledger.Recalibrate(now)
 }
 

@@ -193,7 +193,7 @@ func (m *mesoState) snapshot(l *lane) {
 // their power states, and a queue no deeper than one dispatch batch.
 func (m *mesoState) steady(l *lane) bool {
 	s, ml := m.s, &l.ml
-	ok := l.qlen() <= s.spec.Batch
+	ok := l.qlen() <= dispatchBatch
 	if l.rejected != ml.rejected {
 		ok = false
 		ml.rejected = l.rejected

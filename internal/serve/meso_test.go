@@ -12,12 +12,11 @@ import (
 // for lanes to dwell, park, and accumulate meaningful analytic spans.
 func mesoBase() Spec {
 	return Spec{
-		Size:            8,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		RateIOPS:        3000,
-		Seed:            7,
-		CheckInvariants: true,
+		Size:     8,
+		Shards:   2,
+		Horizon:  2 * time.Second,
+		RateIOPS: 3000,
+		Seed:     7,
 	}
 }
 

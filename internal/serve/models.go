@@ -5,8 +5,8 @@ import "sort"
 // Planning models: compact per-profile power-throughput models the
 // serving engine's budget planner (groupplan.go) plans over, one sample
 // per host-selectable power state. The numbers are the calibrated device
-// models' measured saturated behavior under the engine's default
-// workload (random write, 256 KiB, qd 64, 3 s window) — the same
+// models' measured saturated behavior under the one stream every lane
+// serves (random write, 256 KiB, qd 64, 3 s window) — the same
 // operating points a production deployment would load from a powerfleet
 // measurement campaign. Planning from a compact model while the full device model
 // serves the IO is exactly the paper's split between the modeling study

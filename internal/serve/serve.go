@@ -7,14 +7,14 @@
 // RNG streams) holding a contiguous slice of the fleet: devices
 // instantiated from internal/catalog profiles, optionally wrapped with
 // internal/fault injection, grouped into mirrored replica groups behind
-// adaptive.Redirectors. An open-loop request stream (internal/workload
-// arrivals) feeds per-group queues with admission control and request
-// batching, and the control plane runs online: each shard re-plans its
-// devices' power states over its cohorts' planning ladders on every
-// budget step and membership change, internal/adaptive's per-device
-// Governors enforce the planned draw in closed loop (retrying through
-// injected command faults), and its Redirectors fail IO over around
-// dropped replicas.
+// adaptive.Redirectors. An open-loop Poisson stream of random writes
+// (internal/workload arrivals) feeds per-group queues with admission
+// control and request batching, and the control plane runs online: each
+// shard re-plans its devices' power states over its cohorts' planning
+// ladders on every budget step and membership change,
+// internal/adaptive's per-device Governors enforce the planned draw in
+// closed loop (retrying through injected command faults), and its
+// Redirectors fail IO over around dropped replicas.
 //
 // Determinism contract: the merged Report is bit-identical for the same
 // Spec regardless of GOMAXPROCS or worker scheduling. Shards derive
@@ -73,40 +73,20 @@ type Spec struct {
 	// Size. Worker parallelism adapts to the host separately.
 	Shards int
 	// Replicas is the mirror-group size (1 = no redirection); Size must
-	// be a multiple of it. Active is the number of replicas serving per
-	// group; default Replicas-1 (min 1), so one replica per group rests
-	// until failover needs it.
-	Replicas, Active int
+	// be a multiple of it. Replicas-1 of them (at least 1) serve, so one
+	// replica per group rests until failover needs it.
+	Replicas int
 
-	// Read serves reads instead of the default writes; Seq issues
-	// sequential offsets instead of the default random. The planning
-	// models are calibrated against the default random-write stream;
-	// other shapes still run, with the per-device governors absorbing
-	// the larger plan-versus-device gap.
-	Read, Seq bool
-	// ChunkBytes and Depth shape the request stream per group,
-	// mirroring workload.Job: request size and IOs in flight per group.
-	// Defaults: 256 KiB, 64.
-	ChunkBytes int64
-	Depth      int
-	// Batch caps how many queued requests one dispatch pass submits
-	// back-to-back. Default 8.
-	Batch int
-	// QueueCap bounds each group's admission queue; arrivals beyond it
-	// are rejected (counted, not retried). Default 4×Depth.
-	QueueCap int
-	// RateIOPS is the open-loop arrival rate per active device; a
-	// group's rate is RateIOPS × Active. Default 3000.
+	// RateIOPS is the Poisson arrival rate per serving device; a group's
+	// rate is RateIOPS times its serving replicas. Default 3000.
 	RateIOPS float64
 	// Rates is an optional piecewise-constant arrival-rate schedule (a
 	// diurnal load curve): from each step's At onward, every lane's
-	// per-active-device rate is that step's IOPS. The first step must be
+	// per-serving-device rate is that step's IOPS. The first step must be
 	// at 0; when set it supersedes RateIOPS (which normalization pins to
 	// the first step's rate). Empty normalizes to the one-step schedule
 	// {0, RateIOPS}.
 	Rates []workload.RateStep
-	// Arrival selects the open-loop arrival process. Default OpenPoisson.
-	Arrival workload.Arrival
 
 	// Churn schedules membership changes: scale-out events that admit
 	// new replica groups mid-run (with a warm-up cost before they serve)
@@ -125,9 +105,6 @@ type Spec struct {
 	// first step at 0. Nil defaults to a single never-binding step at
 	// the fleet's maximum planning-model power.
 	Budget []BudgetStep
-	// CapTolFrac is the budget-tracking tolerance as a fraction of the
-	// interval budget. Default DefaultCapTolFrac.
-	CapTolFrac float64
 
 	// Seed drives workload and device streams; FaultSeed independently
 	// drives fault selection and injection, so the same traffic can be
@@ -140,10 +117,6 @@ type Spec struct {
 	// (see InstanceName). A scripted instance skips the FaultFrac draw;
 	// all other instances are unaffected.
 	Faults []DeviceFault
-
-	// CheckInvariants attaches per-shard sliding-window power-cap and
-	// clock-monotonicity probes; violations fail the run.
-	CheckInvariants bool
 
 	// Meso enables the mesoscale aggregation tier: a replica group
 	// whose serving fingerprint holds steady for two control periods
@@ -184,8 +157,22 @@ type Spec struct {
 	Fitted map[string]*calib.Model
 }
 
-// DefaultCapTolFrac is the budget-tracking tolerance taken when
-// Spec.CapTolFrac is left zero; reports that print the tolerance use it.
+// The request stream every lane serves: random writes of chunkBytes,
+// up to laneDepth in flight per replica group — the shape the planning
+// table (models.go) was measured at. A dispatch pass submits at most
+// dispatchBatch queued requests back-to-back, and arrivals beyond
+// queueCap queued requests are rejected (counted, not retried).
+const (
+	chunkBytes    = 256 << 10
+	laneDepth     = 64
+	dispatchBatch = 8
+	queueCap      = 4 * laneDepth
+)
+
+// DefaultCapTolFrac is the budget-tracking tolerance: an interval's
+// achieved power may exceed its budget by this fraction, and the
+// per-shard cap probe's bound carries the same slack. Reports that print
+// the tolerance use it.
 const DefaultCapTolFrac = 0.10
 
 // defaultMesoProbes is the resident probe-lane count per group-parked
@@ -227,23 +214,8 @@ func (s Spec) withDefaults() Spec {
 	if s.Replicas == 0 {
 		s.Replicas = 1
 	}
-	if s.Active == 0 {
-		s.Active = max(s.Replicas-1, 1)
-	}
 	if s.Shards == 0 {
 		s.Shards = min((s.Size/s.Replicas+15)/16, 16)
-	}
-	if s.ChunkBytes == 0 {
-		s.ChunkBytes = 256 << 10
-	}
-	if s.Depth == 0 {
-		s.Depth = 64
-	}
-	if s.Batch == 0 {
-		s.Batch = 8
-	}
-	if s.QueueCap == 0 {
-		s.QueueCap = 4 * s.Depth
 	}
 	if s.RateIOPS == 0 {
 		s.RateIOPS = 3000
@@ -253,23 +225,20 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Rates) == 0 {
 		s.Rates = []workload.RateStep{{At: 0, IOPS: s.RateIOPS}}
 	}
-	if s.Arrival == workload.Closed {
-		s.Arrival = workload.OpenPoisson
-	}
 	if s.Horizon == 0 {
 		s.Horizon = 2 * time.Second
 	}
 	if s.ControlPeriod == 0 {
 		s.ControlPeriod = 100 * time.Millisecond
 	}
-	if s.CapTolFrac == 0 {
-		s.CapTolFrac = DefaultCapTolFrac
-	}
 	if s.MesoGroupMin > 0 && s.MesoProbes == 0 {
 		s.MesoProbes = defaultMesoProbes
 	}
 	return s
 }
+
+// active is the number of replicas serving in each group.
+func (s *Spec) active() int { return max(s.Replicas-1, 1) }
 
 // Validate returns the first reason Run would refuse the spec, as a
 // *FieldError, or nil. It is the one check of fleet semantics: scenario
@@ -302,23 +271,8 @@ func (s Spec) Validate() error {
 	if s.Replicas < 1 || s.Size%s.Replicas != 0 {
 		return fieldErr("replicas", "fleet size %d not divisible into replica groups of %d", s.Size, s.Replicas)
 	}
-	if s.Active < 1 || s.Active > s.Replicas {
-		return fieldErr("active", "active count %d out of [1, %d]", s.Active, s.Replicas)
-	}
 	if s.Shards < 1 {
 		return fieldErr("shards", "shard count %d must be positive", s.Shards)
-	}
-	if s.ChunkBytes <= 0 || s.ChunkBytes%512 != 0 {
-		return fieldErr("chunk_bytes", "chunk size %d must be a positive multiple of 512", s.ChunkBytes)
-	}
-	if s.Depth < 1 {
-		return fieldErr("depth", "depth %d must be positive", s.Depth)
-	}
-	if s.Batch < 1 {
-		return fieldErr("batch", "batch %d must be positive", s.Batch)
-	}
-	if s.QueueCap < 1 {
-		return fieldErr("queue_cap", "queue cap %d must be positive", s.QueueCap)
 	}
 	if s.RateIOPS <= 0 {
 		return fieldErr("rate_iops", "arrival rate %v must be positive", s.RateIOPS)
@@ -328,9 +282,6 @@ func (s Spec) Validate() error {
 	}
 	if s.ControlPeriod <= 0 || s.ControlPeriod > s.Horizon {
 		return fieldErr("control_period", "control period %v out of (0, horizon %v]", s.ControlPeriod, s.Horizon)
-	}
-	if s.CapTolFrac < 0 {
-		return fieldErr("cap_tol_frac", "negative cap tolerance %v", s.CapTolFrac)
 	}
 	if s.FaultFrac < 0 || s.FaultFrac > 1 {
 		return fieldErr("fault_frac", "fault fraction %v out of [0, 1]", s.FaultFrac)
@@ -444,8 +395,8 @@ func (s Spec) Validate() error {
 }
 
 // normalized returns the copy Run serves: the spec validated, defaults
-// filled in (the never-binding budget among them), and shard and batch
-// counts clamped to the group count and depth.
+// filled in (the never-binding budget among them), and the shard count
+// clamped to the group count.
 func (s Spec) normalized() (Spec, error) {
 	if err := s.Validate(); err != nil {
 		return s, err
@@ -453,7 +404,6 @@ func (s Spec) normalized() (Spec, error) {
 	s = s.withDefaults()
 	groups := s.Size / s.Replicas
 	s.Shards = min(s.Shards, groups)
-	s.Batch = min(s.Batch, s.Depth)
 	s.RateIOPS = s.Rates[0].IOPS
 	if len(s.Budget) == 0 {
 		var maxW float64
@@ -823,7 +773,7 @@ func merge(sp *Spec, results []*shardResult) *Report {
 			if over > r.WorstOverW {
 				r.WorstOverW = over
 			}
-			if iv.AchievedW > iv.BudgetW*(1+sp.CapTolFrac) {
+			if iv.AchievedW > iv.BudgetW*(1+DefaultCapTolFrac) {
 				r.TrackOK = false
 			}
 		}

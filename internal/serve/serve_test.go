@@ -60,15 +60,14 @@ func TestScriptedFaults(t *testing.T) {
 // run in well under a second.
 func quickSpec() Spec {
 	return Spec{
-		Profiles:        []string{"SSD2", "SSD1"},
-		Size:            24,
-		Replicas:        2,
-		Shards:          3,
-		Horizon:         600 * time.Millisecond,
-		Seed:            42,
-		FaultSeed:       7,
-		FaultFrac:       0.25,
-		CheckInvariants: true,
+		Profiles:  []string{"SSD2", "SSD1"},
+		Size:      24,
+		Replicas:  2,
+		Shards:    3,
+		Horizon:   600 * time.Millisecond,
+		Seed:      42,
+		FaultSeed: 7,
+		FaultFrac: 0.25,
 		Budget: []BudgetStep{
 			{At: 0, FleetW: 24 * 15.0},
 			{At: 200 * time.Millisecond, FleetW: 24 * 10.5},
@@ -181,8 +180,6 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown profile", Spec{Profiles: []string{"nope"}}, "unknown profile"},
 		{"negative size", Spec{Size: -4}, "must be positive"},
 		{"indivisible replicas", Spec{Size: 10, Replicas: 3}, "not divisible"},
-		{"active too high", Spec{Size: 8, Replicas: 2, Active: 3}, "out of"},
-		{"bad chunk", Spec{ChunkBytes: 100}, "chunk size"},
 		{"negative rate", Spec{RateIOPS: -1}, "arrival rate"},
 		{"period past horizon", Spec{Horizon: time.Second, ControlPeriod: 2 * time.Second}, "control period"},
 		{"budget late start", Spec{Budget: []BudgetStep{{At: time.Second, FleetW: 100}}}, "start at 0"},
@@ -211,7 +208,7 @@ func TestNormalizedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Size != 64 || sp.Replicas != 1 || sp.Active != 1 {
+	if sp.Size != 64 || sp.Replicas != 1 || sp.active() != 1 {
 		t.Fatalf("fleet defaults: %+v", sp)
 	}
 	if sp.Shards != 4 { // 64 groups / 16 per shard

@@ -96,7 +96,7 @@ type shard struct {
 	liveDevs, fleetLive int
 
 	// laneRates is the per-lane arrival schedule (Spec.Rates scaled by
-	// Active). groupLane maps a global replica-group number to its lane,
+	// the serving replicas per group). groupLane maps a global replica-group number to its lane,
 	// nil without Spec.Churn; retiredJ is the frozen meters of retired
 	// devices (see lifecycle.go).
 	laneRates []workload.RateStep
@@ -160,7 +160,6 @@ type lane struct {
 	queue    []time.Duration // admission timestamps
 	head     int
 	inflight int
-	seqOff   int64
 	// rejected mirrors the shard-wide counter per lane, for the
 	// mesoscale steadiness fingerprint.
 	rejected int64
@@ -229,7 +228,7 @@ func (l *lane) govs() []*adaptive.Governor {
 func (l *lane) arrive() {
 	s := l.sh
 	s.res.Offered++
-	if l.qlen() >= s.spec.QueueCap {
+	if l.qlen() >= queueCap {
 		s.res.Rejected++
 		l.rejected++
 		return
@@ -256,7 +255,7 @@ func (l *lane) pop() time.Duration {
 
 // dispatch submits queued requests in batches. A group fires when a
 // full batch of depth slots is free or when the whole remaining queue
-// fits — so a loaded lane coalesces submissions into Batch-sized
+// fits — so a loaded lane coalesces submissions into dispatchBatch-sized
 // bursts (amortizing per-doorbell work, as a real frontend would)
 // while a lightly loaded lane dispatches immediately with no added
 // latency.
@@ -266,11 +265,11 @@ func (l *lane) dispatch() {
 		return
 	}
 	for {
-		free, q := s.spec.Depth-l.inflight, l.qlen()
-		if q == 0 || free == 0 || (free < s.spec.Batch && q > free) {
+		free, q := laneDepth-l.inflight, l.qlen()
+		if q == 0 || free == 0 || (free < dispatchBatch && q > free) {
 			return
 		}
-		n := s.spec.Batch
+		n := dispatchBatch
 		if free < n {
 			n = free
 		}
@@ -306,7 +305,7 @@ func (d *laneDone) run() {
 	l.inflight--
 	s.inflight--
 	s.res.Completed++
-	s.res.BytesCompleted += s.spec.ChunkBytes
+	s.res.BytesCompleted += chunkBytes
 	// Latency is measured from admission, so queue wait under a
 	// curtailed budget is part of the serving tail, as it would be
 	// for a real frontend.
@@ -365,11 +364,8 @@ func (l *lane) submit(admitted time.Duration) {
 	s := l.sh
 	l.inflight++
 	s.inflight++
-	op := device.OpWrite
-	if s.spec.Read {
-		op = device.OpRead
-	}
-	req := device.Request{Op: op, Offset: l.nextOffset(), Size: s.spec.ChunkBytes}
+	off := l.rng.Int64N(l.span/chunkBytes) * chunkBytes
+	req := device.Request{Op: device.OpWrite, Offset: off, Size: chunkBytes}
 	d := s.freeDone
 	if d == nil {
 		d = &laneDone{}
@@ -379,19 +375,6 @@ func (l *lane) submit(admitted time.Duration) {
 	}
 	d.l, d.admitted = l, admitted
 	l.dev.Submit(req, d.fn)
-}
-
-func (l *lane) nextOffset() int64 {
-	bs := l.sh.spec.ChunkBytes
-	if !l.sh.spec.Seq {
-		return l.rng.Int64N(l.span/bs) * bs
-	}
-	off := l.seqOff
-	l.seqOff += bs
-	if l.seqOff+bs > l.span {
-		l.seqOff = 0
-	}
-	return off
 }
 
 // planBudget is device i's governor budget under the current plan.
@@ -455,9 +438,9 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	s.liveDevs, s.fleetLive = s.devTotal, sp.Size
 	s.laneRates = make([]workload.RateStep, len(sp.Rates))
 	for i, rs := range sp.Rates {
-		s.laneRates[i] = workload.RateStep{At: rs.At, IOPS: rs.IOPS * float64(sp.Active)}
+		s.laneRates[i] = workload.RateStep{At: rs.At, IOPS: rs.IOPS * float64(sp.active())}
 	}
-	s.ledger = meso.NewGroupPool(s.laneRates[0].IOPS, sp.ChunkBytes)
+	s.ledger = meso.NewGroupPool(s.laneRates[0].IOPS, chunkBytes)
 
 	// Build devices, replica groups, and lanes. Every member's fault
 	// outcome is drawn first, in ascending instance order; planGroups
@@ -512,31 +495,28 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	s.prevE = s.EnergyJ()
 	s.ivTimer = eng.Schedule(s.intervalBoundary(1), s.intervalTick)
 
-	var capProbe *invariant.CapProbe
-	var clockProbe *invariant.ClockProbe
-	if sp.CheckInvariants {
-		// The cap bound is the largest budget slice this shard can ever
-		// hold: max over budget steps crossed with max over membership
-		// epochs of the live-device ratio. The bound covers the drain
-		// overhang too — a removal only lowers the ratio, so the earlier,
-		// larger bound still holds while retiring lanes finish drawing.
-		var maxSlice float64
-		for _, st := range sp.Budget {
-			slice := st.FleetW * float64(s.devTotal) / float64(sp.Size)
-			if ch != nil {
-				for _, ep := range ch.epochs {
-					if v := st.FleetW * float64(ep.live) / float64(ep.fleetLive); v > slice {
-						slice = v
-					}
+	// Per-shard sliding-window power-cap and clock-monotonicity probes.
+	// The cap bound is the largest budget slice this shard can ever
+	// hold: max over budget steps crossed with max over membership
+	// epochs of the live-device ratio. The bound covers the drain
+	// overhang too — a removal only lowers the ratio, so the earlier,
+	// larger bound still holds while retiring lanes finish drawing.
+	var maxSlice float64
+	for _, st := range sp.Budget {
+		slice := st.FleetW * float64(s.devTotal) / float64(sp.Size)
+		if ch != nil {
+			for _, ep := range ch.epochs {
+				if v := st.FleetW * float64(ep.live) / float64(ep.fleetLive); v > slice {
+					slice = v
 				}
 			}
-			if slice > maxSlice {
-				maxSlice = slice
-			}
 		}
-		capProbe = invariant.AttachCap(eng, s, maxSlice*(1+sp.CapTolFrac), sp.ControlPeriod, sp.ControlPeriod/20)
-		clockProbe = invariant.AttachClock(eng, sp.ControlPeriod/2)
+		if slice > maxSlice {
+			maxSlice = slice
+		}
 	}
+	capProbe := invariant.AttachCap(eng, s, maxSlice*(1+DefaultCapTolFrac), sp.ControlPeriod, sp.ControlPeriod/20)
+	clockProbe := invariant.AttachClock(eng, sp.ControlPeriod/2)
 
 	// Open-loop arrival stream per lane.
 	for _, l := range s.lanes {
@@ -563,16 +543,12 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 			gv.Stop()
 		}
 	}
-	if capProbe != nil {
-		capProbe.Stop()
-		s.res.CapWorstW = capProbe.WorstWindowW()
-		s.res.CapOK = capProbe.Check(0.02) == nil
-	}
-	if clockProbe != nil {
-		clockProbe.Stop()
-		if err := clockProbe.Check(); err != nil {
-			return nil, err
-		}
+	capProbe.Stop()
+	s.res.CapWorstW = capProbe.WorstWindowW()
+	s.res.CapOK = capProbe.Check(0.02) == nil
+	clockProbe.Stop()
+	if err := clockProbe.Check(); err != nil {
+		return nil, err
 	}
 	for s.inflight > 0 && eng.Step() {
 	}
@@ -640,7 +616,7 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 	l.dev = s.devs[d0]
 	if sp.Replicas > 1 {
 		groupDevs := append([]device.Device(nil), s.devs[d0:]...)
-		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
+		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.active())
 		if err != nil {
 			return nil, err
 		}
@@ -648,7 +624,7 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 		l.dev = rd
 	}
 	l.span = l.dev.CapacityBytes()
-	l.span -= l.span % sp.ChunkBytes
+	l.span -= l.span % chunkBytes
 	l.rng = rng.Stream(fmt.Sprintf("lane%05d", g))
 	s.lanes = append(s.lanes, l)
 	if s.groupLane != nil {

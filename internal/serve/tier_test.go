@@ -48,13 +48,12 @@ func matrixCells() []tierCell {
 // with MesoGroupMin 4.
 func tierSpec(c tierCell) Spec {
 	sp := Spec{
-		Size:            32,
-		Shards:          2,
-		Horizon:         2 * time.Second,
-		RateIOPS:        3000,
-		Seed:            7,
-		FaultSeed:       11,
-		CheckInvariants: true,
+		Size:      32,
+		Shards:    2,
+		Horizon:   2 * time.Second,
+		RateIOPS:  3000,
+		Seed:      7,
+		FaultSeed: 11,
 	}
 	switch c.tier {
 	case "meso":

@@ -215,15 +215,22 @@ func runOne(spec Spec, ps int, op device.Op, pat workload.Pattern, chunk int64, 
 	res := workload.Run(eng, dev, job, rng)
 	rig.Stop()
 	tr := rig.Trace()
+	cfg := core.Config{
+		Device:     spec.Device,
+		PowerState: ps,
+		Random:     pat == workload.Rand,
+		Write:      op == device.OpWrite,
+		ChunkBytes: chunk,
+		Depth:      depth,
+	}
+	// A point that ends before the rig's first sample has no measured
+	// power; its empty trace's mean would read 0 W.
+	if tr.Len() == 0 {
+		return Point{}, fmt.Errorf("sweep: point %s ended after %v, before the power rig took its first sample; raise the runtime or byte bound",
+			cfg, res.Elapsed)
+	}
 	p := Point{
-		Config: core.Config{
-			Device:     spec.Device,
-			PowerState: ps,
-			Random:     pat == workload.Rand,
-			Write:      op == device.OpWrite,
-			ChunkBytes: chunk,
-			Depth:      depth,
-		},
+		Config:    cfg,
 		Result:    res,
 		AvgPowerW: tr.Mean(),
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +89,29 @@ func TestRunBadPowerState(t *testing.T) {
 	spec.PowerStates = []int{1}
 	if _, err := Run(spec); err == nil {
 		t.Fatal("power state on SATA SSD accepted")
+	}
+}
+
+// TestRunRejectsPointWithoutSample: a 1 MiB point of 4 KiB writes at
+// depth 4 completes in under a millisecond, before the rig's first
+// 1 kHz sample, so it has no measured power. Run refuses it with an
+// error naming the point instead of recording 0 W.
+func TestRunRejectsPointWithoutSample(t *testing.T) {
+	spec := Spec{
+		Device: "SSD2", Chunks: []int64{4 << 10}, Depths: []int{4},
+		Runtime: 20 * time.Millisecond, TotalBytes: 1 << 20, Seed: 1,
+	}
+	_, err := Run(spec)
+	if err == nil || !strings.Contains(err.Error(), "SSD2/ps0/randwrite-4KiB-qd4") || !strings.Contains(err.Error(), "first sample") {
+		t.Fatalf("sampleless point: %v", err)
+	}
+	spec.TotalBytes = 64 << 20
+	pts, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].AvgPowerW <= 0 {
+		t.Fatalf("64 MiB point measured %v W", pts[0].AvgPowerW)
 	}
 }
 

@@ -25,7 +25,6 @@ type RateStep struct {
 type Arrivals struct {
 	eng   *sim.Engine
 	rng   *sim.RNG
-	kind  Arrival
 	rates []RateStep
 	ri    int // index of the rate step in force
 
@@ -38,23 +37,18 @@ type Arrivals struct {
 	onDone   func()
 }
 
-// StartArrivalsSchedule begins an open-loop arrival process on the
-// engine, driven by a piecewise-constant rate schedule (one step at 0
-// for a fixed rate). fn runs once per arrival until the deadline or
-// Stop. kind must be OpenPoisson or OpenUniform. rates must be
-// non-empty with strictly increasing At and positive IOPS; At values
-// are absolute engine times (a process started mid-run picks up
-// whichever step is in force). until is the absolute engine time past
-// which no arrival may land. At each rate boundary the pending
-// inter-arrival draw is discarded and resampled at the new rate — exact
-// for Poisson arrivals by memorylessness, and the defined semantics for
-// uniform ones. onDone, if non-nil, runs as an engine event when the
-// process retires, letting callers sequence drain logic without
-// polling.
-func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, kind Arrival, rates []RateStep, until time.Duration, fn func(), onDone func()) (*Arrivals, error) {
-	if kind == Closed {
-		return nil, fmt.Errorf("workload: arrivals need an open-loop kind")
-	}
+// StartArrivalsSchedule begins an open-loop Poisson arrival process on
+// the engine, driven by a piecewise-constant rate schedule (one step at
+// 0 for a fixed rate). fn runs once per arrival until the deadline or
+// Stop. rates must be non-empty with strictly increasing At and
+// positive IOPS; At values are absolute engine times (a process started
+// mid-run picks up whichever step is in force). until is the absolute
+// engine time past which no arrival may land. At each rate boundary the
+// pending inter-arrival draw is discarded and resampled at the new rate,
+// which is exact by memorylessness. onDone, if non-nil, runs as an
+// engine event when the process retires, letting callers sequence drain
+// logic without polling.
+func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, rates []RateStep, until time.Duration, fn func(), onDone func()) (*Arrivals, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("workload: arrivals need at least one rate step")
 	}
@@ -75,7 +69,6 @@ func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, kind Arrival, rates []
 	a := &Arrivals{
 		eng:      eng,
 		rng:      rng,
-		kind:     kind,
 		rates:    rates,
 		deadline: until,
 		fn:       fn,
@@ -99,11 +92,7 @@ func (a *Arrivals) gapAt(now time.Duration) float64 {
 
 func (a *Arrivals) schedule() {
 	now := a.eng.Now()
-	gap := a.gapAt(now)
-	if a.kind == OpenPoisson {
-		gap = a.rng.Exponential(gap)
-	}
-	d := time.Duration(gap * float64(time.Second))
+	d := time.Duration(a.rng.Exponential(a.gapAt(now)) * float64(time.Second))
 	if d <= 0 {
 		d = time.Nanosecond
 	}

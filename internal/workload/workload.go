@@ -44,8 +44,6 @@ const (
 	// with mean 1/RateIOPS, independent of completions — the open-loop
 	// model needed for offered-load (power proportionality) studies.
 	OpenPoisson
-	// OpenUniform issues IOs at fixed 1/RateIOPS intervals.
-	OpenUniform
 )
 
 // Job specifies one fio-style workload, mirroring the knobs the paper
@@ -94,7 +92,10 @@ func sizeLabel(n int64) string {
 	}
 }
 
-func (j Job) validate(dev device.Device) error {
+// Validate reports why the job cannot run on dev, or nil. Start runs
+// it and panics on its error; callers handed a job from outside the
+// program (command-line flags) call it first to report the error.
+func (j Job) Validate(dev device.Device) error {
 	span := j.Span
 	if span == 0 {
 		span = dev.CapacityBytes()
@@ -169,7 +170,7 @@ type Runner struct {
 // IOs. It panics on an invalid job: experiment specs are code, and bugs
 // in them should fail loudly.
 func Start(eng *sim.Engine, dev device.Device, job Job, rng *sim.RNG) *Runner {
-	if err := job.validate(dev); err != nil {
+	if err := job.Validate(dev); err != nil {
 		panic(err)
 	}
 	span := job.Span
@@ -223,11 +224,7 @@ func (r *Runner) arrive() {
 		return
 	}
 	r.issue()
-	gap := 1 / r.job.RateIOPS // seconds
-	if r.job.Arrival == OpenPoisson {
-		gap = r.rng.Exponential(gap)
-	}
-	d := time.Duration(gap * float64(time.Second))
+	d := time.Duration(r.rng.Exponential(1/r.job.RateIOPS) * float64(time.Second))
 	if d <= 0 {
 		d = time.Nanosecond
 	}
