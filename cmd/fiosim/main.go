@@ -20,10 +20,8 @@ import (
 
 	"wattio/internal/catalog"
 	"wattio/internal/device"
-	"wattio/internal/hdd"
 	"wattio/internal/measure"
 	"wattio/internal/sim"
-	"wattio/internal/ssd"
 	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
@@ -86,19 +84,7 @@ func run(argv []string, out, errw io.Writer) int {
 	if err := job.Validate(dev); err != nil {
 		return fail("%v", err)
 	}
-	// A request must fit where the model stages it whole: an SSD's
-	// write buffer (it panics on a larger request) and, for writes, an
-	// HDD's write cache (it never admits a larger one).
-	var stage int64
-	switch d := dev.(type) {
-	case *ssd.SSD:
-		stage = d.Config().BufferBytes
-	case *hdd.HDD:
-		if job.Op == device.OpWrite {
-			stage = d.Config().CacheBytes
-		}
-	}
-	if stage > 0 && job.BS > stage {
+	if stage := catalog.StagedBytes(*devName, job.Op); stage > 0 && job.BS > stage {
 		return fail("block size %d exceeds the %d bytes %s stages per request", job.BS, stage, *devName)
 	}
 	if *ps != 0 {

@@ -1,6 +1,7 @@
 package wattio_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -20,11 +21,12 @@ const (
 )
 
 // runCost is one measured serve.Run: its report, peak live heap and
-// allocations, both per device, and wall-clock time.
+// allocations, both per device, bytes allocated, and wall-clock time.
 type runCost struct {
 	rep          *serve.Report
 	bytesPerDev  float64
 	allocsPerDev float64
+	allocBytes   uint64
 	wall         time.Duration
 }
 
@@ -47,6 +49,7 @@ func measureRun(t *testing.T, spec serve.Spec, devices int) runCost {
 		rep:          rep,
 		bytesPerDev:  float64(peak) / float64(devices),
 		allocsPerDev: float64(m1.Mallocs-m0.Mallocs) / float64(devices),
+		allocBytes:   m1.TotalAlloc - m0.TotalAlloc,
 		wall:         wall,
 	}
 }
@@ -73,14 +76,44 @@ func checkPerDeviceCost(t *testing.T, size int, c runCost) {
 	}
 }
 
+// maxSetupGrowth bounds how much longer the set-up of a 10⁶-device
+// group-parked fleet may take than that of a 10⁴-device one. Set-up
+// that walks every member took ~10× as long at the larger size; set-up
+// in O(#cohorts + #residents) takes about as long at both.
+const maxSetupGrowth = 3
+
+// setupTime is the least wall-clock time of five serve.Runs of spec cut
+// to its fixed cost: a 1 ms horizon and control period under the first
+// budget step and arrival rate, with no churn. What remains is
+// residency, materialization and the initial plan.
+func setupTime(t *testing.T, spec serve.Spec) time.Duration {
+	t.Helper()
+	spec.Horizon, spec.ControlPeriod = time.Millisecond, time.Millisecond
+	spec.Budget = spec.Budget[:min(len(spec.Budget), 1)]
+	spec.Rates = spec.Rates[:min(len(spec.Rates), 1)]
+	spec.Churn = nil
+	best := time.Duration(math.MaxInt64)
+	for range 5 {
+		t0 := time.Now()
+		if _, err := serve.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(t0))
+	}
+	return best
+}
+
 // TestScaleGates runs the group-parked tier at 10⁴ and 10⁶ devices
 // under the stepped curtail-and-recover budget, which splits every
 // cohort across hull levels. The million-device point must stay inside
-// the per-device cost bounds, and the plan slots scanned must not grow
-// with fleet size: the control scan is bucket-shaped, not lane-shaped.
+// the per-device cost bounds, the plan slots scanned must not grow
+// with fleet size (the control scan is bucket-shaped, not lane-shaped),
+// and neither may the set-up: residency is planned per cohort, not per
+// member.
 func TestScaleGates(t *testing.T) {
 	sizes := []int{10_000, 1_000_000}
 	slots := make([]int, len(sizes))
+	setups := make([]time.Duration, len(sizes))
 	var largest runCost
 	for i, size := range sizes {
 		sp := scenario.BuiltIn("meso")
@@ -103,11 +136,17 @@ func TestScaleGates(t *testing.T) {
 			size, c.bytesPerDev, c.allocsPerDev, rep.MesoGroupScans, rep.MesoGroupBuckets, rep.MesoGroupLanes,
 			c.wall.Round(time.Millisecond))
 		slots[i] = rep.MesoGroupScans
+		setups[i] = setupTime(t, spec)
+		t.Logf("n=%d: set-up %v", size, setups[i])
 		largest = c
 	}
 	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
 	if slots[1] > 2*slots[0] {
 		t.Errorf("plan slots grew with fleet size: %d at n=%d vs %d at n=%d", slots[0], sizes[0], slots[1], sizes[1])
+	}
+	if setups[1] > maxSetupGrowth*setups[0] {
+		t.Errorf("set-up grew with fleet size: %v at n=%d vs %v at n=%d, want at most %d×",
+			setups[0], sizes[0], setups[1], sizes[1], maxSetupGrowth)
 	}
 }
 
@@ -143,17 +182,26 @@ func TestShardRelease(t *testing.T) {
 	}
 }
 
+// maxBytesPerBuildDevice bounds what a churning group-parked fleet
+// allocates per extra build-time device between TestChurnGates' two
+// sizes. Its churned tenth still costs per group (epoch entries, warm-up
+// and drain latencies): ~31 B in all. Compiling churn from a stack of
+// every build-time group measured ~71 B.
+const maxBytesPerBuildDevice = 48
+
 // TestChurnGates runs the lane-lifecycle tier at 10⁴ and 10⁵ devices:
 // a group-parked fleet under a diurnal rate schedule scales out 10% of
 // its devices for the peak, with a real warm-up cost, and drains them
 // back after it. Every churned group must join and leave, the drain
 // must finish inside the horizon, and the 10⁵ point must stay inside
 // the per-device cost bounds: churn rides the bucket accounting
-// instead of re-materializing the fleet.
+// instead of re-materializing the fleet. The bytes allocated per extra
+// device must stay under maxBytesPerBuildDevice.
 func TestChurnGates(t *testing.T) {
 	sizes := []int{10_000, 100_000}
+	allocs := make([]uint64, len(sizes))
 	var largest runCost
-	for _, size := range sizes {
+	for i, size := range sizes {
 		sp := scenario.BuiltIn("churn")
 		sp.Fleet.Size = size
 		sp.Fleet.Meso.GroupMin = 64
@@ -183,9 +231,15 @@ func TestChurnGates(t *testing.T) {
 		t.Logf("n=%d: %.1f B/device, %.3f allocs/device, warm-up p50 %v, drain max %v, %d virtual lanes, wall %v",
 			size, c.bytesPerDev, c.allocsPerDev, rep.WarmupP50.Round(time.Millisecond),
 			rep.DrainMax.Round(time.Millisecond), rep.MesoGroupLanes, c.wall.Round(time.Millisecond))
+		allocs[i] = c.allocBytes
 		largest = c
 	}
 	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
+	perDev := (float64(allocs[1]) - float64(allocs[0])) / float64(sizes[1]-sizes[0])
+	t.Logf("%.1f MB → %.1f MB allocated, %.1f B per extra device", float64(allocs[0])/1e6, float64(allocs[1])/1e6, perDev)
+	if perDev >= maxBytesPerBuildDevice {
+		t.Errorf("%.1f bytes allocated per extra build-time device, want < %d", perDev, maxBytesPerBuildDevice)
+	}
 }
 
 // maxBytesPerIO bounds what a plain mirrored fleet allocates per extra

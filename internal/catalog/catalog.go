@@ -323,6 +323,21 @@ func NewNamed(profile, name string, eng *sim.Engine, rng *sim.RNG) (device.Devic
 	return nil, false
 }
 
+// StagedBytes is the largest request of op that a profile's model
+// stages whole, or 0 when nothing bounds it: an SSD holds every request
+// in its write buffer (it panics on a larger one), and an HDD admits a
+// write only once all of it fits its write cache (it never admits a
+// larger one). Request sizes taken from users are checked against it.
+func StagedBytes(profile string, op device.Op) int64 {
+	if cfg, ok := internedConfig(profile); ok {
+		return cfg.BufferBytes
+	}
+	if profile == "HDD" && op == device.OpWrite {
+		return internedHDDConfig().CacheBytes
+	}
+	return 0
+}
+
 func mustSSD(cfg ssd.Config, eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
 	d, err := ssd.New(cfg, eng, rng)
 	if err != nil {

@@ -185,16 +185,12 @@ func (s *Spec) BuildDevices(eng *sim.Engine, rng, frng *sim.RNG) ([]BuiltDevice,
 // and totalBytes are the scale bounds used when the spec leaves its
 // own bounds zero.
 func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) workload.Job {
-	op := device.OpWrite
-	if w.Op == "read" {
-		op = device.OpRead
-	}
 	pat := workload.Seq
 	if w.Pattern == "rand" {
 		pat = workload.Rand
 	}
 	j := workload.Job{
-		Op:         op,
+		Op:         w.op(),
 		Pattern:    pat,
 		BS:         w.ChunkBytes,
 		Depth:      w.Depth,
@@ -208,6 +204,14 @@ func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) workload.Job
 		j.TotalBytes = totalBytes
 	}
 	return j
+}
+
+// op is the workload's device operation.
+func (w *WorkloadSpec) op() device.Op {
+	if w.Op == "read" {
+		return device.OpRead
+	}
+	return device.OpWrite
 }
 
 // defaultModelProfiles is the paper's modeled-device set, in its

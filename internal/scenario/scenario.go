@@ -408,6 +408,12 @@ func (s *Spec) Validate() error {
 		if err := s.Workload.validate("workload"); err != nil {
 			return err
 		}
+		for i, d := range s.Devices {
+			if stage := catalog.StagedBytes(d.Profile, s.Workload.op()); stage > 0 && s.Workload.ChunkBytes > stage {
+				return pathErr("workload.chunk_bytes", "chunk size %d exceeds the %d bytes %s (devices[%d]) stages per request",
+					s.Workload.ChunkBytes, stage, d.Profile, i)
+			}
+		}
 	}
 	if s.Fleet != nil {
 		if err := s.validateFleet(); err != nil {

@@ -325,6 +325,41 @@ func TestValidateRejectsWithPath(t *testing.T) {
 	})
 }
 
+// TestValidateChunkFitsStaging: a workload chunk must fit where every
+// listed device stages a request whole (catalog.StagedBytes), or the
+// run would panic in an SSD or wait forever on an HDD's write cache.
+// The rule bounds HDD writes only, and a chunk of exactly the staged
+// size is fine.
+func TestValidateChunkFitsStaging(t *testing.T) {
+	cases := []struct {
+		devices []string
+		op      string
+		chunk   int64
+		wantErr string
+	}{
+		{[]string{"SSD2"}, "write", 256 << 20, ""},
+		{[]string{"SSD2"}, "read", 256<<20 + 512, "chunk size 268435968 exceeds the 268435456 bytes SSD2 (devices[0])"},
+		{[]string{"SSD1", "HDD"}, "write", 128<<20 + 512, "chunk size 134218240 exceeds the 134217728 bytes HDD (devices[1])"},
+		{[]string{"HDD"}, "read", 512 << 20, ""},
+		{[]string{"EVO"}, "write", 64 << 20, "chunk size 67108864 exceeds the 33554432 bytes EVO (devices[0])"},
+	}
+	for _, tc := range cases {
+		sp := BuiltIn("powercap")
+		sp.Devices = nil
+		for _, p := range tc.devices {
+			sp.Devices = append(sp.Devices, DeviceSpec{Profile: p})
+		}
+		sp.Workload.Op, sp.Workload.ChunkBytes = tc.op, tc.chunk
+		err := sp.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%v %s of %d: %v", tc.devices, tc.op, tc.chunk, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), "workload.chunk_bytes: "+tc.wantErr)):
+			t.Errorf("%v %s of %d: error %v, want workload.chunk_bytes: %s", tc.devices, tc.op, tc.chunk, err, tc.wantErr)
+		}
+	}
+}
+
 // TestValidateRejectsTimesPastRuntime: with the spec-level runtime set,
 // every scheduled instant the serving engine rejects as outside its
 // horizon fails validation instead, naming its path. Without a runtime

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"time"
 
 	"wattio/internal/meso"
@@ -78,43 +79,46 @@ type groupState struct {
 	applied bool
 }
 
-// planGroups decides residency for every member of the shard's slice
-// before any device exists, from the pre-drawn fault outcomes. Residents
-// are the first MesoProbes non-faulted members of each virtualized
-// cohort plus every faulted member; every other cohort stays fully
-// resident.
+// planGroups decides residency for the shard's slice before any device
+// exists, from the pre-drawn fault outcomes. Residents are the first
+// MesoProbes non-faulted members of each virtualized cohort plus every
+// faulted member; every other cohort stays fully resident. Members of
+// cohort pi are the g ≡ pi (mod P) in [g0, g1), so each count is
+// arithmetic and the walk visits residents only: the pass costs
+// O(#cohorts + #residents + #faulted), whatever the virtual population.
 func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 	sp := s.spec
 	g2 := &groupState{s: s}
 
-	P := len(sp.Profiles)
-	faultedGroup := make(map[int]bool)
+	faulted := make([]int, 0, len(pre))
 	for gi := range pre {
-		faultedGroup[gi/sp.Replicas] = true
+		faulted = append(faulted, gi/sp.Replicas)
 	}
+	slices.Sort(faulted)
+	faulted = slices.Compact(faulted)
 
-	// Members of cohort pi are the g ≡ pi (mod P) in [g0, g1) —
-	// membership is arithmetic, never a per-member list.
+	P := len(sp.Profiles)
 	g2.cohorts = make([]groupCohort, P)
-	for g := rg.g0; g < rg.g1; g++ {
-		g2.cohorts[g%P].count++
-	}
 	for pi := range g2.cohorts {
 		c := &g2.cohorts[pi]
 		c.pi, c.profile, c.ladder = pi, sp.Profiles[pi], profileLadders[sp.Profiles[pi]]
-		c.virtual = sp.MesoGroupMin > 0 && c.count >= sp.MesoGroupMin
-	}
-	probes := make([]int, P)
-	for g := rg.g0; g < rg.g1; g++ {
-		switch {
-		case !g2.cohorts[g%P].virtual, faultedGroup[g]:
-		case probes[g%P] < sp.MesoProbes:
-			probes[g%P]++
-		default:
-			continue // virtual
+		first := rg.g0 + (pi-rg.g0%P+P)%P
+		if first < rg.g1 {
+			c.count = (rg.g1-1-first)/P + 1
 		}
-		g2.buildGroups = append(g2.buildGroups, g)
+		c.virtual = sp.MesoGroupMin > 0 && c.count >= sp.MesoGroupMin
+		// The non-faulted residents: every member of a resident cohort,
+		// the probe prefix of a virtual one.
+		probes := 0
+		for g := first; g < rg.g1 && (!c.virtual || probes < sp.MesoProbes); g += P {
+			if _, barred := slices.BinarySearch(faulted, g); !barred {
+				g2.buildGroups = append(g2.buildGroups, g)
+				probes++
+			}
+		}
 	}
+	g2.buildGroups = append(g2.buildGroups, faulted...)
+	slices.Sort(g2.buildGroups)
 	return g2
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"wattio/internal/sim"
@@ -69,11 +71,25 @@ type shardChurn struct {
 	epochs []churnEpoch
 }
 
+// addedGroup is one live group churn admitted, as compileChurn tracks
+// it: the global group number and the instant its warm-up ends.
+type addedGroup struct {
+	g      int
+	warmAt time.Duration
+}
+
 // compileChurn lowers the spec's churn schedule into per-shard epochs.
 // Scale-out allocates fresh, never-reused group numbers round-robined
 // across shards; scale-in pops the highest-numbered live group of the
 // event's profile (newest first), so removal targets are deterministic
 // functions of the spec alone. Returns nil when the spec has no churn.
+//
+// A profile's live groups are its build-time members still present,
+// kept as a count because they are pi, pi+P, … in ascending order,
+// topped by the groups churn added, which are newer and so numbered
+// higher. Only the added ones are listed, so the pass costs
+// O(#profiles × #events + #shards × #events + #churned groups ×
+// log #shards), whatever the build-time fleet.
 func compileChurn(sp *Spec, ranges []shardRange) []*shardChurn {
 	if len(sp.Churn) == 0 {
 		return nil
@@ -86,20 +102,18 @@ func compileChurn(sp *Spec, ranges []shardRange) []*shardChurn {
 	}
 	shardOf := func(g int) int {
 		if g < groups0 {
-			for si, rg := range ranges {
-				if g >= rg.g0 && g < rg.g1 {
-					return si
-				}
-			}
+			return sort.Search(len(ranges), func(si int) bool { return ranges[si].g1 > g })
 		}
 		return g % len(ranges)
 	}
-	// Live group stacks per profile, ascending; removals pop the top.
-	stacks := make([][]int, P)
-	for g := 0; g < groups0; g++ {
-		stacks[g%P] = append(stacks[g%P], g)
+	built := make([]int, P) // live build-time members per profile
+	for pi := range built {
+		built[pi] = groups0 / P
+		if pi < groups0%P {
+			built[pi]++
+		}
 	}
-	warmAt := map[int]time.Duration{}
+	added := make([][]addedGroup, P) // live added groups per profile, ascending
 	perLive := make([]int, len(ranges))
 	for si, rg := range ranges {
 		perLive[si] = (rg.g1 - rg.g0) * sp.Replicas
@@ -107,13 +121,7 @@ func compileChurn(sp *Spec, ranges []shardRange) []*shardChurn {
 	fleetLive := sp.Size
 	next := groups0
 	for _, ev := range sp.Churn {
-		pi := 0
-		for j, p := range sp.Profiles {
-			if p == ev.Profile {
-				pi = j
-				break
-			}
-		}
+		pi := slices.Index(sp.Profiles, ev.Profile)
 		wa := ev.At + ev.Warmup
 		for si := range out {
 			out[si].epochs = append(out[si].epochs, churnEpoch{at: ev.At, warmAt: wa})
@@ -125,8 +133,7 @@ func compileChurn(sp *Spec, ranges []shardRange) []*shardChurn {
 		for k := 0; k < ev.Add; k++ {
 			g := next
 			next++
-			stacks[pi] = append(stacks[pi], g)
-			warmAt[g] = wa
+			added[pi] = append(added[pi], addedGroup{g: g, warmAt: wa})
 			si := shardOf(g)
 			e := ep(si)
 			e.adds = append(e.adds, laneAdd{g: g, pi: pi})
@@ -134,17 +141,22 @@ func compileChurn(sp *Spec, ranges []shardRange) []*shardChurn {
 			fleetLive += sp.Replicas
 		}
 		for k := 0; k < ev.Remove; k++ {
-			st := stacks[pi]
-			g := st[len(st)-1]
-			stacks[pi] = st[:len(st)-1]
-			// A group popped before its warm event fired never served;
-			// equality means the warm event ran first (posts at the same
-			// instant fire in registration order, earlier events first).
-			warming := warmAt[g] > ev.At
-			delete(warmAt, g)
-			si := shardOf(g)
+			var rm churnRemove
+			if n := len(added[pi]); n > 0 {
+				// A group popped before its warm event fired never
+				// served; equality means the warm event ran first (posts
+				// at the same instant fire in registration order,
+				// earlier events first).
+				top := added[pi][n-1]
+				added[pi] = added[pi][:n-1]
+				rm = churnRemove{g: top.g, pi: pi, warming: top.warmAt > ev.At}
+			} else {
+				built[pi]--
+				rm = churnRemove{g: pi + built[pi]*P, pi: pi}
+			}
+			si := shardOf(rm.g)
 			e := ep(si)
-			e.removes = append(e.removes, churnRemove{g: g, pi: pi, warming: warming})
+			e.removes = append(e.removes, rm)
 			perLive[si] -= sp.Replicas
 			fleetLive -= sp.Replicas
 		}

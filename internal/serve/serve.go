@@ -245,7 +245,9 @@ func (s *Spec) active() int { return max(s.Replicas-1, 1) }
 // validation runs it on every fleet stanza. Only the fields of a fault
 // window are left to fault.New, which checks them as it wraps the
 // device. Its cost does not grow with the fleet size: O(#profiles ×
-// #churn events + #schedule steps + #fault scripts).
+// (#churn events + 1) + #schedule steps + #fault scripts + #fitted
+// models). The opening cohort sizes the churn walk starts from are
+// closed-form, and fault targets are parsed, not looked up.
 func (s Spec) Validate() error {
 	s = s.withDefaults()
 	for i, p := range s.Profiles {
@@ -396,7 +398,10 @@ func (s Spec) Validate() error {
 
 // normalized returns the copy Run serves: the spec validated, defaults
 // filled in (the never-binding budget among them), and the shard count
-// clamped to the group count.
+// clamped to the group count. The never-binding default budget still
+// walks every group: its bits reach WorstOverW, so the sum keeps its
+// group-by-group float order. Each profile's lane maximum is read once
+// beforehand, leaving one addition per group.
 func (s Spec) normalized() (Spec, error) {
 	if err := s.Validate(); err != nil {
 		return s, err
@@ -406,9 +411,16 @@ func (s Spec) normalized() (Spec, error) {
 	s.Shards = min(s.Shards, groups)
 	s.RateIOPS = s.Rates[0].IOPS
 	if len(s.Budget) == 0 {
+		laneMaxW := make([]float64, len(s.Profiles))
+		for j, p := range s.Profiles {
+			laneMaxW[j] = float64(s.Replicas) * profileMaxW(p)
+		}
 		var maxW float64
-		for gi := 0; gi < groups; gi++ {
-			maxW += float64(s.Replicas) * profileMaxW(s.Profiles[gi%len(s.Profiles)])
+		for gi, j := 0, 0; gi < groups; gi++ {
+			maxW += laneMaxW[j]
+			if j++; j == len(laneMaxW) {
+				j = 0
+			}
 		}
 		s.Budget = []BudgetStep{{At: 0, FleetW: maxW * 1.01}}
 	}

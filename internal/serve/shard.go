@@ -443,9 +443,10 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	s.ledger = meso.NewGroupPool(s.laneRates[0].IOPS, chunkBytes)
 
 	// Build devices, replica groups, and lanes. Every member's fault
-	// outcome is drawn first, in ascending instance order; planGroups
-	// then decides residency and only resident groups materialize, so
-	// virtual members cost no device state at all.
+	// outcome is drawn first, in ascending instance order (the one
+	// per-member pass, and only when the spec injects faults);
+	// planGroups then decides residency per cohort and only resident
+	// groups materialize, so virtual members cost no device state at all.
 	pre := drawFaults(sp, frng, rg)
 	s.grp = planGroups(s, rg, pre)
 	if ch != nil {
