@@ -31,13 +31,6 @@ type Governor struct {
 
 	budgetW float64
 	period  time.Duration
-	// HeadroomFrac is the fraction of budget that must be free before
-	// the governor steps back up (hysteresis against flapping).
-	HeadroomFrac float64
-	// RetryBase and RetryMax bound the retry backoff for failed
-	// power-state commands: the first retry fires after RetryBase and
-	// doubles on each consecutive failure up to RetryMax.
-	RetryBase, RetryMax time.Duration
 
 	running bool
 	tick    *sim.Timer
@@ -59,6 +52,15 @@ type Governor struct {
 	cFailures *telemetry.Counter
 }
 
+// headroomFrac is the fraction of budget that must be free before the
+// governor steps back up (hysteresis against flapping).
+const headroomFrac = 0.15
+
+// retryBase is the backoff before the first retry of a failed
+// power-state command; it doubles on each consecutive failure up to
+// one control period.
+func (g *Governor) retryBase() time.Duration { return g.period / 8 }
+
 // NewGovernor builds a governor over a device with host-selectable
 // power states.
 func NewGovernor(eng *sim.Engine, dev device.Device, budgetW float64, period time.Duration) (*Governor, error) {
@@ -76,9 +78,6 @@ func NewGovernor(eng *sim.Engine, dev device.Device, budgetW float64, period tim
 	return &Governor{
 		eng: eng, dev: dev, states: states,
 		budgetW: budgetW, period: period,
-		HeadroomFrac: 0.15,
-		RetryBase:    period / 8,
-		RetryMax:     period,
 
 		cRetries:  reg.Counter("governor_retries_total"),
 		cFailures: reg.Counter("governor_cmd_failures_total"),
@@ -157,7 +156,7 @@ func (g *Governor) control() {
 		if ps < len(g.states)-1 {
 			g.apply(ps + 1)
 		}
-	case avgW < g.budgetW*(1-g.HeadroomFrac) && ps > 0:
+	case avgW < g.budgetW*(1-headroomFrac) && ps > 0:
 		// Only step up if the next state's cap also fits the budget;
 		// otherwise stepping up guarantees re-violation.
 		upCap := g.states[ps-1].MaxPowerW
@@ -173,7 +172,7 @@ func (g *Governor) apply(target int) {
 	if err := g.dev.SetPowerState(target); err != nil {
 		g.Failures++
 		g.cFailures.Inc()
-		g.retryBackoff = g.RetryBase
+		g.retryBackoff = g.retryBase()
 		g.scheduleRetry(target)
 		return
 	}
@@ -184,7 +183,7 @@ func (g *Governor) apply(target int) {
 func (g *Governor) scheduleRetry(target int) {
 	d := g.retryBackoff
 	if d <= 0 {
-		d = g.RetryBase
+		d = g.retryBase()
 	}
 	if d <= 0 {
 		d = time.Millisecond
@@ -207,8 +206,8 @@ func (g *Governor) onRetry() {
 		g.Failures++
 		g.cFailures.Inc()
 		g.retryBackoff *= 2
-		if g.retryBackoff > g.RetryMax {
-			g.retryBackoff = g.RetryMax
+		if g.retryBackoff > g.period {
+			g.retryBackoff = g.period
 		}
 		g.scheduleRetry(g.retryTarget)
 		return

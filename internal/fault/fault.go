@@ -8,11 +8,11 @@
 //
 // A fault.Device wraps any device.Device and injects faults from a
 // Profile: scripted windows on the simulation clock (dropout, command
-// failure, latency, thermal throttle) plus probabilistic transient IO
-// errors drawn from a per-experiment RNG stream. Both sources are
-// deterministic — the same (profile, fault seed) pair always injects
-// the same faults at the same virtual times — so a faulted run is as
-// reproducible as a clean one.
+// failure, transient IO errors), the IO errors drawn from a
+// per-experiment RNG stream. Injection is deterministic — the same
+// (profile, fault seed) pair always injects the same faults at the
+// same virtual times — so a faulted run is as reproducible as a clean
+// one.
 //
 // The wrapper never touches the device model underneath: power draw
 // and energy accounting remain the inner device's, and with an empty
@@ -34,30 +34,20 @@ import (
 type Kind int
 
 const (
-	// LatencySpike delays IO completions inside the window: service
-	// time is multiplied by Factor and Extra is added on top.
-	LatencySpike Kind = iota
 	// IOError makes each IO inside the window fail transiently with
 	// probability Prob per attempt; the wrapper models the host
 	// retries, each costing RetryPenalty of extra latency. The Device
 	// interface has no error channel on the data path — like the
 	// kernel block layer, transient errors surface as latency.
-	IOError
+	IOError Kind = iota
 	// PowerCmdFail makes SetPowerState return ErrCmdFail inside the
 	// window, leaving the state unchanged.
 	PowerCmdFail
-	// PowerCmdTimeout makes SetPowerState return ErrCmdTimeout inside
-	// the window, leaving the state unchanged.
-	PowerCmdTimeout
 	// Dropout takes the device offline for the window (brownout /
 	// hot-unplug): new IO is held and released when the window ends,
 	// control commands fail with ErrUnavailable, and Healthy reports
 	// false. IO already in flight completes normally.
 	Dropout
-	// Thermal models a thermal-throttle episode: completions inside
-	// the window are delayed by Factor, and SetPowerState calls that
-	// would raise power (a lower state index) fail with ErrThermal.
-	Thermal
 
 	numKinds
 )
@@ -65,18 +55,12 @@ const (
 // String returns the fault class name.
 func (k Kind) String() string {
 	switch k {
-	case LatencySpike:
-		return "latency"
 	case IOError:
 		return "ioerror"
 	case PowerCmdFail:
 		return "cmdfail"
-	case PowerCmdTimeout:
-		return "cmdtimeout"
 	case Dropout:
 		return "dropout"
-	case Thermal:
-		return "thermal"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -89,15 +73,9 @@ var (
 	ErrInjected = errors.New("fault: injected failure")
 	// ErrCmdFail is returned by SetPowerState in a PowerCmdFail window.
 	ErrCmdFail = fmt.Errorf("%w: power command failed", ErrInjected)
-	// ErrCmdTimeout is returned by SetPowerState in a PowerCmdTimeout
-	// window.
-	ErrCmdTimeout = fmt.Errorf("%w: power command timed out", ErrInjected)
 	// ErrUnavailable is returned by control commands during a Dropout
 	// window.
 	ErrUnavailable = fmt.Errorf("%w: device unavailable", ErrInjected)
-	// ErrThermal is returned by SetPowerState calls that would raise
-	// power during a Thermal window.
-	ErrThermal = fmt.Errorf("%w: thermal throttle refuses higher-power state", ErrInjected)
 )
 
 // Window is one scripted fault episode on the simulation clock:
@@ -107,11 +85,6 @@ type Window struct {
 	Start time.Duration
 	Dur   time.Duration
 
-	// Factor multiplies IO service time for LatencySpike and Thermal
-	// windows; values <= 1 leave service time unchanged.
-	Factor float64
-	// Extra is added to IO latency for LatencySpike windows.
-	Extra time.Duration
 	// Prob is the per-attempt transient failure probability for
 	// IOError windows, in [0, 1].
 	Prob float64
@@ -229,8 +202,8 @@ func MustNew(inner device.Device, eng *sim.Engine, rng *sim.RNG, p Profile) *Dev
 func (d *Device) Inner() device.Device { return d.inner }
 
 // Injected returns how many injections of the given kind have fired:
-// affected IOs for LatencySpike/IOError/Dropout/Thermal, rejected
-// commands for PowerCmdFail/PowerCmdTimeout.
+// affected IOs for IOError/Dropout, rejected commands for
+// PowerCmdFail and Dropout.
 func (d *Device) Injected(k Kind) int {
 	if k < 0 || k >= numKinds {
 		return 0
@@ -268,8 +241,8 @@ func (d *Device) activeWindow(k Kind) *Window {
 func (d *Device) Healthy() bool { return d.activeWindow(Dropout) == nil }
 
 // Submit implements device.Device. Dropout windows hold the IO until
-// the window ends; latency, thermal, and transient-error injections
-// delay the completion callback.
+// the window ends; transient-error injections delay the completion
+// callback by their retries.
 func (d *Device) Submit(r device.Request, done func()) {
 	if w := d.activeWindow(Dropout); w != nil {
 		d.inject(Dropout)
@@ -284,53 +257,23 @@ func (d *Device) Submit(r device.Request, done func()) {
 		return
 	}
 
-	// Decide the injected completion delay at submission time so the
-	// draw order is deterministic.
-	var delay time.Duration
-	var factor float64 = 1
-	if w := d.activeWindow(LatencySpike); w != nil {
-		d.inject(LatencySpike)
-		if w.Factor > 1 {
-			factor *= w.Factor
-		}
-		delay += w.Extra
-	}
-	if w := d.activeWindow(Thermal); w != nil {
-		d.inject(Thermal)
-		if w.Factor > 1 {
-			factor *= w.Factor
-		}
-	}
+	// Draw the retries at submission time so the draw order is
+	// deterministic.
+	n := 0
 	if w := d.activeWindow(IOError); w != nil && w.Prob > 0 {
-		n := 0
 		for n < d.prof.MaxRetries && d.rng.Float64() < w.Prob {
 			n++
 		}
-		if n > 0 {
-			d.inject(IOError)
-			d.retries += n
-			d.cIOErr.Add(int64(n))
-			delay += time.Duration(n) * d.prof.RetryPenalty
-		}
 	}
-
-	if factor == 1 && delay == 0 {
+	if n == 0 {
 		d.inner.Submit(r, done)
 		return
 	}
-	submitted := d.eng.Now()
-	d.inner.Submit(r, func() {
-		extra := delay
-		if factor > 1 {
-			service := d.eng.Now() - submitted
-			extra += time.Duration(float64(service) * (factor - 1))
-		}
-		if extra <= 0 {
-			done()
-			return
-		}
-		d.eng.PostAfter(extra, done)
-	})
+	d.inject(IOError)
+	d.retries += n
+	d.cIOErr.Add(int64(n))
+	delay := time.Duration(n) * d.prof.RetryPenalty
+	d.inner.Submit(r, func() { d.eng.PostAfter(delay, done) })
 }
 
 // Held returns the number of IOs currently held by a dropout window.
@@ -342,8 +285,7 @@ func (d *Device) inject(k Kind) {
 }
 
 // SetPowerState implements device.Device, rejecting the command inside
-// PowerCmdFail, PowerCmdTimeout, and Dropout windows, and rejecting
-// power-raising transitions inside Thermal windows.
+// PowerCmdFail and Dropout windows.
 func (d *Device) SetPowerState(index int) error {
 	if d.activeWindow(Dropout) != nil {
 		d.inject(Dropout)
@@ -354,16 +296,6 @@ func (d *Device) SetPowerState(index int) error {
 		d.inject(PowerCmdFail)
 		d.cCmdFail.Inc()
 		return ErrCmdFail
-	}
-	if d.activeWindow(PowerCmdTimeout) != nil {
-		d.inject(PowerCmdTimeout)
-		d.cCmdFail.Inc()
-		return ErrCmdTimeout
-	}
-	if d.activeWindow(Thermal) != nil && index < d.inner.PowerStateIndex() {
-		d.inject(Thermal)
-		d.cCmdFail.Inc()
-		return ErrThermal
 	}
 	return d.inner.SetPowerState(index)
 }

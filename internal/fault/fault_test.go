@@ -62,25 +62,6 @@ func TestEmptyProfileTransparent(t *testing.T) {
 	}
 }
 
-func TestLatencySpikeWindow(t *testing.T) {
-	t.Parallel()
-	d, eng := newFaulted(t, Profile{Windows: []Window{
-		{Kind: LatencySpike, Start: 0, Dur: 50 * time.Millisecond, Factor: 3, Extra: 2 * time.Millisecond},
-	}})
-	inside := oneIO(eng, d)
-	eng.RunUntil(60 * time.Millisecond)
-	outside := oneIO(eng, d)
-	if inside < outside+2*time.Millisecond {
-		t.Errorf("spiked latency %v not > clean latency %v + 2 ms extra", inside, outside)
-	}
-	if d.Injected(LatencySpike) != 1 {
-		t.Errorf("latency injections = %d, want 1", d.Injected(LatencySpike))
-	}
-	if d.Injected(IOError) != 0 || d.InjectedTotal() != 1 {
-		t.Errorf("unexpected other injections, total %d", d.InjectedTotal())
-	}
-}
-
 func TestIOErrorRetriesAreLatency(t *testing.T) {
 	t.Parallel()
 	// Prob 1 with the default MaxRetries=3 and RetryPenalty=500 µs
@@ -128,7 +109,6 @@ func TestPowerCmdWindows(t *testing.T) {
 	t.Parallel()
 	d, eng := newFaulted(t, Profile{Windows: []Window{
 		{Kind: PowerCmdFail, Start: 0, Dur: 10 * time.Millisecond},
-		{Kind: PowerCmdTimeout, Start: 10 * time.Millisecond, Dur: 10 * time.Millisecond},
 	}})
 	if err := d.SetPowerState(1); !errors.Is(err, ErrCmdFail) || !errors.Is(err, ErrInjected) {
 		t.Errorf("in-window SetPowerState = %v, want ErrCmdFail wrapping ErrInjected", err)
@@ -137,19 +117,14 @@ func TestPowerCmdWindows(t *testing.T) {
 		t.Errorf("failed command changed state to %d", d.PowerStateIndex())
 	}
 	eng.RunUntil(15 * time.Millisecond)
-	if err := d.SetPowerState(1); !errors.Is(err, ErrCmdTimeout) {
-		t.Errorf("timeout-window SetPowerState = %v, want ErrCmdTimeout", err)
-	}
-	eng.RunUntil(25 * time.Millisecond)
 	if err := d.SetPowerState(1); err != nil {
 		t.Errorf("post-window SetPowerState failed: %v", err)
 	}
 	if d.PowerStateIndex() != 1 {
 		t.Errorf("state = %d, want 1", d.PowerStateIndex())
 	}
-	if d.Injected(PowerCmdFail) != 1 || d.Injected(PowerCmdTimeout) != 1 {
-		t.Errorf("injections fail/timeout = %d/%d, want 1/1",
-			d.Injected(PowerCmdFail), d.Injected(PowerCmdTimeout))
+	if d.Injected(PowerCmdFail) != 1 {
+		t.Errorf("cmdfail injections = %d, want 1", d.Injected(PowerCmdFail))
 	}
 }
 
@@ -193,34 +168,6 @@ func TestDropoutHoldsIOAndControl(t *testing.T) {
 	}
 }
 
-func TestThermalBlocksPowerRaise(t *testing.T) {
-	t.Parallel()
-	d, eng := newFaulted(t, Profile{Windows: []Window{
-		{Kind: Thermal, Start: 0, Dur: 50 * time.Millisecond, Factor: 4},
-	}})
-	// Stepping down is always allowed — the throttle only refuses
-	// transitions that would raise power (lower state index).
-	if err := d.SetPowerState(2); err != nil {
-		t.Fatalf("down-transition during thermal window failed: %v", err)
-	}
-	if err := d.SetPowerState(0); !errors.Is(err, ErrThermal) {
-		t.Errorf("up-transition during thermal window = %v, want ErrThermal", err)
-	}
-	if d.PowerStateIndex() != 2 {
-		t.Errorf("state = %d, want 2", d.PowerStateIndex())
-	}
-	inside := oneIO(eng, d)
-	eng.RunUntil(60 * time.Millisecond)
-	outside := oneIO(eng, d)
-	if inside < outside*2 {
-		t.Errorf("throttled latency %v not ≥ 2× clean latency %v at factor 4", inside, outside)
-	}
-	eng.RunUntil(70 * time.Millisecond)
-	if err := d.SetPowerState(0); err != nil {
-		t.Errorf("post-window up-transition failed: %v", err)
-	}
-}
-
 func TestProfileValidation(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
@@ -253,8 +200,7 @@ func TestProfileValidation(t *testing.T) {
 func TestKindString(t *testing.T) {
 	t.Parallel()
 	want := map[Kind]string{
-		LatencySpike: "latency", IOError: "ioerror", PowerCmdFail: "cmdfail",
-		PowerCmdTimeout: "cmdtimeout", Dropout: "dropout", Thermal: "thermal",
+		IOError: "ioerror", PowerCmdFail: "cmdfail", Dropout: "dropout",
 	}
 	for k, s := range want {
 		if k.String() != s {

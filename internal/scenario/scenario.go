@@ -146,15 +146,10 @@ type DeviceSpec struct {
 // FaultWindow is one scripted fault episode in spec form; it maps onto
 // fault.Window.
 type FaultWindow struct {
-	// Kind is the fault class: latency, ioerror, cmdfail, cmdtimeout,
-	// dropout, or thermal.
+	// Kind is the fault class: ioerror, cmdfail, or dropout.
 	Kind  string   `json:"kind"`
 	Start Duration `json:"start"`
 	Dur   Duration `json:"dur"`
-	// Factor multiplies IO service time (latency, thermal windows).
-	Factor float64 `json:"factor,omitempty"`
-	// Extra is added to IO latency (latency windows).
-	Extra Duration `json:"extra,omitempty"`
 	// Prob is the per-attempt transient failure probability (ioerror).
 	Prob float64 `json:"prob,omitempty"`
 }
@@ -463,29 +458,20 @@ func (w FaultWindow) validate(path string) error {
 	if w.Prob < 0 || w.Prob > 1 {
 		return pathErr(path+".prob", "probability %v out of [0, 1]", w.Prob)
 	}
-	if w.Factor < 0 {
-		return pathErr(path+".factor", "negative factor %v", w.Factor)
-	}
 	return nil
 }
 
 // kind maps the spec's fault-kind string onto the fault package enum.
 func (w FaultWindow) kind() (fault.Kind, error) {
 	switch w.Kind {
-	case "latency":
-		return fault.LatencySpike, nil
 	case "ioerror":
 		return fault.IOError, nil
 	case "cmdfail":
 		return fault.PowerCmdFail, nil
-	case "cmdtimeout":
-		return fault.PowerCmdTimeout, nil
 	case "dropout":
 		return fault.Dropout, nil
-	case "thermal":
-		return fault.Thermal, nil
 	}
-	return 0, fmt.Errorf("unknown fault kind %q (latency, ioerror, cmdfail, cmdtimeout, dropout, thermal)", w.Kind)
+	return 0, fmt.Errorf("unknown fault kind %q (ioerror, cmdfail, dropout)", w.Kind)
 }
 
 // Window converts the spec window to the fault package's form.
@@ -495,12 +481,10 @@ func (w FaultWindow) Window() (fault.Window, error) {
 		return fault.Window{}, err
 	}
 	return fault.Window{
-		Kind:   k,
-		Start:  w.Start.D(),
-		Dur:    w.Dur.D(),
-		Factor: w.Factor,
-		Extra:  w.Extra.D(),
-		Prob:   w.Prob,
+		Kind:  k,
+		Start: w.Start.D(),
+		Dur:   w.Dur.D(),
+		Prob:  w.Prob,
 	}, nil
 }
 

@@ -162,9 +162,10 @@ func TestParseStrict(t *testing.T) {
 
 // TestParseRejectsRemovedFields: each spec field that used to take one
 // value in every caller is now a constant of the engine or the
-// experiment, and a file that still carries one fails Parse with an
-// error naming it, so it never runs with a silently changed meaning.
-// Each case sets the field to the value it is now fixed at.
+// experiment, or belonged to a fault kind that no longer exists, and a
+// file that still carries one fails Parse with an error naming it, so
+// it never runs with a silently changed meaning. Each case sets the
+// field to the value it is now fixed at, or to a value it once took.
 func TestParseRejectsRemovedFields(t *testing.T) {
 	const head = `{"version":2,"name":"m","experiment":"fleet","seed":0,`
 	fleet := func(field string) string { return head + `"fleet":{` + field + `}}` }
@@ -173,6 +174,9 @@ func TestParseRejectsRemovedFields(t *testing.T) {
 	}
 	calib := func(field string) string { return head + `"fleet":{"calib":{"enable":true,` + field + `}}}` }
 	grid := func(field string) string { return head + `"grid":{"budgets":["max"],` + field + `}}` }
+	window := func(field string) string {
+		return head + `"devices":[{"profile":"SSD2","faults":[{"kind":"dropout","start":"0s","dur":"1s",` + field + `}]}]}`
+	}
 	cases := []struct{ path, body string }{
 		{"fleet.shards", fleet(`"shards":4`)},
 		{"fleet.active", fleet(`"active":1`)},
@@ -195,6 +199,8 @@ func TestParseRejectsRemovedFields(t *testing.T) {
 		{"grid.rates", grid(`"rates":[7000]`)},
 		{"grid.fault_fracs", grid(`"fault_fracs":[0.1]`)},
 		{"grid.replicas", grid(`"replicas":[2]`)},
+		{"devices[0].faults[0].factor", window(`"factor":3`)},
+		{"devices[0].faults[0].extra", window(`"extra":"2ms"`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.path, func(t *testing.T) {

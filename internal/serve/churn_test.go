@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"wattio/internal/detcheck"
+	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
 
@@ -196,6 +198,72 @@ func TestShardPanicReturnsError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestBuildGroupRefusesOutOfOrder: laneOf's binary search needs the
+// shard's lanes ascending in group number, so buildGroup refuses a
+// group numbered at or below the last lane's and names it.
+func TestBuildGroupRefusesOutOfOrder(t *testing.T) {
+	t.Parallel()
+	sp, err := Spec{Size: 4, Shards: 1}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &shard{spec: &sp, eng: sim.NewEngine()}
+	rng := sim.NewRNG(1)
+	if _, err := s.buildGroup(2, 0, rng, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{1, 2} {
+		if _, err := s.buildGroup(g, 0, rng, nil); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("group %d ", g)) {
+			t.Errorf("buildGroup(%d) after group 2: error %v, want one naming group %d", g, err, g)
+		}
+	}
+	if len(s.lanes) != 1 || s.laneOf(2) != s.lanes[0] || s.laneOf(1) != nil {
+		t.Fatalf("refused builds changed the lanes: %d lanes", len(s.lanes))
+	}
+}
+
+// TestChurnFindsEveryGroup: on a churned, mirrored and faulted shard
+// every group a churn epoch removes or warms is found among its lanes.
+// Removals reach build-time groups (faulted ones among them) after the
+// churned ones; a removal that misses panics, and a warm that misses
+// starts no arrivals, so each count below would fall short.
+func TestChurnFindsEveryGroup(t *testing.T) {
+	t.Parallel()
+	sp, err := Spec{
+		Size:      16,
+		Replicas:  2,
+		Shards:    1,
+		Horizon:   2 * time.Second,
+		RateIOPS:  3000,
+		Seed:      7,
+		FaultSeed: 3,
+		FaultFrac: 0.5,
+		Churn: []ChurnEvent{
+			{At: 400 * time.Millisecond, Profile: "SSD2", Add: 3, Warmup: 100 * time.Millisecond},
+			{At: 900 * time.Millisecond, Profile: "SSD2", Remove: 5},
+			{At: 1200 * time.Millisecond, Profile: "SSD2", Add: 2},
+			{At: 1600 * time.Millisecond, Profile: "SSD2", Remove: 1},
+		},
+	}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := shardRange{g0: 0, g1: sp.Size / sp.Replicas}
+	res, err := runShard(&sp, 0, rg, compileChurn(&sp, []shardRange{rg})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faulted == 0 {
+		t.Fatal("no device faulted")
+	}
+	if res.ChurnAdds != 5 || res.ChurnRemoves != 6 {
+		t.Fatalf("churn counts: adds %d removes %d, want 5/6", res.ChurnAdds, res.ChurnRemoves)
+	}
+	if len(res.WarmupLats) != 5 || len(res.DrainLats) != 6 {
+		t.Fatalf("%d warm-ups and %d drains recorded, want 5 and 6", len(res.WarmupLats), len(res.DrainLats))
 	}
 }
 

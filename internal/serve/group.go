@@ -52,12 +52,11 @@ type groupCohort struct {
 	// copy a device's table.
 	stateful, statesRead bool
 
-	// resOrder lists resident lane indices, probes first (they can park
-	// and calibrate) then barred members (faulted), then members churn
-	// admitted to a fully resident cohort; resLevel is each resident's
-	// current ladder index. probes is the probe prefix length.
-	resOrder []int
-	resLevel []int
+	// resOrder lists the resident lanes, probes first (they can park and
+	// calibrate) then barred members (faulted), then members churn
+	// admitted to a fully resident cohort. probes is the probe prefix
+	// length.
+	resOrder []*lane
 	probes   int
 
 	// warming counts virtual members admitted by churn whose warm-up
@@ -126,13 +125,12 @@ func planGroups(s *shard, rg shardRange, pre map[int]*preFault) *groupState {
 // lanes to cohort slots (probes ahead of barred members, each in build
 // order).
 func (g *groupState) bind() {
-	s := g.s
-	barred := make([][]int, len(g.cohorts))
-	for _, l := range s.lanes {
+	barred := make([][]*lane, len(g.cohorts))
+	for _, l := range g.s.lanes {
 		if l.faultEnd > 0 {
-			barred[l.pi] = append(barred[l.pi], l.idx)
+			barred[l.pi] = append(barred[l.pi], l)
 		} else {
-			g.cohorts[l.pi].resOrder = append(g.cohorts[l.pi].resOrder, l.idx)
+			g.cohorts[l.pi].resOrder = append(g.cohorts[l.pi].resOrder, l)
 		}
 	}
 	virtual := 0
@@ -140,13 +138,9 @@ func (g *groupState) bind() {
 		c := &g.cohorts[pi]
 		c.probes = len(c.resOrder)
 		c.resOrder = append(c.resOrder, barred[pi]...)
-		c.resLevel = make([]int, len(c.resOrder))
-		for k, li := range c.resOrder {
-			s.lanes[li].resIdx = k
-		}
 		virtual += c.count - len(c.resOrder)
 	}
-	s.res.MesoGroupLanes = virtual
+	g.s.res.MesoGroupLanes = virtual
 }
 
 // warmKey is the cohort's idle-bucket key: state -1 is outside every
@@ -215,7 +209,7 @@ func (g *groupState) apply(fleetW float64) {
 		s.res.Replans++
 	}
 
-	var pos []int
+	var pos []*lane
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
 		if c.count == 0 {
@@ -233,14 +227,14 @@ func (g *groupState) apply(fleetW float64) {
 		// Residents retired by churn hold no level and are skipped.
 		pos = pos[:0]
 		probes := 0
-		for k := range c.resOrder {
-			if s.lanes[c.resOrder[k]].gone() {
+		for k, l := range c.resOrder {
+			if l.gone() {
 				continue
 			}
 			if k < c.probes {
 				probes++
 			}
-			pos = append(pos, k)
+			pos = append(pos, l)
 		}
 		assigned := 0
 		for j := 0; j < len(rem) && assigned < probes; j++ {
@@ -274,26 +268,22 @@ func (g *groupState) apply(fleetW float64) {
 	g.applied = true
 }
 
-// assignResident points resident k of cohort c at ladder level j: its
-// devices move to the level's power state and their governor targets
-// follow. A device refusing the command (an injected power-fault) keeps
-// its state and counts one compensation, so Compensations is the number
-// of refusing devices summed over re-plans.
-func (g *groupState) assignResident(c *groupCohort, k, j int) {
-	s := g.s
-	c.resLevel[k] = j
-	li := c.resOrder[k]
-	r := s.spec.Replicas
+// assignResident points resident lane l of cohort c at ladder level j:
+// its devices move to the level's power state and their governor
+// targets follow. A device refusing the command (an injected
+// power-fault) keeps its state and counts one compensation, so
+// Compensations is the number of refusing devices summed over re-plans.
+func (g *groupState) assignResident(c *groupCohort, l *lane, j int) {
+	l.level, l.planW = j, c.ladder[j].powerW
 	if !c.statesRead {
-		c.stateful, c.statesRead = len(s.devs[li*r].PowerStates()) > 0, true
+		c.stateful, c.statesRead = len(l.devs[0].PowerStates()) > 0, true
 	}
-	for di := li * r; di < (li+1)*r; di++ {
-		s.planW[di] = c.ladder[j].powerW
-		if !c.stateful {
-			continue
-		}
-		if err := s.devs[di].SetPowerState(c.ladder[j].level); err != nil {
-			s.res.Compensations++
+	if !c.stateful {
+		return
+	}
+	for _, d := range l.devs {
+		if err := d.SetPowerState(c.ladder[j].level); err != nil {
+			g.s.res.Compensations++
 		}
 	}
 }
@@ -304,9 +294,8 @@ func (g *groupState) assignResident(c *groupCohort, k, j int) {
 func (g *groupState) addResident(l *lane) {
 	c := &g.cohorts[l.pi]
 	c.count++
-	l.resIdx = len(c.resOrder)
-	c.resOrder = append(c.resOrder, l.idx)
-	c.resLevel = append(c.resLevel, len(c.ladder)-1)
+	c.resOrder = append(c.resOrder, l)
+	l.level = len(c.ladder) - 1
 }
 
 // addVirtual admits one churned replica group as a virtual cohort
@@ -338,7 +327,7 @@ func (g *groupState) addVirtual(ad laneAdd, at, warmAt time.Duration, now time.D
 func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 	c := &g.cohorts[rm.pi]
 	c.count--
-	if _, resident := g.s.groupLane[rm.g]; resident || !c.virtual {
+	if !c.virtual || g.s.laneOf(rm.g) != nil {
 		g.s.beginRemove(rm.g, now)
 		return
 	}
@@ -386,7 +375,7 @@ func (g *groupState) warmBatchDone(pi int, at, warmAt time.Duration, now time.Du
 // the bucket's pending spans into interval backfill.
 func (g *groupState) probeParked(l *lane, watts float64, now time.Duration, drift *invariant.DriftProbe) {
 	c := &g.cohorts[l.pi]
-	j := c.resLevel[l.resIdx]
+	j := l.level
 	key := meso.GroupKey{Cohort: c.pi, State: c.ladder[j].level}
 	if !g.s.ledger.Has(key) {
 		return // no virtual members ever held this level

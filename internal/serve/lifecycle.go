@@ -227,7 +227,6 @@ func (s *shard) rateStep(rs workload.RateStep) {
 // its (fully resident) cohort at once and holds budget share from `at`.
 func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	lrng := sim.NewRNG(s.spec.Seed ^ shardHash("serve/churn", g))
-	d0 := len(s.devs)
 	l, err := s.buildGroup(g, pi, lrng, nil)
 	if err != nil {
 		return err
@@ -235,7 +234,7 @@ func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	l.astream = lrng.Stream("arrivals")
 	l.warmFrom = at
 	s.grp.addResident(l)
-	if err := s.startGovernors(d0); err != nil {
+	if err := s.startGovernors(l); err != nil {
 		return err
 	}
 	s.meso.addLane(l, warmAt)
@@ -247,11 +246,10 @@ func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 // out its queued and in-flight work before retiring. A parked lane
 // settles its aggregate first; an empty lane retires on the spot.
 func (s *shard) beginRemove(g int, now time.Duration) {
-	li, ok := s.groupLane[g]
-	if !ok {
+	l := s.laneOf(g)
+	if l == nil {
 		panic(fmt.Sprintf("serve: churn removes unmaterialized group %d", g))
 	}
-	l := s.lanes[li]
 	s.meso.rehydrate(l, now, false)
 	l.state = laneRemoving
 	l.drainFrom = now
@@ -269,12 +267,10 @@ func (s *shard) beginRemove(g int, now time.Duration) {
 // the shard result.
 func (s *shard) retireLane(l *lane, now time.Duration) {
 	l.state = laneRemoved
-	for _, gv := range l.govs() {
-		if gv != nil {
-			gv.Stop()
-		}
+	for _, gv := range l.govs {
+		gv.Stop()
 	}
-	for _, d := range l.devs() {
+	for _, d := range l.devs {
 		s.retiredJ += d.EnergyJ()
 	}
 	s.res.DrainLats = append(s.res.DrainLats, now-l.drainFrom)
@@ -337,11 +333,10 @@ func (s *shard) warmEpoch(ep churnEpoch) {
 func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 	s.grp.warmBatchDone(ep.adds[0].pi, ep.at, ep.warmAt, now)
 	for _, ad := range ep.adds {
-		li, resident := s.groupLane[ad.g]
-		if !resident || s.lanes[li].gone() {
+		l := s.laneOf(ad.g)
+		if l == nil || l.gone() {
 			continue
 		}
-		l := s.lanes[li]
 		l.warmPending = true
 		if err := s.startLaneArrivals(l); err != nil {
 			panic(fmt.Sprintf("serve: churn warm-up of group %d: %v", ad.g, err))

@@ -33,7 +33,7 @@ func mergeSpec(t *testing.T, budget []BudgetStep) Spec {
 // every control interval.
 func flatResult(sp *Spec, watts float64) *shardResult {
 	n := int((sp.Horizon + sp.ControlPeriod - 1) / sp.ControlPeriod)
-	r := &shardResult{CapOK: true, MesoDriftOK: true}
+	r := &shardResult{Report: Report{CapOK: true, MesoDriftOK: true}}
 	r.IntervalEnergyJ = make([]float64, n)
 	for i := range r.IntervalEnergyJ {
 		r.IntervalEnergyJ[i] = watts * sp.ControlPeriod.Seconds()
@@ -156,7 +156,7 @@ func TestThroughputUsesSimulatedTime(t *testing.T) {
 	sp := mergeSpec(t, nil)
 	res := flatResult(&sp, 50)
 	res.BytesCompleted = 3_000_000
-	res.EndAt = 2 * time.Second // drain ran one full horizon past the end
+	res.SimulatedDur = 2 * time.Second // drain ran one full horizon past the end
 	rep := merge(&sp, []*shardResult{res})
 	if rep.SimulatedDur != 2*time.Second {
 		t.Fatalf("SimulatedDur = %v, want 2s", rep.SimulatedDur)
@@ -169,7 +169,7 @@ func TestThroughputUsesSimulatedTime(t *testing.T) {
 	// the rate is unchanged from the old definition.
 	res = flatResult(&sp, 50)
 	res.BytesCompleted = 3_000_000
-	res.EndAt = sp.Horizon
+	res.SimulatedDur = sp.Horizon
 	rep = merge(&sp, []*shardResult{res})
 	if rep.SimulatedDur != sp.Horizon || math.Abs(rep.ThroughputMBps-3.0) > 1e-9 {
 		t.Fatalf("horizon-bounded run: dur %v, %v MB/s, want 1s, 3", rep.SimulatedDur, rep.ThroughputMBps)

@@ -158,7 +158,7 @@ func (m *mesoState) resetBaseline(l *lane) {
 
 func laneEnergy(l *lane) float64 {
 	var e float64
-	for _, d := range l.devs() {
+	for _, d := range l.devs {
 		e += d.EnergyJ()
 	}
 	return e
@@ -169,7 +169,7 @@ func laneEnergy(l *lane) float64 {
 // the same draw.
 func stateKey(l *lane) string {
 	var b strings.Builder
-	for _, d := range l.devs() {
+	for _, d := range l.devs {
 		b.WriteString(strconv.Itoa(d.PowerStateIndex()))
 		b.WriteByte('.')
 	}
@@ -178,12 +178,12 @@ func stateKey(l *lane) string {
 
 // snapshot refreshes the lane's steadiness fingerprint baselines.
 func (m *mesoState) snapshot(l *lane) {
-	s, ml := m.s, &l.ml
+	ml := &l.ml
 	ml.rejected = l.rejected
-	if len(s.redirs) > 0 {
-		ml.failovers, ml.wakes = s.redirs[l.idx].Failovers, s.redirs[l.idx].WakesOnDemand
+	if l.redir != nil {
+		ml.failovers, ml.wakes = l.redir.Failovers, l.redir.WakesOnDemand
 	}
-	for rep, d := range l.devs() {
+	for rep, d := range l.devs {
 		ml.states[rep] = d.PowerStateIndex()
 	}
 }
@@ -192,20 +192,19 @@ func (m *mesoState) snapshot(l *lane) {
 // no failovers or on-demand wakes, settled healthy devices holding
 // their power states, and a queue no deeper than one dispatch batch.
 func (m *mesoState) steady(l *lane) bool {
-	s, ml := m.s, &l.ml
+	ml := &l.ml
 	ok := l.qlen() <= dispatchBatch
 	if l.rejected != ml.rejected {
 		ok = false
 		ml.rejected = l.rejected
 	}
-	if len(s.redirs) > 0 {
-		rd := s.redirs[l.idx]
+	if rd := l.redir; rd != nil {
 		if rd.Failovers != ml.failovers || rd.WakesOnDemand != ml.wakes {
 			ok = false
 			ml.failovers, ml.wakes = rd.Failovers, rd.WakesOnDemand
 		}
 	}
-	for rep, d := range l.devs() {
+	for rep, d := range l.devs {
 		if !device.Healthy(d) || !d.Settled() {
 			ok = false
 		}
@@ -323,10 +322,8 @@ func (m *mesoState) laneQuiet(l *lane) {
 	if l.state != laneDraining || l.inflight != 0 || l.qlen() != 0 {
 		return
 	}
-	for _, g := range l.govs() {
-		if g != nil {
-			g.Stop()
-		}
+	for _, g := range l.govs {
+		g.Stop()
 	}
 	if w, ok := l.ml.idleW[stateKey(l)]; ok {
 		m.park(l, m.s.eng.Now(), w)
@@ -376,10 +373,8 @@ func (m *mesoState) rehydrate(l *lane, now time.Duration, restart bool) {
 		return
 	}
 	if from != laneDraining {
-		for _, g := range l.govs() {
-			if g != nil {
-				g.Start()
-			}
+		for _, g := range l.govs {
+			g.Start()
 		}
 	}
 	if err := s.startLaneArrivals(l); err != nil {

@@ -698,8 +698,8 @@ func merge(sp *Spec, results []*shardResult) *Report {
 		for k, e := range s.IntervalEnergyJ {
 			energy[k] += e
 		}
-		if s.EndAt > r.SimulatedDur {
-			r.SimulatedDur = s.EndAt
+		if s.SimulatedDur > r.SimulatedDur {
+			r.SimulatedDur = s.SimulatedDur
 		}
 		r.Events += s.Events
 		r.MesoDehydrations += s.MesoDehydrations

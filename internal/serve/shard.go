@@ -24,41 +24,18 @@ const govGuard = 1.10
 // shardRange is one shard's contiguous slice of replica groups.
 type shardRange struct{ g0, g1 int }
 
-// shardResult is everything a shard contributes to the merged report.
+// shardResult is everything a shard contributes to the merged report:
+// the shard's own counters and flags in the Report's fields, which
+// merge folds in shard order, plus the samples merge needs whole.
+// SimulatedDur is the shard engine's clock after the post-horizon
+// drain: the horizon, or later when held IO (a dropout window) released
+// and completed past it.
 type shardResult struct {
-	Faulted int
-
-	Offered, Admitted, Rejected, Completed int64
-	Batches, BytesCompleted                int64
+	Report
 	// Latencies are the shard's request latencies, sorted ascending.
-	Latencies []time.Duration
-
-	IntervalEnergyJ []float64
-	// EndAt is the shard engine's clock after the post-horizon drain:
-	// the horizon, or later when held IO (a dropout window) released
-	// and completed past it.
-	EndAt time.Duration
-	// Events is the shard's total dispatched kernel event count.
-	Events uint64
-
-	MesoDehydrations, MesoRehydrations int
-	MesoParkedPeriods                  int
-	MesoAggJ                           float64
-	MesoWorstDriftFrac                 float64
-	MesoDriftOK                        bool
-
-	MesoGroupLanes, MesoGroupBuckets, MesoGroupScans int
-	MesoGroupJ                                       float64
-
-	ChurnAdds, ChurnRemoves int
-	WarmupLats, DrainLats   []time.Duration
-
-	GovSteps, GovRetries, GovFailures  int
-	Replans, Compensations, Infeasible int
-	Failovers, WakesOnDemand           int
-
-	CapOK     bool
-	CapWorstW float64
+	Latencies             []time.Duration
+	IntervalEnergyJ       []float64
+	WarmupLats, DrainLats []time.Duration
 }
 
 // shard is one independent simulation: a slice of the fleet with its
@@ -68,16 +45,9 @@ type shard struct {
 	eng  *sim.Engine
 	res  shardResult
 
-	devs []device.Device // build order; wrapped with fault where drawn
-	// planW is each device's planned draw under the shard's current plan
-	// — its cohort's ladder level — and its governor's target; the
-	// profile's maximum planning draw until a plan lands.
-	planW []float64
-	govs  []*adaptive.Governor
-
-	redirs []*adaptive.Redirector
-	lanes  []*lane
-	meso   *mesoState
+	// lanes is ascending in group number (see laneOf).
+	lanes []*lane
+	meso  *mesoState
 	// grp is the shard's cohorts and their planner, in every tier.
 	grp *groupState
 	// ledger accounts every analytically served member at its operating
@@ -88,7 +58,7 @@ type shard struct {
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
-	// materialized len(devs). Equal to len(devs) with no virtual member.
+	// materialized device count, which equals it with no virtual member.
 	devTotal int
 	// liveDevs/fleetLive are the shard's and the fleet's live device
 	// counts — the budget-slice ratio. Equal to devTotal and Spec.Size
@@ -96,11 +66,9 @@ type shard struct {
 	liveDevs, fleetLive int
 
 	// laneRates is the per-lane arrival schedule (Spec.Rates scaled by
-	// the serving replicas per group). groupLane maps a global replica-group number to its lane,
-	// nil without Spec.Churn; retiredJ is the frozen meters of retired
-	// devices (see lifecycle.go).
+	// the serving replicas per group); retiredJ is the frozen meters of
+	// retired devices (see lifecycle.go).
 	laneRates []workload.RateStep
-	groupLane map[int]int
 	retiredJ  float64
 
 	inflight int
@@ -135,19 +103,31 @@ func (s *shard) EnergyJ() float64 {
 		if l.state == laneRemoved {
 			continue
 		}
-		for _, d := range l.devs() {
+		for _, d := range l.devs {
 			sum += d.EnergyJ()
 		}
 	}
 	return sum + s.ledger.EnergyJ(s.eng.Now())
 }
 
+// laneOf returns the lane of global replica group g, nil when g is not
+// materialized in this shard. s.lanes is ascending in group number:
+// build-time groups are sorted, and buildGroup refuses a group numbered
+// at or below the last lane's.
+func (s *shard) laneOf(g int) *lane {
+	i, ok := slices.BinarySearchFunc(s.lanes, g, func(l *lane, g int) int { return l.g - g })
+	if !ok {
+		return nil
+	}
+	return s.lanes[i]
+}
+
 // lane is one replica group's request scheduler — an admission-bounded
 // FIFO queue in front of a device (or a Redirector over its replicas),
 // dispatched in batches up to the group's depth limit — and the one
 // record of everything else the shard tracks per replica group: its
-// arrival process, fault span, lifecycle state, and tier bookkeeping.
-// The lane's devices are s.devs[idx*Replicas : (idx+1)*Replicas].
+// replicas and their governors, planned draw, arrival process, fault
+// span, lifecycle state, and tier bookkeeping.
 type lane struct {
 	sh   *shard
 	idx  int
@@ -156,6 +136,18 @@ type lane struct {
 	dev  device.Device
 	rng  *sim.RNG
 	span int64
+
+	// devs are the group's replicas, wrapped with fault where drawn;
+	// redir is the Redirector over them when mirrored (dev), else nil.
+	// govs are their governors in replica order, one per device with
+	// selectable power states. planW is each replica's planned draw under
+	// the shard's current plan — its cohort's ladder level — and, times
+	// govGuard, its governor's target; the profile's maximum planning
+	// draw until a plan lands.
+	devs  []device.Device
+	redir *adaptive.Redirector
+	govs  []*adaptive.Governor
+	planW float64
 
 	queue    []time.Duration // admission timestamps
 	head     int
@@ -181,8 +173,8 @@ type lane struct {
 	warmPending         bool
 	warmFrom, drainFrom time.Duration
 
-	ml     mesoLane // meso-tier bookkeeping (barred for the run unless Spec.Meso)
-	resIdx int      // group tier: position in its cohort's resOrder
+	ml    mesoLane // meso-tier bookkeeping (barred for the run unless Spec.Meso)
+	level int      // group tier: the lane's current ladder index
 }
 
 // laneState is a lane's place in its one state machine. The meso tier
@@ -210,18 +202,6 @@ const (
 func (l *lane) gone() bool { return l.state >= laneRemoving }
 
 func (l *lane) qlen() int { return len(l.queue) - l.head }
-
-// devs and govs are the lane's replica devices and their governors
-// (nil for a device without selectable power states).
-func (l *lane) devs() []device.Device {
-	r := l.sh.spec.Replicas
-	return l.sh.devs[l.idx*r : (l.idx+1)*r]
-}
-
-func (l *lane) govs() []*adaptive.Governor {
-	r := l.sh.spec.Replicas
-	return l.sh.govs[l.idx*r : (l.idx+1)*r]
-}
 
 // arrive handles one open-loop arrival: admit into the queue or reject
 // when the queue is at capacity.
@@ -377,14 +357,11 @@ func (l *lane) submit(admitted time.Duration) {
 	l.dev.Submit(req, d.fn)
 }
 
-// planBudget is device i's governor budget under the current plan.
-func (s *shard) planBudget(i int) float64 { return s.planW[i] * govGuard }
-
-// retarget points every governor at its device's planned draw.
+// retarget points every governor at its lane's planned draw.
 func (s *shard) retarget() {
-	for i, gv := range s.govs {
-		if gv != nil {
-			gv.SetBudget(s.planBudget(i))
+	for _, l := range s.lanes {
+		for _, gv := range l.govs {
+			gv.SetBudget(l.planW * govGuard)
 		}
 	}
 }
@@ -449,9 +426,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	// groups materialize, so virtual members cost no device state at all.
 	pre := drawFaults(sp, frng, rg)
 	s.grp = planGroups(s, rg, pre)
-	if ch != nil {
-		s.groupLane = make(map[int]int, len(s.grp.buildGroups))
-	}
 	P := len(sp.Profiles)
 	for _, g := range s.grp.buildGroups {
 		if _, err := s.buildGroup(g, g%P, rng, pre); err != nil {
@@ -462,8 +436,10 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	// Initial plan, then one governor per device with selectable power
 	// states, targeted at its planned draw.
 	s.replanLive()
-	if err := s.startGovernors(0); err != nil {
-		return nil, err
+	for _, l := range s.lanes {
+		if err := s.startGovernors(l); err != nil {
+			return nil, err
+		}
 	}
 
 	// Control transitions, each through postControl: budget steps, then
@@ -539,8 +515,8 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	// Past the horizon: stop admitting and controlling, drain in-flight
 	// IO so every admitted-and-submitted request's latency is counted.
 	s.stopped = true
-	for _, gv := range s.govs {
-		if gv != nil {
+	for _, l := range s.lanes {
+		for _, gv := range l.govs {
 			gv.Stop()
 		}
 	}
@@ -556,20 +532,19 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	if s.inflight > 0 {
 		return nil, fmt.Errorf("engine drained with %d IOs in flight", s.inflight)
 	}
-	s.res.EndAt = eng.Now()
+	s.res.SimulatedDur = eng.Now()
 	s.res.Events = eng.Dispatched()
 
-	for _, gv := range s.govs {
-		if gv == nil {
-			continue
+	for _, l := range s.lanes {
+		for _, gv := range l.govs {
+			s.res.GovSteps += gv.Steps
+			s.res.GovRetries += gv.Retries
+			s.res.GovFailures += gv.Failures
 		}
-		s.res.GovSteps += gv.Steps
-		s.res.GovRetries += gv.Retries
-		s.res.GovFailures += gv.Failures
-	}
-	for _, rd := range s.redirs {
-		s.res.Failovers += rd.Failovers
-		s.res.WakesOnDemand += rd.WakesOnDemand
+		if l.redir != nil {
+			s.res.Failovers += l.redir.Failovers
+			s.res.WakesOnDemand += l.redir.WakesOnDemand
+		}
 	}
 	s.res.Latencies = s.lat.sorted()
 	// Return a copy, not &s.res: an interior pointer would keep the
@@ -586,12 +561,16 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 // the lane itself. rng roots the group's device and lane streams — the
 // shard's stream for build-time groups, a per-group churn root for
 // admitted ones. The caller starts governors and arrivals: both depend
-// on when the group joins.
+// on when the group joins. g must be above every lane's group number,
+// which keeps s.lanes sorted for laneOf.
 func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lane, error) {
+	if n := len(s.lanes); n > 0 && g <= s.lanes[n-1].g {
+		return nil, fmt.Errorf("group %d built after group %d", g, s.lanes[n-1].g)
+	}
 	sp := s.spec
 	profile := sp.Profiles[pi]
-	l := &lane{sh: s, idx: len(s.lanes), g: g, pi: pi}
-	d0 := len(s.devs)
+	l := &lane{sh: s, idx: len(s.lanes), g: g, pi: pi, planW: profileMaxW(profile)}
+	l.devs = make([]device.Device, 0, sp.Replicas)
 	for rep := 0; rep < sp.Replicas; rep++ {
 		gi := g*sp.Replicas + rep
 		name := InstanceName(profile, gi)
@@ -610,46 +589,38 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 				}
 			}
 		}
-		s.devs = append(s.devs, d)
-		s.planW = append(s.planW, profileMaxW(profile))
+		l.devs = append(l.devs, d)
 	}
 
-	l.dev = s.devs[d0]
+	l.dev = l.devs[0]
 	if sp.Replicas > 1 {
-		groupDevs := append([]device.Device(nil), s.devs[d0:]...)
-		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.active())
+		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), l.devs, sp.active())
 		if err != nil {
 			return nil, err
 		}
-		s.redirs = append(s.redirs, rd)
-		l.dev = rd
+		l.redir, l.dev = rd, rd
 	}
 	l.span = l.dev.CapacityBytes()
 	l.span -= l.span % chunkBytes
 	l.rng = rng.Stream(fmt.Sprintf("lane%05d", g))
 	s.lanes = append(s.lanes, l)
-	if s.groupLane != nil {
-		s.groupLane[g] = l.idx
-	}
 	return l, nil
 }
 
-// startGovernors gives every device from index d0 on a governor
-// targeted at its planned draw — none for a device without selectable
-// power states.
-func (s *shard) startGovernors(d0 int) error {
-	for i := d0; i < len(s.devs); i++ {
-		d := s.devs[i]
+// startGovernors gives each of lane l's replicas a governor targeted at
+// the lane's planned draw — none for a device without selectable power
+// states.
+func (s *shard) startGovernors(l *lane) error {
+	for _, d := range l.devs {
 		if len(d.PowerStates()) < 2 {
-			s.govs = append(s.govs, nil)
 			continue
 		}
-		gv, err := adaptive.NewGovernor(s.eng, d, s.planBudget(i), s.spec.ControlPeriod)
+		gv, err := adaptive.NewGovernor(s.eng, d, l.planW*govGuard, s.spec.ControlPeriod)
 		if err != nil {
 			return err
 		}
 		gv.Start()
-		s.govs = append(s.govs, gv)
+		l.govs = append(l.govs, gv)
 	}
 	return nil
 }

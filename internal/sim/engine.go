@@ -36,15 +36,13 @@ import (
 	"wattio/internal/telemetry"
 )
 
-// heapGaugeMask amortizes the heap-depth telemetry gauge
+// heapGaugeMask amortizes the queue-depth telemetry gauge
 // (sim_heap_depth): the gauge is refreshed once every heapGaugeMask+1
-// dispatches rather than on every schedule and pop. It counts the near
-// heap plus the plain timers parked on the wheel: every pending plain
-// timer and every chain representative due in the current window, the
-// set a heap holding all plain timers would hold. The gauge is a
-// monitoring aid, not an input to any simulation result, so sampling
-// it is free accuracy-wise; writing it per event showed up in kernel
-// profiles.
+// dispatches rather than on every schedule and pop. It reads Pending,
+// every queued event wherever it waits: near heap, wheel, overflow list
+// or behind a chain's head. The gauge is a monitoring aid, not an input
+// to any simulation result, so sampling it is free accuracy-wise;
+// writing it per event showed up in kernel profiles.
 const heapGaugeMask = 1023
 
 // Engine is a discrete-event scheduler over virtual time.
@@ -80,7 +78,6 @@ type Engine struct {
 	occ         [wheelBuckets / 64]uint64
 	wheelCnt    int // timers in wheel buckets
 	overflowCnt int // timers beyond the wheel span, on the overflow list
-	parkedPlain int // plain (non-chain) timers among wheelCnt+overflowCnt
 
 	// deadline is the active RunUntil bound (-1 outside RunUntil). It is
 	// exposed through Deadline so batching samplers (measure.Rig) know
@@ -364,9 +361,6 @@ func (e *Engine) park(t *Timer) {
 	} else {
 		e.overflowCnt++
 	}
-	if t.chain == nil {
-		e.parkedPlain++
-	}
 	t.slot = int32(j)
 	t.next = e.wheel[j]
 	if t.next != nil {
@@ -394,9 +388,6 @@ func (e *Engine) unlink(t *Timer) {
 		if e.wheel[j] == nil {
 			e.occ[j>>6] &^= 1 << (j & 63)
 		}
-	}
-	if t.chain == nil {
-		e.parkedPlain--
 	}
 }
 
@@ -485,7 +476,7 @@ func (e *Engine) Step() bool {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq) + e.parkedPlain))
+		e.gHeap.Set(int64(e.Pending()))
 	}
 	if t.pooled {
 		// Recycle before firing: the callback may Post again and reuse
@@ -525,7 +516,7 @@ func (e *Engine) fireChain(c *Chain) {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq) + e.parkedPlain))
+		e.gHeap.Set(int64(e.Pending()))
 	}
 	ev := c.pop()
 	if c.Len() > 0 {
