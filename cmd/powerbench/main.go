@@ -21,17 +21,15 @@
 //	powerbench -exp fig2 -trace trace.json -metrics
 //	powerbench -exp chaos -faultseed 7 -metrics
 //	powerbench -exp fleet -fleet 1000 -budget "0s:14.6pd,1s:10.5pd" -fleetfaults 0.1
-//	powerbench -exp fleet -cpuprofile cpu.prof -memprofile mem.prof -benchout timings.json
+//	powerbench -exp fleet -cpuprofile cpu.prof -memprofile mem.prof
 //
-// Profiling (-cpuprofile, -memprofile) and wall-clock timing (-benchout)
-// outputs are host-dependent by nature and are written to their own
-// files after the run; a -out results file remains bit-identical across
-// runs regardless of which of them are enabled.
+// Profiles (-cpuprofile, -memprofile) are host-dependent by nature and
+// are written to their own files after the run; a -out results file
+// remains bit-identical across runs whether or not they are enabled.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,7 +69,6 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-		benchOut   = fs.String("benchout", "", "write per-experiment wall-clock timings as JSON to this file")
 
 		fleetSize   = fs.Int("fleet", 0, "overrides fleet.size: device count")
 		fleetRepl   = fs.Int("replicas", 0, "overrides fleet.replicas: replicas per mirror group")
@@ -244,12 +241,6 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 		}
 		cpuFile = f
 	}
-	type benchEntry struct {
-		ID     string  `json:"id"`
-		WallMS float64 `json:"wall_ms"`
-	}
-	var benchLog []benchEntry
-
 	// Peak-heap sampling is terminal-only for the same reason as the
 	// wall-clock lines: the readings are host-dependent, and the -out
 	// file must stay bit-identical across runs.
@@ -289,11 +280,7 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 		// Wall-clock timing is the one nondeterministic line; it goes to
 		// the terminal only so a -out file stays bit-identical across
 		// runs (the determinism CI jobs cmp those files directly).
-		elapsed := time.Since(start)
-		if *benchOut != "" {
-			benchLog = append(benchLog, benchEntry{ID: e.ID, WallMS: float64(elapsed.Microseconds()) / 1000})
-		}
-		fmt.Fprintf(stdout, "[%s done in %v]\n", e.ID, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s done in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if mw != nil {
@@ -322,17 +309,6 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 			fmt.Fprintf(errw, "powerbench: writing metrics: %v\n", err)
 			return 1
 		}
-	}
-	if *benchOut != "" {
-		data, err := json.MarshalIndent(benchLog, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(errw, "powerbench: writing bench timings: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *benchOut)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

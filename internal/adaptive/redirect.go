@@ -16,6 +16,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"wattio/internal/device"
 	"wattio/internal/telemetry"
@@ -142,20 +143,6 @@ func (r *Redirector) SetActive(k int) error {
 	return r.applyStandby()
 }
 
-// ActiveCount returns the size of the active set.
-func (r *Redirector) ActiveCount() int {
-	n := 0
-	for _, a := range r.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// Devices returns the managed replicas.
-func (r *Redirector) Devices() []device.Device { return r.devs }
-
 // pick returns the least-loaded healthy active replica index, and
 // whether an unhealthy active replica had to be skipped to find it.
 // It returns -1 if no active replica is healthy.
@@ -217,8 +204,8 @@ func (r *Redirector) Submit(req device.Request, done func()) {
 }
 
 // CompletedByReplica returns per-replica completion counts, indexed
-// like Devices(). Chaos experiments use the deltas to show load
-// draining back onto a recovered replica.
+// like the replicas passed to NewRedirector. Chaos experiments use the
+// deltas to show load draining back onto a recovered replica.
 func (r *Redirector) CompletedByReplica() []int {
 	out := make([]int, len(r.completed))
 	copy(out, r.completed)
@@ -278,7 +265,7 @@ func (r *Redirector) EnterStandby() error {
 func (r *Redirector) Wake() error { return r.SetActive(1) }
 
 // Standby implements device.Device: true when no replica is active.
-func (r *Redirector) Standby() bool { return r.ActiveCount() == 0 }
+func (r *Redirector) Standby() bool { return !slices.Contains(r.active, true) }
 
 // Settled implements device.Device: true when every replica's standby
 // or wake transition has finished.

@@ -186,7 +186,7 @@ func (s *shard) startLaneArrivals(l *lane) error {
 	if s.eng.Now() >= sp.Horizon {
 		return nil
 	}
-	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, s.laneRates, sp.Horizon, l.arrive, nil)
+	a, err := workload.StartArrivalsSchedule(s.eng, l.astream, s.laneRates, sp.Horizon, l.arrive)
 	if err != nil {
 		return err
 	}

@@ -17,11 +17,12 @@
 //     per-engine free list and return it after firing;
 //   - recurring work re-arms a single Timer in place (Reschedule,
 //     Periodic) instead of allocating a fresh timer and closure per tick;
-//   - one arm rule covers every timer: an event due inside the current
-//     512 ns near window goes into the heap, anything later waits on a
-//     4096-bucket timing wheel (≈2.1 ms span; later still, an overflow
-//     list re-filed once per revolution), so the heap holds only the
-//     current window;
+//   - one arm rule covers every event, a device's posts and owned timers
+//     alike, with no per-source queue in front of it: an event due inside
+//     the current 512 ns near window goes into the heap, anything later
+//     waits on a 4096-bucket timing wheel (≈2.1 ms span; later still, an
+//     overflow list re-filed once per revolution), so the heap holds only
+//     the current window;
 //   - stopped and rescheduled timers leave the queue eagerly, in O(1):
 //     through their tracked heap index, or by unlinking from the
 //     doubly-linked wheel list recorded on the timer, so the queue never
@@ -38,11 +39,12 @@ import (
 
 // heapGaugeMask amortizes the queue-depth telemetry gauge
 // (sim_heap_depth): the gauge is refreshed once every heapGaugeMask+1
-// dispatches rather than on every schedule and pop. It reads Pending,
-// every queued event wherever it waits: near heap, wheel, overflow list
-// or behind a chain's head. The gauge is a monitoring aid, not an input
-// to any simulation result, so sampling it is free accuracy-wise;
-// writing it per event showed up in kernel profiles.
+// dispatches rather than on every schedule and pop. It reads Pending
+// after the fired event has left the queue: every queued event
+// wherever it waits, near heap, wheel or overflow list. The gauge is a
+// monitoring aid, not an input to any simulation result, so sampling it
+// is free accuracy-wise; writing it per event showed up in kernel
+// profiles.
 const heapGaugeMask = 1023
 
 // Engine is a discrete-event scheduler over virtual time.
@@ -58,16 +60,10 @@ type Engine struct {
 
 	free *Timer // free list of pooled (Post) timers
 
-	// chainExtra counts events queued on Chains but not represented in
-	// the heap or on the wheel: every event beyond a chain's head.
-	// Pending sums it in.
-	chainExtra int
-
-	// Timing wheel holding every timer — plain or chain representative —
-	// due beyond the near window [wBase, wBase+wheelWidth). Parked
-	// timers cost O(1) to file, unlink and surface, versus a full-depth
-	// heap sift; the heap ("near heap") holds only the current window.
-	// Invariants: every parked timer has at >= wBase+wheelWidth and
+	// Timing wheel holding every timer due beyond the near window
+	// [wBase, wBase+wheelWidth). Parked timers cost O(1) to file,
+	// unlink and surface, versus a full-depth heap sift; the heap
+	// ("near heap") holds only the current window. Invariants: every parked timer has at >= wBase+wheelWidth and
 	// every heap entry has at < wBase+wheelWidth, so a non-empty near
 	// heap always holds the global minimum. occ has one bit per
 	// non-empty bucket, letting wheelAdvance skip empty buckets in one
@@ -141,7 +137,6 @@ type Timer struct {
 	prev   *Timer        // wheel-list back link
 	index  int           // heap index, -1 when not in the heap
 	period time.Duration // >0: auto re-arm after firing (Periodic)
-	chain  *Chain        // chain this timer represents, nil for plain timers
 
 	slot    int32 // wheel slot whose list holds the timer, -1 when not parked
 	pooled  bool  // owned by the engine free list; no external handle exists
@@ -173,7 +168,11 @@ func (t *Timer) Stop() bool {
 	}
 	t.stopped = true
 	e := t.eng
-	e.dequeue(t)
+	if t.index >= 0 {
+		e.heapRemove(t.index)
+	} else {
+		e.unlink(t)
+	}
 	e.cStopped.Inc()
 	if t.pooled {
 		t.recycle()
@@ -391,15 +390,6 @@ func (e *Engine) unlink(t *Timer) {
 	}
 }
 
-// dequeue removes a pending timer from whichever queue holds it.
-func (e *Engine) dequeue(t *Timer) {
-	if t.index >= 0 {
-		e.heapRemove(t.index)
-	} else {
-		e.unlink(t)
-	}
-}
-
 // nextOccupied returns the first non-empty bucket at or after j, or
 // wheelBuckets when none is left before the wrap.
 func (e *Engine) nextOccupied(j int) int {
@@ -460,10 +450,6 @@ func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	if c := e.pq[0].t.chain; c != nil {
-		e.fireChain(c)
-		return true
-	}
 	t := e.heapPop()
 	// The virtual clock is monotone by construction (Schedule rejects
 	// the past, the heap orders by time); this check turns any future
@@ -499,41 +485,6 @@ func (e *Engine) Step() bool {
 		e.arm(t)
 	}
 	return true
-}
-
-// fireChain dispatches the head event of a chain whose representative
-// sits at the heap root. When the chain has a successor the root is
-// re-keyed in place and sifted down — the successor is usually among
-// the earliest pending events, so the sift ends after a level or two,
-// versus a full-depth pop plus push. The head runs after the re-key so
-// it may post to its own chain.
-func (e *Engine) fireChain(c *Chain) {
-	rep := &c.rep
-	if rep.at < e.now {
-		panic(fmt.Sprintf("sim: clock would go backward: event at %v, now %v", rep.at, e.now))
-	}
-	e.now = rep.at
-	e.cEvents.Inc()
-	e.dispatched++
-	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(e.Pending()))
-	}
-	ev := c.pop()
-	if c.Len() > 0 {
-		h := &c.evs[c.head]
-		rep.at, rep.seq = h.at, h.seq
-		if h.at < e.wBase+wheelWidth {
-			e.pq[0].at = h.at
-			e.siftDown(0)
-		} else {
-			e.heapPop()
-			e.arm(rep)
-		}
-		e.chainExtra--
-	} else {
-		e.heapPop()
-	}
-	ev.fn()
 }
 
 // Run fires events until the queue is empty.
@@ -600,11 +551,10 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 }
 
 // Pending returns the number of events still queued (including events at
-// the current instant, events queued on Chains, and events on the timing
-// wheel). Stopped timers leave the queue immediately, so this is a live
-// count, O(1).
+// the current instant and events on the timing wheel). Stopped timers
+// leave the queue immediately, so this is a live count, O(1).
 func (e *Engine) Pending() int {
-	return len(e.pq) + e.chainExtra + e.wheelCnt + e.overflowCnt
+	return len(e.pq) + e.wheelCnt + e.overflowCnt
 }
 
 // Dispatched returns the number of events the engine has fired since

@@ -6,16 +6,15 @@ import (
 	"time"
 )
 
-// The engine's inlined 4-ary heap (plus the chains' sorted queues and the
-// timing wheel in front of it) must fire events in exactly the order a
-// textbook priority queue over (time, seq) would. FuzzHeapDifferential
-// drives both from the same random script of schedule / post / chain-post
-// / stop / reschedule / periodic / step / advance operations and
-// requires identical fire sequences, including FIFO order among
-// co-timed events. Chain posts land in any order at or after now, on
-// three chains of one slab: near posts behind far ones, and early posts
-// that become a chain's new head and re-key its representative wherever
-// it waits. Far chain posts step in eighths of the
+// The engine's inlined 4-ary heap (plus the timing wheel in front of it)
+// must fire events in exactly the order a textbook priority queue over
+// (time, seq) would. FuzzHeapDifferential drives both from the same
+// random script of schedule / post / stop / reschedule / periodic /
+// step / advance operations and requires identical fire sequences,
+// including FIFO order among co-timed events. Posts land in any order at
+// or after now: near posts behind far ones, and early posts ahead of
+// everything queued, as a device's event sources post them. Far posts
+// step in eighths of the
 // wheel span so the fuzzer reaches the exact wheel/overflow boundary
 // (at == wBase+wheelSpan), which must park on the wheel, not the
 // overflow list. Far plain timers step in sixteenths of the span plus a
@@ -69,7 +68,7 @@ func FuzzHeapDifferential(f *testing.F) {
 	// the window jump cannot move wBase) must file on the wheel.
 	f.Add([]byte{6, 0, 6, 7, 5, 0, 5, 0, 5, 0})
 	f.Add([]byte{6, 7, 7, 0, 7, 0, 5, 0, 6, 7, 5, 0, 5, 0})
-	// Early chain posts interleaved with near-heap traffic.
+	// Early posts interleaved with near-heap traffic.
 	f.Add([]byte{2, 0, 7, 0, 1, 10, 5, 0, 7, 0, 5, 0, 5, 0})
 	// A parked plain timer rescheduled into a different bucket, then
 	// back into the near window.
@@ -99,25 +98,20 @@ func FuzzHeapDifferential(f *testing.F) {
 	// Periodic timers re-arming onto the wheel and across revolutions,
 	// one rescheduled and one stopped mid-series.
 	f.Add([]byte{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0})
-	// Six posts on one slab chain outgrow its four inline slots, first
-	// from a fresh chain, then after two steps have popped its head,
-	// with its slab neighbour interleaved.
+	// Runs of ascending near posts, interleaved with steps that pop
+	// their heads.
 	f.Add([]byte{2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 1, 5, 0, 5, 0, 2, 14, 2, 16, 2, 18, 2, 20, 2, 22, 5, 0})
 	f.Add([]byte{2, 2, 2, 4, 2, 6, 5, 0, 5, 0, 2, 8, 2, 10, 2, 12, 2, 14, 5, 0, 5, 0})
-	// A slab chain queueing past its inline slots while early posts
-	// keep taking its head.
+	// Ascending near posts while early posts keep taking the head.
 	f.Add([]byte{2, 2, 7, 0, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 3, 7, 0, 5, 0, 5, 0})
-	// Far posts on all three chains (on the wheel and beyond its span),
-	// then early posts that pull each representative back into the near
-	// heap, co-timed with one another and with plain posts.
+	// Far posts (on the wheel and beyond its span), then early posts
+	// ahead of them, co-timed with one another and with plain posts.
 	f.Add([]byte{6, 0, 6, 1, 6, 10, 6, 11, 7, 0, 7, 1, 7, 2, 1, 0, 7, 4, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
-	// Descending near posts on one chain, each the new head.
+	// Descending near posts, each the new head.
 	f.Add([]byte{2, 200, 2, 150, 2, 100, 2, 50, 2, 0, 7, 3, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine()
-		slab := e.NewChains(3)
-		chains := [3]*Chain{&slab[0], &slab[1], &slab[2]}
 
 		var ref refHeap
 		var refSeq uint64
@@ -210,10 +204,11 @@ func FuzzHeapDifferential(f *testing.F) {
 			return time.Duration(arg%64+1)*(wheelSpan/16) + time.Duration(arg>>6)*wheelWidth
 		}
 
-		chainPost := func(k int, at time.Duration) {
+		// post files a fire-and-forget event on both sides.
+		post := func(at time.Duration) {
 			id := nextID
 			nextID++
-			chains[k].Post(at, func() { engFired = append(engFired, id) })
+			e.Post(at, func() { engFired = append(engFired, id) })
 			push(at, id, -1)
 		}
 
@@ -224,13 +219,8 @@ func FuzzHeapDifferential(f *testing.F) {
 			switch op {
 			case 0: // schedule an owned timer
 				own(at, 0)
-			case 1: // fire-and-forget post
-				id := nextID
-				nextID++
-				e.Post(at, func() { engFired = append(engFired, id) })
-				push(at, id, -1)
-			case 2: // near chain post, often behind the chain's far posts
-				chainPost(int(arg)%2, at)
+			case 1, 2: // fire-and-forget post, often behind far posts
+				post(at)
 			case 3: // stop an owned timer
 				if len(owned) == 0 {
 					continue
@@ -253,10 +243,9 @@ func FuzzHeapDifferential(f *testing.F) {
 			case 5, 15: // dispatch one event
 				step(i)
 			case 6: // far post in span-eighths: wheel parking, exact span boundary, overflow
-				farAt := e.Now() + time.Duration(int(arg)%32+1)*(wheelSpan/8)
-				chainPost(int(arg)%2, farAt)
-			case 7: // early chain post: within a few ns of now, usually the chain's new head
-				chainPost(int(arg)%3, e.Now()+time.Duration(arg>>2))
+				post(e.Now() + time.Duration(int(arg)%32+1)*(wheelSpan/8))
+			case 7: // early post: within a few ns of now, usually the new head
+				post(e.Now() + time.Duration(arg>>2))
 			case 8: // schedule an owned timer far out: wheel or overflow
 				own(e.Now()+farDelta(arg), 0)
 			case 9: // reschedule an owned timer far out
@@ -276,11 +265,7 @@ func FuzzHeapDifferential(f *testing.F) {
 					e.AdvanceTo(to)
 				}
 			case 12: // fire-and-forget post far out
-				id := nextID
-				nextID++
-				farAt := e.Now() + farDelta(arg)
-				e.Post(farAt, func() { engFired = append(engFired, id) })
-				push(farAt, id, -1)
+				post(e.Now() + farDelta(arg))
 			case 13: // peek at the next event
 				at, ok := e.NextEventAt()
 				if ok != (ref.Len() > 0) || ok && at != ref[0].at {

@@ -41,9 +41,6 @@ func (g *RNG) Int64N(n int64) int64 { return g.r.Int64N(n) }
 // IntN returns a uniform draw in [0, n). It panics if n <= 0.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 
-// NormFloat64 returns a standard normal draw.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Gaussian returns a normal draw with the given mean and standard
 // deviation.
 func (g *RNG) Gaussian(mean, stddev float64) float64 {

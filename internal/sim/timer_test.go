@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -204,12 +203,11 @@ func TestStopRemovesEagerly(t *testing.T) {
 // --- timing wheel ---------------------------------------------------------
 
 func TestWheelFarChainEvent(t *testing.T) {
-	// A chain event far beyond the near window parks on the wheel and
+	// A posted event far beyond the near window parks on the wheel and
 	// still fires in global (time, seq) order with near events.
 	e := NewEngine()
-	c := e.NewChain()
 	var order []string
-	c.Post(10*wheelWidth, func() { order = append(order, "far") })
+	e.Post(10*wheelWidth, func() { order = append(order, "far") })
 	e.Schedule(wheelWidth/2, func() { order = append(order, "near") })
 	e.Schedule(10*wheelWidth, func() { order = append(order, "co-timed-later") })
 	if e.Pending() != 3 {
@@ -223,23 +221,21 @@ func TestWheelFarChainEvent(t *testing.T) {
 
 func TestWheelOverflow(t *testing.T) {
 	// An event beyond the wheel span lands in the overflow list and is
-	// re-filed when the cursor wraps; interleave nearer chain events so
-	// the wheel genuinely revolves.
+	// re-filed when the cursor wraps; interleave nearer events so the
+	// wheel genuinely revolves.
 	e := NewEngine()
-	far := e.NewChain()
-	busy := e.NewChain()
 	var got []time.Duration
 	farAt := 3 * wheelSpan
-	far.Post(farAt, func() { got = append(got, e.Now()) })
+	e.Post(farAt, func() { got = append(got, e.Now()) })
 	var tick func()
 	step := wheelSpan / 16
 	tick = func() {
 		got = append(got, e.Now())
 		if e.Now()+step < farAt+step {
-			busy.Post(e.Now()+step, tick)
+			e.Post(e.Now()+step, tick)
 		}
 	}
-	busy.Post(step, tick)
+	e.Post(step, tick)
 	e.Run()
 	if got[len(got)-1] != farAt {
 		t.Fatalf("overflow event fired at %v, want %v (fired %d events)", got[len(got)-1], farAt, len(got))
@@ -256,9 +252,8 @@ func TestWheelSparseSchedule(t *testing.T) {
 	// instead of walking thousands of empty buckets (behaviorally: the
 	// event still fires at its time, cheap or not).
 	e := NewEngine()
-	c := e.NewChain()
 	fired := time.Duration(-1)
-	c.Post(time.Second, func() { fired = e.Now() })
+	e.Post(time.Second, func() { fired = e.Now() })
 	e.Run()
 	if fired != time.Second {
 		t.Fatalf("sparse far event fired at %v, want 1s", fired)
@@ -267,8 +262,7 @@ func TestWheelSparseSchedule(t *testing.T) {
 
 func TestAdvanceToRespectsParkedEvents(t *testing.T) {
 	e := NewEngine()
-	c := e.NewChain()
-	c.Post(5*wheelWidth, func() {})
+	e.Post(5*wheelWidth, func() {})
 	// Advancing short of the parked event is fine.
 	e.AdvanceTo(2 * wheelWidth)
 	if e.Now() != 2*wheelWidth {
@@ -277,7 +271,7 @@ func TestAdvanceToRespectsParkedEvents(t *testing.T) {
 	// Advancing past it must panic: the event would be skipped.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AdvanceTo past a parked chain event did not panic")
+			t.Fatal("AdvanceTo past a parked event did not panic")
 		}
 	}()
 	e.AdvanceTo(6 * wheelWidth)
@@ -285,216 +279,60 @@ func TestAdvanceToRespectsParkedEvents(t *testing.T) {
 
 func TestNextEventAtSeesParkedEvents(t *testing.T) {
 	e := NewEngine()
-	c := e.NewChain()
-	c.Post(7*wheelWidth, func() {})
+	e.Post(7*wheelWidth, func() {})
 	at, ok := e.NextEventAt()
 	if !ok || at != 7*wheelWidth {
 		t.Fatalf("NextEventAt() = %v, %v; want %v, true", at, ok, 7*wheelWidth)
 	}
 }
 
-// --- chains ---------------------------------------------------------------
+// --- posts ----------------------------------------------------------------
 
 func TestChainFIFOWithPlainTimers(t *testing.T) {
-	// Co-timed events fire in scheduling order regardless of whether
-	// they ride a chain or the heap.
+	// Co-timed events fire in scheduling order whether they were posted
+	// fire-and-forget or scheduled with a handle.
 	e := NewEngine()
-	c := e.NewChain()
 	var order []int
 	rec := func(i int) func() { return func() { order = append(order, i) } }
 	e.Schedule(time.Second, rec(0))
-	c.Post(time.Second, rec(1))
+	e.Post(time.Second, rec(1))
 	e.Schedule(time.Second, rec(2))
-	c.Post(time.Second, rec(3))
+	e.Post(time.Second, rec(3))
 	e.Run()
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("co-timed chain/plain order = %v, want [0 1 2 3]", order)
+			t.Fatalf("co-timed post/schedule order = %v, want [0 1 2 3]", order)
 		}
 	}
 }
 
 func TestChainBackwardPostPanics(t *testing.T) {
-	// A chain takes posts in any order, but never before now.
+	// Posts come in any time order, but never before now.
 	e := NewEngine()
-	c := e.NewChain()
-	c.Post(2*time.Second, func() {})
+	e.Post(2*time.Second, func() {})
 	e.RunUntil(time.Second)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("chain Post before now did not panic")
+			t.Fatal("Post before now did not panic")
 		}
 	}()
-	c.Post(time.Second-1, func() {})
-}
-
-// TestChainParkUnpark: a post earlier than the chain's head becomes the
-// new head, so the chain parks its representative (takes it out of
-// whichever structure it waits in: near heap, wheel bucket, overflow
-// list) and unparks it under the new key.
-// Events still fire in global (time, seq) order, interleaved with plain
-// timers and with another chain. The slab variants draw both chains
-// from one NewChains slab and post enough that the chain's queue leaves
-// its inline storage.
-func TestChainParkUnpark(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name string
-		at   time.Duration // where the chain's first head lands
-		slab bool
-	}{
-		{"heap", 100, false},
-		{"wheel", 2 * wheelWidth, false},
-		{"overflow", wheelSpan + 2*wheelWidth, false},
-		{"slab/heap", 100, true},
-		{"slab/wheel", 2 * wheelWidth, true},
-		{"slab/overflow", wheelSpan + 2*wheelWidth, true},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			e := NewEngine()
-			// A second chain keeps the wheel occupied so the window jump
-			// cannot reclassify tc.at, and provides interleaved events.
-			other, c := e.NewChain(), e.NewChain()
-			early := 1
-			if tc.slab {
-				cs := e.NewChains(2)
-				other, c = &cs[0], &cs[1]
-				early = 5 // 2 + 5 > 4 inline slots
-			}
-			var got []string
-			note := func(s string) func() { return func() { got = append(got, s) } }
-			other.Post(wheelWidth, note("other"))
-			c.Post(tc.at, note("head"))
-			c.Post(tc.at+5, note("tail"))
-			// Each post lands before the last, so each is the new head.
-			for i := early; i > 0; i-- {
-				c.Post(time.Duration(10*i), note(fmt.Sprintf("early%d", i)))
-			}
-			e.Post(10, note("plain")) // co-timed with early1, posted after it
-			if c.Len() != 2+early || e.Pending() != 4+early {
-				t.Fatalf("Len = %d, Pending = %d; want %d, %d", c.Len(), e.Pending(), 2+early, 4+early)
-			}
-			if onInline := &c.evs[0] == &c.inline[0]; onInline != (2+early <= len(c.inline)) {
-				t.Fatalf("%d queued events, queue on inline storage = %v", 2+early, onInline)
-			}
-			e.Run()
-			var want []string
-			for i := 1; i <= early; i++ {
-				want = append(want, fmt.Sprintf("early%d", i))
-				if i == 1 {
-					want = append(want, "plain")
-				}
-			}
-			if tc.at < wheelWidth {
-				want = append(want, "head", "tail", "other")
-			} else {
-				want = append(want, "other", "head", "tail")
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("fired %v, want %v", got, want)
-			}
-		})
-	}
-}
-
-func TestChainPostLooseFallsBack(t *testing.T) {
-	// A post before the chain's last event but after its head falls back
-	// from appending to a sorted insert inside the queue, behind every
-	// event at or before its time; global fire order is still (time, seq).
-	e := NewEngine()
-	c := e.NewChain()
-	var order []string
-	note := func(s string) func() { return func() { order = append(order, s) } }
-	c.Post(time.Second, note("head"))
-	c.Post(3*time.Second, note("last"))
-	e.Post(2*time.Second, note("plain-before"))
-	c.Post(2*time.Second, note("loose"))
-	e.Post(2*time.Second, note("plain-after"))
-	if c.Len() != 3 {
-		t.Fatalf("chain Len() = %d, want 3 (the loose post stays on the chain)", c.Len())
-	}
-	e.Run()
-	want := "[head plain-before loose plain-after last]"
-	if got := fmt.Sprint(order); got != want {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
-func TestChainRingGrowth(t *testing.T) {
-	// Queue far more events than the inline slots; order must survive
-	// the move to the heap.
-	e := NewEngine()
-	c := e.NewChain()
-	const n = 100
-	var got []int
-	for i := 0; i < n; i++ {
-		i := i
-		c.Post(time.Duration(i)*time.Millisecond, func() { got = append(got, i) })
-	}
-	if e.Pending() != n {
-		t.Fatalf("Pending() = %d, want %d", e.Pending(), n)
-	}
-	e.Run()
-	if len(got) != n {
-		t.Fatalf("fired %d, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("chain events reordered at %d: %v...", i, got[:i+1])
-		}
-	}
-}
-
-func TestChainQueueSlidesDown(t *testing.T) {
-	// A chain that keeps eight events queued while it fires reuses its
-	// slice: once half of it is popped, a post slides the queue down
-	// instead of growing it. Posts land out of order, and events still
-	// fire in (time, seq) order.
-	e := NewEngine()
-	c := e.NewChain()
-	var got []time.Duration
-	fired := 0
-	var fn func()
-	fn = func() {
-		got = append(got, e.Now())
-		if fired++; fired < 1000 {
-			c.Post(e.Now()+time.Duration(fired*37%11)*time.Microsecond, fn)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		c.Post(time.Duration(i)*time.Microsecond, fn)
-	}
-	e.Run()
-	if len(got) != 1007 {
-		t.Fatalf("fired %d events, want 1007", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("event %d fired at %v after %v", i, got[i], got[i-1])
-		}
-	}
-	if n := cap(c.evs); n > 16 {
-		t.Fatalf("queue grew to %d slots for 8 queued events", n)
-	}
+	e.Post(time.Second-1, func() {})
 }
 
 func TestChainPostFromOwnCallback(t *testing.T) {
-	// A chain event may extend its own chain while firing — the pattern
-	// every serialized device resource uses.
+	// A posted event may post its successor while firing — the pattern
+	// every serialized device resource uses — and may reuse its own
+	// pooled timer doing so.
 	e := NewEngine()
-	c := e.NewChain()
 	fired := 0
 	var fn func()
 	fn = func() {
 		fired++
 		if fired < 8 {
-			c.Post(e.Now()+time.Millisecond, fn)
+			e.Post(e.Now()+time.Millisecond, fn)
 		}
 	}
-	c.Post(time.Millisecond, fn)
+	e.Post(time.Millisecond, fn)
 	e.Run()
 	if fired != 8 {
 		t.Fatalf("fired = %d, want 8", fired)
@@ -525,20 +363,6 @@ func TestPeriodicAllocFree(t *testing.T) {
 	}
 }
 
-func TestChainAllocFree(t *testing.T) {
-	// Chain post → fire → re-key, including wheel parking (the
-	// microsecond period is beyond the near window).
-	e := NewEngine()
-	c := e.NewChain()
-	var fn func()
-	fn = func() { c.Post(e.Now()+time.Microsecond, fn) }
-	c.Post(time.Microsecond, fn)
-	e.Step() // warm: allocates the wheel bucket array on first park
-	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
-		t.Fatalf("steady-state chain cycle allocates %v per event, want 0", n)
-	}
-}
-
 // --- kernel microbenchmarks -----------------------------------------------
 
 // BenchmarkEngineSchedule measures the steady-state schedule → dispatch
@@ -551,26 +375,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	fn = func() { e.PostAfter(time.Microsecond, fn) }
 	for i := 1; i <= fan; i++ {
 		e.PostAfter(time.Duration(i)*time.Microsecond/fan, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// BenchmarkEngineChain measures the chain fast path under fan-out wide
-// enough that representatives park on the timing wheel.
-func BenchmarkEngineChain(b *testing.B) {
-	e := NewEngine()
-	const fan = 64
-	chains := make([]*Chain, fan)
-	for i := range chains {
-		c := e.NewChain()
-		chains[i] = c
-		var fn func()
-		fn = func() { c.Post(e.Now()+50*time.Microsecond, fn) }
-		c.Post(time.Duration(i+1)*time.Microsecond, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,30 +6,29 @@ import (
 )
 
 // TestWheelSpanBoundaryParksOnWheel pins the timing-wheel boundary
-// semantics: a chain representative whose head event lands exactly one
-// full revolution out (at == wBase+wheelSpan) files into its wheel
-// bucket, not the overflow list. Before the fix, park routed the exact
-// boundary to overflow (`>= wheelSpan`) while the invariant and the
-// re-file path treated the wheel as covering it — the rep took a
-// needless extra revolution through the overflow scan, and the two
-// paths disagreed about which structure owned the boundary.
+// semantics: an event that lands exactly one full revolution out
+// (at == wBase+wheelSpan) files into its wheel bucket, not the overflow
+// list. Before the fix, park routed the exact boundary to overflow
+// (`>= wheelSpan`) while the invariant and the re-file path treated the
+// wheel as covering it — the event took a needless extra revolution
+// through the overflow scan, and the two paths disagreed about which
+// structure owned the boundary.
 func TestWheelSpanBoundaryParksOnWheel(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
-	near, far := e.NewChain(), e.NewChain()
 
 	// Occupy the wheel first so park's empty-wheel window jump cannot
 	// move wBase: the boundary value below stays exact.
-	near.Post(wheelWidth, func() {})
+	e.Post(wheelWidth, func() {})
 	if e.wheelCnt != 1 || e.overflowCnt != 0 {
 		t.Fatalf("setup: wheelCnt=%d overflowCnt=%d, want 1, 0", e.wheelCnt, e.overflowCnt)
 	}
 
-	// Head exactly at wBase+wheelSpan: must park on the wheel.
+	// Exactly at wBase+wheelSpan: must park on the wheel.
 	var fired []time.Duration
-	far.Post(e.wBase+wheelSpan, func() { fired = append(fired, e.Now()) })
+	e.Post(e.wBase+wheelSpan, func() { fired = append(fired, e.Now()) })
 	if e.overflowCnt != 0 {
-		t.Fatalf("rep at exactly wBase+wheelSpan went to overflow (overflowCnt=%d, wheelCnt=%d)",
+		t.Fatalf("event at exactly wBase+wheelSpan went to overflow (overflowCnt=%d, wheelCnt=%d)",
 			e.overflowCnt, e.wheelCnt)
 	}
 	if e.wheelCnt != 2 {
@@ -37,10 +36,9 @@ func TestWheelSpanBoundaryParksOnWheel(t *testing.T) {
 	}
 
 	// Strictly beyond the span still overflows.
-	deep := e.NewChain()
-	deep.Post(e.wBase+wheelSpan+1, func() { fired = append(fired, e.Now()) })
+	e.Post(e.wBase+wheelSpan+1, func() { fired = append(fired, e.Now()) })
 	if e.overflowCnt != 1 {
-		t.Fatalf("rep beyond wBase+wheelSpan should overflow (overflowCnt=%d)", e.overflowCnt)
+		t.Fatalf("event beyond wBase+wheelSpan should overflow (overflowCnt=%d)", e.overflowCnt)
 	}
 
 	if e.Pending() != 3 {
@@ -56,20 +54,18 @@ func TestWheelSpanBoundaryParksOnWheel(t *testing.T) {
 // TestWheelSpanBoundaryFireOrder drives co-timed and boundary-adjacent
 // events through heap, wheel, and overflow and checks the dispatch
 // order is exactly (time, then scheduling order) — the exact-boundary
-// rep must not be reordered by which structure carried it.
+// event must not be reordered by which structure carried it.
 func TestWheelSpanBoundaryFireOrder(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
 	var got []int
 	note := func(id int) func() { return func() { got = append(got, id) } }
 
-	a, b, c := e.NewChain(), e.NewChain(), e.NewChain()
-	a.Post(wheelWidth, note(0))  // wheel, defeats the window jump
-	b.Post(wheelSpan-1, note(1)) // wheel, last bucket
-	c.Post(wheelSpan, note(2))   // exact boundary: wheel
-	e.Post(wheelSpan, note(3))   // plain timer, co-timed with 2: FIFO after it
-	d := e.NewChain()
-	d.Post(wheelSpan+wheelWidth, note(4)) // beyond the span: overflow
+	e.Post(wheelWidth, note(0))           // wheel, defeats the window jump
+	e.Post(wheelSpan-1, note(1))          // wheel, last bucket
+	e.Post(wheelSpan, note(2))            // exact boundary: wheel
+	e.Schedule(wheelSpan, note(3))        // owned timer, co-timed with 2: FIFO after it
+	e.Post(wheelSpan+wheelWidth, note(4)) // beyond the span: overflow
 	e.Post(wheelWidth-1, note(5))         // near heap
 
 	e.Run()

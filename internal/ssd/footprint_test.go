@@ -9,9 +9,10 @@ import (
 	"wattio/internal/ssd"
 )
 
-// maxSSDBytes bounds a fresh SSD2's live heap, ~3.3 KB. One NAND chain
-// and one meter record carry all 128 dies; a chain and a meter record
-// per die would add ~290 B per die, ~37 KB in all.
+// maxSSDBytes bounds a fresh SSD2's live heap, ~2.0 KB. One meter
+// record carries all 128 dies, and the device's events wait in the
+// engine's queues; an event queue and a meter record per die held
+// ~37 KB more.
 const maxSSDBytes = 8 << 10
 
 // TestSSDFootprint measures the live heap a fresh 128-die SSD2 holds,

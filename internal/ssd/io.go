@@ -104,7 +104,7 @@ func (d *SSD) getOp() *ssdOp {
 // pageOp is a run of NAND page operations (programs or reads) of one
 // programPages or readPath call that all start at one instant and end at
 // one instant: a power-on event at start and a power-off/bookkeeping
-// event at end, both on the device's NAND chain. The run's pages sit at
+// event at end, both posted to the engine. The run's pages sit at
 // the offsets o of mask's set bits from its first page (see postRuns).
 // Pooled like ssdOp.
 type pageOp struct {
@@ -157,8 +157,8 @@ func (d *SSD) begin(r device.Request, done func()) {
 	op := d.getOp()
 	op.r, op.done, op.sequential, op.eCmd = r, done, sequential, eCmd
 	op.pulseW = pulseW
-	d.chCmd.Post(start, op.cmdStartFn)
-	d.chCmd.Post(end, op.cmdEndFn)
+	d.eng.Post(start, op.cmdStartFn)
+	d.eng.Post(end, op.cmdEndFn)
 }
 
 func (op *ssdOp) cmdStart() {
@@ -172,7 +172,7 @@ func (op *ssdOp) cmdEnd() {
 	// Admit the host-path energy (command + link transfer) against
 	// the power-state regulator before moving data.
 	ready := d.admit(op.eCmd + d.linkEnergyJ(op.r.Size))
-	d.chReady.Post(ready, op.pathReadyFn)
+	d.eng.Post(ready, op.pathReadyFn)
 }
 
 func (op *ssdOp) pathReady() {
@@ -195,8 +195,8 @@ func (op *ssdOp) pathReady() {
 func (op *ssdOp) wReserved() {
 	d := op.d
 	xferStart, xferEnd := occupy(&d.linkFreeAt, d.eng.Now(), d.linkTime(op.r.Size))
-	d.chLink.Post(xferStart, op.wXferStartFn)
-	d.chLink.Post(xferEnd, op.wXferEndFn)
+	d.eng.Post(xferStart, op.wXferStartFn)
+	d.eng.Post(xferEnd, op.wXferEndFn)
 }
 
 func (op *ssdOp) wXferStart() {
@@ -208,7 +208,7 @@ func (op *ssdOp) wXferEnd() {
 	d := op.d
 	d.meter.Set(d.cIface, d.cfg.PIfaceIdle, d.eng.Now())
 	insert := d.cfg.TWriteAck + time.Duration(float64(op.r.Size)/(d.cfg.InsertBWMBps*1e6)*float64(time.Second))
-	d.chInsert.Post(d.eng.Now()+insert, op.wInsertFn)
+	d.eng.Post(d.eng.Now()+insert, op.wInsertFn)
 }
 
 func (op *ssdOp) wInsert() {
@@ -223,7 +223,7 @@ func (op *ssdOp) wInsert() {
 	op.nandBytes = nandBytes
 	energy := d.eProg * nandBytes / float64(d.cfg.PageSize)
 	ready := d.admit(energy)
-	d.chReady.Post(ready, op.wAckReadyFn)
+	d.eng.Post(ready, op.wAckReadyFn)
 }
 
 func (op *ssdOp) wAckReady() {
@@ -396,13 +396,13 @@ func (d *SSD) postRuns(runs []pageRun, k int, dur time.Duration, group *ssdOp, h
 	for i, j := 0, 0; j < len(runs); {
 		r, at, end := nextEvent(runs, &i, &j, dur)
 		if end {
-			d.chNand.Post(at, r.pg.endFn)
+			d.eng.Post(at, r.pg.endFn)
 			continue
 		}
 		pg := d.getPage()
 		pg.group, pg.release, pg.mask, pg.nRel = group, release, r.mask, max(host-r.lo, 0)
 		r.pg = pg
-		d.chNand.Post(at, pg.startFn)
+		d.eng.Post(at, pg.startFn)
 	}
 }
 
@@ -454,8 +454,8 @@ func (d *SSD) postPerPage(runs []pageRun, k int, dur time.Duration, group *ssdOp
 		if i < host {
 			pg.nRel = 1
 		}
-		d.chNand.Post(at, pg.startFn)
-		d.chNand.Post(at+dur, pg.endFn)
+		d.eng.Post(at, pg.startFn)
+		d.eng.Post(at+dur, pg.endFn)
 	}
 }
 
@@ -524,8 +524,8 @@ func (pg *pageOp) end() {
 func (op *ssdOp) readFinish() {
 	d := op.d
 	xferStart, xferEnd := occupy(&d.linkFreeAt, d.eng.Now(), d.linkTime(op.r.Size))
-	d.chLink.Post(xferStart, op.rXferStartFn)
-	d.chLink.Post(xferEnd, op.rXferEndFn)
+	d.eng.Post(xferStart, op.rXferStartFn)
+	d.eng.Post(xferEnd, op.rXferEndFn)
 }
 
 func (op *ssdOp) rXferStart() {

@@ -45,14 +45,6 @@ type SSD struct {
 	dieFreeAt  []time.Duration
 	busyProg   int
 	busyRead   int
-	// Event chains, one per source of the device's events, so the
-	// device rides a few slots of the engine's queue instead of one per
-	// event. All share one slab (see New).
-	chNand   *sim.Chain // page runs on every die
-	chCmd    *sim.Chain
-	chLink   *sim.Chain
-	chReady  *sim.Chain // admit-derived release events
-	chInsert *sim.Chain // DRAM insert completions
 
 	// Free lists for the pooled IO-path records (see io.go).
 	freeOp   *ssdOp
@@ -133,9 +125,9 @@ type pendingIO struct {
 
 // New constructs an SSD attached to the engine, drawing idle power from
 // time zero. The RNG seeds the activity-ripple process. A device's
-// per-die state is one flat slice, one meter component carries every
-// die's draw, and all its event chains come from one slab, so
-// construction makes a handful of allocations whatever the die count.
+// per-die state is one flat slice and one meter component carries every
+// die's draw, so construction makes a handful of allocations whatever
+// the die count.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -157,8 +149,6 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	d.cTrans = d.meter.AddComponent("transition", 0)
 	d.cDies = d.meter.AddComponent("dies", 0)
 	d.dieFreeAt = make([]time.Duration, n)
-	chains := eng.NewChains(5)
-	d.chNand, d.chCmd, d.chLink, d.chReady, d.chInsert = &chains[0], &chains[1], &chains[2], &chains[3], &chains[4]
 
 	reg := eng.Metrics()
 	d.taps = taps{

@@ -34,7 +34,6 @@ type Arrivals struct {
 	arrival  bool // the armed timer is an arrival, not a rate boundary
 	timer    *sim.Timer
 	fn       func()
-	onDone   func()
 }
 
 // StartArrivalsSchedule begins an open-loop Poisson arrival process on
@@ -45,10 +44,8 @@ type Arrivals struct {
 // mid-run picks up whichever step is in force). until is the absolute
 // engine time past which no arrival may land. At each rate boundary the
 // pending inter-arrival draw is discarded and resampled at the new rate,
-// which is exact by memorylessness. onDone, if non-nil, runs as an
-// engine event when the process retires, letting callers sequence drain
-// logic without polling.
-func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, rates []RateStep, until time.Duration, fn func(), onDone func()) (*Arrivals, error) {
+// which is exact by memorylessness.
+func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, rates []RateStep, until time.Duration, fn func()) (*Arrivals, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("workload: arrivals need at least one rate step")
 	}
@@ -72,7 +69,6 @@ func StartArrivalsSchedule(eng *sim.Engine, rng *sim.RNG, rates []RateStep, unti
 		rates:    rates,
 		deadline: until,
 		fn:       fn,
-		onDone:   onDone,
 	}
 	// The first arrival comes one inter-arrival gap in, not at t=0: an
 	// open-loop source has no reason to fire the instant it is created,
@@ -105,7 +101,7 @@ func (a *Arrivals) schedule() {
 		}
 	}
 	if now+d > a.deadline {
-		a.retire()
+		a.stopped = true
 		return
 	}
 	a.arm(d, true)
@@ -134,17 +130,7 @@ func (a *Arrivals) tick() {
 	a.schedule()
 }
 
-func (a *Arrivals) retire() {
-	if a.stopped {
-		return
-	}
-	a.stopped = true
-	if a.onDone != nil {
-		a.eng.PostAfter(0, a.onDone)
-	}
-}
-
-// Stop halts the process early. Idempotent; onDone still fires once.
+// Stop halts the process early. Idempotent.
 func (a *Arrivals) Stop() {
 	if a.stopped {
 		return
@@ -152,11 +138,8 @@ func (a *Arrivals) Stop() {
 	if a.timer != nil {
 		a.timer.Stop()
 	}
-	a.retire()
+	a.stopped = true
 }
 
 // Count returns how many arrivals have fired.
 func (a *Arrivals) Count() int64 { return a.count }
-
-// Done reports whether the process has retired.
-func (a *Arrivals) Done() bool { return a.stopped }

@@ -29,7 +29,7 @@ func TestScheduleRateSteps(t *testing.T) {
 			}
 		}
 		counts[seg]++
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestScheduleMidRunStartPicksStepInForce(t *testing.T) {
 	}
 	var n int
 	eng.Post(200*time.Millisecond, func() {
-		if _, err := StartArrivalsSchedule(eng, sim.NewRNG(2), steps, 300*time.Millisecond, func() { n++ }, nil); err != nil {
+		if _, err := StartArrivalsSchedule(eng, sim.NewRNG(2), steps, 300*time.Millisecond, func() { n++ }); err != nil {
 			t.Error(err)
 		}
 	})
@@ -89,11 +89,11 @@ func TestScheduleValidation(t *testing.T) {
 		{"past deadline", []RateStep{{At: 0, IOPS: 1}}, 0},
 	}
 	for _, tc := range cases {
-		if _, err := StartArrivalsSchedule(eng, rng, tc.rates, tc.until, fn, nil); err == nil {
+		if _, err := StartArrivalsSchedule(eng, rng, tc.rates, tc.until, fn); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := StartArrivalsSchedule(eng, rng, []RateStep{{At: 0, IOPS: 1}}, time.Second, nil, nil); err == nil {
+	if _, err := StartArrivalsSchedule(eng, rng, []RateStep{{At: 0, IOPS: 1}}, time.Second, nil); err == nil {
 		t.Error("nil callback: accepted")
 	}
 }
