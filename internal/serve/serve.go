@@ -561,7 +561,9 @@ type Report struct {
 	SimulatedDur time.Duration
 	// Events is the total number of kernel events dispatched across all
 	// shards — the deterministic measure of mechanistic simulation work
-	// (wall clock is host-dependent; this is not).
+	// (wall clock is host-dependent; this is not). A device stage run as
+	// a direct call because it was due at the instant that reached it
+	// (internal/ssd's hops) is no event and is not counted.
 	Events uint64
 
 	Intervals  []Interval

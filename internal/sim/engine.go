@@ -6,9 +6,11 @@
 // measurement runs in milliseconds of host time and is bit-for-bit
 // reproducible given the same seed.
 //
-// The event queue is the hottest loop in the repository (the fleet
-// experiment pushes ~10^8 events through it), so the kernel is built to
-// run allocation-free at steady state:
+// The event queue is the hottest loop in the repository (a 6 s run of
+// the 1000-device fleet dispatches ~10^7 events, after the device
+// models have run their zero-delay stages as direct calls, see
+// DueNow), so the kernel is built to run allocation-free at steady
+// state:
 //
 //   - the priority queue is an inlined 4-ary min-heap specialized to
 //     *Timer — no interface boxing, no container/heap dispatch, and a
@@ -549,6 +551,14 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 	}
 	return e.pq[0].at, true
 }
+
+// DueNow reports whether an event is queued at the current instant, in
+// O(1). Only the near heap's root can be: a parked timer fires at or
+// after the end of the near window, and the clock never passes that end
+// while a timer is parked. A model that would post an event for now can
+// run it as a direct call when DueNow is false, since nothing else would
+// fire between the current callback's return and that event.
+func (e *Engine) DueNow() bool { return len(e.pq) > 0 && e.pq[0].at == e.now }
 
 // Pending returns the number of events still queued (including events at
 // the current instant and events on the timing wheel). Stopped timers
