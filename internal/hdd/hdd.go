@@ -74,6 +74,18 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("hdd %s: base powers must be positive", c.Name)
 	case c.TSpinDown <= 0 || c.TSpinUp <= 0:
 		return fmt.Errorf("hdd %s: spin transitions must take time", c.Name)
+	case c.PSpinDown < c.PElec:
+		return fmt.Errorf("hdd %s: PSpinDown %vW below PElec %vW", c.Name, c.PSpinDown, c.PElec)
+	case c.PSpinUp < c.PElec:
+		return fmt.Errorf("hdd %s: PSpinUp %vW below PElec %vW", c.Name, c.PSpinUp, c.PElec)
+	}
+	for _, f := range []struct {
+		name string
+		w    float64
+	}{{"PSeek", c.PSeek}, {"PXfer", c.PXfer}, {"PIfaceAct", c.PIfaceAct}, {"PStandby", c.PStandby}} {
+		if !(f.w >= 0) {
+			return fmt.Errorf("hdd %s: %s %vW negative", c.Name, f.name, f.w)
+		}
 	}
 	return nil
 }
@@ -98,18 +110,32 @@ type access struct {
 	done   func() // read completion (sends data back over the link); nil for drain writes
 }
 
+// The meter's components, in the order New adds them.
+const (
+	cSpindle power.Component = iota
+	cElec
+	cSeek
+	cXfer
+	cIface
+)
+
 // HDD is a simulated hard-disk drive. It implements device.Device.
 type HDD struct {
 	cfg Config
 	eng *sim.Engine
 	rng *sim.RNG
 
-	meter    *power.Meter
-	cSpindle power.Component
-	cElec    power.Component
-	cSeek    power.Component
-	cXfer    power.Component
-	cIface   power.Component
+	meter *power.Meter
+
+	// Component draws in µW, each rounded once from the config.
+	spindleUW  int64
+	elecUW     int64
+	seekUW     int64
+	xferUW     int64
+	ifaceUW    int64
+	standbyUW  int64
+	spinDownUW int64 // spindle draw while decelerating: PSpinDown above PElec
+	spinUpUW   int64 // spindle draw while accelerating: PSpinUp above PElec
 
 	spin       spin
 	headPos    int64 // byte offset proxy for cylinder position
@@ -165,12 +191,20 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*HDD, error) {
 		rng:        rng.Stream("hdd/" + cfg.Name),
 		meter:      power.NewMeter(eng.Now(), 5), // the five components below
 		revolution: time.Duration(60.0 / float64(cfg.RPM) * float64(time.Second)),
+		spindleUW:  power.MicroW(cfg.PSpindle),
+		elecUW:     power.MicroW(cfg.PElec),
+		seekUW:     power.MicroW(cfg.PSeek),
+		xferUW:     power.MicroW(cfg.PXfer),
+		ifaceUW:    power.MicroW(cfg.PIfaceAct),
+		standbyUW:  power.MicroW(cfg.PStandby),
+		spinDownUW: power.MicroW(cfg.PSpinDown - cfg.PElec),
+		spinUpUW:   power.MicroW(cfg.PSpinUp - cfg.PElec),
 	}
-	d.cSpindle = d.meter.AddComponent("spindle", cfg.PSpindle)
-	d.cElec = d.meter.AddComponent("electronics", cfg.PElec)
-	d.cSeek = d.meter.AddComponent("actuator", 0)
-	d.cXfer = d.meter.AddComponent("media", 0)
-	d.cIface = d.meter.AddComponent("interface", 0)
+	d.meter.AddComponent("spindle", d.spindleUW)
+	d.meter.AddComponent("electronics", d.elecUW)
+	d.meter.AddComponent("actuator", 0)
+	d.meter.AddComponent("media", 0)
+	d.meter.AddComponent("interface", 0)
 
 	reg := eng.Metrics()
 	d.taps = taps{

@@ -69,6 +69,12 @@ func TestConfigValidation(t *testing.T) {
 		{"tiny cache", func(c *Config) { c.CacheBytes = 1000 }, "cache"},
 		{"no spindle power", func(c *Config) { c.PSpindle = 0 }, "base powers"},
 		{"instant spin", func(c *Config) { c.TSpinUp = 0 }, "transitions"},
+		{"spin-down below electronics", func(c *Config) { c.PSpinDown = 0.5 }, "PSpinDown"},
+		{"spin-up below electronics", func(c *Config) { c.PSpinUp = 0.5 }, "PSpinUp"},
+		{"negative seek", func(c *Config) { c.PSeek = -1 }, "PSeek"},
+		{"negative media transfer", func(c *Config) { c.PXfer = -0.1 }, "PXfer"},
+		{"negative interface", func(c *Config) { c.PIfaceAct = -0.1 }, "PIfaceAct"},
+		{"negative standby", func(c *Config) { c.PStandby = -0.1 }, "PStandby"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,9 +51,9 @@ func (d *HDD) begin(r device.Request, done func()) {
 func (d *HDD) write(r device.Request, done func()) {
 	admit := func() {
 		start, end := occupy(&d.linkFreeAt, d.eng.Now(), d.linkTime(r.Size))
-		d.eng.Post(start, func() { d.meter.Set(d.cIface, d.cfg.PIfaceAct, d.eng.Now()) })
+		d.eng.Post(start, func() { d.meter.Set(cIface, d.ifaceUW, d.eng.Now()) })
 		d.eng.Post(end, func() {
-			d.meter.Set(d.cIface, 0, d.eng.Now())
+			d.meter.Set(cIface, 0, d.eng.Now())
 			done()
 			d.queue = append(d.queue, access{r.Offset, r.Size, false, nil})
 			d.taps.queueDepth.Set(int64(len(d.queue)))
@@ -124,8 +124,8 @@ func (d *HDD) service(a access) {
 		d.taps.seeks.Inc()
 		d.taps.seekNs.Observe(int64(seek))
 		d.tr.Span(d.laneHead, "hdd", "seek", now, now+seek)
-		d.meter.Set(d.cSeek, d.cfg.PSeek, now)
-		d.eng.PostAfter(seek, func() { d.meter.Set(d.cSeek, 0, d.eng.Now()) })
+		d.meter.Set(cSeek, d.seekUW, now)
+		d.eng.PostAfter(seek, func() { d.meter.Set(cSeek, 0, d.eng.Now()) })
 	}
 	xferStart := now + seek + rot
 	if d.tr.Enabled() {
@@ -135,17 +135,17 @@ func (d *HDD) service(a access) {
 		}
 		d.tr.Span(d.laneHead, "hdd", name, xferStart, xferStart+xfer)
 	}
-	d.eng.Post(xferStart, func() { d.meter.Set(d.cXfer, d.cfg.PXfer, d.eng.Now()) })
+	d.eng.Post(xferStart, func() { d.meter.Set(cXfer, d.xferUW, d.eng.Now()) })
 	d.eng.Post(xferStart+xfer, func() {
 		t := d.eng.Now()
-		d.meter.Set(d.cXfer, 0, t)
+		d.meter.Set(cXfer, 0, t)
 		d.headPos = a.offset + a.size
 		d.lastEnd = d.headPos
 		if a.read {
 			start, end := occupy(&d.linkFreeAt, t, d.linkTime(a.size))
-			d.eng.Post(start, func() { d.meter.Set(d.cIface, d.cfg.PIfaceAct, d.eng.Now()) })
+			d.eng.Post(start, func() { d.meter.Set(cIface, d.ifaceUW, d.eng.Now()) })
 			d.eng.Post(end, func() {
-				d.meter.Set(d.cIface, 0, d.eng.Now())
+				d.meter.Set(cIface, 0, d.eng.Now())
 				a.done()
 			})
 		} else {
@@ -220,15 +220,15 @@ func (d *HDD) maybeFinishFlush() {
 	d.spin = spinningDown
 	d.taps.spinDowns.Inc()
 	d.tr.Instant(d.lane, "hdd", "spin_down", now)
-	d.meter.Set(d.cSpindle, d.cfg.PSpinDown-d.cfg.PElec, now)
+	d.meter.Set(cSpindle, d.spinDownUW, now)
 	d.eng.PostAfter(d.cfg.TSpinDown, func() {
 		if d.spin != spinningDown {
 			return
 		}
 		t := d.eng.Now()
 		d.spin = spunDown
-		d.meter.Set(d.cSpindle, 0, t)
-		d.meter.Set(d.cElec, d.cfg.PStandby, t)
+		d.meter.Set(cSpindle, 0, t)
+		d.meter.Set(cElec, d.standbyUW, t)
 		if len(d.pendingIOs) > 0 {
 			d.Wake()
 		}
@@ -246,12 +246,12 @@ func (d *HDD) Wake() error {
 	d.spin = spinningUp
 	d.taps.spinUps.Inc()
 	d.tr.Instant(d.lane, "hdd", "spin_up", now)
-	d.meter.Set(d.cElec, d.cfg.PElec, now)
-	d.meter.Set(d.cSpindle, d.cfg.PSpinUp-d.cfg.PElec, now)
+	d.meter.Set(cElec, d.elecUW, now)
+	d.meter.Set(cSpindle, d.spinUpUW, now)
 	d.eng.PostAfter(d.cfg.TSpinUp, func() {
 		t := d.eng.Now()
 		d.spin = spinning
-		d.meter.Set(d.cSpindle, d.cfg.PSpindle, t)
+		d.meter.Set(cSpindle, d.spindleUW, t)
 		ps := d.pendingIOs
 		d.pendingIOs = nil
 		for _, p := range ps {

@@ -8,35 +8,88 @@ package power
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
 // Component identifies one electrical contributor inside a device.
 type Component int
 
+// MicroW returns w watts as a draw in integer microwatts, rounded to the
+// nearest. Devices round each configured draw once, at construction, and
+// hand the meter only integers. It panics on a negative, non-finite or
+// out-of-range w: a draw is never negative, and config validation
+// refuses every field that would make one.
+func MicroW(w float64) int64 { return perW(w, 1e6) }
+
+// NanoW is MicroW in nanowatts, for a per-unit draw that is multiplied
+// by a count before it is rounded to the µW a meter takes.
+func NanoW(w float64) int64 { return perW(w, 1e9) }
+
+func perW(w, scale float64) int64 {
+	if !(w >= 0 && w*scale < 0x1p63) {
+		panic(fmt.Sprintf("power: draw %v W is negative or out of range", w))
+	}
+	return int64(math.Round(w * scale))
+}
+
 // Meter tracks the instantaneous power of a device as the sum of its
-// component draws, and integrates total energy over virtual time.
+// component draws, and the energy each component has consumed over
+// virtual time.
 //
 // Devices call Set whenever a component changes state (a die starts a
 // program op, the interface drops to SLUMBER, …). The measurement rig
 // reads Instant; experiment reports read Energy.
+//
+// The ledger is exact: draws are integer µW and energies integer µW·ns,
+// so no result depends on the order of updates or reads, and Energy is
+// exactly the sum of the components' energies. Joules are computed
+// only on read.
 type Meter struct {
-	comps  []comp
-	names  []string
-	total  float64
-	energy float64 // joules accumulated up to last
-	last   time.Duration
+	comps []comp
+	names []string
+	total int64         // µW, the sum of the components' draws
+	last  time.Duration // latest instant the meter was set or read at
 }
 
-// comp is one component's record. Its energy is integrated lazily: the
-// accumulator advances only when the component changes (or on an
-// explicit EnergyBreakdown read), keeping Set O(1). The invariant
-// sum(e) + pending == energy is what the telemetry energy-conservation
-// probe checks.
+// comp is one component's record. Its energy advances only when the
+// component changes, keeping Set O(1); reads add the draw since last.
 type comp struct {
-	w    float64       // current draw, watts
-	e    float64       // joules accumulated up to last
+	uw   int64         // current draw, µW
+	e    uwns          // energy up to last
 	last time.Duration // time e was last advanced to
+}
+
+// uwns is an energy in µW·ns (1e-15 J), a 128-bit unsigned integer:
+// 15 W for 600 s is already 9e18 µW·ns, the int64 limit.
+type uwns struct{ hi, lo uint64 }
+
+// addMul adds uw µW drawn for dt.
+func (a *uwns) addMul(uw int64, dt time.Duration) {
+	hi, lo := bits.Mul64(uint64(uw), uint64(dt))
+	var c uint64
+	a.lo, c = bits.Add64(a.lo, lo, 0)
+	a.hi += hi + c
+}
+
+func (a *uwns) add(b uwns) {
+	var c uint64
+	a.lo, c = bits.Add64(a.lo, b.lo, 0)
+	a.hi += b.hi + c
+}
+
+func (a uwns) joules() float64 {
+	return (float64(a.hi)*0x1p64 + float64(a.lo)) / 1e15
+}
+
+// at returns the component's energy up to now.
+func (p *comp) at(now time.Duration) uwns {
+	e := p.e
+	if p.uw != 0 {
+		e.addMul(p.uw, now-p.last)
+	}
+	return e
 }
 
 // NewMeter returns an empty meter with the clock at t0, sized for n
@@ -45,97 +98,94 @@ func NewMeter(t0 time.Duration, n int) *Meter {
 	return &Meter{comps: make([]comp, 0, n), names: make([]string, 0, n), last: t0}
 }
 
-// AddComponent registers a named component with an initial draw of w
-// watts and returns its handle.
-func (m *Meter) AddComponent(name string, w float64) Component {
+// AddComponent registers a named component with an initial draw of uw
+// µW (see MicroW) and returns its handle.
+func (m *Meter) AddComponent(name string, uw int64) Component {
+	if uw < 0 {
+		panic(fmt.Sprintf("power: component %q draw %d µW negative", name, uw))
+	}
 	m.names = append(m.names, name)
-	m.comps = append(m.comps, comp{w: w, last: m.last})
-	m.total += w
+	m.comps = append(m.comps, comp{uw: uw, last: m.last})
+	m.total += uw
 	return Component(len(m.comps) - 1)
 }
 
-// Set updates component c to draw w watts as of virtual time now.
-// Energy is integrated at the previous rate up to now first, so ordering
-// of co-timed updates does not change the integral.
-func (m *Meter) Set(c Component, w float64, now time.Duration) {
-	m.SetSteps(c, w, w-m.comps[c].w, 1, now)
-}
-
-// SetSteps updates component c to draw w watts as of virtual time now,
-// moving the meter's total by k separate adds of step. A component that
-// stands for k units changing at once (k dies starting a program, each
-// adding step watts) thus leaves the total exactly where k Set calls on
-// k per-unit components would have left it.
-func (m *Meter) SetSteps(c Component, w, step float64, k int, now time.Duration) {
-	m.integrate(now)
+// Set updates component c to draw uw µW (see MicroW) as of virtual time
+// now: one multiply-add books the old draw up to now, and the total moves
+// by the difference.
+func (m *Meter) Set(c Component, uw int64, now time.Duration) {
+	if now < m.last || uw < 0 {
+		m.refuse(now, uw)
+	}
+	m.last = now
 	p := &m.comps[c]
 	// Components spend much of their life at zero draw (idle dies), and
-	// co-timed updates are common; skip the integration arithmetic then.
-	if dt := now - p.last; dt != 0 && p.w != 0 {
-		p.e += p.w * dt.Seconds()
+	// co-timed updates are common; both add nothing.
+	if p.uw != 0 && now != p.last {
+		p.e.addMul(p.uw, now-p.last)
 	}
 	p.last = now
-	for ; k > 0; k-- {
-		m.total += step
-	}
-	p.w = w
+	m.total += uw - p.uw
+	p.uw = uw
 }
 
-// Get returns the current draw of component c in watts.
-func (m *Meter) Get(c Component) float64 { return m.comps[c].w }
-
-// Name returns the registered name of component c.
-func (m *Meter) Name(c Component) string { return m.names[c] }
-
-// Instant returns the instantaneous total power in watts at time now,
-// integrating energy up to now as a side effect.
-func (m *Meter) Instant(now time.Duration) float64 {
-	m.integrate(now)
-	return m.total
-}
-
-// Energy returns the total energy in joules consumed up to now.
-func (m *Meter) Energy(now time.Duration) float64 {
-	m.integrate(now)
-	return m.energy
-}
-
-func (m *Meter) integrate(now time.Duration) {
-	if now == m.last {
-		// Co-timed updates add total*0: skipping them is exact, since
-		// energy starts at +0 and so is never -0.
-		return
-	}
+// refuse panics on an update that would break the ledger: time running
+// backward or a negative draw.
+func (m *Meter) refuse(now time.Duration, uw int64) {
 	if now < m.last {
 		panic(fmt.Sprintf("power: meter time went backward: %v < %v", now, m.last))
 	}
-	m.energy += m.total * (now - m.last).Seconds()
+	panic(fmt.Sprintf("power: draw %d µW negative", uw))
+}
+
+// advance moves the meter's clock to now for a read.
+func (m *Meter) advance(now time.Duration) {
+	if now < m.last {
+		m.refuse(now, 0)
+	}
 	m.last = now
 }
 
-// Breakdown returns a copy of the per-component draws, index-aligned with
-// the handles returned by AddComponent.
+// Instant returns the instantaneous total power in watts at time now.
+func (m *Meter) Instant(now time.Duration) float64 {
+	m.advance(now)
+	return float64(m.total) / 1e6
+}
+
+// Energy returns the total energy in joules consumed up to now: the
+// exact sum of the components' energies, rounded once to joules.
+func (m *Meter) Energy(now time.Duration) float64 {
+	return m.energy(now).joules()
+}
+
+func (m *Meter) energy(now time.Duration) uwns {
+	m.advance(now)
+	var sum uwns
+	for i := range m.comps {
+		sum.add(m.comps[i].at(now))
+	}
+	return sum
+}
+
+// Breakdown returns a copy of the per-component draws in watts,
+// index-aligned with the handles returned by AddComponent.
 func (m *Meter) Breakdown() []float64 {
 	out := make([]float64, len(m.comps))
 	for i, p := range m.comps {
-		out[i] = p.w
+		out[i] = float64(p.uw) / 1e6
 	}
 	return out
 }
 
 // EnergyBreakdown returns the per-component energies in joules consumed
 // up to now, index-aligned with the handles returned by AddComponent.
-// The components partition the meter's total: sum(EnergyBreakdown) ==
-// Energy up to floating-point error — the invariant the telemetry
-// energy-conservation probe relies on.
+// The components partition the meter's total exactly in µW·ns; in
+// joules each entry and Energy are rounded once apiece.
 func (m *Meter) EnergyBreakdown(now time.Duration) []float64 {
-	m.integrate(now)
+	m.advance(now)
 	out := make([]float64, len(m.comps))
 	for i := range m.comps {
-		p := &m.comps[i]
-		p.e += p.w * (now - p.last).Seconds()
-		p.last = now
-		out[i] = p.e
+		out[i] = m.comps[i].at(now).joules()
 	}
 	return out
 }

@@ -10,30 +10,51 @@ import (
 
 func TestMeterSumsComponents(t *testing.T) {
 	m := NewMeter(0, 2)
-	a := m.AddComponent("controller", 2)
+	a := m.AddComponent("controller", MicroW(2))
 	b := m.AddComponent("die0", 0)
 	if got := m.Instant(0); got != 2 {
 		t.Fatalf("Instant = %v, want 2", got)
 	}
-	m.Set(b, 0.3, 0)
-	if got := m.Instant(0); math.Abs(got-2.3) > 1e-12 {
+	m.Set(b, MicroW(0.3), 0)
+	if got := m.Instant(0); got != 2.3 {
 		t.Fatalf("Instant = %v, want 2.3", got)
 	}
-	m.Set(a, 1, 0)
-	if got := m.Instant(0); math.Abs(got-1.3) > 1e-12 {
+	m.Set(a, MicroW(1), 0)
+	if got := m.Instant(0); got != 1.3 {
 		t.Fatalf("Instant = %v, want 1.3", got)
 	}
 }
 
 func TestMeterEnergyIntegration(t *testing.T) {
 	m := NewMeter(0, 1)
-	c := m.AddComponent("x", 10) // 10 W
-	if got := m.Energy(2 * time.Second); math.Abs(got-20) > 1e-9 {
+	c := m.AddComponent("x", MicroW(10))
+	if got := m.Energy(2 * time.Second); got != 20 {
 		t.Fatalf("Energy after 2s at 10W = %v, want 20 J", got)
 	}
-	m.Set(c, 5, 2*time.Second)
-	if got := m.Energy(4 * time.Second); math.Abs(got-30) > 1e-9 {
+	m.Set(c, MicroW(5), 2*time.Second)
+	if got := m.Energy(4 * time.Second); got != 30 {
 		t.Fatalf("Energy = %v, want 30 J (20 + 5W×2s)", got)
+	}
+}
+
+func TestMicroW(t *testing.T) {
+	for _, tc := range []struct {
+		w    float64
+		want int64
+	}{{0, 0}, {0.3, 300000}, {1.2345674, 1234567}, {1.2345675, 1234568}, {15, 15000000}} {
+		if got := MicroW(tc.w); got != tc.want {
+			t.Errorf("MicroW(%v) = %d, want %d", tc.w, got, tc.want)
+		}
+	}
+	for _, w := range []float64{-1e-9, -1, math.NaN(), math.Inf(1), 1e13} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MicroW(%v) did not panic", w)
+				}
+			}()
+			MicroW(w)
+		}()
 	}
 }
 
@@ -42,13 +63,13 @@ func TestMeterCoTimedUpdatesOrderIndependent(t *testing.T) {
 	// that instant regardless of update order.
 	mk := func(order []int) float64 {
 		m := NewMeter(0, 2)
-		cs := []Component{m.AddComponent("a", 1), m.AddComponent("b", 2)}
+		cs := []Component{m.AddComponent("a", MicroW(1)), m.AddComponent("b", MicroW(2))}
 		for _, i := range order {
-			m.Set(cs[i], 10, time.Second)
+			m.Set(cs[i], MicroW(10), time.Second)
 		}
 		return m.Energy(time.Second)
 	}
-	if e1, e2 := mk([]int{0, 1}), mk([]int{1, 0}); math.Abs(e1-e2) > 1e-12 {
+	if e1, e2 := mk([]int{0, 1}), mk([]int{1, 0}); e1 != e2 {
 		t.Fatalf("energy depends on co-timed update order: %v vs %v", e1, e2)
 	}
 }
@@ -65,20 +86,17 @@ func TestMeterTimeBackwardPanics(t *testing.T) {
 
 func TestMeterBreakdownAndNames(t *testing.T) {
 	m := NewMeter(0, 2)
-	a := m.AddComponent("ctrl", 1.5)
-	m.AddComponent("iface", 0.5)
+	m.AddComponent("ctrl", MicroW(1.5))
+	m.AddComponent("iface", MicroW(0.5))
 	bd := m.Breakdown()
 	if len(bd) != 2 || bd[0] != 1.5 || bd[1] != 0.5 {
 		t.Fatalf("Breakdown = %v", bd)
 	}
-	if m.Name(a) != "ctrl" {
-		t.Fatalf("Name = %q, want ctrl", m.Name(a))
-	}
-	if m.Get(a) != 1.5 {
-		t.Fatalf("Get = %v, want 1.5", m.Get(a))
+	if names := m.Names(); len(names) != 2 || names[0] != "ctrl" || names[1] != "iface" {
+		t.Fatalf("Names = %q", names)
 	}
 	bd[0] = 99
-	if m.Get(a) == 99 {
+	if m.Breakdown()[0] == 99 {
 		t.Fatal("Breakdown aliases internal state")
 	}
 }
@@ -88,33 +106,41 @@ func TestMeterBreakdownAndNames(t *testing.T) {
 func TestMeterGrowsPastSizedCount(t *testing.T) {
 	const sized, added = 2, 7
 	m := NewMeter(0, sized)
+	ref := &refLedger{}
 	cs := make([]Component, added)
 	for i := range cs {
-		cs[i] = m.AddComponent(fmt.Sprintf("c%d", i), float64(i))
+		// A component joins at the meter's last update.
+		cs[i] = m.AddComponent(fmt.Sprintf("c%d", i), int64(i)*1e6)
+		ref.draws = append(ref.draws, int64(i)*1e6)
+		now := time.Duration(i+1) * time.Second
+		ref.advance(now)
 		// Busy components between additions: a record moved by growth
 		// must keep its accumulated energy.
-		m.Set(cs[i/2], float64(i)+0.5, time.Duration(i+1)*time.Second)
+		m.Set(cs[i/2], int64(i)*1e6+5e5, now)
+		ref.draws[i/2] = int64(i)*1e6 + 5e5
 	}
-	now := 10 * time.Second
-	sum := 0.0
-	for _, e := range m.EnergyBreakdown(now) {
-		sum += e
-	}
-	if total := m.Energy(now); math.Abs(total-sum) > 1e-9*total {
-		t.Fatalf("Energy = %v, sum of EnergyBreakdown = %v", total, sum)
-	}
+	checkLedger(t, m, ref, 10*time.Second)
 	names, bd := m.Names(), m.Breakdown()
 	if len(names) != added || len(bd) != added {
 		t.Fatalf("len(Names) = %d, len(Breakdown) = %d, want %d", len(names), len(bd), added)
 	}
 	for i, c := range cs {
-		if names[c] != fmt.Sprintf("c%d", i) || m.Name(c) != names[c] {
-			t.Fatalf("component %d: Names()[%d] = %q, Name = %q", i, c, names[c], m.Name(c))
+		if names[c] != fmt.Sprintf("c%d", i) {
+			t.Fatalf("component %d: Names()[%d] = %q", i, c, names[c])
 		}
-		if bd[c] != m.Get(c) {
-			t.Fatalf("component %d: Breakdown()[%d] = %v, Get = %v", i, c, bd[c], m.Get(c))
+		if want := float64(m.comps[c].uw) / 1e6; bd[c] != want {
+			t.Fatalf("component %d: Breakdown()[%d] = %v, want %v", i, c, bd[c], want)
 		}
 	}
+}
+
+// sumUWns returns the exact sum of m's component energies up to now.
+func sumUWns(m *Meter, now time.Duration) uwns {
+	var sum uwns
+	for i := range m.comps {
+		sum.add(m.comps[i].at(now))
+	}
+	return sum
 }
 
 func TestUncappedAdmitsImmediately(t *testing.T) {
@@ -298,15 +324,16 @@ func TestRegulatorMatchesRollingAverageUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMeterSetStepsMatchesPerUnitSets: one component stepping for k
-// units leaves the total, and so the energy, bit-identical to k
-// per-unit components each Set in turn, and its own energy is the units'
-// sum.
-func TestMeterSetStepsMatchesPerUnitSets(t *testing.T) {
-	const units, w = 7, 0.123456789
+// TestMeterDiesMatchPerDieComponents: a meter with one component per
+// die and one whose single "dies" component draws the busy dies' sum end
+// with the same energy to the bit, and in each Energy is exactly the sum
+// of the components' µW·ns.
+func TestMeterDiesMatchPerDieComponents(t *testing.T) {
+	const units = 7
+	w := MicroW(0.123456789)
 	per, one := NewMeter(0, 1+units), NewMeter(0, 2)
-	per.AddComponent("controller", 1.1)
-	one.AddComponent("controller", 1.1)
+	per.AddComponent("controller", MicroW(1.1))
+	one.AddComponent("controller", MicroW(1.1))
 	dies := make([]Component, units)
 	for i := range dies {
 		dies[i] = per.AddComponent(fmt.Sprintf("die%d", i), 0)
@@ -320,29 +347,31 @@ func TestMeterSetStepsMatchesPerUnitSets(t *testing.T) {
 			for i := busy; i < busy+k; i++ {
 				per.Set(dies[i], w, now)
 			}
-			one.SetSteps(all, float64(busy+k)*w, w, k, now)
 		} else {
 			for i := busy - 1; i >= busy+k; i-- {
 				per.Set(dies[i], 0, now)
 			}
-			for i := 0; i < -k; i++ {
-				one.SetSteps(all, float64(busy-i-1)*w, -w, 1, now)
-			}
 		}
 		busy += k
+		one.Set(all, int64(busy)*w, now)
 		if per.Instant(now) != one.Instant(now) {
-			t.Fatalf("step %d: total %v per unit, %v stepped", step, per.Instant(now), one.Instant(now))
+			t.Fatalf("step %d: total %v per die, %v as one", step, per.Instant(now), one.Instant(now))
 		}
 	}
 	end := 3 * time.Millisecond
 	if a, b := per.Energy(end), one.Energy(end); a != b {
-		t.Fatalf("energy %v per unit, %v stepped", a, b)
+		t.Fatalf("energy %v per die, %v as one", a, b)
 	}
-	var sum float64
-	for _, j := range per.EnergyBreakdown(end)[1:] {
-		sum += j
+	for _, m := range []*Meter{per, one} {
+		if total, sum := m.energy(end), sumUWns(m, end); total != sum {
+			t.Fatalf("Energy %v µW·ns, components' sum %v µW·ns", total, sum)
+		}
 	}
-	if got := one.EnergyBreakdown(end)[1]; math.Abs(got-sum) > 1e-12*sum {
-		t.Fatalf("stepped component %v J, units' sum %v J", got, sum)
+	var perDies uwns
+	for _, c := range dies {
+		perDies.add(per.comps[c].at(end))
+	}
+	if got := one.comps[all].at(end); got != perDies {
+		t.Fatalf("dies component %v µW·ns, per-die sum %v µW·ns", got, perDies)
 	}
 }

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"wattio/internal/device"
+	"wattio/internal/power"
 )
 
 // Autonomous power state transitions (APST): when enabled and the
@@ -82,8 +83,8 @@ func (d *SSD) stopAPSTTimer() {
 func (d *SSD) enterNonOp(i int) {
 	now := d.eng.Now()
 	d.nonOpIndex = i
-	d.meter.Set(d.cCtrl, d.cfg.NonOpStates[i].PowerW, now)
-	d.meter.Set(d.cIface, 0, now)
+	d.meter.Set(cCtrl, power.MicroW(d.cfg.NonOpStates[i].PowerW), now)
+	d.meter.Set(cIface, 0, now)
 }
 
 // exitNonOp restores operational power and charges the exit latency to
@@ -95,8 +96,8 @@ func (d *SSD) exitNonOp() {
 	now := d.eng.Now()
 	st := d.cfg.NonOpStates[d.nonOpIndex]
 	d.nonOpIndex = -1
-	d.meter.Set(d.cCtrl, d.cfg.PController, now)
-	d.meter.Set(d.cIface, d.cfg.PIfaceIdle, now)
+	d.meter.Set(cCtrl, d.ctrlUW, now)
+	d.meter.Set(cIface, d.ifaceIdleUW, now)
 	if ready := now + st.ExitLatency; ready > d.stateReadyAt {
 		d.stateReadyAt = ready
 	}

@@ -141,6 +141,24 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("ssd %s: ripple duty %v out of [0,1)", c.Name, c.RippleDuty)
 	case c.HasStandby && (c.StandbyEnter <= 0 || c.StandbyExit <= 0):
 		return fmt.Errorf("ssd %s: standby transitions must take time", c.Name)
+	case c.HasStandby && c.PStandbyEnter < c.IdleFloorW():
+		return fmt.Errorf("ssd %s: PStandbyEnter %vW below idle %vW", c.Name, c.PStandbyEnter, c.IdleFloorW())
+	case c.HasStandby && c.PStandbyExit < c.IdleFloorW():
+		return fmt.Errorf("ssd %s: PStandbyExit %vW below idle %vW", c.Name, c.PStandbyExit, c.IdleFloorW())
+	}
+	// Each of these sets a meter draw, directly or through the dies' and
+	// the command pulse's effective power, and a draw is never negative.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PIfaceIdle", c.PIfaceIdle}, {"PIfaceActive", c.PIfaceActive}, {"PSlumber", c.PSlumber},
+		{"RippleBurstW", c.RippleBurstW}, {"PDieRead", c.PDieRead}, {"PDieProg", c.PDieProg},
+		{"EPageXferJ", c.EPageXferJ}, {"ECmdReadJ", c.ECmdReadJ}, {"ECmdWriteJ", c.ECmdWriteJ},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("ssd %s: %s %v negative", c.Name, f.name, f.v)
+		}
 	}
 	for i, ps := range c.PowerStates {
 		if ps.MaxPowerW < 0 {

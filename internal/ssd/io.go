@@ -60,7 +60,7 @@ type ssdOp struct {
 	r          device.Request
 	done       func()
 	sequential bool
-	pulseW     float64
+	pulseUW    int64
 	eCmd       float64
 	nandBytes  float64
 	remaining  int // read path: page ops still in flight
@@ -161,30 +161,26 @@ func (d *SSD) begin(r device.Request, done func()) {
 		d.lastWriteEnd = r.Offset + r.Size
 	}
 
-	ct, eCmd := d.cfg.CmdTimeRead, d.cfg.ECmdReadJ
+	ct, eCmd, pulseUW := d.cfg.CmdTimeRead, d.cfg.ECmdReadJ, d.pulseReadUW
 	if r.Op == device.OpWrite {
-		ct, eCmd = d.cfg.CmdTimeWrite, d.cfg.ECmdWriteJ
-	}
-	pulseW := d.pulseWRead
-	if r.Op == device.OpWrite {
-		pulseW = d.pulseWWrite
+		ct, eCmd, pulseUW = d.cfg.CmdTimeWrite, d.cfg.ECmdWriteJ, d.pulseWriteUW
 	}
 	start, end := occupy(&d.cmdFreeAt, d.eng.Now(), ct)
 	op := d.getOp()
 	op.r, op.done, op.sequential, op.eCmd = r, done, sequential, eCmd
-	op.pulseW = pulseW
+	op.pulseUW = pulseUW
 	d.hop(start, op.cmdStartFn)
 	d.eng.Post(end, op.cmdEndFn)
 }
 
 func (op *ssdOp) cmdStart() {
 	d := op.d
-	d.meter.Set(d.cCmd, op.pulseW, d.eng.Now())
+	d.meter.Set(cCmd, op.pulseUW, d.eng.Now())
 }
 
 func (op *ssdOp) cmdEnd() {
 	d := op.d
-	d.meter.Set(d.cCmd, 0, d.eng.Now())
+	d.meter.Set(cCmd, 0, d.eng.Now())
 	// Admit the host-path energy (command + link transfer) against
 	// the power-state regulator before moving data.
 	ready := d.admit(op.eCmd + d.linkEnergyJ(op.r.Size))
@@ -217,12 +213,12 @@ func (op *ssdOp) wReserved() {
 
 func (op *ssdOp) wXferStart() {
 	d := op.d
-	d.meter.Set(d.cIface, d.cfg.PIfaceActive, d.eng.Now())
+	d.meter.Set(cIface, d.ifaceActUW, d.eng.Now())
 }
 
 func (op *ssdOp) wXferEnd() {
 	d := op.d
-	d.meter.Set(d.cIface, d.cfg.PIfaceIdle, d.eng.Now())
+	d.meter.Set(cIface, d.ifaceIdleUW, d.eng.Now())
 	insert := d.cfg.TWriteAck + time.Duration(float64(op.r.Size)/(d.cfg.InsertBWMBps*1e6)*float64(time.Second))
 	d.eng.Post(d.eng.Now()+insert, op.wInsertFn)
 }
@@ -483,34 +479,29 @@ func (d *SSD) dieAfter(die int) int {
 	return die
 }
 
-// diesW returns the draw of the busy dies.
-func (d *SSD) diesW() float64 {
-	return float64(d.busyProg)*d.pProgEff + float64(d.busyRead)*d.pReadEff
+// setDies sets the dies' meter component to the busy dies' draw,
+// rounded to µW.
+func (d *SSD) setDies() {
+	nw := int64(d.busyProg)*d.progNW + int64(d.busyRead)*d.readNW
+	d.meter.Set(cDies, (nw+500)/1000, d.eng.Now())
 }
 
-// start powers the run's dies. The meter's total moves by one step per
-// die, the adds a per-die record's Set would make.
+// start powers the run's dies.
 func (pg *pageOp) start() {
 	d := pg.d
 	k := bits.OnesCount64(pg.mask)
 	d.taps.diesBusy.Add(int64(k))
-	w := d.pProgEff
 	if pg.group != nil {
-		w = d.pReadEff
 		d.busyRead += k
 	} else {
 		d.busyProg += k
 	}
-	d.meter.SetSteps(d.cDies, d.diesW(), w, k, d.eng.Now())
+	d.setDies()
 }
 
 // end powers the run's k dies off and does their pages' bookkeeping in
 // one step: a read's fan-in count drops by k, and programs free the
-// releasing pages' buffer bytes and arm APST. The meter moves by k
-// steps, the adds k per-page Sets would make, and it moves first: a
-// release can wake a buffer waiter whose link transfer starts as a
-// direct hop, and the interface's step must follow every die's, as when
-// that transfer is posted.
+// releasing pages' buffer bytes and arm APST.
 func (pg *pageOp) end() {
 	d, mask, group, nRel, release := pg.d, pg.mask, pg.group, pg.nRel, pg.release
 	pg.group = nil
@@ -518,12 +509,12 @@ func (pg *pageOp) end() {
 	d.freePage = pg
 	k := bits.OnesCount64(mask)
 	d.taps.diesBusy.Add(-int64(k))
-	w, busy := -d.pProgEff, &d.busyProg
 	if group != nil {
-		w, busy = -d.pReadEff, &d.busyRead
+		d.busyRead -= k
+	} else {
+		d.busyProg -= k
 	}
-	*busy -= k
-	d.meter.SetSteps(d.cDies, d.diesW(), w, k, d.eng.Now())
+	d.setDies()
 	if group != nil {
 		if group.remaining -= k; group.remaining == 0 {
 			group.readFinish()
@@ -547,7 +538,7 @@ func (op *ssdOp) readFinish() {
 
 func (op *ssdOp) rXferStart() {
 	d := op.d
-	d.meter.Set(d.cIface, d.cfg.PIfaceActive, d.eng.Now())
+	d.meter.Set(cIface, d.ifaceActUW, d.eng.Now())
 }
 
 func (op *ssdOp) rXferEnd() {
@@ -555,7 +546,7 @@ func (op *ssdOp) rXferEnd() {
 	op.done = nil
 	op.next = d.freeOp
 	d.freeOp = op
-	d.meter.Set(d.cIface, d.cfg.PIfaceIdle, d.eng.Now())
+	d.meter.Set(cIface, d.ifaceIdleUW, d.eng.Now())
 	d.inflight--
 	done()
 	d.armAPST()
@@ -614,7 +605,7 @@ func (d *SSD) rippleTick() {
 		d.rippleRunning = false
 		if d.rippleBurst {
 			d.rippleBurst = false
-			d.meter.Set(d.cRipple, 0, d.eng.Now())
+			d.meter.Set(cRipple, 0, d.eng.Now())
 		}
 		return
 	}
@@ -624,14 +615,14 @@ func (d *SSD) rippleTick() {
 	if d.rippleBurst {
 		if u < pLeave {
 			d.rippleBurst = false
-			d.meter.Set(d.cRipple, 0, d.eng.Now())
+			d.meter.Set(cRipple, 0, d.eng.Now())
 		}
 	} else if u < pEnter && d.reg.Credits(d.eng.Now()) >= 0 {
 		// Background bursts defer while the device is in energy debt:
 		// capped firmware schedules GC and mapping flushes into the
 		// power budget's slack.
 		d.rippleBurst = true
-		d.meter.Set(d.cRipple, d.cfg.RippleBurstW, d.eng.Now())
+		d.meter.Set(cRipple, d.rippleUW, d.eng.Now())
 	}
 	dwell := time.Duration(d.rng.Exponential(float64(d.cfg.RippleDwell)))
 	if dwell < time.Millisecond {

@@ -26,15 +26,10 @@ var update = flag.Bool("update", false, "rewrite testdata/pin_digests.txt from t
 // line per shape. The digest is the first 8 bytes of the SHA-256 over
 // the run's completion times, device-level component energies, final
 // EnergyJ and per-die busy horizons; equal digests mean a bit-identical
-// device run. dieJ is the energy the meter books to the dies, which
-// only has to agree within dieEnergyTol: how the dies' share is split
-// into records is free to change, but not what they draw.
+// device run. dieJ is the energy the meter books to the dies, pinned to
+// the bit like the rest: the meter's ledger is exact, so no order of
+// updates can move it, only a change to what the dies draw.
 const pinDigestFile = "testdata/pin_digests.txt"
-
-// dieEnergyTol bounds the relative difference between a run's die
-// energy and its recorded value: summing the dies' share in another
-// order moves only its last bits.
-const dieEnergyTol = 1e-12
 
 // deviceComponents is the number of device-level meter components
 // (controller, interface, cmd, ripple, transition); the components after
@@ -232,7 +227,7 @@ func TestPinDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(dieJ[i]-wantJ) > dieEnergyTol*math.Abs(wantJ) {
+		if dieJ[i] != wantJ {
 			t.Errorf("%s: die energy %v J, want %v J", s.name, dieJ[i], wantJ)
 		}
 	}

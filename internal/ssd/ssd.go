@@ -20,19 +20,23 @@ const (
 	waking
 )
 
+// The meter's components, in the order New adds them.
+const (
+	cCtrl power.Component = iota
+	cIface
+	cCmd
+	cRipple
+	cTrans
+	cDies // every die's draw: busyProg·progNW + busyRead·readNW, in µW
+)
+
 // SSD is a simulated solid-state drive. It implements device.Device.
 type SSD struct {
 	cfg Config
 	eng *sim.Engine
 	rng *sim.RNG
 
-	meter   *power.Meter
-	cCtrl   power.Component
-	cIface  power.Component
-	cCmd    power.Component
-	cRipple power.Component
-	cTrans  power.Component
-	cDies   power.Component // every die's draw: busyProg·pProgEff + busyRead·pReadEff
+	meter *power.Meter
 
 	reg          *power.Regulator
 	psIndex      int
@@ -85,13 +89,24 @@ type SSD struct {
 	rippleTimer   *sim.Timer
 
 	// Derived constants.
-	pageXfer    time.Duration
-	pulseWRead  float64 // controller cmd-pulse draw for a read command
-	pulseWWrite float64 // controller cmd-pulse draw for a write command
-	eRead       float64 // regulated energy per page read
-	eProg       float64 // regulated energy per page program
-	pReadEff    float64 // effective die power during a read op
-	pProgEff    float64 // effective die power during a program op
+	pageXfer time.Duration
+	eRead    float64 // regulated energy per page read
+	eProg    float64 // regulated energy per page program
+
+	// Component draws in µW, each rounded once from the config.
+	ctrlUW       int64
+	ifaceIdleUW  int64
+	ifaceActUW   int64
+	slumberUW    int64
+	enterUW      int64 // transition draw above the idle floor, entering standby
+	exitUW       int64 // the same, leaving standby
+	rippleUW     int64
+	pulseReadUW  int64 // controller cmd-pulse draw for a read command
+	pulseWriteUW int64 // controller cmd-pulse draw for a write command
+	// A die's effective draw during a page read and a page program, in
+	// nW: the dies' draw is rounded to µW once, not once per die.
+	readNW int64
+	progNW int64
 
 	// Telemetry. All handles are nil-safe no-ops when the engine has no
 	// telemetry attached.
@@ -143,12 +158,6 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 		apstEnabled: cfg.APSTDefault,
 		nonOpIndex:  -1,
 	}
-	d.cCtrl = d.meter.AddComponent("controller", cfg.PController)
-	d.cIface = d.meter.AddComponent("interface", cfg.PIfaceIdle)
-	d.cCmd = d.meter.AddComponent("cmd", 0)
-	d.cRipple = d.meter.AddComponent("ripple", 0)
-	d.cTrans = d.meter.AddComponent("transition", 0)
-	d.cDies = d.meter.AddComponent("dies", 0)
 	d.dieFreeAt = make([]time.Duration, n)
 
 	reg := eng.Metrics()
@@ -174,17 +183,30 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 
 	d.pageXfer = time.Duration(float64(cfg.PageSize) / (cfg.ChannelMBps * 1e6) * float64(time.Second))
 	if cfg.CmdTimeRead > 0 {
-		d.pulseWRead = cfg.ECmdReadJ / cfg.CmdTimeRead.Seconds()
+		d.pulseReadUW = power.MicroW(cfg.ECmdReadJ / cfg.CmdTimeRead.Seconds())
 	}
 	if cfg.CmdTimeWrite > 0 {
-		d.pulseWWrite = cfg.ECmdWriteJ / cfg.CmdTimeWrite.Seconds()
+		d.pulseWriteUW = power.MicroW(cfg.ECmdWriteJ / cfg.CmdTimeWrite.Seconds())
 	}
-	readDur := (cfg.TRead + d.pageXfer).Seconds()
-	progDur := (cfg.TProg + d.pageXfer).Seconds()
 	d.eRead = cfg.PDieRead*cfg.TRead.Seconds() + cfg.EPageXferJ
 	d.eProg = cfg.PDieProg*cfg.TProg.Seconds() + cfg.EPageXferJ
-	d.pReadEff = d.eRead / readDur
-	d.pProgEff = d.eProg / progDur
+	d.readNW = power.NanoW(d.eRead / (cfg.TRead + d.pageXfer).Seconds())
+	d.progNW = power.NanoW(d.eProg / (cfg.TProg + d.pageXfer).Seconds())
+	d.ctrlUW = power.MicroW(cfg.PController)
+	d.ifaceIdleUW = power.MicroW(cfg.PIfaceIdle)
+	d.ifaceActUW = power.MicroW(cfg.PIfaceActive)
+	d.rippleUW = power.MicroW(cfg.RippleBurstW)
+	if cfg.HasStandby {
+		d.slumberUW = power.MicroW(cfg.PSlumber)
+		d.enterUW = power.MicroW(cfg.PStandbyEnter - cfg.IdleFloorW())
+		d.exitUW = power.MicroW(cfg.PStandbyExit - cfg.IdleFloorW())
+	}
+	d.meter.AddComponent("controller", d.ctrlUW)
+	d.meter.AddComponent("interface", d.ifaceIdleUW)
+	d.meter.AddComponent("cmd", 0)
+	d.meter.AddComponent("ripple", 0)
+	d.meter.AddComponent("transition", 0)
+	d.meter.AddComponent("dies", 0)
 
 	d.reg = power.Uncapped()
 	if len(cfg.PowerStates) > 0 {
@@ -287,16 +309,16 @@ func (d *SSD) EnterStandby() error {
 	d.mode = entering
 	d.taps.standbys.Inc()
 	d.tr.Instant(d.lane, "ssd", "standby_enter", now)
-	d.meter.Set(d.cTrans, d.cfg.PStandbyEnter-d.cfg.IdleFloorW(), now)
+	d.meter.Set(cTrans, d.enterUW, now)
 	d.eng.PostAfter(d.cfg.StandbyEnter, func() {
 		if d.mode != entering {
 			return
 		}
 		t := d.eng.Now()
 		d.mode = standby
-		d.meter.Set(d.cTrans, 0, t)
-		d.meter.Set(d.cCtrl, d.cfg.PSlumber, t)
-		d.meter.Set(d.cIface, 0, t)
+		d.meter.Set(cTrans, 0, t)
+		d.meter.Set(cCtrl, d.slumberUW, t)
+		d.meter.Set(cIface, 0, t)
 		if len(d.pending) > 0 {
 			// IO arrived while the link was powering down; come back.
 			d.startWake()
@@ -329,13 +351,13 @@ func (d *SSD) startWake() {
 	d.mode = waking
 	d.taps.wakes.Inc()
 	d.tr.Instant(d.lane, "ssd", "wake", now)
-	d.meter.Set(d.cCtrl, d.cfg.PController, now)
-	d.meter.Set(d.cTrans, d.cfg.PStandbyExit-d.cfg.IdleFloorW(), now)
+	d.meter.Set(cCtrl, d.ctrlUW, now)
+	d.meter.Set(cTrans, d.exitUW, now)
 	d.eng.PostAfter(d.cfg.StandbyExit, func() {
 		t := d.eng.Now()
 		d.mode = awake
-		d.meter.Set(d.cTrans, 0, t)
-		d.meter.Set(d.cIface, d.cfg.PIfaceIdle, t)
+		d.meter.Set(cTrans, 0, t)
+		d.meter.Set(cIface, d.ifaceIdleUW, t)
 		ps := d.pending
 		d.pending = nil
 		for _, p := range ps {

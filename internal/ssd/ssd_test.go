@@ -125,6 +125,14 @@ func TestPageRunsAllocateNothing(t *testing.T) {
 	}
 }
 
+// standbyAt gives c a standby mode whose transitions draw enter and
+// exit watts in total.
+func standbyAt(c *Config, enter, exit float64) {
+	c.HasStandby = true
+	c.StandbyEnter, c.StandbyExit = time.Millisecond, time.Millisecond
+	c.PSlumber, c.PStandbyEnter, c.PStandbyExit = 0.2, enter, exit
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -146,6 +154,17 @@ func TestConfigValidation(t *testing.T) {
 		{"no cap window", func(c *Config) { c.CapWindow = 0 }, "window"},
 		{"negative quantum", func(c *Config) { c.ThrottleQuantum = -time.Second }, "quantum"},
 		{"standby without times", func(c *Config) { c.HasStandby = true }, "standby"},
+		{"standby entry below idle", func(c *Config) { standbyAt(c, 1.4, 2) }, "PStandbyEnter"},
+		{"standby exit below idle", func(c *Config) { standbyAt(c, 2, 1.4) }, "PStandbyExit"},
+		{"negative idle interface", func(c *Config) { c.PIfaceIdle = -0.1 }, "PIfaceIdle"},
+		{"negative active interface", func(c *Config) { c.PIfaceActive = -1 }, "PIfaceActive"},
+		{"negative slumber", func(c *Config) { c.PSlumber = -0.1 }, "PSlumber"},
+		{"negative ripple", func(c *Config) { c.RippleBurstW = -0.1 }, "RippleBurstW"},
+		{"negative die read", func(c *Config) { c.PDieRead = -1e-3 }, "PDieRead"},
+		{"negative die program", func(c *Config) { c.PDieProg = -1e-3 }, "PDieProg"},
+		{"negative page transfer", func(c *Config) { c.EPageXferJ = -1e-6 }, "EPageXferJ"},
+		{"negative read command", func(c *Config) { c.ECmdReadJ = -1e-6 }, "ECmdReadJ"},
+		{"negative write command", func(c *Config) { c.ECmdWriteJ = -1e-6 }, "ECmdWriteJ"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,6 +179,12 @@ func TestConfigValidation(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	// Transition draws at the idle floor add nothing and are valid.
+	atFloor := testConfig()
+	standbyAt(&atFloor, 1.5, 1.5)
+	if err := atFloor.Validate(); err != nil {
+		t.Fatalf("standby transitions at the idle floor rejected: %v", err)
 	}
 	if good.Dies() != 8 {
 		t.Errorf("Dies() = %d, want 8", good.Dies())
