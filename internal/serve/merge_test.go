@@ -15,7 +15,7 @@ import (
 
 // mergeSpec builds a normalized one-shard spec with a 1 s horizon and
 // 100 ms control period, so merge produces ten intervals.
-func mergeSpec(t *testing.T, budget []BudgetStep) Spec {
+func mergeSpec(t testing.TB, budget []BudgetStep) Spec {
 	t.Helper()
 	sp, err := Spec{
 		Size:    4,
@@ -313,46 +313,69 @@ func TestAvgBudgetW(t *testing.T) {
 	}
 }
 
+// mergeLatencies merges one synthetic shard per sample list, each
+// logging its samples in order, and returns the report's p50, p99 and
+// max.
+func mergeLatencies(sp *Spec, shards [][]time.Duration) [3]time.Duration {
+	var results []*shardResult
+	for _, lats := range shards {
+		res := flatResult(sp, 50)
+		for _, d := range lats {
+			res.Latencies.add(d)
+		}
+		results = append(results, res)
+	}
+	rep := merge(sp, results)
+	return [3]time.Duration{rep.LatP50, rep.LatP99, rep.LatMax}
+}
+
+// sortedQuantiles is what mergeLatencies must return: p50, p99 and max
+// of all shards' samples, merged and sorted, by stats.QuantileSorted;
+// zeros when there are none.
+func sortedQuantiles(shards [][]time.Duration) [3]time.Duration {
+	var all []float64
+	for _, lats := range shards {
+		for _, d := range lats {
+			all = append(all, float64(d))
+		}
+	}
+	if len(all) == 0 {
+		return [3]time.Duration{}
+	}
+	sort.Float64s(all)
+	return [3]time.Duration{
+		time.Duration(stats.QuantileSorted(all, 0.50)),
+		time.Duration(stats.QuantileSorted(all, 0.99)),
+		time.Duration(all[len(all)-1]),
+	}
+}
+
 // TestMergeLatencyQuantiles pins the merge's rank selection over the
-// shards' sorted latency runs to a full re-sort: p50, p99 and max of
-// the concatenation, bit for bit. The fixed cases cover one, two and
-// three samples, samples all tied, and shards whose logs cross chunk
+// shards' unsorted latency logs to a full sort: p50, p99 and max of the
+// concatenation, bit for bit. The fixed cases cover one, two and three
+// samples, samples all tied, and shards whose logs cross chunk
 // boundaries; the random trials add empty and single-sample shards and
-// ties across shards.
+// ties across shards. The named cases cover every sample equal (the
+// meso tier's service time), latencies of 2^32 ns or more among small
+// ones, a single sample of either kind, and one non-empty shard among
+// empty ones.
 func TestMergeLatencyQuantiles(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	sp := mergeSpec(t, nil)
-	check := func(name string, sizes []int, maxLat int) {
+	check := func(name string, sizes []int, draw func() time.Duration) {
 		t.Helper()
-		var results []*shardResult
-		var all []float64
-		for _, n := range sizes {
-			res := flatResult(&sp, 50)
-			var g latLog
+		shards := make([][]time.Duration, len(sizes))
+		for i, n := range sizes {
 			for ; n > 0; n-- {
-				d := time.Duration(r.Intn(maxLat)) * time.Microsecond
-				g.add(d)
-				all = append(all, float64(d))
+				shards[i] = append(shards[i], draw())
 			}
-			res.Latencies = g.sorted()
-			results = append(results, res)
 		}
-		rep := merge(&sp, results)
-		if len(all) == 0 {
-			if rep.LatP50 != 0 || rep.LatP99 != 0 || rep.LatMax != 0 {
-				t.Fatalf("%s: no latencies, report %v/%v/%v", name, rep.LatP50, rep.LatP99, rep.LatMax)
-			}
-			return
+		if got, want := mergeLatencies(&sp, shards), sortedQuantiles(shards); got != want {
+			t.Fatalf("%s: merged p50/p99/max %v, sorted %v", name, got, want)
 		}
-		sort.Float64s(all)
-		want := [3]time.Duration{
-			time.Duration(stats.Quantile(all, 0.50)),
-			time.Duration(stats.Quantile(all, 0.99)),
-			time.Duration(all[len(all)-1]),
-		}
-		if got := [3]time.Duration{rep.LatP50, rep.LatP99, rep.LatMax}; got != want {
-			t.Fatalf("%s: merged p50/p99/max %v, re-sorted %v", name, got, want)
-		}
+	}
+	upTo := func(maxLat int) func() time.Duration {
+		return func() time.Duration { return time.Duration(r.Intn(maxLat)) * time.Microsecond }
 	}
 	fixed := [][]int{
 		{1}, {0, 1, 0}, {2}, {1, 1}, {0, 2}, {3}, {1, 1, 1},
@@ -361,7 +384,7 @@ func TestMergeLatencyQuantiles(t *testing.T) {
 	}
 	for _, sizes := range fixed {
 		for _, maxLat := range []int{1, 3, 5000} {
-			check(fmt.Sprintf("shards %v, latencies < %dµs", sizes, maxLat), sizes, maxLat)
+			check(fmt.Sprintf("shards %v, latencies < %dµs", sizes, maxLat), sizes, upTo(maxLat))
 		}
 	}
 	for trial := 0; trial < 50; trial++ {
@@ -369,44 +392,128 @@ func TestMergeLatencyQuantiles(t *testing.T) {
 		for k := 1 + r.Intn(17); k > 0; k-- {
 			sizes = append(sizes, r.Intn(4)*r.Intn(300))
 		}
-		check(fmt.Sprintf("trial %d", trial), sizes, 5000)
+		check(fmt.Sprintf("trial %d", trial), sizes, upTo(5000))
+	}
+
+	const service = 120369 * time.Nanosecond
+	equal := func() time.Duration { return service }
+	mixed := func() time.Duration {
+		switch r.Intn(4) {
+		case 0:
+			return 1<<32 + time.Duration(r.Intn(3))<<r.Intn(40)
+		case 1:
+			return 1<<32 - 1
+		}
+		return time.Duration(r.Intn(5000)) * time.Microsecond
+	}
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+		draw  func() time.Duration
+	}{
+		{"every sample equal", []int{3*latChunkMax + 5, latChunkMin, 0, 1}, equal},
+		{"samples of 2^32 ns or more", []int{40, 0, 300, 7}, mixed},
+		{"all but the top samples of 2^32 ns or more", []int{200, 200}, func() time.Duration {
+			if r.Intn(100) == 0 {
+				return time.Microsecond
+			}
+			return 1<<32 + time.Duration(r.Intn(1e6))
+		}},
+		{"a single sample", []int{0, 1}, equal},
+		{"a single sample of 2^40 ns", []int{1}, func() time.Duration { return 1 << 40 }},
+		{"all shards empty but one", []int{0, 0, 2*latChunkMax + 9, 0}, upTo(5000)},
+	} {
+		check(tc.name, tc.sizes, tc.draw)
 	}
 }
 
-// TestLatLog checks the chunked latency log against append and a sort:
-// empty, one entry, either side of the first chunk's edge, and past the
-// chunk cap. Chunks double from latChunkMin to latChunkMax, every chunk
-// but the last is full (none was ever copied to grow), and the result
-// is one exact-size slice.
+// FuzzLatencySelect checks merge's radix select against a sort of the
+// merged sample, bit for bit, over random shard counts and sizes and
+// values drawn from a few tied ones, a seed-chosen log-scale spread and
+// latencies of 2^32 ns or more.
+func FuzzLatencySelect(f *testing.F) {
+	sp := mergeSpec(f, nil)
+	f.Add(int64(1), uint8(3), uint16(1000), uint8(20))
+	f.Add(int64(2), uint8(1), uint16(1), uint8(40))
+	f.Add(int64(3), uint8(9), uint16(20000), uint8(8))
+	f.Add(int64(4), uint8(4), uint16(9000), uint8(33))
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8, size uint16, spread uint8) {
+		r := rand.New(rand.NewSource(seed))
+		ties := []time.Duration{0, 1, 120369, 1<<32 - 1, 1 << 32, time.Duration(r.Int63n(1 << 34))}
+		spreadBits := 1 + int(spread)%44
+		lats := make([][]time.Duration, 1+int(shards)%16)
+		for i := range lats {
+			for n := r.Intn(1 + int(size)%(3*latChunkMax)); n > 0; n-- {
+				var d time.Duration
+				switch r.Intn(8) {
+				case 0, 1:
+					d = ties[r.Intn(len(ties))]
+				case 2:
+					d = 1<<32 + time.Duration(r.Int63n(1<<40))
+				default:
+					d = time.Duration(r.Int63n(1 << spreadBits))
+				}
+				lats[i] = append(lats[i], d)
+			}
+		}
+		if got, want := mergeLatencies(&sp, lats), sortedQuantiles(lats); got != want {
+			t.Fatalf("merged p50/p99/max %v, sorted %v", got, want)
+		}
+	})
+}
+
+// TestLatLog checks the chunked latency log against the latencies
+// appended to it: empty, one entry, either side of the first chunk's
+// edge, and past the chunk cap, each with and without latencies of 2^32
+// ns or more. Chunks double from latChunkMin to latChunkMax and every
+// chunk but the last is full (none was ever copied to grow); the chunks
+// hold every latency under 2^32 ns, 2^32-1 included, in order, and big
+// every longer one, 2^32 and 2^40 included; the count covers both.
 func TestLatLog(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	upToCap := latChunkMin * (2*latChunkMax/latChunkMin - 1) // every doubling, cap included
 	for _, n := range []int{0, 1, latChunkMin - 1, latChunkMin, latChunkMin + 1, upToCap, upToCap + 1, upToCap + 2*latChunkMax + 7} {
-		var g latLog
-		var want []time.Duration
-		for i := 0; i < n; i++ {
-			d := time.Duration(r.Intn(1000))
-			g.add(d)
-			want = append(want, d)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := g.sorted()
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d: log sorted to %d entries, not the %d appended ones in order", n, len(got), len(want))
-		}
-		if cap(got) != n {
-			t.Errorf("n=%d: result capacity %d, want exactly %d", n, cap(got), n)
-		}
-		chunks := g.full
-		if n > 0 {
-			chunks = append(chunks, g.cur)
-		}
-		size := latChunkMin
-		for k, c := range chunks {
-			if cap(c) != size || (k < len(g.full) && len(c) != size) {
-				t.Fatalf("n=%d: chunk %d holds %d of %d, want a full chunk of %d", n, k, len(c), cap(c), size)
+		for _, long := range []bool{false, true} {
+			var g latLog
+			var small []uint32
+			var big []time.Duration
+			for i := 0; i < n; i++ {
+				d := time.Duration(r.Intn(1000))
+				switch {
+				case long && i%97 == 5:
+					d = 1<<32 - 1
+				case long && i%97 == 6:
+					d = 1 << 32
+				case long && i%97 == 7:
+					d = 1 << 40
+				}
+				g.add(d)
+				if d < 1<<32 {
+					small = append(small, uint32(d))
+				} else {
+					big = append(big, d)
+				}
 			}
-			size = min(2*size, latChunkMax)
+			if g.n != n {
+				t.Fatalf("n=%d: log counts %d entries", n, g.n)
+			}
+			chunks := g.full
+			if g.cur != nil {
+				chunks = append(chunks, g.cur)
+			}
+			if got := slices.Concat(chunks...); !slices.Equal(got, small) {
+				t.Fatalf("n=%d long=%v: chunks hold %d entries, not the %d latencies under 2^32 ns in order", n, long, len(got), len(small))
+			}
+			if !slices.Equal(g.big, big) {
+				t.Fatalf("n=%d long=%v: big holds %v, want %v", n, long, g.big, big)
+			}
+			size := latChunkMin
+			for k, c := range chunks {
+				if cap(c) != size || (k < len(g.full) && len(c) != size) {
+					t.Fatalf("n=%d long=%v: chunk %d holds %d of %d, want a full chunk of %d", n, long, k, len(c), cap(c), size)
+				}
+				size = min(2*size, latChunkMax)
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -726,16 +727,19 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	r.WarmupP50, r.WarmupMax = latQuantiles(warmLats)
 	r.DrainP50, r.DrainMax = latQuantiles(drainLats)
 
-	runs := make([][]time.Duration, len(results))
+	logs := make([]*latLog, len(results))
 	n := 0
 	for i, s := range results {
-		runs[i] = s.Latencies
-		n += len(s.Latencies)
+		logs[i] = &s.Latencies
+		n += s.Latencies.n
 	}
 	if n > 0 {
-		r.LatP50 = quantile(runs, n, 0.50)
-		r.LatP99 = quantile(runs, n, 0.99)
-		r.LatMax = nth(runs, n-1)
+		p50, f50 := quantileRank(n, 0.50)
+		p99, f99 := quantileRank(n, 0.99)
+		v := latRanks(logs, []int{p50, min(p50+1, n-1), p99, min(p99+1, n-1), n - 1})
+		r.LatP50 = interpolate(v[0], v[1], f50)
+		r.LatP99 = interpolate(v[2], v[3], f99)
+		r.LatMax = v[4]
 	}
 	// Throughput is bytes over the virtual time the run actually covered,
 	// not the nominal horizon: a fault-heavy run whose drain releases held
@@ -797,45 +801,147 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	return r
 }
 
-// quantile is stats.QuantileSorted over the n samples of sorted runs,
-// as if merged: it interpolates, in float64 nanoseconds, between the
-// samples ranked around q(n-1), so it matches QuantileSorted on the
-// merged sample bit for bit. n must be positive.
-func quantile(runs [][]time.Duration, n int, q float64) time.Duration {
+// quantileRank is stats.QuantileSorted's position for quantile q of n
+// samples: the rank below q(n-1) and the weight of the rank above it.
+// n must be positive.
+func quantileRank(n int, q float64) (lo int, frac float64) {
 	pos := q * float64(n-1)
-	lo := math.Floor(pos)
-	frac := pos - lo
-	if frac == 0 {
-		return nth(runs, int(lo))
-	}
-	return time.Duration(float64(nth(runs, int(lo)))*(1-frac) + float64(nth(runs, int(lo)+1))*frac)
+	l := math.Floor(pos)
+	return int(l), pos - l
 }
 
-// nth returns the sample of rank k (0-based) in the ascending union of
-// sorted runs without merging them: it bisects the value range for the
-// least value with more than k samples at or below it, counting each
-// run's share by binary search.
-func nth(runs [][]time.Duration, k int) time.Duration {
-	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
-	for _, run := range runs {
-		if len(run) > 0 {
-			lo, hi = min(lo, run[0]), max(hi, run[len(run)-1])
-		}
+// interpolate is stats.QuantileSorted's blend of the samples at a
+// quantile's two ranks, in float64 nanoseconds, so a quantile taken
+// from selected ranks matches QuantileSorted on the merged sample bit
+// for bit.
+func interpolate(a, b time.Duration, frac float64) time.Duration {
+	if frac == 0 {
+		return a
 	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		n := 0
-		for _, run := range runs {
-			i, _ := slices.BinarySearch(run, mid+1)
-			n += i
-		}
-		if n > k {
-			hi = mid
+	return time.Duration(float64(a)*(1-frac) + float64(b)*frac)
+}
+
+// Radix select over latency logs. The first pass counts every chunk
+// entry into log-scale buckets: values under 2^(latMantBits+1) get one
+// bucket each, and every octave above gets 2^latMantBits, so a bucket
+// is a power-of-two range no wider than 1/128 of its values. Each
+// further pass counts only the entries inside one target range into
+// 2^latSubBits equal sub-ranges and narrows the range to the one that
+// holds the rank, until it is one value: at most two passes, since no
+// bucket is wider than 2^24.
+const (
+	latMantBits = 7
+	latBuckets  = (33 - latMantBits) << latMantBits
+	latSubBits  = 12
+)
+
+// latBucket is the log-scale bucket of v.
+func latBucket(v uint32) int {
+	e := max(bits.Len32(v), latMantBits+1) - (latMantBits + 1)
+	return e<<latMantBits + int(v>>e)
+}
+
+// latTarget is a rank being selected: its 0-based rank rem among the
+// entries of the power-of-two range [lo, lo+2^w) of chunk values that
+// holds it.
+type latTarget struct {
+	lo     uint32
+	w, rem int
+}
+
+// latRanks returns the samples of the given ranks (0-based, in any order)
+// in the union of the logs, where a sort of every entry would place
+// them, without gathering or sorting the entries. Ranks past the chunk
+// entries index the logs' big latencies, which are few and all larger;
+// the others come from counting passes over the chunks (see
+// latMantBits). The passes share one histogram and one array of
+// sub-range counters.
+func latRanks(logs []*latLog, ranks []int) []time.Duration {
+	var chunks [][]uint32
+	var big []time.Duration
+	small := 0
+	for _, g := range logs {
+		chunks = append(chunks, g.full...)
+		chunks = append(chunks, g.cur)
+		big = append(big, g.big...)
+		small += g.n - len(g.big)
+	}
+	slices.Sort(big)
+
+	// Selection runs over ascending ranks; order maps them back.
+	order := make([]int, len(ranks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return ranks[a] - ranks[b] })
+	out := make([]time.Duration, len(ranks))
+	var tgt []latTarget
+	for _, i := range order {
+		if k := ranks[i]; k >= small {
+			out[i] = big[k-small]
 		} else {
-			lo = mid + 1
+			tgt = append(tgt, latTarget{rem: k})
 		}
 	}
-	return lo
+	if len(tgt) == 0 {
+		return out
+	}
+
+	hist := make([]int, latBuckets)
+	for _, c := range chunks {
+		for _, v := range c {
+			hist[latBucket(v)]++
+		}
+	}
+	below, b := 0, 0
+	for i := range tgt {
+		k := tgt[i].rem // ascending, so the scan resumes where it stopped
+		for below+hist[b] <= k {
+			below += hist[b]
+			b++
+		}
+		e := max(b>>latMantBits, 1) - 1
+		tgt[i] = latTarget{lo: uint32(b-e<<latMantBits) << e, w: e, rem: k - below}
+	}
+
+	// Targets that share a range are adjacent. Each pass counts one
+	// range wider than one value and narrows every target in it, which
+	// may split them across sub-ranges; the loop moves on only past a
+	// resolved target.
+	counts := make([]int, 1<<latSubBits)
+	for i := 0; i < len(tgt); {
+		lo, w := tgt[i].lo, tgt[i].w
+		if w == 0 {
+			i++
+			continue
+		}
+		shift := max(w-latSubBits, 0)
+		cs := counts[:1<<(w-shift)]
+		clear(cs)
+		width := uint32(1) << w
+		for _, c := range chunks {
+			for _, v := range c {
+				if d := v - lo; d < width {
+					cs[d>>shift]++
+				}
+			}
+		}
+		for k := i; k < len(tgt) && tgt[k].lo == lo && tgt[k].w == w; k++ {
+			t := &tgt[k]
+			j := 0
+			for t.rem >= cs[j] {
+				t.rem -= cs[j]
+				j++
+			}
+			t.lo += uint32(j) << shift
+			t.w = shift
+		}
+	}
+	for _, i := range order[:len(tgt)] {
+		out[i] = time.Duration(tgt[0].lo)
+		tgt = tgt[1:]
+	}
+	return out
 }
 
 // latQuantiles returns the p50 and maximum of a latency sample, sorting
@@ -845,7 +951,8 @@ func latQuantiles(lats []time.Duration) (p50, max time.Duration) {
 		return 0, 0
 	}
 	slices.Sort(lats)
-	return quantile([][]time.Duration{lats}, len(lats), 0.50), lats[len(lats)-1]
+	lo, frac := quantileRank(len(lats), 0.50)
+	return interpolate(lats[lo], lats[min(lo+1, len(lats)-1)], frac), lats[len(lats)-1]
 }
 
 // budgetAt returns the scheduled fleet budget in force at time t: the

@@ -32,8 +32,10 @@ type shardRange struct{ g0, g1 int }
 // and completed past it.
 type shardResult struct {
 	Report
-	// Latencies are the shard's request latencies, sorted ascending.
-	Latencies             []time.Duration
+	// Latencies logs every completed request's latency until the drain
+	// ends. It is held by value: a pointer into the shard would keep the
+	// finished shard reachable (see the end of runShard).
+	Latencies             latLog
 	IntervalEnergyJ       []float64
 	WarmupLats, DrainLats []time.Duration
 }
@@ -86,8 +88,6 @@ type shard struct {
 	// freeDone pools per-request completion records across the shard's
 	// lanes; the pool never grows past the shard's total in-flight depth.
 	freeDone *laneDone
-	// lat logs every completed request's latency until the drain ends.
-	lat latLog
 }
 
 // EnergyJ is the shard's aggregate device energy — mechanistic meters
@@ -289,7 +289,7 @@ func (d *laneDone) run() {
 	// Latency is measured from admission, so queue wait under a
 	// curtailed budget is part of the serving tail, as it would be
 	// for a real frontend.
-	s.lat.add(now - admitted)
+	s.res.Latencies.add(now - admitted)
 	l.dispatch()
 	if l.warmPending || l.state == laneRemoving {
 		s.laneCompleted(l, now)
@@ -307,37 +307,33 @@ const (
 	latChunkMax = 8192
 )
 
-// latLog is an append-only log of request latencies. It grows by
-// adding chunks, never by copying one, so a shard's garbage is one
-// chunk list plus the flattened result instead of append's doublings.
+// latLog is an append-only, unsorted log of request latencies. It grows
+// by adding chunks, never by copying one. A chunk entry is a uint32 of
+// nanoseconds, which holds any latency under 2^32 ns (4.29 s); a longer
+// one goes to big, so the log stays exact at half the bytes of a
+// time.Duration. merge selects the ranks it reports from the logs as
+// they are (see latRanks).
 type latLog struct {
-	full [][]time.Duration // filled chunks, in order
-	cur  []time.Duration   // the chunk being filled
+	full [][]uint32      // filled chunks, in order
+	cur  []uint32        // the chunk being filled
+	big  []time.Duration // latencies of 2^32 ns or more
+	n    int             // entries in the chunks and big together
 }
 
+// add logs d, which must not be negative.
 func (g *latLog) add(d time.Duration) {
+	g.n++
+	if d >= 1<<32 {
+		g.big = append(g.big, d)
+		return
+	}
 	if len(g.cur) == cap(g.cur) {
 		if g.cur != nil {
 			g.full = append(g.full, g.cur)
 		}
-		g.cur = make([]time.Duration, 0, min(max(2*cap(g.cur), latChunkMin), latChunkMax))
+		g.cur = make([]uint32, 0, min(max(2*cap(g.cur), latChunkMin), latChunkMax))
 	}
-	g.cur = append(g.cur, d)
-}
-
-// sorted returns every logged latency in one exact-size ascending slice.
-func (g *latLog) sorted() []time.Duration {
-	n := len(g.cur)
-	for _, c := range g.full {
-		n += len(c)
-	}
-	out := make([]time.Duration, 0, n)
-	for _, c := range g.full {
-		out = append(out, c...)
-	}
-	out = append(out, g.cur...)
-	slices.Sort(out)
-	return out
+	g.cur = append(g.cur, uint32(d))
 }
 
 func (l *lane) submit(admitted time.Duration) {
@@ -546,7 +542,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 			s.res.WakesOnDemand += l.redir.WakesOnDemand
 		}
 	}
-	s.res.Latencies = s.lat.sorted()
 	// Return a copy, not &s.res: an interior pointer would keep the
 	// whole finished shard (engine, devices, lanes) reachable until Run
 	// merges, so peak memory would grow with Spec.Shards instead of

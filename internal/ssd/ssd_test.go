@@ -104,6 +104,15 @@ func TestPageOpFitsSizeClass(t *testing.T) {
 	}
 }
 
+// TestSSDFitsSizeClass: a fleet holds one SSD record per device, and a
+// field past 896 bytes moves every record to Go's 1024-byte size class.
+// At 936 bytes pure-1k lost most of the exact energy ledger's gain.
+func TestSSDFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(SSD{}); n > 896 {
+		t.Fatalf("SSD is %d bytes, want at most 896", n)
+	}
+}
+
 // TestPageRunsAllocateNothing: once the device's pools are warm, writes
 // and reads whose pages start at several times allocate nothing. A
 // 16 KiB write leaves its die programming; the 128 KiB read submitted on
