@@ -370,7 +370,7 @@ func capped2MiBQD1(b *testing.B, mod func(*ssd.Config)) float64 {
 			mod(&cfg)
 		}
 		eng := sim.NewEngine()
-		dev, err := ssd.New(cfg, eng, sim.NewRNG(7))
+		dev, err := ssd.New(&cfg, cfg.Name, eng, sim.NewRNG(7))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func BenchmarkAblationCapBurst(b *testing.B) {
 				cfg := catalog.SSD2Config()
 				cfg.CapBurst = burst
 				eng := sim.NewEngine()
-				dev, err := ssd.New(cfg, eng, sim.NewRNG(7))
+				dev, err := ssd.New(&cfg, cfg.Name, eng, sim.NewRNG(7))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -447,7 +447,7 @@ func BenchmarkAblationNCQ(b *testing.B) {
 				cfg := catalog.HDDConfig()
 				cfg.DisableNCQ = !ncq
 				eng := sim.NewEngine()
-				dev, err := hdd.New(cfg, eng, sim.NewRNG(7))
+				dev, err := hdd.New(&cfg, cfg.Name, eng, sim.NewRNG(7))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -640,7 +640,7 @@ func BenchmarkAblationHostLink(b *testing.B) {
 				cfg := catalog.SSD1Config()
 				cfg.LinkMBps = gen.mbps
 				eng := sim.NewEngine()
-				dev, err := ssd.New(cfg, eng, sim.NewRNG(7))
+				dev, err := ssd.New(&cfg, cfg.Name, eng, sim.NewRNG(7))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -250,25 +250,27 @@ func HDDConfig() hdd.Config {
 }
 
 // NewSSD1 builds the SSD1 model on an engine.
-func NewSSD1(eng *sim.Engine, rng *sim.RNG) *ssd.SSD { return mustSSD(SSD1Config(), eng, rng) }
+func NewSSD1(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	return mustSSD(ssdTemplates["SSD1"], "SSD1", eng, rng)
+}
 
 // NewSSD2 builds the SSD2 model on an engine.
-func NewSSD2(eng *sim.Engine, rng *sim.RNG) *ssd.SSD { return mustSSD(SSD2Config(), eng, rng) }
+func NewSSD2(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	return mustSSD(ssdTemplates["SSD2"], "SSD2", eng, rng)
+}
 
 // NewSSD3 builds the SSD3 model on an engine.
-func NewSSD3(eng *sim.Engine, rng *sim.RNG) *ssd.SSD { return mustSSD(SSD3Config(), eng, rng) }
+func NewSSD3(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	return mustSSD(ssdTemplates["SSD3"], "SSD3", eng, rng)
+}
 
 // NewEVO builds the 860 EVO model on an engine.
-func NewEVO(eng *sim.Engine, rng *sim.RNG) *ssd.SSD { return mustSSD(EVOConfig(), eng, rng) }
+func NewEVO(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	return mustSSD(ssdTemplates["EVO"], "EVO", eng, rng)
+}
 
 // NewHDD builds the Exos 7E2000 model on an engine.
-func NewHDD(eng *sim.Engine, rng *sim.RNG) *hdd.HDD {
-	d, err := hdd.New(HDDConfig(), eng, rng)
-	if err != nil {
-		panic(err) // calibrated config; cannot fail
-	}
-	return d
-}
+func NewHDD(eng *sim.Engine, rng *sim.RNG) *hdd.HDD { return mustHDD("HDD", eng, rng) }
 
 // Table1 builds the paper's four evaluated devices in Table-1 order.
 func Table1(eng *sim.Engine, rng *sim.RNG) []device.Device {
@@ -302,23 +304,14 @@ func Names() []string { return []string{"SSD1", "SSD2", "SSD3", "HDD", "EVO", "C
 // chosen instance name. Fleet-scale layers (internal/serve) instantiate
 // hundreds of devices from the same profile; each needs a unique name
 // because models, budget controllers, and telemetry lanes key on it.
-// Each instance re-labels a copy of the class's interned config
-// template, so the immutable per-class tables (power states,
-// non-operational states) are shared by reference across the whole
-// fleet instead of reallocated per device.
+// Every instance points at its class's interned config, so the whole
+// fleet shares one Config per class instead of copying it per device.
 func NewNamed(profile, name string, eng *sim.Engine, rng *sim.RNG) (device.Device, bool) {
-	if cfg, ok := internedConfig(profile); ok {
-		cfg.Name = name
-		return mustSSD(cfg, eng, rng), true
+	if cfg, ok := ssdTemplates[profile]; ok {
+		return mustSSD(cfg, name, eng, rng), true
 	}
 	if profile == "HDD" {
-		cfg := internedHDDConfig()
-		cfg.Name = name
-		d, err := hdd.New(cfg, eng, rng)
-		if err != nil {
-			panic(err) // calibrated config; cannot fail
-		}
-		return d, true
+		return mustHDD(name, eng, rng), true
 	}
 	return nil, false
 }
@@ -329,17 +322,27 @@ func NewNamed(profile, name string, eng *sim.Engine, rng *sim.RNG) (device.Devic
 // write only once all of it fits its write cache (it never admits a
 // larger one). Request sizes taken from users are checked against it.
 func StagedBytes(profile string, op device.Op) int64 {
-	if cfg, ok := internedConfig(profile); ok {
+	if cfg, ok := ssdTemplates[profile]; ok {
 		return cfg.BufferBytes
 	}
 	if profile == "HDD" && op == device.OpWrite {
-		return internedHDDConfig().CacheBytes
+		return hddTemplate.CacheBytes
 	}
 	return 0
 }
 
-func mustSSD(cfg ssd.Config, eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
-	d, err := ssd.New(cfg, eng, rng)
+// mustSSD builds SSD instance name from a calibrated interned config.
+func mustSSD(cfg *ssd.Config, name string, eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	d, err := ssd.New(cfg, name, eng, rng)
+	if err != nil {
+		panic(err) // calibrated config; cannot fail
+	}
+	return d
+}
+
+// mustHDD builds HDD instance name from the interned config.
+func mustHDD(name string, eng *sim.Engine, rng *sim.RNG) *hdd.HDD {
+	d, err := hdd.New(hddTemplate, name, eng, rng)
 	if err != nil {
 		panic(err) // calibrated config; cannot fail
 	}
@@ -405,4 +408,6 @@ func C960Config() ssd.Config {
 }
 
 // NewC960 builds the client 960 EVO model on an engine.
-func NewC960(eng *sim.Engine, rng *sim.RNG) *ssd.SSD { return mustSSD(C960Config(), eng, rng) }
+func NewC960(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
+	return mustSSD(ssdTemplates["C960"], "C960", eng, rng)
+}

@@ -1,36 +1,24 @@
 package catalog
 
-import (
-	"wattio/internal/hdd"
-	"wattio/internal/ssd"
-)
+import "wattio/internal/ssd"
 
-// Interned per-class config templates. The public SSD*Config
-// constructors build a fresh value (with fresh slices) on every call so
-// callers may tweak them, but a fleet materializing 10⁵-10⁶ instances
-// of the same class must not pay a slice allocation per device for
-// tables that never change. NewNamed copies a template struct instead:
-// the copy shares the immutable PowerStates/NonOpStates backing arrays
-// across every instance of the class (the device models only ever read
-// them — ssd.SSD.PowerStates() already hands callers a copy).
+// Interned per-class configs. The public SSD*Config constructors build
+// a fresh value (with fresh slices) on every call so callers may tweak
+// them, but a fleet materializing 10⁵-10⁶ instances of the same class
+// must not copy a config, or allocate its tables, per device. Every
+// device the catalog builds points at its class's one Config here, and
+// the device models only ever read it: Config() hands out a copy named
+// after the instance, and PowerStates() the shared, read-only table.
 var (
-	ssdTemplates = map[string]ssd.Config{
-		"SSD1": SSD1Config(),
-		"SSD2": SSD2Config(),
-		"SSD3": SSD3Config(),
-		"EVO":  EVOConfig(),
-		"C960": C960Config(),
+	ssdTemplates = map[string]*ssd.Config{
+		"SSD1": ref(SSD1Config()),
+		"SSD2": ref(SSD2Config()),
+		"SSD3": ref(SSD3Config()),
+		"EVO":  ref(EVOConfig()),
+		"C960": ref(C960Config()),
 	}
-	hddTemplate = HDDConfig()
+	hddTemplate = ref(HDDConfig())
 )
 
-// internedConfig returns the shared config template of an SSD-family
-// profile. The caller owns the returned struct copy but must not mutate
-// its slice fields, which alias every other instance of the class.
-func internedConfig(profile string) (ssd.Config, bool) {
-	cfg, ok := ssdTemplates[profile]
-	return cfg, ok
-}
-
-// internedHDDConfig returns the shared HDD config template.
-func internedHDDConfig() hdd.Config { return hddTemplate }
+// ref returns a pointer to a copy of v.
+func ref[T any](v T) *T { return &v }

@@ -12,7 +12,7 @@ import (
 	"wattio/internal/workload"
 )
 
-// TestInternedTemplatesMatchConstructors: the shared templates must be
+// TestInternedTemplatesMatchConstructors: the shared configs must be
 // exactly what the public constructors build — interning changes
 // allocation, never calibration.
 func TestInternedTemplatesMatchConstructors(t *testing.T) {
@@ -25,32 +25,40 @@ func TestInternedTemplatesMatchConstructors(t *testing.T) {
 		"C960": C960Config(),
 	}
 	for name, want := range fresh {
-		got, ok := internedConfig(name)
+		got, ok := ssdTemplates[name]
 		if !ok {
-			t.Fatalf("no interned template for %s", name)
+			t.Fatalf("no interned config for %s", name)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("interned %s config diverges from its constructor", name)
 		}
 	}
-	if got := internedHDDConfig(); !reflect.DeepEqual(got, HDDConfig()) {
+	if !reflect.DeepEqual(*hddTemplate, HDDConfig()) {
 		t.Error("interned HDD config diverges from its constructor")
 	}
 }
 
-// TestInternSharesBackingArrays: every instance of a class must share
-// one immutable slice backing array — that sharing is the flyweight.
+// TestInternSharesBackingArrays: every instance of a class must share one
+// immutable config — that sharing is the flyweight — while each keeps
+// its own name.
 func TestInternSharesBackingArrays(t *testing.T) {
 	t.Parallel()
-	a, _ := internedConfig("SSD2")
-	b, _ := internedConfig("SSD2")
-	if len(a.PowerStates) == 0 || &a.PowerStates[0] != &b.PowerStates[0] {
+	eng, rng := sim.NewEngine(), sim.NewRNG(1)
+	build := func(profile, name string) *ssd.SSD {
+		d, _ := NewNamed(profile, name, eng, rng)
+		return d.(*ssd.SSD)
+	}
+	a, b := build("SSD2", "SSD2#00000"), build("SSD2", "SSD2#00001")
+	if pa, pb := a.PowerStates(), b.PowerStates(); len(pa) == 0 || &pa[0] != &pb[0] {
 		t.Error("SSD2 power-state tables are not shared across instances")
 	}
-	c, _ := internedConfig("C960")
-	d, _ := internedConfig("C960")
-	if len(c.NonOpStates) == 0 || &c.NonOpStates[0] != &d.NonOpStates[0] {
+	c, d := build("C960", "c"), build("C960", "d")
+	if nc, nd := c.Config().NonOpStates, d.Config().NonOpStates; len(nc) == 0 || &nc[0] != &nd[0] {
 		t.Error("C960 non-op-state tables are not shared across instances")
+	}
+	if a.Name() != "SSD2#00000" || a.Config().Name != "SSD2#00000" || ssdTemplates["SSD2"].Name != "SSD2" {
+		t.Errorf("instance name %q (config %q) leaked into or from the class config %q",
+			a.Name(), a.Config().Name, ssdTemplates["SSD2"].Name)
 	}
 }
 
@@ -84,14 +92,12 @@ func TestInternBitIdenticalDevices(t *testing.T) {
 			}
 			resA, eA := run(devA, engA, rngA.Stream("wl"))
 
-			cfg, _ := internedConfig(profile)
 			fresh := map[string]func() ssd.Config{
 				"SSD1": SSD1Config, "SSD2": SSD2Config, "SSD3": SSD3Config,
 				"EVO": EVOConfig, "C960": C960Config,
 			}[profile]()
-			fresh.Name = cfg.Name
 			engB, rngB := sim.NewEngine(), sim.NewRNG(9)
-			devB, err := ssd.New(fresh, engB, rngB.Stream("dev"))
+			devB, err := ssd.New(&fresh, profile, engB, rngB.Stream("dev"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,9 +119,8 @@ func TestInternBitIdenticalDevices(t *testing.T) {
 		resA, eA := run(devA, engA, rngA.Stream("wl"))
 
 		fresh := HDDConfig()
-		fresh.Name = "HDD"
 		engB, rngB := sim.NewEngine(), sim.NewRNG(9)
-		devB, err := hdd.New(fresh, engB, rngB.Stream("dev"))
+		devB, err := hdd.New(&fresh, "HDD", engB, rngB.Stream("dev"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,4 +129,22 @@ func TestInternBitIdenticalDevices(t *testing.T) {
 			t.Fatalf("interned vs fresh diverged:\n  interned ios=%d %.9f J\n  fresh    ios=%d %.9f J", resA.IOs, eA, resB.IOs, eB)
 		}
 	})
+}
+
+// TestNewNamedAllocs bounds what one fleet device costs to build: an
+// SSD2 instance shares its class config and makes 6 allocations (the
+// device, its RNG stream, its meter and its per-die slice among them),
+// an HDD 5.
+func TestNewNamedAllocs(t *testing.T) {
+	eng, rng := sim.NewEngine(), sim.NewRNG(1)
+	for _, c := range []struct {
+		profile string
+		max     float64
+	}{{"SSD2", 6}, {"HDD", 5}} {
+		name := c.profile + "#00001"
+		n := testing.AllocsPerRun(50, func() { NewNamed(c.profile, name, eng, rng) })
+		if n > c.max {
+			t.Errorf("NewNamed(%q) allocates %.0f times, want at most %.0f", c.profile, n, c.max)
+		}
+	}
 }

@@ -142,7 +142,9 @@ type Device interface {
 	EnergyJ() float64
 
 	// PowerStates lists the device's operational power states, ps0
-	// first. Devices without NVMe-style states return nil.
+	// first. Devices without NVMe-style states return nil. The slice
+	// may be shared by every device of a class: callers must not
+	// modify it.
 	PowerStates() []PowerState
 	// SetPowerState selects a power state by index.
 	SetPowerState(index int) error

@@ -121,9 +121,10 @@ const (
 
 // HDD is a simulated hard-disk drive. It implements device.Device.
 type HDD struct {
-	cfg Config
-	eng *sim.Engine
-	rng *sim.RNG
+	cfg  *Config // the class's shared configuration; never written
+	name string
+	eng  *sim.Engine
+	rng  *sim.RNG
 
 	meter *power.Meter
 
@@ -180,15 +181,23 @@ type pendingIO struct {
 	done func()
 }
 
-// New constructs an HDD attached to the engine, spinning and idle.
-func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*HDD, error) {
+// New constructs the HDD named name, of the class cfg describes,
+// attached to the engine, spinning and idle. The device keeps cfg, so
+// every instance of a class shares one Config, which must not change
+// afterwards; cfg.Name names the class, and Name and Config report the
+// instance name.
+func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*HDD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if name == "" {
+		return nil, fmt.Errorf("hdd %s: instance needs a name", cfg.Name)
+	}
 	d := &HDD{
 		cfg:        cfg,
+		name:       name,
 		eng:        eng,
-		rng:        rng.Stream("hdd/" + cfg.Name),
+		rng:        rng.Stream("hdd/" + name),
 		meter:      power.NewMeter(eng.Now(), 5), // the five components below
 		revolution: time.Duration(60.0 / float64(cfg.RPM) * float64(time.Second)),
 		spindleUW:  power.MicroW(cfg.PSpindle),
@@ -217,14 +226,14 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*HDD, error) {
 	}
 	d.tr = eng.Tracer()
 	if d.tr.Enabled() {
-		d.lane = cfg.Name
-		d.laneHead = cfg.Name + "/head"
+		d.lane = name
+		d.laneHead = name + "/head"
 	}
 	return d, nil
 }
 
 // Name implements device.Device.
-func (d *HDD) Name() string { return d.cfg.Name }
+func (d *HDD) Name() string { return d.name }
 
 // Model implements device.Device.
 func (d *HDD) Model() string { return d.cfg.Model }
@@ -235,8 +244,13 @@ func (d *HDD) Protocol() device.Protocol { return device.SATA }
 // CapacityBytes implements device.Device.
 func (d *HDD) CapacityBytes() int64 { return d.cfg.CapacityBytes }
 
-// Config returns the device's configuration.
-func (d *HDD) Config() Config { return d.cfg }
+// Config returns a copy of the device's configuration, named after the
+// instance.
+func (d *HDD) Config() Config {
+	c := *d.cfg
+	c.Name = d.name
+	return c
+}
 
 // InstantPower implements device.Device.
 func (d *HDD) InstantPower() float64 { return d.meter.Instant(d.eng.Now()) }

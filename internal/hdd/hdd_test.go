@@ -48,7 +48,7 @@ func newTest(t *testing.T, mod func(*Config)) (*HDD, *sim.Engine) {
 		mod(&cfg)
 	}
 	eng := sim.NewEngine()
-	d, err := New(cfg, eng, sim.NewRNG(3))
+	d, err := New(&cfg, cfg.Name, eng, sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestAllIOCompletesProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		cfg := testConfig()
 		eng := sim.NewEngine()
-		d, err := New(cfg, eng, sim.NewRNG(11))
+		d, err := New(&cfg, cfg.Name, eng, sim.NewRNG(11))
 		if err != nil {
 			return false
 		}

@@ -11,7 +11,7 @@ import (
 // Submit implements device.Device.
 func (d *HDD) Submit(r device.Request, done func()) {
 	if err := r.Validate(d.cfg.CapacityBytes); err != nil {
-		panic(fmt.Sprintf("hdd %s: %v", d.cfg.Name, err))
+		panic(fmt.Sprintf("hdd %s: %v", d.name, err))
 	}
 	if done == nil {
 		panic("hdd: Submit with nil done")

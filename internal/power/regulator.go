@@ -27,12 +27,12 @@ type Regulator struct {
 // power rateW with a burst of one window at that rate. A window of zero
 // disables bursting entirely (ops are admitted at exactly the sustained
 // rate).
-func NewRegulator(rateW float64, window time.Duration, now time.Duration) *Regulator {
+func NewRegulator(rateW float64, window time.Duration, now time.Duration) Regulator {
 	if rateW < 0 {
 		rateW = 0
 	}
 	burst := rateW * window.Seconds()
-	return &Regulator{
+	return Regulator{
 		rateW:   rateW,
 		burstJ:  burst,
 		credits: burst, // start full: an idle device may burst to the cap
@@ -41,8 +41,9 @@ func NewRegulator(rateW float64, window time.Duration, now time.Duration) *Regul
 	}
 }
 
-// Uncapped returns a regulator that admits everything immediately.
-func Uncapped() *Regulator { return &Regulator{capped: false} }
+// Uncapped returns a regulator that admits everything immediately. It is
+// the zero Regulator.
+func Uncapped() Regulator { return Regulator{} }
 
 // Capped reports whether this regulator constrains operations at all.
 func (r *Regulator) Capped() bool { return r.capped }

@@ -14,9 +14,34 @@ import (
 )
 
 // InstanceName is the canonical name of fleet device i of a profile —
-// the key planning models, governors, and fault scripts address it by.
+// the key planning models, governors, and fault scripts address it by:
+// fmt's "%s#%05d".
 func InstanceName(profile string, i int) string {
-	return fmt.Sprintf("%s#%05d", profile, i)
+	var buf [32]byte
+	return string(appendIndex(append(append(buf[:0], profile...), '#'), i))
+}
+
+// label is prefix followed by i as fmt's "%05d" formats it: the name of
+// a fleet lane's streams and redirector.
+func label(prefix string, i int) string {
+	var buf [32]byte
+	return string(appendIndex(append(buf[:0], prefix...), i))
+}
+
+// appendIndex appends i to b as fmt's "%05d" does: in decimal, its sign
+// and digits zero-padded to five characters. Fleet set-up names every
+// device and lane, and fmt would box both arguments of each name.
+func appendIndex(b []byte, i int) []byte {
+	var num [20]byte
+	d := strconv.AppendInt(num[:0], int64(i), 10)
+	w := len(d)
+	if d[0] == '-' {
+		b, d = append(b, '-'), d[1:]
+	}
+	for ; w < 5; w++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // parseInstanceName is InstanceName's inverse: it splits a fleet

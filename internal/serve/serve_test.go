@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -335,6 +336,25 @@ func TestParseInstanceName(t *testing.T) {
 	} {
 		if _, _, err := parseInstanceName(bad); err == nil {
 			t.Errorf("parseInstanceName(%q) accepted", bad)
+		}
+	}
+}
+
+// TestLabelsMatchFmt: the strconv-built device names and lane labels
+// are exactly what fmt formats, so every stream they key draws as
+// before.
+func TestLabelsMatchFmt(t *testing.T) {
+	for _, i := range []int{0, 9, 99999, 100000, 1000000, -1, -12345} {
+		for _, c := range []struct{ got, want string }{
+			{InstanceName("SSD2", i), fmt.Sprintf("%s#%05d", "SSD2", i)},
+			{InstanceName("C960", i), fmt.Sprintf("%s#%05d", "C960", i)},
+			{label("lane", i), fmt.Sprintf("lane%05d", i)},
+			{label("arrivals", i), fmt.Sprintf("arrivals%05d", i)},
+			{label("group", i), fmt.Sprintf("group%05d", i)},
+		} {
+			if c.got != c.want {
+				t.Errorf("at %d: got %q, want %q", i, c.got, c.want)
+			}
 		}
 	}
 }

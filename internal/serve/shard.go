@@ -493,7 +493,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 
 	// Open-loop arrival stream per lane.
 	for _, l := range s.lanes {
-		l.astream = rng.Stream(fmt.Sprintf("arrivals%05d", l.g))
+		l.astream = rng.Stream(label("arrivals", l.g))
 		if err := s.startLaneArrivals(l); err != nil {
 			return nil, err
 		}
@@ -589,7 +589,7 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 
 	l.dev = l.devs[0]
 	if sp.Replicas > 1 {
-		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), l.devs, sp.active())
+		rd, err := adaptive.NewRedirector(label("group", g), l.devs, sp.active())
 		if err != nil {
 			return nil, err
 		}
@@ -597,7 +597,7 @@ func (s *shard) buildGroup(g, pi int, rng *sim.RNG, pre map[int]*preFault) (*lan
 	}
 	l.span = l.dev.CapacityBytes()
 	l.span -= l.span % chunkBytes
-	l.rng = rng.Stream(fmt.Sprintf("lane%05d", g))
+	l.rng = rng.Stream(label("lane", g))
 	s.lanes = append(s.lanes, l)
 	return l, nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 )
@@ -10,23 +9,55 @@ import (
 // stream per consumer (measurement noise, workload offsets, seek
 // distances, …) so that adding a consumer never perturbs the draws seen
 // by existing ones.
+//
+// An RNG is one heap object: it holds its PCG state and the rand.Rand
+// over it inline, and r's source points at pcg. It must therefore never
+// be copied (go vet's copylocks check flags a copy); share *RNG.
 type RNG struct {
-	r *rand.Rand
+	_   noCopy
+	pcg rand.PCG
+	r   rand.Rand
+}
+
+// noCopy makes go vet report any copy of the struct that holds it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// newRNG returns a stream seeded with the PCG words (s1, s2).
+func newRNG(s1, s2 uint64) *RNG {
+	g := &RNG{}
+	g.pcg.Seed(s1, s2)
+	g.r = *rand.New(&g.pcg)
+	return g
 }
 
 // NewRNG returns a root stream for the given seed.
-func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, splitmix64(seed)))}
-}
+func NewRNG(seed uint64) *RNG { return newRNG(seed, splitmix64(seed)) }
 
 // Stream derives an independent child stream keyed by name. The same
-// (seed, name) pair always yields the same sequence.
+// (seed, name) pair always yields the same sequence. The name is keyed
+// by its 64-bit FNV-1a hash.
 func (g *RNG) Stream(name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	k := h.Sum64()
+	k := fnv1a(name)
 	a := g.r.Uint64() // fold in parent position once, at derivation time
-	return &RNG{r: rand.New(rand.NewPCG(a^k, splitmix64(k)))}
+	return newRNG(a^k, splitmix64(k))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of s, as hash/fnv's New64a computes
+// it, without that package's heap-allocated hasher.
+func fnv1a(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Float64 returns a uniform draw in [0, 1).

@@ -182,7 +182,7 @@ func TestAPSTDeterministicWithRNG(t *testing.T) {
 		cfg := testConfig()
 		withAPST(&cfg)
 		eng := sim.NewEngine()
-		d, err := New(cfg, eng, sim.NewRNG(5))
+		d, err := New(&cfg, cfg.Name, eng, sim.NewRNG(5))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestSSDFootprint(t *testing.T) {
 	eng, rng := sim.NewEngine(), sim.NewRNG(1)
 	// The first device allocates the engine's shared structures (the
 	// timing wheel); it is not part of any one device's footprint.
-	if _, err := ssd.New(cfg, eng, rng); err != nil {
+	if _, err := ssd.New(&cfg, cfg.Name, eng, rng); err != nil {
 		t.Fatal(err)
 	}
 	devs := make([]*ssd.SSD, n)
@@ -31,7 +31,7 @@ func TestSSDFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range devs {
-		d, err := ssd.New(cfg, eng, rng)
+		d, err := ssd.New(&cfg, cfg.Name, eng, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

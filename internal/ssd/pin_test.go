@@ -102,7 +102,7 @@ func runPin(t *testing.T, s pinShape) (string, float64) {
 	reg := telemetry.NewRegistry()
 	eng := sim.NewEngine()
 	eng.EnableTelemetry(reg, nil)
-	d, err := ssd.New(s.cfg, eng, sim.NewRNG(1))
+	d, err := ssd.New(&s.cfg, s.cfg.Name, eng, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPinDigests(t *testing.T) {
 func pageEvents(t *testing.T, cfg ssd.Config, setup func(eng *sim.Engine, d *ssd.SSD, mark func())) uint64 {
 	t.Helper()
 	eng := sim.NewEngine()
-	d, err := ssd.New(cfg, eng, sim.NewRNG(1))
+	d, err := ssd.New(&cfg, cfg.Name, eng, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ type fuzzReq struct {
 // energy and the kernel events it dispatched.
 func runPageRuns(t *testing.T, cfg ssd.Config, reqs []fuzzReq, postAll bool) (string, float64, uint64) {
 	eng := sim.NewEngine()
-	d, err := ssd.New(cfg, eng, sim.NewRNG(1))
+	d, err := ssd.New(&cfg, cfg.Name, eng, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,14 @@ const (
 
 // SSD is a simulated solid-state drive. It implements device.Device.
 type SSD struct {
-	cfg Config
-	eng *sim.Engine
-	rng *sim.RNG
+	cfg  *Config // the class's shared configuration; never written
+	name string
+	eng  *sim.Engine
+	rng  *sim.RNG
 
 	meter *power.Meter
 
-	reg          *power.Regulator
+	reg          power.Regulator
 	psIndex      int
 	stateReadyAt time.Duration
 
@@ -139,20 +140,27 @@ type pendingIO struct {
 	done func()
 }
 
-// New constructs an SSD attached to the engine, drawing idle power from
-// time zero. The RNG seeds the activity-ripple process. A device's
-// per-die state is one flat slice and one meter component carries every
-// die's draw, so construction makes a handful of allocations whatever
-// the die count.
-func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
+// New constructs the SSD named name, of the class cfg describes,
+// attached to the engine and drawing idle power from time zero. The
+// device keeps cfg, so every instance of a class shares one Config,
+// which must not change afterwards; cfg.Name names the class, and Name
+// and Config report the instance name. The RNG seeds the
+// activity-ripple process. A device's per-die state is one flat slice
+// and one meter component carries every die's draw, so construction
+// makes a handful of allocations whatever the die count.
+func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if name == "" {
+		return nil, fmt.Errorf("ssd %s: instance needs a name", cfg.Name)
 	}
 	n := cfg.Dies()
 	d := &SSD{
 		cfg:         cfg,
+		name:        name,
 		eng:         eng,
-		rng:         rng.Stream("ssd/" + cfg.Name),
+		rng:         rng.Stream("ssd/" + name),
 		meter:       power.NewMeter(eng.Now(), 6),
 		bufFree:     cfg.BufferBytes,
 		apstEnabled: cfg.APSTDefault,
@@ -174,10 +182,10 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	}
 	d.tr = eng.Tracer()
 	if d.tr.Enabled() {
-		d.lane = cfg.Name
+		d.lane = name
 		d.laneDies = make([]string, n)
 		for i := range d.laneDies {
-			d.laneDies[i] = fmt.Sprintf("%s/die%d", cfg.Name, i)
+			d.laneDies[i] = fmt.Sprintf("%s/die%d", name, i)
 		}
 	}
 
@@ -208,7 +216,6 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 	d.meter.AddComponent("transition", 0)
 	d.meter.AddComponent("dies", 0)
 
-	d.reg = power.Uncapped()
 	if len(cfg.PowerStates) > 0 {
 		if err := d.SetPowerState(0); err != nil {
 			return nil, err
@@ -219,7 +226,7 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*SSD, error) {
 }
 
 // Name implements device.Device.
-func (d *SSD) Name() string { return d.cfg.Name }
+func (d *SSD) Name() string { return d.name }
 
 // Model implements device.Device.
 func (d *SSD) Model() string { return d.cfg.Model }
@@ -230,8 +237,13 @@ func (d *SSD) Protocol() device.Protocol { return d.cfg.Protocol }
 // CapacityBytes implements device.Device.
 func (d *SSD) CapacityBytes() int64 { return d.cfg.CapacityBytes }
 
-// Config returns the device's configuration.
-func (d *SSD) Config() Config { return d.cfg }
+// Config returns a copy of the device's configuration, named after the
+// instance. Its slices alias the class's shared tables: read them only.
+func (d *SSD) Config() Config {
+	c := *d.cfg
+	c.Name = d.name
+	return c
+}
 
 // InstantPower implements device.Device.
 func (d *SSD) InstantPower() float64 { return d.meter.Instant(d.eng.Now()) }
@@ -252,12 +264,9 @@ func (d *SSD) PowerBreakdown() (names []string, watts []float64) {
 	return d.meter.Names(), d.meter.Breakdown()
 }
 
-// PowerStates implements device.Device.
-func (d *SSD) PowerStates() []device.PowerState {
-	out := make([]device.PowerState, len(d.cfg.PowerStates))
-	copy(out, d.cfg.PowerStates)
-	return out
-}
+// PowerStates implements device.Device. It returns the class's shared
+// table, which callers must not modify.
+func (d *SSD) PowerStates() []device.PowerState { return d.cfg.PowerStates }
 
 // PowerStateIndex implements device.Device.
 func (d *SSD) PowerStateIndex() int { return d.psIndex }
@@ -372,10 +381,10 @@ func (d *SSD) startWake() {
 // Submit implements device.Device.
 func (d *SSD) Submit(r device.Request, done func()) {
 	if err := r.Validate(d.cfg.CapacityBytes); err != nil {
-		panic(fmt.Sprintf("ssd %s: %v", d.cfg.Name, err))
+		panic(fmt.Sprintf("ssd %s: %v", d.name, err))
 	}
 	if r.Size > d.cfg.BufferBytes {
-		panic(fmt.Sprintf("ssd %s: request size %d exceeds buffer %d", d.cfg.Name, r.Size, d.cfg.BufferBytes))
+		panic(fmt.Sprintf("ssd %s: request size %d exceeds buffer %d", d.name, r.Size, d.cfg.BufferBytes))
 	}
 	if done == nil {
 		panic("ssd: Submit with nil done")

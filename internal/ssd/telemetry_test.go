@@ -20,7 +20,8 @@ func TestTelemetryTaps(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	eng := sim.NewEngine()
 	eng.EnableTelemetry(reg, tr)
-	dev, err := New(testConfig(), eng, sim.NewRNG(1))
+	cfg := testConfig()
+	dev, err := New(&cfg, cfg.Name, eng, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,8 @@ func TestTelemetryTaps(t *testing.T) {
 func TestEnergyComponentsPartitionTotal(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
-	dev, err := New(testConfig(), eng, sim.NewRNG(1))
+	cfg := testConfig()
+	dev, err := New(&cfg, cfg.Name, eng, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

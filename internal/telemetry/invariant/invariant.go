@@ -183,9 +183,14 @@ type CapProbe struct {
 
 	startT time.Duration
 	startE float64
-	ts     []time.Duration
-	es     []float64
-	left   int // index of newest checkpoint at or before t-window
+	// ts and es hold the checkpoints from the newest one at or before
+	// the last window's left edge (index left) onward: no later window
+	// reads an older one. observe drops the older ones once they are
+	// half the slices, so the probe keeps O(window/sampleEvery) of them
+	// however long the run.
+	ts   []time.Duration
+	es   []float64
+	left int
 
 	worstW  float64
 	worstAt time.Duration
@@ -230,6 +235,11 @@ func (p *CapProbe) observe() {
 	edge := now - p.window
 	for p.left+1 < len(p.ts) && p.ts[p.left+1] <= edge {
 		p.left++
+	}
+	if 2*p.left >= len(p.ts) {
+		p.ts = p.ts[:copy(p.ts, p.ts[p.left:])]
+		p.es = p.es[:copy(p.es, p.es[p.left:])]
+		p.left = 0
 	}
 	avg := (e - p.es[p.left]) / p.window.Seconds()
 	if avg > p.worstW {

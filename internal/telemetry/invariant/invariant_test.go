@@ -93,6 +93,69 @@ func TestCapProbeMathAndViolation(t *testing.T) {
 	}
 }
 
+// rampSource draws a power that rises with virtual time and logs every
+// energy reading, so a test can replay what a probe saw.
+type rampSource struct {
+	eng *sim.Engine
+	ts  []time.Duration
+	es  []float64
+}
+
+func (s *rampSource) EnergyJ() float64 {
+	t := s.eng.Now().Seconds()
+	e := 5*t + 0.05*t*t
+	s.ts, s.es = append(s.ts, s.eng.Now()), append(s.es, e)
+	return e
+}
+
+// TestCapProbeKeepsOnlyLiveWindow: the probe keeps only the checkpoints
+// a later window can read, yet over a long run its worst window and the
+// instant it ends equal, after every sample, those of a reference that
+// keeps every checkpoint. The draw rises, so nearly every sample ends a
+// new worst window, and a window read from a wrong checkpoint shows.
+func TestCapProbeKeepsOnlyLiveWindow(t *testing.T) {
+	t.Parallel()
+	const window, every = time.Second, 10 * time.Millisecond
+	eng := sim.NewEngine()
+	src := &rampSource{eng: eng}
+	p := AttachCap(eng, src, 4, window, every)
+
+	// The reference keeps every reading, the one at attach first, and
+	// takes each window from the newest checkpoint at or before its left
+	// edge.
+	var worstW float64
+	var worstAt time.Duration
+	left, seen, maxKept := 0, 1, 0
+	check := func() {
+		for ; seen < len(src.ts); seen++ {
+			for left+1 < len(src.ts) && src.ts[left+1] <= src.ts[seen]-window {
+				left++
+			}
+			// Energies relative to the reading at attach, as the probe
+			// keeps them, so the two round alike.
+			if avg := ((src.es[seen] - src.es[0]) - (src.es[left] - src.es[0])) / window.Seconds(); avg > worstW {
+				worstW, worstAt = avg, src.ts[seen]
+			}
+		}
+		if p.WorstWindowW() != worstW || p.worstAt != worstAt {
+			t.Fatalf("at %v: probe worst %v W at %v, full history %v W at %v",
+				eng.Now(), p.WorstWindowW(), p.worstAt, worstW, worstAt)
+		}
+		maxKept = max(maxKept, len(p.ts))
+	}
+	for eng.Now() < 60*time.Second && eng.Step() {
+		check()
+	}
+	p.Stop()
+	check()
+	if lim := 2*int(window/every) + 4; maxKept > lim {
+		t.Fatalf("probe kept %d checkpoints, want at most %d for a %v window sampled every %v", maxKept, lim, window, every)
+	}
+	if len(src.ts) < 10*maxKept {
+		t.Fatalf("run too short to test the ring: %d samples, %d kept", len(src.ts), maxKept)
+	}
+}
+
 func TestClockProbeOnBusyEngine(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
