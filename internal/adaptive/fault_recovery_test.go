@@ -14,6 +14,17 @@ import (
 	"wattio/internal/workload"
 )
 
+// newFault wraps inner in a fault device with a profile that draws no
+// randomness, failing t if the profile is invalid.
+func newFault(t *testing.T, inner device.Device, eng *sim.Engine, p fault.Profile) *fault.Device {
+	t.Helper()
+	d, err := fault.New(inner, eng, nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestGovernorRetriesThroughCmdFaults(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine()
@@ -22,7 +33,7 @@ func TestGovernorRetriesThroughCmdFaults(t *testing.T) {
 	// The window end (520 ms) is off the 100 ms control grid, so the
 	// transition that finally lands must come from a backed-off retry,
 	// not a co-timed control tick.
-	dev := fault.MustNew(inner, eng, nil, fault.Profile{Windows: []fault.Window{
+	dev := newFault(t, inner, eng, fault.Profile{Windows: []fault.Window{
 		{Kind: fault.PowerCmdFail, Start: 0, Dur: 520 * time.Millisecond},
 	}})
 	g, err := NewGovernor(eng, dev, 11, 100*time.Millisecond)
@@ -103,7 +114,7 @@ func TestRedirectorFailsOverAndDrainsBack(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(31)
 	const dropStart, dropEnd = 500 * time.Millisecond, 800 * time.Millisecond
-	r0 := fault.MustNew(catalog.NewEVO(eng, rng.Stream("r0")), eng, nil, fault.Profile{
+	r0 := newFault(t, catalog.NewEVO(eng, rng.Stream("r0")), eng, fault.Profile{
 		Windows: []fault.Window{{Kind: fault.Dropout, Start: dropStart, Dur: dropEnd - dropStart}},
 	})
 	r1 := catalog.NewEVO(eng, rng.Stream("r1"))
@@ -142,7 +153,7 @@ func TestRedirectorTotalOutageParksIO(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(31)
 	const winStart, winEnd = 10 * time.Millisecond, 60 * time.Millisecond
-	r0 := fault.MustNew(catalog.NewEVO(eng, rng.Stream("r0")), eng, nil, fault.Profile{
+	r0 := newFault(t, catalog.NewEVO(eng, rng.Stream("r0")), eng, fault.Profile{
 		Windows: []fault.Window{{Kind: fault.Dropout, Start: winStart, Dur: winEnd - winStart}},
 	})
 	r, err := NewRedirector("solo", []device.Device{r0}, 1)
@@ -203,7 +214,7 @@ func TestBudgetControllerCompensatesForStuckDevice(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(41)
 	ssd1 := catalog.NewSSD1(eng, rng.Stream("ssd1"))
-	ssd2 := fault.MustNew(catalog.NewSSD2(eng, rng.Stream("ssd2")), eng, nil, fault.Profile{
+	ssd2 := newFault(t, catalog.NewSSD2(eng, rng.Stream("ssd2")), eng, fault.Profile{
 		Windows: []fault.Window{{Kind: fault.PowerCmdFail, Start: 0, Dur: time.Second}},
 	})
 	bc, err := NewBudgetController(budgetTestModels(t), []device.Device{ssd1, ssd2})
@@ -242,7 +253,7 @@ func TestBudgetControllerInfeasibleAfterStuck(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(41)
 	ssd1 := catalog.NewSSD1(eng, rng.Stream("ssd1"))
-	ssd2 := fault.MustNew(catalog.NewSSD2(eng, rng.Stream("ssd2")), eng, nil, fault.Profile{
+	ssd2 := newFault(t, catalog.NewSSD2(eng, rng.Stream("ssd2")), eng, fault.Profile{
 		Windows: []fault.Window{{Kind: fault.PowerCmdFail, Start: 0, Dur: time.Second}},
 	})
 	bc, err := NewBudgetController(budgetTestModels(t), []device.Device{ssd1, ssd2})
@@ -280,7 +291,7 @@ func TestBudgetControllerCompensationMatchesOracle(t *testing.T) {
 			t.Fatal("no SSD2 in the catalog")
 		}
 		if i == 4 || i == 30 || i == 57 {
-			d = fault.MustNew(d, eng, nil, fault.Profile{
+			d = newFault(t, d, eng, fault.Profile{
 				Windows: []fault.Window{{Kind: fault.PowerCmdFail, Start: 0, Dur: time.Second}},
 			})
 			refusing[name] = true
@@ -380,12 +391,9 @@ func TestRolloutQuarantine(t *testing.T) {
 	if err := ro.Quarantine(bad); err != nil {
 		t.Fatal(err)
 	}
-	if !ro.Quarantined(bad) || ro.Enabled(bad) {
-		t.Error("quarantined leaf still enabled or not marked")
-	}
-	if ro.QuarantinedCount() != 1 || ro.EnabledCount() != 1 {
-		t.Errorf("counts quarantined/enabled = %d/%d, want 1/1",
-			ro.QuarantinedCount(), ro.EnabledCount())
+	if ro.Enabled(bad) || ro.EnabledCount() != 1 {
+		t.Errorf("quarantined leaf enabled=%v, enabled count %d, want false/1",
+			ro.Enabled(bad), ro.EnabledCount())
 	}
 	if err := ro.Quarantine(bad); err == nil {
 		t.Error("quarantining a disabled leaf accepted")
@@ -413,10 +421,11 @@ func TestRolloutAuditAndQuarantine(t *testing.T) {
 	if len(failing) != 1 || failing[0] != a {
 		t.Fatalf("audit quarantined %v, want [a]", failing)
 	}
-	if !ro.Quarantined(a) || ro.Quarantined(b) {
-		t.Error("quarantine flags wrong after audit")
+	if ro.Enabled(a) || !ro.Enabled(b) || ro.EnabledCount() != 1 {
+		t.Errorf("after audit enabled a=%v b=%v count %d, want false/true/1",
+			ro.Enabled(a), ro.Enabled(b), ro.EnabledCount())
 	}
-	if ro.EnabledCount() != 1 {
-		t.Errorf("enabled = %d after audit, want 1", ro.EnabledCount())
+	if again := ro.Stage(10); len(again) != 0 {
+		t.Errorf("Stage after audit enabled %v, want none (a is quarantined)", again)
 	}
 }

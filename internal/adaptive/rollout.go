@@ -201,12 +201,6 @@ func (r *Rollout) Quarantine(d *Domain) error {
 	return nil
 }
 
-// Quarantined reports whether a leaf domain is quarantined.
-func (r *Rollout) Quarantined(d *Domain) bool { return r.quarantined[d] }
-
-// QuarantinedCount returns how many leaf domains are quarantined.
-func (r *Rollout) QuarantinedCount() int { return len(r.quarantined) }
-
 // AuditAndQuarantine audits the enabled leaves and quarantines every
 // failing one, returning them (sorted by name). This is the §4.1
 // containment loop in one call: identify local control failures, then

@@ -18,7 +18,8 @@ import (
 // inputs were degenerate enough to cycle numerically.
 const nnlsMaxIter = 30
 
-// checkSystem validates the shared preconditions of NNLS and OLS:
+// checkSystem validates the shared preconditions of NNLS and the
+// tests' unconstrained reference solver:
 // a non-empty rectangular system with finite entries.
 func checkSystem(a [][]float64, b []float64) (rows, cols int, err error) {
 	rows = len(a)
@@ -173,46 +174,6 @@ func NNLS(a [][]float64, b []float64) ([]float64, error) {
 		out[j] = x[j] / scale[j]
 	}
 	return out, nil
-}
-
-// OLS solves the unconstrained least-squares problem min ‖Ax − b‖₂ via
-// the normal equations (the systems here are tiny and column-normalized,
-// so this is accurate enough). It errors on a singular system.
-func OLS(a [][]float64, b []float64) ([]float64, error) {
-	rows, cols, err := checkSystem(a, b)
-	if err != nil {
-		return nil, err
-	}
-	scale := make([]float64, cols)
-	for j := 0; j < cols; j++ {
-		var ss float64
-		for i := 0; i < rows; i++ {
-			ss += a[i][j] * a[i][j]
-		}
-		scale[j] = math.Sqrt(ss)
-		if scale[j] == 0 {
-			return nil, fmt.Errorf("calib: column %d is identically zero", j)
-		}
-	}
-	w := make([][]float64, rows)
-	for i := range w {
-		w[i] = make([]float64, cols)
-		for j := 0; j < cols; j++ {
-			w[i][j] = a[i][j] / scale[j]
-		}
-	}
-	all := make([]bool, cols)
-	for j := range all {
-		all[j] = true
-	}
-	x, ok := lsSolvePassive(w, b, all)
-	if !ok {
-		return nil, fmt.Errorf("calib: singular least-squares system")
-	}
-	for j := 0; j < cols; j++ {
-		x[j] /= scale[j]
-	}
-	return x, nil
 }
 
 // lsSolvePassive solves the unconstrained least-squares problem over

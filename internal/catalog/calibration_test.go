@@ -29,12 +29,15 @@ func measured(t *testing.T, dev device.Device, eng *sim.Engine, rng *sim.RNG, jo
 	return res, avgW
 }
 
+// gib is one GiB, the unit of the paper's per-point byte bound.
+const gib = 1024 * MiB
+
 // calJob is the standard calibration workload bound: 1 GiB or 10 s,
 // a scaled-down version of the paper's 4 GiB-or-60 s rule.
 func calJob(op device.Op, pat workload.Pattern, bs int64, depth int) workload.Job {
 	return workload.Job{
 		Op: op, Pattern: pat, BS: bs, Depth: depth,
-		Runtime: 10 * time.Second, TotalBytes: 4 * GiB,
+		Runtime: 10 * time.Second, TotalBytes: 4 * gib,
 	}
 }
 
@@ -244,7 +247,7 @@ func TestHDDSequentialThroughput(t *testing.T) {
 	dev := NewHDD(eng, rng)
 	res, avgW := measured(t, dev, eng, rng, workload.Job{
 		Op: device.OpRead, Pattern: workload.Seq, BS: 2 * MiB, Depth: 4,
-		Runtime: 10 * time.Second, TotalBytes: 4 * GiB,
+		Runtime: 10 * time.Second, TotalBytes: 4 * gib,
 	})
 	t.Logf("HDD seq read: %.0f MB/s @ %.2f W", res.BandwidthMBps, avgW)
 	wantRange(t, "HDD seq read MB/s", res.BandwidthMBps, 170, 215)
@@ -259,7 +262,7 @@ func TestHDDRandomWriteSeekPower(t *testing.T) {
 	dev := NewHDD(eng, rng)
 	res, avgW := measured(t, dev, eng, rng, workload.Job{
 		Op: device.OpWrite, Pattern: workload.Rand, BS: 2 * MiB, Depth: 64,
-		Runtime: 20 * time.Second, TotalBytes: 2 * GiB,
+		Runtime: 20 * time.Second, TotalBytes: 2 * gib,
 	})
 	t.Logf("HDD randwrite 2MiB qd64: %.0f MB/s @ %.2f W", res.BandwidthMBps, avgW)
 	wantRange(t, "HDD randwrite W", avgW, 4.0, 4.8)

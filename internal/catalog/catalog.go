@@ -23,7 +23,6 @@ import (
 const (
 	KiB = int64(1) << 10
 	MiB = int64(1) << 20
-	GiB = int64(1) << 30
 )
 
 // SSD1Config returns the calibrated model of the Samsung PM9A3 (NVMe,

@@ -52,6 +52,11 @@ func TestInternSharesBackingArrays(t *testing.T) {
 	if pa, pb := a.PowerStates(), b.PowerStates(); len(pa) == 0 || &pa[0] != &pb[0] {
 		t.Error("SSD2 power-state tables are not shared across instances")
 	}
+	na, _ := a.EnergyComponents()
+	nb, _ := b.EnergyComponents()
+	if len(na) == 0 || &na[0] != &nb[0] {
+		t.Error("SSD2 meter component names are not shared across instances")
+	}
 	c, d := build("C960", "c"), build("C960", "d")
 	if nc, nd := c.Config().NonOpStates, d.Config().NonOpStates; len(nc) == 0 || &nc[0] != &nd[0] {
 		t.Error("C960 non-op-state tables are not shared across instances")
@@ -132,15 +137,15 @@ func TestInternBitIdenticalDevices(t *testing.T) {
 }
 
 // TestNewNamedAllocs bounds what one fleet device costs to build: an
-// SSD2 instance shares its class config and makes 6 allocations (the
+// SSD2 instance shares its class config and makes 5 allocations (the
 // device, its RNG stream, its meter and its per-die slice among them),
-// an HDD 5.
+// an HDD 4. The meter shares its class's component-name table.
 func TestNewNamedAllocs(t *testing.T) {
 	eng, rng := sim.NewEngine(), sim.NewRNG(1)
 	for _, c := range []struct {
 		profile string
 		max     float64
-	}{{"SSD2", 6}, {"HDD", 5}} {
+	}{{"SSD2", 5}, {"HDD", 4}} {
 		name := c.profile + "#00001"
 		n := testing.AllocsPerRun(50, func() { NewNamed(c.profile, name, eng, rng) })
 		if n > c.max {

@@ -141,14 +141,9 @@ type Device struct {
 	rng   *sim.RNG
 	prof  Profile
 
-	held int // IOs currently held by a dropout window
+	retries int
 
-	// injected counts injections per kind (one per affected IO or
-	// command, not per retry).
-	injected [numKinds]int
-	retries  int
-
-	cInjected *telemetry.Counter
+	cInjected *telemetry.Counter // one per affected IO or command, not per retry
 	cIOErr    *telemetry.Counter
 	cCmdFail  *telemetry.Counter
 	cHeld     *telemetry.Counter
@@ -188,38 +183,6 @@ func New(inner device.Device, eng *sim.Engine, rng *sim.RNG, p Profile) (*Device
 	}, nil
 }
 
-// MustNew is New panicking on an invalid profile; fault schedules are
-// experiment code, and bugs in them should fail loudly.
-func MustNew(inner device.Device, eng *sim.Engine, rng *sim.RNG, p Profile) *Device {
-	d, err := New(inner, eng, rng, p)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Inner returns the wrapped device.
-func (d *Device) Inner() device.Device { return d.inner }
-
-// Injected returns how many injections of the given kind have fired:
-// affected IOs for IOError/Dropout, rejected commands for
-// PowerCmdFail and Dropout.
-func (d *Device) Injected(k Kind) int {
-	if k < 0 || k >= numKinds {
-		return 0
-	}
-	return d.injected[int(k)]
-}
-
-// InjectedTotal returns the total injection count across kinds.
-func (d *Device) InjectedTotal() int {
-	n := 0
-	for _, v := range d.injected {
-		n += v
-	}
-	return n
-}
-
 // Retries returns the total transient-IO-error retries injected.
 func (d *Device) Retries() int { return d.retries }
 
@@ -245,15 +208,11 @@ func (d *Device) Healthy() bool { return d.activeWindow(Dropout) == nil }
 // callback by their retries.
 func (d *Device) Submit(r device.Request, done func()) {
 	if w := d.activeWindow(Dropout); w != nil {
-		d.inject(Dropout)
+		d.cInjected.Inc()
 		d.cHeld.Inc()
-		d.held++
 		// Release at window end; re-check then in case another dropout
 		// window has started meanwhile.
-		d.eng.Post(w.End(), func() {
-			d.held--
-			d.Submit(r, done)
-		})
+		d.eng.Post(w.End(), func() { d.Submit(r, done) })
 		return
 	}
 
@@ -269,31 +228,23 @@ func (d *Device) Submit(r device.Request, done func()) {
 		d.inner.Submit(r, done)
 		return
 	}
-	d.inject(IOError)
+	d.cInjected.Inc()
 	d.retries += n
 	d.cIOErr.Add(int64(n))
 	delay := time.Duration(n) * d.prof.RetryPenalty
 	d.inner.Submit(r, func() { d.eng.PostAfter(delay, done) })
 }
 
-// Held returns the number of IOs currently held by a dropout window.
-func (d *Device) Held() int { return d.held }
-
-func (d *Device) inject(k Kind) {
-	d.injected[int(k)]++
-	d.cInjected.Inc()
-}
-
 // SetPowerState implements device.Device, rejecting the command inside
 // PowerCmdFail and Dropout windows.
 func (d *Device) SetPowerState(index int) error {
 	if d.activeWindow(Dropout) != nil {
-		d.inject(Dropout)
+		d.cInjected.Inc()
 		d.cCmdFail.Inc()
 		return ErrUnavailable
 	}
 	if d.activeWindow(PowerCmdFail) != nil {
-		d.inject(PowerCmdFail)
+		d.cInjected.Inc()
 		d.cCmdFail.Inc()
 		return ErrCmdFail
 	}
@@ -303,7 +254,7 @@ func (d *Device) SetPowerState(index int) error {
 // EnterStandby implements device.Device; unavailable during dropout.
 func (d *Device) EnterStandby() error {
 	if d.activeWindow(Dropout) != nil {
-		d.inject(Dropout)
+		d.cInjected.Inc()
 		return ErrUnavailable
 	}
 	return d.inner.EnterStandby()
@@ -312,7 +263,7 @@ func (d *Device) EnterStandby() error {
 // Wake implements device.Device; unavailable during dropout.
 func (d *Device) Wake() error {
 	if d.activeWindow(Dropout) != nil {
-		d.inject(Dropout)
+		d.cInjected.Inc()
 		return ErrUnavailable
 	}
 	return d.inner.Wake()

@@ -8,14 +8,17 @@ import (
 	"wattio/internal/catalog"
 	"wattio/internal/device"
 	"wattio/internal/sim"
+	"wattio/internal/telemetry"
 	"wattio/internal/workload"
 )
 
-// newFaulted wraps a fresh SSD2 in a fault device; the fault RNG stream
-// is derived from the same root so runs are reproducible.
+// newFaulted wraps a fresh SSD2 in a fault device on an engine with its
+// own metrics registry; the fault RNG stream is derived from the same
+// root so runs are reproducible.
 func newFaulted(t *testing.T, p Profile) (*Device, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.EnableTelemetry(telemetry.NewRegistry(), nil)
 	rng := sim.NewRNG(7)
 	inner := catalog.NewSSD2(eng, rng.Stream("dev"))
 	d, err := New(inner, eng, rng.Stream("fault"), p)
@@ -24,6 +27,9 @@ func newFaulted(t *testing.T, p Profile) (*Device, *sim.Engine) {
 	}
 	return d, eng
 }
+
+// count reads one of the fault counters newFaulted's engine collects.
+func count(eng *sim.Engine, name string) int64 { return eng.Metrics().Counter(name).Value() }
 
 // oneIO submits a single 4 KiB read and drains the engine until it
 // completes, returning the completion latency.
@@ -46,7 +52,11 @@ func TestEmptyProfileTransparent(t *testing.T) {
 		rng := sim.NewRNG(99)
 		var dev device.Device = catalog.NewSSD2(eng, rng.Stream("dev"))
 		if wrap {
-			dev = MustNew(dev, eng, rng.Stream("fault"), Profile{})
+			f, err := New(dev, eng, rng.Stream("fault"), Profile{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev = f
 		}
 		res := workload.Run(eng, dev, workload.Job{
 			Op: device.OpWrite, Pattern: workload.Rand, BS: 256 << 10, Depth: 32,
@@ -78,21 +88,21 @@ func TestIOErrorRetriesAreLatency(t *testing.T) {
 	if d.Retries() != 3 {
 		t.Errorf("retries = %d, want 3 (MaxRetries at prob 1)", d.Retries())
 	}
-	if d.Injected(IOError) != 1 {
-		t.Errorf("ioerror injections = %d, want 1 (per IO, not per retry)", d.Injected(IOError))
+	if n := count(eng, "fault_injected_total"); n != 1 {
+		t.Errorf("ioerror injections = %d, want 1 (per IO, not per retry)", n)
 	}
 }
 
 func TestIOErrorDeterministicAcrossRuns(t *testing.T) {
 	t.Parallel()
-	run := func() (int, int, time.Duration) {
+	run := func() (int, int64, time.Duration) {
 		d, eng := newFaulted(t, Profile{Windows: []Window{
 			{Kind: IOError, Start: 0, Dur: time.Second, Prob: 0.4},
 		}})
 		for i := 0; i < 100; i++ {
 			oneIO(eng, d)
 		}
-		return d.Retries(), d.Injected(IOError), eng.Now()
+		return d.Retries(), count(eng, "fault_injected_total"), eng.Now()
 	}
 	r0, n0, t0 := run()
 	r1, n1, t1 := run()
@@ -123,8 +133,8 @@ func TestPowerCmdWindows(t *testing.T) {
 	if d.PowerStateIndex() != 1 {
 		t.Errorf("state = %d, want 1", d.PowerStateIndex())
 	}
-	if d.Injected(PowerCmdFail) != 1 {
-		t.Errorf("cmdfail injections = %d, want 1", d.Injected(PowerCmdFail))
+	if n := count(eng, "fault_cmd_failures_total"); n != 1 {
+		t.Errorf("cmdfail injections = %d, want 1", n)
 	}
 }
 
@@ -149,8 +159,8 @@ func TestDropoutHoldsIOAndControl(t *testing.T) {
 
 	done := false
 	d.Submit(device.Request{Op: device.OpRead, Offset: 0, Size: 4096}, func() { done = true })
-	if d.Held() != 1 {
-		t.Errorf("Held() = %d, want 1", d.Held())
+	if n := count(eng, "fault_dropout_held_total"); n != 1 {
+		t.Errorf("held IOs = %d, want 1", n)
 	}
 	for !done && eng.Step() {
 	}
@@ -162,9 +172,6 @@ func TestDropoutHoldsIOAndControl(t *testing.T) {
 	}
 	if !d.Healthy() {
 		t.Error("Healthy() = false after the dropout window")
-	}
-	if d.Held() != 0 {
-		t.Errorf("Held() = %d after release, want 0", d.Held())
 	}
 }
 

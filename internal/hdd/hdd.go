@@ -110,7 +110,7 @@ type access struct {
 	done   func() // read completion (sends data back over the link); nil for drain writes
 }
 
-// The meter's components, in the order New adds them.
+// The meter's components, index-aligned with componentNames.
 const (
 	cSpindle power.Component = iota
 	cElec
@@ -118,6 +118,9 @@ const (
 	cXfer
 	cIface
 )
+
+// componentNames is every HDD meter's shared name table.
+var componentNames = []string{"spindle", "electronics", "actuator", "media", "interface"}
 
 // HDD is a simulated hard-disk drive. It implements device.Device.
 type HDD struct {
@@ -198,7 +201,7 @@ func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*HDD, error) 
 		name:       name,
 		eng:        eng,
 		rng:        rng.Stream("hdd/" + name),
-		meter:      power.NewMeter(eng.Now(), 5), // the five components below
+		meter:      power.NewMeter(eng.Now(), componentNames),
 		revolution: time.Duration(60.0 / float64(cfg.RPM) * float64(time.Second)),
 		spindleUW:  power.MicroW(cfg.PSpindle),
 		elecUW:     power.MicroW(cfg.PElec),
@@ -209,11 +212,8 @@ func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*HDD, error) 
 		spinDownUW: power.MicroW(cfg.PSpinDown - cfg.PElec),
 		spinUpUW:   power.MicroW(cfg.PSpinUp - cfg.PElec),
 	}
-	d.meter.AddComponent("spindle", d.spindleUW)
-	d.meter.AddComponent("electronics", d.elecUW)
-	d.meter.AddComponent("actuator", 0)
-	d.meter.AddComponent("media", 0)
-	d.meter.AddComponent("interface", 0)
+	d.meter.Set(cSpindle, d.spindleUW, eng.Now())
+	d.meter.Set(cElec, d.elecUW, eng.Now())
 
 	reg := eng.Metrics()
 	d.taps = taps{
@@ -276,12 +276,10 @@ func (d *HDD) Standby() bool {
 // Settled implements device.Device.
 func (d *HDD) Settled() bool { return d.spin == spinning || d.spin == spunDown }
 
-// DirtyBytes returns bytes in the write cache not yet on media.
-func (d *HDD) DirtyBytes() int64 { return d.dirty }
-
 // EnergyComponents returns the per-component accounted energies in
 // joules up to the current virtual time. The components partition
-// EnergyJ; the telemetry energy-conservation probe checks that.
+// EnergyJ; the telemetry energy-conservation probe checks that. names
+// is the class's shared table, which callers must not modify.
 func (d *HDD) EnergyComponents() (names []string, joules []float64) {
 	return d.meter.Names(), d.meter.EnergyBreakdown(d.eng.Now())
 }

@@ -148,8 +148,8 @@ func TestWriteCacheAcksFast(t *testing.T) {
 	if ackAt > time.Millisecond {
 		t.Errorf("cached write acked at %v, want ~0.2ms", ackAt)
 	}
-	if d.DirtyBytes() != 0 {
-		t.Errorf("dirty bytes %d after drain", d.DirtyBytes())
+	if d.dirty != 0 {
+		t.Errorf("dirty bytes %d after drain", d.dirty)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestWriteCacheBackpressure(t *testing.T) {
 	if acks[3] < 5*time.Millisecond {
 		t.Errorf("fourth write acked at %v; cache backpressure missing", acks[3])
 	}
-	if d.DirtyBytes() != 0 {
+	if d.dirty != 0 {
 		t.Error("cache not fully drained at quiesce")
 	}
 }
@@ -242,14 +242,14 @@ func TestStandbyFlushesDirtyCacheFirst(t *testing.T) {
 		d.Submit(device.Request{Op: device.OpWrite, Offset: int64(i) << 32, Size: 64 << 10}, func() { acked++ })
 	}
 	eng.RunUntil(2 * time.Millisecond) // writes acked into cache, drains pending
-	if d.DirtyBytes() == 0 {
+	if d.dirty == 0 {
 		t.Fatal("test setup: cache already drained")
 	}
 	if err := d.EnterStandby(); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(eng.Now() + 10*time.Second)
-	if d.DirtyBytes() != 0 {
+	if d.dirty != 0 {
 		t.Error("spin-down left dirty data in cache")
 	}
 	if !d.Settled() || !d.Standby() {
@@ -365,7 +365,7 @@ func TestAllIOCompletesProperty(t *testing.T) {
 			d.Submit(device.Request{Op: op, Offset: off, Size: size}, func() { got++ })
 		}
 		eng.Run()
-		return got == len(ops) && d.DirtyBytes() == 0
+		return got == len(ops) && d.dirty == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

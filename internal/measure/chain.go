@@ -104,11 +104,6 @@ func (a *ADC) Volts(code int32) float64 {
 	return float64(code) / float64(fs) * a.VrefV
 }
 
-// LSB returns the voltage of one least-significant bit.
-func (a *ADC) LSB() float64 {
-	return a.VrefV / float64(int64(1)<<(a.Bits-1))
-}
-
 func (a *ADC) String() string {
 	return fmt.Sprintf("%d-bit ADC, ±%.2fV full scale", a.Bits, a.VrefV)
 }

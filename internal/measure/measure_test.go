@@ -62,8 +62,8 @@ func TestADCRoundTrip(t *testing.T) {
 	adc := NewADS1256()
 	for _, v := range []float64{0, 0.001, 1.0, 2.4999, -1.3} {
 		got := adc.Volts(adc.Code(v))
-		if math.Abs(got-v) > adc.LSB() {
-			t.Errorf("round trip of %vV gave %vV (LSB %v)", v, got, adc.LSB())
+		if math.Abs(got-v) > adc.Volts(1) {
+			t.Errorf("round trip of %vV gave %vV (LSB %v)", v, got, adc.Volts(1))
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestADCQuantizationProperty(t *testing.T) {
 	adc := NewADS1256()
 	f := func(raw float64) bool {
 		v := math.Mod(math.Abs(raw), 2.49)
-		return math.Abs(adc.Volts(adc.Code(v))-v) <= adc.LSB()
+		return math.Abs(adc.Volts(adc.Code(v))-v) <= adc.Volts(1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

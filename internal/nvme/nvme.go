@@ -13,7 +13,6 @@ import (
 
 // Admin opcodes (NVMe spec §5).
 const (
-	OpDeleteSQ    uint8 = 0x00
 	OpIdentify    uint8 = 0x06
 	OpSetFeatures uint8 = 0x09
 	OpGetFeatures uint8 = 0x0A
@@ -21,7 +20,6 @@ const (
 
 // Feature identifiers (NVMe spec §5.27.1).
 const (
-	FIDArbitration     uint8 = 0x01
 	FIDPowerManagement uint8 = 0x02
 	FIDAutonomousPST   uint8 = 0x0C
 )

@@ -93,8 +93,8 @@ func TestExecuteRawCommands(t *testing.T) {
 		{"get PM", Command{Opcode: OpGetFeatures, CDW10: uint32(FIDPowerManagement)}, SCSuccess},
 		{"identify ctrl", Command{Opcode: OpIdentify, CDW10: 1}, SCSuccess},
 		{"identify bad CNS", Command{Opcode: OpIdentify, CDW10: 9}, SCInvalidField},
-		{"unknown opcode", Command{Opcode: OpDeleteSQ}, SCInvalidOpcode},
-		{"unsupported FID", Command{Opcode: OpSetFeatures, CDW10: uint32(FIDArbitration)}, SCInvalidField},
+		{"unknown opcode", Command{Opcode: 0x00 /* Delete I/O SQ */}, SCInvalidOpcode},
+		{"unsupported FID", Command{Opcode: OpSetFeatures, CDW10: 0x01 /* Arbitration */}, SCInvalidField},
 		{"set PM bad state", Command{Opcode: OpSetFeatures, CDW10: uint32(FIDPowerManagement), CDW11: 30}, SCInvalidField},
 	}
 	for _, tc := range cases {

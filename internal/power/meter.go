@@ -48,7 +48,7 @@ func perW(w, scale float64) int64 {
 // only on read.
 type Meter struct {
 	comps []comp
-	names []string
+	names []string      // the device class's shared table; never written
 	total int64         // µW, the sum of the components' draws
 	last  time.Duration // latest instant the meter was set or read at
 }
@@ -92,22 +92,13 @@ func (p *comp) at(now time.Duration) uwns {
 	return e
 }
 
-// NewMeter returns an empty meter with the clock at t0, sized for n
-// components. Adding more than n still works, at the cost of growing.
-func NewMeter(t0 time.Duration, n int) *Meter {
-	return &Meter{comps: make([]comp, 0, n), names: make([]string, 0, n), last: t0}
-}
-
-// AddComponent registers a named component with an initial draw of uw
-// µW (see MicroW) and returns its handle.
-func (m *Meter) AddComponent(name string, uw int64) Component {
-	if uw < 0 {
-		panic(fmt.Sprintf("power: component %q draw %d µW negative", name, uw))
-	}
-	m.names = append(m.names, name)
-	m.comps = append(m.comps, comp{uw: uw, last: m.last})
-	m.total += uw
-	return Component(len(m.comps) - 1)
+// NewMeter returns a meter with the clock at t0 and one component per
+// entry of names, each drawing nothing until Set; the handle of
+// names[i] is Component(i). The meter keeps names itself, not a copy,
+// so a device class passes one table to every meter it builds, and the
+// table must not change afterwards.
+func NewMeter(t0 time.Duration, names []string) *Meter {
+	return &Meter{comps: make([]comp, len(names)), names: names, last: t0}
 }
 
 // Set updates component c to draw uw µW (see MicroW) as of virtual time
@@ -167,20 +158,10 @@ func (m *Meter) energy(now time.Duration) uwns {
 	return sum
 }
 
-// Breakdown returns a copy of the per-component draws in watts,
-// index-aligned with the handles returned by AddComponent.
-func (m *Meter) Breakdown() []float64 {
-	out := make([]float64, len(m.comps))
-	for i, p := range m.comps {
-		out[i] = float64(p.uw) / 1e6
-	}
-	return out
-}
-
 // EnergyBreakdown returns the per-component energies in joules consumed
-// up to now, index-aligned with the handles returned by AddComponent.
-// The components partition the meter's total exactly in µW·ns; in
-// joules each entry and Energy are rounded once apiece.
+// up to now, index-aligned with Names. The components partition the
+// meter's total exactly in µW·ns; in joules each entry and Energy are
+// rounded once apiece.
 func (m *Meter) EnergyBreakdown(now time.Duration) []float64 {
 	m.advance(now)
 	out := make([]float64, len(m.comps))
@@ -190,10 +171,7 @@ func (m *Meter) EnergyBreakdown(now time.Duration) []float64 {
 	return out
 }
 
-// Names returns the registered component names, index-aligned with
-// Breakdown and EnergyBreakdown.
-func (m *Meter) Names() []string {
-	out := make([]string, len(m.names))
-	copy(out, m.names)
-	return out
-}
+// Names returns the component names, index-aligned with
+// EnergyBreakdown. It is the table given to NewMeter, which callers
+// must not modify.
+func (m *Meter) Names() []string { return m.names }

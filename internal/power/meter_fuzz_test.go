@@ -1,7 +1,6 @@
 package power
 
 import (
-	"fmt"
 	"math/big"
 	"slices"
 	"testing"
@@ -62,11 +61,8 @@ func FuzzMeterExact(f *testing.F) {
 	f.Add([]byte("00\xe0xx\xe0x\xe50"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 4
-		a, b := NewMeter(0, n), NewMeter(0, n)
-		for i := 0; i < n; i++ {
-			a.AddComponent(fmt.Sprintf("c%d", i), 0)
-			b.AddComponent(fmt.Sprintf("c%d", i), 0)
-		}
+		names := []string{"c0", "c1", "c2", "c3"}
+		a, b := NewMeter(0, names), NewMeter(0, names)
 		ref := &refLedger{draws: make([]int64, n)}
 		now := time.Duration(0)
 		set := func(m *Meter, c int, uw int64) { m.Set(Component(c), uw, now) }
@@ -117,7 +113,9 @@ func checkSame(t *testing.T, a, b *Meter, now time.Duration) {
 	if ba, bb := a.EnergyBreakdown(now), b.EnergyBreakdown(now); !slices.Equal(ba, bb) {
 		t.Fatalf("at %v: EnergyBreakdown %v vs %v", now, ba, bb)
 	}
-	if ba, bb := a.Breakdown(), b.Breakdown(); !slices.Equal(ba, bb) {
-		t.Fatalf("at %v: Breakdown %v vs %v", now, ba, bb)
+	for i := range a.comps {
+		if ua, ub := a.comps[i].uw, b.comps[i].uw; ua != ub {
+			t.Fatalf("at %v: component %d draws %d vs %d µW", now, i, ua, ub)
+		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 func TestMeterSumsComponents(t *testing.T) {
-	m := NewMeter(0, 2)
-	a := m.AddComponent("controller", MicroW(2))
-	b := m.AddComponent("die0", 0)
+	m := NewMeter(0, []string{"controller", "die0"})
+	a, b := Component(0), Component(1)
+	m.Set(a, MicroW(2), 0)
 	if got := m.Instant(0); got != 2 {
 		t.Fatalf("Instant = %v, want 2", got)
 	}
@@ -26,8 +26,9 @@ func TestMeterSumsComponents(t *testing.T) {
 }
 
 func TestMeterEnergyIntegration(t *testing.T) {
-	m := NewMeter(0, 1)
-	c := m.AddComponent("x", MicroW(10))
+	m := NewMeter(0, []string{"x"})
+	c := Component(0)
+	m.Set(c, MicroW(10), 0)
 	if got := m.Energy(2 * time.Second); got != 20 {
 		t.Fatalf("Energy after 2s at 10W = %v, want 20 J", got)
 	}
@@ -62,8 +63,10 @@ func TestMeterCoTimedUpdatesOrderIndependent(t *testing.T) {
 	// Two updates at the same instant must charge the old rates up to
 	// that instant regardless of update order.
 	mk := func(order []int) float64 {
-		m := NewMeter(0, 2)
-		cs := []Component{m.AddComponent("a", MicroW(1)), m.AddComponent("b", MicroW(2))}
+		m := NewMeter(0, []string{"a", "b"})
+		cs := []Component{0, 1}
+		m.Set(cs[0], MicroW(1), 0)
+		m.Set(cs[1], MicroW(2), 0)
 		for _, i := range order {
 			m.Set(cs[i], MicroW(10), time.Second)
 		}
@@ -75,7 +78,7 @@ func TestMeterCoTimedUpdatesOrderIndependent(t *testing.T) {
 }
 
 func TestMeterTimeBackwardPanics(t *testing.T) {
-	m := NewMeter(time.Second, 0)
+	m := NewMeter(time.Second, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on backward time")
@@ -85,52 +88,20 @@ func TestMeterTimeBackwardPanics(t *testing.T) {
 }
 
 func TestMeterBreakdownAndNames(t *testing.T) {
-	m := NewMeter(0, 2)
-	m.AddComponent("ctrl", MicroW(1.5))
-	m.AddComponent("iface", MicroW(0.5))
-	bd := m.Breakdown()
-	if len(bd) != 2 || bd[0] != 1.5 || bd[1] != 0.5 {
-		t.Fatalf("Breakdown = %v", bd)
+	names := []string{"ctrl", "iface"}
+	m := NewMeter(0, names)
+	m.Set(0, MicroW(1.5), 0)
+	m.Set(1, MicroW(0.5), 0)
+	if got := m.Names(); &got[0] != &names[0] || len(got) != 2 {
+		t.Fatalf("Names = %q does not share the table given to NewMeter", got)
 	}
-	if names := m.Names(); len(names) != 2 || names[0] != "ctrl" || names[1] != "iface" {
-		t.Fatalf("Names = %q", names)
+	bd := m.EnergyBreakdown(2 * time.Second)
+	if len(bd) != 2 || bd[0] != 3 || bd[1] != 1 {
+		t.Fatalf("EnergyBreakdown = %v, want [3 1]", bd)
 	}
 	bd[0] = 99
-	if m.Breakdown()[0] == 99 {
-		t.Fatal("Breakdown aliases internal state")
-	}
-}
-
-// A meter sized for fewer components than it is given must grow its
-// records without losing energy or misaligning names and draws.
-func TestMeterGrowsPastSizedCount(t *testing.T) {
-	const sized, added = 2, 7
-	m := NewMeter(0, sized)
-	ref := &refLedger{}
-	cs := make([]Component, added)
-	for i := range cs {
-		// A component joins at the meter's last update.
-		cs[i] = m.AddComponent(fmt.Sprintf("c%d", i), int64(i)*1e6)
-		ref.draws = append(ref.draws, int64(i)*1e6)
-		now := time.Duration(i+1) * time.Second
-		ref.advance(now)
-		// Busy components between additions: a record moved by growth
-		// must keep its accumulated energy.
-		m.Set(cs[i/2], int64(i)*1e6+5e5, now)
-		ref.draws[i/2] = int64(i)*1e6 + 5e5
-	}
-	checkLedger(t, m, ref, 10*time.Second)
-	names, bd := m.Names(), m.Breakdown()
-	if len(names) != added || len(bd) != added {
-		t.Fatalf("len(Names) = %d, len(Breakdown) = %d, want %d", len(names), len(bd), added)
-	}
-	for i, c := range cs {
-		if names[c] != fmt.Sprintf("c%d", i) {
-			t.Fatalf("component %d: Names()[%d] = %q", i, c, names[c])
-		}
-		if want := float64(m.comps[c].uw) / 1e6; bd[c] != want {
-			t.Fatalf("component %d: Breakdown()[%d] = %v, want %v", i, c, bd[c], want)
-		}
+	if m.EnergyBreakdown(2 * time.Second)[0] == 99 {
+		t.Fatal("EnergyBreakdown aliases internal state")
 	}
 }
 
@@ -145,11 +116,13 @@ func sumUWns(m *Meter, now time.Duration) uwns {
 
 func TestUncappedAdmitsImmediately(t *testing.T) {
 	r := Uncapped()
-	if r.Capped() {
-		t.Fatal("Uncapped().Capped() = true")
+	for i := 0; i < 3; i++ {
+		if d := r.Admit(0, 1e9); d != 0 {
+			t.Fatalf("uncapped delay = %v, want 0", d)
+		}
 	}
-	if d := r.Admit(0, 1e9); d != 0 {
-		t.Fatalf("uncapped delay = %v, want 0", d)
+	if c := r.Credits(time.Second); c != 0 {
+		t.Fatalf("uncapped credits = %v, want 0 (nothing is tracked)", c)
 	}
 }
 
@@ -237,7 +210,7 @@ func TestRegulatorRateProperty(t *testing.T) {
 }
 
 func TestRollingAverageConstantPower(t *testing.T) {
-	a := NewRollingAverage(10 * time.Second)
+	a := newRollingAverage(10 * time.Second)
 	for i := 0; i <= 20; i++ {
 		ts := time.Duration(i) * time.Second
 		a.Record(ts, 7*ts.Seconds()) // 7 W constant
@@ -250,7 +223,7 @@ func TestRollingAverageConstantPower(t *testing.T) {
 func TestRollingAverageWindowing(t *testing.T) {
 	// 0 W for 10 s, then 10 W for 10 s. A 10 s window at t=20 sees only
 	// the 10 W segment.
-	a := NewRollingAverage(10 * time.Second)
+	a := newRollingAverage(10 * time.Second)
 	a.Record(0, 0)
 	a.Record(10*time.Second, 0)
 	a.Record(20*time.Second, 100)
@@ -260,7 +233,7 @@ func TestRollingAverageWindowing(t *testing.T) {
 }
 
 func TestRollingAveragePartialWindow(t *testing.T) {
-	a := NewRollingAverage(10 * time.Second)
+	a := newRollingAverage(10 * time.Second)
 	a.Record(0, 0)
 	a.Record(2*time.Second, 6) // 3 W over the only 2 s we have
 	if got := a.Average(); math.Abs(got-3) > 1e-9 {
@@ -271,7 +244,7 @@ func TestRollingAveragePartialWindow(t *testing.T) {
 func TestRollingAverageInterpolatesBoundary(t *testing.T) {
 	// Checkpoints at 0 and 20 s, window 10 s: boundary at t=10 must be
 	// interpolated inside the single long segment (5 W constant).
-	a := NewRollingAverage(10 * time.Second)
+	a := newRollingAverage(10 * time.Second)
 	a.Record(0, 0)
 	a.Record(20*time.Second, 100)
 	if got := a.Average(); math.Abs(got-5) > 1e-9 {
@@ -280,7 +253,7 @@ func TestRollingAverageInterpolatesBoundary(t *testing.T) {
 }
 
 func TestRollingAverageEmpty(t *testing.T) {
-	a := NewRollingAverage(time.Second)
+	a := newRollingAverage(time.Second)
 	if got := a.Average(); got != 0 {
 		t.Fatalf("Average of empty = %v, want 0", got)
 	}
@@ -291,7 +264,7 @@ func TestRollingAverageEmpty(t *testing.T) {
 }
 
 func TestRollingAverageBackwardTimePanics(t *testing.T) {
-	a := NewRollingAverage(time.Second)
+	a := newRollingAverage(time.Second)
 	a.Record(time.Second, 1)
 	defer func() {
 		if recover() == nil {
@@ -307,7 +280,7 @@ func TestRegulatorMatchesRollingAverageUnderLoad(t *testing.T) {
 	const rate = 6.0
 	window := time.Second
 	r := NewRegulator(rate, window, 0)
-	avg := NewRollingAverage(10 * time.Second)
+	avg := newRollingAverage(10 * time.Second)
 	now := time.Duration(0)
 	var energy float64
 	avg.Record(0, 0)
@@ -324,6 +297,81 @@ func TestRegulatorMatchesRollingAverageUnderLoad(t *testing.T) {
 	}
 }
 
+// rollingAverage reports average power over a trailing window from
+// cumulative energy checkpoints: the reference that
+// TestRegulatorMatchesRollingAverageUnderLoad holds the regulator to.
+type rollingAverage struct {
+	window time.Duration
+	ts     []time.Duration
+	es     []float64 // cumulative joules at ts[i]
+}
+
+// newRollingAverage returns a tracker over the given window.
+func newRollingAverage(window time.Duration) *rollingAverage {
+	if window <= 0 {
+		panic("power: rolling window must be positive")
+	}
+	return &rollingAverage{window: window}
+}
+
+// Record notes that cumulative energy was e joules at time t. Times must
+// be nondecreasing.
+func (a *rollingAverage) Record(t time.Duration, e float64) {
+	if n := len(a.ts); n > 0 && t < a.ts[n-1] {
+		panic("power: rolling average time went backward")
+	}
+	a.ts = append(a.ts, t)
+	a.es = append(a.es, e)
+	// Drop checkpoints that have fallen out of the window, keeping one
+	// before the boundary so interpolation at the window edge works.
+	cut := t - a.window
+	i := 0
+	for i+1 < len(a.ts) && a.ts[i+1] <= cut {
+		i++
+	}
+	if i > 0 {
+		a.ts = a.ts[i:]
+		a.es = a.es[i:]
+	}
+}
+
+// Average returns the average power in watts over the trailing window
+// ending at the last recorded time. With fewer than two checkpoints or
+// zero elapsed time it returns 0.
+func (a *rollingAverage) Average() float64 {
+	n := len(a.ts)
+	if n < 2 {
+		return 0
+	}
+	end := a.ts[n-1]
+	start := end - a.window
+	if start < a.ts[0] {
+		start = a.ts[0]
+	}
+	e0 := a.interp(start)
+	dt := (end - start).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return (a.es[n-1] - e0) / dt
+}
+
+func (a *rollingAverage) interp(t time.Duration) float64 {
+	// Linear interpolation of cumulative energy at time t; callers
+	// guarantee a.ts[0] <= t <= a.ts[len-1].
+	for i := len(a.ts) - 1; i > 0; i-- {
+		if a.ts[i-1] <= t {
+			t0, t1 := a.ts[i-1], a.ts[i]
+			if t1 == t0 {
+				return a.es[i]
+			}
+			frac := float64(t-t0) / float64(t1-t0)
+			return a.es[i-1] + frac*(a.es[i]-a.es[i-1])
+		}
+	}
+	return a.es[0]
+}
+
 // TestMeterDiesMatchPerDieComponents: a meter with one component per
 // die and one whose single "dies" component draws the busy dies' sum end
 // with the same energy to the bit, and in each Energy is exactly the sum
@@ -331,14 +379,16 @@ func TestRegulatorMatchesRollingAverageUnderLoad(t *testing.T) {
 func TestMeterDiesMatchPerDieComponents(t *testing.T) {
 	const units = 7
 	w := MicroW(0.123456789)
-	per, one := NewMeter(0, 1+units), NewMeter(0, 2)
-	per.AddComponent("controller", MicroW(1.1))
-	one.AddComponent("controller", MicroW(1.1))
+	perNames := []string{"controller"}
 	dies := make([]Component, units)
 	for i := range dies {
-		dies[i] = per.AddComponent(fmt.Sprintf("die%d", i), 0)
+		perNames = append(perNames, fmt.Sprintf("die%d", i))
+		dies[i] = Component(1 + i)
 	}
-	all := one.AddComponent("dies", 0)
+	per, one := NewMeter(0, perNames), NewMeter(0, []string{"controller", "dies"})
+	per.Set(0, MicroW(1.1), 0)
+	one.Set(0, MicroW(1.1), 0)
+	all := Component(1)
 	busy := 0
 	// Units start and end in overlapping waves, several at one instant.
 	for step, k := range []int{3, 2, -1, 3, -4, 2, -5} {

@@ -45,9 +45,6 @@ func NewRegulator(rateW float64, window time.Duration, now time.Duration) Regula
 // the zero Regulator.
 func Uncapped() Regulator { return Regulator{} }
 
-// Capped reports whether this regulator constrains operations at all.
-func (r *Regulator) Capped() bool { return r.capped }
-
 // Admit reserves joules of energy for an operation. It returns the delay
 // the operation must wait before starting; zero means start now. The
 // energy is committed immediately (credits may go negative up to the
@@ -97,79 +94,4 @@ func (r *Regulator) advance(now time.Duration) {
 		r.credits = r.burstJ
 	}
 	r.last = now
-}
-
-// RollingAverage reports average power over a trailing window from
-// cumulative energy checkpoints. Devices use it for telemetry and tests
-// use it to verify the regulator honors the cap semantics.
-type RollingAverage struct {
-	window time.Duration
-	ts     []time.Duration
-	es     []float64 // cumulative joules at ts[i]
-}
-
-// NewRollingAverage returns a tracker over the given window.
-func NewRollingAverage(window time.Duration) *RollingAverage {
-	if window <= 0 {
-		panic("power: rolling window must be positive")
-	}
-	return &RollingAverage{window: window}
-}
-
-// Record notes that cumulative energy was e joules at time t. Times must
-// be nondecreasing.
-func (a *RollingAverage) Record(t time.Duration, e float64) {
-	if n := len(a.ts); n > 0 && t < a.ts[n-1] {
-		panic("power: rolling average time went backward")
-	}
-	a.ts = append(a.ts, t)
-	a.es = append(a.es, e)
-	// Drop checkpoints that have fallen out of the window, keeping one
-	// before the boundary so interpolation at the window edge works.
-	cut := t - a.window
-	i := 0
-	for i+1 < len(a.ts) && a.ts[i+1] <= cut {
-		i++
-	}
-	if i > 0 {
-		a.ts = a.ts[i:]
-		a.es = a.es[i:]
-	}
-}
-
-// Average returns the average power in watts over the trailing window
-// ending at the last recorded time. With fewer than two checkpoints or
-// zero elapsed time it returns 0.
-func (a *RollingAverage) Average() float64 {
-	n := len(a.ts)
-	if n < 2 {
-		return 0
-	}
-	end := a.ts[n-1]
-	start := end - a.window
-	if start < a.ts[0] {
-		start = a.ts[0]
-	}
-	e0 := a.interp(start)
-	dt := (end - start).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (a.es[n-1] - e0) / dt
-}
-
-func (a *RollingAverage) interp(t time.Duration) float64 {
-	// Linear interpolation of cumulative energy at time t; callers
-	// guarantee a.ts[0] <= t <= a.ts[len-1].
-	for i := len(a.ts) - 1; i > 0; i-- {
-		if a.ts[i-1] <= t {
-			t0, t1 := a.ts[i-1], a.ts[i]
-			if t1 == t0 {
-				return a.es[i]
-			}
-			frac := float64(t-t0) / float64(t1-t0)
-			return a.es[i-1] + frac*(a.es[i]-a.es[i-1])
-		}
-	}
-	return a.es[0]
 }

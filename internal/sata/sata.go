@@ -81,9 +81,6 @@ func NewPort(dev device.Device) (*Port, error) {
 // Device returns the attached device.
 func (p *Port) Device() device.Device { return p.dev }
 
-// LinkState returns the commanded ALPM state.
-func (p *Port) LinkState() LinkPM { return p.alpm }
-
 // SetLinkPM commands an ALPM transition. SLUMBER puts the device into
 // its low-power standby (for SSDs that support it); leaving SLUMBER
 // wakes it. PARTIAL is accepted but treated as ACTIVE for devices whose

@@ -23,8 +23,8 @@ func TestALPMSlumberOnEVO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LinkState() != LinkActive {
-		t.Fatalf("initial link state = %v, want ACTIVE", p.LinkState())
+	if p.alpm != LinkActive {
+		t.Fatalf("initial link state = %v, want ACTIVE", p.alpm)
 	}
 	if err := p.SetLinkPM(LinkSlumber); err != nil {
 		t.Fatal(err)
@@ -57,8 +57,8 @@ func TestALPMSlumberRejectedWithoutSupport(t *testing.T) {
 	if err := p.SetLinkPM(LinkSlumber); err == nil {
 		t.Fatal("SLUMBER accepted on a device without standby support")
 	}
-	if p.LinkState() != LinkActive {
-		t.Errorf("failed SLUMBER changed link state to %v", p.LinkState())
+	if p.alpm != LinkActive {
+		t.Errorf("failed SLUMBER changed link state to %v", p.alpm)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestPartialTreatedAsActive(t *testing.T) {
 	if dev.Standby() {
 		t.Error("PARTIAL put device into standby")
 	}
-	if p.LinkState() != LinkPartial {
-		t.Errorf("link state = %v, want PARTIAL", p.LinkState())
+	if p.alpm != LinkPartial {
+		t.Errorf("link state = %v, want PARTIAL", p.alpm)
 	}
 }
 

@@ -32,10 +32,6 @@ func (d *SSD) SetAPST(enable bool) error {
 // APST reports whether autonomous transitions are enabled.
 func (d *SSD) APST() bool { return d.apstEnabled }
 
-// NonOpIndex returns the current non-operational state, or -1 when the
-// device is operational.
-func (d *SSD) NonOpIndex() int { return d.nonOpIndex }
-
 // armAPST (re)schedules the next autonomous transition if the device is
 // idle. Called at every point the device may have just quiesced.
 func (d *SSD) armAPST() {

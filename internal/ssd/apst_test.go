@@ -20,20 +20,20 @@ func withAPST(c *Config) {
 
 func TestAPSTEntersAfterIdle(t *testing.T) {
 	d, eng := newTest(t, withAPST)
-	if d.NonOpIndex() != -1 {
+	if d.nonOpIndex != -1 {
 		t.Fatal("not operational at construction")
 	}
 	eng.RunUntil(150 * time.Millisecond)
-	if d.NonOpIndex() != 0 {
-		t.Fatalf("NonOpIndex = %d after 150ms idle, want 0", d.NonOpIndex())
+	if d.nonOpIndex != 0 {
+		t.Fatalf("NonOpIndex = %d after 150ms idle, want 0", d.nonOpIndex)
 	}
 	if got := d.InstantPower(); math.Abs(got-0.3) > 1e-9 {
 		t.Errorf("non-op power = %v, want 0.3", got)
 	}
 	// Deepens at the 1 s threshold.
 	eng.RunUntil(1100 * time.Millisecond)
-	if d.NonOpIndex() != 1 {
-		t.Fatalf("NonOpIndex = %d after 1.1s idle, want 1", d.NonOpIndex())
+	if d.nonOpIndex != 1 {
+		t.Fatalf("NonOpIndex = %d after 1.1s idle, want 1", d.nonOpIndex)
 	}
 	if got := d.InstantPower(); math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("deep non-op power = %v, want 0.1", got)
@@ -55,7 +55,7 @@ func TestAPSTWakePaysExitLatency(t *testing.T) {
 	if lat < 10*time.Millisecond {
 		t.Errorf("wake read took %v, want ≥ 10ms exit latency", lat)
 	}
-	if d.NonOpIndex() != -1 {
+	if d.nonOpIndex != -1 {
 		t.Error("device not operational right after IO")
 	}
 	if got := d.InstantPower(); math.Abs(got-1.5) > 1e-9 {
@@ -63,8 +63,8 @@ func TestAPSTWakePaysExitLatency(t *testing.T) {
 	}
 	// Left alone again, it autonomously re-idles all the way down.
 	eng.Run()
-	if d.NonOpIndex() != 1 {
-		t.Errorf("NonOpIndex = %d after quiescing again, want 1", d.NonOpIndex())
+	if d.nonOpIndex != 1 {
+		t.Errorf("NonOpIndex = %d after quiescing again, want 1", d.nonOpIndex)
 	}
 }
 
@@ -73,14 +73,14 @@ func TestAPSTReentersAfterActivity(t *testing.T) {
 	eng.RunUntil(150 * time.Millisecond)
 	d.Submit(device.Request{Op: device.OpWrite, Offset: 0, Size: 64 << 10}, func() {})
 	eng.RunUntil(eng.Now() + 50*time.Millisecond)
-	if d.NonOpIndex() != -1 {
+	if d.nonOpIndex != -1 {
 		t.Fatal("device non-op while draining")
 	}
 	// After the write drains (incl. flush timer) + 100ms idle, it drops
 	// again.
 	eng.RunUntil(eng.Now() + 300*time.Millisecond)
-	if d.NonOpIndex() != 0 {
-		t.Fatalf("NonOpIndex = %d after re-idle, want 0", d.NonOpIndex())
+	if d.nonOpIndex != 0 {
+		t.Fatalf("NonOpIndex = %d after re-idle, want 0", d.nonOpIndex)
 	}
 }
 
@@ -90,18 +90,18 @@ func TestAPSTDisableWakes(t *testing.T) {
 	if err := d.SetAPST(false); err != nil {
 		t.Fatal(err)
 	}
-	if d.NonOpIndex() != -1 {
+	if d.nonOpIndex != -1 {
 		t.Error("disable did not wake the device")
 	}
 	eng.RunUntil(2 * time.Second)
-	if d.NonOpIndex() != -1 {
+	if d.nonOpIndex != -1 {
 		t.Error("disabled APST still transitioned")
 	}
 	if err := d.SetAPST(true); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(eng.Now() + 150*time.Millisecond)
-	if d.NonOpIndex() != 0 {
+	if d.nonOpIndex != 0 {
 		t.Error("re-enabled APST did not transition")
 	}
 }
@@ -161,7 +161,7 @@ func TestAPSTInteractsWithALPMStandby(t *testing.T) {
 		c.APSTDefault = true
 	})
 	eng.RunUntil(150 * time.Millisecond)
-	if d.NonOpIndex() != 0 {
+	if d.nonOpIndex != 0 {
 		t.Fatal("not in non-op state")
 	}
 	// Explicit ALPM standby overrides APST.
@@ -169,7 +169,7 @@ func TestAPSTInteractsWithALPMStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(eng.Now() + time.Second)
-	if !d.Standby() || d.NonOpIndex() != -1 {
+	if !d.Standby() || d.nonOpIndex != -1 {
 		t.Error("standby did not supersede the non-op state")
 	}
 	if got := d.InstantPower(); math.Abs(got-0.3) > 1e-9 {

@@ -20,7 +20,7 @@ const (
 	waking
 )
 
-// The meter's components, in the order New adds them.
+// The meter's components, index-aligned with componentNames.
 const (
 	cCtrl power.Component = iota
 	cIface
@@ -29,6 +29,9 @@ const (
 	cTrans
 	cDies // every die's draw: busyProg·progNW + busyRead·readNW, in µW
 )
+
+// componentNames is every SSD meter's shared name table.
+var componentNames = []string{"controller", "interface", "cmd", "ripple", "transition", "dies"}
 
 // SSD is a simulated solid-state drive. It implements device.Device.
 type SSD struct {
@@ -161,7 +164,7 @@ func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*SSD, error) 
 		name:        name,
 		eng:         eng,
 		rng:         rng.Stream("ssd/" + name),
-		meter:       power.NewMeter(eng.Now(), 6),
+		meter:       power.NewMeter(eng.Now(), componentNames),
 		bufFree:     cfg.BufferBytes,
 		apstEnabled: cfg.APSTDefault,
 		nonOpIndex:  -1,
@@ -209,12 +212,8 @@ func New(cfg *Config, name string, eng *sim.Engine, rng *sim.RNG) (*SSD, error) 
 		d.enterUW = power.MicroW(cfg.PStandbyEnter - cfg.IdleFloorW())
 		d.exitUW = power.MicroW(cfg.PStandbyExit - cfg.IdleFloorW())
 	}
-	d.meter.AddComponent("controller", d.ctrlUW)
-	d.meter.AddComponent("interface", d.ifaceIdleUW)
-	d.meter.AddComponent("cmd", 0)
-	d.meter.AddComponent("ripple", 0)
-	d.meter.AddComponent("transition", 0)
-	d.meter.AddComponent("dies", 0)
+	d.meter.Set(cCtrl, d.ctrlUW, eng.Now())
+	d.meter.Set(cIface, d.ifaceIdleUW, eng.Now())
 
 	if len(cfg.PowerStates) > 0 {
 		if err := d.SetPowerState(0); err != nil {
@@ -252,16 +251,12 @@ func (d *SSD) InstantPower() float64 { return d.meter.Instant(d.eng.Now()) }
 func (d *SSD) EnergyJ() float64 { return d.meter.Energy(d.eng.Now()) }
 
 // EnergyComponents returns the per-component accounted energies in
-// joules up to the current virtual time. The components partition
-// EnergyJ; the telemetry energy-conservation probe checks that.
+// joules up to the current virtual time, every die's as one "dies"
+// entry. The components partition EnergyJ; the telemetry
+// energy-conservation probe checks that. names is the class's shared
+// table, which callers must not modify.
 func (d *SSD) EnergyComponents() (names []string, joules []float64) {
 	return d.meter.Names(), d.meter.EnergyBreakdown(d.eng.Now())
-}
-
-// PowerBreakdown returns the instantaneous draw of each electrical
-// component, every die's draw as one "dies" entry.
-func (d *SSD) PowerBreakdown() (names []string, watts []float64) {
-	return d.meter.Names(), d.meter.Breakdown()
 }
 
 // PowerStates implements device.Device. It returns the class's shared

@@ -12,7 +12,6 @@ import "fmt"
 // same contract holds: observe while running, interrogate with Check
 // after.
 type DriftProbe struct {
-	n         int
 	worst     float64
 	worstPred float64
 	worstMeas float64
@@ -24,7 +23,6 @@ type DriftProbe struct {
 // act on it (the serving engine bars a lane whose single observation
 // exceeds the tolerance).
 func (p *DriftProbe) Observe(predictedW, measuredW float64) float64 {
-	p.n++
 	frac := relFrac(predictedW, measuredW)
 	if frac > p.worst {
 		p.worst = frac
@@ -33,9 +31,6 @@ func (p *DriftProbe) Observe(predictedW, measuredW float64) float64 {
 	}
 	return frac
 }
-
-// Observations returns how many sentinel comparisons were recorded.
-func (p *DriftProbe) Observations() int { return p.n }
 
 // WorstFrac returns the worst relative disagreement observed, as a
 // fraction of the measured value. Zero when nothing was observed.

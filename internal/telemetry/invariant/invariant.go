@@ -51,9 +51,8 @@ type EnergyMetered interface {
 // events, so a left-Riemann sum converges as the sample period shrinks;
 // Check takes a relative tolerance to absorb the residual aliasing.
 type EnergyProbe struct {
-	eng   *sim.Engine
-	src   EnergyAccounting
-	every time.Duration
+	eng *sim.Engine
+	src EnergyAccounting
 
 	startT time.Duration
 	startE float64
@@ -78,7 +77,6 @@ func AttachEnergy(eng *sim.Engine, src EnergyAccounting, sampleEvery time.Durati
 	p := &EnergyProbe{
 		eng:    eng,
 		src:    src,
-		every:  sampleEvery,
 		startT: eng.Now(),
 		startE: src.EnergyJ(),
 		startC: comps,
@@ -112,9 +110,6 @@ func (p *EnergyProbe) Stop() {
 	p.integral += p.lastW * (now - p.lastT).Seconds()
 	p.lastT = now
 }
-
-// IntegralJ returns the sampled integral of InstantPower so far.
-func (p *EnergyProbe) IntegralJ() float64 { return p.integral }
 
 // Check verifies energy conservation over the probed interval:
 // the device's accounted energy matches the sampled power integral
@@ -179,7 +174,6 @@ type CapProbe struct {
 	src    EnergyMetered
 	capW   float64
 	window time.Duration
-	every  time.Duration
 
 	startT time.Duration
 	startE float64
@@ -215,7 +209,6 @@ func AttachCap(eng *sim.Engine, src EnergyMetered, capW float64, window, sampleE
 		src:    src,
 		capW:   capW,
 		window: window,
-		every:  sampleEvery,
 		startT: eng.Now(),
 		startE: src.EnergyJ(),
 
@@ -283,11 +276,9 @@ func (p *CapProbe) Check(relTol float64) error {
 // would run backward; this probe checks the same property from the
 // outside, through the public Now surface.
 type ClockProbe struct {
-	eng   *sim.Engine
-	every time.Duration
+	eng *sim.Engine
 
 	last       time.Duration
-	ticks      int64
 	violations int64
 	firstBad   time.Duration
 
@@ -301,9 +292,8 @@ func AttachClock(eng *sim.Engine, sampleEvery time.Duration) *ClockProbe {
 		panic("invariant: sample period must be positive")
 	}
 	p := &ClockProbe{
-		eng:   eng,
-		every: sampleEvery,
-		last:  eng.Now(),
+		eng:  eng,
+		last: eng.Now(),
 
 		running: true,
 	}
@@ -313,7 +303,6 @@ func AttachClock(eng *sim.Engine, sampleEvery time.Duration) *ClockProbe {
 
 func (p *ClockProbe) observe() {
 	now := p.eng.Now()
-	p.ticks++
 	if now < p.last {
 		if p.violations == 0 {
 			p.firstBad = now
@@ -333,9 +322,6 @@ func (p *ClockProbe) Stop() {
 		p.tick.Stop()
 	}
 }
-
-// Ticks returns how many observations the probe made.
-func (p *ClockProbe) Ticks() int64 { return p.ticks }
 
 // Check returns an error if virtual time was ever seen running backward.
 func (p *ClockProbe) Check() error {

@@ -39,11 +39,6 @@ type Snapshot struct {
 	Histograms []HistogramValue `json:"histograms"`
 }
 
-// Empty reports whether the snapshot holds no metrics at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
-}
-
 // Snapshot copies the registry's current state, sorted by metric name.
 // A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {

@@ -25,7 +25,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Quantile(0.99) != 0 {
 		t.Fatal("nil handles must read zero")
 	}
-	if !r.Snapshot().Empty() {
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	var tr *Tracer
@@ -129,8 +129,9 @@ func TestSnapshotExports(t *testing.T) {
 	r.Histogram("c_ns").Observe(100)
 
 	s := r.Snapshot()
-	if s.Empty() {
-		t.Fatal("snapshot empty")
+	if len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
+		t.Fatalf("snapshot holds %d counters, %d gauges, %d histograms, want one each",
+			len(s.Counters), len(s.Gauges), len(s.Histograms))
 	}
 	var jb bytes.Buffer
 	if err := s.WriteJSON(&jb); err != nil {

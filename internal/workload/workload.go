@@ -239,13 +239,6 @@ func (r *Runner) arrive() {
 // issued.
 func (r *Runner) Done() bool { return r.done }
 
-// CompletedIOs returns how many IOs have completed so far; usable while
-// the job is still running (e.g. per-phase accounting in scenarios).
-func (r *Runner) CompletedIOs() int64 { return int64(len(r.latencies)) }
-
-// CompletedBytes returns the bytes completed so far.
-func (r *Runner) CompletedBytes() int64 { return int64(len(r.latencies)) * r.job.BS }
-
 func (r *Runner) canIssue() bool {
 	if r.job.TotalBytes > 0 && r.issued >= r.job.TotalBytes {
 		return false
