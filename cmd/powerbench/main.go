@@ -18,6 +18,7 @@
 //	powerbench -exp all -scale paper -out results.txt
 //	powerbench -scenario scenarios/paper-default.json
 //	powerbench -scenario scenarios/stepped-budget.json -fleet 128
+//	powerbench -exp fig10 -csvdir out/
 //	powerbench -exp fig2 -trace trace.json -metrics
 //	powerbench -exp chaos -faultseed 7 -metrics
 //	powerbench -exp fleet -fleet 1000 -budget "0s:14.6pd,1s:10.5pd" -fleetfaults 0.1
@@ -30,7 +31,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +61,7 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 		scale    = fs.String("scale", "quick", "experiment scale: quick or paper")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		out      = fs.String("out", "", "also write results to this file")
-		csvDir   = fs.String("csvdir", "", "export figure data as CSV files into this directory")
+		csvDir   = fs.String("csvdir", "", "also write figure data as CSV files into this directory")
 		seed     = fs.Uint64("seed", 42, "root random seed")
 		fseed    = fs.Uint64("faultseed", 1, "fault-injection random seed (chaos experiment)")
 		traceF   = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing) of the run to this file")
@@ -199,6 +199,15 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 		}()
 	}
 
+	// Create the CSV directory up front so a bad path fails before the
+	// run, as -trace does.
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintf(errw, "powerbench: %v\n", err)
+			return 1
+		}
+	}
+
 	// Telemetry rides on process-wide defaults: experiments build their
 	// engines internally, and every engine picks the defaults up at
 	// construction.
@@ -251,18 +260,11 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 
 	for _, e := range todo {
 		start := time.Now()
-		var files []string
-		var err error
+		var csv *experiments.CSV
 		if *csvDir != "" {
-			files, err = experiments.ExportCSV(e.ID, sp, *csvDir)
-			if errors.Is(err, experiments.ErrNoCSV) {
-				fmt.Fprintf(w, "[%s: %v]\n", e.ID, err)
-				continue
-			}
-		} else {
-			err = e.Run(sp, w)
+			csv = &experiments.CSV{Dir: *csvDir}
 		}
-		if err != nil {
+		if err := e.Run(sp, w, csv); err != nil {
 			if cpuFile != nil {
 				pprof.StopCPUProfile()
 				cpuFile.Close()
@@ -270,12 +272,10 @@ func run(argv []string, stdout, errw io.Writer) (code int) {
 			fmt.Fprintf(errw, "powerbench: %s: %v\n", e.ID, err)
 			return 1
 		}
-		if *csvDir != "" {
-			for _, f := range files {
+		if csv != nil {
+			for _, f := range csv.Files {
 				fmt.Fprintf(w, "wrote %s\n", f)
 			}
-			fmt.Fprintf(stdout, "[%s exported in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
-			continue
 		}
 		// Wall-clock timing is the one nondeterministic line; it goes to
 		// the terminal only so a -out file stays bit-identical across

@@ -309,3 +309,26 @@ func TestList(t *testing.T) {
 		}
 	}
 }
+
+// TestCSVDirFollowsScenarioDevices: -csvdir writes the CSV from the run
+// that prints the report, so fig10's files follow the devices the
+// scenario sweeps. The powercap scenario lists only SSD2.
+func TestCSVDirFollowsScenarioDevices(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errw := runCLI("-scenario", "../../scenarios/powercap.json", "-exp", "fig10", "-csvdir", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "fig10_SSD2.csv" {
+		t.Fatalf("csvdir holds %v, want only fig10_SSD2.csv", entries)
+	}
+	for _, want := range []string{"Figure 10a", "wrote " + filepath.Join(dir, "fig10_SSD2.csv")} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -50,8 +50,8 @@ func run(argv []string, out, errw io.Writer) int {
 		return 2
 	}
 	cmds := map[string]func([]string, io.Writer) error{
-		"build":     build,
-		"calibrate": calibrate,
+		"build":     func(args []string, out io.Writer) error { return build(args, out, errw) },
+		"calibrate": func(args []string, out io.Writer) error { return calibrate(args, out, errw) },
 		"info":      info,
 		"plan":      plan,
 		"curtail":   curtail,
@@ -117,7 +117,7 @@ func loadModels(paths []string) ([]*core.Model, error) {
 	return out, nil
 }
 
-func build(args []string, out io.Writer) error {
+func build(args []string, out, errw io.Writer) error {
 	fs := newFlagSet("build")
 	dev := fs.String("device", "SSD2", "device model: "+strings.Join(catalog.Names(), ", "))
 	outPath := fs.String("o", "", "output file (default <device>.json)")
@@ -141,7 +141,7 @@ func build(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -rw %q", *rw)
 	}
-	fmt.Fprintf(os.Stderr, "sweeping %s (%s grid, %v/%d bytes per point)...\n", *dev, *rw, *runtime, *bytes)
+	fmt.Fprintf(errw, "sweeping %s (%s grid, %v/%d bytes per point)...\n", *dev, *rw, *runtime, *bytes)
 	m, err := sweep.BuildModel(*dev, op, pat, *seed, *runtime, *bytes)
 	if err != nil {
 		return err
@@ -172,7 +172,7 @@ func build(args []string, out io.Writer) error {
 // calibration gates still writes the file (the summary says so) but
 // exits nonzero, so scripts can trust a zero exit to mean a usable
 // model.
-func calibrate(args []string, out io.Writer) error {
+func calibrate(args []string, out, errw io.Writer) error {
 	fs := newFlagSet("calibrate")
 	class := fs.String("class", "SSD2", "catalog class to calibrate: "+strings.Join(catalog.Names(), ", "))
 	outPath := fs.String("o", "", "output file (default <class>-fitted.json)")
@@ -184,7 +184,7 @@ func calibrate(args []string, out io.Writer) error {
 		return err
 	}
 	opt := calib.Options{PointRuntime: *runtime, Warmup: *warmup, Seed: *seed, Folds: *folds}
-	fmt.Fprintf(os.Stderr, "calibrating %s against its mechanistic simulator...\n", *class)
+	fmt.Fprintf(errw, "calibrating %s against its mechanistic simulator...\n", *class)
 	fit, err := calib.FitClass(*class, opt)
 	if err != nil {
 		return err

@@ -66,6 +66,33 @@ func TestInfo(t *testing.T) {
 	}
 }
 
+// TestBuildSubcommand sweeps a small model, reads it back with info,
+// and checks the progress line reaches the subcommand's error writer.
+func TestBuildSubcommand(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ssd3.json")
+	code, out, stderr := runCLI("build", "-device", "SSD3", "-runtime", "50ms", "-bytes", "16777216", "-o", path)
+	if code != 0 {
+		t.Fatalf("build exit %d, stderr: %s", code, stderr)
+	}
+	if want := "sweeping SSD3 (randwrite grid, 50ms/16777216 bytes per point)...\n"; stderr != want {
+		t.Errorf("stderr %q, want %q", stderr, want)
+	}
+	if !strings.HasPrefix(out, "wrote "+path+": 36 operating points") {
+		t.Errorf("build output: %s", out)
+	}
+	code, out, stderr = runCLI("info", path)
+	if code != 0 {
+		t.Fatalf("info exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.HasPrefix(out, "SSD3: 36 points\n") || !strings.Contains(out, "Pareto frontier") {
+		t.Errorf("info output:\n%s", out)
+	}
+
+	if code, _, stderr := runCLI("build", "-rw", "trim", "-o", path); code != 1 || !strings.Contains(stderr, `unknown -rw "trim"`) {
+		t.Errorf("bad -rw: exit %d, stderr %s", code, stderr)
+	}
+}
+
 func TestPlanTwoModels(t *testing.T) {
 	dir := t.TempDir()
 	a := writeModel(t, dir, "SSD1")
@@ -242,6 +269,9 @@ func TestCalibrateSubcommand(t *testing.T) {
 	code, out, stderr := runCLI("calibrate", "-class", "SSD3", "-o", path, "-runtime", "800ms")
 	if code != 0 {
 		t.Fatalf("calibrate exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "calibrating SSD3") {
+		t.Errorf("progress line missing from stderr: %q", stderr)
 	}
 	for _, want := range []string{"wrote " + path, "CV R2", "MAPE"} {
 		if !strings.Contains(out, want) {

@@ -13,7 +13,7 @@ func init() {
 	register("calib", "Learned device models: NNLS calibration, cross-validated fit gates, differential fleet run", runCalib)
 }
 
-func runCalib(sp *scenario.Spec, w io.Writer) error {
+func runCalib(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 	// The run's spec drives the experiment when it carries an
 	// enabled calib stanza, else the built-in "calib" scenario does.
 	if sp.Fleet == nil || sp.Fleet.Calib == nil || !sp.Fleet.Calib.Enable {

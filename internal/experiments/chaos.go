@@ -412,7 +412,7 @@ func chaosRollout(sp *scenario.Spec, r *ChaosReport) error {
 }
 
 func init() {
-	register("chaos", "Extension: fault injection for the power-control plane (§4.1 local control failures)", func(sp *scenario.Spec, w io.Writer) error {
+	register("chaos", "Extension: fault injection for the power-control plane (§4.1 local control failures)", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		r, err := Chaos(sp)
 		if err != nil {
 			return err

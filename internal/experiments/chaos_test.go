@@ -86,10 +86,10 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Fatal("chaos experiment not registered")
 	}
 	var a, b bytes.Buffer
-	if err := e.Run(chaosSpec, &a); err != nil {
+	if err := e.Run(chaosSpec, &a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(chaosSpec, &b); err != nil {
+	if err := e.Run(chaosSpec, &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() == 0 {
@@ -109,10 +109,10 @@ func TestChaosFaultSeedMatters(t *testing.T) {
 	s2.FaultSeed = 7
 	var a, b bytes.Buffer
 	e, _ := ByID("chaos")
-	if err := e.Run(chaosSpec, &a); err != nil {
+	if err := e.Run(chaosSpec, &a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(&s2, &b); err != nil {
+	if err := e.Run(&s2, &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a.Bytes(), b.Bytes()) {

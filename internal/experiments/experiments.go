@@ -3,13 +3,18 @@
 // the paper reports. Every experiment runs from one validated scenario
 // spec (internal/scenario): the spec carries the run's bounds and seeds,
 // and the parameters of the experiments that read more than those.
-// cmd/powerbench runs them from the command line and bench_test.go
-// wraps each in a testing.B benchmark.
+// Each experiment is one registry entry that computes once and renders
+// twice: the text report to its writer and, for the figures, CSV files
+// to an optional sink. cmd/powerbench runs them from the command line
+// and bench_test.go wraps each in a testing.B benchmark.
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"wattio/internal/scenario"
@@ -18,16 +23,51 @@ import (
 // Experiment is one regenerable paper artifact. Run takes a validated
 // spec and reads its bounds from it: the run length from Horizon, the
 // per-point byte bound from Bytes, and the seeds from Seed and
-// FaultSeed.
+// FaultSeed. It prints its report to w and adds its tabular data, if
+// it has any, to csv, which may be nil.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(sp *scenario.Spec, w io.Writer) error
+	Run   func(sp *scenario.Spec, w io.Writer, csv *CSV) error
+}
+
+// CSV collects one run's CSV files for external plotting. A nil *CSV
+// discards them, so experiments add their files unconditionally.
+type CSV struct {
+	Dir   string   // existing directory the files are written into
+	Files []string // paths written, in order
+}
+
+// add writes one file into the sink's directory; fill writes its rows.
+func (c *CSV) add(name string, fill func(io.Writer) error) error {
+	if c == nil {
+		return nil
+	}
+	path := filepath.Join(c.Dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	// The buffer keeps the first failed write, so Flush reports what
+	// the fill functions' unchecked prints dropped.
+	bw := bufio.NewWriter(f)
+	err = fill(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	c.Files = append(c.Files, path)
+	return nil
 }
 
 var registry = map[string]Experiment{}
 
-func register(id, title string, run func(*scenario.Spec, io.Writer) error) {
+func register(id, title string, run func(*scenario.Spec, io.Writer, *CSV) error) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}

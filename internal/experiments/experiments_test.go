@@ -324,7 +324,7 @@ func TestRunOutputsNonEmpty(t *testing.T) {
 	for _, e := range []string{"fig7", "standby"} {
 		exp, _ := ByID(e)
 		var sb strings.Builder
-		if err := exp.Run(scenario.BuiltIn("paper-default"), &sb); err != nil {
+		if err := exp.Run(scenario.BuiltIn("paper-default"), &sb, nil); err != nil {
 			t.Errorf("%s: %v", e, err)
 		}
 		if !strings.Contains(sb.String(), "==") {

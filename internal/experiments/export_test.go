@@ -1,70 +1,111 @@
 package experiments
 
 import (
-	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"wattio/internal/scenario"
 )
 
 // exportSpec is deliberately tiny: export tests exercise format, not
 // physics (the shape tests above cover that).
 var exportSpec = boundedSpec(500*time.Millisecond, 64<<20)
 
-func TestExportCSVFigures(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string][]string{
-		"fig3": {"fig3_power.csv"},
-		"fig8": {"fig8.csv"},
-		"fig9": {"fig9.csv"},
+// runCSV runs one experiment with a CSV sink over a fresh directory and
+// returns the paths the sink lists, after checking they are exactly the
+// directory's contents.
+func runCSV(t *testing.T, id string, sp *scenario.Spec) []string {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
 	}
-	for id, wantFiles := range cases {
+	csv := &CSV{Dir: t.TempDir()}
+	if err := e.Run(sp, io.Discard, csv); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(csv.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed, onDisk []string
+	for _, f := range csv.Files {
+		listed = append(listed, filepath.Base(f))
+	}
+	for _, de := range entries {
+		onDisk = append(onDisk, de.Name())
+	}
+	sorted := slices.Clone(listed)
+	slices.Sort(sorted)
+	if !slices.Equal(sorted, onDisk) {
+		t.Fatalf("sink lists %v, directory holds %v", listed, onDisk)
+	}
+	return csv.Files
+}
+
+// checkCSV fails unless path holds a header and at least one data row,
+// every row with the header's column count.
+func checkCSV(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 2 {
+		t.Errorf("%s has no data rows", path)
+	}
+	header := lines[0]
+	if !strings.Contains(header, ",") {
+		t.Errorf("%s header %q not CSV", path, header)
+	}
+	cols := strings.Count(header, ",")
+	for _, l := range lines[1:] {
+		if strings.Count(l, ",") != cols {
+			t.Errorf("%s ragged row %q", path, l)
+		}
+	}
+}
+
+func baseNames(paths []string) []string {
+	var out []string
+	for _, p := range paths {
+		out = append(out, filepath.Base(p))
+	}
+	return out
+}
+
+// TestExportCSVFigures: each figure adds its files to the sink from the
+// run that prints it, and an experiment without tabular data adds none.
+func TestExportCSVFigures(t *testing.T) {
+	cases := map[string][]string{
+		"fig3":    {"fig3_power.csv"},
+		"fig8":    {"fig8.csv"},
+		"fig9":    {"fig9.csv"},
+		"standby": nil,
+	}
+	for id, want := range cases {
 		t.Run(id, func(t *testing.T) {
-			files, err := ExportCSV(id, exportSpec, dir)
-			if err != nil {
-				t.Fatal(err)
+			files := runCSV(t, id, exportSpec)
+			if got := baseNames(files); !slices.Equal(got, want) {
+				t.Fatalf("wrote %v, want %v", got, want)
 			}
-			if len(files) != len(wantFiles) {
-				t.Fatalf("wrote %v, want %v", files, wantFiles)
-			}
-			for i, f := range files {
-				if filepath.Base(f) != wantFiles[i] {
-					t.Errorf("file %d = %s, want %s", i, filepath.Base(f), wantFiles[i])
-				}
-				data, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				if len(lines) < 2 {
-					t.Errorf("%s has no data rows", f)
-				}
-				header := lines[0]
-				if !strings.Contains(header, ",") {
-					t.Errorf("%s header %q not CSV", f, header)
-				}
-				// Every row has the header's column count.
-				cols := strings.Count(header, ",")
-				for _, l := range lines[1:] {
-					if strings.Count(l, ",") != cols {
-						t.Errorf("%s ragged row %q", f, l)
-					}
-				}
+			for _, f := range files {
+				checkCSV(t, f)
 			}
 		})
 	}
 }
 
 func TestExportCSVFig7Traces(t *testing.T) {
-	dir := t.TempDir()
-	files, err := ExportCSV("fig7", exportSpec, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("wrote %d files, want 2", len(files))
+	files := runCSV(t, "fig7", exportSpec)
+	if got, want := baseNames(files), []string{"fig7a_enter.csv", "fig7b_exit.csv"}; !slices.Equal(got, want) {
+		t.Fatalf("wrote %v, want %v", got, want)
 	}
 	data, err := os.ReadFile(files[0])
 	if err != nil {
@@ -75,11 +116,16 @@ func TestExportCSVFig7Traces(t *testing.T) {
 	}
 }
 
-func TestExportCSVUnknownID(t *testing.T) {
-	if _, err := ExportCSV("table1", exportSpec, t.TempDir()); !errors.Is(err, ErrNoCSV) {
-		t.Errorf("table1 (no tabular exporter): err = %v, want ErrNoCSV", err)
+// TestFig10CSVFollowsSpecDevices: fig10 writes one model file per
+// device the spec sweeps. The powercap scenario lists only SSD2, so the
+// run writes fig10_SSD2.csv and nothing for the paper's other devices.
+func TestFig10CSVFollowsSpecDevices(t *testing.T) {
+	sp := scenario.BuiltIn("powercap")
+	sp.Runtime = scenario.Duration(50 * time.Millisecond)
+	sp.TotalBytes = 16 << 20
+	files := runCSV(t, "fig10", sp)
+	if got, want := baseNames(files), []string{"fig10_SSD2.csv"}; !slices.Equal(got, want) {
+		t.Fatalf("wrote %v, want %v", got, want)
 	}
-	if _, err := ExportCSV("nope", exportSpec, t.TempDir()); !errors.Is(err, ErrNoCSV) {
-		t.Errorf("unknown id: err = %v, want ErrNoCSV", err)
-	}
+	checkCSV(t, files[0])
 }

@@ -97,7 +97,7 @@ func propRun(sp *scenario.Spec, replicas, active int, iops float64) (avgW float6
 }
 
 func init() {
-	register("prop", "Extension: power proportionality via IO redirection (cf. SRCMap, §4)", func(sp *scenario.Spec, w io.Writer) error {
+	register("prop", "Extension: power proportionality via IO redirection (cf. SRCMap, §4)", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		rows, err := Proportionality(sp)
 		if err != nil {
 			return err

@@ -203,7 +203,7 @@ func chunkLabel(xName string, v int64) string {
 }
 
 func init() {
-	register("fig3", "Figure 3: SSD2 random write average power under power states", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig3", "Figure 3: SSD2 random write average power under power states", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		series, err := Figure3(sp)
 		if err != nil {
 			return err
@@ -211,9 +211,9 @@ func init() {
 		section(w, "Figure 3: SSD2 random write avg power (W) vs chunk size")
 		writeSeries(w, "chunk", series)
 		chartSeries(w, "Fig. 3: SSD2 random write power", "chunk (KiB, log)", "W", series)
-		return nil
+		return csv.add("fig3_power.csv", seriesCSV("chunk_bytes", series))
 	})
-	register("fig4", "Figure 4: SSD2 sequential throughput under power states (qd 64)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig4", "Figure 4: SSD2 sequential throughput under power states (qd 64)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		series, err := Figure4(sp)
 		if err != nil {
 			return err
@@ -221,9 +221,9 @@ func init() {
 		section(w, "Figure 4: SSD2 sequential throughput (MB/s) vs chunk size")
 		writeSeries(w, "chunk", series)
 		chartSeries(w, "Fig. 4: SSD2 sequential throughput under power states", "chunk (log)", "MB/s", series)
-		return nil
+		return csv.add("fig4_throughput.csv", seriesCSV("chunk_bytes", series))
 	})
-	register("fig5", "Figure 5: SSD2 random write latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig5", "Figure 5: SSD2 random write latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		avg, p99, err := Figure5(sp)
 		if err != nil {
 			return err
@@ -233,9 +233,9 @@ func init() {
 		section(w, "Figure 5b: SSD2 random write p99 latency (normalized to ps0)")
 		writeSeries(w, "chunk", p99)
 		chartSeries(w, "Fig. 5b: SSD2 random write p99 latency vs ps0", "chunk (log)", "ratio", p99)
-		return nil
+		return latencyCSV(csv, "fig5", avg, p99)
 	})
-	register("fig6", "Figure 6: SSD2 random read latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig6", "Figure 6: SSD2 random read latency under power states (qd 1)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		avg, p99, err := Figure6(sp)
 		if err != nil {
 			return err
@@ -244,9 +244,9 @@ func init() {
 		writeSeries(w, "chunk", avg)
 		section(w, "Figure 6b: SSD2 random read p99 latency (normalized to ps0)")
 		writeSeries(w, "chunk", p99)
-		return nil
+		return latencyCSV(csv, "fig6", avg, p99)
 	})
-	register("fig8", "Figure 8: random write power and throughput vs chunk size (qd 64)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig8", "Figure 8: random write power and throughput vs chunk size (qd 64)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		sweeps, err := Figure8(sp)
 		if err != nil {
 			return err
@@ -254,9 +254,9 @@ func init() {
 		section(w, "Figure 8: random write vs chunk size (qd 64)")
 		writeDeviceSweeps(w, "chunk", sweeps)
 		chartDeviceSweeps(w, "Fig. 8: random write (qd 64)", "chunk (log)", sweeps)
-		return nil
+		return csv.add("fig8.csv", sweepsCSV("chunk_bytes", sweeps))
 	})
-	register("fig9", "Figure 9: random read power and throughput vs IO depth (4 KiB)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig9", "Figure 9: random read power and throughput vs IO depth (4 KiB)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		sweeps, err := Figure9(sp)
 		if err != nil {
 			return err
@@ -264,8 +264,16 @@ func init() {
 		section(w, "Figure 9: random read vs IO depth (4 KiB)")
 		writeDeviceSweeps(w, "depth", sweeps)
 		chartDeviceSweeps(w, "Fig. 9: random read (4 KiB)", "depth (log)", sweeps)
-		return nil
+		return csv.add("fig9.csv", sweepsCSV("depth", sweeps))
 	})
+}
+
+// latencyCSV adds a Fig. 5/6 pair: <id>a_avg.csv and <id>b_p99.csv.
+func latencyCSV(csv *CSV, id string, avg, p99 []Series) error {
+	if err := csv.add(id+"a_avg.csv", seriesCSV("chunk_bytes", avg)); err != nil {
+		return err
+	}
+	return csv.add(id+"b_p99.csv", seriesCSV("chunk_bytes", p99))
 }
 
 func writeDeviceSweeps(w io.Writer, xName string, sweeps []DeviceSweep) {

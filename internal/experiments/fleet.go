@@ -10,7 +10,20 @@ import (
 )
 
 func init() {
-	register("fleet", "Fleet serving: sharded scheduler under a stepped power budget", runFleet)
+	register("fleet", "Fleet serving: sharded scheduler under a stepped power budget", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
+		spec, err := FleetSpec(sp)
+		if err != nil {
+			return err
+		}
+		return serveFleet(w, "Fleet serving under a stepped power budget", spec)
+	})
+	register("churn", "Lane lifecycle: membership churn under a diurnal rate schedule", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
+		spec, err := ChurnSpec(sp)
+		if err != nil {
+			return err
+		}
+		return serveFleet(w, "Lane lifecycle: membership churn under a diurnal rate schedule", spec)
+	})
 }
 
 // FleetSpec materializes the serving-engine spec the fleet experiment
@@ -21,17 +34,28 @@ func FleetSpec(sp *scenario.Spec) (serve.Spec, error) {
 	return sp.ServeSpec(sp.Horizon())
 }
 
-func runFleet(sp *scenario.Spec, w io.Writer) error {
-	spec, err := FleetSpec(sp)
-	if err != nil {
-		return err
+// ChurnSpec materializes the churn serving spec: sp when it carries a
+// churn schedule, otherwise the built-in "churn" scenario (a
+// group-parked fleet that scales out for a diurnal peak and drains back
+// after it).
+func ChurnSpec(sp *scenario.Spec) (serve.Spec, error) {
+	if sp.Fleet == nil || len(sp.Fleet.Churn) == 0 {
+		sp = scenario.BuiltIn("churn")
 	}
+	return sp.ServeSpec(sp.Horizon())
+}
+
+// serveFleet runs one serving spec, prints its report under the given
+// section title, and fails on a broken gate. A spec with churn must
+// also admit and retire groups and finish its drains inside the
+// horizon.
+func serveFleet(w io.Writer, title string, spec serve.Spec) error {
 	rep, err := serve.Run(spec)
 	if err != nil {
 		return err
 	}
 
-	section(w, "Fleet serving under a stepped power budget")
+	section(w, title)
 	fmt.Fprintf(w, "fleet: %d devices in %d groups across %d shards (replicas %d, faulted %d)\n",
 		rep.Devices, rep.Groups, rep.Shards, rep.Devices/rep.Groups, rep.Faulted)
 	fmt.Fprintf(w, "requests: offered %d, admitted %d, rejected %d, completed %d (%d batches)\n",
@@ -72,14 +96,32 @@ func runFleet(sp *scenario.Spec, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "invariants: power-cap probe %s (worst window %.1f W)\n", okStr(rep.CapOK), rep.CapWorstW)
 
+	if len(spec.Churn) > 0 {
+		if rep.ChurnAdds == 0 {
+			return fmt.Errorf("churn: no replica group was ever admitted mid-run")
+		}
+		if rep.ChurnRemoves == 0 {
+			return fmt.Errorf("churn: no replica group was ever drained and retired")
+		}
+		if rep.DrainMax >= spec.Horizon {
+			return fmt.Errorf("churn: drain recovery %v never completed inside the horizon %v", rep.DrainMax, spec.Horizon)
+		}
+	}
+	return verdict("fleet", spec, rep)
+}
+
+// verdict applies the gates every serving run shares: the
+// sliding-window power cap, budget tracking and, when the spec serves
+// through the meso tier, the sentinel drift probe.
+func verdict(name string, spec serve.Spec, rep *serve.Report) error {
 	if !rep.CapOK {
-		return fmt.Errorf("fleet: sliding-window power-cap invariant fired: worst window %.1f W", rep.CapWorstW)
+		return fmt.Errorf("%s: sliding-window power-cap invariant fired: worst window %.1f W", name, rep.CapWorstW)
 	}
 	if !rep.TrackOK {
-		return fmt.Errorf("fleet: achieved power missed budget by %.1f W", rep.WorstOverW)
+		return fmt.Errorf("%s: achieved power missed budget by %.1f W", name, rep.WorstOverW)
 	}
 	if spec.Meso && !rep.MesoDriftOK {
-		return fmt.Errorf("fleet: mesoscale drift probe fired (worst %.4f)", rep.MesoWorstDriftFrac)
+		return fmt.Errorf("%s: mesoscale drift probe fired (worst %.4f)", name, rep.MesoWorstDriftFrac)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func TestFleetRuns(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var sb strings.Builder
-			if err := e.Run(sp, &sb); err != nil {
+			if err := e.Run(sp, &sb, nil); err != nil {
 				t.Fatalf("fleet: %v\n%s", err, sb.String())
 			}
 			out := sb.String()
@@ -59,10 +59,10 @@ func TestFleetRuns(t *testing.T) {
 func TestFleetDeterministicOutput(t *testing.T) {
 	e, _ := ByID("fleet")
 	var a, b strings.Builder
-	if err := e.Run(fleetSpec(), &a); err != nil {
+	if err := e.Run(fleetSpec(), &a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(fleetSpec(), &b); err != nil {
+	if err := e.Run(fleetSpec(), &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -75,7 +75,7 @@ func TestFleetBadBudgetFlag(t *testing.T) {
 	sp := fleetSpec()
 	sp.Fleet.Budget = "0s:nonsense"
 	var sb strings.Builder
-	if err := e.Run(sp, &sb); err == nil {
+	if err := e.Run(sp, &sb, nil); err == nil {
 		t.Fatal("malformed budget schedule accepted")
 	}
 }
@@ -132,5 +132,25 @@ func TestFleetScenarioFlagEquivalence(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", flags) != fmt.Sprintf("%+v", spec) {
 		t.Fatalf("flag and scenario specs diverge:\nflags: %+v\nspec:  %+v", flags, spec)
+	}
+}
+
+// TestChurnRuns runs the churn experiment at its default spec, the one
+// `powerbench -exp churn` runs, through the fleet runner. The run fails
+// unless groups both join and retire, the drain finishes inside the
+// horizon, and the cap, tracking and drift gates hold.
+func TestChurnRuns(t *testing.T) {
+	e, ok := ByID("churn")
+	if !ok {
+		t.Fatal("churn experiment not registered")
+	}
+	var sb strings.Builder
+	if err := e.Run(scenario.Default("churn"), &sb, nil); err != nil {
+		t.Fatalf("churn: %v\n%s", err, sb.String())
+	}
+	for _, want := range []string{"== Lane lifecycle", "\nchurn: ", "\nmeso: ", "tracking OK", "power-cap probe OK"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestGoldenOutputs(t *testing.T) {
 				t.Fatalf("experiment %q not registered", id)
 			}
 			var buf bytes.Buffer
-			if err := e.Run(goldenSpec, &buf); err != nil {
+			if err := e.Run(goldenSpec, &buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
@@ -88,7 +88,7 @@ func TestGoldenOutputsViaScenario(t *testing.T) {
 				t.Fatalf("experiment %q not registered", id)
 			}
 			var buf bytes.Buffer
-			if err := e.Run(s, &buf); err != nil {
+			if err := e.Run(s, &buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))

@@ -30,7 +30,7 @@ func MesoSpec(sp *scenario.Spec) (serve.Spec, error) {
 	return sp.ServeSpec(sp.Horizon())
 }
 
-func runMeso(sp *scenario.Spec, w io.Writer) error {
+func runMeso(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 	spec, err := MesoSpec(sp)
 	if err != nil {
 		return err
@@ -72,14 +72,10 @@ func runMeso(sp *scenario.Spec, w io.Writer) error {
 		return fmt.Errorf("meso: hybrid energy disagrees with mechanistic by %.2f%% (gate %.0f%%)",
 			100*eAgree, 100*mesoEnergyTolFrac)
 	}
-	if !hyb.MesoDriftOK {
-		return fmt.Errorf("meso: sentinel drift probe fired (worst %.4f)", hyb.MesoWorstDriftFrac)
+	if err := verdict("meso: pure leg", base, pure); err != nil {
+		return err
 	}
-	if !hyb.CapOK || !hyb.TrackOK || !pure.CapOK || !pure.TrackOK {
-		return fmt.Errorf("meso: power probes failed (hybrid cap=%v track=%v, pure cap=%v track=%v)",
-			hyb.CapOK, hyb.TrackOK, pure.CapOK, pure.TrackOK)
-	}
-	return nil
+	return verdict("meso: hybrid leg", spec, hyb)
 }
 
 // relFrac is |a−b| as a fraction of |b|.

@@ -86,7 +86,7 @@ func ComputeHeadline(models map[string]*core.Model) (Headline, error) {
 }
 
 func init() {
-	register("fig10", "Figure 10: power-throughput model for random write", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig10", "Figure 10: power-throughput model for random write", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		models, err := Figure10(sp)
 		if err != nil {
 			return err
@@ -113,9 +113,14 @@ func init() {
 					ps, len(sub.Samples()), sub.MinPowerW(), sub.MaxPowerW(), sub.MaxThroughputMBps())
 			}
 		}
+		for _, name := range profiles {
+			if err := csv.add("fig10_"+name+".csv", modelCSV(models[name])); err != nil {
+				return err
+			}
+		}
 		return nil
 	})
-	register("headline", "§3.3 headline numbers (dynamic range, HDD floor, curtailment example)", func(sp *scenario.Spec, w io.Writer) error {
+	register("headline", "§3.3 headline numbers (dynamic range, HDD floor, curtailment example)", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		models, err := Figure10(sp)
 		if err != nil {
 			return err

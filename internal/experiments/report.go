@@ -124,7 +124,7 @@ func Report(sp *scenario.Spec) ([]Claim, error) {
 }
 
 func init() {
-	register("report", "Reproduction report: every paper claim checked against its band", func(sp *scenario.Spec, w io.Writer) error {
+	register("report", "Reproduction report: every paper claim checked against its band", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		start := time.Now()
 		claims, err := Report(sp)
 		if err != nil {

@@ -87,7 +87,7 @@ func waitSettled(eng *sim.Engine, dev device.Device, standby bool) {
 }
 
 func init() {
-	register("standby", "§3.2.2 low-power standby levels and transition times", func(sp *scenario.Spec, w io.Writer) error {
+	register("standby", "§3.2.2 low-power standby levels and transition times", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		rows, err := StandbyStudy(sp)
 		if err != nil {
 			return err

@@ -92,7 +92,7 @@ func table1Row(name string, sp *scenario.Spec) (Table1Row, error) {
 }
 
 func init() {
-	register("table1", "Table 1: evaluated storage devices and measured power ranges", func(sp *scenario.Spec, w io.Writer) error {
+	register("table1", "Table 1: evaluated storage devices and measured power ranges", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
 		rows, err := Table1(sp)
 		if err != nil {
 			return err

@@ -153,7 +153,7 @@ func settleTime(tr *trace.PowerTrace, target, tol float64) time.Duration {
 }
 
 func init() {
-	register("fig2", "Figure 2: power measurement example (trace and distribution)", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig2", "Figure 2: power measurement example (trace and distribution)", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		f, err := Figure2(sp)
 		if err != nil {
 			return err
@@ -167,9 +167,20 @@ func init() {
 		for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
 			fmt.Fprintf(w, "%-5s %s\n", name, f.Violins[name])
 		}
-		return nil
+		if err := csv.add("fig2a_trace.csv", f.Trace.WriteCSV); err != nil {
+			return err
+		}
+		return csv.add("fig2b_violins.csv", func(w io.Writer) error {
+			fmt.Fprintln(w, "device,n,min,p25,median,mean,p75,p99,max,stddev")
+			for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+				v := f.Violins[name]
+				fmt.Fprintf(w, "%s,%d,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g\n",
+					name, v.N, v.Min, v.P25, v.Median, v.Mean, v.P75, v.P99, v.Max, v.Stddev)
+			}
+			return nil
+		})
 	})
-	register("fig7", "Figure 7: 860 EVO power during standby transitions", func(sp *scenario.Spec, w io.Writer) error {
+	register("fig7", "Figure 7: 860 EVO power during standby transitions", func(sp *scenario.Spec, w io.Writer, csv *CSV) error {
 		f, err := Figure7(sp)
 		if err != nil {
 			return err
@@ -180,7 +191,10 @@ func init() {
 		section(w, "Figure 7b: standby → idle (wake at 400 ms)")
 		printTraceRows(w, f.StandbyToIdle)
 		fmt.Fprintf(w, "transition settled at %v\n", f.ExitDone)
-		return nil
+		if err := csv.add("fig7a_enter.csv", f.IdleToStandby.WriteCSV); err != nil {
+			return err
+		}
+		return csv.add("fig7b_exit.csv", f.StandbyToIdle.WriteCSV)
 	})
 }
 

@@ -23,7 +23,8 @@ type DriftProbe struct {
 // act on it (the serving engine bars a lane whose single observation
 // exceeds the tolerance).
 func (p *DriftProbe) Observe(predictedW, measuredW float64) float64 {
-	frac := relFrac(predictedW, measuredW)
+	diff, scale := relDiff(predictedW, measuredW)
+	frac := diff / scale
 	if frac > p.worst {
 		p.worst = frac
 		p.worstPred = predictedW
@@ -47,19 +48,19 @@ func (p *DriftProbe) Check(tolFrac float64) error {
 	return nil
 }
 
-// relFrac is |a−b| as a fraction of |b|, with a floor on the scale so
-// a near-zero measurement cannot blow the ratio up to infinity.
-func relFrac(a, b float64) float64 {
-	diff := a - b
+// relDiff returns |a−b| and the scale to judge it against: |b|, floored
+// so a near-zero reference cannot blow the ratio up to infinity.
+func relDiff(a, b float64) (diff, scale float64) {
+	diff = a - b
 	if diff < 0 {
 		diff = -diff
 	}
-	scale := b
+	scale = b
 	if scale < 0 {
 		scale = -scale
 	}
 	if scale < 1e-12 {
 		scale = 1e-12
 	}
-	return diff / scale
+	return diff, scale
 }

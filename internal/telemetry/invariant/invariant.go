@@ -132,30 +132,12 @@ func (p *EnergyProbe) Check(relTol float64) error {
 		}
 		compSum += j - base
 	}
-	if err := relClose(compSum, accounted, 1e-6); err != nil {
+	if diff, scale := relDiff(compSum, accounted); diff > 1e-6*scale {
 		return fmt.Errorf("invariant: component energies do not partition total: sum %v J, total %v J", compSum, accounted)
 	}
-	if err := relClose(p.integral, accounted, relTol); err != nil {
+	if diff, scale := relDiff(p.integral, accounted); diff > relTol*scale {
 		return fmt.Errorf("invariant: energy not conserved: integral of InstantPower %v J, accounted %v J (tol %v)",
 			p.integral, accounted, relTol)
-	}
-	return nil
-}
-
-func relClose(a, b, tol float64) error {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := b
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1e-12 {
-		scale = 1e-12
-	}
-	if diff > tol*scale {
-		return fmt.Errorf("%v != %v", a, b)
 	}
 	return nil
 }
