@@ -39,11 +39,7 @@ var benchSpec = func() *scenario.Spec {
 func BenchmarkTable1(b *testing.B) {
 	var rows []experiments.Table1Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table1(benchSpec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = experiments.Table1(benchSpec)
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.MinW, r.Label+"_min_W")
@@ -478,38 +474,6 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMeasurementNoise runs the rig against a known load
-// with and without amplifier noise, reporting relative error — the <1%
-// claim should not depend on averaging away a broken chain.
-func BenchmarkAblationMeasurementNoise(b *testing.B) {
-	for _, noisy := range []bool{true, false} {
-		name := "noisy"
-		if !noisy {
-			name = "ideal"
-		}
-		b.Run(name, func(b *testing.B) {
-			var relErr float64
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				cfg := measure.DefaultRigConfig(12)
-				if !noisy {
-					cfg.AmpNoiseV, cfg.AmpGainErrPct, cfg.AmpOffsetV, cfg.ShuntTolPPM = 0, 0, 0, 0
-				}
-				rig, err := measure.NewRig(eng, sim.NewRNG(3), constSource(8.19), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rig.Start()
-				eng.RunUntil(eng.Now() + 2*time.Second)
-				rig.Stop()
-				got := rig.Trace().Mean()
-				relErr = abs(got-8.19) / 8.19 * 100
-			}
-			b.ReportMetric(relErr, "rel_err_pct")
-		})
-	}
-}
-
 // --- Substrate micro-benchmarks ------------------------------------------
 
 func BenchmarkEngineEventThroughput(b *testing.B) {
@@ -576,19 +540,6 @@ func BenchmarkSSDSequentialWrite1M(b *testing.B) {
 	}
 }
 
-func BenchmarkRigSampleChain(b *testing.B) {
-	eng := sim.NewEngine()
-	rig, err := measure.NewRig(eng, sim.NewRNG(3), constSource(8), measure.DefaultRigConfig(12))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rig.Start()
-	b.ResetTimer()
-	eng.RunUntil(time.Duration(b.N) * time.Millisecond)
-	b.StopTimer()
-	rig.Stop()
-}
-
 func BenchmarkFrameEncodeDecode(b *testing.B) {
 	codes := make([]int32, 16)
 	for i := range codes {
@@ -607,17 +558,6 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 }
 
 // --- helpers --------------------------------------------------------------
-
-type constSource float64
-
-func (c constSource) InstantPower() float64 { return float64(c) }
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 func byteLabel(mib int64) string {
 	return fmt.Sprintf("%dMiB", mib)

@@ -22,7 +22,6 @@ import (
 	"wattio/internal/device"
 	"wattio/internal/measure"
 	"wattio/internal/sim"
-	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
@@ -77,7 +76,7 @@ func run(argv []string, out, errw io.Writer) int {
 
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(*seed)
-	dev, ok := catalog.ByName(*devName, eng, rng)
+	dev, ok := catalog.NewNamed(*devName, *devName, eng, rng)
 	if !ok {
 		return fail("unknown device %q (have %s)", *devName, strings.Join(catalog.Names(), ", "))
 	}
@@ -92,10 +91,7 @@ func run(argv []string, out, errw io.Writer) int {
 			return fail("set power state: %v", err)
 		}
 	}
-	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-	if err != nil {
-		return fail("%v", err)
-	}
+	rig := measure.NewRig(eng, rng, dev)
 	rig.Start()
 	res := workload.Run(eng, dev, job, rng)
 	rig.Stop()

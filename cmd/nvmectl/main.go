@@ -26,7 +26,6 @@ import (
 	"wattio/internal/measure"
 	"wattio/internal/nvme"
 	"wattio/internal/sim"
-	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
@@ -91,7 +90,7 @@ func usage(w io.Writer) {
 func newDev(name string) (device.Device, *sim.Engine, *sim.RNG, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(42)
-	dev, ok := catalog.ByName(name, eng, rng)
+	dev, ok := catalog.NewNamed(name, name, eng, rng)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("unknown device %q; try nvmectl list", name)
 	}
@@ -111,7 +110,7 @@ func list(out io.Writer) {
 	rng := sim.NewRNG(1)
 	fmt.Fprintf(out, "%-6s %-9s %-22s %-12s %s\n", "Node", "Protocol", "Model", "Capacity", "PowerStates")
 	for _, name := range catalog.Names() {
-		dev, _ := catalog.ByName(name, eng, rng)
+		dev, _ := catalog.NewNamed(name, name, eng, rng)
 		fmt.Fprintf(out, "%-6s %-9s %-22s %-12s %d\n",
 			name, dev.Protocol(), dev.Model(),
 			fmt.Sprintf("%.0fGB", float64(dev.CapacityBytes())/1e9), len(dev.PowerStates()))
@@ -163,30 +162,21 @@ func setFeature(out io.Writer, name string, ps int, demo bool) error {
 		return nil
 	}
 	// Demo: measure the same workload in ps0 and the requested state.
-	run := func() (bw, pw float64, err error) {
-		rig, err := measure.NewRig(eng, rng.Stream(fmt.Sprint("rig", eng.Now())), dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-		if err != nil {
-			return 0, 0, err
-		}
+	run := func() (bw, pw float64) {
+		rig := measure.NewRig(eng, rng.Stream(fmt.Sprint("rig", eng.Now())), dev)
 		rig.Start()
 		res := workload.Run(eng, dev, workload.Job{
 			Op: device.OpWrite, Pattern: workload.Seq, BS: 256 << 10, Depth: 64,
 			Runtime: 5 * time.Second, TotalBytes: 1 << 30,
 		}, rng.Stream(fmt.Sprint("wl", eng.Now())))
 		rig.Stop()
-		return res.BandwidthMBps, rig.Trace().Mean(), nil
+		return res.BandwidthMBps, rig.Trace().Mean()
 	}
-	bw0, pw0, err := run()
-	if err != nil {
-		return err
-	}
+	bw0, pw0 := run()
 	if err := c.SetPowerState(ps); err != nil {
 		return err
 	}
-	bw1, pw1, err := run()
-	if err != nil {
-		return err
-	}
+	bw1, pw1 := run()
 	fmt.Fprintf(out, "set-feature:0x02 (Power Management), value:0x%08x (PS:%d)\n", ps, ps)
 	fmt.Fprintf(out, "demo (seq write 256KiB qd64, 1 GiB):\n")
 	fmt.Fprintf(out, "  ps0 : %7.1f MB/s at %5.2f W\n", bw0, pw0)

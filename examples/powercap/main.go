@@ -23,7 +23,6 @@ import (
 	"wattio/internal/nvme"
 	"wattio/internal/scenario"
 	"wattio/internal/sim"
-	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
@@ -44,10 +43,7 @@ func runOne(sp *scenario.Spec, op device.Op, ps int) (bw, pw float64) {
 	if err := ctrl.SetPowerState(ps); err != nil {
 		log.Fatal(err)
 	}
-	rig, err := measure.NewRig(eng, rng.Stream("rig"), dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-	if err != nil {
-		log.Fatal(err)
-	}
+	rig := measure.NewRig(eng, rng.Stream("rig"), dev)
 	rig.Start()
 	job := sp.Workload.Job(10*time.Second, 2<<30)
 	job.Op = op // part 1 walks both ops over the spec's workload shape

@@ -6,14 +6,12 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"wattio/internal/catalog"
 	"wattio/internal/device"
 	"wattio/internal/measure"
 	"wattio/internal/sim"
-	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
@@ -28,10 +26,7 @@ func main() {
 
 	// The rig is the paper's Figure 1: shunt resistor, amplifier,
 	// 24-bit ADC at 1 kHz, Arduino serial framing, calibrated logger.
-	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-	if err != nil {
-		log.Fatal(err)
-	}
+	rig := measure.NewRig(eng, rng, dev)
 	rig.Start()
 
 	// fio --rw=randwrite --bs=256k --iodepth=64 --runtime=60 --size=4G

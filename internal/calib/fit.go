@@ -28,6 +28,11 @@ var (
 	calibIdle   = []time.Duration{500 * time.Millisecond, 2 * time.Second}
 )
 
+// pointBytes caps each grid cell's transferred bytes. Cells are
+// time-bound (Options.PointRuntime); this is a safety bound, not the
+// sizing knob.
+const pointBytes = 8 << 30
+
 // Gates every fitted class must clear, asserted by `-exp calib` and CI.
 const (
 	// GateR2 is the minimum cross-validated coefficient of determination.
@@ -40,9 +45,6 @@ const (
 // Options bounds one class's calibration sweep. Zero values take
 // defaults sized so a full four-class calibration runs in seconds.
 type Options struct {
-	// PointBytes caps each grid cell's transferred bytes; it is a safety
-	// bound, not the sizing knob. Default 8 GiB.
-	PointBytes int64
 	// PointRuntime is each loaded cell's virtual duration. Cells are
 	// time-bound: a fixed window long enough that power-state regulators
 	// reach their sustained (rolling-window) regime and the rig's 1 ms
@@ -60,9 +62,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.PointBytes == 0 {
-		o.PointBytes = 8 << 30
-	}
 	if o.PointRuntime == 0 {
 		o.PointRuntime = 1500 * time.Millisecond
 	}
@@ -77,8 +76,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Folds == 0 {
 		o.Folds = 5
 	}
-	if o.PointBytes < 0 || o.PointRuntime < 0 {
-		return o, fmt.Errorf("calib: negative sweep bounds")
+	if o.PointRuntime < 0 {
+		return o, fmt.Errorf("calib: negative point runtime")
 	}
 	if o.Folds < 2 {
 		return o, fmt.Errorf("calib: need at least 2 cross-validation folds, got %d", o.Folds)
@@ -115,7 +114,7 @@ func FitClass(class string, opt Options) (*Fit, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s/%d/%d/%d/%d/%d", class, opt.PointBytes, opt.PointRuntime, opt.Warmup, opt.Seed, opt.Folds)
+	key := fmt.Sprintf("%s/%d/%d/%d/%d", class, opt.PointRuntime, opt.Warmup, opt.Seed, opt.Folds)
 	if f, ok := fitCache.Load(key); ok {
 		return f.(*Fit), nil
 	}
@@ -130,7 +129,7 @@ func FitClass(class string, opt Options) (*Fit, error) {
 // classInfo probes the catalog for a class's metadata and power states.
 func classInfo(class string) (dev device.Device, states int, err error) {
 	eng := sim.NewEngine()
-	d, ok := catalog.ByName(class, eng, sim.NewRNG(1))
+	d, ok := catalog.NewNamed(class, class, eng, sim.NewRNG(1))
 	if !ok {
 		return nil, 0, fmt.Errorf("calib: unknown device class %q", class)
 	}
@@ -165,7 +164,7 @@ func Dataset(class string, opt Options) ([]sweep.Record, error) {
 		Chunks:      calibChunks,
 		Depths:      calibDepths,
 		Runtime:     opt.PointRuntime,
-		TotalBytes:  opt.PointBytes,
+		TotalBytes:  pointBytes,
 		Warmup:      opt.Warmup,
 		Seed:        opt.Seed,
 	})

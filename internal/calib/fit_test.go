@@ -71,9 +71,6 @@ func TestFitClassRejectsBadInput(t *testing.T) {
 	if _, err := FitClass("SSD2", Options{Folds: 1}); err == nil {
 		t.Error("single fold accepted")
 	}
-	if _, err := FitClass("SSD2", Options{PointBytes: -1}); err == nil {
-		t.Error("negative byte bound accepted")
-	}
 }
 
 // TestFittedModelValidates: a fresh fit already satisfies the same

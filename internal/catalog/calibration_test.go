@@ -71,7 +71,7 @@ func TestIdlePower(t *testing.T) {
 	for name, rng := range targets {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			dev, _ := ByName(name, eng, sim.NewRNG(1))
+			dev, _ := NewNamed(name, name, eng, sim.NewRNG(1))
 			wantRange(t, name+" idle W", idlePower(dev, eng), rng[0], rng[1])
 		})
 	}
@@ -400,12 +400,12 @@ func TestCatalogNamesResolve(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
 	for _, name := range Names() {
-		dev, ok := ByName(name, eng, rng)
+		dev, ok := NewNamed(name, name, eng, rng)
 		if !ok || dev.Name() != name {
-			t.Errorf("ByName(%q) failed", name)
+			t.Errorf("NewNamed(%q) failed", name)
 		}
 	}
-	if _, ok := ByName("SSD9", eng, rng); ok {
+	if _, ok := NewNamed("SSD9", "SSD9", eng, rng); ok {
 		t.Error("unknown device resolved")
 	}
 	devs := Table1(sim.NewEngine(), sim.NewRNG(1))
@@ -420,7 +420,7 @@ func TestC960AutonomousIdle(t *testing.T) {
 	// itself down via APST to about one-tenth of operational idle.
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(7)
-	dev := NewC960(eng, rng)
+	dev, _ := NewNamed("C960", "C960", eng, rng)
 	// Operational idle (measured immediately, before APST kicks in).
 	if got := dev.InstantPower(); got < 0.45 || got > 0.55 {
 		t.Errorf("C960 operational idle = %.3f W, want ≈ 0.5", got)
@@ -448,7 +448,7 @@ func TestDeviceConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			rng := sim.NewRNG(77)
-			dev, _ := ByName(name, eng, rng)
+			dev, _ := NewNamed(name, name, eng, rng)
 			issued, completed := 0, 0
 			offs := rng.Stream("conf")
 			for i := 0; i < 64; i++ {

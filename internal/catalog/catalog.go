@@ -276,25 +276,6 @@ func Table1(eng *sim.Engine, rng *sim.RNG) []device.Device {
 	return []device.Device{NewSSD1(eng, rng), NewSSD2(eng, rng), NewSSD3(eng, rng), NewHDD(eng, rng)}
 }
 
-// ByName builds one device by its Table-1 label (or "EVO").
-func ByName(name string, eng *sim.Engine, rng *sim.RNG) (device.Device, bool) {
-	switch name {
-	case "SSD1":
-		return NewSSD1(eng, rng), true
-	case "SSD2":
-		return NewSSD2(eng, rng), true
-	case "SSD3":
-		return NewSSD3(eng, rng), true
-	case "HDD":
-		return NewHDD(eng, rng), true
-	case "EVO":
-		return NewEVO(eng, rng), true
-	case "C960":
-		return NewC960(eng, rng), true
-	}
-	return nil, false
-}
-
 // Names lists the buildable device labels: the paper's Table-1 four,
 // the 860 EVO standby subject, and the client C960 APST extension.
 func Names() []string { return []string{"SSD1", "SSD2", "SSD3", "HDD", "EVO", "C960"} }
@@ -404,9 +385,4 @@ func C960Config() ssd.Config {
 		CapBurst:        25 * time.Millisecond,
 		ThrottleQuantum: 5 * time.Millisecond,
 	}
-}
-
-// NewC960 builds the client 960 EVO model on an engine.
-func NewC960(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
-	return mustSSD(ssdTemplates["C960"], "C960", eng, rng)
 }

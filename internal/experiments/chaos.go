@@ -158,7 +158,6 @@ func chaosGovernor(sp *scenario.Spec, r *ChaosReport) error {
 	}
 
 	ep := invariant.AttachEnergy(eng, dev, 250*time.Microsecond)
-	cp := invariant.AttachClock(eng, 10*time.Millisecond)
 
 	// Watch for the first applied transition so recovery latency is
 	// measured, not inferred.
@@ -211,10 +210,6 @@ func chaosGovernor(sp *scenario.Spec, r *ChaosReport) error {
 	}
 	ep.Stop()
 	r.GovEnergyOK = ep.Check(0.05) == nil
-	cp.Stop()
-	if err := cp.Check(); err != nil {
-		return err
-	}
 	return nil
 }
 

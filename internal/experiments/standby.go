@@ -10,7 +10,6 @@ import (
 	"wattio/internal/measure"
 	"wattio/internal/scenario"
 	"wattio/internal/sim"
-	"wattio/internal/sweep"
 )
 
 // StandbyRow reports one device's §3.2.2 standby numbers.
@@ -32,7 +31,7 @@ func StandbyStudy(sp *scenario.Spec) ([]StandbyRow, error) {
 	for _, name := range []string{"HDD", "EVO", "SSD1", "SSD2", "SSD3"} {
 		eng := sim.NewEngine()
 		rng := sim.NewRNG(sp.Seed)
-		dev, _ := catalog.ByName(name, eng, rng)
+		dev, _ := catalog.NewNamed(name, name, eng, rng)
 		row := StandbyRow{Device: name}
 
 		row.IdleW = avgPower(eng, rng, dev, 2*time.Second)
@@ -63,10 +62,7 @@ func StandbyStudy(sp *scenario.Spec) ([]StandbyRow, error) {
 
 // avgPower measures mean power over a window through the rig.
 func avgPower(eng *sim.Engine, rng *sim.RNG, dev device.Device, window time.Duration) float64 {
-	rig, err := measure.NewRig(eng, rng.Stream(fmt.Sprint("probe", eng.Now())), dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-	if err != nil {
-		panic(err)
-	}
+	rig := measure.NewRig(eng, rng.Stream(fmt.Sprint("probe", eng.Now())), dev)
 	rig.Start()
 	eng.RunUntil(eng.Now() + window)
 	rig.Stop()

@@ -11,7 +11,6 @@ import (
 	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/stats"
-	"wattio/internal/sweep"
 	"wattio/internal/workload"
 )
 
@@ -29,30 +28,23 @@ type Table1Row struct {
 // device reaches (standby where supported, idle otherwise); the ceiling
 // is the instantaneous peak the rig records under the heaviest
 // workloads.
-func Table1(sp *scenario.Spec) ([]Table1Row, error) {
+func Table1(sp *scenario.Spec) []Table1Row {
 	rows := make([]Table1Row, 0, 4)
 	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
-		row, err := table1Row(name, sp)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		rows = append(rows, table1Row(name, sp))
 	}
-	return rows, nil
+	return rows
 }
 
-func table1Row(name string, sp *scenario.Spec) (Table1Row, error) {
+func table1Row(name string, sp *scenario.Spec) Table1Row {
 	// Floor: idle (or standby when the device supports it).
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(sp.Seed)
-	dev, _ := catalog.ByName(name, eng, rng)
+	dev, _ := catalog.NewNamed(name, name, eng, rng)
 	if err := dev.EnterStandby(); err == nil {
 		eng.RunUntil(eng.Now() + 15*time.Second) // HDD spin-down takes seconds
 	}
-	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-	if err != nil {
-		return Table1Row{}, err
-	}
+	rig := measure.NewRig(eng, rng, dev)
 	rig.Start()
 	eng.RunUntil(eng.Now() + 2*time.Second)
 	rig.Stop()
@@ -66,11 +58,8 @@ func table1Row(name string, sp *scenario.Spec) (Table1Row, error) {
 	} {
 		eng := sim.NewEngine()
 		rng := sim.NewRNG(sp.Seed)
-		dev, _ := catalog.ByName(name, eng, rng)
-		rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(sweep.RailFor(dev)))
-		if err != nil {
-			return Table1Row{}, err
-		}
+		dev, _ := catalog.NewNamed(name, name, eng, rng)
+		rig := measure.NewRig(eng, rng, dev)
 		rig.Start()
 		res := workload.Start(eng, dev, job, rng)
 		for !res.Done() && eng.Step() {
@@ -88,15 +77,12 @@ func table1Row(name string, sp *scenario.Spec) (Table1Row, error) {
 		Model:    dev.Model(),
 		MinW:     minW,
 		MaxW:     maxW,
-	}, nil
+	}
 }
 
 func init() {
 	register("table1", "Table 1: evaluated storage devices and measured power ranges", func(sp *scenario.Spec, w io.Writer, _ *CSV) error {
-		rows, err := Table1(sp)
-		if err != nil {
-			return err
-		}
+		rows := Table1(sp)
 		section(w, "Table 1: Evaluated storage devices")
 		fmt.Fprintf(w, "%-6s %-9s %-22s %s\n", "Label", "Protocol", "Model", "Measured Power Range")
 		for _, r := range rows {

@@ -75,10 +75,7 @@ func Figure7(sp *scenario.Spec) (Fig7, error) {
 		if err != nil {
 			return Fig7{}, err
 		}
-		rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(5))
-		if err != nil {
-			return Fig7{}, err
-		}
+		rig := measure.NewRig(eng, rng, dev)
 		rig.Start()
 		eng.Post(200*time.Millisecond, func() {
 			if err := port.SetLinkPM(sata.LinkSlumber); err != nil {
@@ -104,10 +101,7 @@ func Figure7(sp *scenario.Spec) (Fig7, error) {
 			return Fig7{}, err
 		}
 		eng.RunUntil(2 * time.Second) // settle into slumber before tracing
-		rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(5))
-		if err != nil {
-			return Fig7{}, err
-		}
+		rig := measure.NewRig(eng, rng, dev)
 		base := eng.Now()
 		rig.Start()
 		eng.Post(base+400*time.Millisecond, func() {

@@ -7,6 +7,10 @@
 // decodes the frames and converts codes back to watts through a
 // two-point calibration.
 //
+// Every channel is the paper's chain; NewRig builds one from the device
+// it measures, whose only per-device fact is its supply rail: 12 V for
+// NVMe drives and HDDs, 5 V for SATA SSDs.
+//
 // The paper's claims about this rig — millisecond-scale sampling and
 // < 1% relative error — are asserted by this package's tests.
 package measure

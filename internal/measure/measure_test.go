@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"wattio/internal/catalog"
 	"wattio/internal/sim"
 )
 
@@ -208,10 +209,7 @@ func TestRigAccuracyWithinOnePercent(t *testing.T) {
 	} {
 		for _, w := range tc.watts {
 			eng := sim.NewEngine()
-			rig, err := NewRig(eng, sim.NewRNG(3), constSource(w), DefaultRigConfig(tc.railV))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rig := newRig(eng, sim.NewRNG(3), constSource(w), paperRig(tc.railV))
 			rig.Start()
 			eng.RunUntil(2 * time.Second)
 			rig.Stop()
@@ -227,10 +225,7 @@ func TestRigAccuracyWithinOnePercent(t *testing.T) {
 
 func TestRigSamplePeriod(t *testing.T) {
 	eng := sim.NewEngine()
-	rig, err := NewRig(eng, sim.NewRNG(3), constSource(8), DefaultRigConfig(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(eng, sim.NewRNG(3), constSource(8), paperRig(12))
 	rig.Start()
 	eng.RunUntil(time.Second)
 	rig.Stop()
@@ -249,12 +244,7 @@ func TestRigSamplePeriod(t *testing.T) {
 
 func TestRigStopFlushesPartialFrame(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultRigConfig(12)
-	cfg.FrameSamples = 16
-	rig, err := NewRig(eng, sim.NewRNG(3), constSource(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(eng, sim.NewRNG(3), constSource(8), paperRig(12))
 	rig.Start()
 	eng.RunUntil(5 * time.Millisecond) // fewer samples than one frame
 	rig.Stop()
@@ -268,12 +258,9 @@ func TestRigStopFlushesPartialFrame(t *testing.T) {
 
 func TestRigNoisyLinkDropsFrames(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultRigConfig(12)
-	cfg.BitErrorRate = 1e-3
-	rig, err := NewRig(eng, sim.NewRNG(3), constSource(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := paperRig(12)
+	cfg.bitErrorRate = 1e-3
+	rig := newRig(eng, sim.NewRNG(3), constSource(8), cfg)
 	rig.Start()
 	eng.RunUntil(4 * time.Second)
 	rig.Stop()
@@ -293,10 +280,7 @@ func TestRigNoisyLinkDropsFrames(t *testing.T) {
 
 func TestRigStartIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
-	rig, err := NewRig(eng, sim.NewRNG(3), constSource(8), DefaultRigConfig(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(eng, sim.NewRNG(3), constSource(8), paperRig(12))
 	rig.Start()
 	rig.Start()
 	eng.RunUntil(100 * time.Millisecond)
@@ -306,23 +290,24 @@ func TestRigStartIdempotent(t *testing.T) {
 	}
 }
 
-func TestRigConfigValidation(t *testing.T) {
+// TestRailFor pins the rail NewRig instruments for every catalog
+// profile: 12 V for the NVMe parts and the HDD, 5 V for the SATA SSDs.
+// EVO's row is the rail Fig. 7's standby traces are measured on.
+func TestRailFor(t *testing.T) {
+	want := map[string]float64{"SSD1": 12, "SSD2": 12, "SSD3": 5, "HDD": 12, "EVO": 5, "C960": 12}
 	eng := sim.NewEngine()
-	for _, tc := range []struct {
-		name string
-		mod  func(*RigConfig)
-	}{
-		{"zero rail", func(c *RigConfig) { c.RailV = 0 }},
-		{"zero period", func(c *RigConfig) { c.SampleEvery = 0 }},
-		{"zero frame", func(c *RigConfig) { c.FrameSamples = 0 }},
-		{"huge frame", func(c *RigConfig) { c.FrameSamples = maxFrameSamples + 1 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultRigConfig(12)
-			tc.mod(&cfg)
-			if _, err := NewRig(eng, sim.NewRNG(3), constSource(1), cfg); err == nil {
-				t.Fatal("invalid config accepted")
-			}
-		})
+	for _, name := range catalog.Names() {
+		dev, ok := catalog.NewNamed(name, name, eng, sim.NewRNG(1))
+		if !ok {
+			t.Fatalf("catalog profile %q does not build", name)
+		}
+		w, listed := want[name]
+		if !listed {
+			t.Errorf("%s: no expected rail; add it to the table", name)
+			continue
+		}
+		if got := railFor(dev); got != w {
+			t.Errorf("%s: rail = %v V, want %v V", name, got, w)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package measure
 
 import (
-	"fmt"
 	"time"
 
+	"wattio/internal/device"
+	"wattio/internal/hdd"
 	"wattio/internal/sim"
 	"wattio/internal/telemetry"
 	"wattio/internal/trace"
@@ -15,42 +16,56 @@ type PowerSource interface {
 	InstantPower() float64
 }
 
-// RigConfig describes one measurement channel. Defaults mirror the
-// paper's setup: a 0.1 Ω shunt, a differential amplifier, and a 24-bit
-// ADS1256 sampling at 1 kHz.
-type RigConfig struct {
-	RailV         float64       // supply rail under measurement (12 V PCIe riser, 5 V SATA)
-	SampleEvery   time.Duration // ADC sample period (paper: 1 ms)
-	ShuntOhms     float64
-	ShuntTolPPM   float64
-	AmpGain       float64
-	AmpGainErrPct float64
-	AmpOffsetV    float64
-	AmpNoiseV     float64 // output-referred RMS noise per sample
-	FrameSamples  int     // ADC codes per serial frame
-	BitErrorRate  float64 // serial-link corruption probability per bit
+// The paper's channel: a 0.1 Ω shunt, a 16× differential amplifier and
+// a 24-bit ADS1256 sampling at 1 kHz, its codes framed 16 at a time.
+const (
+	shuntOhms    = 0.1
+	ampGain      = 16
+	samplePeriod = time.Millisecond
+	frameSamples = 16
+)
+
+// rigConfig holds a channel's rail and what tests vary: the error
+// bounds of the shunt and amplifier parts and the serial link's bit
+// error rate.
+type rigConfig struct {
+	railV         float64 // supply rail under measurement (12 V PCIe riser, 5 V SATA)
+	shuntTolPPM   float64
+	ampGainErrPct float64
+	ampOffsetV    float64
+	ampNoiseV     float64 // output-referred RMS noise per sample
+	bitErrorRate  float64 // serial-link corruption probability per bit
 }
 
-// DefaultRigConfig returns the paper's rig for a given supply rail.
-func DefaultRigConfig(railV float64) RigConfig {
-	return RigConfig{
-		RailV:         railV,
-		SampleEvery:   time.Millisecond,
-		ShuntOhms:     0.1,
-		ShuntTolPPM:   200,
-		AmpGain:       16,
-		AmpGainErrPct: 0.4,
-		AmpOffsetV:    2e-3,
-		AmpNoiseV:     1.5e-3,
-		FrameSamples:  16,
+// paperRig returns the paper's parts on a clean link for a given rail.
+func paperRig(railV float64) rigConfig {
+	return rigConfig{
+		railV:         railV,
+		shuntTolPPM:   200,
+		ampGainErrPct: 0.4,
+		ampOffsetV:    2e-3,
+		ampNoiseV:     1.5e-3,
 	}
+}
+
+// railFor returns the supply rail the rig instruments for a device: the
+// 12 V riser/peripheral rail for NVMe devices and HDD spindle motors,
+// 5 V for SATA SSDs.
+func railFor(d device.Device) float64 {
+	if _, isHDD := d.(*hdd.HDD); isHDD {
+		return 12
+	}
+	if d.Protocol() == device.SATA {
+		return 5
+	}
+	return 12
 }
 
 // Rig is one assembled measurement channel: shunt → amplifier → ADC →
 // Arduino serial framing → logging computer. Construct with NewRig,
 // which performs a two-point calibration, then Start sampling.
 type Rig struct {
-	cfg   RigConfig
+	cfg   rigConfig
 	eng   *sim.Engine
 	src   PowerSource
 	shunt *Shunt
@@ -79,32 +94,32 @@ type Rig struct {
 	cFramesBad *telemetry.Counter
 }
 
-// NewRig assembles a measurement channel on src and calibrates it
-// against two known dummy loads spanning the expected range.
-func NewRig(eng *sim.Engine, rng *sim.RNG, src PowerSource, cfg RigConfig) (*Rig, error) {
-	switch {
-	case cfg.RailV <= 0:
-		return nil, fmt.Errorf("measure: rail voltage must be positive")
-	case cfg.SampleEvery <= 0:
-		return nil, fmt.Errorf("measure: sample period must be positive")
-	case cfg.FrameSamples <= 0 || cfg.FrameSamples > maxFrameSamples:
-		return nil, fmt.Errorf("measure: frame size %d out of (0, %d]", cfg.FrameSamples, maxFrameSamples)
-	}
+// NewRig assembles the paper's measurement channel on dev's supply
+// rail and calibrates it against two known dummy loads spanning the
+// expected range.
+func NewRig(eng *sim.Engine, rng *sim.RNG, dev device.Device) *Rig {
+	return newRig(eng, rng, dev, paperRig(railFor(dev)))
+}
+
+// newRig assembles a channel on any power source with the given parts,
+// so tests can clamp it onto fixed loads, strip its errors or add link
+// noise.
+func newRig(eng *sim.Engine, rng *sim.RNG, src PowerSource, cfg rigConfig) *Rig {
 	r := rng.Stream("rig")
 	rig := &Rig{
 		cfg:   cfg,
 		eng:   eng,
 		src:   src,
-		shunt: NewShunt(cfg.ShuntOhms, cfg.ShuntTolPPM, r.Stream("shunt")),
-		amp:   NewAmplifier(cfg.AmpGain, cfg.AmpGainErrPct, cfg.AmpOffsetV, cfg.AmpNoiseV, r),
+		shunt: NewShunt(shuntOhms, cfg.shuntTolPPM, r.Stream("shunt")),
+		amp:   NewAmplifier(ampGain, cfg.ampGainErrPct, cfg.ampOffsetV, cfg.ampNoiseV, r),
 		adc:   NewADS1256(),
 		wire:  r.Stream("wire"),
 		tr:    &trace.PowerTrace{},
 
-		batch:   make([]int32, 0, cfg.FrameSamples),
-		batchT:  make([]time.Duration, 0, cfg.FrameSamples),
-		wireBuf: make([]byte, 0, 5+3*cfg.FrameSamples+2),
-		codeBuf: make([]int32, 0, cfg.FrameSamples),
+		batch:   make([]int32, 0, frameSamples),
+		batchT:  make([]time.Duration, 0, frameSamples),
+		wireBuf: make([]byte, 0, 5+3*frameSamples+2),
+		codeBuf: make([]int32, 0, frameSamples),
 
 		tracer:     eng.Tracer(),
 		cSamples:   eng.Metrics().Counter("rig_samples_total"),
@@ -114,14 +129,14 @@ func NewRig(eng *sim.Engine, rng *sim.RNG, src PowerSource, cfg RigConfig) (*Rig
 	// Two-point calibration with dummy loads at 5% and 80% of the
 	// channel's full-scale power (the power at which the amplifier
 	// output reaches the ADC reference).
-	full := cfg.RailV * rig.adc.VrefV / (cfg.AmpGain * cfg.ShuntOhms)
+	full := cfg.railV * rig.adc.VrefV / (ampGain * shuntOhms)
 	rig.calibrate(0.05*full, 0.80*full, 256)
-	return rig, nil
+	return rig
 }
 
 // sampleCode pushes a known power through the physical chain once.
 func (r *Rig) sampleCode(watts float64) int32 {
-	amps := watts / r.cfg.RailV
+	amps := watts / r.cfg.railV
 	return r.adc.Code(r.amp.Out(r.shunt.Volts(amps)))
 }
 
@@ -154,9 +169,9 @@ func (r *Rig) Start() {
 	}
 	r.sampling = true
 	if r.tick == nil {
-		r.tick = r.eng.After(r.cfg.SampleEvery, r.onTick)
+		r.tick = r.eng.After(samplePeriod, r.onTick)
 	} else {
-		r.tick.RescheduleAfter(r.cfg.SampleEvery)
+		r.tick.RescheduleAfter(samplePeriod)
 	}
 }
 
@@ -170,7 +185,7 @@ func (r *Rig) Start() {
 // are exactly what the one-event-per-sample loop produced.
 func (r *Rig) onTick() {
 	r.sampleOnce()
-	next := r.eng.Now() + r.cfg.SampleEvery
+	next := r.eng.Now() + samplePeriod
 	for r.sampling {
 		if p, ok := r.eng.NextEventAt(); ok && p <= next {
 			break
@@ -180,7 +195,7 @@ func (r *Rig) onTick() {
 		}
 		r.eng.AdvanceTo(next)
 		r.sampleOnce()
-		next += r.cfg.SampleEvery
+		next += samplePeriod
 	}
 	if r.sampling {
 		r.tick.Reschedule(next)
@@ -190,7 +205,7 @@ func (r *Rig) onTick() {
 func (r *Rig) sampleOnce() {
 	r.batch = append(r.batch, r.sampleCode(r.src.InstantPower()))
 	r.batchT = append(r.batchT, r.eng.Now())
-	if len(r.batch) >= r.cfg.FrameSamples {
+	if len(r.batch) >= frameSamples {
 		r.flush()
 	}
 }
@@ -216,10 +231,10 @@ func (r *Rig) flush() {
 	wire := AppendFrame(r.wireBuf[:0], r.seq, r.batch)
 	r.wireBuf = wire
 	r.seq++
-	if r.cfg.BitErrorRate > 0 {
+	if r.cfg.bitErrorRate > 0 {
 		for i := range wire {
 			for b := 0; b < 8; b++ {
-				if r.wire.Float64() < r.cfg.BitErrorRate {
+				if r.wire.Float64() < r.cfg.bitErrorRate {
 					wire[i] ^= 1 << b
 				}
 			}

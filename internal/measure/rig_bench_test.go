@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -16,14 +17,11 @@ import (
 // strictly by TestRigSampleAllocFree).
 func BenchmarkRigSample(b *testing.B) {
 	eng := sim.NewEngine()
-	rig, err := NewRig(eng, sim.NewRNG(42), constSource(6.5), DefaultRigConfig(12))
-	if err != nil {
-		b.Fatal(err)
-	}
+	rig := newRig(eng, sim.NewRNG(42), constSource(6.5), paperRig(12))
 	rig.Start()
 	b.ReportAllocs()
 	b.ResetTimer()
-	eng.RunUntil(time.Duration(b.N) * rig.cfg.SampleEvery)
+	eng.RunUntil(time.Duration(b.N) * samplePeriod)
 	b.StopTimer()
 	if got := rig.Trace().Len(); got < b.N-maxFrameSamples {
 		b.Fatalf("collected %d samples, want ≥ %d", got, b.N-maxFrameSamples)
@@ -37,19 +35,45 @@ func BenchmarkRigSample(b *testing.B) {
 // a real per-sample regression, not chunk growth.
 func TestRigSampleAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
-	rig, err := NewRig(eng, sim.NewRNG(42), constSource(6.5), DefaultRigConfig(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(eng, sim.NewRNG(42), constSource(6.5), paperRig(12))
 	rig.sampleOnce() // warm the batch buffers
 	n := testing.AllocsPerRun(500, func() {
 		rig.sampleOnce()
-		if len(rig.batch) == rig.cfg.FrameSamples-1 {
+		if len(rig.batch) == frameSamples-1 {
 			rig.batch = rig.batch[:0]
 			rig.batchT = rig.batchT[:0]
 		}
 	})
 	if n != 0 {
 		t.Fatalf("rig sample path allocates %v per sample, want 0", n)
+	}
+}
+
+// BenchmarkAblationMeasurementNoise runs the rig against a known load
+// with and without the parts' errors and noise, reporting relative
+// error — the <1% claim should not depend on averaging away a broken
+// chain.
+func BenchmarkAblationMeasurementNoise(b *testing.B) {
+	for _, noisy := range []bool{true, false} {
+		name := "noisy"
+		if !noisy {
+			name = "ideal"
+		}
+		b.Run(name, func(b *testing.B) {
+			var relErr float64
+			for i := 0; i < b.N; i++ {
+				eng := sim.NewEngine()
+				cfg := paperRig(12)
+				if !noisy {
+					cfg.ampNoiseV, cfg.ampGainErrPct, cfg.ampOffsetV, cfg.shuntTolPPM = 0, 0, 0, 0
+				}
+				rig := newRig(eng, sim.NewRNG(3), constSource(8.19), cfg)
+				rig.Start()
+				eng.RunUntil(eng.Now() + 2*time.Second)
+				rig.Stop()
+				relErr = math.Abs(rig.Trace().Mean()-8.19) / 8.19 * 100
+			}
+			b.ReportMetric(relErr, "rel_err_pct")
+		})
 	}
 }

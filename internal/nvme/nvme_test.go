@@ -123,7 +123,7 @@ func TestStatusCodeStrings(t *testing.T) {
 
 func TestAPSTFeatureOnClientSSD(t *testing.T) {
 	eng := sim.NewEngine()
-	dev := catalog.NewC960(eng, sim.NewRNG(1))
+	dev, _ := catalog.NewNamed("C960", "C960", eng, sim.NewRNG(1))
 	c, err := NewController(dev)
 	if err != nil {
 		t.Fatal(err)

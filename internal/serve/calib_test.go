@@ -72,7 +72,7 @@ func TestFittedDifferentialDevices(t *testing.T) {
 				job.Op = op
 
 				meng := sim.NewEngine()
-				mdev, ok := catalog.ByName(class, meng, sim.NewRNG(9).Stream("dev"))
+				mdev, ok := catalog.NewNamed(class, class, meng, sim.NewRNG(9).Stream("dev"))
 				if !ok {
 					t.Fatalf("unknown class %s", class)
 				}

@@ -468,7 +468,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	s.prevE = s.EnergyJ()
 	s.ivTimer = eng.Schedule(s.intervalBoundary(1), s.intervalTick)
 
-	// Per-shard sliding-window power-cap and clock-monotonicity probes.
+	// Per-shard sliding-window power-cap probe.
 	// The cap bound is the largest budget slice this shard can ever
 	// hold: max over budget steps crossed with max over membership
 	// epochs of the live-device ratio. The bound covers the drain
@@ -489,7 +489,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 		}
 	}
 	capProbe := invariant.AttachCap(eng, s, maxSlice*(1+DefaultCapTolFrac), sp.ControlPeriod, sp.ControlPeriod/20)
-	clockProbe := invariant.AttachClock(eng, sp.ControlPeriod/2)
 
 	// Open-loop arrival stream per lane.
 	for _, l := range s.lanes {
@@ -519,10 +518,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (res *shardResul
 	capProbe.Stop()
 	s.res.CapWorstW = capProbe.WorstWindowW()
 	s.res.CapOK = capProbe.Check(0.02) == nil
-	clockProbe.Stop()
-	if err := clockProbe.Check(); err != nil {
-		return nil, err
-	}
 	for s.inflight > 0 && eng.Step() {
 	}
 	if s.inflight > 0 {

@@ -124,6 +124,24 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Schedule(time.Millisecond, func() {})
 }
 
+// TestClockNeverRunsBackward covers the two clock moves that take a
+// caller's time: RunUntil to an earlier deadline leaves the clock where
+// it is, and AdvanceTo into the past panics.
+func TestClockNeverRunsBackward(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(time.Second)
+	e.RunUntil(time.Millisecond)
+	if e.Now() != time.Second {
+		t.Fatalf("RunUntil to an earlier deadline moved the clock to %v", e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdvanceTo into the past did not panic")
+		}
+	}()
+	e.AdvanceTo(time.Millisecond)
+}
+
 func TestScheduleNilPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -16,7 +16,6 @@ import (
 	"wattio/internal/core"
 	"wattio/internal/device"
 	"wattio/internal/grid"
-	"wattio/internal/hdd"
 	"wattio/internal/measure"
 	"wattio/internal/sim"
 	"wattio/internal/telemetry"
@@ -107,19 +106,6 @@ func PaperDepths() []int {
 	return []int{1, 4, 8, 32, 64, 128}
 }
 
-// RailFor returns the supply rail the rig instruments for a device: the
-// 12 V riser/peripheral rail for NVMe devices and HDD spindle motors,
-// 5 V for SATA SSDs.
-func RailFor(d device.Device) float64 {
-	if _, isHDD := d.(*hdd.HDD); isHDD {
-		return 12
-	}
-	if d.Protocol() == device.SATA {
-		return 5
-	}
-	return 12
-}
-
 // cell is one grid coordinate.
 type cell struct {
 	ps    int
@@ -186,7 +172,7 @@ func Run(spec Spec) ([]Point, error) {
 func runOne(spec Spec, ps int, op device.Op, pat workload.Pattern, chunk int64, depth int) (Point, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(spec.Seed ^ hashConfig(ps, op, pat, chunk, depth))
-	dev, ok := catalog.ByName(spec.Device, eng, rng)
+	dev, ok := catalog.NewNamed(spec.Device, spec.Device, eng, rng)
 	if !ok {
 		return Point{}, fmt.Errorf("sweep: unknown device %q", spec.Device)
 	}
@@ -195,10 +181,7 @@ func runOne(spec Spec, ps int, op device.Op, pat workload.Pattern, chunk int64, 
 			return Point{}, fmt.Errorf("sweep: %s ps%d: %w", spec.Device, ps, err)
 		}
 	}
-	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(RailFor(dev)))
-	if err != nil {
-		return Point{}, err
-	}
+	rig := measure.NewRig(eng, rng, dev)
 	if spec.Warmup > 0 {
 		// Same job shape, unmeasured, on a derived stream so the
 		// measured run draws the same offsets as a cold-start cell.
@@ -314,7 +297,7 @@ func Idle(devName string, ps int, dur time.Duration, seed uint64) (Point, error)
 	}
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed ^ hashIdle(ps, dur))
-	dev, ok := catalog.ByName(devName, eng, rng)
+	dev, ok := catalog.NewNamed(devName, devName, eng, rng)
 	if !ok {
 		return Point{}, fmt.Errorf("sweep: unknown device %q", devName)
 	}
@@ -323,10 +306,7 @@ func Idle(devName string, ps int, dur time.Duration, seed uint64) (Point, error)
 			return Point{}, fmt.Errorf("sweep: %s ps%d: %w", devName, ps, err)
 		}
 	}
-	rig, err := measure.NewRig(eng, rng, dev, measure.DefaultRigConfig(RailFor(dev)))
-	if err != nil {
-		return Point{}, err
-	}
+	rig := measure.NewRig(eng, rng, dev)
 	rig.Start()
 	eng.RunUntil(dur)
 	rig.Stop()
@@ -375,7 +355,7 @@ func BuildModel(devName string, op device.Op, pat workload.Pattern, seed uint64,
 	// Devices with NVMe power states sweep them too (ps0 always runs).
 	spec.PowerStates = []int{0}
 	eng := sim.NewEngine()
-	if dev, ok := catalog.ByName(devName, eng, sim.NewRNG(1)); ok {
+	if dev, ok := catalog.NewNamed(devName, devName, eng, sim.NewRNG(1)); ok {
 		for i := 1; i < len(dev.PowerStates()); i++ {
 			spec.PowerStates = append(spec.PowerStates, i)
 		}

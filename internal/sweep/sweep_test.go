@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"wattio/internal/catalog"
 	"wattio/internal/device"
-	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
 
@@ -127,20 +125,6 @@ func TestPaperGrids(t *testing.T) {
 	}
 	if PaperDepths()[0] != 1 || PaperDepths()[5] != 128 {
 		t.Error("depth endpoints wrong")
-	}
-}
-
-func TestRailFor(t *testing.T) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(1)
-	if got := RailFor(catalog.NewSSD2(eng, rng)); got != 12 {
-		t.Errorf("NVMe rail = %v, want 12", got)
-	}
-	if got := RailFor(catalog.NewSSD3(eng, rng)); got != 5 {
-		t.Errorf("SATA SSD rail = %v, want 5", got)
-	}
-	if got := RailFor(catalog.NewHDD(eng, rng)); got != 12 {
-		t.Errorf("HDD rail = %v, want 12", got)
 	}
 }
 

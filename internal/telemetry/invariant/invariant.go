@@ -5,9 +5,10 @@
 //     device's accounted energy, and the per-component breakdown
 //     partitions the total;
 //   - power-cap compliance: average power over any sliding window never
-//     exceeds a budget (the NVMe power-state semantics);
-//   - clock monotonicity: virtual time observed from scheduled callbacks
-//     never runs backward.
+//     exceeds a budget (the NVMe power-state semantics).
+//
+// Clock monotonicity needs no probe: sim.Engine panics before its clock
+// would run backward.
 //
 // Probes attach to an engine, sample while the simulation runs, and are
 // interrogated with Check once the run is over. They live outside the
@@ -249,66 +250,6 @@ func (p *CapProbe) Check(relTol float64) error {
 	if p.worstW > p.capW*(1+relTol) {
 		return fmt.Errorf("invariant: cap exceeded: worst %v-window average %.3f W at t=%v, cap %.3f W (tol %v)",
 			p.window, p.worstW, p.worstAt, p.capW, relTol)
-	}
-	return nil
-}
-
-// ClockProbe observes virtual time from scheduled callbacks and records
-// any regression. The engine independently panics if its internal clock
-// would run backward; this probe checks the same property from the
-// outside, through the public Now surface.
-type ClockProbe struct {
-	eng *sim.Engine
-
-	last       time.Duration
-	violations int64
-	firstBad   time.Duration
-
-	running bool
-	tick    *sim.Timer
-}
-
-// AttachClock starts a clock-monotonicity probe.
-func AttachClock(eng *sim.Engine, sampleEvery time.Duration) *ClockProbe {
-	if sampleEvery <= 0 {
-		panic("invariant: sample period must be positive")
-	}
-	p := &ClockProbe{
-		eng:  eng,
-		last: eng.Now(),
-
-		running: true,
-	}
-	p.tick = eng.Periodic(sampleEvery, p.observe)
-	return p
-}
-
-func (p *ClockProbe) observe() {
-	now := p.eng.Now()
-	if now < p.last {
-		if p.violations == 0 {
-			p.firstBad = now
-		}
-		p.violations++
-	}
-	p.last = now
-}
-
-// Stop halts sampling.
-func (p *ClockProbe) Stop() {
-	if !p.running {
-		return
-	}
-	p.running = false
-	if p.tick != nil {
-		p.tick.Stop()
-	}
-}
-
-// Check returns an error if virtual time was ever seen running backward.
-func (p *ClockProbe) Check() error {
-	if p.violations > 0 {
-		return fmt.Errorf("invariant: clock ran backward %d time(s), first at t=%v", p.violations, p.firstBad)
 	}
 	return nil
 }
