@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,11 +312,12 @@ func TestList(t *testing.T) {
 }
 
 // TestCSVDirFollowsScenarioDevices: -csvdir writes the CSV from the run
-// that prints the report, so fig10's files follow the devices the
-// scenario sweeps. The powercap scenario lists only SSD2.
+// that prints the report, so a fig10 spec's run writes one model file
+// for each device its text prints, and nothing else.
 func TestCSVDirFollowsScenarioDevices(t *testing.T) {
+	spec := writeSpec(t, "fig10.json", `{"version":2,"name":"fig10","experiment":"fig10","seed":42,"runtime":"50ms","total_bytes":16777216}`)
 	dir := t.TempDir()
-	code, out, errw := runCLI("-scenario", "../../scenarios/powercap.json", "-exp", "fig10", "-csvdir", dir)
+	code, out, errw := runCLI("-scenario", spec, "-csvdir", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw)
 	}
@@ -323,12 +325,23 @@ func TestCSVDirFollowsScenarioDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "fig10_SSD2.csv" {
-		t.Fatalf("csvdir holds %v, want only fig10_SSD2.csv", entries)
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
 	}
-	for _, want := range []string{"Figure 10a", "wrote " + filepath.Join(dir, "fig10_SSD2.csv")} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stdout missing %q:\n%s", want, out)
+	devices := []string{"HDD", "SSD1", "SSD2", "SSD3"}
+	var want []string
+	for _, d := range devices {
+		want = append(want, "fig10_"+d+".csv")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("csvdir holds %v, want %v", got, want)
+	}
+	for i, d := range devices {
+		for _, line := range []string{"\n" + d + ": ", "wrote " + filepath.Join(dir, want[i])} {
+			if !strings.Contains(out, line) {
+				t.Errorf("stdout missing %q:\n%s", line, out)
+			}
 		}
 	}
 }

@@ -278,12 +278,11 @@ func TestCalibrateSubcommand(t *testing.T) {
 			t.Errorf("calibrate output missing %q:\n%s", want, out)
 		}
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	m, err := calib.Load(f)
+	m, err := calib.Decode(data)
 	if err != nil {
 		t.Fatalf("written model does not reload: %v", err)
 	}

@@ -1,8 +1,8 @@
 package main
 
-// Example runs the powercap walk on scenarios/powercap.json.
+// Example runs the powercap walk.
 func Example() {
-	run("../../scenarios/powercap.json")
+	run()
 	// Output:
 	// Part 1: power capping hits writes, not reads (Fig. 4)
 	// ps   seq write              seq read

@@ -4,14 +4,9 @@
 // with adaptive.AsymmetricPlacer — segregate writes onto one uncapped
 // device and cap the read-serving devices, cutting ensemble power with
 // little QoS impact.
-//
-// The device and workload shape come from a scenario spec
-// (scenarios/powercap.json by default); run from the repo root, or
-// point -scenario at the file.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"time"
@@ -21,19 +16,19 @@ import (
 	"wattio/internal/device"
 	"wattio/internal/measure"
 	"wattio/internal/nvme"
-	"wattio/internal/scenario"
 	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
 
-func runOne(sp *scenario.Spec, op device.Op, ps int) (bw, pw float64) {
+// seed fixes every device, rig and workload stream of the walk.
+const seed = 7
+
+// runOne measures SSD2 at power state ps under saturating sequential
+// IO of op: 256 KiB requests at queue depth 64 for 10 s or 2 GiB.
+func runOne(op device.Op, ps int) (bw, pw float64) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(sp.Seed)
-	built, err := sp.BuildDevices(eng, rng, sim.NewRNG(sp.FaultSeed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev := built[0].Dev
+	rng := sim.NewRNG(seed)
+	dev := catalog.NewSSD2(eng, rng.Stream("SSD2"))
 	// Drive the power state through the NVMe admin surface, exactly as
 	// nvme-cli would.
 	ctrl, err := nvme.NewController(dev)
@@ -45,36 +40,29 @@ func runOne(sp *scenario.Spec, op device.Op, ps int) (bw, pw float64) {
 	}
 	rig := measure.NewRig(eng, rng.Stream("rig"), dev)
 	rig.Start()
-	job := sp.Workload.Job(10*time.Second, 2<<30)
-	job.Op = op // part 1 walks both ops over the spec's workload shape
-	res := workload.Run(eng, dev, job, rng.Stream("workload"))
+	res := workload.Run(eng, dev, workload.Job{
+		Op:         op,
+		Pattern:    workload.Seq,
+		BS:         256 << 10,
+		Depth:      64,
+		Runtime:    10 * time.Second,
+		TotalBytes: 2 << 30,
+	}, rng.Stream("workload"))
 	rig.Stop()
 	return res.BandwidthMBps, rig.Trace().Mean()
 }
 
-func main() {
-	specPath := flag.String("scenario", "scenarios/powercap.json", "scenario spec describing the device and workload")
-	flag.Parse()
-	run(*specPath)
-}
+func main() { run() }
 
-// run walks the spec's device through its power states, then places a
-// mixed stream on one uncapped writer and two capped readers.
-func run(specPath string) {
-	sp, err := scenario.LoadFile(specPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(sp.Devices) == 0 || sp.Workload == nil {
-		log.Fatalf("%s: powercap needs a scenario with a device and a workload", specPath)
-	}
-
+// run walks SSD2 through its power states, then places a mixed stream
+// on one uncapped writer and two capped readers.
+func run() {
 	fmt.Println("Part 1: power capping hits writes, not reads (Fig. 4)")
 	fmt.Printf("%-4s %-22s %s\n", "ps", "seq write", "seq read")
 	var w0, r0 float64
 	for ps := 0; ps < 3; ps++ {
-		wb, wp := runOne(sp, device.OpWrite, ps)
-		rb, rp := runOne(sp, device.OpRead, ps)
+		wb, wp := runOne(device.OpWrite, ps)
+		rb, rp := runOne(device.OpRead, ps)
 		if ps == 0 {
 			w0, r0 = wb, rb
 		}
@@ -84,13 +72,9 @@ func run(specPath string) {
 
 	fmt.Println("\nPart 2: asymmetric IO — one uncapped writer, two capped readers")
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(sp.Seed)
-	profile := sp.Devices[0].Profile
+	rng := sim.NewRNG(seed)
 	newDev := func(name string) device.Device {
-		d, ok := catalog.NewNamed(profile, name, eng, rng.Stream(name))
-		if !ok {
-			log.Fatalf("unknown profile %q", profile)
-		}
+		d, _ := catalog.NewNamed("SSD2", name, eng, rng.Stream(name)) // a catalog profile: always builds
 		return d
 	}
 	writer := newDev("w")

@@ -1,8 +1,8 @@
 package main
 
-// Example runs the redirection day on scenarios/redirection.json.
+// Example runs the redirection day.
 func Example() {
-	run("../../scenarios/redirection.json")
+	run()
 	// Output:
 	// phase   IOPS   active  power(W)  all-awake  saved
 	// 0       4000   4       1.454     1.454      0.000 W

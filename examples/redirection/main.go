@@ -3,47 +3,30 @@
 // resizes the active replica set each period so standby replicas
 // accumulate slumber time when load is low, and measures what the
 // ensemble draw would have been without redirection.
-//
-// The replica set comes from a scenario spec
-// (scenarios/redirection.json by default); run from the repo root, or
-// point -scenario at the file.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"time"
 
 	"wattio/internal/adaptive"
+	"wattio/internal/catalog"
 	"wattio/internal/device"
-	"wattio/internal/scenario"
 	"wattio/internal/sim"
 )
 
-func main() {
-	specPath := flag.String("scenario", "scenarios/redirection.json", "scenario spec describing the replica set")
-	flag.Parse()
-	run(*specPath)
-}
+func main() { run() }
 
-// run serves a compressed day of diurnal load on the spec's replica
-// set, resizing the active set each phase.
-func run(specPath string) {
-	sp, err := scenario.LoadFile(specPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+// run serves a compressed day of diurnal load on four mirrored 860 EVO
+// replicas, replica0…replica3, resizing the active set each phase.
+func run() {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(sp.Seed)
-	built, err := sp.BuildDevices(eng, rng, sim.NewRNG(sp.FaultSeed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	devs := make([]device.Device, len(built))
-	for i, b := range built {
-		devs[i] = b.Dev
+	rng := sim.NewRNG(11)
+	devs := make([]device.Device, 4)
+	for i := range devs {
+		name := fmt.Sprintf("replica%d", i)
+		devs[i], _ = catalog.NewNamed("EVO", name, eng, rng.Stream(name)) // a catalog profile: always builds
 	}
 	mirror, err := adaptive.NewRedirector("mirror", devs, len(devs))
 	if err != nil {

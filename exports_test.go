@@ -18,6 +18,7 @@ var exportAllowlist = map[string]string{
 	"scenario.Duration.MarshalJSON":   "encoding/json calls it through json.Marshaler",
 	"scenario.Duration.UnmarshalJSON": "encoding/json calls it through json.Unmarshaler",
 	"detcheck.Assert":                 "detcheck is a package that exists for tests",
+	"calib.Decode":                    "the strict reader of the model file powerfleet calibrate writes; the calib and powerfleet tests read it back through it",
 }
 
 // deadExport is an exported top-level identifier under internal/ that
@@ -25,22 +26,28 @@ var exportAllowlist = map[string]string{
 type deadExport struct {
 	pos  token.Position // declaration site, path relative to the root
 	name string         // pkg.Name or pkg.Type.Method
+	key  string         // what a use marks: dir.Name, or a method's bare name
 }
 
 // deadExports walks every non-test .go file under root in lexical
 // order, skipping testdata and hidden directories, and returns, in
 // file and line order, the exported top-level funcs, methods, types,
 // consts and vars declared under root/internal that no such file
-// names, minus those in allow. Matching is by bare name, so an
-// identifier counts as used when any file names anything with that
-// name: the scan can miss a dead method that shares a name with a live
-// one, but never reports a live identifier. Struct fields are out of
-// scope.
+// names, minus those in allow. A package-level identifier is matched
+// by package: a pkg.Name selector names it through pkg's import path,
+// and an unqualified Name names it in its own package's files, so two
+// packages that export the same name are told apart. Methods are
+// matched by bare name, since the receiver's type is not resolved: the
+// scan can miss a dead method that shares a name with a live one, but
+// never reports a live identifier. Struct fields are out of scope.
 func deadExports(root string, allow map[string]string) ([]deadExport, error) {
+	type srcFile struct {
+		f   *ast.File
+		dir string // package directory relative to root, slash-separated
+	}
 	fset := token.NewFileSet()
-	used := map[string]bool{}
-	var decls []deadExport
-	declName := map[*ast.Ident]bool{}
+	var files []srcFile
+	pkgName := map[string]string{} // package directory → package name
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -59,33 +66,79 @@ func deadExports(root string, allow map[string]string) ([]deadExport, error) {
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, path)
+		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
-			for _, id := range exportedDecls(f) {
-				declName[id.ident] = true
-				pos := fset.Position(id.ident.Pos())
-				pos.Filename = filepath.ToSlash(rel)
-				decls = append(decls, deadExport{pos: pos, name: f.Name.Name + "." + id.qual})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declName[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
+		dir := filepath.ToSlash(rel)
+		files = append(files, srcFile{f, dir})
+		pkgName[dir] = f.Name.Name
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+
+	// used holds "dir.Name" for package-level names and the bare name
+	// for every identifier, which is what methods are matched by.
+	used := map[string]bool{}
+	var decls []deadExport
+	declName := map[*ast.Ident]bool{}
+	for _, sf := range files {
+		if strings.HasPrefix(sf.dir, "internal/") {
+			for _, id := range exportedDecls(sf.f) {
+				declName[id.ident] = true
+				pos := fset.Position(id.ident.Pos())
+				if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+					pos.Filename = filepath.ToSlash(rel)
+				}
+				key := id.ident.Name
+				if !strings.Contains(id.qual, ".") {
+					key = sf.dir + "." + key
+				}
+				decls = append(decls, deadExport{pos, sf.f.Name.Name + "." + id.qual, key})
+			}
+		}
+		imports := map[string]string{} // local name → package directory
+		for _, is := range sf.f.Imports {
+			path := strings.Trim(is.Path.Value, `"`)
+			_, sub, ok := strings.Cut(path, "/internal/")
+			if !ok {
+				continue
+			}
+			dir := "internal/" + sub
+			local := pkgName[dir]
+			if is.Name != nil {
+				local = is.Name.Name
+			}
+			imports[local] = dir
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := imports[x.Name]; ok {
+						used[dir+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				used[n.Sel.Name] = true
+				return false
+			case *ast.Ident:
+				if !declName[n] {
+					used[n.Name] = true
+					used[sf.dir+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(sf.f, visit)
+	}
 	var dead []deadExport
 	for _, d := range decls {
-		bare := d.name[strings.LastIndexByte(d.name, '.')+1:]
-		if _, ok := allow[d.name]; !ok && !used[bare] {
+		if _, ok := allow[d.name]; !ok && !used[d.key] {
 			dead = append(dead, d)
 		}
 	}
@@ -168,7 +221,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 // TestDeadExportsFixture runs the scanner over testdata/exports: an
 // export that only a _test.go file names is reported at its line, one
 // that a perfbench/ non-test file names is not, and neither is an
-// allowlisted one.
+// allowlisted one. lib and other both export Shared and only other's is
+// named outside tests, so only lib's is reported.
 func TestDeadExportsFixture(t *testing.T) {
 	allow := map[string]string{"lib.Thing.MarshalJSON": "called through an interface"}
 	dead, err := deadExports(filepath.Join("testdata", "exports"), allow)
@@ -182,6 +236,7 @@ func TestDeadExportsFixture(t *testing.T) {
 	want := []string{
 		"internal/lib/lib.go:10 lib.TestOnly",
 		"internal/lib/lib.go:20 lib.Thing.TestOnlyMethod",
+		"internal/lib/lib.go:26 lib.Shared",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("dead exports:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -250,12 +250,3 @@ func Decode(data []byte) (*Model, error) {
 	}
 	return m, nil
 }
-
-// Load reads a fitted model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}

@@ -408,10 +408,6 @@ func TestCatalogNamesResolve(t *testing.T) {
 	if _, ok := NewNamed("SSD9", "SSD9", eng, rng); ok {
 		t.Error("unknown device resolved")
 	}
-	devs := Table1(sim.NewEngine(), sim.NewRNG(1))
-	if len(devs) != 4 {
-		t.Errorf("Table1 has %d devices, want 4", len(devs))
-	}
 }
 
 func TestC960AutonomousIdle(t *testing.T) {

@@ -271,11 +271,6 @@ func NewEVO(eng *sim.Engine, rng *sim.RNG) *ssd.SSD {
 // NewHDD builds the Exos 7E2000 model on an engine.
 func NewHDD(eng *sim.Engine, rng *sim.RNG) *hdd.HDD { return mustHDD("HDD", eng, rng) }
 
-// Table1 builds the paper's four evaluated devices in Table-1 order.
-func Table1(eng *sim.Engine, rng *sim.RNG) []device.Device {
-	return []device.Device{NewSSD1(eng, rng), NewSSD2(eng, rng), NewSSD3(eng, rng), NewHDD(eng, rng)}
-}
-
 // Names lists the buildable device labels: the paper's Table-1 four,
 // the 860 EVO standby subject, and the client C960 APST extension.
 func Names() []string { return []string{"SSD1", "SSD2", "SSD3", "HDD", "EVO", "C960"} }

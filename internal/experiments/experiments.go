@@ -2,7 +2,8 @@
 // figure in the paper's evaluation, each regenerating the rows or series
 // the paper reports. Every experiment runs from one validated scenario
 // spec (internal/scenario): the spec carries the run's bounds and seeds,
-// and the parameters of the experiments that read more than those.
+// and the fleet stanza the serving experiments read. The paper's
+// drives and fio-style jobs are fixed here, as the paper fixes them.
 // Each experiment is one registry entry that computes once and renders
 // twice: the text report to its writer and, for the figures, CSV files
 // to an optional sink. cmd/powerbench runs them from the command line

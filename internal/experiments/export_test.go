@@ -116,16 +116,15 @@ func TestExportCSVFig7Traces(t *testing.T) {
 	}
 }
 
-// TestFig10CSVFollowsSpecDevices: fig10 writes one model file per
-// device the spec sweeps. The powercap scenario lists only SSD2, so the
-// run writes fig10_SSD2.csv and nothing for the paper's other devices.
+// TestFig10CSVFollowsSpecDevices: fig10 writes one model file for each
+// of the paper's four drives it sweeps, and nothing else.
 func TestFig10CSVFollowsSpecDevices(t *testing.T) {
-	sp := scenario.BuiltIn("powercap")
-	sp.Runtime = scenario.Duration(50 * time.Millisecond)
-	sp.TotalBytes = 16 << 20
-	files := runCSV(t, "fig10", sp)
-	if got, want := baseNames(files), []string{"fig10_SSD2.csv"}; !slices.Equal(got, want) {
+	files := runCSV(t, "fig10", boundedSpec(50*time.Millisecond, 16<<20))
+	want := []string{"fig10_SSD1.csv", "fig10_SSD2.csv", "fig10_SSD3.csv", "fig10_HDD.csv"}
+	if got := baseNames(files); !slices.Equal(got, want) {
 		t.Fatalf("wrote %v, want %v", got, want)
 	}
-	checkCSV(t, files[0])
+	for _, f := range files {
+		checkCSV(t, f)
+	}
 }

@@ -152,7 +152,7 @@ func Figure9(sp *scenario.Spec) ([]DeviceSweep, error) {
 
 func deviceSweep(sp *scenario.Spec, op device.Op, chunks []int64, depths []int) ([]DeviceSweep, error) {
 	var out []DeviceSweep
-	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+	for _, name := range paperDevices {
 		spec := sweep.Spec{
 			Device:   name,
 			Ops:      []device.Op{op},

@@ -17,7 +17,7 @@ import (
 // Figure 10b isolates SSD2's power states.
 func Figure10(sp *scenario.Spec) (map[string]*core.Model, error) {
 	models := map[string]*core.Model{}
-	for _, name := range sp.ModelProfiles() {
+	for _, name := range paperDevices {
 		m, err := sweep.BuildModel(name, device.OpWrite, workload.Rand, sp.Seed, sp.Horizon(), sp.Bytes())
 		if err != nil {
 			return nil, err
@@ -91,9 +91,8 @@ func init() {
 		if err != nil {
 			return err
 		}
-		profiles := sp.ModelProfiles()
 		section(w, "Figure 10a: normalized power vs throughput (all devices)")
-		for _, name := range profiles {
+		for _, name := range paperDevices {
 			m := models[name]
 			fmt.Fprintf(w, "%s: %d points, power range %.2f-%.2fW (dynamic range %.1f%%), max tput %.1f MB/s\n",
 				name, len(m.Samples()), m.MinPowerW(), m.MaxPowerW(), 100*m.DynamicRangeFrac(), m.MaxThroughputMBps())
@@ -101,19 +100,17 @@ func init() {
 				fmt.Fprintf(w, "  tput=%.3f power=%.3f  (%v)\n", p.Throughput, p.Power, p.Sample.Config)
 			}
 		}
-		chartModels(w, "Fig. 10a: normalized power-throughput model (random write)", models, profiles)
-		if _, ok := models["SSD2"]; ok {
-			section(w, "Figure 10b: SSD2 by power state")
-			for ps := 0; ps < 3; ps++ {
-				sub, err := models["SSD2"].Filter(func(x core.Sample) bool { return x.PowerState == ps })
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "ps%d: %d points, power %.2f-%.2fW, tput ≤ %.1f MB/s\n",
-					ps, len(sub.Samples()), sub.MinPowerW(), sub.MaxPowerW(), sub.MaxThroughputMBps())
+		chartModels(w, "Fig. 10a: normalized power-throughput model (random write)", models, paperDevices)
+		section(w, "Figure 10b: SSD2 by power state")
+		for ps := 0; ps < 3; ps++ {
+			sub, err := models["SSD2"].Filter(func(x core.Sample) bool { return x.PowerState == ps })
+			if err != nil {
+				return err
 			}
+			fmt.Fprintf(w, "ps%d: %d points, power %.2f-%.2fW, tput ≤ %.1f MB/s\n",
+				ps, len(sub.Samples()), sub.MinPowerW(), sub.MaxPowerW(), sub.MaxThroughputMBps())
 		}
-		for _, name := range profiles {
+		for _, name := range paperDevices {
 			if err := csv.add("fig10_"+name+".csv", modelCSV(models[name])); err != nil {
 				return err
 			}

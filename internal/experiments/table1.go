@@ -14,6 +14,10 @@ import (
 	"wattio/internal/workload"
 )
 
+// paperDevices are the four drives the paper characterizes (Table 1),
+// in its rendering order. Table 1 and Figs. 2, 8, 9 and 10 sweep them.
+var paperDevices = []string{"SSD1", "SSD2", "SSD3", "HDD"}
+
 // Table1Row is one device row of the paper's Table 1.
 type Table1Row struct {
 	Label    string
@@ -29,8 +33,8 @@ type Table1Row struct {
 // is the instantaneous peak the rig records under the heaviest
 // workloads.
 func Table1(sp *scenario.Spec) []Table1Row {
-	rows := make([]Table1Row, 0, 4)
-	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+	rows := make([]Table1Row, 0, len(paperDevices))
+	for _, name := range paperDevices {
 		rows = append(rows, table1Row(name, sp))
 	}
 	return rows

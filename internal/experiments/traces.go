@@ -29,7 +29,7 @@ type Fig2 struct {
 // 256 KiB, queue depth 64) on all four devices with full traces.
 func Figure2(sp *scenario.Spec) (Fig2, error) {
 	out := Fig2{Violins: map[string]stats.Summary{}}
-	for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+	for _, name := range paperDevices {
 		pts, err := sweep.Run(sweep.Spec{
 			Device:     name,
 			Ops:        []device.Op{device.OpWrite},
@@ -158,7 +158,7 @@ func init() {
 			fmt.Fprintf(w, "t=%4dms %6.2fW\n", sm.T.Milliseconds(), sm.W)
 		}
 		section(w, "Figure 2b: power distribution per device (violin summary)")
-		for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+		for _, name := range paperDevices {
 			fmt.Fprintf(w, "%-5s %s\n", name, f.Violins[name])
 		}
 		if err := csv.add("fig2a_trace.csv", f.Trace.WriteCSV); err != nil {
@@ -166,7 +166,7 @@ func init() {
 		}
 		return csv.add("fig2b_violins.csv", func(w io.Writer) error {
 			fmt.Fprintln(w, "device,n,min,p25,median,mean,p75,p99,max,stddev")
-			for _, name := range []string{"SSD1", "SSD2", "SSD3", "HDD"} {
+			for _, name := range paperDevices {
 				v := f.Violins[name]
 				fmt.Fprintf(w, "%s,%d,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g,%.4g\n",
 					name, v.N, v.Min, v.P25, v.Median, v.Mean, v.P75, v.P99, v.Max, v.Stddev)

@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"wattio/internal/calib"
-	"wattio/internal/catalog"
-	"wattio/internal/device"
 	"wattio/internal/fault"
 	"wattio/internal/serve"
-	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
 
@@ -117,7 +114,7 @@ func (s *Spec) serveSpec(horizon time.Duration) (serve.Spec, error) {
 	for i, ff := range f.Faults {
 		wins := make([]fault.Window, len(ff.Windows))
 		for j, w := range ff.Windows {
-			fw, err := w.Window()
+			fw, err := w.window()
 			if err != nil {
 				return serve.Spec{}, pathErr(fmt.Sprintf("fleet.faults[%d].windows[%d].kind", i, j), "%v", err)
 			}
@@ -126,113 +123,4 @@ func (s *Spec) serveSpec(horizon time.Duration) (serve.Spec, error) {
 		sp.Faults = append(sp.Faults, serve.DeviceFault{Device: ff.Device, Windows: wins})
 	}
 	return sp, nil
-}
-
-// BuiltDevice is one materialized scenario device: its instance name
-// and the (possibly fault-wrapped) device attached to the engine.
-type BuiltDevice struct {
-	Name string
-	Dev  device.Device
-}
-
-// BuildDevices materializes the spec's device list onto an engine.
-// Each instance draws its device stream from rng and its fault
-// injection stream from frng, both labeled by the instance name, so
-// adding or removing one device never perturbs another's draws.
-func (s *Spec) BuildDevices(eng *sim.Engine, rng, frng *sim.RNG) ([]BuiltDevice, error) {
-	var out []BuiltDevice
-	for di, ds := range s.Devices {
-		count := ds.Count
-		if count == 0 {
-			count = 1
-		}
-		base := ds.Name
-		if base == "" {
-			base = ds.Profile
-		}
-		var wins []fault.Window
-		for j, w := range ds.Faults {
-			fw, err := w.Window()
-			if err != nil {
-				return nil, pathErr(fmt.Sprintf("devices[%d].faults[%d].kind", di, j), "%v", err)
-			}
-			wins = append(wins, fw)
-		}
-		for i := 0; i < count; i++ {
-			name := base
-			if count > 1 {
-				name = fmt.Sprintf("%s%d", base, i)
-			}
-			d, ok := catalog.NewNamed(ds.Profile, name, eng, rng.Stream(name))
-			if !ok {
-				return nil, pathErr(fmt.Sprintf("devices[%d].profile", di), "unknown profile %q", ds.Profile)
-			}
-			dev := device.Device(d)
-			if len(wins) > 0 {
-				fd, err := fault.New(dev, eng, frng.Stream(name), fault.Profile{Windows: wins})
-				if err != nil {
-					return nil, pathErr(fmt.Sprintf("devices[%d].faults", di), "%v", err)
-				}
-				dev = fd
-			}
-			out = append(out, BuiltDevice{Name: name, Dev: dev})
-		}
-	}
-	return out, nil
-}
-
-// Job materializes the workload section into a workload.Job; runtime
-// and totalBytes are the scale bounds used when the spec leaves its
-// own bounds zero.
-func (w *WorkloadSpec) Job(runtime time.Duration, totalBytes int64) workload.Job {
-	pat := workload.Seq
-	if w.Pattern == "rand" {
-		pat = workload.Rand
-	}
-	j := workload.Job{
-		Op:         w.op(),
-		Pattern:    pat,
-		BS:         w.ChunkBytes,
-		Depth:      w.Depth,
-		Runtime:    w.Runtime.D(),
-		TotalBytes: w.TotalBytes,
-	}
-	if j.Runtime == 0 {
-		j.Runtime = runtime
-	}
-	if j.TotalBytes == 0 {
-		j.TotalBytes = totalBytes
-	}
-	return j
-}
-
-// op is the workload's device operation.
-func (w *WorkloadSpec) op() device.Op {
-	if w.Op == "read" {
-		return device.OpRead
-	}
-	return device.OpWrite
-}
-
-// defaultModelProfiles is the paper's modeled-device set, in its
-// published rendering order.
-var defaultModelProfiles = []string{"SSD1", "SSD2", "SSD3", "HDD"}
-
-// ModelProfiles returns the catalog profiles the modeling experiments
-// (Figure 10, headline) should sweep: the spec's device profiles in
-// declaration order with duplicates removed, or the paper's default
-// set when the spec lists no devices.
-func (s *Spec) ModelProfiles() []string {
-	if len(s.Devices) == 0 {
-		return append([]string(nil), defaultModelProfiles...)
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range s.Devices {
-		if !seen[d.Profile] {
-			seen[d.Profile] = true
-			out = append(out, d.Profile)
-		}
-	}
-	return out
 }

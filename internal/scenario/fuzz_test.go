@@ -9,13 +9,12 @@ import (
 
 	"wattio/internal/calib"
 	"wattio/internal/catalog"
-	"wattio/internal/sim"
 )
 
 // FuzzScenarioRoundTrip fuzzes the whole spec pipeline: any input that
 // parses must canonicalize to a parse fixed point, and any spec that
-// passes validation must materialize through every builder — invalid
-// specs never build, valid specs never fail to.
+// passes validation must build a serving spec and, when gridded,
+// expand — invalid specs never build, valid specs never fail to.
 func FuzzScenarioRoundTrip(f *testing.F) {
 	// ServeSpec fits the model of each profile a calib-enabled fleet
 	// names, a sweep of seconds and several times that under coverage
@@ -35,9 +34,12 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"version":2,"name":"m","experiment":"all","seed":0}`))
-	f.Add([]byte(`{"version":2,"name":"w","experiment":"fig4","seed":9,` +
-		`"devices":[{"profile":"HDD","count":2}],` +
-		`"workload":{"op":"read","pattern":"rand","chunk_bytes":4096,"depth":8,"runtime":"1s"}}`))
+	f.Add([]byte(`{"version":2,"name":"b","experiment":"fig4","scale":"paper","runtime":"1s","total_bytes":1048576,"seed":9}`))
+	f.Add([]byte(`{"version":2,"name":"f","experiment":"fleet","runtime":"1s","seed":3,"fault_seed":5,` +
+		`"fleet":{"size":8,"faults":[{"device":"SSD2#00001","windows":[` +
+		`{"kind":"ioerror","start":"100ms","dur":"300ms","prob":0.25},{"kind":"cmdfail","start":"500ms","dur":"200ms"}]}]}}`))
+	f.Add([]byte(`{"version":2,"name":"h","experiment":"fleet","runtime":"1s","seed":4,` +
+		`"fleet":{"profiles":["SSD2","HDD"],"size":8,"replicas":2,"fault_frac":0.25,"budget":"0s:12pd,500ms:9pd"}}`))
 	f.Add([]byte(`{"version":2,"name":"g","experiment":"fleet","seed":0,` +
 		`"grid":{"budgets":["max","0s:11pd"],"fleet_sizes":[4,8],"fault_seeds":[1,2]}}`))
 
@@ -65,27 +67,6 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		// Validated specs always build.
 		if _, err := sp.ServeSpec(time.Second); err != nil {
 			t.Fatalf("validated spec failed to build a serving spec: %v", err)
-		}
-		if sp.Workload != nil {
-			if j := sp.Workload.Job(time.Second, 1<<20); j.BS <= 0 || j.Depth <= 0 {
-				t.Fatalf("validated workload built job %+v", j)
-			}
-		}
-		total := 0
-		for _, d := range sp.Devices {
-			c := d.Count
-			if c == 0 {
-				c = 1
-			}
-			total += c
-		}
-		// Materializing devices costs real allocations; bound the fleet
-		// so a single fuzz exec stays cheap.
-		if total <= 64 {
-			eng := sim.NewEngine()
-			if _, err := sp.BuildDevices(eng, sim.NewRNG(sp.Seed), sim.NewRNG(sp.FaultSeed)); err != nil {
-				t.Fatalf("validated devices failed to build: %v", err)
-			}
 		}
 
 		// Validated gridded specs always expand, and the family obeys

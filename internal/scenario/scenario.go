@@ -1,20 +1,16 @@
-// Package scenario is the declarative layer over the whole testbed:
-// one typed, versioned spec describes a run — devices from the catalog
-// with optional fault scripts, a closed-loop workload shape, budget
-// schedule, fleet/control settings, seeds, and scale — and one builder
-// materializes it into engine-attached devices, fault wrappers,
-// arrival generators, and budget-controlled serving specs.
+// Package scenario is the declarative layer over a run: one typed,
+// versioned spec holds the experiment id, scale and bounds, seeds, the
+// fleet stanza (device mix, arrivals, budget schedule, churn, faults,
+// tiers) and an optional campaign grid. The paper's tables and figures
+// fix their own drives and fio-style jobs in code, so they read only
+// the spec's seed and bounds; a spec holds nothing that no run reads.
 //
 // The pipeline is: JSON file → Parse (strict: unknown fields are
 // rejected) → Validate (semantic checks that fail loudly with the
-// offending path) → builders (ServeSpec, BuildDevices, Job). A fleet
-// stanza is validated by the serving engine's own serve.Spec.Validate
-// at the run's resolved horizon (Horizon: the spec's runtime, else its
-// scale's), so a spec that validates never fails in serve.Run. Every
-// layer that used to hand-wire these pieces — the experiment runners,
-// the serving engine setup, cmd/powerbench, and the examples — now
-// goes through this package, so adding a scenario is a data change,
-// not a code change.
+// offending path) → builders (ServeSpec, Expand). A fleet stanza is
+// validated by the serving engine's own serve.Spec.Validate at the
+// run's resolved horizon (Horizon: the spec's runtime, else its
+// scale's), so a spec that validates never fails in serve.Run.
 //
 // Determinism contract: a spec fully determines a run. Two runs of the
 // same spec produce bit-identical reports (the engine layers below
@@ -29,11 +25,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
-	"wattio/internal/catalog"
 	"wattio/internal/fault"
 	"wattio/internal/serve"
 )
@@ -80,18 +74,12 @@ func (s *Spec) Bytes() int64 {
 	return QuickBytes
 }
 
-// Size ceilings keep a malformed (or adversarial, under fuzzing) spec
-// from ballooning validation or materialization — a spec that passes
-// Validate must always be cheap enough to build.
-const (
-	maxDeviceCount = 4096
-	// maxFleetSize admits million-device fleets: with the group-parked
-	// meso tier the builder materializes only probes and faulted members,
-	// and validation's cost does not grow with the fleet size (see
-	// serve.Spec.Validate), so the bound is a sanity rail rather than a
-	// cost ceiling.
-	maxFleetSize = 1 << 24
-)
+// maxFleetSize admits million-device fleets: with the group-parked
+// meso tier the builder materializes only probes and faulted members,
+// and validation's cost does not grow with the fleet size (see
+// serve.Spec.Validate), so the bound is a sanity rail rather than a
+// cost ceiling.
+const maxFleetSize = 1 << 24
 
 // Spec is one complete, self-contained run description.
 type Spec struct {
@@ -115,32 +103,12 @@ type Spec struct {
 	Seed      uint64 `json:"seed"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 
-	// Devices lists catalog devices for single-engine scenarios (the
-	// examples, model-building experiments). Fleet scenarios size their
-	// device population in Fleet instead.
-	Devices []DeviceSpec `json:"devices,omitempty"`
-	// Workload shapes the IO stream for device scenarios.
-	Workload *WorkloadSpec `json:"workload,omitempty"`
 	// Fleet parameterizes the serving engine (experiment "fleet").
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 	// Grid is the campaign stanza (new in version 2): each populated
 	// axis lists values one fleet knob sweeps over, and Expand resolves
 	// the spec into the named cross-product family of point specs.
 	Grid *GridSpec `json:"grid,omitempty"`
-}
-
-// DeviceSpec is one catalog device (or a homogeneous group of them)
-// with an optional scripted fault profile.
-type DeviceSpec struct {
-	// Profile is the catalog profile: SSD1, SSD2, SSD3, HDD, EVO, C960.
-	Profile string `json:"profile"`
-	// Name is the instance base name; default is the profile name. With
-	// Count > 1 instances are named name0, name1, ...
-	Name string `json:"name,omitempty"`
-	// Count is how many instances to build; default 1.
-	Count int `json:"count,omitempty"`
-	// Faults scripts deterministic fault windows onto the device(s).
-	Faults []FaultWindow `json:"faults,omitempty"`
 }
 
 // FaultWindow is one scripted fault episode in spec form; it maps onto
@@ -154,28 +122,12 @@ type FaultWindow struct {
 	Prob float64 `json:"prob,omitempty"`
 }
 
-// WorkloadSpec shapes a closed-loop IO stream in spec form, fio's
-// iodepth model; it maps onto workload.Job.
-type WorkloadSpec struct {
-	// Op is "read" or "write".
-	Op string `json:"op"`
-	// Pattern is "seq" (default) or "rand".
-	Pattern string `json:"pattern,omitempty"`
-	// ChunkBytes is the IO size; must be a positive multiple of 512.
-	ChunkBytes int64 `json:"chunk_bytes"`
-	// Depth is the number of IOs kept in flight; must be positive.
-	Depth int `json:"depth,omitempty"`
-	// Runtime and TotalBytes bound the job; at least one must be set.
-	Runtime    Duration `json:"runtime,omitempty"`
-	TotalBytes int64    `json:"total_bytes,omitempty"`
-}
-
 // FleetSpec parameterizes the fleet serving engine. Zero values take
 // the fleet experiment's defaults (64 devices, 7000 IOPS per serving
 // device, the stepped curtail-and-recover budget). Every lane serves
 // Poisson arrivals of 256 KiB random writes at depth 64, the shape the
 // engine's planning models were measured at (see serve.Spec), with the
-// per-shard cap and clock probes attached.
+// per-shard cap probe attached.
 type FleetSpec struct {
 	// Profiles is the catalog profile mix; replica groups round-robin
 	// over it. Default {"SSD2"}.
@@ -371,8 +323,8 @@ func pathErr(path, format string, args ...any) error {
 }
 
 // Validate runs every semantic check and fails with the offending
-// path, e.g. `scenario: devices[2].faults[0].kind: unknown fault kind
-// "dropped"`.
+// path, e.g. `scenario: fleet.faults[0].windows[2].kind: unknown fault
+// kind "dropped"`.
 func (s *Spec) Validate() error {
 	if s.Version != Version {
 		if s.Version == 1 {
@@ -394,22 +346,6 @@ func (s *Spec) Validate() error {
 	if s.TotalBytes < 0 {
 		return pathErr("total_bytes", "negative byte bound %d", s.TotalBytes)
 	}
-	for i, d := range s.Devices {
-		if err := d.validate(fmt.Sprintf("devices[%d]", i)); err != nil {
-			return err
-		}
-	}
-	if s.Workload != nil {
-		if err := s.Workload.validate("workload"); err != nil {
-			return err
-		}
-		for i, d := range s.Devices {
-			if stage := catalog.StagedBytes(d.Profile, s.Workload.op()); stage > 0 && s.Workload.ChunkBytes > stage {
-				return pathErr("workload.chunk_bytes", "chunk size %d exceeds the %d bytes %s (devices[%d]) stages per request",
-					s.Workload.ChunkBytes, stage, d.Profile, i)
-			}
-		}
-	}
 	if s.Fleet != nil {
 		if err := s.validateFleet(); err != nil {
 			return err
@@ -424,24 +360,6 @@ func (s *Spec) Validate() error {
 		// divisible by a replica count, say) fail here with the point
 		// named. Points carry no grid, so this cannot recurse.
 		if _, err := s.expandPoints(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d DeviceSpec) validate(path string) error {
-	if !slices.Contains(catalog.Names(), d.Profile) {
-		return pathErr(path+".profile", "unknown profile %q (have %s)", d.Profile, strings.Join(catalog.Names(), ", "))
-	}
-	if d.Count < 0 {
-		return pathErr(path+".count", "negative count %d", d.Count)
-	}
-	if d.Count > maxDeviceCount {
-		return pathErr(path+".count", "count %d exceeds the supported maximum %d", d.Count, maxDeviceCount)
-	}
-	for i, w := range d.Faults {
-		if err := w.validate(fmt.Sprintf("%s.faults[%d]", path, i)); err != nil {
 			return err
 		}
 	}
@@ -474,8 +392,8 @@ func (w FaultWindow) kind() (fault.Kind, error) {
 	return 0, fmt.Errorf("unknown fault kind %q (ioerror, cmdfail, dropout)", w.Kind)
 }
 
-// Window converts the spec window to the fault package's form.
-func (w FaultWindow) Window() (fault.Window, error) {
+// window converts the spec window to the fault package's form.
+func (w FaultWindow) window() (fault.Window, error) {
 	k, err := w.kind()
 	if err != nil {
 		return fault.Window{}, err
@@ -486,32 +404,6 @@ func (w FaultWindow) Window() (fault.Window, error) {
 		Dur:   w.Dur.D(),
 		Prob:  w.Prob,
 	}, nil
-}
-
-func (w *WorkloadSpec) validate(path string) error {
-	switch w.Op {
-	case "read", "write":
-	default:
-		return pathErr(path+".op", "op must be \"read\" or \"write\", got %q", w.Op)
-	}
-	switch w.Pattern {
-	case "", "seq", "rand":
-	default:
-		return pathErr(path+".pattern", "pattern must be \"seq\" or \"rand\", got %q", w.Pattern)
-	}
-	if w.ChunkBytes <= 0 || w.ChunkBytes%512 != 0 {
-		return pathErr(path+".chunk_bytes", "chunk size %d must be a positive multiple of 512", w.ChunkBytes)
-	}
-	if w.Depth <= 0 {
-		return pathErr(path+".depth", "closed-loop workload needs a positive depth, got %d", w.Depth)
-	}
-	if w.Runtime <= 0 && w.TotalBytes <= 0 {
-		return pathErr(path, "workload needs a positive runtime or total_bytes bound")
-	}
-	if w.TotalBytes < 0 {
-		return pathErr(path+".total_bytes", "negative byte bound %d", w.TotalBytes)
-	}
-	return nil
 }
 
 // validateFleet checks the fleet stanza at the run's resolved horizon.

@@ -1,8 +1,12 @@
 package main
 
-import "fixture/internal/lib"
+import (
+	"fixture/internal/lib"
+	"fixture/internal/other"
+)
 
 func main() {
 	lib.Used()
 	_ = lib.Thing{}
+	other.Shared()
 }

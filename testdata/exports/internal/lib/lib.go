@@ -20,3 +20,7 @@ func (Thing) MarshalJSON() ([]byte, error) { return nil, nil }
 func (*Thing) TestOnlyMethod() {}
 
 func unexported() {}
+
+// Shared is named only by lib_test.go; other.Shared, which cmd/tool
+// names, does not keep it alive.
+func Shared() {}

@@ -4,6 +4,7 @@ import "testing"
 
 func TestLib(t *testing.T) {
 	TestOnly()
+	Shared()
 	new(Thing).TestOnlyMethod()
 	unexported()
 }
