@@ -476,19 +476,31 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 
 // --- Substrate micro-benchmarks ------------------------------------------
 
+// BenchmarkEngineEventThroughput dispatches b.N events from streams
+// that each re-arm themselves 1-16 µs out, beyond the 512 ns near
+// window. The sparse case queues 16 timers, so its engine runs on the
+// heap alone, as a group-parked fleet shard does; the dense case queues
+// 1 000, past the depth at which the engine opens its timing wheel, as
+// a device-level shard does.
 func BenchmarkEngineEventThroughput(b *testing.B) {
-	eng := sim.NewEngine()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.After(time.Microsecond, tick)
-		}
+	for _, c := range []struct {
+		name   string
+		queued int
+	}{{"sparse", 16}, {"dense", 1000}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			for i := range c.queued {
+				d := time.Duration(1+i%16) * time.Microsecond
+				var tick func()
+				tick = func() { eng.After(d, tick) }
+				eng.After(d, tick)
+			}
+			b.ResetTimer()
+			for range b.N {
+				eng.Step()
+			}
+		})
 	}
-	b.ResetTimer()
-	eng.After(time.Microsecond, tick)
-	eng.Run()
 }
 
 func BenchmarkSSDRandomRead4K(b *testing.B) {

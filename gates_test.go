@@ -103,13 +103,20 @@ func setupTime(t *testing.T, spec serve.Spec) time.Duration {
 	return best
 }
 
+// maxGroupAllocBytes bounds all the bytes TestScaleGates' 10⁶-device
+// run allocates. Its 16 shards queue a handful of timers each. When
+// every shard's engine opened a 4 097-slot timing wheel on its first
+// far timer, the run allocated ~1.04 MB, 0.64 MB of it wheels; on the
+// heap alone it allocates ~0.39 MB.
+const maxGroupAllocBytes = 640 << 10
+
 // TestScaleGates runs the group-parked tier at 10⁴ and 10⁶ devices
 // under the stepped curtail-and-recover budget, which splits every
 // cohort across hull levels. The million-device point must stay inside
-// the per-device cost bounds, the plan slots scanned must not grow
-// with fleet size (the control scan is bucket-shaped, not lane-shaped),
-// and neither may the set-up: residency is planned per cohort, not per
-// member.
+// the per-device cost bounds and maxGroupAllocBytes, the plan slots
+// scanned must not grow with fleet size (the control scan is
+// bucket-shaped, not lane-shaped), and neither may the set-up:
+// residency is planned per cohort, not per member.
 func TestScaleGates(t *testing.T) {
 	sizes := []int{10_000, 1_000_000}
 	slots := make([]int, len(sizes))
@@ -132,8 +139,8 @@ func TestScaleGates(t *testing.T) {
 			t.Fatalf("nothing virtualized at n=%d: lanes=%d buckets=%d", size, rep.MesoGroupLanes, rep.MesoGroupBuckets)
 		}
 		checkServeGates(t, size, rep)
-		t.Logf("n=%d: %.1f B/device, %.3f allocs/device, %d plan slots, %d buckets, %d virtual lanes, wall %v",
-			size, c.bytesPerDev, c.allocsPerDev, rep.MesoGroupScans, rep.MesoGroupBuckets, rep.MesoGroupLanes,
+		t.Logf("n=%d: %.1f B/device, %.3f allocs/device, %d B allocated, %d plan slots, %d buckets, %d virtual lanes, wall %v",
+			size, c.bytesPerDev, c.allocsPerDev, c.allocBytes, rep.MesoGroupScans, rep.MesoGroupBuckets, rep.MesoGroupLanes,
 			c.wall.Round(time.Millisecond))
 		slots[i] = rep.MesoGroupScans
 		setups[i] = setupTime(t, spec)
@@ -141,6 +148,9 @@ func TestScaleGates(t *testing.T) {
 		largest = c
 	}
 	checkPerDeviceCost(t, sizes[len(sizes)-1], largest)
+	if largest.allocBytes >= maxGroupAllocBytes {
+		t.Errorf("%d bytes allocated at n=%d, want < %d", largest.allocBytes, sizes[len(sizes)-1], maxGroupAllocBytes)
+	}
 	if slots[1] > 2*slots[0] {
 		t.Errorf("plan slots grew with fleet size: %d at n=%d vs %d at n=%d", slots[0], sizes[0], slots[1], sizes[1])
 	}

@@ -20,11 +20,14 @@
 //   - recurring work re-arms a single Timer in place (Reschedule,
 //     Periodic) instead of allocating a fresh timer and closure per tick;
 //   - one arm rule covers every event, a device's posts and owned timers
-//     alike, with no per-source queue in front of it: an event due inside
-//     the current 512 ns near window goes into the heap, anything later
-//     waits on a 4096-bucket timing wheel (≈2.1 ms span; later still, an
-//     overflow list re-filed once per revolution), so the heap holds only
-//     the current window;
+//     alike, with no per-source queue in front of it. An engine starts on
+//     the heap alone, which stays the cheapest queue while it holds fewer
+//     than heapOnlyMax (64) timers. The first timer armed into a heap of
+//     64 opens a 4096-bucket timing wheel (≈2.1 ms span; later still, an
+//     overflow list re-filed once per revolution), which then stays
+//     open: an event due inside the current 512 ns near window goes into
+//     the heap, anything later waits on the wheel, so the heap holds only
+//     the current window. A sparse engine never pays the wheel's 32 KB;
 //   - stopped and rescheduled timers leave the queue eagerly, in O(1):
 //     through their tracked heap index, or by unlinking from the
 //     doubly-linked wheel list recorded on the timer, so the queue never
@@ -63,14 +66,16 @@ type Engine struct {
 	free *Timer // free list of pooled (Post) timers
 
 	// Timing wheel holding every timer due beyond the near window
-	// [wBase, wBase+wheelWidth). Parked timers cost O(1) to file,
-	// unlink and surface, versus a full-depth heap sift; the heap
-	// ("near heap") holds only the current window. Invariants: every parked timer has at >= wBase+wheelWidth and
-	// every heap entry has at < wBase+wheelWidth, so a non-empty near
-	// heap always holds the global minimum. occ has one bit per
-	// non-empty bucket, letting wheelAdvance skip empty buckets in one
-	// step. The bucket array is allocated on first use; its last slot
-	// (overflowSlot) heads the overflow list.
+	// [wBase, wBase+wheelWidth), nil until openWheel (the heap alone
+	// queues every timer before that). Parked timers cost O(1) to file,
+	// unlink and surface, versus a full-depth heap sift; once the wheel
+	// is open the heap ("near heap") holds only the current window.
+	// Invariants while it is open: every parked timer has
+	// at >= wBase+wheelWidth and every heap entry has
+	// at < wBase+wheelWidth, so a non-empty near heap always holds the
+	// global minimum. occ has one bit per non-empty bucket, letting
+	// wheelAdvance skip empty buckets in one step. The bucket array's
+	// last slot (overflowSlot) heads the overflow list.
 	wBase       time.Duration
 	wheel       []*Timer // doubly-linked bucket lists through Timer.next/prev
 	occ         [wheelBuckets / 64]uint64
@@ -207,7 +212,7 @@ func (t *Timer) Reschedule(at time.Duration) {
 	t.seq = e.seq
 	e.seq++
 	if t.index >= 0 {
-		if at < e.wBase+wheelWidth {
+		if e.wheel == nil || at < e.wBase+wheelWidth {
 			e.heapFix(t.index)
 			return
 		}
@@ -320,14 +325,31 @@ const (
 	wheelMask    = wheelBuckets - 1
 	wheelSpan    = wheelWidth * wheelBuckets // ≈ 2.1 ms
 	overflowSlot = wheelBuckets              // wheel slot heading the overflow list
+
+	// heapOnlyMax is the queue depth at which the engine opens its
+	// wheel. Below it the heap alone is at most three levels deep
+	// (4³ = 64) and the engine skips the wheel's 32 KB bucket array.
+	// Fleet shards that queue a handful of timers never open it;
+	// device-level engines pass the depth during set-up.
+	heapOnlyMax = 64
 )
 
-// arm files a timer by the one arm rule: into the near heap when it
-// fires inside the current window, onto the wheel otherwise. With
-// nothing parked, the window first jumps to now's bucket, so a stale
-// window (after AdvanceTo, RunUntil or heap-only stretches) does not
-// send near-future timers around the overflow list.
+// arm files a timer by the one arm rule. Before the wheel opens every
+// timer goes into the heap, and the first one armed into a heap of
+// heapOnlyMax timers opens the wheel. Once it is open, a timer goes
+// into the near heap when it fires inside the current window and onto
+// the wheel otherwise. With nothing parked, the window first jumps to
+// now's bucket, so a stale window (after AdvanceTo, RunUntil or
+// stretches with nothing parked) does not send near-future timers
+// around the overflow list.
 func (e *Engine) arm(t *Timer) {
+	if e.wheel == nil {
+		if len(e.pq) < heapOnlyMax {
+			e.heapPush(t)
+			return
+		}
+		e.openWheel()
+	}
 	if t.at >= e.wBase+wheelWidth && e.wheelCnt+e.overflowCnt == 0 {
 		if b := e.now &^ (wheelWidth - 1); b > e.wBase {
 			e.wBase = b
@@ -351,9 +373,6 @@ func (e *Engine) arm(t *Timer) {
 // span go to the overflow list; the re-file in wheelAdvance uses the
 // same rule.
 func (e *Engine) park(t *Timer) {
-	if e.wheel == nil {
-		e.wheel = make([]*Timer, wheelBuckets+1)
-	}
 	j := overflowSlot
 	if t.at-e.wBase <= wheelSpan {
 		j = int(t.at>>wheelShift) & wheelMask
@@ -368,6 +387,31 @@ func (e *Engine) park(t *Timer) {
 		t.next.prev = t
 	}
 	e.wheel[j] = t
+}
+
+// openWheel allocates the bucket array, once, and sets the near window
+// to now's bucket. Every heap entry due at or after the window's end
+// moves onto the wheel, and the entries left are re-heapified in place,
+// so the heap holds only the current window from then on.
+func (e *Engine) openWheel() {
+	e.wheel = make([]*Timer, wheelBuckets+1)
+	e.wBase = e.now &^ (wheelWidth - 1)
+	pq, n := e.pq, 0
+	for _, h := range pq {
+		if h.at < e.wBase+wheelWidth {
+			pq[n] = h
+			h.t.index = n
+			n++
+		} else {
+			h.t.index = -1
+			e.park(h.t)
+		}
+	}
+	clear(pq[n:])
+	e.pq = pq[:n]
+	for i := (n - 2) >> 2; i >= 0; i-- {
+		e.siftDown(i)
+	}
 }
 
 // unlink removes a parked timer from its wheel list in O(1).

@@ -1,20 +1,25 @@
 package sim
 
 import (
+	"bytes"
 	"container/heap"
 	"testing"
 	"time"
 )
 
-// The engine's inlined 4-ary heap (plus the timing wheel in front of it)
-// must fire events in exactly the order a textbook priority queue over
-// (time, seq) would. FuzzHeapDifferential drives both from the same
-// random script of schedule / post / stop / reschedule / periodic /
-// step / advance operations and requires identical fire sequences,
-// including FIFO order among co-timed events. Posts land in any order at
-// or after now: near posts behind far ones, and early posts ahead of
-// everything queued, as a device's event sources post them. Far posts
-// step in eighths of the
+// The engine's inlined 4-ary heap, alone or with the timing wheel open
+// beside it, must fire events in exactly the order a textbook priority
+// queue over (time, seq) would. FuzzHeapDifferential drives both from
+// the same random script of schedule / post / stop / reschedule /
+// periodic / step / advance / open-wheel operations and requires
+// identical fire sequences, including FIFO order among co-timed events.
+// The engine runs on its heap alone until the script opens the wheel
+// (op 16) or queues a 65th timer, so each seed runs twice: as written,
+// mostly heap-only, and behind an opening op 16, wholly with the wheel;
+// a mid-script op 16 re-files the far part of a populated heap onto
+// the wheel. Posts land in any order at or after now: near posts
+// behind far ones, and early posts ahead of everything queued, as a
+// device's event sources post them. Far posts step in eighths of the
 // wheel span so the fuzzer reaches the exact wheel/overflow boundary
 // (at == wBase+wheelSpan), which must park on the wheel, not the
 // overflow list. Far plain timers step in sixteenths of the span plus a
@@ -59,56 +64,70 @@ func (h *refHeap) removeID(id int) bool {
 }
 
 func FuzzHeapDifferential(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 2, 0, 5, 0, 5, 0, 5, 0})
-	f.Add([]byte{2, 3, 2, 3, 2, 3, 5, 0, 3, 0, 5, 0, 4, 1, 7})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 5, 0, 6, 200, 6, 10, 5, 0})
-	f.Add([]byte{0, 9, 4, 0, 20, 3, 0, 4, 0, 9, 5, 0, 5, 0, 5, 0})
-	// Exact wheel-span boundary: a far post at precisely wBase+wheelSpan
-	// (arg 7 = 8 eighths of the span, with the wheel already occupied so
-	// the window jump cannot move wBase) must file on the wheel.
-	f.Add([]byte{6, 0, 6, 7, 5, 0, 5, 0, 5, 0})
-	f.Add([]byte{6, 7, 7, 0, 7, 0, 5, 0, 6, 7, 5, 0, 5, 0})
-	// Early posts interleaved with near-heap traffic.
-	f.Add([]byte{2, 0, 7, 0, 1, 10, 5, 0, 7, 0, 5, 0, 5, 0})
-	// A parked plain timer rescheduled into a different bucket, then
-	// back into the near window.
-	f.Add([]byte{0, 40, 0, 60, 4, 100, 15, 0, 14, 1, 15, 0, 15, 0})
-	// A near-heap timer rescheduled far out must leave the heap for the
-	// wheel, behind a parked post it now follows.
-	f.Add([]byte{0, 1, 1, 40, 9, 0, 15, 0, 15, 0})
-	// Stops: one leaves its bucket occupied (the next step must still
-	// find it), one empties a bucket the skip must then pass over.
-	f.Add([]byte{0, 40, 0, 41, 0, 80, 0, 120, 3, 0, 15, 0, 3, 3, 15, 0, 15, 0})
-	// Skips over runs of empty buckets up to the next event's bucket.
-	f.Add([]byte{0, 10, 0, 200, 1, 255, 8, 0, 15, 0, 15, 0, 15, 0, 15, 0})
-	// The wrap to bucket 0 with overflow present: far timers several
-	// revolutions out re-file, one revolution at a time.
-	f.Add([]byte{8, 20, 12, 70, 8, 255, 10, 5, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0})
-	// The skip must stop at the wrap even when the next occupied bucket
-	// lies beyond it: an overflow timer due before that bucket re-files
-	// there.
-	f.Add([]byte{8, 17, 12, 7, 15, 0, 12, 13, 15, 0, 15, 0})
-	// AdvanceTo across skipped buckets, short of a parked timer.
-	f.Add([]byte{0, 200, 8, 3, 11, 100, 15, 0, 11, 255, 13, 0, 15, 0})
-	// A parked timer rescheduled onto the overflow list, aliasing the
-	// bucket of another parked timer: the unlink must clear its old
-	// bucket's occupancy, not the bucket its new time maps to, or the
-	// other timer (and the plain post between them) is skipped.
-	f.Add([]byte{8, 3, 12, 7, 0, 10, 9, 19, 15, 0, 15, 0, 15, 0, 15, 0})
-	// Periodic timers re-arming onto the wheel and across revolutions,
-	// one rescheduled and one stopped mid-series.
-	f.Add([]byte{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0})
-	// Runs of ascending near posts, interleaved with steps that pop
-	// their heads.
-	f.Add([]byte{2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 1, 5, 0, 5, 0, 2, 14, 2, 16, 2, 18, 2, 20, 2, 22, 5, 0})
-	f.Add([]byte{2, 2, 2, 4, 2, 6, 5, 0, 5, 0, 2, 8, 2, 10, 2, 12, 2, 14, 5, 0, 5, 0})
-	// Ascending near posts while early posts keep taking the head.
-	f.Add([]byte{2, 2, 7, 0, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 3, 7, 0, 5, 0, 5, 0})
-	// Far posts (on the wheel and beyond its span), then early posts
-	// ahead of them, co-timed with one another and with plain posts.
-	f.Add([]byte{6, 0, 6, 1, 6, 10, 6, 11, 7, 0, 7, 1, 7, 2, 1, 0, 7, 4, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
-	// Descending near posts, each the new head.
-	f.Add([]byte{2, 200, 2, 150, 2, 100, 2, 50, 2, 0, 7, 3, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0})
+	seeds := [][]byte{
+		{0, 1, 1, 2, 2, 0, 5, 0, 5, 0, 5, 0},
+		{2, 3, 2, 3, 2, 3, 5, 0, 3, 0, 5, 0, 4, 1, 7},
+		{0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 5, 0, 6, 200, 6, 10, 5, 0},
+		{0, 9, 4, 0, 20, 3, 0, 4, 0, 9, 5, 0, 5, 0, 5, 0},
+		// Exact wheel-span boundary: a far post at precisely wBase+wheelSpan
+		// (arg 7 = 8 eighths of the span, with the wheel already occupied so
+		// the window jump cannot move wBase) must file on the wheel.
+		{6, 0, 6, 7, 5, 0, 5, 0, 5, 0},
+		{6, 7, 7, 0, 7, 0, 5, 0, 6, 7, 5, 0, 5, 0},
+		// Early posts interleaved with near-heap traffic.
+		{2, 0, 7, 0, 1, 10, 5, 0, 7, 0, 5, 0, 5, 0},
+		// A parked plain timer rescheduled into a different bucket, then
+		// back into the near window.
+		{0, 40, 0, 60, 4, 100, 15, 0, 14, 1, 15, 0, 15, 0},
+		// A near-heap timer rescheduled far out must leave the heap for the
+		// wheel, behind a parked post it now follows.
+		{0, 1, 1, 40, 9, 0, 15, 0, 15, 0},
+		// Stops: one leaves its bucket occupied (the next step must still
+		// find it), one empties a bucket the skip must then pass over.
+		{0, 40, 0, 41, 0, 80, 0, 120, 3, 0, 15, 0, 3, 3, 15, 0, 15, 0},
+		// Skips over runs of empty buckets up to the next event's bucket.
+		{0, 10, 0, 200, 1, 255, 8, 0, 15, 0, 15, 0, 15, 0, 15, 0},
+		// The wrap to bucket 0 with overflow present: far timers several
+		// revolutions out re-file, one revolution at a time.
+		{8, 20, 12, 70, 8, 255, 10, 5, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0},
+		// The skip must stop at the wrap even when the next occupied bucket
+		// lies beyond it: an overflow timer due before that bucket re-files
+		// there.
+		{8, 17, 12, 7, 15, 0, 12, 13, 15, 0, 15, 0},
+		// AdvanceTo across skipped buckets, short of a parked timer.
+		{0, 200, 8, 3, 11, 100, 15, 0, 11, 255, 13, 0, 15, 0},
+		// A parked timer rescheduled onto the overflow list, aliasing the
+		// bucket of another parked timer: the unlink must clear its old
+		// bucket's occupancy, not the bucket its new time maps to, or the
+		// other timer (and the plain post between them) is skipped.
+		{8, 3, 12, 7, 0, 10, 9, 19, 15, 0, 15, 0, 15, 0, 15, 0},
+		// Periodic timers re-arming onto the wheel and across revolutions,
+		// one rescheduled and one stopped mid-series.
+		{10, 9, 10, 70, 15, 0, 4, 33, 15, 0, 3, 1, 15, 0, 15, 0},
+		// Runs of ascending near posts, interleaved with steps that pop
+		// their heads.
+		{2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 1, 5, 0, 5, 0, 2, 14, 2, 16, 2, 18, 2, 20, 2, 22, 5, 0},
+		{2, 2, 2, 4, 2, 6, 5, 0, 5, 0, 2, 8, 2, 10, 2, 12, 2, 14, 5, 0, 5, 0},
+		// Ascending near posts while early posts keep taking the head.
+		{2, 2, 7, 0, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 3, 7, 0, 5, 0, 5, 0},
+		// Far posts (on the wheel and beyond its span), then early posts
+		// ahead of them, co-timed with one another and with plain posts.
+		{6, 0, 6, 1, 6, 10, 6, 11, 7, 0, 7, 1, 7, 2, 1, 0, 7, 4, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0},
+		// Descending near posts, each the new head.
+		{2, 200, 2, 150, 2, 100, 2, 50, 2, 0, 7, 3, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0},
+		// The wheel opens mid-script, with owned, posted, periodic,
+		// rescheduled and stopped timers queued on both sides of the
+		// window it opens on, at and beyond its span.
+		{0, 1, 8, 20, 2, 3, 10, 9, 4, 30, 6, 8, 6, 9, 0, 50, 3, 4, 12, 70, 5, 0, 7, 0, 2, 1, 14, 2, 16, 0, 13, 0, 3, 1, 4, 5, 3, 6, 5, 0, 11, 5, 15, 0, 15, 0},
+		// The same, stepping up to the switch and advancing right after it.
+		{8, 3, 0, 9, 10, 4, 6, 8, 2, 7, 15, 0, 7, 8, 14, 1, 16, 0, 11, 2, 13, 0, 7, 0, 15, 0, 15, 0},
+		// A 65th queued timer opens the wheel without op 16.
+		bytes.Repeat([]byte{12, 37, 6, 5, 1, 200}, 23),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+		f.Add(append([]byte{16, 0}, s...))
+	}
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		e := NewEngine()
@@ -213,7 +232,7 @@ func FuzzHeapDifferential(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(script) && nextID < 512; i += 2 {
-			op, arg := script[i]%16, script[i+1]
+			op, arg := script[i]%17, script[i+1]
 			delta := time.Duration(arg) * 64 * time.Nanosecond
 			at := e.Now() + delta
 			switch op {
@@ -276,6 +295,10 @@ func FuzzHeapDifferential(f *testing.F) {
 					continue
 				}
 				reschedule(int(arg)%len(owned), e.Now()+time.Duration(arg%8))
+			case 16: // open the wheel now, re-filing the heap's far timers
+				if e.wheel == nil {
+					e.openWheel()
+				}
 			}
 			if e.Pending() != ref.Len() {
 				t.Fatalf("op %d: Pending() = %d, reference = %d", i, e.Pending(), ref.Len())

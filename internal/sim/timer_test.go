@@ -202,12 +202,19 @@ func TestStopRemovesEagerly(t *testing.T) {
 
 // --- timing wheel ---------------------------------------------------------
 
+// The tests below open the wheel first: an engine queueing so few
+// timers would otherwise keep them all on the heap alone.
+
 func TestWheelFarChainEvent(t *testing.T) {
 	// A posted event far beyond the near window parks on the wheel and
 	// still fires in global (time, seq) order with near events.
 	e := NewEngine()
+	e.openWheel()
 	var order []string
 	e.Post(10*wheelWidth, func() { order = append(order, "far") })
+	if e.wheelCnt != 1 {
+		t.Fatalf("wheelCnt = %d after a far post, want 1", e.wheelCnt)
+	}
 	e.Schedule(wheelWidth/2, func() { order = append(order, "near") })
 	e.Schedule(10*wheelWidth, func() { order = append(order, "co-timed-later") })
 	if e.Pending() != 3 {
@@ -224,9 +231,13 @@ func TestWheelOverflow(t *testing.T) {
 	// re-filed when the cursor wraps; interleave nearer events so the
 	// wheel genuinely revolves.
 	e := NewEngine()
+	e.openWheel()
 	var got []time.Duration
 	farAt := 3 * wheelSpan
 	e.Post(farAt, func() { got = append(got, e.Now()) })
+	if e.overflowCnt != 1 {
+		t.Fatalf("overflowCnt = %d after a post three spans out, want 1", e.overflowCnt)
+	}
 	var tick func()
 	step := wheelSpan / 16
 	tick = func() {
@@ -252,8 +263,12 @@ func TestWheelSparseSchedule(t *testing.T) {
 	// instead of walking thousands of empty buckets (behaviorally: the
 	// event still fires at its time, cheap or not).
 	e := NewEngine()
+	e.openWheel()
 	fired := time.Duration(-1)
 	e.Post(time.Second, func() { fired = e.Now() })
+	if e.overflowCnt != 1 {
+		t.Fatalf("overflowCnt = %d after a post 1 s out, want 1", e.overflowCnt)
+	}
 	e.Run()
 	if fired != time.Second {
 		t.Fatalf("sparse far event fired at %v, want 1s", fired)
@@ -262,7 +277,11 @@ func TestWheelSparseSchedule(t *testing.T) {
 
 func TestAdvanceToRespectsParkedEvents(t *testing.T) {
 	e := NewEngine()
+	e.openWheel()
 	e.Post(5*wheelWidth, func() {})
+	if e.wheelCnt != 1 {
+		t.Fatalf("wheelCnt = %d after a far post, want 1", e.wheelCnt)
+	}
 	// Advancing short of the parked event is fine.
 	e.AdvanceTo(2 * wheelWidth)
 	if e.Now() != 2*wheelWidth {
@@ -279,7 +298,11 @@ func TestAdvanceToRespectsParkedEvents(t *testing.T) {
 
 func TestNextEventAtSeesParkedEvents(t *testing.T) {
 	e := NewEngine()
+	e.openWheel()
 	e.Post(7*wheelWidth, func() {})
+	if e.wheelCnt != 1 {
+		t.Fatalf("wheelCnt = %d after a far post, want 1", e.wheelCnt)
+	}
 	at, ok := e.NextEventAt()
 	if !ok || at != 7*wheelWidth {
 		t.Fatalf("NextEventAt() = %v, %v; want %v, true", at, ok, 7*wheelWidth)
@@ -304,6 +327,7 @@ func TestDueNow(t *testing.T) {
 		t.Fatal("the near heap's root is later than now, but DueNow is true")
 	}
 	e.Run()
+	e.openWheel()
 	e.Post(e.Now()+5*wheelWidth, func() {})
 	if len(e.pq) != 0 || e.Pending() != 1 {
 		t.Fatalf("near heap holds %d of %d events, want the one event parked", len(e.pq), e.Pending())
